@@ -10,6 +10,7 @@
 package p2_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -21,6 +22,7 @@ import (
 	"p2/internal/dsl"
 	"p2/internal/eval"
 	"p2/internal/hierarchy"
+	"p2/internal/load"
 	"p2/internal/lower"
 	"p2/internal/netsim"
 	"p2/internal/placement"
@@ -409,6 +411,12 @@ func BenchmarkPlacementEnumerate(b *testing.B) {
 	}
 }
 
+// BenchmarkLower measures the semantic path, lower.Lower = Annotate (the
+// universe semantics) + Bind: what parsed programs, the AllReduce baseline
+// and the serial reference pay per program. The planning engine does not
+// run it — synthesized programs carry their shapes and each placement
+// binds an instruction once (BenchmarkBind); BenchmarkPlanFreshBytesWarm
+// measures that path end to end.
 func BenchmarkLower(b *testing.B) {
 	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
 	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
@@ -418,6 +426,68 @@ func BenchmarkLower(b *testing.B) {
 		if _, err := lower.Lower(prog, h); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBind is the engine's whole per-instruction lowering cost: one
+// instruction's leaf groups mapped to sorted physical groups (64 devices,
+// 16 replicas of a 4-leaf universe).
+func BenchmarkBind(b *testing.B) {
+	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
+	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
+	in := synth.BaselineAllReduce()[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lower.Bind(in, h)
+	}
+}
+
+// BenchmarkPlanFreshBytesWarm is the daemon's slow path without the
+// socket: one long-lived p2.Planner whose synthesis memo is warm, the 14
+// non-measured load.Catalog() shapes, and a payload size never seen before
+// on every iteration — so nothing above the synthesis memo can be reused
+// and each op is 14 complete top-K plans (placements, hierarchies, memo
+// hits, binding, scoring, strategy adoption).
+func BenchmarkPlanFreshBytesWarm(b *testing.B) {
+	type shape struct {
+		sys *p2.System
+		req p2.Request
+	}
+	var shapes []shape
+	for _, pr := range load.Catalog() {
+		if pr.Measure != "" {
+			continue
+		}
+		sys, err := p2.ParseSystem(pr.System, pr.Nodes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := p2.Request{Axes: pr.Axes, ReduceAxes: pr.Reduce, TopK: pr.TopK}
+		switch pr.Algo {
+		case "":
+		case "auto":
+			req.Algos = p2.ExtendedAlgorithms
+		default:
+			if req.Algo, err = cost.ParseAlgorithm(pr.Algo); err != nil {
+				b.Fatal(err)
+			}
+		}
+		shapes = append(shapes, shape{sys, req})
+	}
+	pl := p2.NewPlanner(0)
+	plan := func(bytes float64) {
+		for _, s := range shapes {
+			s.req.Bytes = bytes
+			if _, err := pl.PlanCtx(context.Background(), s.sys, s.req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	plan(1 << 20) // warm the synthesis memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan(float64(1<<20 + 1 + i))
 	}
 }
 

@@ -154,58 +154,46 @@ func checkReduceLike(states []*State) error {
 // Apply executes op over the group (states in group order; states[0] is the
 // root for Reduce/Broadcast, matching the paper's convention of using the
 // first device of a hierarchical group as root). On success it returns the
-// post-condition states, leaving the inputs untouched. On a precondition
-// violation it returns one of the Err* sentinels.
+// post-condition states, leaving the inputs untouched. Members that end up
+// holding the same data share one State, and a Broadcast hands out the
+// root's own: states are immutable once published (see State). On a
+// precondition violation it returns one of the Err* sentinels.
 func Apply(op Op, states []*State) ([]*State, error) {
 	if err := Check(op, states); err != nil {
 		return nil, err
 	}
 	k := states[0].k
-	g := len(states)
+	out := make([]*State, len(states))
 	switch op {
-	case AllReduce:
+	case AllReduce, AllGather:
 		sum := unionAll(states)
-		out := make([]*State, g)
 		for i := range out {
-			out[i] = sum.Clone()
+			out[i] = sum
 		}
-		return out, nil
 	case Reduce:
-		sum := unionAll(states)
-		out := make([]*State, g)
-		out[0] = sum
-		for i := 1; i < g; i++ {
-			out[i] = NewState(k)
+		empty := NewState(k)
+		for i := range out {
+			out[i] = empty
 		}
-		return out, nil
+		out[0] = unionAll(states)
 	case ReduceScatter:
 		sum := unionAll(states)
 		rows := sum.Rows()
-		per := len(rows) / g
-		out := make([]*State, g)
+		per := len(rows) / len(states)
 		for i := range out {
 			out[i] = NewState(k)
 			for _, r := range rows[i*per : (i+1)*per] {
 				copy(out[i].row(r), sum.row(r))
 			}
 		}
-		return out, nil
-	case AllGather:
-		sum := unionAll(states)
-		out := make([]*State, g)
-		for i := range out {
-			out[i] = sum.Clone()
-		}
-		return out, nil
 	case Broadcast:
-		out := make([]*State, g)
 		for i := range out {
-			out[i] = states[0].Clone()
+			out[i] = states[0]
 		}
-		return out, nil
 	default:
 		return nil, fmt.Errorf("collective: unknown op %v", op)
 	}
+	return out, nil
 }
 
 func unionAll(states []*State) *State {

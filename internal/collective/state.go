@@ -17,6 +17,12 @@ import (
 )
 
 // State is a k×k boolean matrix stored as k rows of packed 64-bit words.
+//
+// A State is written only while it is being built (NewState + Set, or
+// inside Apply before it is returned). Apply never mutates its inputs, so
+// a State that has been published — placed in a dsl.Context, returned from
+// Apply — is immutable and is shared freely: between contexts, and between
+// the members of a group that hold the same data. Clone before changing one.
 type State struct {
 	k     int
 	words int      // words per row

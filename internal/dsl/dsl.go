@@ -172,49 +172,52 @@ func (in Instruction) Groups(h *hierarchy.Hierarchy) [][]int {
 	if err := in.Validate(h); err != nil {
 		panic(err)
 	}
-	rad := h.Radix()
-	k := h.K()
+	rad, k := h.Radix(), h.K()
+	var n, size int           // group count and (uniform) group size
+	var groupOf func(int) int // the group of leaf u, or -1 for none
 	switch in.Form {
 	case InsideGroup:
 		w := rad.Weight(in.Slice)
-		groups := make([][]int, k/w)
-		for u := 0; u < k; u++ {
-			g := u / w
-			groups[g] = append(groups[g], u)
-		}
-		return groups
+		n, size = k/w, w
+		groupOf = func(u int) int { return u / w }
 	case Parallel, Master:
 		wa := rad.Weight(in.Arg)   // span of one ancestor subtree
 		ws := rad.Weight(in.Slice) // span of one slice subtree
 		// Leaf u belongs to ancestor u/wa, middle position
 		// (u%wa)/ws, and within-slice position u%ws. A device group
 		// fixes (ancestor, within-slice position) and varies the middle.
-		mid := wa / ws
-		var groups [][]int
-		if in.Form == Parallel {
-			groups = make([][]int, k/mid)
-		} else {
-			groups = make([][]int, (k / wa)) // one (position-0) group per ancestor
-		}
-		for u := 0; u < k; u++ {
-			anc := u / wa
-			pos := u % ws
-			if in.Form == Master {
-				if pos != 0 {
-					continue
+		n, size = k/(wa/ws), wa/ws
+		groupOf = func(u int) int { return u/wa*ws + u%ws }
+		if in.Form == Master { // only the position-0 group per ancestor
+			n = k / wa
+			groupOf = func(u int) int {
+				if u%ws != 0 {
+					return -1
 				}
-				groups[anc] = append(groups[anc], u)
-				continue
+				return u / wa
 			}
-			g := anc*ws + pos
+		}
+	}
+	// Groups are cut from one backing array, capacity-capped so that
+	// appending to one cannot reach its neighbour.
+	groups, flat := make([][]int, n), make([]int, n*size)
+	for g := range groups {
+		groups[g] = flat[g*size : g*size : (g+1)*size]
+	}
+	for u := 0; u < k; u++ {
+		if g := groupOf(u); g >= 0 {
 			groups[g] = append(groups[g], u)
 		}
-		return groups
 	}
-	panic("unreachable")
+	return groups
 }
 
 // Context is the per-leaf device state of a synthesis universe.
+//
+// States reachable from a Context are immutable: collective.Apply returns
+// fresh states and nothing writes a *collective.State once it is part of a
+// context, so successive contexts share the states of the leaves a step did
+// not touch. Code that wants to mutate a state must Clone it first.
 type Context []*collective.State
 
 // NewContext returns the initial context for hierarchy h: leaf u holds only
@@ -228,36 +231,65 @@ func NewContext(h *hierarchy.Hierarchy) Context {
 	return ctx
 }
 
-// Clone deep-copies the context.
-func (c Context) Clone() Context {
-	out := make(Context, len(c))
-	for i, s := range c {
-		out[i] = s.Clone()
-	}
-	return out
-}
-
 // Apply executes one instruction over the context, returning the new
 // context. Devices not participating in any derived group keep their state.
 // It returns the first semantic error encountered (the instruction is then
 // invalid in this state, per the Hoare rules of §3.2).
 func (c Context) Apply(in Instruction, h *hierarchy.Hierarchy) (Context, error) {
 	groups := in.Groups(h)
-	out := c.Clone()
-	for _, g := range groups {
-		states := make([]*collective.State, len(g))
-		for i, u := range g {
-			states[i] = c[u]
+	out, bad, err := c.ApplyGroups(in.Op, groups)
+	if err != nil {
+		return nil, fmt.Errorf("dsl: %s on group %v: %w", in, groups[bad], err)
+	}
+	return out, nil
+}
+
+// ApplyGroups is Apply over already-derived disjoint leaf groups. The new
+// context shares the untouched leaves' states with c (see the immutability
+// contract on Context). A semantic error comes back unwrapped, with the
+// index of the failing group: rejection is the synthesizer's hot path.
+func (c Context) ApplyGroups(op collective.Op, groups [][]int) (Context, int, error) {
+	out := append(Context(nil), c...)
+	// One scratch for every (equal-sized) group: collective.Apply keeps no
+	// reference to its argument.
+	states := make([]*collective.State, 0, len(groups[0]))
+	for gi, g := range groups {
+		states = states[:0]
+		for _, u := range g {
+			states = append(states, c[u])
 		}
-		res, err := collective.Apply(in.Op, states)
+		res, err := collective.Apply(op, states)
 		if err != nil {
-			return nil, fmt.Errorf("dsl: %s on group %v: %w", in, g, err)
+			return nil, gi, err
 		}
 		for i, u := range g {
 			out[u] = res[i]
 		}
 	}
-	return out, nil
+	return out, 0, nil
+}
+
+// Shape is the chunk accounting of one program step: how many payload
+// chunks (universe rows) a participant holds entering and leaving it. It is
+// a function of the hierarchy signature and the program prefix alone, so
+// one Shape serves every placement sharing the signature.
+type Shape struct {
+	// Rows is the chunk count entering the step (for Broadcast: the
+	// source's).
+	Rows int
+	// RowsOut is the chunk count after the step (for Reduce: the root's;
+	// non-roots drop to zero).
+	RowsOut int
+}
+
+// StepShape reads the shape of a step off the contexts around it: the step
+// ran op over groups whose first is g0 and took ctx to next.
+func StepShape(op collective.Op, g0 []int, ctx, next Context) Shape {
+	out := g0[len(g0)-1]
+	if op == collective.Reduce {
+		out = g0[0] // the root keeps the rows
+	}
+	return Shape{Rows: ctx[g0[0]].NumRows(), RowsOut: next[out].NumRows()}
 }
 
 // Run executes the whole program from the initial context of h.

@@ -277,7 +277,10 @@ func TestMasterOnlyLeavesOthersUnchanged(t *testing.T) {
 func TestApplyDoesNotMutateContext(t *testing.T) {
 	h := reductionHierarchy(t)
 	ctx := NewContext(h)
-	saved := ctx.Clone()
+	saved := make(Context, len(ctx))
+	for u, st := range ctx {
+		saved[u] = st.Clone()
+	}
 	in := Instruction{Slice: 0, Form: InsideGroup, Op: collective.AllReduce}
 	if _, err := ctx.Apply(in, h); err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"p2/internal/factor"
@@ -128,33 +129,39 @@ func (h *Hierarchy) String() string {
 // excluded: placements that lower differently still share a signature
 // whenever their reduction structure coincides.
 func (h *Hierarchy) Signature() string {
-	var b strings.Builder
-	b.WriteString("s:")
+	// One buffer, strconv appends: this runs once per placement on the
+	// planner's memo-hit path, where fmt per number cost as much as Build.
+	n := len(h.Sizes)
+	for _, g := range h.Groups {
+		n += len(g) + 1
+	}
+	b := make([]byte, 0, 16+3*n)
+	b = append(b, "s:"...)
 	for i, s := range h.Sizes {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", s)
+		b = strconv.AppendInt(b, int64(s), 10)
 	}
-	b.WriteString("|r:")
+	b = append(b, "|r:"...)
 	for _, r := range h.ReductionLevel {
 		if r {
-			b.WriteByte('1')
+			b = append(b, '1')
 		} else {
-			b.WriteByte('0')
+			b = append(b, '0')
 		}
 	}
-	b.WriteString("|g:")
+	b = append(b, "|g:"...)
 	for _, g := range h.Groups {
 		for i, u := range g {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%d", u)
+			b = strconv.AppendInt(b, int64(u), 10)
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Options configure hierarchy construction.

@@ -1,6 +1,8 @@
 package hierarchy_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"p2/internal/hierarchy"
@@ -91,5 +93,59 @@ func TestSignatureDistinguishesReductionLevels(t *testing.T) {
 		// Only a problem when their synthesis output could differ; sizes
 		// or flags or groups must separate them.
 		t.Errorf("system and row-based hierarchies share signature %s", hSys.Signature())
+	}
+}
+
+// TestSignatureFormatPinned holds the signature byte-identical to its
+// original fmt-built form (it is the planner's memo key): sizes, flags and
+// groups rendered with %d, across every hierarchy kind, collapsing, and a
+// universe large enough for three-digit leaf indices.
+func TestSignatureFormatPinned(t *testing.T) {
+	want := func(h *hierarchy.Hierarchy) string {
+		var b strings.Builder
+		b.WriteString("s:")
+		for i, s := range h.Sizes {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", s)
+		}
+		b.WriteString("|r:")
+		for _, r := range h.ReductionLevel {
+			if r {
+				b.WriteByte('1')
+			} else {
+				b.WriteByte('0')
+			}
+		}
+		b.WriteString("|g:")
+		for _, g := range h.Groups {
+			for i, u := range g {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				fmt.Fprintf(&b, "%d", u)
+			}
+			b.WriteByte(';')
+		}
+		return b.String()
+	}
+	small := mustM(t, []int{1, 2, 2, 4}, []int{4, 4}, [][]int{{1, 1, 2, 2}, {1, 2, 1, 2}})
+	big := mustM(t, []int{4, 8, 8}, []int{128, 2}, [][]int{{4, 4, 8}, {1, 2, 1}})
+	multi := mustM(t, []int{4, 16}, []int{16, 2, 2}, [][]int{{2, 8}, {2, 1}, {1, 2}})
+	for _, kind := range hierarchy.Kinds {
+		h := hierarchy.MustBuild(kind, small, []int{1}, hierarchy.Options{})
+		if got := h.Signature(); got != want(h) {
+			t.Errorf("%v: signature %q, want %q", kind, got, want(h))
+		}
+	}
+	for _, h := range []*hierarchy.Hierarchy{
+		hierarchy.MustBuild(hierarchy.KindReductionAxes, big, []int{0}, hierarchy.Options{}),
+		hierarchy.MustBuild(hierarchy.KindReductionAxes, multi, []int{0, 2}, hierarchy.Options{Collapse: true}),
+		hierarchy.MustBuild(hierarchy.KindReductionAxes, multi, []int{0, 2}, hierarchy.Options{KeepUnitLevels: true}),
+	} {
+		if got := h.Signature(); got != want(h) {
+			t.Errorf("%v: signature %q, want %q", h, got, want(h))
+		}
 	}
 }

@@ -12,7 +12,7 @@ package lower
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"p2/internal/collective"
@@ -27,6 +27,12 @@ type Step struct {
 	// Groups are the participating physical device groups. Member order
 	// is significant: the first device is the root for Reduce/Broadcast
 	// and chunk blocks are assigned in order for ReduceScatter.
+	//
+	// Groups is read-only. The planning engine binds each instruction once
+	// per placement, so the steps of every program of that placement using
+	// the instruction alias the same slices; a consumer that needs to
+	// reorder or rewrite groups copies them first (netsim's step fusion
+	// does).
 	Groups [][]int
 	// Rows is the number of payload chunks (universe rows) each
 	// participant holds entering the step (for Broadcast: the source's).
@@ -59,94 +65,75 @@ type Program struct {
 	Source dsl.Program
 }
 
-// Lower lowers a DSL program against its synthesis hierarchy. It re-runs
-// the universe semantics to annotate every step with its chunk counts, so
-// it fails with the same error a semantic check would.
+// Lower lowers a DSL program against its synthesis hierarchy: Annotate for
+// the chunk counts, Bind for each step's physical groups. It runs the
+// universe semantics, so it fails with the same error a semantic check
+// would. It serves programs that did not come out of the synthesizer and
+// is the reference the planning engine's skeleton path is tested against.
 func Lower(p dsl.Program, h *hierarchy.Hierarchy) (*Program, error) {
-	s := Start(p, h)
-	for !s.Done() {
-		if _, err := s.Next(); err != nil {
-			return nil, err
-		}
-	}
-	return s.Program(), nil
-}
-
-// Stepper lowers a program one step at a time, so a consumer scoring the
-// steps as they appear can abandon the program — and the remaining
-// universe-semantics work — as soon as its partial cost disqualifies it
-// (the planning engine's early-exit pruning). Lower is Start + draining
-// Next, so a drained Stepper is byte-identical to Lower.
-type Stepper struct {
-	h   *hierarchy.Hierarchy
-	src dsl.Program
-	ctx dsl.Context
-	out *Program
-	i   int
-}
-
-// Start begins lowering p against h.
-func Start(p dsl.Program, h *hierarchy.Hierarchy) *Stepper {
-	return &Stepper{
-		h:   h,
-		src: p,
-		ctx: dsl.NewContext(h),
-		out: &Program{
-			NumDevices: h.K() * h.Replicas(),
-			K:          h.K(),
-			Source:     p.Clone(),
-		},
-	}
-}
-
-// Done reports whether every step has been lowered.
-func (s *Stepper) Done() bool { return s.i >= len(s.src) }
-
-// Next lowers the next step, failing with the same error a full Lower
-// would. Calling Next past the end panics.
-func (s *Stepper) Next() (Step, error) {
-	h, in, i := s.h, s.src[s.i], s.i
-	reps := h.Replicas()
-	leafGroups := in.Groups(h)
-	rows := s.ctx[leafGroups[0][0]].NumRows()
-	next, err := s.ctx.Apply(in, h)
+	shapes, err := Annotate(p, h)
 	if err != nil {
-		return Step{}, fmt.Errorf("lower: step %d: %w", i, err)
+		return nil, err
 	}
-	var rowsOut int
-	switch in.Op {
-	case collective.Reduce:
-		rowsOut = next[leafGroups[0][0]].NumRows() // root keeps the rows
-	default:
-		rowsOut = next[leafGroups[0][len(leafGroups[0])-1]].NumRows()
+	return Assemble(p, h, shapes, func(in dsl.Instruction) [][]int { return Bind(in, h) }), nil
+}
+
+// Annotate runs the universe semantics of p over h and returns the shape
+// of every step. Programs from the synthesizer already carry theirs
+// (synth.Result.Shapes, equal to what Annotate derives) and skip it.
+func Annotate(p dsl.Program, h *hierarchy.Hierarchy) ([]dsl.Shape, error) {
+	shapes := make([]dsl.Shape, len(p))
+	ctx := dsl.NewContext(h)
+	for i, in := range p {
+		next, err := ctx.Apply(in, h)
+		if err != nil {
+			return nil, fmt.Errorf("lower: step %d: %w", i, err)
+		}
+		shapes[i] = dsl.StepShape(in.Op, in.Groups(h)[0], ctx, next)
+		ctx = next
 	}
+	return shapes, nil
+}
+
+// Bind maps one instruction's leaf groups onto the physical devices of h's
+// placement — every leaf group once per replica, member order kept — in
+// Step.Groups order (ascending first device). It depends on the placement,
+// not on the program around the instruction, so a caller lowering many
+// programs against one hierarchy binds each distinct instruction once. It
+// panics if the instruction fails Validate.
+func Bind(in dsl.Instruction, h *hierarchy.Hierarchy) [][]int {
+	leafGroups := in.Groups(h)
+	reps, size := h.Replicas(), len(leafGroups[0])
 	phys := make([][]int, 0, len(leafGroups)*reps)
+	flat := make([]int, 0, cap(phys)*size) // one backing array, capacity-capped per group
 	for r := 0; r < reps; r++ {
 		for _, g := range leafGroups {
-			pg := make([]int, len(g))
-			for gi, u := range g {
-				pg[gi] = h.Leaves[u][r]
+			for _, u := range g {
+				flat = append(flat, h.Leaves[u][r])
 			}
-			phys = append(phys, pg)
+			phys = append(phys, flat[len(flat)-size:len(flat):len(flat)])
 		}
 	}
-	sortGroupsByFirst(phys)
-	st := Step{
-		Op:      in.Op,
-		Groups:  phys,
-		Rows:    rows,
-		RowsOut: rowsOut,
-		K:       h.K(),
-	}
-	s.out.Steps = append(s.out.Steps, st)
-	s.ctx = next
-	s.i++
-	return st, nil
+	// Groups are disjoint: first devices are distinct, the order unique.
+	slices.SortFunc(phys, func(a, b []int) int { return a[0] - b[0] })
+	return phys
 }
 
-// Program returns the lowered program accumulated so far; it is complete
-// once Done reports true.
-func (s *Stepper) Program() *Program { return s.out }
+// Assemble builds the lowered program of p from its step shapes and a
+// source of bound groups: groups(in) must return Bind(in, h), and may hand
+// the same slices to any number of programs (see Step.Groups).
+func Assemble(p dsl.Program, h *hierarchy.Hierarchy, shapes []dsl.Shape, groups func(dsl.Instruction) [][]int) *Program {
+	out := &Program{
+		Steps:      make([]Step, len(p)),
+		NumDevices: h.K() * h.Replicas(),
+		K:          h.K(),
+		Source:     p.Clone(),
+	}
+	for i, in := range p {
+		out.Steps[i] = Step{Op: in.Op, Groups: groups(in), Rows: shapes[i].Rows, RowsOut: shapes[i].RowsOut, K: h.K()}
+	}
+	return out
+}
 
 // Key returns a canonical fingerprint of the lowered step sequence — the
 // (G1,C1)...(Gn,Cn) form used to compare expressiveness of synthesis
@@ -219,22 +206,4 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// sortGroupsByFirst orders a step's groups by their first device. Groups
-// are disjoint, so first devices are distinct and the order is unique —
-// insertion sort, sort.Slice and a stable sort all agree. Large steps
-// (hundreds of two-device groups on deep systems) made the quadratic
-// insertion sort the planning profile's hottest frame, so they take the
-// O(n log n) path.
-func sortGroupsByFirst(groups [][]int) {
-	if len(groups) > 16 {
-		sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
-		return
-	}
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && groups[j-1][0] > groups[j][0]; j-- {
-			groups[j-1], groups[j] = groups[j], groups[j-1]
-		}
-	}
 }

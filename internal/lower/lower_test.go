@@ -238,3 +238,132 @@ func TestLowerMultiAxisReplication(t *testing.T) {
 		}
 	}
 }
+
+// multiAxisHierarchy is a replicated universe: [4 16] axes [16 2 2] reduced
+// over {0,2} — 32 leaves, 2 replicas.
+func multiAxisHierarchy(t *testing.T) *hierarchy.Hierarchy {
+	t.Helper()
+	m, err := placement.NewMatrix([]int{4, 16}, []int{16, 2, 2},
+		[][]int{{2, 8}, {2, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, []int{0, 2},
+		hierarchy.Options{Collapse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+func TestAnnotateShapes(t *testing.T) {
+	h := fig2dHierarchy(t)
+	shapes, err := Annotate(dsl.Program{
+		{Slice: 1, Form: dsl.InsideGroup, Op: collective.ReduceScatter},
+		{Slice: 1, Form: dsl.Parallel, Arg: 0, Op: collective.AllReduce},
+		{Slice: 1, Form: dsl.InsideGroup, Op: collective.AllGather},
+	}, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []dsl.Shape{{Rows: 4, RowsOut: 2}, {Rows: 2, RowsOut: 2}, {Rows: 2, RowsOut: 4}}; !reflect.DeepEqual(shapes, want) {
+		t.Errorf("shapes = %v, want %v", shapes, want)
+	}
+	// Reduce reports the root's rows out, Broadcast the source's rows in.
+	shapes, err = Annotate(dsl.Program{
+		{Slice: 1, Form: dsl.InsideGroup, Op: collective.Reduce},
+		{Slice: 1, Form: dsl.Master, Arg: 0, Op: collective.AllReduce},
+		{Slice: 1, Form: dsl.InsideGroup, Op: collective.Broadcast},
+	}, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []dsl.Shape{{Rows: 4, RowsOut: 4}, {Rows: 4, RowsOut: 4}, {Rows: 4, RowsOut: 4}}; !reflect.DeepEqual(shapes, want) {
+		t.Errorf("reduce/broadcast shapes = %v, want %v", shapes, want)
+	}
+}
+
+// TestAnnotateErrorNamesStep: a semantic failure names the failing step and
+// wraps the collective's sentinel, exactly as Lower reports it.
+func TestAnnotateErrorNamesStep(t *testing.T) {
+	h := fig2dHierarchy(t)
+	p := dsl.Program{
+		{Slice: 1, Form: dsl.InsideGroup, Op: collective.ReduceScatter},
+		{Slice: 1, Form: dsl.InsideGroup, Op: collective.AllReduce},
+	}
+	_, aerr := Annotate(p, h)
+	if aerr == nil || !strings.Contains(aerr.Error(), "lower: step 1:") {
+		t.Fatalf("Annotate error = %v, want one naming step 1", aerr)
+	}
+	if _, lerr := Lower(p, h); lerr == nil || lerr.Error() != aerr.Error() {
+		t.Errorf("Lower error %v, Annotate error %v", lerr, aerr)
+	}
+}
+
+// TestBindGroups pins Bind's contract on a replicated universe: every leaf
+// group appears once per replica with its member order kept (the first
+// member stays the root), and groups come in ascending first-device order.
+func TestBindGroups(t *testing.T) {
+	h := multiAxisHierarchy(t)
+	for _, in := range synth.Candidates(h) {
+		got := Bind(in, h)
+		leafGroups := in.Groups(h)
+		if len(got) != len(leafGroups)*h.Replicas() {
+			t.Fatalf("%v: %d groups, want %d", in, len(got), len(leafGroups)*h.Replicas())
+		}
+		want := map[int][]int{} // by first device
+		for r := 0; r < h.Replicas(); r++ {
+			for _, g := range leafGroups {
+				pg := make([]int, len(g))
+				for i, u := range g {
+					pg[i] = h.Leaves[u][r]
+				}
+				want[pg[0]] = pg
+			}
+		}
+		for i, g := range got {
+			if i > 0 && got[i-1][0] >= g[0] {
+				t.Errorf("%v: groups not ascending by first device at %d", in, i)
+			}
+			if !reflect.DeepEqual(g, want[g[0]]) {
+				t.Errorf("%v: group %v, want %v", in, g, want[g[0]])
+			}
+		}
+	}
+}
+
+// TestLowerIsAnnotateBindAssemble: Lower is exactly its three parts, and
+// Assemble hands out whatever slices its group source returns — the
+// planner's per-placement binding table aliases one binding across steps.
+func TestLowerIsAnnotateBindAssemble(t *testing.T) {
+	h := multiAxisHierarchy(t)
+	table := map[dsl.Instruction][][]int{}
+	groups := func(in dsl.Instruction) [][]int {
+		if _, ok := table[in]; !ok {
+			table[in] = Bind(in, h)
+		}
+		return table[in]
+	}
+	for _, p := range synth.Synthesize(h, synth.Options{MaxSize: 3}).Programs {
+		want, err := Lower(p, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes, err := Annotate(p, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Assemble(p, h, shapes, groups)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: Assemble(Annotate, Bind) differs from Lower", p)
+		}
+		for i, in := range p {
+			if &got.Steps[i].Groups[0] != &table[in][0] {
+				t.Errorf("%v step %d: groups copied, want the table's slices", p, i)
+			}
+		}
+		if len(p) > 0 && &got.Source[0] == &p[0] {
+			t.Errorf("%v: Source aliases the input program", p)
+		}
+	}
+}

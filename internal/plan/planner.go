@@ -6,8 +6,11 @@
 // synthesis run), and with TopK set the engine prunes provably hopeless
 // work: an admissible per-placement lower bound (bounds.go) skips
 // synthesis and lowering for placements that cannot enter the incumbent
-// top-K, and per-program scoring aborts — mid-lowering — once a partial
-// step-cost sum exceeds the shared threshold.
+// top-K, and per-program scoring aborts once a partial step-cost sum
+// exceeds the shared threshold. Lowering itself is a table lookup: the
+// memoized synthesis result carries each program's step shapes (the
+// universe semantics ran once, in synthesis) and each placement binds every
+// distinct instruction to its physical groups once.
 //
 // The engine is deterministic: its output is byte-identical to the serial
 // reference path (enumerate placements in order, synthesize, rank with a
@@ -309,80 +312,94 @@ func (ws *workerState) scorer(sys *topology.System) *cost.Scorer {
 }
 
 // stepKey identifies a lowered step up to cost equivalence within one
-// placement: the instruction determines Op and the device groups, Rows
-// the payload fraction, and algo the schedule expansion. RowsOut and K
-// are not read by StepTime (K is constant per hierarchy anyway).
+// placement: the instruction determines Op and the device groups, rows the
+// payload fraction. RowsOut and K are not read by StepTime (K is constant
+// per hierarchy anyway).
 type stepKey struct {
 	in   dsl.Instruction
 	rows int
-	algo cost.Algorithm
 }
 
-// stepChoice is one memoized per-step search outcome: the winning
-// algorithm and its predicted time.
+// stepChoice is one memoized step evaluation: the winning algorithm of the
+// searched set and its predicted time.
 type stepChoice struct {
 	algo cost.Algorithm
 	time float64
 }
 
-// matrixScorer scores the programs of one placement, memoizing step costs
-// by (instruction, rows, algo) so that programs sharing a prefix — or
-// merely an instruction at the same payload fraction — share the StepTime
+// matrixScorer scores the programs of one (placement, reduction hierarchy)
+// pair as table lookups. bound holds each distinct instruction's physical
+// groups (lower.Bind, once per instruction — tens per placement against
+// hundreds of program steps) and steps each (instruction, rows) pair's
+// evaluation, so programs sharing a prefix — or merely an instruction at
+// the same payload fraction — share both the binding and the StepTime
 // evaluations, which dominate serial planning at scale.
 type matrixScorer struct {
-	sc        *cost.Scorer
-	model     *cost.Model
-	fixedAlgo cost.Algorithm
-	algos     []cost.Algorithm // nil unless searching
-	stepCost  map[stepKey]float64
-	choices   map[stepKey]stepChoice
+	sc    *cost.Scorer
+	model *cost.Model
+	h     *hierarchy.Hierarchy
+	algos []cost.Algorithm // the searched set; one entry pins every step
+	bound map[dsl.Instruction][][]int
+	steps map[stepKey]stepChoice
+	// stepAlgos is the per-step assignment scratch of a searching run (nil
+	// when pinned), sized to the longest program; a surviving candidate
+	// copies its prefix out.
+	stepAlgos []cost.Algorithm
 }
 
-func newMatrixScorer(ws *workerState, model *cost.Model, opts Options) *matrixScorer {
+func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy, opts Options) *matrixScorer {
 	ms := &matrixScorer{
-		sc:        ws.scorer(model.Sys),
-		model:     model,
-		fixedAlgo: model.Algo,
-		stepCost:  map[stepKey]float64{},
+		sc:    ws.scorer(model.Sys),
+		model: model,
+		h:     h,
+		algos: opts.Algos,
+		bound: map[dsl.Instruction][][]int{},
+		steps: map[stepKey]stepChoice{},
 	}
-	if len(opts.Algos) == 1 {
-		ms.fixedAlgo = opts.Algos[0]
+	if len(ms.algos) == 0 {
+		ms.algos = []cost.Algorithm{model.Algo}
 	}
-	if len(opts.Algos) > 1 {
-		ms.algos = opts.Algos
-		ms.choices = map[stepKey]stepChoice{}
+	if len(ms.algos) > 1 {
+		ms.stepAlgos = make([]cost.Algorithm, max(opts.MaxProgramSize, synth.DefaultMaxSize))
 	}
 	return ms
 }
 
-func (ms *matrixScorer) costOf(in dsl.Instruction, st lower.Step, a cost.Algorithm) float64 {
-	key := stepKey{in: in, rows: st.Rows, algo: a}
-	c, ok := ms.stepCost[key]
+// groups returns the physical groups of in under the scorer's placement,
+// binding the instruction on first use.
+func (ms *matrixScorer) groups(in dsl.Instruction) [][]int {
+	g, ok := ms.bound[in]
 	if !ok {
-		c = ms.sc.StepTimeAlgo(ms.model, st, a)
-		ms.stepCost[key] = c
+		g = lower.Bind(in, ms.h)
+		ms.bound[in] = g
 	}
-	return c
+	return g
 }
 
-// stepTime returns one step's predicted time — the fixed algorithm's, or
-// the memoized per-step argmin over the searched set (ties to the
-// earliest entry, matching cost.Model.BestStepAlgos).
-func (ms *matrixScorer) stepTime(in dsl.Instruction, st lower.Step) stepChoice {
-	if ms.algos == nil {
-		return stepChoice{algo: ms.fixedAlgo, time: ms.costOf(in, st, ms.fixedAlgo)}
+// stepTime returns one step's memoized evaluation.
+//
+//p2:zeroalloc
+func (ms *matrixScorer) stepTime(in dsl.Instruction, rows int) stepChoice {
+	var key stepKey
+	key.in, key.rows = in, rows
+	if ch, ok := ms.steps[key]; ok {
+		return ch
 	}
-	ck := stepKey{in: in, rows: st.Rows}
-	ch, ok := ms.choices[ck]
-	if !ok {
-		ch = stepChoice{algo: ms.algos[0], time: ms.costOf(in, st, ms.algos[0])}
-		for _, a := range ms.algos[1:] {
-			if t := ms.costOf(in, st, a); t < ch.time {
-				ch = stepChoice{algo: a, time: t}
-			}
+	return ms.evalStep(key)
+}
+
+// evalStep is stepTime's cold path: bind the instruction and take the
+// argmin over the algorithm set (ties to the earliest entry, matching
+// cost.Model.BestStepAlgos; a pinned run's set has one entry).
+func (ms *matrixScorer) evalStep(key stepKey) stepChoice {
+	st := lower.Step{Op: key.in.Op, Groups: ms.groups(key.in), Rows: key.rows, K: ms.h.K()}
+	ch := stepChoice{algo: ms.algos[0], time: ms.sc.StepTimeAlgo(ms.model, st, ms.algos[0])}
+	for _, a := range ms.algos[1:] {
+		if t := ms.sc.StepTimeAlgo(ms.model, st, a); t < ch.time {
+			ch = stepChoice{algo: a, time: t}
 		}
-		ms.choices[ck] = ch
 	}
+	ms.steps[key] = ch
 	return ch
 }
 
@@ -408,9 +425,9 @@ func (p *Planner) PlanMatrix(mi int, m *placement.Matrix, reduceAxes []int, mode
 // is scored (the caller's sink pushes it into the worker heap, which can
 // tighten the shared threshold mid-placement). With TopK armed it may skip
 // the placement entirely (admissible bound above the threshold) and
-// abandons individual programs mid-lowering once their partial cost sum
-// exceeds the threshold. Neither cut can remove a final top-K member: the
-// bound never exceeds any program's true cost, partial sums never exceed
+// abandons individual programs once their partial cost sum exceeds the
+// threshold. Neither cut can remove a final top-K member: the bound
+// never exceeds any program's true cost, partial sums never exceed
 // the total (step costs are non-negative), and both cuts require strictly
 // exceeding a value that K scored candidates already meet.
 //
@@ -436,22 +453,18 @@ func (p *Planner) planMatrix(ctx context.Context, ws *workerState, mi int, m *pl
 	} else {
 		rc.synthRuns.Add(1)
 	}
-	ms := newMatrixScorer(ws, model, opts)
+	ms := newMatrixScorer(ws, model, h, opts)
+	// Early exit: the remaining steps can only add cost, so a partial sum
+	// strictly above the threshold already loses to K kept candidates —
+	// stop scoring the program.
+	cutoff := func(partial float64) bool { return prune && partial > thr.load() }
 	scored := 0
 	for pi, prog := range res.Programs {
 		if err := ctx.Err(); err != nil {
 			rc.scored.Add(int64(scored))
 			return err
 		}
-		// Early exit: the remaining steps can only add cost, so a partial
-		// sum strictly above the threshold already loses to K kept
-		// candidates — stop lowering and scoring this program.
-		c, err := ms.scoreProgram(mi, pi, m, h, prog, func(partial float64) bool {
-			return prune && partial > thr.load()
-		})
-		if err != nil {
-			return err
-		}
+		c := ms.scoreProgram(mi, pi, m, prog, res.Shapes[pi], cutoff)
 		if c == nil {
 			rc.prunedPrograms.Add(1)
 			continue
@@ -463,43 +476,52 @@ func (p *Planner) planMatrix(ctx context.Context, ws *workerState, mi int, m *pl
 	return nil
 }
 
-// scoreProgram lowers one program step by step, accumulating its
-// predicted time (and per-step algorithm assignment when searching) in
-// exactly the serial order, and abandons it — skipping the remaining
-// lowering work — as soon as cutoff reports the partial sum disqualifies
-// it (nil, nil is returned). The caller's cutoff must only ever cut
-// programs whose final value provably cannot matter: partial sums never
-// exceed the final value because step costs are non-negative.
-func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, h *hierarchy.Hierarchy, prog dsl.Program, cutoff func(partial float64) bool) (*Candidate, error) {
-	low := lower.Start(prog, h)
-	predicted := 0.0
-	var stepAlgos []cost.Algorithm
-	if ms.algos != nil {
-		stepAlgos = make([]cost.Algorithm, len(prog))
+// scoreProgram accumulates one synthesized program's predicted time (and
+// per-step algorithm assignment when searching) in exactly the serial
+// order — each step a lookup of its synthesis-time shape and its
+// instruction's bound groups — and abandons it as soon as cutoff reports
+// the partial sum disqualifies it (nil is returned). The caller's cutoff
+// must only ever cut programs whose final value provably cannot matter:
+// partial sums never exceed the final value because step costs are
+// non-negative. Only a surviving program is materialized as a
+// lower.Program, equal to what lower.Lower builds semantically.
+func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, prog dsl.Program, shapes []dsl.Shape, cutoff func(partial float64) bool) *Candidate {
+	predicted, ok := ms.score(prog, shapes, cutoff)
+	if !ok {
+		return nil
 	}
-	for si := 0; !low.Done(); si++ {
-		st, err := low.Next()
-		if err != nil {
-			return nil, err
-		}
-		ch := ms.stepTime(prog[si], st)
-		if stepAlgos != nil {
-			stepAlgos[si] = ch.algo
-		}
-		predicted += ch.time
-		if cutoff(predicted) {
-			return nil, nil
-		}
-	}
-	return &Candidate{
+	c := &Candidate{
 		MatrixIdx: mi,
 		ProgIdx:   pi,
 		Matrix:    m,
 		Program:   prog,
-		Lowered:   low.Program(),
+		Lowered:   lower.Assemble(prog, ms.h, shapes, ms.groups),
 		Predicted: predicted,
-		StepAlgos: stepAlgos,
-	}, nil
+	}
+	if ms.stepAlgos != nil {
+		c.StepAlgos = append([]cost.Algorithm(nil), ms.stepAlgos[:len(prog)]...)
+	}
+	return c
+}
+
+// score is scoreProgram's step loop. Once the placement's tables are warm
+// a program — in particular one the cutoff prunes — costs map lookups and
+// nothing else.
+//
+//p2:zeroalloc
+func (ms *matrixScorer) score(prog dsl.Program, shapes []dsl.Shape, cutoff func(partial float64) bool) (float64, bool) {
+	predicted := 0.0
+	for si, in := range prog {
+		ch := ms.stepTime(in, shapes[si].Rows)
+		if ms.stepAlgos != nil {
+			ms.stepAlgos[si] = ch.algo
+		}
+		predicted += ch.time
+		if cutoff(predicted) {
+			return 0, false
+		}
+	}
+	return predicted, true
 }
 
 // Run ranks every (matrix, program) candidate for one reduction request,
@@ -670,11 +692,11 @@ func (e *ErrNoPrograms) Error() string {
 
 // bestForReduction returns the Less-minimal candidate of one reduction
 // under one placement without materializing the rest. Scoring a program
-// aborts — mid-lowering — as soon as its partial cost reaches the
-// incumbent best's total: the abandoned program's final cost can only be
-// ≥ the partial, and at equality it still loses the (MatrixIdx, ProgIdx)
-// tie-break to the earlier incumbent, so the argmin is exact. This cut
-// needs no threshold and is always on.
+// aborts as soon as its partial cost reaches the incumbent best's total:
+// the abandoned program's final cost can only be ≥ the partial, and at
+// equality it still loses the (MatrixIdx, ProgIdx) tie-break to the
+// earlier incumbent, so the argmin is exact. This cut needs no threshold
+// and is always on.
 func (p *Planner) bestForReduction(ctx context.Context, ws *workerState, mi int, m *placement.Matrix, h *hierarchy.Hierarchy, spec JointSpec, opts Options, rc *runCounters) (*Candidate, error) {
 	res, hit := p.synthesize(h, opts.MaxProgramSize)
 	if hit {
@@ -682,20 +704,16 @@ func (p *Planner) bestForReduction(ctx context.Context, ws *workerState, mi int,
 	} else {
 		rc.synthRuns.Add(1)
 	}
-	ms := newMatrixScorer(ws, spec.Model, opts)
+	ms := newMatrixScorer(ws, spec.Model, h, opts)
 	var best *Candidate
+	cutoff := func(partial float64) bool { return best != nil && partial >= best.Predicted }
 	scored := 0
 	for pi, prog := range res.Programs {
 		if err := ctx.Err(); err != nil {
 			rc.scored.Add(int64(scored))
 			return nil, err
 		}
-		c, err := ms.scoreProgram(mi, pi, m, h, prog, func(partial float64) bool {
-			return best != nil && partial >= best.Predicted
-		})
-		if err != nil {
-			return nil, err
-		}
+		c := ms.scoreProgram(mi, pi, m, prog, res.Shapes[pi], cutoff)
 		if c == nil {
 			rc.prunedPrograms.Add(1)
 			continue

@@ -43,7 +43,7 @@ func Best(h *hierarchy.Hierarchy, model *cost.Model, maxSize int) (prog dsl.Prog
 	lowered := make([][][]int, len(cands))
 	for i, in := range cands {
 		groups[i] = in.Groups(h)
-		lowered[i] = lowerGroups(h, groups[i])
+		lowered[i] = lower.Bind(in, h)
 	}
 
 	targets := make([]*collective.State, h.K())
@@ -91,7 +91,7 @@ func Best(h *hierarchy.Hierarchy, model *cost.Model, maxSize int) (prog dsl.Prog
 			continue // stale frontier entry
 		}
 		for ci, in := range cands {
-			next, err := applyWithGroups(n.ctx, in, groups[ci])
+			next, _, err := n.ctx.ApplyGroups(in.Op, groups[ci])
 			if err != nil {
 				continue
 			}
@@ -121,41 +121,6 @@ func Best(h *hierarchy.Hierarchy, model *cost.Model, maxSize int) (prog dsl.Prog
 		}
 	}
 	return nil, 0, stats, false
-}
-
-// lowerGroups replicates universe groups over the hierarchy's replicas.
-func lowerGroups(h *hierarchy.Hierarchy, gs [][]int) [][]int {
-	reps := h.Replicas()
-	out := make([][]int, 0, len(gs)*reps)
-	for r := 0; r < reps; r++ {
-		for _, g := range gs {
-			pg := make([]int, len(g))
-			for gi, u := range g {
-				pg[gi] = h.Leaves[u][r]
-			}
-			out = append(out, pg)
-		}
-	}
-	return out
-}
-
-// applyWithGroups applies an instruction using precomputed groups.
-func applyWithGroups(ctx dsl.Context, in dsl.Instruction, groups [][]int) (dsl.Context, error) {
-	out := ctx.Clone()
-	for _, g := range groups {
-		states := make([]*collective.State, len(g))
-		for i, u := range g {
-			states[i] = ctx[u]
-		}
-		res, err := collective.Apply(in.Op, states)
-		if err != nil {
-			return nil, err
-		}
-		for i, u := range g {
-			out[u] = res[i]
-		}
-	}
-	return out, nil
 }
 
 // ctxKey packs a context and depth into a map key.

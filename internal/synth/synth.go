@@ -43,6 +43,12 @@ type Result struct {
 	// Programs are all distinct valid programs implementing the requested
 	// reduction, sorted by size then lexicographically by instruction.
 	Programs []dsl.Program
+	// Shapes is the leaf-space lowering skeleton: Shapes[i][s] is the
+	// chunk accounting of step s of Programs[i], read off the contexts the
+	// search walked while proving the program valid. Lowering a synthesized
+	// program therefore never re-runs the universe semantics (what
+	// lower.Annotate does for programs from anywhere else).
+	Shapes [][]dsl.Shape
 	// Explored counts instruction applications attempted (search effort).
 	Explored int
 	// MemoHits counts contexts served from the memo table.
@@ -120,8 +126,15 @@ type synthesizer struct {
 	cands   []candidate
 	targets []*collective.State
 	opts    Options
-	memo    map[memoKey][]dsl.Program
+	memo    map[memoKey][]suffix
 	res     *Result
+}
+
+// suffix is a program tail reaching the goal from some context, with the
+// shape of each of its steps.
+type suffix struct {
+	prog   dsl.Program
+	shapes []dsl.Shape
 }
 
 type memoKey struct {
@@ -140,44 +153,48 @@ func Synthesize(h *hierarchy.Hierarchy, opts Options) *Result {
 		h:     h,
 		cands: enumerate(h),
 		opts:  opts,
-		memo:  map[memoKey][]dsl.Program{},
+		memo:  map[memoKey][]suffix{},
 		res:   &Result{},
 	}
 	s.targets = make([]*collective.State, h.K())
 	for u := 0; u < h.K(); u++ {
 		s.targets[u] = dsl.TargetState(h, u)
 	}
-	progs := s.suffixes(dsl.NewContext(h), opts.MaxSize)
+	sufs := s.suffixes(dsl.NewContext(h), opts.MaxSize)
 	// The DFS returns suffix order; sort by size then lexicographic.
 	// Rendering both programs inside the comparator dominated large
 	// syntheses, so the keys are computed once up front (String is
 	// injective over programs, so the order is unchanged).
-	keys := make([]string, len(progs))
-	for i, p := range progs {
-		keys[i] = p.String()
+	keys := make([]string, len(sufs))
+	for i, suf := range sufs {
+		keys[i] = suf.prog.String()
 	}
-	sort.Sort(&bySizeThenKey{progs: progs, keys: keys})
-	s.res.Programs = progs
+	sort.Sort(&bySizeThenKey{sufs: sufs, keys: keys})
+	s.res.Programs = make([]dsl.Program, len(sufs))
+	s.res.Shapes = make([][]dsl.Shape, len(sufs))
+	for i, suf := range sufs {
+		s.res.Programs[i], s.res.Shapes[i] = suf.prog, suf.shapes
+	}
 	s.res.Elapsed = time.Since(start) //p2:timing-ok synthesis wall time is reported in Result.Elapsed, never ranked
 	return s.res
 }
 
-// bySizeThenKey sorts programs by size then by their precomputed
-// rendering, keeping the two slices aligned.
+// bySizeThenKey sorts programs (with their shapes) by size then by their
+// precomputed rendering, keeping the two slices aligned.
 type bySizeThenKey struct {
-	progs []dsl.Program
-	keys  []string
+	sufs []suffix
+	keys []string
 }
 
-func (b *bySizeThenKey) Len() int { return len(b.progs) }
+func (b *bySizeThenKey) Len() int { return len(b.sufs) }
 func (b *bySizeThenKey) Less(i, j int) bool {
-	if len(b.progs[i]) != len(b.progs[j]) {
-		return len(b.progs[i]) < len(b.progs[j])
+	if len(b.sufs[i].prog) != len(b.sufs[j].prog) {
+		return len(b.sufs[i].prog) < len(b.sufs[j].prog)
 	}
 	return b.keys[i] < b.keys[j]
 }
 func (b *bySizeThenKey) Swap(i, j int) {
-	b.progs[i], b.progs[j] = b.progs[j], b.progs[i]
+	b.sufs[i], b.sufs[j] = b.sufs[j], b.sufs[i]
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
@@ -201,11 +218,15 @@ func (s *synthesizer) withinTargets(ctx dsl.Context) bool {
 	return true
 }
 
-func (s *synthesizer) suffixes(ctx dsl.Context, budget int) []dsl.Program {
+// suffixes returns every program tail of at most budget steps that takes
+// ctx to the goal. Lists are memoized by context, and a step's shape is a
+// function of the context it applies to, so a shared tail carries the same
+// shapes wherever it is reused.
+func (s *synthesizer) suffixes(ctx dsl.Context, budget int) []suffix {
 	if s.atGoal(ctx) {
 		// No valid instruction can apply at the goal without exceeding a
 		// target, so the empty program is the only suffix.
-		return []dsl.Program{nil}
+		return []suffix{{}}
 	}
 	if budget == 0 {
 		return nil
@@ -217,47 +238,29 @@ func (s *synthesizer) suffixes(ctx dsl.Context, budget int) []dsl.Program {
 			return v
 		}
 	}
-	var out []dsl.Program
+	var out []suffix
 	for _, cand := range s.cands {
 		s.res.Explored++
-		next, err := s.applyCandidate(ctx, cand)
+		next, _, err := ctx.ApplyGroups(cand.in.Op, cand.groups)
 		if err != nil {
 			continue
 		}
 		if !s.withinTargets(next) {
 			continue
 		}
+		shape := dsl.StepShape(cand.in.Op, cand.groups[0], ctx, next)
 		for _, suf := range s.suffixes(next, budget-1) {
-			prog := make(dsl.Program, 0, len(suf)+1)
-			prog = append(prog, cand.in)
-			prog = append(prog, suf...)
-			out = append(out, prog)
+			prog := make(dsl.Program, 0, len(suf.prog)+1)
+			prog = append(append(prog, cand.in), suf.prog...)
+			shapes := make([]dsl.Shape, 0, len(suf.shapes)+1)
+			shapes = append(append(shapes, shape), suf.shapes...)
+			out = append(out, suffix{prog: prog, shapes: shapes})
 		}
 	}
 	if !s.opts.NoMemo {
 		s.memo[key] = out
 	}
 	return out
-}
-
-// applyCandidate is dsl.Context.Apply specialized to reuse the candidate's
-// precomputed groups.
-func (s *synthesizer) applyCandidate(ctx dsl.Context, cand candidate) (dsl.Context, error) {
-	out := ctx.Clone()
-	for _, g := range cand.groups {
-		states := make([]*collective.State, len(g))
-		for i, u := range g {
-			states[i] = ctx[u]
-		}
-		res, err := collective.Apply(cand.in.Op, states)
-		if err != nil {
-			return nil, err
-		}
-		for i, u := range g {
-			out[u] = res[i]
-		}
-	}
-	return out, nil
 }
 
 // hashContext computes a 128-bit FNV-1a hash of the packed context plus the

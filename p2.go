@@ -426,7 +426,7 @@ func (req Request) withDefaults(sys *System) Request {
 // into req.Parallelism workers without materializing the placement set,
 // placements inducing the same reduction hierarchy share one synthesis
 // run, step costs are scored allocation-free and memoized by
-// (instruction, rows, algorithm), and req.TopK bounds the result without
+// (instruction, rows), and req.TopK bounds the result without
 // materializing the full cross-product — additionally arming admissible
 // lower-bound pruning that skips synthesis, lowering and scoring for
 // provably out-of-top-K work (see PlanResult.Stats). The ranking —
