@@ -26,7 +26,6 @@ import (
 	"p2/internal/lower"
 	"p2/internal/netsim"
 	"p2/internal/placement"
-	"p2/internal/search"
 	"p2/internal/synth"
 	"p2/internal/topology"
 	"p2/internal/trace"
@@ -145,14 +144,14 @@ func BenchmarkTable3V100(b *testing.B) {
 // --- Table 4: synthesized optimal vs AllReduce ---------------------------
 
 func benchTable4(b *testing.B, cfg eval.Config, key string) {
-	r, err := eval.Run(cfg)
+	r, err := eval.RunCtx(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	printArtifact(key, eval.BuildTable4([]*eval.Result{r}).Markdown())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Run(cfg); err != nil {
+		if _, err := eval.RunCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,12 +207,12 @@ func BenchmarkTable5Accuracy(b *testing.B) {
 	run := func() []*eval.Result {
 		var all []*eval.Result
 		for _, s := range eval.PaperSuites() {
-			rs, err := eval.RunSuite(s, []cost.Algorithm{cost.Ring, cost.Tree})
+			rs, err := eval.RunSuiteCtx(context.Background(), s, []cost.Algorithm{cost.Ring, cost.Tree})
 			if err != nil {
 				b.Fatal(err)
 			}
 			all = append(all, rs...)
-			auto, err := eval.RunSuiteAuto(s)
+			auto, err := eval.RunSuiteAutoCtx(context.Background(), s)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -233,14 +232,14 @@ func BenchmarkTable5Accuracy(b *testing.B) {
 // --- Figure 11: simulation vs measurement series --------------------------
 
 func benchFigure11(b *testing.B, cfg eval.Config, key string) {
-	r, err := eval.Run(cfg)
+	r, err := eval.RunCtx(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	printArtifact(key, eval.BuildFigure11(r).Markdown())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Run(cfg); err != nil {
+		if _, err := eval.RunCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -535,6 +534,30 @@ func BenchmarkNetsimMeasure(b *testing.B) {
 	}
 }
 
+// BenchmarkNetsimConcurrent is the two-lane case of the same event loop:
+// the baseline AllReduce contending with an RS-AR-AG program.
+func BenchmarkNetsimConcurrent(b *testing.B) {
+	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
+	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
+	progs := make([]*lower.Program, 2)
+	for i, p := range []dsl.Program{synth.BaselineAllReduce(), {
+		{Slice: 1, Form: dsl.InsideGroup, Op: collective.ReduceScatter},
+		{Slice: 1, Form: dsl.Parallel, Arg: 0, Op: collective.AllReduce},
+		{Slice: 1, Form: dsl.InsideGroup, Op: collective.AllGather},
+	}} {
+		lp, err := lower.Lower(p, h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = lp
+	}
+	sim := &netsim.Simulator{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim.MeasureConcurrent(progs)
+	}
+}
+
 // --- Planning engine: serial vs parallel memoized (DESIGN.md §6) -----------
 
 // benchPlanEngine compares the serial reference path against the
@@ -694,39 +717,6 @@ func BenchmarkPlanJointEngine(b *testing.B) {
 }
 
 // --- Extensions beyond the paper -------------------------------------------
-
-// BenchmarkExtensionBestFirst compares cost-guided Dijkstra search against
-// full enumeration + ranking for finding the single optimal program.
-func BenchmarkExtensionBestFirst(b *testing.B) {
-	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
-	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
-	model := &cost.Model{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4)}
-	prog, total, stats, ok := search.Best(h, model, 5)
-	if !ok {
-		b.Fatal("search failed")
-	}
-	res := synth.Synthesize(h, synth.Options{})
-	printArtifact("Extension — best-first search vs enumeration",
-		fmt.Sprintf("optimum: %v (%.3fs)\nbest-first expanded %d states; enumeration explored %d for %d programs\n",
-			prog, total, stats.Expanded, res.Explored, len(res.Programs)))
-	b.Run("dijkstra", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			search.Best(h, model, 5)
-		}
-	})
-	b.Run("enumerate-all", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := synth.Synthesize(h, synth.Options{})
-			for _, p := range r.Programs {
-				lp, err := lower.Lower(p, h)
-				if err != nil {
-					b.Fatal(err)
-				}
-				model.ProgramTime(lp)
-			}
-		}
-	})
-}
 
 // BenchmarkExtensionPipelining prints the bucket-count sweep for the
 // RS-AR-AG strategy (gradient bucketing) and times the estimator.

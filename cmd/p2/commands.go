@@ -693,7 +693,7 @@ func cmdFigure11(args []string, out, errOut io.Writer) error {
 	default:
 		return fmt.Errorf("unknown panel %q", *panel)
 	}
-	r, err := eval.Run(cfg)
+	r, err := eval.RunCtx(context.Background(), cfg)
 	if err != nil {
 		return err
 	}
@@ -723,7 +723,7 @@ func cmdAccuracy(args []string, out, errOut io.Writer) error {
 	var all, autos []*eval.Result
 	for _, s := range eval.PaperSuites() {
 		if !*pinnedOnly {
-			auto, err := eval.RunSuiteAuto(s)
+			auto, err := eval.RunSuiteAutoCtx(context.Background(), s)
 			if err != nil {
 				return err
 			}
@@ -732,7 +732,7 @@ func cmdAccuracy(args []string, out, errOut io.Writer) error {
 		if *jsonOut {
 			continue // the JSON export covers only the auto sweeps
 		}
-		rs, err := eval.RunSuite(s, []cost.Algorithm{cost.Ring, cost.Tree})
+		rs, err := eval.RunSuiteCtx(context.Background(), s, []cost.Algorithm{cost.Ring, cost.Tree})
 		if err != nil {
 			return err
 		}

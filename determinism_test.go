@@ -317,7 +317,7 @@ func TestPlanJointParallelMatchesSerial(t *testing.T) {
 			}
 			want := jointFingerprint(serial)
 			for _, par := range []int{1, 4, 16} {
-				got, err := p2.PlanJointOpts(tc.sys, tc.axes, reductions,
+				got, err := p2.PlanJointCtx(context.Background(), tc.sys, tc.axes, reductions,
 					p2.JointOptions{Parallelism: par})
 				if err != nil {
 					t.Fatal(err)
@@ -328,7 +328,7 @@ func TestPlanJointParallelMatchesSerial(t *testing.T) {
 				}
 			}
 			// TopK keeps the cheapest prefix.
-			top, err := p2.PlanJointOpts(tc.sys, tc.axes, reductions,
+			top, err := p2.PlanJointCtx(context.Background(), tc.sys, tc.axes, reductions,
 				p2.JointOptions{Parallelism: 4, TopK: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -536,7 +536,7 @@ func TestPlanJointRerankDeterministic(t *testing.T) {
 	sort.SliceStable(ref, func(i, j int) bool { return ref[i].MeasuredTotal < ref[j].MeasuredTotal })
 	want := jointFingerprint(&p2.JointPlan{Choices: ref})
 	for _, par := range []int{1, 4, 16} {
-		got, err := p2.PlanJointOpts(sys, axes, reductions,
+		got, err := p2.PlanJointCtx(context.Background(), sys, axes, reductions,
 			p2.JointOptions{Parallelism: par, Measure: p2.MeasureRerank})
 		if err != nil {
 			t.Fatal(err)

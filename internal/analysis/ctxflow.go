@@ -11,11 +11,11 @@ import (
 //
 //   - context.Background() and context.TODO() are banned — a fresh root
 //     context severs the caller's deadline from everything downstream.
-//     The documented boundary shims (Plan wrapping PlanCtx, RunStream
-//     wrapping RunStreamCtx, ...) carry //p2:ctx-ok <why>;
+//     The documented boundary shims (Plan wrapping PlanCtx, PlanJoint
+//     wrapping PlanJointCtx) carry //p2:ctx-ok <why>;
 //   - a function that holds a ctx must thread it: calling the
 //     context-blind variant of a function whose FooCtx twin exists (the
-//     module's Plan/PlanCtx, Run/RunCtx naming convention) silently drops
+//     module's Plan/PlanCtx naming convention) silently drops
 //     the deadline mid-chain and is flagged, cross-package and cross-file,
 //     via the call graph and the CtxVariantFact its Collect publishes.
 var CtxFlow = &Analyzer{

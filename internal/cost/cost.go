@@ -427,7 +427,7 @@ func PayloadBytes(machines int) float64 {
 
 // DefaultPayload returns the paper's default per-device payload for a
 // system: PayloadBytes of its machine count. Every payload-defaulting call
-// site (p2.Plan, p2.PlanSerial, p2.PlanJointOpts, eval.Config) uses this
+// site (p2.Plan, p2.PlanSerial, p2.PlanJointCtx, eval.Config) uses this
 // so that deep hierarchies scale by machines, not by the root level.
 func DefaultPayload(sys *topology.System) float64 {
 	return PayloadBytes(sys.NumMachines())

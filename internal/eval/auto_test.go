@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // best on the emulator.
 func TestAutoComparisonBeatsFixedRing(t *testing.T) {
 	cfg := Config{Sys: topology.A100System(4), Axes: []int{4, 16}, ReduceAxes: []int{0}}
-	ring, tree, auto, err := RunAutoComparison(cfg)
+	ring, tree, auto, err := RunAutoComparisonCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +48,14 @@ func TestAutoPredictionNeverWorseThanFixed(t *testing.T) {
 	base := Config{Sys: topology.A100System(2), Axes: []int{2, 16}, ReduceAxes: []int{0}}
 	autoCfg := base
 	autoCfg.Algos = cost.ExtendedAlgorithms
-	auto, err := Run(autoCfg)
+	auto, err := RunCtx(context.Background(), autoCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, algo := range cost.ExtendedAlgorithms {
 		fixedCfg := base
 		fixedCfg.Algo = algo
-		fixed, err := Run(fixedCfg)
+		fixed, err := RunCtx(context.Background(), fixedCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestAutoLabelsAndJSON(t *testing.T) {
 	if got := cfg.String(); !strings.HasSuffix(got, "/auto") {
 		t.Errorf("auto config String = %q, want /auto suffix", got)
 	}
-	r, err := Run(cfg)
+	r, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

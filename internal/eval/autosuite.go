@@ -14,17 +14,12 @@ import (
 // planning mode is motivated by (how often the cost model's argmin and
 // the emulator's argmin disagree, and by how much).
 
-// RunSuiteAuto executes every (case × reduction axes) sweep of a suite in
-// auto mode — the per-step algorithm search over cost.ExtendedAlgorithms
+// RunSuiteAutoCtx executes every (case × reduction axes) sweep of a suite
+// in auto mode — the per-step algorithm search over cost.ExtendedAlgorithms
 // (CLI `-algo auto`) — returning per-config results in deterministic
-// order. Together with RunSuite it completes the accuracy tables: pinned
-// Ring/Tree rows from the paper plus an auto row per system.
-func RunSuiteAuto(s Suite) ([]*Result, error) {
-	return RunSuiteAutoCtx(context.Background(), s) //p2:ctx-ok documented no-deadline compatibility shim wrapping RunSuiteAutoCtx
-}
-
-// RunSuiteAutoCtx is RunSuiteAuto under a context; cancellation aborts
-// the suite with ctx.Err().
+// order. Together with RunSuiteCtx it completes the accuracy tables: pinned
+// Ring/Tree rows from the paper plus an auto row per system. Cancellation
+// aborts the suite with ctx.Err().
 func RunSuiteAutoCtx(ctx context.Context, s Suite) ([]*Result, error) {
 	var out []*Result
 	for _, c := range s.Cases {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -21,7 +22,7 @@ func v100AutoSuite(t *testing.T) []*Result {
 	s := Suite{Sys: topology.V100System(2), Cases: []Case{
 		{Axes: []int{4, 4}, ReduceAxes: [][]int{{0}, {1}}},
 	}}
-	rs, err := RunSuiteAuto(s)
+	rs, err := RunSuiteAutoCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

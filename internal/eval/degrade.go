@@ -71,15 +71,10 @@ type DegradeResult struct {
 // stable identity.
 type candKey struct{ mi, pi int }
 
-// RunDegrade plans the request on the pristine and the degraded system
+// RunDegradeCtx plans the request on the pristine and the degraded system
 // (full rankings, no top-K pruning, analytic mode — the comparison is about
-// the cost model's ranking) and compares the outcomes.
-func RunDegrade(cfg DegradeConfig) (*DegradeResult, error) {
-	return RunDegradeCtx(context.Background(), cfg) //p2:ctx-ok documented no-deadline compatibility shim wrapping RunDegradeCtx
-}
-
-// RunDegradeCtx is RunDegrade under a context. Cancellation aborts the
-// comparison with ctx.Err(): a ranking-shift report over a partial
+// the cost model's ranking) and compares the outcomes. Cancellation aborts
+// the comparison with ctx.Err(): a ranking-shift report over a partial
 // ranking would be meaningless, so there is no anytime mode here — the
 // planner's best-so-far results are discarded.
 func RunDegradeCtx(ctx context.Context, cfg DegradeConfig) (*DegradeResult, error) {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,18 +10,18 @@ import (
 )
 
 func TestRunDegradeRequiresOverrides(t *testing.T) {
-	_, err := RunDegrade(DegradeConfig{
+	_, err := RunDegradeCtx(context.Background(), DegradeConfig{
 		Sys:        topology.A100System(2),
 		Axes:       []int{2, 16},
 		ReduceAxes: []int{0},
 	})
 	if err == nil || !strings.Contains(err.Error(), "no link overrides") {
-		t.Errorf("RunDegrade without overrides: err = %v", err)
+		t.Errorf("RunDegradeCtx without overrides: err = %v", err)
 	}
 }
 
 func TestRunDegradeThrottledLinkShiftsRanking(t *testing.T) {
-	r, err := RunDegrade(DegradeConfig{
+	r, err := RunDegradeCtx(context.Background(), DegradeConfig{
 		Sys:        topology.A100System(4),
 		Overrides:  []topology.LinkOverride{topology.Throttle(1, 0, 10)},
 		Axes:       []int{4, 16},
@@ -68,7 +69,7 @@ func TestRunDegradeThrottledLinkShiftsRanking(t *testing.T) {
 }
 
 func TestRunDegradeDownLink(t *testing.T) {
-	r, err := RunDegrade(DegradeConfig{
+	r, err := RunDegradeCtx(context.Background(), DegradeConfig{
 		Sys:        topology.A100System(4),
 		Overrides:  []topology.LinkOverride{topology.Down(0, 2)},
 		Axes:       []int{4, 16},
@@ -119,7 +120,7 @@ func TestRunDegradeDownLink(t *testing.T) {
 func TestRunDegradePristineScalesKeepRanking(t *testing.T) {
 	// All-1.0x overrides are a fault spec that degrades nothing: the two
 	// rankings must agree bitwise, so the shift metrics all read zero.
-	r, err := RunDegrade(DegradeConfig{
+	r, err := RunDegradeCtx(context.Background(), DegradeConfig{
 		Sys: topology.A100System(2),
 		Overrides: []topology.LinkOverride{
 			{Level: 0, Entity: 1, BandwidthScale: 1, LatencyScale: 1},

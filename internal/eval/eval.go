@@ -270,16 +270,11 @@ func Accuracy(results []*Result, ks []int) map[int]float64 {
 	return out
 }
 
-// Run executes the full sweep for a config: enumerate matrices, synthesize
-// per matrix, lower, predict, measure.
-func Run(cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), cfg) //p2:ctx-ok documented no-deadline compatibility shim wrapping RunCtx
-}
-
-// RunCtx is Run under a context: cancellation is checked between matrices
-// and between programs, and the first observation aborts the sweep with
-// ctx.Err() (an eval sweep is all-or-nothing — there is no partial-result
-// mode, unlike planning's anytime contract).
+// RunCtx executes the full sweep for a config: enumerate matrices,
+// synthesize per matrix, lower, predict, measure. Cancellation is checked
+// between matrices and between programs, and the first observation aborts
+// the sweep with ctx.Err() (an eval sweep is all-or-nothing — there is no
+// partial-result mode, unlike planning's anytime contract).
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	matrices, err := placement.Enumerate(cfg.Sys.Hierarchy(), cfg.Axes)
 	if err != nil {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"strconv"
 	"strings"
@@ -16,7 +17,7 @@ import (
 // reduce axis 0.
 func run416(t *testing.T, algo cost.Algorithm) *Result {
 	t.Helper()
-	r, err := Run(Config{
+	r, err := RunCtx(context.Background(), Config{
 		Sys:        topology.A100System(4),
 		Axes:       []int{4, 16},
 		ReduceAxes: []int{0},
@@ -156,7 +157,7 @@ func TestMeasureBaseline(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	_, err := Run(Config{Sys: topology.A100System(4), Axes: []int{3, 7}, ReduceAxes: []int{0}, Algo: cost.Ring})
+	_, err := RunCtx(context.Background(), Config{Sys: topology.A100System(4), Axes: []int{3, 7}, ReduceAxes: []int{0}, Algo: cost.Ring})
 	if err == nil {
 		t.Error("invalid axes accepted")
 	}
@@ -215,7 +216,7 @@ func TestRunSuiteSmall(t *testing.T) {
 	s := Suite{Sys: topology.V100System(2), Cases: []Case{
 		{Axes: []int{4, 4}, ReduceAxes: [][]int{{0}, {1}}},
 	}}
-	rs, err := RunSuite(s, []cost.Algorithm{cost.Ring})
+	rs, err := RunSuiteCtx(context.Background(), s, []cost.Algorithm{cost.Ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,12 +319,12 @@ func TestRunDeterministic(t *testing.T) {
 func TestNetsimOptionsPropagate(t *testing.T) {
 	// A different emulator seed must change measurements but not
 	// predictions.
-	base, err := Run(Config{Sys: topology.V100System(2), Axes: []int{4, 4},
+	base, err := RunCtx(context.Background(), Config{Sys: topology.V100System(2), Axes: []int{4, 4},
 		ReduceAxes: []int{1}, Algo: cost.Ring})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := Run(Config{Sys: topology.V100System(2), Axes: []int{4, 4},
+	seeded, err := RunCtx(context.Background(), Config{Sys: topology.V100System(2), Axes: []int{4, 4},
 		ReduceAxes: []int{1}, Algo: cost.Ring,
 		NetsimOpts: netsim.Options{Seed: 99}})
 	if err != nil {

@@ -135,16 +135,11 @@ func BuildTable4(results []*Result) *Table {
 	return t
 }
 
-// RunAutoComparison executes the fixed-Ring, fixed-Tree and auto
+// RunAutoComparisonCtx executes the fixed-Ring, fixed-Tree and auto
 // (cfg.Algos, default ExtendedAlgorithms) sweeps of one config, for
 // comparing the searched per-step algorithm assignment against the
-// paper's pinned NCCL_ALGO settings.
-func RunAutoComparison(cfg Config) (ring, tree, auto *Result, err error) {
-	return RunAutoComparisonCtx(context.Background(), cfg) //p2:ctx-ok documented no-deadline compatibility shim wrapping RunAutoComparisonCtx
-}
-
-// RunAutoComparisonCtx is RunAutoComparison under a context; cancellation
-// aborts all three sweeps with ctx.Err().
+// paper's pinned NCCL_ALGO settings; cancellation aborts all three sweeps
+// with ctx.Err().
 func RunAutoComparisonCtx(ctx context.Context, cfg Config) (ring, tree, auto *Result, err error) {
 	fixedRing, fixedTree := cfg, cfg
 	fixedRing.Algos, fixedRing.Algo = nil, cost.Ring
@@ -174,7 +169,7 @@ func RunAutoComparisonCtx(ctx context.Context, cfg Config) (ring, tree, auto *Re
 	return results[0], results[1], results[2], nil
 }
 
-// BuildAutoComparison tabulates the three sweeps of RunAutoComparison per
+// BuildAutoComparison tabulates the three sweeps of RunAutoComparisonCtx per
 // matrix: the measured-best strategy under pinned Ring, pinned Tree and
 // the auto search, the auto winner's assignment, and its measured speedup
 // over the fixed-Ring best. Rows where auto strictly beats both pinned
@@ -213,7 +208,7 @@ func BuildAutoComparison(ring, tree, auto *Result) *Table {
 // BuildTable5 reproduces (and extends) Table 5: top-k accuracy of the
 // analytic simulator against emulator measurements, grouped by system and
 // algorithm mode — pinned rows as in the paper, plus an "auto" row per
-// system when auto-mode sweeps (RunSuiteAuto) are included — with the
+// system when auto-mode sweeps (RunSuiteAutoCtx) are included — with the
 // mean predicted and measured best times and the analytic-vs-measured
 // disagreement rate (the fraction of sweeps whose predicted argmin is not
 // the measured argmin, i.e. 100% − Top-1), followed by one Total row per

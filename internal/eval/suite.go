@@ -60,14 +60,10 @@ func PaperSuites() []Suite {
 	}
 }
 
-// RunSuite executes every (case × reduction axes × algorithm) sweep for a
-// system and returns the per-config results in deterministic order.
-func RunSuite(s Suite, algos []cost.Algorithm) ([]*Result, error) {
-	return RunSuiteCtx(context.Background(), s, algos) //p2:ctx-ok documented no-deadline compatibility shim wrapping RunSuiteCtx
-}
-
-// RunSuiteCtx is RunSuite under a context; the first cancellation
-// observed between (or inside) sweeps aborts the suite with ctx.Err().
+// RunSuiteCtx executes every (case × reduction axes × algorithm) sweep for
+// a system and returns the per-config results in deterministic order; the
+// first cancellation observed between (or inside) sweeps aborts the suite
+// with ctx.Err().
 func RunSuiteCtx(ctx context.Context, s Suite, algos []cost.Algorithm) ([]*Result, error) {
 	var out []*Result
 	for _, c := range s.Cases {

@@ -31,9 +31,8 @@ type ConcurrentSpec struct {
 // explicit values: a non-positive payload becomes the simulator's Bytes, an
 // unset algorithm the simulator's Algo, and a uniform per-step assignment
 // collapses to the fixed algorithm it names. It is the single place spec
-// defaulting happens, which is what guarantees MeasureConcurrentSpecs of a
-// lone default spec agrees byte-for-byte with MeasureSteps of the same
-// program.
+// defaulting happens, so every spelling of the same assignment — and
+// MeasureSteps, which is a lone default spec — measures the same float.
 func (c ConcurrentSpec) normalized(s *Simulator) ConcurrentSpec {
 	if c.Bytes <= 0 {
 		c.Bytes = s.Bytes
@@ -58,8 +57,8 @@ func (c ConcurrentSpec) normalized(s *Simulator) ConcurrentSpec {
 // sequential internally (steps are barriers within a program), but
 // transfers of different programs contend for links concurrently.
 //
-// It returns the per-program completion times. MeasureConcurrent(p) with a
-// single program is equivalent to Measure(p).
+// It returns the per-program completion times. With a single program it
+// is Measure(p).
 func (s *Simulator) MeasureConcurrent(programs []*lower.Program) []float64 {
 	specs := make([]ConcurrentSpec, len(programs))
 	for i, p := range programs {
@@ -68,40 +67,42 @@ func (s *Simulator) MeasureConcurrent(programs []*lower.Program) []float64 {
 	return s.MeasureConcurrentSpecs(specs)
 }
 
+// lane is one program's progress through the event loop. Every lane keeps
+// its own step-local clock: now restarts at 0 when a step starts, and the
+// lane's elapsed time is total = Σ (LaunchOverhead + the step's final now)
+// — the same float operations in the same order whether the lane runs
+// alone or beside others, which is what makes the one-lane case
+// (MeasureSteps) the multi-lane loop bit for bit rather than up to an ULP:
+// on one global clock, (now+latency)−now rounds differently at a large now.
+type lane struct {
+	steps     []lower.Step
+	stepAlgos []cost.Algorithm // per fused step; nil = algo throughout
+	algo      cost.Algorithm
+	bytes     float64
+	noise     *noiseStream
+
+	step   int        // current step, or the next one while between steps
+	groups []groupRun // the current step's groups
+	live   int        // unfinished groups of the current step; 0 = between steps
+	wait   float64    // launch overhead left to wait out before the next step
+	now    float64    // step-local clock
+	total  float64    // elapsed time up to the current step's start; the finish time once done
+}
+
+// done reports whether the lane has finished its last step.
+func (ln *lane) done() bool { return ln.step == len(ln.steps) }
+
 // MeasureConcurrentSpecs is MeasureConcurrent with per-program payloads
-// and algorithms.
+// and algorithms. It is the emulator's one event loop: each iteration
+// launches the steps and rounds that are due, splits every link's
+// bandwidth equally among the transfers crossing it, advances every lane
+// by the time to the next event, and retires the transfers that finished.
 func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 	if len(specs) == 0 {
 		return nil
 	}
-	if len(specs) == 1 {
-		// A lone lane has nothing to contend with, and its noise stream is
-		// seeded identically to the single-program runner's (the lane-index
-		// perturbation is zero for lane 0) — delegating makes the documented
-		// equivalence with MeasureSteps bitwise exact rather than merely
-		// approximate (the two event loops group their time sums
-		// differently, which costs an ULP).
-		spec := specs[0].normalized(s)
-		single := *s
-		single.Bytes = spec.Bytes
-		single.Algo = spec.Algo
-		return []float64{single.MeasureSteps(spec.Program, spec.StepAlgos)}
-	}
 	opts := s.Opts.effective()
-
-	type laneState struct {
-		steps     []lower.Step
-		stepAlgos []cost.Algorithm // per fused step; nil = algo throughout
-		stepIdx   int
-		groups    []*groupRun
-		live      int // unfinished groups of the current step
-		nextAt    float64
-		done      bool
-		finish    float64
-		noise     *noiseStream
-		bytes     float64
-		algo      cost.Algorithm
-	}
+	sys := s.Sys
 
 	resIdx := map[resKey]int{}
 	var resources []resource
@@ -114,79 +115,78 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 		return len(resources) - 1
 	}
 	pathOf := func(a, b int) []int {
-		ldiv := s.Sys.DivergenceLevel(a, b)
+		ldiv := sys.DivergenceLevel(a, b)
 		if ldiv < 0 {
 			return nil
 		}
 		var out []int
-		for l := ldiv; l < s.Sys.NumLevels(); l++ {
-			ea := s.Sys.EntityID(a, l)
-			eb := s.Sys.EntityID(b, l)
+		for l := ldiv; l < sys.NumLevels(); l++ {
+			ea := sys.EntityID(a, l)
+			eb := sys.EntityID(b, l)
 			out = append(out,
-				getRes(resKey{l, ea}, s.Sys.LinkBandwidth(l, ea)),
-				getRes(resKey{l, eb}, s.Sys.LinkBandwidth(l, eb)))
+				getRes(resKey{l, ea}, sys.LinkBandwidth(l, ea)),
+				getRes(resKey{l, eb}, sys.LinkBandwidth(l, eb)))
 		}
-		if cd := s.Sys.CrossDomain; cd != nil && !opts.DisableCrossDomain && ldiv == s.Sys.NumLevels()-1 {
-			leaf := s.Sys.Levels[len(s.Sys.Levels)-1].Count
+		if cd := sys.CrossDomain; cd != nil && !opts.DisableCrossDomain && ldiv == sys.NumLevels()-1 {
+			// Same node, leaf-level divergence: check PCIe domains.
+			leaf := sys.Levels[len(sys.Levels)-1].Count
 			per := leaf / cd.DomainsPerNode
-			ca := s.Sys.Coords(a)
-			cb := s.Sys.Coords(b)
+			ca := sys.Coords(a)
+			cb := sys.Coords(b)
 			if ca[len(ca)-1]/per != cb[len(cb)-1]/per {
-				node := s.Sys.EntityID(a, s.Sys.NumLevels()-2)
+				node := sys.EntityID(a, sys.NumLevels()-2)
 				out = append(out, getRes(resKey{domainLevel, node}, cd.Bandwidth))
 			}
 		}
 		return out
 	}
 
-	lanes := make([]*laneState, len(specs))
+	lanes := make([]*lane, len(specs))
+	unfinished := 0
 	for li, spec := range specs {
 		spec = spec.normalized(s)
 		p := spec.Program
-		if p.NumDevices != s.Sys.NumDevices() {
+		if p.NumDevices != sys.NumDevices() {
 			panic(fmt.Sprintf("netsim: program has %d devices, system %d",
-				p.NumDevices, s.Sys.NumDevices()))
+				p.NumDevices, sys.NumDevices()))
 		}
-		bytes := spec.Bytes
-		algo := spec.Algo
-		stepAlgos := spec.StepAlgos
-		steps := p.Steps
+		steps, stepAlgos := p.Steps, spec.StepAlgos
 		if !opts.DisableFusion {
 			steps, stepAlgos = fuseStepsAlgos(steps, stepAlgos)
 		}
-		lanes[li] = &laneState{
+		lanes[li] = &lane{
 			steps:     steps,
 			stepAlgos: stepAlgos,
-			bytes:     bytes,
-			algo:      algo,
-			nextAt:    opts.LaunchOverhead,
+			algo:      spec.Algo,
+			bytes:     spec.Bytes,
+			wait:      opts.LaunchOverhead,
 			noise: newNoise(opts.Seed ^
-				fingerprintAlgos(fingerprint(s.Sys.Name, int(algo), p.Key()), stepAlgos) ^
+				fingerprintAlgos(fingerprint(sys.Name, int(spec.Algo), p.Key()), stepAlgos) ^
 				uint64(li)*0x9e3779b97f4a7c15),
 		}
-	}
-
-	type liveTransfer struct {
-		*transfer
-		lane int
-	}
-	var active []*liveTransfer
-	now := 0.0
-	unfinished := len(lanes)
-	stalledTransfers := 0
-
-	startStep := func(li int) {
-		lane := lanes[li]
-		st := lane.steps[lane.stepIdx]
-		stepAlgo := lane.algo
-		if lane.stepAlgos != nil {
-			stepAlgo = lane.stepAlgos[lane.stepIdx]
+		if !lanes[li].done() {
+			unfinished++
 		}
-		perDevice := st.FracIn() * lane.bytes
-		lane.groups = lane.groups[:0]
-		lane.live = 0
-		for gi, g := range st.Groups {
-			rounds := scheduleRounds(s.Sys, st.Op, g, perDevice, stepAlgo)
+	}
+
+	var active []*transfer
+	stalled := 0
+
+	// startStep opens the lane's next step: the launch overhead it waited
+	// out joins the lane's total as the constant (not as the sum of the dts
+	// that consumed it) and the step-local clock restarts.
+	startStep := func(ln *lane) {
+		st := ln.steps[ln.step]
+		algo := ln.algo
+		if ln.stepAlgos != nil {
+			algo = ln.stepAlgos[ln.step]
+		}
+		ln.total += opts.LaunchOverhead
+		ln.now = 0
+		perDevice := st.FracIn() * ln.bytes
+		ln.groups = ln.groups[:0]
+		for _, g := range st.Groups {
+			rounds := scheduleRounds(sys, st.Op, g, perDevice, algo)
 			lat := 0.0
 			for _, rd := range rounds {
 				for _, tr := range rd {
@@ -195,29 +195,29 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 					}
 				}
 			}
-			lane.groups = append(lane.groups, &groupRun{rounds: rounds, latency: lat, startAt: now})
-			lane.live++
-			_ = gi
+			ln.groups = append(ln.groups, groupRun{rounds: rounds, latency: lat})
 		}
+		ln.live = len(ln.groups)
 	}
 	startRound := func(li, gi int) {
-		lane := lanes[li]
-		g := lane.groups[gi]
+		ln := lanes[li]
+		g := &ln.groups[gi]
 		round := g.rounds[g.next]
 		g.next++
 		for ti, spec := range round {
 			b := spec.bytes
 			if !opts.DisableNoise {
-				b *= 1 + opts.NoiseFrac*lane.noise.next(lane.stepIdx, gi, g.next, ti)
+				b *= 1 + opts.NoiseFrac*ln.noise.next(ln.step, gi, g.next, ti)
 			}
 			tr := &transfer{
 				remaining: b,
 				paths:     pathOf(spec.src, spec.dst),
+				lane:      li,
 				group:     gi,
 				src:       spec.src,
 				dst:       spec.dst,
 				bytes:     b,
-				started:   now,
+				started:   ln.now,
 			}
 			for _, ri := range tr.paths {
 				//p2:nan-ok link rates are validated finite by (*System).init; exact 0 is the down-link sentinel
@@ -226,53 +226,54 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				}
 			}
 			if tr.stalled {
-				stalledTransfers++
+				stalled++
 			} else {
 				for _, ri := range tr.paths {
 					resources[ri].active++
 				}
 			}
-			active = append(active, &liveTransfer{transfer: tr, lane: li})
+			active = append(active, tr)
 			g.inflight++
+		}
+	}
+	// abandon marks every unfinished lane as never completing.
+	abandon := func() {
+		for _, ln := range lanes {
+			if !ln.done() {
+				ln.total = math.Inf(1)
+			}
 		}
 	}
 
 	for iter := 0; unfinished > 0; iter++ {
-		// Cancellation poll, amortized like runStep's: a cancelled
-		// concurrent measurement marks every unfinished lane +Inf.
+		// Cancellation poll, amortized over 64 iterations: a cancelled
+		// measurement marks every unfinished lane with the +Inf
+		// never-completes sentinel (callers observing Ctx.Err() discard it).
 		if iter&63 == 0 && s.cancelled() {
-			for _, lane := range lanes {
-				if !lane.done {
-					lane.finish = math.Inf(1)
-				}
-			}
+			abandon()
 			break
 		}
-		// Launch lane steps and group rounds whose time has come.
-		for li, lane := range lanes {
-			if lane.done {
+		// Launch the lane steps and group rounds whose time has come.
+		for li, ln := range lanes {
+			if ln.done() {
 				continue
 			}
-			if lane.groups == nil || lane.live == 0 {
+			if ln.live == 0 {
 				// Between steps: waiting out the launch overhead.
-				if lane.nextAt <= now+1e-15 {
-					startStep(li)
-					for gi, g := range lane.groups {
-						if g.inflight == 0 && g.next < len(g.rounds) && g.startAt <= now+1e-15 {
-							startRound(li, gi)
-						}
-					}
+				if ln.wait > 1e-15 {
+					continue
 				}
-				continue
+				startStep(ln)
 			}
-			for gi, g := range lane.groups {
-				if !g.done && g.inflight == 0 && g.next < len(g.rounds) && g.startAt <= now+1e-15 {
+			for gi := range ln.groups {
+				g := &ln.groups[gi]
+				if g.pending() && g.startAt <= ln.now+1e-15 {
 					startRound(li, gi)
 				}
 			}
 		}
-		// Rates. Stalled transfers (path crossing a down link) hold rate 0
-		// and do not count toward any link's active share.
+		// Assign equal-share rates. Stalled transfers hold rate 0 and do
+		// not count toward any link's active share (they move no bytes).
 		for _, tr := range active {
 			if tr.stalled {
 				tr.rate = 0
@@ -287,7 +288,10 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			}
 			tr.rate = rate
 		}
-		// Next event time.
+		// Time of the next completion, pending round start or step launch.
+		// Non-stalled transfers always have rate > 0: base bandwidths are
+		// validated positive and a transfer counts toward its own links'
+		// shares.
 		dt := math.Inf(1)
 		for _, tr := range active {
 			if tr.stalled {
@@ -297,80 +301,96 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				dt = d
 			}
 		}
-		for _, lane := range lanes {
-			if lane.done {
+		for _, ln := range lanes {
+			if ln.done() {
 				continue
 			}
-			if lane.groups == nil || lane.live == 0 {
-				if d := lane.nextAt - now; d < dt {
-					dt = d
+			if ln.live == 0 {
+				if ln.wait < dt {
+					dt = ln.wait
 				}
 				continue
 			}
-			for _, g := range lane.groups {
-				if !g.done && g.inflight == 0 && g.next < len(g.rounds) {
-					if d := g.startAt - now; d < dt {
-						dt = d
-					}
+			for gi := range ln.groups {
+				g := &ln.groups[gi]
+				if d := g.startAt - ln.now; g.pending() && d < dt {
+					dt = d
 				}
 			}
 		}
 		if math.IsInf(dt, 1) {
-			if stalledTransfers > 0 {
-				// Every remaining lane is blocked behind a down link: those
-				// lanes never finish.
-				for _, lane := range lanes {
-					if !lane.done {
-						lane.finish = math.Inf(1)
-					}
-				}
+			if stalled > 0 {
+				// All remaining progress is behind a down link: the lanes
+				// still running never finish.
+				abandon()
 				break
 			}
-			panic("netsim: concurrent deadlock with no progress")
+			panic("netsim: deadlock with no progress")
 		}
 		if dt < 0 {
 			dt = 0
 		}
-		now += dt
-		// Retire completed transfers.
+		for _, ln := range lanes {
+			if ln.done() {
+				continue
+			}
+			if ln.live == 0 {
+				ln.wait -= dt
+			} else {
+				ln.now += dt
+			}
+		}
+		// Drain and retire completed transfers.
 		kept := active[:0]
 		for _, tr := range active {
 			tr.remaining -= tr.rate * dt
-			if tr.remaining <= 1e-9*tr.rate+1e-12 {
-				for _, ri := range tr.paths {
-					resources[ri].active--
-				}
-				lane := lanes[tr.lane]
-				g := lane.groups[tr.group]
-				g.inflight--
-				if g.inflight == 0 {
-					if g.next >= len(g.rounds) {
-						g.done = true
-						lane.live--
-						if lane.live == 0 {
-							lane.stepIdx++
-							if lane.stepIdx >= len(lane.steps) {
-								lane.done = true
-								lane.finish = now
-								unfinished--
-							} else {
-								lane.nextAt = now + opts.LaunchOverhead
-							}
-						}
-					} else {
-						g.startAt = now + g.latency
-					}
-				}
-			} else {
+			if tr.remaining > 1e-9*tr.rate+1e-12 {
 				kept = append(kept, tr)
+				continue
+			}
+			ln := lanes[tr.lane]
+			if s.Recorder != nil {
+				s.Recorder(Event{
+					Step:  ln.step,
+					Group: tr.group,
+					Op:    ln.steps[ln.step].Op,
+					Src:   tr.src,
+					Dst:   tr.dst,
+					Bytes: tr.bytes,
+					Start: ln.total + tr.started,
+					End:   ln.total + ln.now,
+				})
+			}
+			for _, ri := range tr.paths {
+				resources[ri].active--
+			}
+			g := &ln.groups[tr.group]
+			g.inflight--
+			if g.inflight > 0 {
+				continue
+			}
+			if g.next < len(g.rounds) {
+				g.startAt = ln.now + g.latency
+				continue
+			}
+			ln.live--
+			if ln.live > 0 {
+				continue
+			}
+			// Step finished: bank its step-local time.
+			ln.total += ln.now
+			ln.step++
+			ln.wait = opts.LaunchOverhead
+			if ln.done() {
+				unfinished--
 			}
 		}
 		active = kept
 	}
 
 	out := make([]float64, len(lanes))
-	for li, lane := range lanes {
-		out[li] = lane.finish
+	for li, ln := range lanes {
+		out[li] = ln.total
 	}
 	return out
 }

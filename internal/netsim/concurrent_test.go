@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"p2/internal/collective"
 	"p2/internal/cost"
 	"p2/internal/dsl"
 	"p2/internal/lower"
@@ -20,8 +21,8 @@ func TestConcurrentSingleMatchesMeasure(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("results = %d", len(got))
 	}
-	if math.Abs(got[0]-want)/want > 1e-9 {
-		t.Errorf("MeasureConcurrent single = %v, Measure = %v", got[0], want)
+	if got[0] != want {
+		t.Errorf("MeasureConcurrent single = %v, Measure = %v (must be bitwise equal)", got[0], want)
 	}
 }
 
@@ -30,12 +31,7 @@ func TestConcurrentContention(t *testing.T) {
 	// than in isolation, and at most about the sum.
 	lpA := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0},
 		synth.BaselineAllReduce())
-	lpB := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0},
-		dsl.Program{
-			{Slice: 1, Form: dsl.InsideGroup, Op: 1 /* ReduceScatter */},
-			{Slice: 1, Form: dsl.Parallel, Arg: 0, Op: 0 /* AllReduce */},
-			{Slice: 1, Form: dsl.InsideGroup, Op: 2 /* AllGather */},
-		})
+	lpB := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0}, rsArAg)
 	sim := &Simulator{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4),
 		Opts: Options{DisableNoise: true}}
 	soloA := sim.Measure(lpA)
@@ -130,5 +126,76 @@ func TestConcurrentDeterministic(t *testing.T) {
 	b := sim.MeasureConcurrent([]*lower.Program{lp, lp})
 	if a[0] != b[0] || a[1] != b[1] {
 		t.Errorf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+// TestConcurrentRecorder: the Recorder sees every completed transfer of
+// every lane (it used to be silently ignored with two or more lanes), and
+// End never decreases within a lane. The two lanes run different ops, so
+// an event's Op names its lane.
+func TestConcurrentRecorder(t *testing.T) {
+	rows := [][]int{{2, 2}, {2, 8}}
+	lpA := lowerFor(t, []int{4, 16}, []int{4, 16}, rows, []int{0}, synth.BaselineAllReduce())
+	lpB := lowerFor(t, []int{4, 16}, []int{4, 16}, rows, []int{0}, dsl.Program{
+		{Slice: 0, Form: dsl.InsideGroup, Op: collective.ReduceScatter},
+		{Slice: 0, Form: dsl.InsideGroup, Op: collective.AllGather},
+	})
+	sys := topology.A100System(4)
+	want := 0
+	for _, lp := range []*lower.Program{lpA, lpB} {
+		for _, st := range lp.Steps {
+			for _, g := range st.Groups {
+				for _, round := range scheduleRounds(sys, st.Op, g, 1, cost.Ring) {
+					want += len(round)
+				}
+			}
+		}
+	}
+	var events []Event
+	sim := &Simulator{Sys: sys, Algo: cost.Ring, Bytes: cost.PayloadBytes(4),
+		Opts:     Options{DisableNoise: true},
+		Recorder: func(ev Event) { events = append(events, ev) }}
+	sim.MeasureConcurrent([]*lower.Program{lpA, lpB})
+	if len(events) != want {
+		t.Fatalf("recorder saw %d events, want %d (every transfer of both lanes)", len(events), want)
+	}
+	var lastEnd [2]float64
+	var lastStep [2]int
+	for _, ev := range events {
+		li := 1
+		if ev.Op == collective.AllReduce {
+			li = 0
+		}
+		if ev.End < lastEnd[li] || ev.Step < lastStep[li] || ev.Start > ev.End {
+			t.Fatalf("lane %d: event %+v after End %v step %d", li, ev, lastEnd[li], lastStep[li])
+		}
+		lastEnd[li], lastStep[li] = ev.End, ev.Step
+	}
+}
+
+// TestConcurrentLaneSymmetry: with noise off the loop treats lanes
+// symmetrically — k identical lanes finish at the identical instant, and
+// permuting the specs permutes the results exactly.
+func TestConcurrentLaneSymmetry(t *testing.T) {
+	rows := [][]int{{2, 2}, {2, 8}}
+	lpA := lowerFor(t, []int{4, 16}, []int{4, 16}, rows, []int{0}, synth.BaselineAllReduce())
+	lpB := lowerFor(t, []int{4, 16}, []int{4, 16}, rows, []int{0}, rsArAg)
+	lpC := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{1, 4}, {4, 4}}, []int{0},
+		synth.BaselineAllReduce())
+	sim := &Simulator{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4),
+		Opts: Options{DisableNoise: true}}
+	same := sim.MeasureConcurrent([]*lower.Program{lpB, lpB, lpB})
+	if same[0] != same[1] || same[1] != same[2] {
+		t.Errorf("identical lanes finished apart: %v", same)
+	}
+	progs := []*lower.Program{lpA, lpB, lpC}
+	base := sim.MeasureConcurrent(progs)
+	for _, perm := range [][]int{{1, 0, 2}, {2, 1, 0}, {1, 2, 0}} {
+		got := sim.MeasureConcurrent([]*lower.Program{progs[perm[0]], progs[perm[1]], progs[perm[2]]})
+		for i, from := range perm {
+			if got[i] != base[from] {
+				t.Errorf("perm %v: lane %d = %v, want %v (bitwise)", perm, i, got[i], base[from])
+			}
+		}
 	}
 }

@@ -9,11 +9,10 @@ import (
 	"p2/internal/topology"
 )
 
-// TestConcurrentSpecDefaultsMatchMeasureSteps locks the byte-for-byte
-// agreement between the multi-lane and single-program emulators: a lone
-// spec that inherits every default (payload, algorithm, per-step
-// assignment) must produce the exact float MeasureSteps produces, for
-// every way of spelling the same assignment.
+// TestConcurrentSpecDefaultsMatchMeasureSteps is the spec-normalisation
+// table: a lone spec that inherits every default (payload, algorithm,
+// per-step assignment) must produce the exact float MeasureSteps produces,
+// for every way of spelling the same assignment.
 func TestConcurrentSpecDefaultsMatchMeasureSteps(t *testing.T) {
 	lp := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0},
 		synth.BaselineAllReduce())
@@ -40,7 +39,7 @@ func TestConcurrentSpecDefaultsMatchMeasureSteps(t *testing.T) {
 
 // TestMeasureDownLinkStalls: a transfer whose path crosses a down link can
 // never finish — the emulator must report +Inf rather than spin or panic,
-// in both the single-program and the multi-lane runner.
+// with one lane and with several.
 func TestMeasureDownLinkStalls(t *testing.T) {
 	lp := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0},
 		synth.BaselineAllReduce())

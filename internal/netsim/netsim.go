@@ -28,7 +28,6 @@ package netsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"p2/internal/collective"
@@ -87,6 +86,8 @@ func (o Options) effective() Options {
 }
 
 // Event describes one completed transfer, for tracing/visualization.
+// Step and Group are per lane: with several programs in flight
+// (MeasureConcurrent) each program numbers its own steps and groups from 0.
 type Event struct {
 	// Step is the lowered-step index (after fusion).
 	Step int
@@ -113,12 +114,13 @@ type Simulator struct {
 	Bytes float64
 	// Opts tunes emulator fidelity (zero value = defaults).
 	Opts Options
-	// Recorder, when non-nil, receives every completed transfer. It is
-	// called in completion order with monotonically non-decreasing End
-	// timestamps.
+	// Recorder, when non-nil, receives every completed transfer of every
+	// program being measured (every lane of MeasureConcurrent), in
+	// completion order. End is non-decreasing per lane; with a single
+	// program that is the whole stream.
 	Recorder func(Event)
-	// Ctx, when non-nil, makes measurement cooperative: the event loops
-	// poll it every few dozen iterations and a cancelled measurement
+	// Ctx, when non-nil, makes measurement cooperative: the event loop
+	// polls it every few dozen iterations and a cancelled measurement
 	// returns +Inf (the same "never completes" sentinel a stalled down
 	// link produces) instead of running to completion. Callers that can
 	// be cancelled must check Ctx.Err() and discard the value — a
@@ -142,40 +144,10 @@ func (s *Simulator) Measure(p *lower.Program) float64 {
 // runs every step with the simulator's Algo. A uniform assignment is
 // canonicalized to the fixed algorithm it names, so an all-Ring auto
 // choice measures byte-identically to a fixed-Ring run. Steps assigned
-// different algorithms are never fused.
+// different algorithms are never fused. It is the one-lane case of
+// MeasureConcurrentSpecs.
 func (s *Simulator) MeasureSteps(p *lower.Program, stepAlgos []cost.Algorithm) float64 {
-	if p.NumDevices != s.Sys.NumDevices() {
-		panic(fmt.Sprintf("netsim: program has %d devices, system %d",
-			p.NumDevices, s.Sys.NumDevices()))
-	}
-	if stepAlgos != nil && len(stepAlgos) != len(p.Steps) {
-		panic(fmt.Sprintf("netsim: %d step algorithms for %d steps",
-			len(stepAlgos), len(p.Steps)))
-	}
-	algo := s.Algo
-	if a, ok := cost.UniformAlgo(stepAlgos); ok {
-		algo, stepAlgos = a, nil
-	}
-	opts := s.Opts.effective()
-	steps := p.Steps
-	if !opts.DisableFusion {
-		steps, stepAlgos = fuseStepsAlgos(steps, stepAlgos)
-	}
-	noise := newNoise(opts.Seed ^
-		fingerprintAlgos(fingerprint(s.Sys.Name, int(algo), p.Key()), stepAlgos))
-	total := 0.0
-	for si, st := range steps {
-		if s.cancelled() {
-			return math.Inf(1)
-		}
-		stepAlgo := algo
-		if stepAlgos != nil {
-			stepAlgo = stepAlgos[si]
-		}
-		total += opts.LaunchOverhead
-		total += s.runStep(st, stepAlgo, si, total, noise, opts)
-	}
-	return total
+	return s.MeasureConcurrentSpecs([]ConcurrentSpec{{Program: p, StepAlgos: stepAlgos}})[0]
 }
 
 // resource is a contended link: an uplink (level >= 0) or a V100
@@ -202,17 +174,19 @@ type transferSpec struct {
 type transfer struct {
 	remaining float64
 	paths     []int // resource indices
+	lane      int
 	group     int
 	rate      float64
 	// stalled marks a transfer whose path crosses a down link (a
 	// LinkOverride with bandwidth scale 0): it never completes, never
 	// occupies bandwidth on the healthy links of its path, and its group —
-	// hence the step — never finishes, making the measured time +Inf.
+	// hence the step and the lane — never finishes, making the measured
+	// time +Inf.
 	stalled bool
 	// trace metadata (only used when a Recorder is attached)
 	src, dst int
 	bytes    float64
-	started  float64
+	started  float64 // on the lane's step-local clock
 }
 
 // groupRun tracks one group's progress through its rounds.
@@ -221,209 +195,12 @@ type groupRun struct {
 	next     int     // next round index
 	inflight int     // live transfers of the current round
 	latency  float64 // per-round latency for this group
-	startAt  float64 // time the next round may start
-	done     bool
+	startAt  float64 // step-local time the next round may start
 }
 
-func (s *Simulator) runStep(st lower.Step, algo cost.Algorithm, stepIdx int, base float64, noise *noiseStream, opts Options) float64 {
-	resIdx := map[resKey]int{}
-	var resources []resource
-	getRes := func(k resKey, bw float64) int {
-		if i, ok := resIdx[k]; ok {
-			return i
-		}
-		resources = append(resources, resource{bandwidth: bw})
-		resIdx[k] = len(resources) - 1
-		return len(resources) - 1
-	}
-
-	perDevice := st.FracIn() * s.Bytes
-	groups := make([]*groupRun, len(st.Groups))
-	live := 0
-	for gi, g := range st.Groups {
-		rounds := scheduleRounds(s.Sys, st.Op, g, perDevice, algo)
-		lat := 0.0
-		for _, rd := range rounds {
-			for _, tr := range rd {
-				if l := s.pathLatency(tr.src, tr.dst); l > lat {
-					lat = l
-				}
-			}
-		}
-		groups[gi] = &groupRun{rounds: rounds, latency: lat}
-		live++
-	}
-
-	var active []*transfer
-	stalled := 0
-	now := 0.0
-
-	pathOf := func(a, b int) []int {
-		ldiv := s.Sys.DivergenceLevel(a, b)
-		if ldiv < 0 {
-			return nil
-		}
-		var out []int
-		for l := ldiv; l < s.Sys.NumLevels(); l++ {
-			ea := s.Sys.EntityID(a, l)
-			eb := s.Sys.EntityID(b, l)
-			out = append(out,
-				getRes(resKey{l, ea}, s.Sys.LinkBandwidth(l, ea)),
-				getRes(resKey{l, eb}, s.Sys.LinkBandwidth(l, eb)))
-		}
-		if cd := s.Sys.CrossDomain; cd != nil && !opts.DisableCrossDomain && ldiv == s.Sys.NumLevels()-1 {
-			// Same node, leaf-level divergence: check PCIe domains.
-			leaf := s.Sys.Levels[len(s.Sys.Levels)-1].Count
-			per := leaf / cd.DomainsPerNode
-			ca := s.Sys.Coords(a)
-			cb := s.Sys.Coords(b)
-			if ca[len(ca)-1]/per != cb[len(cb)-1]/per {
-				node := s.Sys.EntityID(a, s.Sys.NumLevels()-2)
-				out = append(out, getRes(resKey{domainLevel, node}, cd.Bandwidth))
-			}
-		}
-		return out
-	}
-
-	startRound := func(gi int) {
-		g := groups[gi]
-		round := g.rounds[g.next]
-		g.next++
-		for ti, spec := range round {
-			b := spec.bytes
-			if !opts.DisableNoise {
-				b *= 1 + opts.NoiseFrac*noise.next(stepIdx, gi, g.next, ti)
-			}
-			tr := &transfer{
-				remaining: b,
-				paths:     pathOf(spec.src, spec.dst),
-				group:     gi,
-				src:       spec.src,
-				dst:       spec.dst,
-				bytes:     b,
-				started:   now,
-			}
-			for _, ri := range tr.paths {
-				//p2:nan-ok link rates are validated finite by (*System).init; exact 0 is the down-link sentinel
-				if resources[ri].bandwidth == 0 {
-					tr.stalled = true
-				}
-			}
-			if tr.stalled {
-				stalled++
-			} else {
-				for _, ri := range tr.paths {
-					resources[ri].active++
-				}
-			}
-			active = append(active, tr)
-			g.inflight++
-		}
-	}
-
-	for gi := range groups {
-		startRound(gi)
-	}
-
-	for iter := 0; live > 0; iter++ {
-		// Cancellation poll, amortized over 64 event-loop iterations: a
-		// cancelled measurement returns the +Inf never-completes sentinel
-		// (callers observing Ctx.Err() discard the value).
-		if iter&63 == 0 && s.cancelled() {
-			return math.Inf(1)
-		}
-		// Assign equal-share rates. Stalled transfers hold rate 0 and do
-		// not count toward any link's active share (they move no bytes).
-		for _, tr := range active {
-			if tr.stalled {
-				tr.rate = 0
-				continue
-			}
-			rate := math.Inf(1)
-			for _, ri := range tr.paths {
-				r := resources[ri].bandwidth / float64(resources[ri].active)
-				if r < rate {
-					rate = r
-				}
-			}
-			tr.rate = rate
-		}
-		// Time of next completion or pending round start. Non-stalled
-		// transfers always have rate > 0: base bandwidths are validated
-		// positive and a transfer counts toward its own links' shares.
-		dt := math.Inf(1)
-		for _, tr := range active {
-			if tr.stalled {
-				continue
-			}
-			if d := tr.remaining / tr.rate; d < dt {
-				dt = d
-			}
-		}
-		for _, g := range groups {
-			if !g.done && g.inflight == 0 && g.next < len(g.rounds) {
-				if d := g.startAt - now; d < dt {
-					dt = d
-				}
-			}
-		}
-		if math.IsInf(dt, 1) {
-			if stalled > 0 {
-				// All remaining progress is behind a down link: the step
-				// never completes.
-				return math.Inf(1)
-			}
-			panic("netsim: deadlock with no progress")
-		}
-		if dt < 0 {
-			dt = 0
-		}
-		now += dt
-		// Drain and retire completed transfers.
-		const eps = 1e-9
-		kept := active[:0]
-		for _, tr := range active {
-			tr.remaining -= tr.rate * dt
-			if tr.remaining <= eps*tr.rate+1e-12 {
-				if s.Recorder != nil {
-					s.Recorder(Event{
-						Step:  stepIdx,
-						Group: tr.group,
-						Op:    st.Op,
-						Src:   tr.src,
-						Dst:   tr.dst,
-						Bytes: tr.bytes,
-						Start: base + tr.started,
-						End:   base + now,
-					})
-				}
-				for _, ri := range tr.paths {
-					resources[ri].active--
-				}
-				g := groups[tr.group]
-				g.inflight--
-				if g.inflight == 0 {
-					if g.next >= len(g.rounds) {
-						g.done = true
-						live--
-					} else {
-						g.startAt = now + g.latency
-					}
-				}
-			} else {
-				kept = append(kept, tr)
-			}
-		}
-		active = kept
-		// Launch any rounds whose start time has arrived.
-		for gi, g := range groups {
-			if !g.done && g.inflight == 0 && g.next < len(g.rounds) && g.startAt <= now+1e-15 {
-				startRound(gi)
-			}
-		}
-	}
-	return now
-}
+// pending reports whether the group is between rounds, waiting out its
+// latency before the next one.
+func (g *groupRun) pending() bool { return g.inflight == 0 && g.next < len(g.rounds) }
 
 func (s *Simulator) pathLatency(a, b int) float64 {
 	ldiv := s.Sys.DivergenceLevel(a, b)
@@ -493,10 +270,7 @@ func scheduleRounds(sys *topology.System, op collective.Op, g []int, perDevice f
 		// mirroring it — and a post-round returns the full result from
 		// partner k to p+k. For power-of-two groups the pre/post rounds
 		// are empty and the schedule is the pure core.
-		p := 1
-		for p*2 <= n {
-			p *= 2
-		}
+		p := cost.CorePow2(n)
 		var out [][]transferSpec
 		if p < n {
 			pre := make([]transferSpec, 0, n-p)

@@ -15,6 +15,14 @@ import (
 	"p2/internal/topology"
 )
 
+// rsArAg is the hierarchical ReduceScatter–AllReduce–AllGather program
+// over a two-level reduction hierarchy.
+var rsArAg = dsl.Program{
+	{Slice: 1, Form: dsl.InsideGroup, Op: collective.ReduceScatter},
+	{Slice: 1, Form: dsl.Parallel, Arg: 0, Op: collective.AllReduce},
+	{Slice: 1, Form: dsl.InsideGroup, Op: collective.AllGather},
+}
+
 func lowerFor(t *testing.T, hier, axes []int, rows [][]int, red []int, p dsl.Program) *lower.Program {
 	t.Helper()
 	m, err := placement.NewMatrix(hier, axes, rows)
@@ -209,11 +217,7 @@ func TestRSARAGBeatsAllReduceCrossNode(t *testing.T) {
 	rows := [][]int{{2, 2}, {2, 8}}
 	baseline := lowerFor(t, []int{4, 16}, []int{4, 16}, rows, []int{0},
 		synth.BaselineAllReduce())
-	rsarag := lowerFor(t, []int{4, 16}, []int{4, 16}, rows, []int{0}, dsl.Program{
-		{Slice: 1, Form: dsl.InsideGroup, Op: collective.ReduceScatter},
-		{Slice: 1, Form: dsl.Parallel, Arg: 0, Op: collective.AllReduce},
-		{Slice: 1, Form: dsl.InsideGroup, Op: collective.AllGather},
-	})
+	rsarag := lowerFor(t, []int{4, 16}, []int{4, 16}, rows, []int{0}, rsArAg)
 	sim := quietSim(topology.A100System(4), cost.Ring, cost.PayloadBytes(4))
 	tBase := sim.Measure(baseline)
 	tOpt := sim.Measure(rsarag)

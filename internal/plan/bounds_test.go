@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -225,12 +226,12 @@ func TestMemoCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(sys)}
-	free, freeStats, err := New().Run(matrices, []int{0}, model, Options{Parallelism: 1})
+	free, freeStats, err := New().RunCtx(context.Background(), matrices, []int{0}, model, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	capped := New(WithMemoCap(1))
-	got, cappedStats, err := capped.Run(matrices, []int{0}, model, Options{Parallelism: 1})
+	got, cappedStats, err := capped.RunCtx(context.Background(), matrices, []int{0}, model, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

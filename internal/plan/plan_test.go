@@ -66,7 +66,7 @@ func TestRunMatchesSerial(t *testing.T) {
 	matrices, red, model := testSetup(t)
 	want := rankString(serialRank(t, matrices, red, model, false))
 	for _, par := range []int{1, 2, 4, 16} {
-		got, _, err := New().Run(matrices, red, model, Options{Parallelism: par})
+		got, _, err := New().RunCtx(context.Background(), matrices, red, model, Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,12 +78,12 @@ func TestRunMatchesSerial(t *testing.T) {
 
 func TestTopKIsPrefixOfFullRanking(t *testing.T) {
 	matrices, red, model := testSetup(t)
-	full, _, err := New().Run(matrices, red, model, Options{})
+	full, _, err := New().RunCtx(context.Background(), matrices, red, model, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 3, 10, len(full), len(full) + 50} {
-		got, _, err := New().Run(matrices, red, model, Options{TopK: k, Parallelism: 4})
+		got, _, err := New().RunCtx(context.Background(), matrices, red, model, Options{TopK: k, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestMemoizationSharesSynthesis(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: cost.PayloadBytes(32)}
-	_, stats, err := New().Run(matrices, []int{0}, model, Options{Parallelism: 1})
+	_, stats, err := New().RunCtx(context.Background(), matrices, []int{0}, model, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestSignatureMemoIsCorrect(t *testing.T) {
 	// memoized run must equal a memo-free serial reference on every matrix.
 	matrices, red, model := testSetup(t)
 	p := New()
-	for mi, m := range matrices {
-		got, err := p.PlanMatrix(mi, m, red, model, Options{})
+	for _, m := range matrices {
+		got, _, err := p.RunCtx(context.Background(), []*placement.Matrix{m}, red, model, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,9 +147,9 @@ func TestSignatureMemoIsCorrect(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("matrix %v: %d programs, want %d", m, len(got), len(want))
 		}
-		for i := range got {
-			if got[i].Program.String() != want[i].String() {
-				t.Errorf("matrix %v program %d: %v, want %v", m, i, got[i].Program, want[i])
+		for _, c := range got {
+			if c.Program.String() != want[c.ProgIdx].String() {
+				t.Errorf("matrix %v program %d: %v, want %v", m, c.ProgIdx, c.Program, want[c.ProgIdx])
 			}
 		}
 	}
@@ -167,7 +167,7 @@ func TestPlannerConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := p.Run(matrices, red, model, Options{Parallelism: 4})
+			got, _, err := p.RunCtx(context.Background(), matrices, red, model, Options{Parallelism: 4})
 			if err != nil {
 				t.Error(err)
 				return
@@ -192,7 +192,7 @@ func TestRunErrorDeterministic(t *testing.T) {
 	matrices, _, model := testSetup(t)
 	want := ""
 	for _, par := range []int{1, 4, 16} {
-		_, _, err := New().Run(matrices, []int{9}, model, Options{Parallelism: par})
+		_, _, err := New().RunCtx(context.Background(), matrices, []int{9}, model, Options{Parallelism: par})
 		if err == nil {
 			t.Fatalf("parallelism %d: expected error for out-of-range axis", par)
 		}
@@ -311,24 +311,21 @@ func TestRunJointMatchesSerial(t *testing.T) {
 	for mi, m := range matrices {
 		total := 0.0
 		for _, spec := range specs {
-			cands, err := New().PlanMatrix(mi, m, spec.ReduceAxes, spec.Model, Options{Collapse: spec.Collapse})
+			// Unpruned, so the reference does not lean on the bound; the
+			// ranking is sorted by Less, so its head is the best.
+			cands, _, err := New().RunCtx(context.Background(), []*placement.Matrix{m}, spec.ReduceAxes, spec.Model,
+				Options{Collapse: spec.Collapse})
 			if err != nil {
 				t.Fatal(err)
 			}
-			best := cands[0]
-			for _, c := range cands[1:] {
-				if Less(c, best) {
-					best = c
-				}
-			}
-			total += spec.Weight * best.Predicted
+			total += spec.Weight * cands[0].Predicted
 		}
 		want = append(want, ref{mi: mi, total: total})
 	}
 	sort.SliceStable(want, func(i, j int) bool { return want[i].total < want[j].total })
 
 	for _, par := range []int{1, 4, 16} {
-		got, _, err := New().RunJoint(matrices, specs, Options{Parallelism: par})
+		got, _, err := New().RunJointCtx(context.Background(), matrices, specs, Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}

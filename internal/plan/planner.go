@@ -403,26 +403,14 @@ func (ms *matrixScorer) evalStep(key stepKey) stepChoice {
 	return ch
 }
 
-// PlanMatrix synthesizes, lowers and scores every program for one
-// placement. Programs appear in synthesis order (size, then lexicographic
-// — the same order the serial path appends them in). The per-program sum
-// runs over the same values in the same order as cost.Model.BestStepAlgos
-// (resp. ProgramTime), so predictions are bit-identical to the serial
-// brute-force path.
-func (p *Planner) PlanMatrix(mi int, m *placement.Matrix, reduceAxes []int, model *cost.Model, opts Options) ([]*Candidate, error) {
-	var out []*Candidate
-	//p2:ctx-ok PlanMatrix is the documented uncancellable single-matrix entry point; PlanMatrixCtx does not exist by design
-	err := p.planMatrix(context.Background(), &workerState{}, mi, m, reduceAxes, model, opts, &runCounters{}, newThreshold(),
-		func(c *Candidate) { out = append(out, c) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// planMatrix is PlanMatrix against shared worker scratch, counters and the
-// run's pruning threshold, emitting each completed candidate as soon as it
-// is scored (the caller's sink pushes it into the worker heap, which can
+// planMatrix synthesizes, lowers and scores every program for one
+// placement, in synthesis order (size, then lexicographic — the same order
+// the serial path appends them in). The per-program sum runs over the same
+// values in the same order as cost.Model.BestStepAlgos (resp.
+// ProgramTime), so predictions are bit-identical to the serial brute-force
+// path. It works against shared worker scratch, counters and the run's
+// pruning threshold, emitting each completed candidate as soon as it is
+// scored (the caller's sink pushes it into the worker heap, which can
 // tighten the shared threshold mid-placement). With TopK armed it may skip
 // the placement entirely (admissible bound above the threshold) and
 // abandons individual programs once their partial cost sum exceeds the
@@ -524,15 +512,10 @@ func (ms *matrixScorer) score(prog dsl.Program, shapes []dsl.Shape, cutoff func(
 	return predicted, true
 }
 
-// Run ranks every (matrix, program) candidate for one reduction request,
-// fanning the matrices out over the worker pool. The returned slice is
-// sorted by Less and truncated to TopK when set.
-func (p *Planner) Run(matrices []*placement.Matrix, reduceAxes []int, model *cost.Model, opts Options) ([]*Candidate, Stats, error) {
-	return p.RunStream(sliceStream(matrices), reduceAxes, model, opts)
-}
-
-// RunCtx is Run under a context: see RunStreamCtx for the cancellation
-// and anytime-result contract.
+// RunCtx ranks every (matrix, program) candidate for one reduction
+// request, fanning the matrices out over the worker pool. The returned
+// slice is sorted by Less and truncated to TopK when set. See RunStreamCtx
+// for the cancellation and anytime-result contract.
 func (p *Planner) RunCtx(ctx context.Context, matrices []*placement.Matrix, reduceAxes []int, model *cost.Model, opts Options) ([]*Candidate, Stats, error) {
 	return p.RunStreamCtx(ctx, sliceStream(matrices), reduceAxes, model, opts)
 }
@@ -550,23 +533,19 @@ func sliceStream(matrices []*placement.Matrix) func(func(*placement.Matrix) bool
 	}
 }
 
-// RunStream is Run over a placement producer instead of a materialized
-// slice: stream (typically placement.Iterate) yields matrices in canonical
-// enumeration order and the engine feeds them to the worker pool as they
-// appear, so the full placement set never resides in memory. The ranking
-// is identical to Run over the materialized equivalent.
+// RunStreamCtx is RunCtx over a placement producer instead of a
+// materialized slice: stream (typically placement.Iterate) yields matrices
+// in canonical enumeration order and the engine feeds them to the worker
+// pool as they appear, so the full placement set never resides in memory.
+// The ranking is identical to RunCtx over the materialized equivalent.
 //
 // With Options.Rerank set, the analytic ranking is then measured on the
 // emulator and re-sorted by measured time (rerank.go); RerankAll runs the
 // analytic stage unpruned so that every candidate exists to be measured,
 // and truncates to TopK only after the measured sort.
-func (p *Planner) RunStream(stream func(func(*placement.Matrix) bool) error, reduceAxes []int, model *cost.Model, opts Options) ([]*Candidate, Stats, error) {
-	return p.RunStreamCtx(context.Background(), stream, reduceAxes, model, opts) //p2:ctx-ok documented no-deadline compatibility shim wrapping RunStreamCtx
-}
-
-// RunStreamCtx is RunStream under a context. With an uncancelled context
-// the ranking is byte-identical to RunStream (the checks observe nil and
-// change nothing). On cancellation or deadline expiry the run stops
+//
+// An uncancelled context changes nothing (the checks observe nil). On
+// cancellation or deadline expiry the run stops
 // cooperatively — between programs, between measured candidates, and
 // every few emulator event-loop iterations — and returns an *anytime*
 // result alongside ctx.Err(): the merged per-worker top-K heaps, sorted
@@ -576,8 +555,7 @@ func (p *Planner) RunStream(stream func(func(*placement.Matrix) bool) error, red
 // full ranking. If cancellation lands during the re-rank measurement
 // stage, partially-filled Measured values are zeroed and the analytic
 // order is returned, so a partial result never mixes measured and
-// unmeasured sort keys. Non-context errors return (nil, stats, err)
-// exactly as before.
+// unmeasured sort keys. Non-context errors return (nil, stats, err).
 func (p *Planner) RunStreamCtx(ctx context.Context, stream func(func(*placement.Matrix) bool) error, reduceAxes []int, model *cost.Model, opts Options) ([]*Candidate, Stats, error) {
 	runOpts := opts
 	if opts.Rerank == RerankAll {
@@ -731,7 +709,7 @@ func (p *Planner) bestForReduction(ctx context.Context, ws *workerState, mi int,
 	return best, nil
 }
 
-// RunJoint scores every placement against all reductions jointly,
+// RunJointCtx scores every placement against all reductions jointly,
 // fanning placements out over the worker pool. Synthesis is memoized
 // across both placements and reductions; with TopK set, placements whose
 // summed per-reduction lower bounds exceed the shared total threshold are
@@ -742,17 +720,13 @@ func (p *Planner) bestForReduction(ctx context.Context, ws *workerState, mi int,
 // measured on the emulator and the placements re-sorted by summed
 // weighted measured time (rerank.go); RerankAll disables the placement
 // top-K during the analytic stage and truncates after the measured sort.
-func (p *Planner) RunJoint(matrices []*placement.Matrix, reds []JointSpec, opts Options) ([]*JointCandidate, Stats, error) {
-	return p.RunJointCtx(context.Background(), matrices, reds, opts) //p2:ctx-ok documented no-deadline compatibility shim wrapping RunJointCtx
-}
-
-// RunJointCtx is RunJoint under a context, with the same anytime contract
-// as RunStreamCtx: an uncancelled context is byte-identical to RunJoint;
-// on cancellation the merged per-worker heaps of *completed* placements
-// (a joint candidate only exists once every reduction scored) are
-// returned sorted and truncated alongside ctx.Err(); cancellation during
-// the measured re-rank zeroes the partially-filled Measured fields and
-// returns the analytic placement order.
+//
+// The anytime contract is RunStreamCtx's: an uncancelled context changes
+// nothing; on cancellation the merged per-worker heaps of *completed*
+// placements (a joint candidate only exists once every reduction scored)
+// are returned sorted and truncated alongside ctx.Err(); cancellation
+// during the measured re-rank zeroes the partially-filled Measured fields
+// and returns the analytic placement order.
 func (p *Planner) RunJointCtx(ctx context.Context, matrices []*placement.Matrix, reds []JointSpec, opts Options) ([]*JointCandidate, Stats, error) {
 	mode, finalTopK := opts.Rerank, opts.TopK
 	if mode == RerankAll {
@@ -895,10 +869,10 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("plan: panic while planning placement %d: %v", e.Index, e.Value)
 }
 
-// isCtxErr reports whether err is a context cancellation or deadline
+// IsCtxErr reports whether err is a context cancellation or deadline
 // expiry — the errors that mean "the caller gave up", not "the request
 // is bad" — possibly wrapped.
-func isCtxErr(err error) bool {
+func IsCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
@@ -961,7 +935,7 @@ func fanOut[T any](ctx context.Context, opts Options, stream func(func(*placemen
 			if rec.discard(it.idx) || ctx.Err() != nil {
 				continue
 			}
-			if err := runItem(ws, it.idx, it.m, emit); err != nil && !isCtxErr(err) {
+			if err := runItem(ws, it.idx, it.m, emit); err != nil && !IsCtxErr(err) {
 				rec.record(it.idx, err)
 			}
 		}
@@ -1000,7 +974,7 @@ func fanOut[T any](ctx context.Context, opts Options, stream func(func(*placemen
 	if err := rec.get(); err != nil {
 		return nil, produced, err
 	}
-	if streamErr != nil && !isCtxErr(streamErr) {
+	if streamErr != nil && !IsCtxErr(streamErr) {
 		return nil, produced, streamErr
 	}
 	return perWorker, produced, nil

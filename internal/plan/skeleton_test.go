@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestEngineLoweredEqualsLower(t *testing.T) {
 			}
 			model := &cost.Model{Sys: tc.sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(tc.sys)}
 			collapse := len(tc.red) > 1
-			cands, _, err := New().Run(matrices, tc.red, model, Options{Parallelism: 4, Collapse: collapse, Algos: tc.algos})
+			cands, _, err := New().RunCtx(context.Background(), matrices, tc.red, model, Options{Parallelism: 4, Collapse: collapse, Algos: tc.algos})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +96,7 @@ func TestSharedGroupsReadOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			model := &cost.Model{Sys: tc.sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(tc.sys)}
-			cands, _, err := New().Run(matrices, tc.red, model, Options{Parallelism: 4, Collapse: len(tc.red) > 1, Algos: tc.algos})
+			cands, _, err := New().RunCtx(context.Background(), matrices, tc.red, model, Options{Parallelism: 4, Collapse: len(tc.red) > 1, Algos: tc.algos})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -125,29 +125,24 @@ type JointOptions struct {
 // PlanJoint evaluates every placement of the axes against all reductions
 // jointly — the §4.1 observation that "models with multiple parallelism
 // forms involve reductions across both axes, and the selection of a mapping
-// should take all of them into account" turned into an API. It runs on the
-// parallel memoized engine with default options; use PlanJointOpts to tune
-// the worker pool and placement top-K.
+// should take all of them into account" turned into an API. It is
+// PlanJointCtx with default options and no deadline.
 func PlanJoint(sys *System, axes []int, reductions []Reduction) (*JointPlan, error) {
-	return PlanJointOpts(sys, axes, reductions, JointOptions{})
+	return PlanJointCtx(context.Background(), sys, axes, reductions, JointOptions{}) //p2:ctx-ok documented no-deadline compatibility entry point wrapping PlanJointCtx
 }
 
-// PlanJointOpts is PlanJoint with explicit engine options. Placements fan
-// out over the worker pool and synthesis is memoized by hierarchy
-// signature across both placements and reductions, so e.g. the data- and
-// tensor-parallel reductions of a transformer share synthesis whenever
-// their axis rows induce the same reduction hierarchy. The analytic
-// placement ranking (including tie order) is identical to
+// PlanJointCtx is PlanJoint with explicit engine options, under a context.
+// Placements fan out over the worker pool and synthesis is memoized by
+// hierarchy signature across both placements and reductions, so e.g. the
+// data- and tensor-parallel reductions of a transformer share synthesis
+// whenever their axis rows induce the same reduction hierarchy. The
+// analytic placement ranking (including tie order) is identical to
 // PlanJointSerial; measured modes (opts.Measure) re-sort it by emulated
 // totals, equally deterministically.
-func PlanJointOpts(sys *System, axes []int, reductions []Reduction, opts JointOptions) (*JointPlan, error) {
-	return PlanJointCtx(context.Background(), sys, axes, reductions, opts) //p2:ctx-ok documented no-deadline compatibility entry point wrapping PlanJointCtx
-}
-
-// PlanJointCtx is PlanJointOpts under a context, with the same anytime
-// semantics as PlanCtx: an uncancelled context is byte-identical to
-// PlanJointOpts; on cancellation the completed placements are returned
-// with JointPlan.Partial set (nil error), or the context's error if none
+//
+// The anytime semantics are PlanCtx's: an uncancelled context changes
+// nothing; on cancellation the completed placements are returned with
+// JointPlan.Partial set (nil error), or the context's error if none
 // finished. A Planner's shared memo is equally safe here — see
 // Planner.PlanJointCtx.
 func PlanJointCtx(ctx context.Context, sys *System, axes []int, reductions []Reduction, opts JointOptions) (*JointPlan, error) {
@@ -190,7 +185,7 @@ func (pl *Planner) PlanJointCtx(ctx context.Context, sys *System, axes []int, re
 	})
 	partial := false
 	if err != nil {
-		if isCtxErr(err) && len(jcs) > 0 {
+		if plan.IsCtxErr(err) && len(jcs) > 0 {
 			partial = true
 		} else {
 			var noProg *plan.ErrNoPrograms

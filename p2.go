@@ -30,7 +30,6 @@ package p2
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -476,12 +475,6 @@ func NewPlanner(memoCap int) *Planner {
 	return &Planner{eng: plan.New(plan.WithMemoCap(memoCap))}
 }
 
-// isCtxErr reports whether err is context cancellation or deadline
-// expiry, possibly wrapped.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // PlanCtx plans one request on the Planner's shared memo; see the
 // package-level PlanCtx for the anytime contract.
 func (pl *Planner) PlanCtx(ctx context.Context, sys *System, req Request) (*PlanResult, error) {
@@ -505,7 +498,7 @@ func (pl *Planner) PlanCtx(ctx context.Context, sys *System, req Request) (*Plan
 	})
 	partial := false
 	if err != nil {
-		if !isCtxErr(err) || len(cands) == 0 {
+		if !plan.IsCtxErr(err) || len(cands) == 0 {
 			return nil, err
 		}
 		partial = true
