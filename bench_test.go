@@ -735,15 +735,15 @@ func BenchmarkExtensionPipelining(b *testing.B) {
 	model := &cost.Model{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4)}
 	var body string
 	for _, buckets := range []int{1, 2, 4, 8, 16, 32, 64} {
-		body += fmt.Sprintf("buckets=%-3d predicted=%.3fs\n", buckets, model.PipelinedTime(lp, buckets))
+		body += fmt.Sprintf("buckets=%-3d predicted=%.3fs\n", buckets, model.PipelinedTimeSteps(lp, buckets, nil))
 	}
-	bOpt, tOpt := cost.OptimalBuckets(model, lp, 64)
+	bOpt, tOpt := cost.OptimalBucketsSteps(model, lp, 64, nil)
 	body += fmt.Sprintf("optimal: %d buckets at %.3fs (unbucketed %.3fs)\n",
 		bOpt, tOpt, model.ProgramTime(lp))
 	printArtifact("Extension — pipelined gradient bucketing (RS-AR-AG on [[2 2] [2 8]])", body)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cost.OptimalBuckets(model, lp, 64)
+		cost.OptimalBucketsSteps(model, lp, 64, nil)
 	}
 }
 

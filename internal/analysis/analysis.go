@@ -63,8 +63,8 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Annot holds the package's parsed //p2: markers.
 	Annot *Annotations
-	// Module is the whole-run view (facts, call graph, field index) for
-	// the cross-function analyzers; single-package analyzers ignore it.
+	// Module is the whole-run view (facts, call graph) for the
+	// cross-function analyzers; single-package analyzers ignore it.
 	Module *Module
 
 	diags *[]Diagnostic

@@ -19,10 +19,9 @@ func TestZeroAllocFixture(t *testing.T)   { RunFixture(t, "zeroalloc", ZeroAlloc
 func TestWallClockFixture(t *testing.T)   { RunFixture(t, "wallclock", WallClock) }
 func TestFanOutFixture(t *testing.T)      { RunFixture(t, "fanout", FanOut) }
 
-// The cross-function analyzers (facts.go): the ctxflow and atomichygiene
-// fixtures put caller and callee (resp. atomic and plain access) in
-// different files, so a pass exercises the call graph and field index
-// across file boundaries, not just within one inspection.
+// The concurrency and cancellation analyzers. The ctxflow fixture puts
+// caller and callee in different files, so a pass exercises the call graph
+// (facts.go) across file boundaries, not just within one inspection.
 func TestCtxFlowFixture(t *testing.T)       { RunFixture(t, "ctxflow", CtxFlow) }
 func TestAtomicHygieneFixture(t *testing.T) { RunFixture(t, "atomichygiene", AtomicHygiene) }
 func TestLockSafeFixture(t *testing.T)      { RunFixture(t, "locksafe", LockSafe) }

@@ -1,65 +1,45 @@
 package analysis
 
 import (
-	"fmt"
-	"path/filepath"
+	"go/ast"
+	"go/types"
 )
 
-// AtomicHygiene enforces all-or-nothing atomicity per field: a struct
-// field whose address is passed to a sync/atomic function anywhere in the
-// module must be accessed through sync/atomic everywhere — one plain read
-// of an atomically-written counter is a data race the happens-before graph
-// cannot excuse, and exactly the kind the race detector only catches when
-// a test happens to interleave it. The module-wide field-access index
-// (fieldindex.go) makes the check cross-function and cross-file: the
-// diagnostic names the atomic site that put the field in the atomic set.
-// Typed atomics (atomic.Int64 and friends) are immune by construction and
-// therefore the preferred fix. A plain access proven single-threaded (a
-// constructor before any goroutine exists) carries //p2:lock-ok <why>.
+// AtomicHygiene bans sync/atomic's package-level functions (atomic.AddInt64,
+// LoadInt64, CompareAndSwapPointer, …) in module code. A word touched
+// through them must be touched through them everywhere — one plain read
+// next to an atomic write is a data race the race detector only catches
+// when a test happens to interleave it — and nothing in the function-style
+// API enforces that. The typed atomics (atomic.Int64, atomic.Bool,
+// atomic.Pointer[T], …) are immune by construction: the type system leaves
+// no plain access to forget. Every atomic in the tree is typed, so the rule
+// is simply that it stays that way; a call of a typed atomic's method has a
+// receiver and is not matched.
 var AtomicHygiene = &Analyzer{
 	Name: "atomichygiene",
-	Doc: "a field touched via sync/atomic anywhere must be atomic everywhere; prefer typed " +
-		"atomics (atomic.Int64), provably single-threaded accesses carry //p2:lock-ok",
+	Doc: "package-level sync/atomic functions are banned in module code: use a typed atomic " +
+		"(atomic.Int64, atomic.Bool, atomic.Pointer[T]), which has no plain access to forget",
 	Run: runAtomicHygiene,
 }
 
 func runAtomicHygiene(pass *Pass) error {
-	pkgPath := ""
-	if pass.Pkg != nil {
-		pkgPath = pass.Pkg.Path()
-	}
-	for _, field := range pass.Module.Fields.Fields() {
-		accesses := pass.Module.Fields.Accesses(field)
-		var atomicAt *FieldAccess
-		for i := range accesses {
-			if accesses[i].Atomic {
-				atomicAt = &accesses[i]
-				break
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-		}
-		if atomicAt == nil {
-			continue // never atomic: plain accesses are the norm
-		}
-		where := pass.Fset.Position(atomicAt.Pos)
-		site := fmt.Sprintf("%s:%d", filepath.Base(where.Filename), where.Line)
-		for _, acc := range accesses {
-			// Each pass reports only its own package's plain accesses, so a
-			// module-wide field is diagnosed exactly once per site.
-			if acc.Atomic || acc.PkgPath != pkgPath {
-				continue
+			fn := StaticCallee(pass.TypesInfo, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
+				fn.Type().(*types.Signature).Recv() != nil {
+				return true
 			}
-			if pass.Annot.Covers(acc.Pos, MarkerLockOk) {
-				continue
-			}
-			verb := "read"
-			if acc.Write {
-				verb = "written"
-			}
-			pass.Reportf(acc.Pos,
-				"use sync/atomic here too, or make the field a typed atomic (atomic.Int64), or annotate a provably single-threaded access //p2:lock-ok <why>",
-				"field %s is accessed via sync/atomic (%s) but %s plainly here — a data race under concurrent use",
-				field.Name(), site, verb)
-		}
+			pass.Reportf(call.Pos(),
+				"make the variable a typed atomic (atomic.Int64, atomic.Bool, atomic.Pointer[T]) and call its method",
+				"atomic.%s is a package-level sync/atomic function: nothing stops a plain access to the same word elsewhere",
+				fn.Name())
+			return true
+		})
 	}
 	return nil
 }

@@ -9,12 +9,10 @@ import (
 // facts.go is the cross-function layer of the suite: a Module view over
 // every package a run loads, a per-object fact store analyzers publish and
 // consume (mirroring golang.org/x/tools/go/analysis Facts, stdlib-only),
-// and the module-wide call graph and field-access index built on top of
-// it. The single-package analyzers of PR 7 see one package at a time; the
-// concurrency analyzers (ctxflow, atomichygiene) need whole-module
+// and the module-wide call graph built on top of it. The single-package
+// analyzers of PR 7 see one package at a time; ctxflow needs whole-module
 // reasoning — a caller in plan.go threading a context into a callee in
-// rerank.go, a field written atomically in serve.go and read plainly in
-// stats.go — and this file is where that view lives.
+// rerank.go — and this file is where that view lives.
 //
 // Fact identity rides on go/types object identity: the Loader typechecks
 // every module package through one shared package cache, so the
@@ -37,25 +35,23 @@ type factKey struct {
 }
 
 // Module is the whole-run view: every loaded package, the shared fact
-// store, and the derived cross-function indexes.
+// store, and the derived call graph.
 type Module struct {
 	Fset     *token.FileSet
 	Packages []*LoadedPackage
 	// CallGraph is the intra-module static call graph (callgraph.go).
 	CallGraph *CallGraph
-	// Fields is the module-wide field-access index (fieldindex.go).
-	Fields *FieldIndex
 
 	byPath map[string]*LoadedPackage
 	// byFile maps a source filename to its package, for cross-package
-	// position lookups (annotations, field accesses).
+	// position lookups (annotations).
 	byFile map[string]*LoadedPackage
 	facts  map[factKey]Fact
 }
 
 // BuildModule assembles the module view over pkgs and derives the call
-// graph and field index. Analyzer Collect hooks run afterwards, in the
-// driver (load.go Run, fixtures_test.go RunFixture).
+// graph. Analyzer Collect hooks run afterwards, in the driver (load.go
+// Run, fixtures_test.go RunFixture).
 func BuildModule(fset *token.FileSet, pkgs []*LoadedPackage) *Module {
 	m := &Module{
 		Fset:     fset,
@@ -71,7 +67,6 @@ func BuildModule(fset *token.FileSet, pkgs []*LoadedPackage) *Module {
 		}
 	}
 	m.CallGraph = buildCallGraph(m)
-	m.Fields = buildFieldIndex(m)
 	return m
 }
 

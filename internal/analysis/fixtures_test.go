@@ -40,7 +40,7 @@ func RunFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 		}
 	}
 	// The shared driver builds the fixture-scoped Module (facts, call
-	// graph, field index) exactly as a real run does.
+	// graph) exactly as a real run does.
 	var diags []Diagnostic
 	if err := analyze(l.Fset, pkgs, analyzers, &diags); err != nil {
 		t.Fatalf("analyzing fixture %s: %v", fixture, err)

@@ -192,7 +192,7 @@ func (l *Loader) typecheck(lp listedPackage) (*LoadedPackage, error) {
 
 // Run loads the patterns and applies every analyzer to each package it
 // accepts, returning the position-sorted diagnostics. The whole-run Module
-// (facts, call graph, field index) is built once, every analyzer's Collect
+// (facts, call graph) is built once, every analyzer's Collect
 // hook runs before any Run, and each pass carries the shared Module.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	l := NewLoader(dir)

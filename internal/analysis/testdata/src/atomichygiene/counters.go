@@ -1,28 +1,27 @@
-// Package atomichygiene is the fixture for the atomichygiene analyzer: a
-// field touched through sync/atomic anywhere must be atomic everywhere.
-// The atomic touches live in this file; the plain accesses that must be
-// flagged live in report.go — the index that connects them is module-wide,
-// so the reasoning is necessarily cross-file.
+// Package atomichygiene is the fixture for the atomichygiene analyzer:
+// sync/atomic's package-level functions are banned, typed atomics are the
+// blessed shape.
 package atomichygiene
 
 import "sync/atomic"
 
-// gauge mixes atomic writes (here) with plain accesses (report.go).
+// gauge mixes the two atomic styles.
 type gauge struct {
 	hits  int64
 	level int64
-	// name is never touched atomically: plain accesses are the norm.
-	name string
-	// safe is a typed atomic: immune by construction, never indexed.
-	safe atomic.Int64
+	name  string
+	// safe and ready are typed atomics: no plain access exists to forget.
+	safe  atomic.Int64
+	ready atomic.Bool
 }
 
 func (g *gauge) bump() {
-	atomic.AddInt64(&g.hits, 1)
-	atomic.StoreInt64(&g.level, 3)
+	atomic.AddInt64(&g.hits, 1)    // want "atomic.AddInt64 is a package-level sync/atomic function"
+	atomic.StoreInt64(&g.level, 3) // want "atomic.StoreInt64 is a package-level sync/atomic function"
 	g.safe.Add(1)
+	g.ready.Store(true)
 }
 
 func (g *gauge) loaded() int64 {
-	return atomic.LoadInt64(&g.hits)
+	return atomic.LoadInt64(&g.hits) // want "atomic.LoadInt64 is a package-level sync/atomic function"
 }

@@ -2,31 +2,31 @@ package atomichygiene
 
 import "sync/atomic"
 
-// snapshot reads hits plainly although counters.go writes it atomically:
-// the data race the field index exists to catch.
-func (g *gauge) snapshot() int64 {
-	return g.hits // want "field hits is accessed via sync/atomic \(counters.go:21\) but read plainly here"
+// total is a package-level word: the ban is on the function, not on what
+// it points at, so a non-field target is flagged too.
+var total int64
+
+func swap(old, new int64) bool {
+	return (atomic.CompareAndSwapInt64)(&total, old, new) // want "atomic.CompareAndSwapInt64 is a package-level sync/atomic function"
 }
 
-// reset writes level plainly although counters.go stores it atomically.
-func (g *gauge) reset() {
-	g.level = 0 // want "field level is accessed via sync/atomic \(counters.go:22\) but written plainly here"
-}
+// snapshot and reset touch plainly the fields counters.go touches through
+// sync/atomic. The plain side is not what the rule reports: with the
+// function-style calls banned there is no atomic side left to conflict with.
+func (g *gauge) snapshot() int64 { return g.hits }
 
-// consistent reads through sync/atomic: the blessed shape.
+func (g *gauge) reset() { g.level = 0 }
+
+// consistent goes through typed atomics' methods: calls into sync/atomic
+// with a receiver, which the rule must not match.
 func (g *gauge) consistent() int64 {
-	return atomic.LoadInt64(&g.hits) + g.safe.Load()
+	if !g.ready.Load() {
+		return 0
+	}
+	var p atomic.Pointer[gauge]
+	p.Store(g)
+	return p.Load().safe.Load()
 }
 
-// label touches the never-atomic field: plain access is the norm there.
-func (g *gauge) label() string {
-	return g.name
-}
-
-// initial is a provably single-threaded plain write: the constructor runs
-// before any goroutine shares the gauge.
-func newGauge() *gauge {
-	g := &gauge{}
-	g.hits = 0 //p2:lock-ok constructor-local write before the gauge is shared with any goroutine
-	return g
-}
+// label touches the never-atomic field.
+func (g *gauge) label() string { return g.name }

@@ -17,7 +17,6 @@ import (
 	"math"
 	"strings"
 
-	"p2/internal/collective"
 	"p2/internal/lower"
 	"p2/internal/topology"
 )
@@ -95,12 +94,6 @@ type Model struct {
 	Bytes float64
 }
 
-// edge is one point-to-point transfer of the expanded schedule.
-type edge struct {
-	a, b  int
-	bytes float64
-}
-
 // StepTime predicts the duration of one lowered step. Per-uplink traffic
 // is accumulated in dense slices indexed by (level offset + entity id)
 // rather than a map — planning scores thousands of steps and the map
@@ -114,62 +107,61 @@ func (m *Model) StepTime(st lower.Step) float64 {
 	traffic := make([]float64, offsets[L])
 	maxRounds := 0
 	maxLatency := 0.0
-	for _, g := range st.Groups {
-		edges, rounds := m.schedule(st.Op, g, perDevice)
-		if rounds > maxRounds {
-			maxRounds = rounds
+	// route sends one link's volume through the uplinks it traverses.
+	route := func(a, b int, bytes float64) {
+		ldiv := m.Sys.DivergenceLevel(a, b)
+		if ldiv < 0 {
+			return
 		}
-		for _, e := range edges {
-			ldiv := m.Sys.DivergenceLevel(e.a, e.b)
-			if ldiv < 0 {
-				continue
+		// Accumulate entity ids incrementally down the levels
+		// (id(l) = id(l-1)·count(l) + digit(l)) instead of re-folding
+		// the address prefix per level.
+		ida := m.Sys.EntityID(a, ldiv)
+		idb := m.Sys.EntityID(b, ldiv)
+		// The transfer's latency is that of the slower of the two
+		// endpoints' uplinks at the divergence level; without overrides
+		// both equal Uplinks[ldiv].Latency.
+		lat := m.Sys.LinkLatency(ldiv, ida)
+		if lb := m.Sys.LinkLatency(ldiv, idb); lb > lat {
+			lat = lb
+		}
+		if lat > maxLatency {
+			maxLatency = lat
+		}
+		for l := ldiv; ; {
+			traffic[offsets[l]+ida] += bytes
+			traffic[offsets[l]+idb] += bytes
+			if l++; l >= L {
+				break
 			}
-			// Accumulate entity ids incrementally down the levels
-			// (id(l) = id(l-1)·count(l) + digit(l)) instead of re-folding
-			// the address prefix per level.
-			ida := m.Sys.EntityID(e.a, ldiv)
-			idb := m.Sys.EntityID(e.b, ldiv)
-			// The transfer's latency is that of the slower of the two
-			// endpoints' uplinks at the divergence level; without overrides
-			// both equal Uplinks[ldiv].Latency.
-			lat := m.Sys.LinkLatency(ldiv, ida)
-			if lb := m.Sys.LinkLatency(ldiv, idb); lb > lat {
-				lat = lb
-			}
-			if lat > maxLatency {
-				maxLatency = lat
-			}
-			for l := ldiv; ; {
-				traffic[offsets[l]+ida] += e.bytes
-				traffic[offsets[l]+idb] += e.bytes
-				if l++; l >= L {
-					break
-				}
-				ida = ida*m.Sys.Levels[l].Count + rad.Digit(e.a, l)
-				idb = idb*m.Sys.Levels[l].Count + rad.Digit(e.b, l)
-			}
+			ida = ida*m.Sys.Levels[l].Count + rad.Digit(a, l)
+			idb = idb*m.Sys.Levels[l].Count + rad.Digit(b, l)
 		}
 	}
-	worst := 0.0
-	if m.Sys.HasOverrides() {
-		// Heterogeneous fabric: each entity's uplink has its own effective
-		// bandwidth. A down link (bandwidth 0) carrying traffic yields +Inf;
-		// with zero traffic the 0/0 NaN fails the > comparison and is
-		// correctly ignored (no traffic, no cost).
-		for l := 0; l < L; l++ {
-			for e, bytes := range traffic[offsets[l]:offsets[l+1]] {
-				if t := bytes / m.Sys.LinkBandwidth(l, e); t > worst {
-					worst = t
-				}
-			}
+	for _, g := range st.Groups {
+		sch := ScheduleOf(st.Op, m.Algo, len(g), perDevice)
+		if sch.LatencyRounds > maxRounds {
+			maxRounds = sch.LatencyRounds
 		}
-	} else {
-		for l := 0; l < L; l++ {
-			bw := m.Sys.Uplinks[l].Bandwidth
-			for _, bytes := range traffic[offsets[l]:offsets[l+1]] {
-				if t := bytes / bw; t > worst {
-					worst = t
-				}
+		if sch.Pattern == PatternTree {
+			for _, link := range TreeLinks(m.Sys, g) {
+				route(link[0], link[1], sch.LinkBytes)
+			}
+			continue
+		}
+		for _, e := range sch.edges() {
+			route(g[e.a], g[e.b], e.bytes)
+		}
+	}
+	// Each entity's uplink has its own effective bandwidth. A down link
+	// (bandwidth 0) carrying traffic yields +Inf; with zero traffic the 0/0
+	// NaN fails the > comparison and is correctly ignored (no traffic, no
+	// cost).
+	worst := 0.0
+	for l := 0; l < L; l++ {
+		for e, bytes := range traffic[offsets[l]:offsets[l+1]] {
+			if t := bytes / m.Sys.LinkBandwidth(l, e); t > worst {
+				worst = t
 			}
 		}
 	}
@@ -254,81 +246,14 @@ func FormatAlgos(fixed Algorithm, stepAlgos []Algorithm) string {
 	return strings.Join(names, "/")
 }
 
-// schedule expands one group's collective into transfer edges plus the
-// number of pipeline rounds (for the latency term). perDevice is the input
-// payload bytes held by each participant.
-func (m *Model) schedule(op collective.Op, g []int, perDevice float64) ([]edge, int) {
-	n := len(g)
-	switch op {
-	case collective.AllReduce:
-		if m.Algo == Tree {
-			return m.treeEdges(g, 2*perDevice), 2 * logRounds(n)
-		}
-		if m.Algo == HalvingDoubling {
-			// 2·⌈log2 n⌉ rounds: for a power of two, the halving plus
-			// doubling phases; otherwise 2·⌊log2 n⌋ core rounds plus the
-			// residual fold pre-round and unfold post-round.
-			return hdEdges(g, perDevice), 2 * logRounds(n)
-		}
-		return ringEdges(g, 2*float64(n-1)/float64(n)*perDevice), 2 * (n - 1)
-	case collective.ReduceScatter:
-		// NCCL implements ReduceScatter with a ring regardless of algo.
-		return ringEdges(g, float64(n-1)/float64(n)*perDevice), n - 1
-	case collective.AllGather:
-		// Each device holds perDevice and must collect n-1 more shards.
-		return ringEdges(g, float64(n-1)*perDevice), n - 1
-	case collective.Reduce:
-		if m.Algo != Ring {
-			return m.treeEdges(g, perDevice), logRounds(n)
-		}
-		return chainEdges(g, perDevice), n - 1
-	case collective.Broadcast:
-		if m.Algo != Ring {
-			return m.treeEdges(g, perDevice), logRounds(n)
-		}
-		return chainEdges(g, perDevice), n - 1
-	default:
-		panic(fmt.Sprintf("cost: unknown op %v", op))
-	}
-}
-
-// ringEdges returns the n directed neighbor links of a ring over g, each
-// carrying `bytes`.
-func ringEdges(g []int, bytes float64) []edge {
-	edges := make([]edge, 0, len(g))
-	for i := range g {
-		edges = append(edges, edge{g[i], g[(i+1)%len(g)], bytes})
-	}
-	return edges
-}
-
-// chainEdges returns the n-1 links of the pipeline chain rooted at g[0].
-func chainEdges(g []int, bytes float64) []edge {
-	edges := make([]edge, 0, len(g)-1)
-	for i := 1; i < len(g); i++ {
-		edges = append(edges, edge{g[i-1], g[i], bytes})
-	}
-	return edges
-}
-
-// treeEdges returns the links of a hierarchical tree over the group, each
-// carrying `bytes`: members are partitioned by their entity at the group's
-// span level, each partition is connected by a chain (NCCL's intra-node
-// tree is a chain), and the partition heads form a balanced binary tree
-// (NCCL's inter-node double binary tree, approximated by a single tree).
-// For groups with one member per entity this degenerates to a plain binary
-// tree.
-func (m *Model) treeEdges(g []int, bytes float64) []edge {
-	edges := make([]edge, 0, len(g)-1)
-	for _, pair := range TreeLinks(m.Sys, g) {
-		edges = append(edges, edge{pair[0], pair[1], bytes})
-	}
-	return edges
-}
-
 // TreeLinks returns the (parent, child) pairs of the hierarchical tree the
-// Tree algorithm uses over a device group; shared with the event-level
-// emulator so both simulators model the same schedule.
+// Tree algorithm uses over a device group: members are partitioned by their
+// entity at the group's span level, each partition is connected by a chain
+// (NCCL's intra-node tree is a chain), and the partition heads form a
+// balanced binary tree (NCCL's inter-node double binary tree, approximated
+// by a single tree). For groups with one member per entity this degenerates
+// to a plain binary tree. It is PatternTree's link formula, shared with the
+// event-level emulator so both simulators model the same schedule.
 func TreeLinks(sys *topology.System, g []int) [][2]int {
 	span := sys.GroupSpanLevel(g)
 	if span < 0 {
@@ -358,43 +283,6 @@ func TreeLinks(sys *topology.System, g []int) [][2]int {
 		}
 	}
 	return out
-}
-
-// hdEdges expands recursive halving (reduce-scatter phase) plus recursive
-// doubling (all-gather phase) with NCCL's 2-proc-residual pre/post rounds
-// for non-power-of-two groups. Let p = 2^⌊log2 n⌋ and r = n − p: residual
-// member p+k first folds its full vector into partner k (pre-round), the p
-// core members run the standard schedule — in round t, core index i
-// exchanges D/2^(t+1) with i XOR 2^t, the doubling phase mirroring the
-// halving phase so every exchanged quantity is counted twice — and partner
-// k finally returns the full result to p+k (post-round). The fold and
-// unfold transfers are the two directions of one edge pair, mirroring how
-// each core exchange is counted for both phases. For power-of-two groups
-// r = 0 and the schedule (and its edge order) is the pure core.
-func hdEdges(g []int, perDevice float64) []edge {
-	n := len(g)
-	p := CorePow2(n)
-	var edges []edge
-	for k := p; k < n; k++ {
-		// Pre-round fold g[k]→g[k-p] plus post-round unfold g[k-p]→g[k],
-		// each carrying the full per-device vector.
-		edges = append(edges,
-			edge{g[k], g[k-p], perDevice},
-			edge{g[k-p], g[k], perDevice})
-	}
-	for r := 0; 1<<r < p; r++ {
-		bytes := 2 * perDevice / float64(int(2)<<r) // halving + doubling phases
-		for i := 0; i < p; i++ {
-			j := i ^ (1 << r)
-			if j > i {
-				// Both directions run concurrently in each phase.
-				edges = append(edges,
-					edge{g[i], g[j], bytes},
-					edge{g[j], g[i], bytes})
-			}
-		}
-	}
-	return edges
 }
 
 // CorePow2 returns 2^⌊log2 n⌋, the size of the halving-doubling core (the
@@ -427,8 +315,8 @@ func PayloadBytes(machines int) float64 {
 
 // DefaultPayload returns the paper's default per-device payload for a
 // system: PayloadBytes of its machine count. Every payload-defaulting call
-// site (p2.Plan, p2.PlanSerial, p2.PlanJointCtx, eval.Config) uses this
-// so that deep hierarchies scale by machines, not by the root level.
+// site (p2.Plan, p2.PlanJointCtx, eval.Config) uses this so that deep
+// hierarchies scale by machines, not by the root level.
 func DefaultPayload(sys *topology.System) float64 {
 	return PayloadBytes(sys.NumMachines())
 }

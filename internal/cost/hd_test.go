@@ -134,21 +134,18 @@ func TestHalvingDoublingResidualSchedule(t *testing.T) {
 	}
 }
 
-// TestHalvingDoublingResidualReducesCorrectVolume checks hdEdges'
-// bookkeeping for every residual size the acceptance criteria name: the
-// total scheduled volume must be r·2D for the fold/unfold pairs plus
-// p·2D·(p-1)/p for the core phases, and the round count schedule()
-// reports for the latency term must cover the core rounds plus (for a
-// residual) the fold and unfold rounds.
+// TestHalvingDoublingResidualReducesCorrectVolume checks the bookkeeping
+// of ScheduleOf's halving-doubling analytic view for every residual size
+// the acceptance criteria name: the total scheduled volume must be r·2D for
+// the fold/unfold pairs plus p·2D·(p-1)/p for the core phases, and the
+// round count it reports for the latency term must cover the core rounds
+// plus (for a residual) the fold and unfold rounds.
 func TestHalvingDoublingResidualReducesCorrectVolume(t *testing.T) {
 	const d = 1024.0
 	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 12, 16} {
-		g := make([]int, n)
-		for i := range g {
-			g[i] = i
-		}
 		p := CorePow2(n)
-		edges := hdEdges(g, d)
+		sch := ScheduleOf(collective.AllReduce, HalvingDoubling, n, d)
+		edges := sch.edges()
 		total := 0.0
 		residual := 0.0
 		for _, e := range edges {
@@ -175,9 +172,8 @@ func TestHalvingDoublingResidualReducesCorrectVolume(t *testing.T) {
 		if p != n {
 			want += 2
 		}
-		m := &Model{Algo: HalvingDoubling}
-		if _, rounds := m.schedule(collective.AllReduce, g, d); rounds != want {
-			t.Errorf("n=%d: schedule charges %d rounds, want %d", n, rounds, want)
+		if sch.LatencyRounds != want {
+			t.Errorf("n=%d: schedule charges %d rounds, want %d", n, sch.LatencyRounds, want)
 		}
 	}
 }

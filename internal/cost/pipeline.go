@@ -6,11 +6,12 @@ import (
 	"p2/internal/lower"
 )
 
-// PipelinedTime estimates executing a reduction program with its payload
-// split into `buckets` equal parts that flow through the program's steps
-// as a pipeline, the way gradient-bucketing frameworks (Horovod, DDP) and
-// BlueConnect-style pipelined hierarchical reductions operate: bucket b
-// can run step s+1 while bucket b+1 runs step s.
+// PipelinedTimeSteps estimates executing a reduction program with its
+// payload split into `buckets` equal parts that flow through the program's
+// steps as a pipeline, the way gradient-bucketing frameworks (Horovod, DDP)
+// and BlueConnect-style pipelined hierarchical reductions operate: bucket b
+// can run step s+1 while bucket b+1 runs step s. stepAlgos is the per-step
+// algorithm assignment (nil = m.Algo for every step).
 //
 // With per-step times t_s evaluated at payload D/B, the makespan of a
 // B-bucket pipeline over S stages is
@@ -21,15 +22,9 @@ import (
 // buckets). Bucketing trades bandwidth efficiency for overlap: per-step
 // latency terms are paid per bucket, so very large B loses. This is an
 // extension beyond the paper, which reduces the full payload in one shot.
-func (m *Model) PipelinedTime(p *lower.Program, buckets int) float64 {
-	return m.PipelinedTimeSteps(p, buckets, nil)
-}
-
-// PipelinedTimeSteps is PipelinedTime under a per-step algorithm
-// assignment (nil = m.Algo for every step).
 func (m *Model) PipelinedTimeSteps(p *lower.Program, buckets int, stepAlgos []Algorithm) float64 {
 	if buckets < 1 {
-		panic(fmt.Sprintf("cost: PipelinedTime with %d buckets", buckets))
+		panic(fmt.Sprintf("cost: PipelinedTimeSteps with %d buckets", buckets))
 	}
 	if stepAlgos != nil && len(stepAlgos) != len(p.Steps) {
 		panic(fmt.Sprintf("cost: %d step algorithms for %d steps", len(stepAlgos), len(p.Steps)))
@@ -51,14 +46,8 @@ func (m *Model) PipelinedTimeSteps(p *lower.Program, buckets int, stepAlgos []Al
 	return sum + float64(buckets-1)*worst
 }
 
-// OptimalBuckets scans bucket counts 1..maxBuckets and returns the count
-// minimizing PipelinedTime together with that time.
-func OptimalBuckets(m *Model, p *lower.Program, maxBuckets int) (int, float64) {
-	return OptimalBucketsSteps(m, p, maxBuckets, nil)
-}
-
-// OptimalBucketsSteps is OptimalBuckets under a per-step algorithm
-// assignment (nil = m.Algo for every step).
+// OptimalBucketsSteps scans bucket counts 1..maxBuckets and returns the
+// count minimizing PipelinedTimeSteps together with that time.
 func OptimalBucketsSteps(m *Model, p *lower.Program, maxBuckets int, stepAlgos []Algorithm) (int, float64) {
 	if maxBuckets < 1 {
 		maxBuckets = 1

@@ -18,7 +18,7 @@ func TestPipelinedTimeOneBucketEqualsProgramTime(t *testing.T) {
 			{Slice: 1, Form: dsl.InsideGroup, Op: collective.AllGather},
 		})
 	m := &Model{Sys: topology.A100System(4), Algo: Ring, Bytes: PayloadBytes(4)}
-	if got, want := m.PipelinedTime(lp, 1), m.ProgramTime(lp); math.Abs(got-want) > 1e-12*want {
+	if got, want := m.PipelinedTimeSteps(lp, 1, nil), m.ProgramTime(lp); math.Abs(got-want) > 1e-12*want {
 		t.Errorf("PipelinedTime(1) = %v, ProgramTime = %v", got, want)
 	}
 }
@@ -33,11 +33,11 @@ func TestPipeliningHelpsMultiStepPrograms(t *testing.T) {
 			{Slice: 1, Form: dsl.InsideGroup, Op: collective.AllGather},
 		})
 	m := &Model{Sys: topology.A100System(4), Algo: Ring, Bytes: PayloadBytes(4)}
-	b, tBest := OptimalBuckets(m, lp, 64)
+	b, tBest := OptimalBucketsSteps(m, lp, 64, nil)
 	if b <= 1 {
 		t.Fatalf("OptimalBuckets picked %d", b)
 	}
-	if one := m.PipelinedTime(lp, 1); tBest >= one {
+	if one := m.PipelinedTimeSteps(lp, 1, nil); tBest >= one {
 		t.Errorf("pipelined %v not better than unbucketed %v", tBest, one)
 	}
 }
@@ -48,8 +48,8 @@ func TestTooManyBucketsHurts(t *testing.T) {
 	lp := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0},
 		synth.BaselineAllReduce())
 	m := &Model{Sys: topology.A100System(4), Algo: Ring, Bytes: 1e8}
-	_, best := OptimalBuckets(m, lp, 256)
-	if worst := m.PipelinedTime(lp, 1<<20); worst <= best {
+	_, best := OptimalBucketsSteps(m, lp, 256, nil)
+	if worst := m.PipelinedTimeSteps(lp, 1<<20, nil); worst <= best {
 		t.Errorf("2^20 buckets (%v) should be worse than optimal (%v)", worst, best)
 	}
 }
@@ -60,7 +60,7 @@ func TestPipelinedSingleStepNoGain(t *testing.T) {
 	lp := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{1, 4}, {4, 4}}, []int{0},
 		synth.BaselineAllReduce())
 	m := &Model{Sys: topology.A100System(4), Algo: Ring, Bytes: PayloadBytes(4)}
-	b, _ := OptimalBuckets(m, lp, 32)
+	b, _ := OptimalBucketsSteps(m, lp, 32, nil)
 	if b != 1 {
 		t.Errorf("single-step optimal buckets = %d, want 1", b)
 	}
@@ -75,14 +75,14 @@ func TestPipelinedTimePanicsOnZeroBuckets(t *testing.T) {
 			t.Error("zero buckets did not panic")
 		}
 	}()
-	m.PipelinedTime(lp, 0)
+	m.PipelinedTimeSteps(lp, 0, nil)
 }
 
 func TestOptimalBucketsClampsMax(t *testing.T) {
 	lp := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{1, 4}, {4, 4}}, []int{0},
 		synth.BaselineAllReduce())
 	m := &Model{Sys: topology.A100System(4), Algo: Ring, Bytes: 1e9}
-	b, _ := OptimalBuckets(m, lp, 0)
+	b, _ := OptimalBucketsSteps(m, lp, 0, nil)
 	if b != 1 {
 		t.Errorf("clamped max returned %d", b)
 	}

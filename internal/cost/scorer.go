@@ -21,11 +21,11 @@ import (
 //     records which entries a step touched and resets exactly those during
 //     the final max-scan (dirty-entry reset).
 //   - Schedule expansions are memoized. Ring, chain and halving-doubling
-//     schedules depend only on (op, algorithm, group size, per-device
-//     bytes) — their edges are cached in group-index space and mapped
-//     through the concrete group on replay. Tree schedules depend on the
-//     members' hardware entities, so they are expanded per group, but into
-//     reusable partition scratch.
+//     schedules depend only on (pattern, group size, link bytes) — their
+//     edges are cached in group-index space and mapped through the
+//     concrete group on replay. Tree schedules depend on the members'
+//     hardware entities, so they are expanded per group, but into reusable
+//     partition scratch.
 //
 // The accumulation order — groups in step order, edges in schedule order,
 // the same level-descent per edge — matches Model.StepTime exactly, so
@@ -54,27 +54,11 @@ type Scorer struct {
 	maxLat float64
 }
 
-// relEdge is one schedule edge in group-index space: endpoints are indices
-// into the group slice, bytes the transfer size.
-type relEdge struct {
-	a, b  int
-	bytes float64
-}
-
-// schedKind distinguishes the structural (group-independent) schedules.
-type schedKind uint8
-
-const (
-	schedRing schedKind = iota
-	schedChain
-	schedHD
-)
-
-// schedKey identifies one cached structural schedule.
+// schedKey identifies one cached structural (group-independent) schedule.
 type schedKey struct {
-	kind  schedKind
-	n     int
-	bytes float64
+	pattern Pattern
+	n       int
+	bytes   float64
 }
 
 // NewScorer returns a Scorer for sys.
@@ -152,97 +136,31 @@ func (s *Scorer) ProgramTime(m *Model, p *lower.Program) float64 {
 	return total
 }
 
-// panicUnknownOp is addGroup's cold failure path, kept out of the
-// //p2:zeroalloc hot function (see panicModelMismatch).
-func panicUnknownOp(op collective.Op) {
-	panic(fmt.Sprintf("cost: unknown op %v", op))
-}
-
 // addGroup accumulates one group's schedule into the traffic scratch and
-// returns its pipeline round count. The dispatch mirrors Model.schedule,
-// including the byte arithmetic, expression for expression. The structural
-// schedule cache it consults allocates only on first sight of a (kind,
-// size, bytes) shape — a miss is outside the steady-state scoring path.
+// returns its pipeline round count. The structural schedule cache it
+// consults allocates only on first sight of a (pattern, size, bytes) shape —
+// a miss is outside the steady-state scoring path.
 //
 //p2:zeroalloc
 func (s *Scorer) addGroup(op collective.Op, algo Algorithm, g []int, perDevice float64) int {
-	n := len(g)
-	switch op {
-	case collective.AllReduce:
-		if algo == Tree {
-			s.addTree(g, 2*perDevice)
-			return 2 * logRounds(n)
-		}
-		if algo == HalvingDoubling {
-			s.addRel(g, s.structural(schedHD, n, perDevice))
-			return 2 * logRounds(n)
-		}
-		s.addRel(g, s.structural(schedRing, n, 2*float64(n-1)/float64(n)*perDevice))
-		return 2 * (n - 1)
-	case collective.ReduceScatter:
-		s.addRel(g, s.structural(schedRing, n, float64(n-1)/float64(n)*perDevice))
-		return n - 1
-	case collective.AllGather:
-		s.addRel(g, s.structural(schedRing, n, float64(n-1)*perDevice))
-		return n - 1
-	case collective.Reduce:
-		if algo != Ring {
-			s.addTree(g, perDevice)
-			return logRounds(n)
-		}
-		s.addRel(g, s.structural(schedChain, n, perDevice))
-		return n - 1
-	case collective.Broadcast:
-		if algo != Ring {
-			s.addTree(g, perDevice)
-			return logRounds(n)
-		}
-		s.addRel(g, s.structural(schedChain, n, perDevice))
-		return n - 1
-	default:
-		panicUnknownOp(op)
-		return 0
+	sch := ScheduleOf(op, algo, len(g), perDevice)
+	if sch.Pattern == PatternTree {
+		s.addTree(g, sch.LinkBytes)
+	} else {
+		s.addRel(g, s.structural(sch))
 	}
+	return sch.LatencyRounds
 }
 
 // structural returns the cached group-index-space edges of a ring, chain
-// or halving-doubling schedule, expanding and caching on first use. The
-// edge order matches ringEdges/chainEdges/hdEdges.
-func (s *Scorer) structural(kind schedKind, n int, bytes float64) []relEdge {
-	key := schedKey{kind: kind, n: n, bytes: bytes}
-	if edges, ok := s.sched[key]; ok {
-		return edges
+// or halving-doubling schedule, expanding and caching on first use.
+func (s *Scorer) structural(sch Schedule) []relEdge {
+	key := schedKey{pattern: sch.Pattern, n: sch.N, bytes: sch.LinkBytes}
+	edges, ok := s.sched[key]
+	if !ok {
+		edges = sch.edges()
+		s.sched[key] = edges
 	}
-	var edges []relEdge
-	switch kind {
-	case schedRing:
-		edges = make([]relEdge, 0, n)
-		for i := 0; i < n; i++ {
-			edges = append(edges, relEdge{i, (i + 1) % n, bytes})
-		}
-	case schedChain:
-		edges = make([]relEdge, 0, n-1)
-		for i := 1; i < n; i++ {
-			edges = append(edges, relEdge{i - 1, i, bytes})
-		}
-	case schedHD:
-		// Mirrors hdEdges (bytes here is the per-device payload): residual
-		// fold/unfold edge pairs first, then the power-of-two core rounds.
-		p := CorePow2(n)
-		for k := p; k < n; k++ {
-			edges = append(edges, relEdge{k, k - p, bytes}, relEdge{k - p, k, bytes})
-		}
-		for r := 0; 1<<r < p; r++ {
-			eb := 2 * bytes / float64(int(2)<<r)
-			for i := 0; i < p; i++ {
-				j := i ^ (1 << r)
-				if j > i {
-					edges = append(edges, relEdge{i, j, eb}, relEdge{j, i, eb})
-				}
-			}
-		}
-	}
-	s.sched[key] = edges
 	return edges
 }
 

@@ -90,7 +90,7 @@ func RunDegradeCtx(ctx context.Context, cfg DegradeConfig) (*DegradeResult, erro
 		return nil, err
 	}
 	bytes := cfg.Bytes
-	if bytes <= 0 {
+	if !(bytes > 0) { // NaN-proof: NaN, zero and negatives take the default
 		bytes = cost.DefaultPayload(cfg.Sys)
 	}
 	algo := cost.Ring

@@ -27,7 +27,6 @@ package netsim
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"p2/internal/collective"
@@ -222,111 +221,77 @@ func (s *Simulator) pathLatency(a, b int) float64 {
 	return lat
 }
 
-// scheduleRounds expands a collective over one group into rounds of
-// concurrent transfers.
+// scheduleRounds unrolls the emulator view of cost.ScheduleOf — the same
+// schedule value the analytic model consumes — over one concrete group into
+// rounds of concurrent transfers. Rounds that repeat the same transfers (a
+// ring's steps, the doubling phase mirroring the halving phase) share one
+// slice; nothing downstream writes to a round.
 func scheduleRounds(sys *topology.System, op collective.Op, g []int, perDevice float64, algo cost.Algorithm) [][]transferSpec {
 	n := len(g)
-	ringRounds := func(cnt int, bytes float64) [][]transferSpec {
-		rounds := make([][]transferSpec, cnt)
-		for r := range rounds {
-			round := make([]transferSpec, n)
-			for i := range g {
-				round[i] = transferSpec{src: g[i], dst: g[(i+1)%n], bytes: bytes}
-			}
-			rounds[r] = round
+	sch := cost.ScheduleOf(op, algo, n, perDevice)
+	rounds := make([][]transferSpec, 0, sch.Rounds)
+	switch sch.Pattern {
+	case cost.PatternRing:
+		round := make([]transferSpec, n)
+		for i := range round {
+			a, b := cost.RingLink(n, i)
+			round[i] = transferSpec{src: g[a], dst: g[b], bytes: sch.RoundBytes}
 		}
-		return rounds
-	}
-	chainRound := func(bytes float64, reverse bool) [][]transferSpec {
-		// Pipelined chain: all hops busy concurrently ≈ one round.
-		round := make([]transferSpec, 0, n-1)
-		for i := 1; i < n; i++ {
-			if reverse {
-				round = append(round, transferSpec{src: g[i], dst: g[i-1], bytes: bytes})
-			} else {
-				round = append(round, transferSpec{src: g[i-1], dst: g[i], bytes: bytes})
-			}
+		for r := 0; r < sch.Rounds; r++ {
+			rounds = append(rounds, round)
 		}
-		return [][]transferSpec{round}
-	}
-	treeRound := func(bytes float64, up bool) []transferSpec {
-		round := make([]transferSpec, 0, n-1)
-		for _, pair := range cost.TreeLinks(sys, g) {
-			if up {
-				round = append(round, transferSpec{src: pair[1], dst: pair[0], bytes: bytes})
-			} else {
-				round = append(round, transferSpec{src: pair[0], dst: pair[1], bytes: bytes})
+	case cost.PatternChain:
+		round := make([]transferSpec, n-1)
+		for i := range round {
+			src, dst := cost.ChainLink(i)
+			if sch.TowardRoot {
+				src, dst = dst, src
 			}
+			round[i] = transferSpec{src: g[src], dst: g[dst], bytes: sch.RoundBytes}
 		}
-		return round
-	}
-	hdRounds := func() [][]transferSpec {
-		// Recursive halving then recursive doubling with NCCL's
-		// 2-proc-residual pre/post rounds for non-power-of-two groups:
-		// with p = 2^⌊log2 n⌋, each residual member p+k first folds its
-		// full vector into core partner k, the p core members run the
-		// standard schedule — in round r of the halving phase, core index
-		// i exchanges D/2^(r+1) with i XOR 2^r, the doubling phase
-		// mirroring it — and a post-round returns the full result from
-		// partner k to p+k. For power-of-two groups the pre/post rounds
-		// are empty and the schedule is the pure core.
+		rounds = append(rounds, round)
+	case cost.PatternTree:
+		links := cost.TreeLinks(sys, g)
+		for r := 0; r < sch.Rounds; r++ {
+			round := make([]transferSpec, len(links))
+			for i, link := range links {
+				src, dst := link[0], link[1]
+				if sch.TowardRoot == (r == 0) {
+					src, dst = dst, src
+				}
+				round[i] = transferSpec{src: src, dst: dst, bytes: sch.RoundBytes}
+			}
+			rounds = append(rounds, round)
+		}
+	case cost.PatternHalvingDoubling:
+		// Fold, halving levels 0…, doubling levels …0, unfold; p = n folds nothing.
 		p := cost.CorePow2(n)
-		var out [][]transferSpec
-		if p < n {
-			pre := make([]transferSpec, 0, n-p)
-			for k := p; k < n; k++ {
-				pre = append(pre, transferSpec{src: g[k], dst: g[k-p], bytes: perDevice})
-			}
-			out = append(out, pre)
+		fold, unfold := make([]transferSpec, n-p), make([]transferSpec, n-p)
+		for k := p; k < n; k++ {
+			a, b := cost.FoldLink(p, k)
+			fold[k-p] = transferSpec{src: g[a], dst: g[b], bytes: sch.RoundBytes}
+			unfold[k-p] = transferSpec{src: g[b], dst: g[a], bytes: sch.RoundBytes}
 		}
-		var halving [][]transferSpec
+		if p < n {
+			rounds = append(rounds, fold)
+		}
+		first := len(rounds)
 		for r := 0; 1<<r < p; r++ {
-			bytes := perDevice / float64(int(2)<<r)
-			round := make([]transferSpec, 0, p)
-			for i := 0; i < p; i++ {
-				round = append(round, transferSpec{src: g[i], dst: g[i^(1<<r)], bytes: bytes})
+			round, bytes := make([]transferSpec, p), sch.RoundBytes/float64(int(2)<<r)
+			for i := range round {
+				a, b := cost.CoreLink(r, i)
+				round[i] = transferSpec{src: g[a], dst: g[b], bytes: bytes}
 			}
-			halving = append(halving, round)
+			rounds = append(rounds, round)
 		}
-		out = append(out, halving...)
-		for i := len(halving) - 1; i >= 0; i-- {
-			out = append(out, halving[i])
+		for r := len(rounds) - 1; r >= first; r-- {
+			rounds = append(rounds, rounds[r])
 		}
 		if p < n {
-			post := make([]transferSpec, 0, n-p)
-			for k := p; k < n; k++ {
-				post = append(post, transferSpec{src: g[k-p], dst: g[k], bytes: perDevice})
-			}
-			out = append(out, post)
+			rounds = append(rounds, unfold)
 		}
-		return out
 	}
-	switch op {
-	case collective.AllReduce:
-		if algo == cost.Tree {
-			return [][]transferSpec{treeRound(perDevice, true), treeRound(perDevice, false)}
-		}
-		if algo == cost.HalvingDoubling {
-			return hdRounds()
-		}
-		return ringRounds(2*(n-1), perDevice/float64(n))
-	case collective.ReduceScatter:
-		return ringRounds(n-1, perDevice/float64(n))
-	case collective.AllGather:
-		return ringRounds(n-1, perDevice)
-	case collective.Reduce:
-		if algo != cost.Ring {
-			return [][]transferSpec{treeRound(perDevice, true)}
-		}
-		return chainRound(perDevice, true)
-	case collective.Broadcast:
-		if algo != cost.Ring {
-			return [][]transferSpec{treeRound(perDevice, false)}
-		}
-		return chainRound(perDevice, false)
-	default:
-		panic(fmt.Sprintf("netsim: unknown op %v", op))
-	}
+	return rounds
 }
 
 // FuseAllReduces applies the XLA peephole: consecutive AllReduce steps are

@@ -16,8 +16,10 @@ import (
 // Start/End bits of its first and last event. The values were recorded on
 // the two-loop emulator (commit ee02559) immediately before runStep was
 // folded into the lane loop, so they are the proof that the one-lane case
-// of that loop performs the old float arithmetic operation for operation.
-// Nothing else pins absolute emulator output beyond the bench goldens'
+// of that loop performs the old float arithmetic operation for operation
+// (the Reduce/Broadcast-under-Ring row, the reversed chain, was recorded at
+// ba1bf46, immediately before scheduleRounds became an unrolling of
+// cost.ScheduleOf). Nothing else pins absolute emulator output beyond the bench goldens'
 // nine digits, and there is no second loop left to compare against — a
 // deliberate change to the emulator's arithmetic re-records this table.
 func TestMeasurePinnedBits(t *testing.T) {
@@ -74,6 +76,10 @@ func TestMeasurePinnedBits(t *testing.T) {
 			hier: []int{4, 16}, axes: []int{4, 16}, rows: [][]int{{2, 2}, {2, 8}}, red: []int{0},
 			prog: rArB, algo: T, opts: quiet,
 			total: 0x40313e57379b9289, events: 96, firstStart: 0x0, firstEnd: 0x3fa049ffe96366f3, lastStart: 0x4031363237a6e0d6, lastEnd: 0x40313e57379b9289},
+		{name: "a100:4 r-ar-b ring (reversed chain)", sys: a100x4,
+			hier: []int{4, 16}, axes: []int{4, 16}, rows: [][]int{{2, 2}, {2, 8}}, red: []int{0},
+			prog: rArB, algo: R,
+			total: 0x40319c6a1804dbaa, events: 128, firstStart: 0x3eff75104d551d69, firstEnd: 0x3fa04e05b03aabfa, lastStart: 0x403193f39b710aed, lastEnd: 0x40319c6a1804dbaa},
 		{name: "v100:2 cross-domain ring", sys: topology.V100System(2),
 			hier: []int{2, 8}, axes: []int{4, 4}, rows: [][]int{{1, 4}, {2, 2}}, red: []int{1},
 			prog: rsArAg, algo: R,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"p2/internal/cost"
 	"p2/internal/netsim"
@@ -136,9 +135,10 @@ func PlanJoint(sys *System, axes []int, reductions []Reduction) (*JointPlan, err
 // hierarchy signature across both placements and reductions, so e.g. the
 // data- and tensor-parallel reductions of a transformer share synthesis
 // whenever their axis rows induce the same reduction hierarchy. The
-// analytic placement ranking (including tie order) is identical to
-// PlanJointSerial; measured modes (opts.Measure) re-sort it by emulated
-// totals, equally deterministically.
+// analytic placement ranking (including tie order) is identical to the
+// serial test oracle's (PlanJointSerial, reference_test.go); measured
+// modes (opts.Measure) re-sort it by emulated totals, equally
+// deterministically.
 //
 // The anytime semantics are PlanCtx's: an uncancelled context changes
 // nothing; on cancellation the completed placements are returned with
@@ -162,7 +162,7 @@ func (pl *Planner) PlanJointCtx(ctx context.Context, sys *System, axes []int, re
 	specs := make([]plan.JointSpec, len(reductions))
 	for i, red := range reductions {
 		bytes := red.Bytes
-		if bytes <= 0 {
+		if !(bytes > 0) { // NaN-proof, as Request.withDefaults
 			bytes = cost.DefaultPayload(sys)
 		}
 		algo := red.Algo
@@ -210,49 +210,5 @@ func (pl *Planner) PlanJointCtx(ctx context.Context, sys *System, axes []int, re
 		}
 		jp.Choices = append(jp.Choices, choice)
 	}
-	return jp, nil
-}
-
-// PlanJointSerial is the reference implementation of PlanJoint: one
-// placement at a time, one full serial Plan per (placement, reduction),
-// always analytic (no measured mode). The parallel engine must reproduce
-// its placement ranking byte for byte (see the equivalence tests).
-func PlanJointSerial(sys *System, axes []int, reductions []Reduction) (*JointPlan, error) {
-	if len(reductions) == 0 {
-		return nil, fmt.Errorf("p2: PlanJoint needs at least one reduction")
-	}
-	matrices, err := Placements(sys, axes)
-	if err != nil {
-		return nil, err
-	}
-	jp := &JointPlan{System: sys, Axes: axes}
-	for _, m := range matrices {
-		choice := &JointChoice{Matrix: m}
-		for _, red := range reductions {
-			plan, err := PlanSerial(sys, Request{
-				Axes:       axes,
-				ReduceAxes: red.ReduceAxes,
-				Algo:       red.Algo,
-				Algos:      red.Algos,
-				Bytes:      red.Bytes,
-				Matrix:     m,
-			})
-			if err != nil {
-				return nil, err
-			}
-			best := plan.Best()
-			count := red.Count
-			if count <= 0 {
-				count = 1
-			}
-			choice.PerReduction = append(choice.PerReduction, best)
-			choice.Costs = append(choice.Costs, count*best.Predicted)
-			choice.Total += count * best.Predicted
-		}
-		jp.Choices = append(jp.Choices, choice)
-	}
-	sort.SliceStable(jp.Choices, func(i, j int) bool {
-		return jp.Choices[i].Total < jp.Choices[j].Total
-	})
 	return jp, nil
 }

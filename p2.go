@@ -32,13 +32,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 
 	"p2/internal/cost"
 	"p2/internal/dsl"
-	"p2/internal/hierarchy"
 	"p2/internal/lower"
 	"p2/internal/netsim"
 	"p2/internal/placement"
@@ -384,20 +382,14 @@ func (p *PlanResult) BaselineFor(m *Matrix) *Strategy {
 	return nil
 }
 
-// planMatrices resolves the placement set of a request.
-func planMatrices(sys *System, req Request) ([]*Matrix, error) {
-	if req.Matrix != nil {
-		return []*Matrix{req.Matrix}, nil
-	}
-	return Placements(sys, req.Axes)
-}
-
 // withDefaults resolves every defaulted Request field, so that
 // PlanResult.Request faithfully echoes what was planned: payload (the
 // paper's 2^29 × machines float32), program-size limit, worker pool, and
 // the algorithm set (nil Algos means {Algo}; a single entry pins Algo).
 func (req Request) withDefaults(sys *System) Request {
-	if req.Bytes <= 0 {
+	// NaN-proof form: a NaN payload (like zero and negatives) takes the
+	// default instead of planning on NaN traffic, which every max-scan skips.
+	if !(req.Bytes > 0) {
 		req.Bytes = cost.DefaultPayload(sys)
 	}
 	if req.MaxProgramSize <= 0 {
@@ -429,8 +421,9 @@ func (req Request) withDefaults(sys *System) Request {
 // materializing the full cross-product — additionally arming admissible
 // lower-bound pruning that skips synthesis, lowering and scoring for
 // provably out-of-top-K work (see PlanResult.Stats). The ranking —
-// including tie order — is identical to PlanSerial for every parallelism
-// level and every TopK.
+// including tie order — is identical to the serial test oracle's
+// (PlanSerial, reference_test.go) for every parallelism level and every
+// TopK.
 //
 // With req.Measure set, planning runs measured-in-the-loop: the analytic
 // ranking is measured on the network emulator and re-sorted by measured
@@ -533,68 +526,6 @@ func strategyFromCandidate(c *plan.Candidate, sys *System, algo Algorithm, bytes
 		algo:      algo,
 		bytes:     bytes,
 	}
-}
-
-// PlanSerial is the reference implementation of Plan: one placement at a
-// time, a fresh synthesis per placement, full materialization, stable
-// sort, and — with req.Algos set — a brute-force per-algorithm sweep over
-// every step of every program (no step-cost memo). It ignores
-// req.Parallelism, req.TopK and req.Measure (its ranking is always the
-// full analytic one). The parallel engine is required to
-// reproduce its ranking byte for byte (see the equivalence tests); it
-// exists for exactly that cross-check and for ablation benchmarks of the
-// engine.
-func PlanSerial(sys *System, req Request) (*PlanResult, error) {
-	req = req.withDefaults(sys)
-	matrices, err := planMatrices(sys, req)
-	if err != nil {
-		return nil, err
-	}
-	model := &cost.Model{Sys: sys, Algo: req.Algo, Bytes: req.Bytes}
-	res := &PlanResult{Request: req, System: sys}
-	for _, m := range matrices {
-		opts := hierarchy.Options{Collapse: len(req.ReduceAxes) > 1}
-		h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, req.ReduceAxes, opts)
-		if err != nil {
-			return nil, err
-		}
-		sres := synth.Synthesize(h, synth.Options{MaxSize: req.MaxProgramSize})
-		for _, prog := range sres.Programs {
-			lp, err := lower.Lower(prog, h)
-			if err != nil {
-				return nil, err
-			}
-			s := &Strategy{
-				Matrix:  m,
-				Program: prog,
-				lowered: lp,
-				sys:     sys,
-				algo:    req.Algo,
-				bytes:   req.Bytes,
-			}
-			if len(req.Algos) > 1 {
-				stepAlgos, predicted := model.BestStepAlgos(lp, req.Algos)
-				s.Predicted = predicted
-				if a, ok := cost.UniformAlgo(stepAlgos); ok {
-					s.algo = a
-				} else {
-					s.StepAlgos = stepAlgos
-				}
-			} else {
-				s.Predicted = model.ProgramTime(lp)
-			}
-			res.Strategies = append(res.Strategies, s)
-		}
-	}
-	if len(res.Strategies) == 0 {
-		return nil, fmt.Errorf("p2: no valid strategies for axes %v reduce %v", req.Axes, req.ReduceAxes)
-	}
-	sort.SliceStable(res.Strategies, func(i, j int) bool {
-		return res.Strategies[i].Predicted < res.Strategies[j].Predicted
-	})
-	res.Stats = plan.Stats{Placements: len(matrices), SynthRuns: len(matrices),
-		Candidates: len(res.Strategies)}
-	return res, nil
 }
 
 // ParseMatrix parses the paper's matrix notation, e.g. "[[1 4] [4 4]]",

@@ -5,6 +5,7 @@
 package p2_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -30,9 +31,9 @@ func TestDefaultPayloadPerPreset(t *testing.T) {
 		axes     []int
 		machines int
 	}{
-		{"fig2a", p2.Fig2aSystem(), []int{4, 4}, 4},       // 1 rack × 2 servers × 2 CPUs
-		{"a100-4", p2.A100System(4), []int{4, 16}, 4},     // 4 nodes
-		{"v100-2", p2.V100System(2), []int{2, 8}, 2},      // 2 nodes
+		{"fig2a", p2.Fig2aSystem(), []int{4, 4}, 4},               // 1 rack × 2 servers × 2 CPUs
+		{"a100-4", p2.A100System(4), []int{4, 16}, 4},             // 4 nodes
+		{"v100-2", p2.V100System(2), []int{2, 8}, 2},              // 2 nodes
 		{"superpod-2x4", p2.SuperPodSystem(2, 4), []int{8, 8}, 8}, // 2 pods × 4 nodes
 	}
 	for _, tc := range cases {
@@ -98,5 +99,44 @@ func TestRequestEchoAppliesDefaults(t *testing.T) {
 	}
 	if req.MaxProgramSize != 3 || req.Parallelism != 2 {
 		t.Errorf("explicit values not echoed: MaxProgramSize=%d Parallelism=%d", req.MaxProgramSize, req.Parallelism)
+	}
+}
+
+// TestNonPositivePayloadTakesDefault: NaN fails every ordered comparison,
+// so a `bytes <= 0` guard let it through — Plan then ranked on NaN traffic
+// (which the model's max-scan skips, leaving the bare latency term) and
+// echoed Request.Bytes = NaN. NaN, zero and negatives must all plan at the
+// paper's default payload, in Plan and PlanJoint alike.
+func TestNonPositivePayloadTakesDefault(t *testing.T) {
+	sys := p2.A100System(2)
+	def := cost.DefaultPayload(sys)
+	want, err := p2.Plan(sys, p2.Request{Axes: []int{4, 8}, ReduceAxes: []int{0}, Bytes: def})
+	if err != nil {
+		t.Fatal(err)
+	}
+	red := p2.Reduction{ReduceAxes: []int{0}, Bytes: def}
+	wantJoint, err := p2.PlanJoint(sys, []int{4, 8}, []p2.Reduction{red})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bytes := range []float64{math.NaN(), 0, -1} {
+		got, err := p2.Plan(sys, p2.Request{Axes: []int{4, 8}, ReduceAxes: []int{0}, Bytes: bytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Request.Bytes != def {
+			t.Errorf("Bytes %v: Plan echoed payload %v, want default %v", bytes, got.Request.Bytes, def)
+		}
+		if g, w := got.Best().Predicted, want.Best().Predicted; g != w {
+			t.Errorf("Bytes %v: Plan best predicted %v, want %v (default payload)", bytes, g, w)
+		}
+		red.Bytes = bytes
+		gotJoint, err := p2.PlanJoint(sys, []int{4, 8}, []p2.Reduction{red})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := gotJoint.Choices[0].Total, wantJoint.Choices[0].Total; g != w {
+			t.Errorf("Bytes %v: PlanJoint best total %v, want %v (default payload)", bytes, g, w)
+		}
 	}
 }

@@ -10,6 +10,9 @@
 #     internal/analysis accepts, and the set used in the tree agree:
 #     every documented marker appears in the source tree, and every
 #     marker used anywhere is documented.
+#  4. The non-test line count ROADMAP.md states ("Non-test Go is N
+#     lines") is the one scripts/loc.sh measures — a number counts only
+#     if a committed script regenerates it.
 #
 # Exit status is non-zero on any mismatch, printing what drifted.
 set -eu
@@ -98,7 +101,18 @@ for m in $used; do
   fi
 done
 
+# --- 4. ROADMAP.md's non-test line count is scripts/loc.sh's ----------------
+# The number may be written with thin-space digit grouping ("18 358") and
+# wrap onto the next line.
+stated=$(tr '\n' ' ' < ROADMAP.md | grep -oE 'Non-test Go is [0-9][0-9 ]* lines' \
+  | head -n 1 | tr -cd '0-9')
+measured=$(scripts/loc.sh)
+if [ "$stated" != "$measured" ]; then
+  echo "docscheck: ROADMAP.md says non-test Go is '$stated' lines, scripts/loc.sh measures $measured" >&2
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "docscheck: OK (README flags consistent with cmd/p2 and cmd/p2lint; DESIGN.md index matches headers; //p2: markers documented, accepted and used consistently)"
+echo "docscheck: OK (README flags consistent with cmd/p2 and cmd/p2lint; DESIGN.md index matches headers; //p2: markers documented, accepted and used consistently; ROADMAP line count is scripts/loc.sh's)"
