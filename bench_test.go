@@ -278,6 +278,47 @@ func BenchmarkSynthesisThreeAxis(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthesize is the tracked synthesis row: one three-level and one
+// four-level reduction hierarchy (root included) at universe sizes 8, 12 and
+// 64, each taken from a placement of the benchmark shape that synthesizes it
+// (superpod:2x4 [8 8], superpod:3x4 [12 8], superpod:16x32 [64 64]). The
+// program set depends on the level count alone (93 and 1 635 programs); the
+// time goes with K².
+func BenchmarkSynthesize(b *testing.B) {
+	rows := []struct {
+		name string
+		sys  *topology.System
+		axes []int
+		hier string
+	}{
+		{"3level-K8", topology.SuperPodSystem(2, 4), []int{8, 8}, "[2 4]"},
+		{"4level-K8", topology.SuperPodSystem(2, 4), []int{8, 8}, "[2 2 2]"},
+		{"3level-K12", topology.SuperPodSystem(3, 4), []int{12, 8}, "[3 4]"},
+		{"4level-K12", topology.SuperPodSystem(3, 4), []int{12, 8}, "[3 2 2]"},
+		{"3level-K64", topology.SuperPodSystem(16, 32), []int{64, 64}, "[8 8]"},
+		{"4level-K64", topology.SuperPodSystem(16, 32), []int{64, 64}, "[2 4 8]"},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			var h *hierarchy.Hierarchy
+			err := placement.Iterate(row.sys.Hierarchy(), row.axes, func(m *placement.Matrix) bool {
+				if c := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{}); c.String() == row.hier {
+					h = c
+				}
+				return h == nil
+			})
+			if err != nil || h == nil {
+				b.Fatalf("no placement of %s %v reduces over %s (err %v)", row.sys.Name, row.axes, row.hier, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				synth.Synthesize(h, synth.Options{})
+			}
+		})
+	}
+}
+
 // --- Ablations (design choices of §2.5/§3.4) -------------------------------
 
 // BenchmarkAblationHierarchy compares synthesis cost across the four

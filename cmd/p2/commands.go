@@ -98,8 +98,8 @@ func (c *commonFlags) printStats(out io.Writer, s plan.Stats) {
 	if !*c.stats {
 		return
 	}
-	fmt.Fprintf(out, "planning: %d placements (%d bound-pruned), %d synth runs, %d memo hits, %d candidates scored (%d pruned early, %d bound tightenings)\n",
-		s.Placements, s.PrunedPlacements, s.SynthRuns, s.MemoHits,
+	fmt.Fprintf(out, "planning: %d placements (%d bound-pruned), %d synth runs (%d programs, %.1f ms), %d memo hits, %d candidates scored (%d pruned early, %d bound tightenings)\n",
+		s.Placements, s.PrunedPlacements, s.SynthRuns, s.SynthPrograms, s.SynthElapsed.Seconds()*1e3, s.MemoHits,
 		s.Candidates, s.PrunedPrograms, s.BoundTightenings)
 	if s.MeasuredCandidates > 0 {
 		fmt.Fprintf(out, "measured: %d candidates emulated, %d analytic-vs-measured rank inversions\n",

@@ -119,7 +119,7 @@ func Check(op Op, states []*State) error {
 			if !st.SubsetOf(states[0]) {
 				return ErrNotPrefix
 			}
-			if st.StrictSubsetOf(states[0]) {
+			if !st.Equal(states[0]) {
 				gain = true
 			}
 		}
@@ -141,11 +141,15 @@ func checkReduceLike(states []*State) error {
 			return ErrRowMismatch
 		}
 	}
-	for i := 0; i < len(states); i++ {
-		for j := i + 1; j < len(states); j++ {
-			if !states[i].rowsDisjoint(states[j]) {
+	// The ⃝⋆ premise, per chunk: no contribution is held by two members, so
+	// no matrix bit is set twice across the group.
+	for i := range states[0].matrix() {
+		var seen uint64
+		for _, st := range states {
+			if seen&st.bits[i] != 0 {
 				return ErrOverlap
 			}
+			seen |= st.bits[i]
 		}
 	}
 	return nil
@@ -154,10 +158,11 @@ func checkReduceLike(states []*State) error {
 // Apply executes op over the group (states in group order; states[0] is the
 // root for Reduce/Broadcast, matching the paper's convention of using the
 // first device of a hierarchical group as root). On success it returns the
-// post-condition states, leaving the inputs untouched. Members that end up
-// holding the same data share one State, and a Broadcast hands out the
-// root's own: states are immutable once published (see State). On a
-// precondition violation it returns one of the Err* sentinels.
+// post-condition states, sealed, leaving the inputs' bits untouched. Members
+// that end up holding the same data share one State, and a Broadcast hands
+// out the root's own (sealing it, if the caller had not): states are
+// immutable once published (see State). On a precondition violation it
+// returns one of the Err* sentinels.
 func Apply(op Op, states []*State) ([]*State, error) {
 	if err := Check(op, states); err != nil {
 		return nil, err
@@ -166,16 +171,16 @@ func Apply(op Op, states []*State) ([]*State, error) {
 	out := make([]*State, len(states))
 	switch op {
 	case AllReduce, AllGather:
-		sum := unionAll(states)
+		sum := unionAll(states).Seal()
 		for i := range out {
 			out[i] = sum
 		}
 	case Reduce:
-		empty := NewState(k)
+		empty := NewState(k).Seal()
 		for i := range out {
 			out[i] = empty
 		}
-		out[0] = unionAll(states)
+		out[0] = unionAll(states).Seal()
 	case ReduceScatter:
 		sum := unionAll(states)
 		rows := sum.Rows()
@@ -183,12 +188,13 @@ func Apply(op Op, states []*State) ([]*State, error) {
 		for i := range out {
 			out[i] = NewState(k)
 			for _, r := range rows[i*per : (i+1)*per] {
-				copy(out[i].row(r), sum.row(r))
+				out[i].copyRow(sum, r)
 			}
+			out[i].Seal()
 		}
 	case Broadcast:
 		for i := range out {
-			out[i] = states[0]
+			out[i] = states[0].Seal()
 		}
 	default:
 		return nil, fmt.Errorf("collective: unknown op %v", op)

@@ -19,14 +19,21 @@ import (
 // State is a k×k boolean matrix stored as k rows of packed 64-bit words.
 //
 // A State is written only while it is being built (NewState + Set, or
-// inside Apply before it is returned). Apply never mutates its inputs, so
-// a State that has been published — placed in a dsl.Context, returned from
-// Apply — is immutable and is shared freely: between contexts, and between
-// the members of a group that hold the same data. Clone before changing one.
+// inside Apply before it is returned) and is then sealed: Seal fixes its
+// hash and a later Set panics. Apply never mutates its inputs and seals its
+// results, as do InitialState and dsl.TargetState, so a State that has been
+// published — placed in a dsl.Context, returned from Apply — is immutable
+// and is shared freely: between contexts, and between the members of a
+// group that hold the same data. Clone before changing one.
 type State struct {
 	k     int
-	words int      // words per row
-	bits  []uint64 // k * words, row-major
+	words int // words per row
+	// bits is the k matrix rows, row-major, then one mask row: bit r of it
+	// is set iff matrix row r is non-empty. Every writer keeps the mask in
+	// step, so the row-set predicates are word operations at any time.
+	bits   []uint64
+	hash   uint64
+	sealed bool
 }
 
 // NewState returns the empty (all zero) k×k state.
@@ -35,37 +42,53 @@ func NewState(k int) *State {
 		panic(fmt.Sprintf("collective: NewState(%d)", k))
 	}
 	w := (k + 63) / 64
-	return &State{k: k, words: w, bits: make([]uint64, k*w)}
+	return &State{k: k, words: w, bits: make([]uint64, (k+1)*w)}
 }
 
-// InitialState returns the state of device i before any reduction: every
-// chunk present, contributed only by device i (column i all ones).
+// InitialState returns the sealed state of device i before any reduction:
+// every chunk present, contributed only by device i (column i all ones).
 func InitialState(k, i int) *State {
 	s := NewState(k)
 	for r := 0; r < k; r++ {
 		s.Set(r, i)
 	}
+	return s.Seal()
+}
+
+// Seal publishes s, so that it can be shared: it fixes the hash and makes
+// any later Set panic. It returns s; sealing twice is a no-op.
+func (s *State) Seal() *State {
+	if !s.sealed {
+		h := uint64(s.k)
+		for _, w := range s.matrix() {
+			h = (h ^ w) * 0x9e3779b97f4a7c15
+			h ^= h >> 29
+		}
+		s.hash, s.sealed = h, true
+	}
 	return s
 }
 
-// FullState returns the all-ones goal state.
-func FullState(k int) *State {
-	s := NewState(k)
-	for r := 0; r < k; r++ {
-		for c := 0; c < k; c++ {
-			s.Set(r, c)
-		}
+// Hash returns a 64-bit hash of a sealed state's bits: equal states hash
+// equally, so a table keyed on it confirms a hit with Equal.
+func (s *State) Hash() uint64 {
+	if !s.sealed {
+		panic("collective: Hash of an unsealed state")
 	}
-	return s
+	return s.hash
 }
 
 // K returns the universe size.
 func (s *State) K() int { return s.k }
 
-// Set sets bit (row, col).
+// Set sets bit (row, col). It panics on a sealed state.
 func (s *State) Set(row, col int) {
 	s.checkIdx(row, col)
+	if s.sealed {
+		panic("collective: Set on a sealed state (Clone it first)")
+	}
 	s.bits[row*s.words+col/64] |= 1 << (uint(col) % 64)
+	s.mask()[row/64] |= 1 << (uint(row) % 64)
 }
 
 // Get reports bit (row, col).
@@ -83,14 +106,16 @@ func (s *State) checkIdx(row, col int) {
 // row returns the packed words of one row.
 func (s *State) row(r int) []uint64 { return s.bits[r*s.words : (r+1)*s.words] }
 
+// matrix returns the k matrix rows without the mask row.
+func (s *State) matrix() []uint64 { return s.bits[:s.k*s.words] }
+
+// mask returns the non-empty-row mask, stored as row k.
+func (s *State) mask() []uint64 { return s.row(s.k) }
+
 // RowEmpty reports whether row r has no bits set.
 func (s *State) RowEmpty(r int) bool {
-	for _, w := range s.row(r) {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
+	s.checkIdx(r, 0)
+	return s.mask()[r/64]&(1<<(uint(r)%64)) == 0
 }
 
 // RowPopCount returns the number of set bits in row r.
@@ -105,7 +130,7 @@ func (s *State) RowPopCount(r int) int {
 // Rows returns the indices of non-empty rows in increasing order — the
 // "rows" operator of Fig. 8 (the data chunks this device holds).
 func (s *State) Rows() []int {
-	var out []int
+	out := make([]int, 0, s.NumRows())
 	for r := 0; r < s.k; r++ {
 		if !s.RowEmpty(r) {
 			out = append(out, r)
@@ -117,10 +142,8 @@ func (s *State) Rows() []int {
 // NumRows returns the number of non-empty rows.
 func (s *State) NumRows() int {
 	n := 0
-	for r := 0; r < s.k; r++ {
-		if !s.RowEmpty(r) {
-			n++
-		}
+	for _, w := range s.mask() {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -128,29 +151,25 @@ func (s *State) NumRows() int {
 // PopCount returns the total number of set bits — the information content.
 func (s *State) PopCount() int {
 	n := 0
-	for _, w := range s.bits {
+	for _, w := range s.matrix() {
 		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// Clone returns a deep copy.
+// Clone returns an unsealed deep copy.
 func (s *State) Clone() *State {
 	c := &State{k: s.k, words: s.words, bits: make([]uint64, len(s.bits))}
 	copy(c.bits, s.bits)
 	return c
 }
 
-// Clear zeroes the state in place.
-func (s *State) Clear() {
-	for i := range s.bits {
-		s.bits[i] = 0
-	}
-}
-
-// Equal reports exact equality.
+// Equal reports exact equality (equal matrices have equal masks).
 func (s *State) Equal(o *State) bool {
-	if s.k != o.k {
+	if s == o {
+		return true
+	}
+	if s.k != o.k || s.sealed && o.sealed && s.hash != o.hash {
 		return false
 	}
 	for i, w := range s.bits {
@@ -174,38 +193,28 @@ func (s *State) SubsetOf(o *State) bool {
 	return true
 }
 
-// StrictSubsetOf reports s < o.
-func (s *State) StrictSubsetOf(o *State) bool {
-	return s.SubsetOf(o) && !s.Equal(o)
-}
-
 // IsFull reports whether the state is the all-ones goal.
 func (s *State) IsFull() bool {
 	return s.PopCount() == s.k*s.k
 }
 
-// unionInto ORs o into s (s must have the same k).
+// unionInto ORs o into the unsealed s, mask row included (same k).
 func (s *State) unionInto(o *State) {
 	for i, w := range o.bits {
 		s.bits[i] |= w
 	}
 }
 
-// sameRowSet reports whether s and o have identical non-empty-row sets.
-func (s *State) sameRowSet(o *State) bool {
-	for r := 0; r < s.k; r++ {
-		if s.RowEmpty(r) != o.RowEmpty(r) {
-			return false
-		}
-	}
-	return true
+// copyRow copies row r of o, known non-empty, into the unsealed s.
+func (s *State) copyRow(o *State, r int) {
+	copy(s.row(r), o.row(r))
+	s.mask()[r/64] |= 1 << (uint(r) % 64)
 }
 
-// rowsDisjoint reports whether, for every row index, the rows of s and o
-// share no set bit (the per-chunk ⃝⋆ check of rules R-AllReduce etc.).
-func (s *State) rowsDisjoint(o *State) bool {
-	for i, w := range s.bits {
-		if w&o.bits[i] != 0 {
+// sameRowSet reports whether s and o have identical non-empty-row sets.
+func (s *State) sameRowSet(o *State) bool {
+	for i, w := range s.mask() {
+		if w != o.mask()[i] {
 			return false
 		}
 	}
@@ -215,18 +224,12 @@ func (s *State) rowsDisjoint(o *State) bool {
 // rowSetsDisjoint reports whether s and o have no common non-empty row
 // index (the rows ⃝⋆ check of rule R-AllGather).
 func (s *State) rowSetsDisjoint(o *State) bool {
-	for r := 0; r < s.k; r++ {
-		if !s.RowEmpty(r) && !o.RowEmpty(r) {
+	for i, w := range s.mask() {
+		if w&o.mask()[i] != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// AppendWords appends the packed representation to dst; used for hashing
-// state contexts during synthesis memoization.
-func (s *State) AppendWords(dst []uint64) []uint64 {
-	return append(dst, s.bits...)
 }
 
 // String renders the matrix with '#' for set bits and '.' for clear ones,

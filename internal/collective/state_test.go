@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -24,10 +25,21 @@ func TestInitialState(t *testing.T) {
 	}
 }
 
+// fullState is the all-ones goal state.
+func fullState(k int) *State {
+	s := NewState(k)
+	for r := 0; r < k; r++ {
+		for c := 0; c < k; c++ {
+			s.Set(r, c)
+		}
+	}
+	return s
+}
+
 func TestFullState(t *testing.T) {
-	s := FullState(5)
+	s := fullState(5)
 	if !s.IsFull() {
-		t.Error("FullState not full")
+		t.Error("all-ones state not full")
 	}
 	if s.PopCount() != 25 {
 		t.Errorf("PopCount = %d", s.PopCount())
@@ -86,13 +98,13 @@ func TestSubsetRelations(t *testing.T) {
 	a := InitialState(4, 0)
 	b := a.Clone()
 	b.Set(0, 1)
-	if !a.SubsetOf(b) || !a.StrictSubsetOf(b) {
+	if !a.SubsetOf(b) || a.Equal(b) {
 		t.Error("a should be strict subset of b")
 	}
 	if b.SubsetOf(a) {
 		t.Error("b is not subset of a")
 	}
-	if !a.SubsetOf(a) || a.StrictSubsetOf(a) {
+	if !a.SubsetOf(a) || !a.Equal(a) {
 		t.Error("reflexivity broken")
 	}
 }
@@ -106,31 +118,11 @@ func TestEqualDifferentK(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	s := FullState(4)
-	s.Clear()
-	if s.PopCount() != 0 {
-		t.Error("Clear left bits")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	s := NewState(2)
 	s.Set(0, 1)
 	if got := s.String(); got != ".#\n.." {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestAppendWordsDeterministic(t *testing.T) {
-	s := InitialState(4, 2)
-	w1 := s.AppendWords(nil)
-	w2 := s.AppendWords(nil)
-	if !reflect.DeepEqual(w1, w2) {
-		t.Error("AppendWords not deterministic")
-	}
-	if len(w1) != 4 {
-		t.Errorf("want 4 words for k=4, got %d", len(w1))
 	}
 }
 
@@ -180,4 +172,108 @@ func TestStatePanicsOutOfRange(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestSealedStateMatchesBits: the mask row every writer maintains, and every
+// predicate that reads it, must equal the recomputation from the matrix bits
+// — on states built by Set, by Clone, and by each post-condition of Apply,
+// for one-word and multi-word rows. Sealing fixes the hash (equal states
+// hash equally) and turns Set into a panic.
+func TestSealedStateMatchesBits(t *testing.T) {
+	// The slow definitions, straight off Get.
+	rowEmpty := func(s *State, r int) bool {
+		for c := 0; c < s.K(); c++ {
+			if s.Get(r, c) {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(name string, s, o *State) {
+		t.Helper()
+		var rows []int
+		same, disjoint := true, true
+		for r := 0; r < s.K(); r++ {
+			if s.RowEmpty(r) != rowEmpty(s, r) {
+				t.Errorf("%s: RowEmpty(%d) = %v, bits say %v", name, r, s.RowEmpty(r), rowEmpty(s, r))
+			}
+			if !rowEmpty(s, r) {
+				rows = append(rows, r)
+			}
+			same = same && rowEmpty(s, r) == rowEmpty(o, r)
+			disjoint = disjoint && (rowEmpty(s, r) || rowEmpty(o, r))
+		}
+		if got := s.Rows(); len(got) != len(rows) || len(rows) > 0 && !reflect.DeepEqual(got, rows) {
+			t.Errorf("%s: Rows = %v, bits say %v", name, got, rows)
+		}
+		if s.NumRows() != len(rows) {
+			t.Errorf("%s: NumRows = %d, bits say %d", name, s.NumRows(), len(rows))
+		}
+		if s.sameRowSet(o) != same {
+			t.Errorf("%s: sameRowSet = %v, bits say %v", name, s.sameRowSet(o), same)
+		}
+		if s.rowSetsDisjoint(o) != disjoint {
+			t.Errorf("%s: rowSetsDisjoint = %v, bits say %v", name, s.rowSetsDisjoint(o), disjoint)
+		}
+	}
+	for _, k := range []int{6, 64, 70} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			a, b := randomState(k, seed), randomState(k, seed*977)
+			// Sparse rows, so that empty ones occur at every k.
+			sparse := NewState(k)
+			for r := 0; r < k; r += int(seed%5) + 2 {
+				sparse.Set(r, (r*7+int(seed))%k)
+			}
+			check(fmt.Sprintf("k=%d seed=%d random", k, seed), a, b)
+			check(fmt.Sprintf("k=%d seed=%d sparse", k, seed), sparse, a)
+			check(fmt.Sprintf("k=%d seed=%d clone", k, seed), sparse.Clone(), sparse)
+		}
+		group := make([]*State, 2)
+		for i := range group {
+			group[i] = InitialState(k, i)
+		}
+		for _, op := range []Op{AllReduce, Reduce, ReduceScatter} {
+			out, err := Apply(op, group)
+			if err != nil {
+				t.Fatalf("k=%d %v: %v", k, op, err)
+			}
+			for i, s := range out {
+				check(fmt.Sprintf("k=%d %v out[%d]", k, op, i), s, out[0])
+				if !s.sealed {
+					t.Errorf("k=%d %v out[%d] is not sealed", k, op, i)
+				}
+			}
+			if op != ReduceScatter {
+				continue
+			}
+			gathered, err := Apply(AllGather, out)
+			if err != nil {
+				t.Fatalf("k=%d AllGather: %v", k, err)
+			}
+			check(fmt.Sprintf("k=%d AllGather", k), gathered[0], out[1])
+		}
+	}
+
+	s := randomState(8, 3)
+	if c := s.Clone().Seal(); c.Hash() != s.Clone().Seal().Hash() || !c.Equal(s) {
+		t.Error("equal states seal to different hashes")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Hash of an unsealed state did not panic")
+			}
+		}()
+		s.Hash()
+	}()
+	s.Seal()
+	if c := s.Clone(); c.sealed {
+		t.Error("Clone of a sealed state is sealed")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Set on a sealed state did not panic")
+		}
+	}()
+	s.Set(0, 0)
 }

@@ -232,41 +232,30 @@ func NewContext(h *hierarchy.Hierarchy) Context {
 }
 
 // Apply executes one instruction over the context, returning the new
-// context. Devices not participating in any derived group keep their state.
-// It returns the first semantic error encountered (the instruction is then
-// invalid in this state, per the Hoare rules of §3.2).
+// context. Devices not participating in any derived group keep their state,
+// which the new context shares with c (see the immutability contract on
+// Context). It returns the first semantic error encountered (the instruction
+// is then invalid in this state, per the Hoare rules of §3.2).
 func (c Context) Apply(in Instruction, h *hierarchy.Hierarchy) (Context, error) {
 	groups := in.Groups(h)
-	out, bad, err := c.ApplyGroups(in.Op, groups)
-	if err != nil {
-		return nil, fmt.Errorf("dsl: %s on group %v: %w", in, groups[bad], err)
-	}
-	return out, nil
-}
-
-// ApplyGroups is Apply over already-derived disjoint leaf groups. The new
-// context shares the untouched leaves' states with c (see the immutability
-// contract on Context). A semantic error comes back unwrapped, with the
-// index of the failing group: rejection is the synthesizer's hot path.
-func (c Context) ApplyGroups(op collective.Op, groups [][]int) (Context, int, error) {
 	out := append(Context(nil), c...)
 	// One scratch for every (equal-sized) group: collective.Apply keeps no
 	// reference to its argument.
 	states := make([]*collective.State, 0, len(groups[0]))
-	for gi, g := range groups {
+	for _, g := range groups {
 		states = states[:0]
 		for _, u := range g {
 			states = append(states, c[u])
 		}
-		res, err := collective.Apply(op, states)
+		res, err := collective.Apply(in.Op, states)
 		if err != nil {
-			return nil, gi, err
+			return nil, fmt.Errorf("dsl: %s on group %v: %w", in, g, err)
 		}
 		for i, u := range g {
 			out[u] = res[i]
 		}
 	}
-	return out, 0, nil
+	return out, nil
 }
 
 // Shape is the chunk accounting of one program step: how many payload
@@ -282,14 +271,12 @@ type Shape struct {
 	RowsOut int
 }
 
-// StepShape reads the shape of a step off the contexts around it: the step
-// ran op over groups whose first is g0 and took ctx to next.
-func StepShape(op collective.Op, g0 []int, ctx, next Context) Shape {
-	out := g0[len(g0)-1]
-	if op == collective.Reduce {
-		out = g0[0] // the root keeps the rows
-	}
-	return Shape{Rows: ctx[g0[0]].NumRows(), RowsOut: next[out].NumRows()}
+// StepShape reads the shape of a step off the first member of its first
+// group: the states that leaf held entering and leaving the step. It is the
+// root of a Reduce or Broadcast, and for the other collectives every member
+// holds as many chunks as it does.
+func StepShape(before, after *collective.State) Shape {
+	return Shape{Rows: before.NumRows(), RowsOut: after.NumRows()}
 }
 
 // Run executes the whole program from the initial context of h.
@@ -305,8 +292,8 @@ func (p Program) Run(h *hierarchy.Hierarchy) (Context, error) {
 	return ctx, nil
 }
 
-// TargetState returns the desired final state of leaf u: every row set in
-// exactly the columns of u's reduction group.
+// TargetState returns the desired final state of leaf u, sealed: every row
+// set in exactly the columns of u's reduction group.
 func TargetState(h *hierarchy.Hierarchy, u int) *collective.State {
 	k := h.K()
 	s := collective.NewState(k)
@@ -315,7 +302,7 @@ func TargetState(h *hierarchy.Hierarchy, u int) *collective.State {
 			s.Set(r, c)
 		}
 	}
-	return s
+	return s.Seal()
 }
 
 // AtGoal reports whether the context has reached the target state of every

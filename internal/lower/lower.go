@@ -89,7 +89,8 @@ func Annotate(p dsl.Program, h *hierarchy.Hierarchy) ([]dsl.Shape, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lower: step %d: %w", i, err)
 		}
-		shapes[i] = dsl.StepShape(in.Op, in.Groups(h)[0], ctx, next)
+		u := in.Groups(h)[0][0]
+		shapes[i] = dsl.StepShape(ctx[u], next[u])
 		ctx = next
 	}
 	return shapes, nil

@@ -37,6 +37,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"p2/internal/cost"
 	"p2/internal/dsl"
@@ -132,6 +133,11 @@ type Stats struct {
 	Placements int
 	// SynthRuns counts actual synthesis executions.
 	SynthRuns int
+	// SynthPrograms and SynthElapsed say what those executions cost: the
+	// programs they produced and the sum of their synth.Result.Elapsed (wall
+	// time, so it is not part of a served response).
+	SynthPrograms int           `json:"-"`
+	SynthElapsed  time.Duration `json:"-"`
 	// MemoHits counts placements served from the signature memo.
 	MemoHits int
 	// Candidates counts (placement, program) pairs scored to completion —
@@ -194,6 +200,8 @@ func WithMemoCap(n int) Option {
 // pruning wins.
 type runCounters struct {
 	synthRuns        atomic.Int64
+	synthPrograms    atomic.Int64
+	synthElapsed     atomic.Int64
 	memoHits         atomic.Int64
 	scored           atomic.Int64
 	prunedPlacements atomic.Int64
@@ -204,6 +212,8 @@ func (rc *runCounters) stats(placements int, thr *threshold) Stats {
 	return Stats{
 		Placements:       placements,
 		SynthRuns:        int(rc.synthRuns.Load()),
+		SynthPrograms:    int(rc.synthPrograms.Load()),
+		SynthElapsed:     time.Duration(rc.synthElapsed.Load()),
 		MemoHits:         int(rc.memoHits.Load()),
 		Candidates:       int(rc.scored.Load()),
 		PrunedPlacements: int(rc.prunedPlacements.Load()),
@@ -233,27 +243,32 @@ func New(opts ...Option) *Planner {
 
 // synthesize returns the program set for h, running synthesis at most
 // once per (hierarchy signature, maxSize) and serving repeats from the
-// memo, reporting whether the result came from the memo. Concurrent
-// callers with the same signature block on the single synthesis instead
-// of duplicating it. When the memo cap is reached, unseen signatures
-// synthesize without being recorded.
-func (p *Planner) synthesize(h *hierarchy.Hierarchy, maxSize int) (*synth.Result, bool) {
+// memo; rc counts which of the two happened. Concurrent callers with the
+// same signature block on the single synthesis instead of duplicating it.
+// When the memo cap is reached, unseen signatures synthesize without being
+// recorded.
+func (p *Planner) synthesize(h *hierarchy.Hierarchy, maxSize int, rc *runCounters) *synth.Result {
 	key := memoKey{sig: h.Signature(), maxSize: maxSize}
 	p.mu.Lock()
 	ent, hit := p.memo[key]
-	if !hit && p.memoCap > 0 && len(p.memo) >= p.memoCap {
-		p.mu.Unlock()
-		return synth.Synthesize(h, synth.Options{MaxSize: maxSize}), false
-	}
 	if !hit {
 		ent = &memoEntry{}
-		p.memo[key] = ent
+		if p.memoCap <= 0 || len(p.memo) < p.memoCap {
+			p.memo[key] = ent
+		}
 	}
 	p.mu.Unlock()
 	ent.once.Do(func() {
 		ent.res = synth.Synthesize(h, synth.Options{MaxSize: maxSize})
 	})
-	return ent.res, hit
+	if hit {
+		rc.memoHits.Add(1)
+	} else {
+		rc.synthRuns.Add(1)
+		rc.synthPrograms.Add(int64(len(ent.res.Programs)))
+		rc.synthElapsed.Add(int64(ent.res.Elapsed))
+	}
+	return ent.res
 }
 
 // threshold is the shared, atomically tightening upper bound on the K-th
@@ -435,12 +450,7 @@ func (p *Planner) planMatrix(ctx context.Context, ws *workerState, mi int, m *pl
 		rc.prunedPlacements.Add(1)
 		return nil
 	}
-	res, hit := p.synthesize(h, opts.MaxProgramSize)
-	if hit {
-		rc.memoHits.Add(1)
-	} else {
-		rc.synthRuns.Add(1)
-	}
+	res := p.synthesize(h, opts.MaxProgramSize, rc)
 	ms := newMatrixScorer(ws, model, h, opts)
 	// Early exit: the remaining steps can only add cost, so a partial sum
 	// strictly above the threshold already loses to K kept candidates —
@@ -676,12 +686,7 @@ func (e *ErrNoPrograms) Error() string {
 // earlier incumbent, so the argmin is exact. This cut needs no threshold
 // and is always on.
 func (p *Planner) bestForReduction(ctx context.Context, ws *workerState, mi int, m *placement.Matrix, h *hierarchy.Hierarchy, spec JointSpec, opts Options, rc *runCounters) (*Candidate, error) {
-	res, hit := p.synthesize(h, opts.MaxProgramSize)
-	if hit {
-		rc.memoHits.Add(1)
-	} else {
-		rc.synthRuns.Add(1)
-	}
+	res := p.synthesize(h, opts.MaxProgramSize, rc)
 	ms := newMatrixScorer(ws, spec.Model, h, opts)
 	var best *Candidate
 	cutoff := func(partial float64) bool { return best != nil && partial >= best.Predicted }

@@ -73,6 +73,8 @@ func TestPlanEndpoint(t *testing.T) {
 				i, g.Matrix, g.Program, g.PredictedSec, st.Matrix, st.Program, st.Predicted)
 		}
 	}
+	// What the synthesis cost is wall time and stays out of the response.
+	want.Stats.SynthPrograms, want.Stats.SynthElapsed = 0, 0
 	if got.Stats != want.Stats {
 		t.Errorf("served stats %+v, library stats %+v", got.Stats, want.Stats)
 	}
