@@ -673,6 +673,21 @@ func BenchmarkPlanSuperPod4x8(b *testing.B) {
 	benchPlanEngine(b, topology.SuperPodSystem(4, 8), []int{16, 16}, []int{0})
 }
 
+// BenchmarkPlanSuperPod16x32 is the largest cold top-5 shape of the
+// benchmark's cold_topk workload: 4 096 devices, [64 64] reducing axis 0,
+// 18 placements on a fresh memo. Placement decoding, hierarchy
+// construction, the bound and the route arithmetic of the scorer dominate
+// it, not synthesis.
+func BenchmarkPlanSuperPod16x32(b *testing.B) {
+	sys := topology.SuperPodSystem(16, 32)
+	req := p2.Request{Axes: []int{64, 64}, ReduceAxes: []int{0}, TopK: 5}
+	for i := 0; i < b.N; i++ {
+		if _, err := p2.Plan(sys, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPlanSuperPod3x4 is the non-power-of-two configuration: a
 // 3-pod cluster whose reduction groups (3, 6, 12 wide) run the residual
 // halving-doubling schedule under the `-algo auto` search, tracking the

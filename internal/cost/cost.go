@@ -103,39 +103,30 @@ func (m *Model) StepTime(st lower.Step) float64 {
 	perDevice := st.FracIn() * m.Bytes
 	L := m.Sys.NumLevels()
 	offsets := m.Sys.EntityOffsets()
-	rad := m.Sys.Radix()
 	traffic := make([]float64, offsets[L])
 	maxRounds := 0
 	maxLatency := 0.0
-	// route sends one link's volume through the uplinks it traverses.
+	// route sends one link's volume through the uplinks it traverses: at
+	// every level from the divergence level down, both endpoints' entities
+	// (address quotients, see topology.System.EntityID).
 	route := func(a, b int, bytes float64) {
 		ldiv := m.Sys.DivergenceLevel(a, b)
 		if ldiv < 0 {
 			return
 		}
-		// Accumulate entity ids incrementally down the levels
-		// (id(l) = id(l-1)·count(l) + digit(l)) instead of re-folding
-		// the address prefix per level.
-		ida := m.Sys.EntityID(a, ldiv)
-		idb := m.Sys.EntityID(b, ldiv)
 		// The transfer's latency is that of the slower of the two
 		// endpoints' uplinks at the divergence level; without overrides
 		// both equal Uplinks[ldiv].Latency.
-		lat := m.Sys.LinkLatency(ldiv, ida)
-		if lb := m.Sys.LinkLatency(ldiv, idb); lb > lat {
+		lat := m.Sys.LinkLatency(ldiv, m.Sys.EntityID(a, ldiv))
+		if lb := m.Sys.LinkLatency(ldiv, m.Sys.EntityID(b, ldiv)); lb > lat {
 			lat = lb
 		}
 		if lat > maxLatency {
 			maxLatency = lat
 		}
-		for l := ldiv; ; {
-			traffic[offsets[l]+ida] += bytes
-			traffic[offsets[l]+idb] += bytes
-			if l++; l >= L {
-				break
-			}
-			ida = ida*m.Sys.Levels[l].Count + rad.Digit(a, l)
-			idb = idb*m.Sys.Levels[l].Count + rad.Digit(b, l)
+		for l := ldiv; l < L; l++ {
+			traffic[offsets[l]+m.Sys.EntityID(a, l)] += bytes
+			traffic[offsets[l]+m.Sys.EntityID(b, l)] += bytes
 		}
 	}
 	for _, g := range st.Groups {

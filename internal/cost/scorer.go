@@ -222,26 +222,17 @@ func (s *Scorer) addEdge(a, b int, bytes float64) {
 		return
 	}
 	offsets := s.sys.EntityOffsets()
-	rad := s.sys.Radix()
-	L := s.sys.NumLevels()
-	ida := s.sys.EntityID(a, ldiv)
-	idb := s.sys.EntityID(b, ldiv)
 	// Slower endpoint uplink at the divergence level, as in Model.StepTime.
-	lat := s.sys.LinkLatency(ldiv, ida)
-	if lb := s.sys.LinkLatency(ldiv, idb); lb > lat {
+	lat := s.sys.LinkLatency(ldiv, s.sys.EntityID(a, ldiv))
+	if lb := s.sys.LinkLatency(ldiv, s.sys.EntityID(b, ldiv)); lb > lat {
 		lat = lb
 	}
 	if lat > s.maxLat {
 		s.maxLat = lat
 	}
-	for l := ldiv; ; {
-		s.bump(offsets[l]+ida, bytes)
-		s.bump(offsets[l]+idb, bytes)
-		if l++; l >= L {
-			break
-		}
-		ida = ida*s.sys.Levels[l].Count + rad.Digit(a, l)
-		idb = idb*s.sys.Levels[l].Count + rad.Digit(b, l)
+	for l := ldiv; l < s.sys.NumLevels(); l++ {
+		s.bump(offsets[l]+s.sys.EntityID(a, l), bytes)
+		s.bump(offsets[l]+s.sys.EntityID(b, l), bytes)
 	}
 }
 

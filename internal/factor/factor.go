@@ -61,22 +61,6 @@ func OrderedFactorizations(n, k int) [][]int {
 	return out
 }
 
-// CountOrderedFactorizations returns len(OrderedFactorizations(n, k))
-// without materializing the slice.
-func CountOrderedFactorizations(n, k int) int {
-	if k == 1 {
-		return 1
-	}
-	total := 0
-	for _, d := range Divisors(n) {
-		_ = d
-	}
-	for _, d := range Divisors(n) {
-		total += CountOrderedFactorizations(n/d, k-1)
-	}
-	return total
-}
-
 // Product returns the product of xs, which is 1 for an empty slice.
 func Product(xs []int) int {
 	p := 1

@@ -331,7 +331,11 @@ func buildReduction(m *placement.Matrix, reduceAxes []int, opts Options) (*Hiera
 	rad := factor.NewRadix(sizes)
 	k := rad.Total()
 
-	// Enumerate replicas: all combinations of non-reduction coordinates.
+	// A device is the sum of per-axis offsets (placement.Matrix.Device),
+	// so replica v of leaf u is redOff[u] + freeOff[v]: the device of u's
+	// reduction coordinates with every free coordinate 0, plus that of
+	// replica v's free coordinates — all combinations of the non-reduction
+	// axes — with every reduction coordinate 0.
 	isRed := make([]bool, m.NumAxes())
 	for _, r := range reduceAxes {
 		isRed[r] = true
@@ -344,40 +348,58 @@ func buildReduction(m *placement.Matrix, reduceAxes []int, opts Options) (*Hiera
 		}
 	}
 	freeRad := factor.NewRadix(freeSizes)
-
-	leaves := make([][]int, k)
-	digits := make([]int, len(kept))
-	axisCoords := make([]int, m.NumAxes())
+	freeOff := make([]int, freeRad.Total())
+	freeCoords := make([]int, m.NumAxes())
 	freeDigits := make([]int, freeRad.Len())
-	for u := 0; u < k; u++ {
-		rad.DecodeInto(u, digits)
-		// Convert hierarchy digits to per-reduction-axis coordinates.
-		// Refs for one axis appear in root→leaf level order, so a
-		// multiply-accumulate per axis rebuilds its coordinate; dropped
-		// unit factors contribute digit 0 and change nothing.
-		var redCoord []int
-		if opts.Collapse {
-			redCoord = collapsedLeafToRedCoord(u, m, reduceAxes, kept, rad)
-		} else {
-			redCoord = make([]int, len(reduceAxes))
-			for p, ref := range kept {
-				if p == 0 {
-					continue // root
-				}
-				ri := indexOf(reduceAxes, ref.axis)
-				redCoord[ri] = redCoord[ri]*ref.size + digits[p]
+	for v := range freeOff {
+		freeRad.DecodeInto(v, freeDigits)
+		for idx, a := range freeAxes {
+			freeCoords[a] = freeDigits[idx]
+		}
+		freeOff[v] = m.Device(freeCoords)
+	}
+
+	// A leaf address has one digit per (reduction axis, level) factor,
+	// axis-major — or level-major when collapsed, a collapsed level
+	// packing its axes row-major; dropped unit levels are digit 0 either
+	// way. place is the digit's weight within its axis coordinate.
+	type leafDigit struct{ axis, size, place int }
+	var order []leafDigit
+	add := func(r, j int) {
+		place := factor.Product(m.X[r][j+1:])
+		order = append(order, leafDigit{r, m.X[r][j], place})
+	}
+	if opts.Collapse {
+		for j := range m.Hier {
+			for _, r := range reduceAxes {
+				add(r, j)
 			}
 		}
-		reps := make([]int, 0, freeRad.Total())
-		for v := 0; v < freeRad.Total(); v++ {
-			freeRad.DecodeInto(v, freeDigits)
-			for idx, a := range freeAxes {
-				axisCoords[a] = freeDigits[idx]
+	} else {
+		for _, r := range reduceAxes {
+			for j := range m.Hier {
+				add(r, j)
 			}
-			for idx, r := range reduceAxes {
-				axisCoords[r] = redCoord[idx]
-			}
-			reps = append(reps, m.Device(axisCoords))
+		}
+	}
+
+	leaves := make([][]int, k)
+	backing := make([]int, k*len(freeOff))
+	redCoords := make([]int, m.NumAxes())
+	for u := range leaves {
+		for _, r := range reduceAxes {
+			redCoords[r] = 0
+		}
+		rest := u
+		for p := len(order) - 1; p >= 0; p-- {
+			d := order[p]
+			redCoords[d.axis] += rest % d.size * d.place
+			rest /= d.size
+		}
+		redOff := m.Device(redCoords)
+		reps := backing[u*len(freeOff) : (u+1)*len(freeOff) : (u+1)*len(freeOff)]
+		for v, f := range freeOff {
+			reps[v] = redOff + f
 		}
 		leaves[u] = reps
 	}
@@ -399,41 +421,6 @@ func buildReduction(m *placement.Matrix, reduceAxes []int, opts Options) (*Hiera
 		ReductionLevel: refReduction(kept),
 		radix:          rad,
 	}, nil
-}
-
-// collapsedLeafToRedCoord decodes leaf u of a collapsed reduction hierarchy
-// into per-reduction-axis coordinates. Within a collapsed level, per-axis
-// digits are packed row-major (first reduction axis most significant).
-func collapsedLeafToRedCoord(u int, m *placement.Matrix, reduceAxes []int, kept []levelRef, rad *factor.Radix) []int {
-	redCoord := make([]int, len(reduceAxes))
-	digits := rad.Decode(u)
-	for p, ref := range kept {
-		if p == 0 || ref.axis != -2 {
-			continue
-		}
-		d := digits[p]
-		// Unpack row-major: last axis least significant.
-		sub := make([]int, len(reduceAxes))
-		for idx := len(reduceAxes) - 1; idx >= 0; idx-- {
-			f := m.X[reduceAxes[idx]][ref.level]
-			sub[idx] = d % f
-			d /= f
-		}
-		for idx := range reduceAxes {
-			f := m.X[reduceAxes[idx]][ref.level]
-			redCoord[idx] = redCoord[idx]*f + sub[idx]
-		}
-	}
-	return redCoord
-}
-
-func indexOf(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("hierarchy: %d not in %v", v, xs))
 }
 
 // keepRefs prepends the root and drops interior unit levels unless asked

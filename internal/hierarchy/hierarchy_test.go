@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"p2/internal/placement"
+	"p2/internal/topology"
 )
 
 // fig2dMatrix is the running example: hierarchy [1 2 2 4], axes [4 4],
@@ -220,6 +221,102 @@ func TestCollapsedMappingConsistent(t *testing.T) {
 		seen[d] = true
 		if !aset[d] {
 			t.Errorf("collapsed leaf device %d not in uncollapsed set", d)
+		}
+	}
+}
+
+// refLeaves is the per-replica construction of a reduction hierarchy's
+// Leaves: leaf u's reduction-axis coordinates are read off its digits (one
+// digit per (axis, level) factor — axis-major, or level-major when
+// collapsed; dropped unit levels are digit 0), replica v's free-axis
+// coordinates are v in mixed radix over the free axes, and each replica
+// is the Device holding those coordinates.
+func refLeaves(m *placement.Matrix, red []int, collapse bool) [][]int {
+	isRed := make([]bool, m.NumAxes())
+	for _, r := range red {
+		isRed[r] = true
+	}
+	var free []int
+	replicas := 1
+	for i := range m.Axes {
+		if !isRed[i] {
+			free = append(free, i)
+			replicas *= m.Axes[i]
+		}
+	}
+	type pos struct{ axis, level int }
+	var order []pos
+	if collapse {
+		for j := range m.Hier {
+			for _, r := range red {
+				order = append(order, pos{r, j})
+			}
+		}
+	} else {
+		for _, r := range red {
+			for j := range m.Hier {
+				order = append(order, pos{r, j})
+			}
+		}
+	}
+	k := 1
+	for _, r := range red {
+		k *= m.Axes[r]
+	}
+	leaves := make([][]int, k)
+	coords := make([]int, m.NumAxes())
+	for u := range leaves {
+		digit := make(map[pos]int, len(order))
+		for p, rest := len(order)-1, u; p >= 0; p-- {
+			f := m.X[order[p].axis][order[p].level]
+			digit[order[p]] = rest % f
+			rest /= f
+		}
+		for _, r := range red {
+			coords[r] = 0
+			for j := range m.Hier {
+				coords[r] = coords[r]*m.X[r][j] + digit[pos{r, j}]
+			}
+		}
+		for v := 0; v < replicas; v++ {
+			for i, rest := len(free)-1, v; i >= 0; i-- {
+				coords[free[i]] = rest % m.Axes[free[i]]
+				rest /= m.Axes[free[i]]
+			}
+			leaves[u] = append(leaves[u], m.Device(coords))
+		}
+	}
+	return leaves
+}
+
+// TestBuildReductionLeaves holds the reduction hierarchy's Leaves to the
+// per-replica Device construction on every placement of the determinism
+// matrix's shapes, with Collapse on and off.
+func TestBuildReductionLeaves(t *testing.T) {
+	cases := []struct {
+		sys       *topology.System
+		axes, red []int
+	}{
+		{topology.Fig2aSystem(), []int{4, 4}, []int{0}},
+		{topology.Fig2aSystem(), []int{2, 2, 4}, []int{0, 2}},
+		{topology.A100System(4), []int{4, 16}, []int{0}},
+		{topology.A100System(4), []int{16, 2, 2}, []int{0, 2}},
+		{topology.SuperPodSystem(2, 4), []int{8, 8}, []int{0}},
+		{topology.SuperPodSystem(3, 4), []int{12, 8}, []int{0}},
+	}
+	for _, tc := range cases {
+		ms, err := placement.Enumerate(tc.sys.Hierarchy(), tc.axes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			for _, collapse := range []bool{false, true} {
+				h := MustBuild(KindReductionAxes, m, tc.red, Options{Collapse: collapse})
+				if want := refLeaves(m, tc.red, collapse); !reflect.DeepEqual(h.Leaves, want) {
+					t.Errorf("%s %v r%v collapse=%v: Leaves = %v, want %v",
+						tc.sys.Name, m, tc.red, collapse, h.Leaves, want)
+				}
+			}
 		}
 	}
 }

@@ -128,12 +128,11 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				getRes(resKey{l, eb}, sys.LinkBandwidth(l, eb)))
 		}
 		if cd := sys.CrossDomain; cd != nil && !opts.DisableCrossDomain && ldiv == sys.NumLevels()-1 {
-			// Same node, leaf-level divergence: check PCIe domains.
+			// Same node, leaf-level divergence: check PCIe domains. The leaf
+			// coordinate is the address modulo the leaf count.
 			leaf := sys.Levels[len(sys.Levels)-1].Count
 			per := leaf / cd.DomainsPerNode
-			ca := sys.Coords(a)
-			cb := sys.Coords(b)
-			if ca[len(ca)-1]/per != cb[len(cb)-1]/per {
+			if a%leaf/per != b%leaf/per {
 				node := sys.EntityID(a, sys.NumLevels()-2)
 				out = append(out, getRes(resKey{domainLevel, node}, cd.Bandwidth))
 			}

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"p2/internal/factor"
-	"p2/internal/topology"
 )
 
 // Matrix is a parallelism matrix together with the hierarchy and axes it
@@ -31,11 +30,15 @@ type Matrix struct {
 
 	// devRadix encodes the fully expanded physical address: for each
 	// hardware level j the digits (y[0][j] ... y[m][j]) in axis order —
-	// i.e. the column-based expansion (hierarchy (b) of §3.4).
+	// i.e. the column-based expansion (hierarchy (b) of §3.4). Level j's
+	// digits form one block whose value is LevelCoord(dev, j), so the
+	// expanded address is the device id of a system with hierarchy Hier.
 	devRadix *factor.Radix
-	// axisRadix[i] encodes axis i's coordinate from its per-level digits
-	// (y[i][0] ... y[i][n]) — one row of the matrix.
-	axisRadix []*factor.Radix
+	// axisOff[i][a] is the device-id contribution of coordinate a on axis
+	// i: a's per-level digits (y[i][0] ... y[i][n], one row of the matrix)
+	// at their expanded-address weights. A device is linear in its axis
+	// coordinates, so Device sums one entry per axis.
+	axisOff [][]int
 }
 
 // NewMatrix validates and finalizes a matrix. The entries of x are copied.
@@ -100,9 +103,24 @@ func (m *Matrix) init() error {
 		}
 	}
 	m.devRadix = factor.NewRadix(sizes)
-	m.axisRadix = make([]*factor.Radix, len(m.Axes))
-	for i := range m.Axes {
-		m.axisRadix[i] = factor.NewRadix(m.X[i])
+	// Offset tables, all axes in one backing array: decode each axis
+	// coordinate by its row's radix, least significant level first, and
+	// place every digit at its expanded-address weight.
+	total := 0
+	for _, p := range m.Axes {
+		total += p
+	}
+	off := make([]int, total)
+	m.axisOff = make([][]int, len(m.Axes))
+	for i, p := range m.Axes {
+		m.axisOff[i], off = off[:p:p], off[p:]
+		for a := range m.axisOff[i] {
+			rest := a
+			for j := len(m.Hier) - 1; j >= 0; j-- {
+				m.axisOff[i][a] += rest % m.X[i][j] * m.devRadix.Weight(m.digitPos(i, j))
+				rest /= m.X[i][j]
+			}
+		}
 	}
 	return nil
 }
@@ -139,20 +157,18 @@ func (m *Matrix) AxisCoords(dev int) []int {
 	return out
 }
 
-// Device returns the physical device holding the given axis coordinates.
-// It is the inverse of AxisCoords.
+// Device returns the physical device holding the given axis coordinates:
+// the sum of their per-axis offsets. It is the inverse of AxisCoords and
+// panics on a coordinate outside its axis.
 func (m *Matrix) Device(axisCoords []int) int {
 	if len(axisCoords) != len(m.Axes) {
 		panic(fmt.Sprintf("placement: %d axis coords for %d axes", len(axisCoords), len(m.Axes)))
 	}
-	digits := make([]int, m.devRadix.Len())
+	dev := 0
 	for i, a := range axisCoords {
-		row := m.axisRadix[i].Decode(a)
-		for j := range m.Hier {
-			digits[m.digitPos(i, j)] = row[j]
-		}
+		dev += m.axisOff[i][a]
 	}
-	return m.devRadix.Encode(digits)
+	return dev
 }
 
 // FactorDigit returns the expanded-address digit of device dev belonging
@@ -171,16 +187,6 @@ func (m *Matrix) LevelCoord(dev, j int) int {
 		v = v*m.X[i][j] + m.devRadix.Digit(dev, m.digitPos(i, j))
 	}
 	return v
-}
-
-// PhysicalDevice converts dev (the matrix's expanded addressing) into the
-// device id used by the given system, which must have the same hierarchy.
-func (m *Matrix) PhysicalDevice(dev int, sys *topology.System) int {
-	coords := make([]int, len(m.Hier))
-	for j := range m.Hier {
-		coords[j] = m.LevelCoord(dev, j)
-	}
-	return sys.Device(coords)
 }
 
 // ReductionGroup returns the devices that must be reduced with dev for the

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"p2/internal/topology"
 )
 
 var (
@@ -86,6 +88,63 @@ func TestDeviceAxisBijectionQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMatrixDeviceOffsets: on every preset shape and one to three axes,
+// every matrix Iterate yields inverts AxisCoords on every device, its
+// expanded address is the system's device id, and Device itself
+// allocates nothing.
+func TestMatrixDeviceOffsets(t *testing.T) {
+	cases := []struct {
+		sys  *topology.System
+		axes [][]int
+	}{
+		{topology.Fig2aSystem(), [][]int{{16}, {4, 4}, {2, 2, 4}}},
+		{topology.A100System(1), [][]int{{16}, {2, 8}, {2, 2, 4}}},
+		{topology.A100System(2), [][]int{{32}, {4, 8}, {2, 4, 4}}},
+		{topology.A100System(3), [][]int{{48}, {3, 16}, {3, 4, 4}}},
+		{topology.A100System(4), [][]int{{64}, {4, 16}, {16, 2, 2}}},
+		{topology.V100System(2), [][]int{{16}, {2, 8}, {2, 2, 4}}},
+		{topology.V100System(4), [][]int{{32}, {4, 8}, {2, 4, 4}}},
+		{topology.SuperPodSystem(2, 2), [][]int{{32}, {4, 8}, {2, 4, 4}}},
+		{topology.SuperPodSystem(2, 4), [][]int{{64}, {8, 8}, {4, 4, 4}}},
+		{topology.SuperPodSystem(3, 4), [][]int{{96}, {12, 8}, {3, 4, 8}}},
+		{topology.SuperPodSystem(4, 8), [][]int{{256}, {16, 16}, {4, 8, 8}}},
+		{topology.SuperPodSystem(8, 16), [][]int{{32, 32}}},
+		{topology.SuperPodSystem(16, 32), [][]int{{64, 64}}},
+	}
+	for _, tc := range cases {
+		hier := tc.sys.Hierarchy()
+		for _, axes := range tc.axes {
+			n := 0
+			err := Iterate(hier, axes, func(m *Matrix) bool {
+				n++
+				for dev := 0; dev < m.NumDevices(); dev++ {
+					if back := m.Device(m.AxisCoords(dev)); back != dev {
+						t.Fatalf("%s %v %v: Device(AxisCoords(%d)) = %d", tc.sys.Name, axes, m, dev, back)
+					}
+					levels := make([]int, len(hier))
+					for j := range levels {
+						levels[j] = m.LevelCoord(dev, j)
+					}
+					if phys := tc.sys.Device(levels); phys != dev {
+						t.Fatalf("%s %v %v: device %d has system id %d", tc.sys.Name, axes, m, dev, phys)
+					}
+				}
+				coords := m.AxisCoords(m.NumDevices() - 1)
+				if a := testing.AllocsPerRun(10, func() { m.Device(coords) }); a != 0 {
+					t.Fatalf("%s %v %v: Device allocates %v times per call, want 0", tc.sys.Name, axes, m, a)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				t.Fatalf("%s %v: no matrices", tc.sys.Name, axes)
+			}
+		}
 	}
 }
 

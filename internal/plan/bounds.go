@@ -64,10 +64,15 @@ func placementBound(sys *topology.System, h *hierarchy.Hierarchy, bytes float64)
 // boundScratch is per-worker reusable scratch for placementBound: splits
 // holds the per-entity split-group counters (zeroed again by the final
 // max-scan before every return), ents the distinct entity ids of one
-// group at one level. The zero value is ready to use.
+// group at one level, deduplicated through seen — an entry equal to gen
+// marks an entity already in ents, so a new group and level needs only
+// gen++, not a clear (as Scorer.addTree's partition stamps). The zero
+// value is ready to use.
 type boundScratch struct {
 	splits []int
 	ents   []int
+	seen   []uint64
+	gen    uint64
 }
 
 // placementBound computes the admissible bound documented above with zero
@@ -85,7 +90,8 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 	L := sys.NumLevels()
 	offsets := sys.EntityOffsets()
 	if cap(bs.splits) < offsets[L] {
-		bs.splits = make([]int, offsets[L]) //p2:alloc-ok scratch growth to the largest system seen, amortized across a run's placements
+		bs.splits = make([]int, offsets[L])  //p2:alloc-ok scratch growth to the largest system seen, amortized across a run's placements
+		bs.seen = make([]uint64, offsets[L]) //p2:alloc-ok grows with splits, amortized likewise
 	}
 	splits := bs.splits[:offsets[L]]
 	crossed := L // root-most level any group spans (L = none)
@@ -101,16 +107,11 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 		for r := 0; r < reps; r++ {
 			for l := 0; l < L; l++ {
 				ents = ents[:0]
+				bs.gen++
 				for _, v := range grp {
 					e := sys.EntityID(h.Leaves[v][r], l)
-					known := false
-					for _, x := range ents {
-						if x == e {
-							known = true
-							break
-						}
-					}
-					if !known {
+					if bs.seen[offsets[l]+e] != bs.gen {
+						bs.seen[offsets[l]+e] = bs.gen
 						ents = append(ents, e) //p2:alloc-ok scratch growth is amortized; capacity is persisted to bs.ents and reused
 					}
 				}

@@ -214,14 +214,15 @@ func (s *System) Coords(dev int) []int { return s.radix.Decode(dev) }
 func (s *System) Device(coords []int) int { return s.radix.Encode(coords) }
 
 // DivergenceLevel returns the root-most level at which the addresses of a
-// and b differ, or -1 if a == b. Smaller return values mean communication
+// and b differ, or -1 if a == b: the first level whose entity ids (address
+// prefixes, see EntityID) differ. Smaller return values mean communication
 // crosses a higher (typically slower) interconnect.
 func (s *System) DivergenceLevel(a, b int) int {
 	if a == b {
 		return -1
 	}
-	for l := 0; l < len(s.Levels); l++ {
-		if s.radix.Digit(a, l) != s.radix.Digit(b, l) {
+	for l := range s.Levels {
+		if w := s.radix.Weight(l); a/w != b/w {
 			return l
 		}
 	}
@@ -250,14 +251,9 @@ func (s *System) GroupSpanLevel(group []int) int {
 
 // EntityID identifies the level-l entity (subtree) containing device dev:
 // the mixed-radix prefix of its address truncated at level l, encoded as a
-// single integer unique among level-l entities.
-func (s *System) EntityID(dev, l int) int {
-	id := 0
-	for i := 0; i <= l; i++ {
-		id = id*s.Levels[i].Count + s.radix.Digit(dev, i)
-	}
-	return id
-}
+// single integer unique among level-l entities. Dropping the digits below
+// level l is one quotient by their positional weight.
+func (s *System) EntityID(dev, l int) int { return dev / s.radix.Weight(l) }
 
 // EntitiesAt returns the number of level-l entities in the whole system.
 func (s *System) EntitiesAt(l int) int {

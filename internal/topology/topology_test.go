@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -116,6 +117,104 @@ func TestEntityID(t *testing.T) {
 	}
 	if got := s.EntitiesAt(2); got != 4 {
 		t.Errorf("EntitiesAt(cpu) = %d, want 4", got)
+	}
+}
+
+// digitFold is the digit-by-digit reference for the address arithmetic:
+// dev's per-level coordinates peeled off least significant first, an
+// entity id folded from the root down, the divergence level as the first
+// differing coordinate.
+type digitFold struct{ s *System }
+
+func (f digitFold) coords(dev int) []int {
+	c := make([]int, len(f.s.Levels))
+	for l := len(c) - 1; l >= 0; l-- {
+		c[l] = dev % f.s.Levels[l].Count
+		dev /= f.s.Levels[l].Count
+	}
+	return c
+}
+
+func (f digitFold) entity(dev, l int) int {
+	id := 0
+	for i, c := range f.coords(dev)[:l+1] {
+		id = id*f.s.Levels[i].Count + c
+	}
+	return id
+}
+
+func (f digitFold) divergence(a, b int) int {
+	ca, cb := f.coords(a), f.coords(b)
+	for l := range ca {
+		if ca[l] != cb[l] {
+			return l
+		}
+	}
+	return -1
+}
+
+func (f digitFold) span(group []int) int {
+	span := -1
+	for _, d := range group[1:] {
+		if l := f.divergence(group[0], d); l >= 0 && (span < 0 || l < span) {
+			span = l
+		}
+	}
+	return span
+}
+
+// TestEntityIDQuotient holds EntityID, DivergenceLevel and GroupSpanLevel
+// to the digit-fold reference on every preset shape, a non-power-of-two
+// NewSystem and an overridden system: every device at every level, and
+// seeded device pairs and groups.
+func TestEntityIDQuotient(t *testing.T) {
+	odd, err := New("odd",
+		[]Level{{Name: "a", Count: 3}, {Name: "b", Count: 5}, {Name: "c", Count: 7}},
+		[]Link{{Name: "x", Bandwidth: 1e9}, {Name: "y", Bandwidth: 2e9}, {Name: "z", Bandwidth: 4e9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := []*System{
+		A100System(1), A100System(2), A100System(3), A100System(4),
+		V100System(2), V100System(4), Fig2aSystem(),
+		SuperPodSystem(2, 2), SuperPodSystem(2, 4), SuperPodSystem(3, 4),
+		SuperPodSystem(4, 8), SuperPodSystem(8, 16), SuperPodSystem(16, 32),
+		odd,
+		SuperPodSystem(3, 4).MustWithOverrides(Throttle(2, 13, 10), Slow(1, 5, 4)),
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, s := range systems {
+		ref := digitFold{s}
+		n := s.NumDevices()
+		for d := 0; d < n; d++ {
+			for l := range s.Levels {
+				if got, want := s.EntityID(d, l), ref.entity(d, l); got != want {
+					t.Fatalf("%s: EntityID(%d, %d) = %d, want %d", s.Name, d, l, got, want)
+				}
+			}
+			if got := s.DivergenceLevel(d, d); got != -1 {
+				t.Fatalf("%s: DivergenceLevel(%d, %d) = %d, want -1", s.Name, d, d, got)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if i%2 == 1 { // a near pair: it diverges below the root
+				b = (a + rng.Intn(16)) % n
+			}
+			if got, want := s.DivergenceLevel(a, b), ref.divergence(a, b); got != want {
+				t.Fatalf("%s: DivergenceLevel(%d, %d) = %d, want %d", s.Name, a, b, got, want)
+			}
+			g := make([]int, 1+rng.Intn(8))
+			for j := range g {
+				g[j] = rng.Intn(n)
+				if i%2 == 1 {
+					g[j] = (a + rng.Intn(16)) % n
+				}
+			}
+			if got, want := s.GroupSpanLevel(g), ref.span(g); got != want {
+				t.Fatalf("%s: GroupSpanLevel(%v) = %d, want %d", s.Name, g, got, want)
+			}
+		}
 	}
 }
 
