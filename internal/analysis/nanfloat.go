@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // NaNFloat flags float comparisons written in NaN-unsafe form. The
@@ -19,15 +20,17 @@ import (
 //     should use math.IsInf, self-comparisons math.IsNaN. Sites whose
 //     operands are validated finite upstream annotate //p2:nan-ok <why>.
 //   - `if x <= c` / `if x < c` guards (float x, constant c) whose body
-//     exits early — the NaN-unsafe validation shape; rewrite the
-//     condition as !(x > c) so NaN takes the rejecting branch.
+//     exits early — the NaN-unsafe validation shape — or assigns to x —
+//     the NaN-unsafe defaulting shape, `if x <= 0 { x = def }`; rewrite
+//     the condition as !(x > c) so NaN takes the rejecting (defaulting)
+//     branch.
 //   - math.Max / math.Min — both propagate NaN asymmetrically (NaN wins
 //     or loses depending on argument order); explicit comparisons or a
 //     NaN-aware helper make the intent visible.
 var NaNFloat = &Analyzer{
 	Name: "nanfloat",
-	Doc: "flag NaN-unsafe float comparisons: ==/!= on floats, `x <= c` early-exit guards that " +
-		"should read !(x > c) so NaN is rejected, and math.Max/Min on possibly-NaN values",
+	Doc: "flag NaN-unsafe float comparisons: ==/!= on floats, `x <= c` early-exit or defaulting guards that " +
+		"should read !(x > c) so NaN is rejected or defaulted, and math.Max/Min on possibly-NaN values",
 	AppliesTo: inEngine,
 	Run:       runNaNFloat,
 }
@@ -116,12 +119,11 @@ func exprString(e ast.Expr) string {
 
 // checkGuardComparisons flags NaN-unsafe validation guards: a float
 // comparison against a constant inside an if condition whose body exits
-// early (return / panic / continue / break). NaN fails `x <= c`, so the
-// "bad value" branch never runs for NaN; `!(x > c)` routes NaN into it.
+// early (return / panic / continue / break) or assigns to the compared
+// expression (defaulting). NaN fails `x <= c`, so the "bad value" branch
+// never runs for NaN; `!(x > c)` routes NaN into it.
 func checkGuardComparisons(pass *Pass, ifs *ast.IfStmt) {
-	if !terminates(ifs.Body) {
-		return
-	}
+	exits := terminates(ifs.Body)
 	ast.Inspect(ifs.Cond, func(n ast.Node) bool {
 		if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.NOT {
 			// !(x >= 0 && x < 1) is the blessed NaN-proof shape: NaN fails
@@ -151,18 +153,34 @@ func checkGuardComparisons(pass *Pass, ifs *ast.IfStmt) {
 		if !isFloat(pass, v) || !isConstExpr(pass, c) || isConstExpr(pass, v) {
 			return true
 		}
-		if pass.Annot.Covers(be.Pos(), MarkerNanOk) {
+		if !(exits || assignsTo(ifs.Body, exprString(v))) || pass.Annot.Covers(be.Pos(), MarkerNanOk) {
 			return true
+		}
+		shape, slip, fix := "validation", "slips past the early exit", "takes the rejecting branch"
+		if !exits {
+			shape, slip, fix = "defaulting", "keeps its value", "is defaulted too"
 		}
 		inverse := ">"
 		if op == token.LSS {
 			inverse = ">="
 		}
 		pass.Reportf(be.Pos(),
-			fmt.Sprintf("write !(x %s c) so NaN takes the rejecting branch, or annotate //p2:nan-ok <why>", inverse),
-			"NaN-unsafe validation guard: NaN fails %s and slips past the early exit", op)
+			fmt.Sprintf("write !(x %s c) so NaN %s, or annotate //p2:nan-ok <why>", inverse, fix),
+			"NaN-unsafe %s guard: NaN fails %s and %s", shape, op, slip)
 		return true
 	})
+}
+
+// assignsTo reports whether a statement of the block assigns to the
+// expression rendered as name (see exprString; "" never matches).
+func assignsTo(b *ast.BlockStmt, name string) bool {
+	for _, st := range b.List {
+		if as, ok := st.(*ast.AssignStmt); ok && name != "" &&
+			slices.ContainsFunc(as.Lhs, func(e ast.Expr) bool { return exprString(e) == name }) {
+			return true
+		}
+	}
+	return false
 }
 
 // terminates reports whether the block's last statement exits the

@@ -23,6 +23,37 @@ func validateStrict(w float64) float64 {
 	return w
 }
 
+// spec mirrors a request whose zero payload inherits a default.
+type spec struct{ Bytes float64 }
+
+// defaultBad is the defaulting form of the same bug: a NaN payload fails
+// `<= 0`, skips the reassignment and is used as is — the shape of the NaN
+// holes in p2's Request.withDefaults and netsim's ConcurrentSpec.normalized.
+func defaultBad(c spec, def float64) spec {
+	if c.Bytes <= 0 { // want "NaN-unsafe defaulting guard: NaN fails <= and keeps its value"
+		c.Bytes = def
+	}
+	return c
+}
+
+// defaultGood defaults NaN along with the non-positive payloads.
+func defaultGood(c spec, def float64) spec {
+	if !(c.Bytes > 0) {
+		c.Bytes = def
+	}
+	return c
+}
+
+// clampOther assigns something other than the compared value: not a
+// defaulting guard, not flagged.
+func clampOther(x float64) (float64, bool) {
+	neg := false
+	if x < 0 {
+		neg = true
+	}
+	return x, neg
+}
+
 // validateGood is the blessed NaN-proof convention: NaN fails the inner
 // comparison, so the negation routes it into the rejecting branch.
 func validateGood(bytes float64) float64 {

@@ -95,10 +95,9 @@ type Model struct {
 }
 
 // StepTime predicts the duration of one lowered step. Per-uplink traffic
-// is accumulated in dense slices indexed by (level offset + entity id)
-// rather than a map — planning scores thousands of steps and the map
-// dominated its profile; the arithmetic (and therefore every predicted
-// float) is unchanged.
+// is accumulated in a dense slice indexed the way topology.System.Route
+// numbers uplinks: every schedule link's volume is added to each uplink on
+// its route, levels from the divergence level down, endpoint a then b.
 func (m *Model) StepTime(st lower.Step) float64 {
 	perDevice := st.FracIn() * m.Bytes
 	L := m.Sys.NumLevels()
@@ -106,42 +105,27 @@ func (m *Model) StepTime(st lower.Step) float64 {
 	traffic := make([]float64, offsets[L])
 	maxRounds := 0
 	maxLatency := 0.0
-	// route sends one link's volume through the uplinks it traverses: at
-	// every level from the divergence level down, both endpoints' entities
-	// (address quotients, see topology.System.EntityID).
-	route := func(a, b int, bytes float64) {
-		ldiv := m.Sys.DivergenceLevel(a, b)
-		if ldiv < 0 {
-			return
-		}
-		// The transfer's latency is that of the slower of the two
-		// endpoints' uplinks at the divergence level; without overrides
-		// both equal Uplinks[ldiv].Latency.
-		lat := m.Sys.LinkLatency(ldiv, m.Sys.EntityID(a, ldiv))
-		if lb := m.Sys.LinkLatency(ldiv, m.Sys.EntityID(b, ldiv)); lb > lat {
-			lat = lb
-		}
-		if lat > maxLatency {
-			maxLatency = lat
-		}
-		for l := ldiv; l < L; l++ {
-			traffic[offsets[l]+m.Sys.EntityID(a, l)] += bytes
-			traffic[offsets[l]+m.Sys.EntityID(b, l)] += bytes
-		}
-	}
+	var tree treePartition
+	var edges []relEdge
+	var path []int
 	for _, g := range st.Groups {
 		sch := ScheduleOf(st.Op, m.Algo, len(g), perDevice)
 		if sch.LatencyRounds > maxRounds {
 			maxRounds = sch.LatencyRounds
 		}
 		if sch.Pattern == PatternTree {
-			for _, link := range TreeLinks(m.Sys, g) {
-				route(link[0], link[1], sch.LinkBytes)
-			}
-			continue
+			edges = tree.edges(m.Sys, g, sch.LinkBytes, edges[:0])
+		} else {
+			edges = sch.edges()
 		}
-		for _, e := range sch.edges() {
-			route(g[e.a], g[e.b], e.bytes)
+		for _, e := range edges {
+			path = m.Sys.Route(g[e.a], g[e.b], path[:0])
+			if lat := endpointLatency(m.Sys, path); lat > maxLatency {
+				maxLatency = lat
+			}
+			for _, i := range path {
+				traffic[i] += e.bytes
+			}
 		}
 	}
 	// Each entity's uplink has its own effective bandwidth. A down link
@@ -157,6 +141,27 @@ func (m *Model) StepTime(st lower.Step) float64 {
 		}
 	}
 	return worst + float64(maxRounds)*maxLatency
+}
+
+// endpointLatency is the analytic model's latency rule for a transfer
+// routed over path (topology.System.Route): the slower of the two
+// endpoints' uplinks at the divergence level, path[0] and path[1]; 0 for a
+// transfer that never leaves its device. Without overrides both equal
+// Uplinks[ldiv].Latency. The emulator charges the slowest link on the whole
+// path instead (netsim's network.latency); the two rules differ on purpose.
+//
+//p2:zeroalloc
+func endpointLatency(sys *topology.System, path []int) float64 {
+	if len(path) == 0 {
+		return 0
+	}
+	ldiv := sys.NumLevels() - len(path)/2
+	off := sys.EntityOffsets()[ldiv]
+	lat := sys.LinkLatency(ldiv, path[0]-off)
+	if lb := sys.LinkLatency(ldiv, path[1]-off); lb > lat {
+		lat = lb
+	}
+	return lat
 }
 
 // ProgramTime predicts the end-to-end duration of a lowered program: the
@@ -244,33 +249,64 @@ func FormatAlgos(fixed Algorithm, stepAlgos []Algorithm) string {
 // balanced binary tree (NCCL's inter-node double binary tree, approximated
 // by a single tree). For groups with one member per entity this degenerates
 // to a plain binary tree. It is PatternTree's link formula, shared with the
-// event-level emulator so both simulators model the same schedule.
+// event-level emulator so both simulators model the same schedule; the
+// analytic model and the Scorer run the same partition (treePartition)
+// over reusable scratch.
 func TreeLinks(sys *topology.System, g []int) [][2]int {
+	edges := new(treePartition).edges(sys, g, 0, nil)
+	out := make([][2]int, len(edges))
+	for i, e := range edges {
+		out[i] = [2]int{g[e.a], g[e.b]}
+	}
+	return out
+}
+
+// treePartition is the one implementation of the Tree pattern's partition.
+// parts are reused member buckets; partOf maps a span-level entity id to
+// its bucket for the current call, and partGen marks which entries of
+// partOf are live, so no call clears them.
+type treePartition struct {
+	parts   [][]int
+	partOf  []int
+	partGen []uint64
+	gen     uint64
+}
+
+// edges appends to out the links of TreeLinks' tree over g in group-index
+// space, each carrying bytes: the binary tree across partition heads in
+// first-occurrence order, then the chain within each partition.
+//
+//p2:zeroalloc
+func (t *treePartition) edges(sys *topology.System, g []int, bytes float64, out []relEdge) []relEdge {
 	span := sys.GroupSpanLevel(g)
 	if span < 0 {
-		return nil
+		return out
 	}
-	// Partition members by their span-level entity, in group order.
-	var parts [][]int
-	idx := map[int]int{}
-	for _, d := range g {
+	if n := sys.EntitiesAt(span); len(t.partOf) < n {
+		t.partOf, t.partGen = make([]int, n), make([]uint64, n) //p2:alloc-ok sized once per deeper span level seen; steady state reuses it
+	}
+	t.gen++
+	np := 0
+	for i, d := range g {
 		e := sys.EntityID(d, span)
-		if p, ok := idx[e]; ok {
-			parts[p] = append(parts[p], d)
-		} else {
-			idx[e] = len(parts)
-			parts = append(parts, []int{d})
+		if t.partGen[e] != t.gen {
+			t.partGen[e] = t.gen
+			if np == len(t.parts) {
+				t.parts = append(t.parts, nil) //p2:alloc-ok bucket-list growth is amortized across calls; steady state reuses the buckets
+			}
+			t.parts[np] = t.parts[np][:0]
+			t.partOf[e] = np
+			np++
 		}
+		pi := t.partOf[e]
+		t.parts[pi] = append(t.parts[pi], i) //p2:alloc-ok buckets are reset to [:0] and their capacity reused; growth is amortized
 	}
-	out := make([][2]int, 0, len(g)-1)
-	// Binary tree across partition heads.
-	for i := 1; i < len(parts); i++ {
-		out = append(out, [2]int{parts[(i-1)/2][0], parts[i][0]})
+	for i := 1; i < np; i++ {
+		out = append(out, relEdge{t.parts[(i-1)/2][0], t.parts[i][0], bytes}) //p2:alloc-ok appends into the caller's reused buffer
 	}
-	// Chain within each partition.
-	for _, p := range parts {
+	for _, p := range t.parts[:np] {
 		for j := 1; j < len(p); j++ {
-			out = append(out, [2]int{p[j-1], p[j]})
+			out = append(out, relEdge{p[j-1], p[j], bytes}) //p2:alloc-ok appends into the caller's reused buffer
 		}
 	}
 	return out

@@ -121,8 +121,8 @@ type relEdge struct {
 }
 
 // edges expands the analytic view of a ring, chain or halving-doubling
-// schedule (a tree's links are TreeLinks of the concrete group) into one
-// exact-capacity slice: the Scorer's memo misses on every fresh plan, so
+// schedule (a tree's links come from treePartition over the concrete group)
+// into one exact-capacity slice: the Scorer's memo misses on every fresh plan, so
 // this is on the planner's hot path. Routing a link bumps both endpoints'
 // uplinks by the same amount and all links of one halving-doubling level
 // carry the same bytes, so the order inside a level is free (it is the

@@ -25,11 +25,12 @@ import (
 //     edges are cached in group-index space and mapped through the
 //     concrete group on replay. Tree schedules depend on the members'
 //     hardware entities, so they are expanded per group, but into reusable
-//     partition scratch.
+//     partition and edge scratch.
 //
 // The accumulation order — groups in step order, edges in schedule order,
-// the same level-descent per edge — matches Model.StepTime exactly, so
-// every float (and therefore every ranking) is unchanged.
+// each edge's route (topology.System.Route, into reusable path scratch) —
+// matches Model.StepTime exactly, so every float (and therefore every
+// ranking) is unchanged.
 //
 // A Scorer is bound to one System and is not safe for concurrent use; give
 // each worker its own.
@@ -41,14 +42,9 @@ type Scorer struct {
 
 	sched map[schedKey][]relEdge
 
-	// Tree-expansion scratch: parts are reused member buckets, partOf maps
-	// a span-level entity id to its bucket for the current expansion, and
-	// partGen marks which entries of partOf are live (avoiding a clear per
-	// expansion).
-	parts   [][]int
-	partOf  []int
-	partGen []uint64
-	gen     uint64
+	tree      treePartition
+	treeEdges []relEdge
+	path      []int
 
 	// Per-step accumulators, reset by StepTimeAlgo.
 	maxLat float64
@@ -68,13 +64,8 @@ func NewScorer(sys *topology.System) *Scorer {
 		sys:     sys,
 		traffic: make([]float64, offsets[sys.NumLevels()]),
 		sched:   map[schedKey][]relEdge{},
-		partOf:  make([]int, sys.NumDevices()),
-		partGen: make([]uint64, sys.NumDevices()),
 	}
 }
-
-// Sys returns the system the scorer is bound to.
-func (s *Scorer) Sys() *topology.System { return s.sys }
 
 // StepTime predicts the duration of one lowered step under m, exactly as
 // m.StepTime would. m.Sys must be the scorer's system.
@@ -144,10 +135,15 @@ func (s *Scorer) ProgramTime(m *Model, p *lower.Program) float64 {
 //p2:zeroalloc
 func (s *Scorer) addGroup(op collective.Op, algo Algorithm, g []int, perDevice float64) int {
 	sch := ScheduleOf(op, algo, len(g), perDevice)
+	var edges []relEdge
 	if sch.Pattern == PatternTree {
-		s.addTree(g, sch.LinkBytes)
+		s.treeEdges = s.tree.edges(s.sys, g, sch.LinkBytes, s.treeEdges[:0])
+		edges = s.treeEdges
 	} else {
-		s.addRel(g, s.structural(sch))
+		edges = s.structural(sch)
+	}
+	for _, e := range edges {
+		s.addEdge(g[e.a], g[e.b], e.bytes)
 	}
 	return sch.LatencyRounds
 }
@@ -164,75 +160,18 @@ func (s *Scorer) structural(sch Schedule) []relEdge {
 	return edges
 }
 
-// addRel replays cached relative edges over the concrete group.
-//
-//p2:zeroalloc
-func (s *Scorer) addRel(g []int, edges []relEdge) {
-	for _, e := range edges {
-		s.addEdge(g[e.a], g[e.b], e.bytes)
-	}
-}
-
-// addTree accumulates the hierarchical tree schedule over g, reproducing
-// TreeLinks' edge order (binary tree across partition heads in
-// first-occurrence order, then chains within partitions) without its
-// allocations.
-//
-//p2:zeroalloc
-func (s *Scorer) addTree(g []int, bytes float64) {
-	span := s.sys.GroupSpanLevel(g)
-	if span < 0 {
-		return
-	}
-	s.gen++
-	np := 0
-	for _, d := range g {
-		e := s.sys.EntityID(d, span)
-		if s.partGen[e] != s.gen {
-			s.partGen[e] = s.gen
-			if np == len(s.parts) {
-				s.parts = append(s.parts, nil) //p2:alloc-ok bucket-list growth is amortized across steps; steady state reuses the buckets
-			}
-			s.parts[np] = s.parts[np][:0]
-			s.partOf[e] = np
-			np++
-		}
-		pi := s.partOf[e]
-		s.parts[pi] = append(s.parts[pi], d) //p2:alloc-ok buckets are reset to [:0] and their capacity reused; growth is amortized
-	}
-	for i := 1; i < np; i++ {
-		s.addEdge(s.parts[(i-1)/2][0], s.parts[i][0], bytes)
-	}
-	for i := 0; i < np; i++ {
-		p := s.parts[i]
-		for j := 1; j < len(p); j++ {
-			s.addEdge(p[j-1], p[j], bytes)
-		}
-	}
-}
-
 // addEdge routes one transfer through the uplinks it traverses — the body
 // of Model.StepTime's accumulation loop, accumulating into the dirty-
 // tracked scratch instead of a fresh slice.
 //
 //p2:zeroalloc
 func (s *Scorer) addEdge(a, b int, bytes float64) {
-	ldiv := s.sys.DivergenceLevel(a, b)
-	if ldiv < 0 {
-		return
-	}
-	offsets := s.sys.EntityOffsets()
-	// Slower endpoint uplink at the divergence level, as in Model.StepTime.
-	lat := s.sys.LinkLatency(ldiv, s.sys.EntityID(a, ldiv))
-	if lb := s.sys.LinkLatency(ldiv, s.sys.EntityID(b, ldiv)); lb > lat {
-		lat = lb
-	}
-	if lat > s.maxLat {
+	s.path = s.sys.Route(a, b, s.path[:0])
+	if lat := endpointLatency(s.sys, s.path); lat > s.maxLat {
 		s.maxLat = lat
 	}
-	for l := ldiv; l < s.sys.NumLevels(); l++ {
-		s.bump(offsets[l]+s.sys.EntityID(a, l), bytes)
-		s.bump(offsets[l]+s.sys.EntityID(b, l), bytes)
+	for _, i := range s.path {
+		s.bump(i, bytes)
 	}
 }
 

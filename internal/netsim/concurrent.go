@@ -13,7 +13,7 @@ import (
 type ConcurrentSpec struct {
 	// Program is the lowered program this lane executes.
 	Program *lower.Program
-	// Bytes is the per-device payload; <= 0 inherits the simulator's.
+	// Bytes is the per-device payload; <= 0 or NaN inherits the simulator's.
 	Bytes float64
 	// Algo is the lane's algorithm, honored only with HasAlgo set —
 	// the explicit-set marker exists because the zero Algorithm value is
@@ -28,13 +28,13 @@ type ConcurrentSpec struct {
 }
 
 // normalized resolves the spec's inherit-from-simulator defaults into
-// explicit values: a non-positive payload becomes the simulator's Bytes, an
-// unset algorithm the simulator's Algo, and a uniform per-step assignment
-// collapses to the fixed algorithm it names. It is the single place spec
+// explicit values: a non-positive or NaN payload becomes the simulator's
+// Bytes, an unset algorithm the simulator's Algo, and a uniform per-step
+// assignment collapses to the fixed algorithm it names. It is the single place spec
 // defaulting happens, so every spelling of the same assignment — and
 // MeasureSteps, which is a lone default spec — measures the same float.
 func (c ConcurrentSpec) normalized(s *Simulator) ConcurrentSpec {
-	if c.Bytes <= 0 {
+	if !(c.Bytes > 0) {
 		c.Bytes = s.Bytes
 	}
 	if !c.HasAlgo {
@@ -103,42 +103,8 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 	}
 	opts := s.Opts.effective()
 	sys := s.Sys
-
-	resIdx := map[resKey]int{}
-	var resources []resource
-	getRes := func(k resKey, bw float64) int {
-		if i, ok := resIdx[k]; ok {
-			return i
-		}
-		resources = append(resources, resource{bandwidth: bw})
-		resIdx[k] = len(resources) - 1
-		return len(resources) - 1
-	}
-	pathOf := func(a, b int) []int {
-		ldiv := sys.DivergenceLevel(a, b)
-		if ldiv < 0 {
-			return nil
-		}
-		var out []int
-		for l := ldiv; l < sys.NumLevels(); l++ {
-			ea := sys.EntityID(a, l)
-			eb := sys.EntityID(b, l)
-			out = append(out,
-				getRes(resKey{l, ea}, sys.LinkBandwidth(l, ea)),
-				getRes(resKey{l, eb}, sys.LinkBandwidth(l, eb)))
-		}
-		if cd := sys.CrossDomain; cd != nil && !opts.DisableCrossDomain && ldiv == sys.NumLevels()-1 {
-			// Same node, leaf-level divergence: check PCIe domains. The leaf
-			// coordinate is the address modulo the leaf count.
-			leaf := sys.Levels[len(sys.Levels)-1].Count
-			per := leaf / cd.DomainsPerNode
-			if a%leaf/per != b%leaf/per {
-				node := sys.EntityID(a, sys.NumLevels()-2)
-				out = append(out, getRes(resKey{domainLevel, node}, cd.Bandwidth))
-			}
-		}
-		return out
-	}
+	net := newNetwork(sys, opts)
+	var path []int // latency scratch
 
 	lanes := make([]*lane, len(specs))
 	unfinished := 0
@@ -189,7 +155,8 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			lat := 0.0
 			for _, rd := range rounds {
 				for _, tr := range rd {
-					if l := s.pathLatency(tr.src, tr.dst); l > lat {
+					path = net.route(tr.src, tr.dst, path[:0])
+					if l := net.latency(path); l > lat {
 						lat = l
 					}
 				}
@@ -203,14 +170,19 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 		g := &ln.groups[gi]
 		round := g.rounds[g.next]
 		g.next++
+		// One backing array holds the round's paths: a route loads at most
+		// two uplinks per level plus a cross-domain slot.
+		paths := make([]int, 0, len(round)*(2*sys.NumLevels()+1))
 		for ti, spec := range round {
 			b := spec.bytes
 			if !opts.DisableNoise {
 				b *= 1 + opts.NoiseFrac*ln.noise.next(ln.step, gi, g.next, ti)
 			}
+			start := len(paths)
+			paths = net.route(spec.src, spec.dst, paths)
 			tr := &transfer{
 				remaining: b,
-				paths:     pathOf(spec.src, spec.dst),
+				paths:     paths[start:len(paths):len(paths)],
 				lane:      li,
 				group:     gi,
 				src:       spec.src,
@@ -220,7 +192,7 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			}
 			for _, ri := range tr.paths {
 				//p2:nan-ok link rates are validated finite by (*System).init; exact 0 is the down-link sentinel
-				if resources[ri].bandwidth == 0 {
+				if net.links[ri].bandwidth == 0 {
 					tr.stalled = true
 				}
 			}
@@ -228,7 +200,7 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				stalled++
 			} else {
 				for _, ri := range tr.paths {
-					resources[ri].active++
+					net.links[ri].active++
 				}
 			}
 			active = append(active, tr)
@@ -280,7 +252,7 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			}
 			rate := math.Inf(1)
 			for _, ri := range tr.paths {
-				r := resources[ri].bandwidth / float64(resources[ri].active)
+				r := net.links[ri].bandwidth / float64(net.links[ri].active)
 				if r < rate {
 					rate = r
 				}
@@ -326,6 +298,7 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			}
 			panic("netsim: deadlock with no progress")
 		}
+		//p2:nan-ok dt starts at +Inf and only ever takes a value that compared < it, which NaN never does; the clamp absorbs rounding
 		if dt < 0 {
 			dt = 0
 		}
@@ -361,7 +334,7 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				})
 			}
 			for _, ri := range tr.paths {
-				resources[ri].active--
+				net.links[ri].active--
 			}
 			g := &ln.groups[tr.group]
 			g.inflight--

@@ -12,7 +12,9 @@ import (
 // TestConcurrentSpecDefaultsMatchMeasureSteps is the spec-normalisation
 // table: a lone spec that inherits every default (payload, algorithm,
 // per-step assignment) must produce the exact float MeasureSteps produces,
-// for every way of spelling the same assignment.
+// for every way of spelling the same assignment. A NaN payload inherits the
+// simulator's like a non-positive one (it used to slip past a `<= 0` guard
+// and deadlock the event loop).
 func TestConcurrentSpecDefaultsMatchMeasureSteps(t *testing.T) {
 	lp := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0},
 		synth.BaselineAllReduce())
@@ -26,6 +28,7 @@ func TestConcurrentSpecDefaultsMatchMeasureSteps(t *testing.T) {
 	specs := map[string]ConcurrentSpec{
 		"zero value":        {Program: lp},
 		"explicit payload":  {Program: lp, Bytes: sim.Bytes},
+		"NaN payload":       {Program: lp, Bytes: math.NaN()},
 		"explicit algo":     {Program: lp, Algo: cost.Ring, HasAlgo: true},
 		"uniform stepAlgos": {Program: lp, StepAlgos: uniform},
 	}

@@ -149,18 +149,69 @@ func (s *Simulator) MeasureSteps(p *lower.Program, stepAlgos []cost.Algorithm) f
 	return s.MeasureConcurrentSpecs([]ConcurrentSpec{{Program: p, StepAlgos: stepAlgos}})[0]
 }
 
-// resource is a contended link: an uplink (level >= 0) or a V100
-// cross-domain path (level == domainLevel).
+// resource is a contended link: an entity's uplink or a node's V100
+// cross-domain path.
 type resource struct {
-	bandwidth float64
-	active    int
+	bandwidth, latency float64
+	active             int
 }
 
-const domainLevel = -1
+// network is one measurement's link table, indexed the way
+// topology.System.Route numbers uplinks (entity e of level l at
+// EntityOffsets()[l]+e), then one cross-domain slot per node. leaf is a
+// node's device count; perDomain, the devices per PCIe domain, is 0 when
+// cross-domain throttling is off.
+type network struct {
+	sys             *topology.System
+	links           []resource
+	leaf, perDomain int
+}
 
-type resKey struct {
-	level  int
-	entity int
+func newNetwork(sys *topology.System, opts Options) *network {
+	L, off := sys.NumLevels(), sys.EntityOffsets()
+	n := &network{sys: sys, leaf: sys.Levels[L-1].Count}
+	n.links = make([]resource, 0, off[L]+sys.NumDevices()/n.leaf)
+	for l := range L {
+		for e := range off[l+1] - off[l] {
+			n.links = append(n.links, resource{bandwidth: sys.LinkBandwidth(l, e), latency: sys.LinkLatency(l, e)})
+		}
+	}
+	if cd := sys.CrossDomain; cd != nil && !opts.DisableCrossDomain {
+		n.perDomain = n.leaf / cd.DomainsPerNode
+		for range sys.NumDevices() / n.leaf {
+			n.links = append(n.links, resource{bandwidth: cd.Bandwidth, latency: cd.Latency})
+		}
+	}
+	return n
+}
+
+// route appends to path the links a transfer a→b loads: its uplinks
+// (topology.System.Route) and, for a leaf-level route between two PCIe
+// domains of one node, that node's cross-domain slot.
+func (n *network) route(a, b int, path []int) []int {
+	start := len(path)
+	path = n.sys.Route(a, b, path)
+	if n.perDomain > 0 && len(path)-start == 2 && a%n.leaf/n.perDomain != b%n.leaf/n.perDomain {
+		path = append(path, n.sys.EntityOffsets()[n.sys.NumLevels()]+a/n.leaf)
+	}
+	return path
+}
+
+// latency is the emulator's latency rule for a transfer routed over path:
+// the slowest link on the path and, on a system that models PCIe domains,
+// at least the cross-domain latency; the analytic model charges only the
+// slower endpoint uplink at the divergence level (DESIGN.md §7).
+func (n *network) latency(path []int) float64 {
+	lat := 0.0
+	for _, i := range path {
+		if l := n.links[i].latency; l > lat {
+			lat = l
+		}
+	}
+	if cd := n.sys.CrossDomain; cd != nil && len(path) > 0 && cd.Latency > lat {
+		lat = cd.Latency
+	}
+	return lat
 }
 
 // transferSpec is one point-to-point copy within a round.
@@ -172,7 +223,7 @@ type transferSpec struct {
 // transfer is a live transfer.
 type transfer struct {
 	remaining float64
-	paths     []int // resource indices
+	paths     []int // network.links indices
 	lane      int
 	group     int
 	rate      float64
@@ -200,26 +251,6 @@ type groupRun struct {
 // pending reports whether the group is between rounds, waiting out its
 // latency before the next one.
 func (g *groupRun) pending() bool { return g.inflight == 0 && g.next < len(g.rounds) }
-
-func (s *Simulator) pathLatency(a, b int) float64 {
-	ldiv := s.Sys.DivergenceLevel(a, b)
-	if ldiv < 0 {
-		return 0
-	}
-	lat := 0.0
-	for l := ldiv; l < s.Sys.NumLevels(); l++ {
-		if la := s.Sys.LinkLatency(l, s.Sys.EntityID(a, l)); la > lat {
-			lat = la
-		}
-		if lb := s.Sys.LinkLatency(l, s.Sys.EntityID(b, l)); lb > lat {
-			lat = lb
-		}
-	}
-	if cd := s.Sys.CrossDomain; cd != nil && cd.Latency > lat {
-		lat = cd.Latency
-	}
-	return lat
-}
 
 // scheduleRounds unrolls the emulator view of cost.ScheduleOf — the same
 // schedule value the analytic model consumes — over one concrete group into
@@ -294,20 +325,13 @@ func scheduleRounds(sys *topology.System, op collective.Op, g []int, perDevice f
 	return rounds
 }
 
-// FuseAllReduces applies the XLA peephole: consecutive AllReduce steps are
+// fuseStepsAlgos applies the XLA peephole: consecutive AllReduce steps are
 // merged into a single AllReduce over the connected components of their
-// groups. The resulting step reduces exactly the same data (AllReduce
-// composition is associative over components), so this is semantics
-// preserving; it is exposed for tests and ablations.
-func FuseAllReduces(steps []lower.Step) []lower.Step {
-	out, _ := fuseStepsAlgos(steps, nil)
-	return out
-}
-
-// fuseStepsAlgos is FuseAllReduces carrying an optional per-step algorithm
-// assignment alongside: steps assigned different algorithms would not be
-// fused by XLA into one collective, so they only merge when their
-// algorithms agree, and the fused step inherits the shared algorithm.
+// groups, which reduces exactly the same data (AllReduce composition is
+// associative over components). An optional per-step algorithm assignment
+// rides alongside: steps assigned different algorithms would not be fused
+// by XLA into one collective, so they only merge when their algorithms
+// agree, and the fused step inherits the shared algorithm.
 func fuseStepsAlgos(steps []lower.Step, algos []cost.Algorithm) ([]lower.Step, []cost.Algorithm) {
 	out := make([]lower.Step, 0, len(steps))
 	var outAlgos []cost.Algorithm

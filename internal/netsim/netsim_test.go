@@ -134,7 +134,7 @@ func TestFuseAllReduces(t *testing.T) {
 		{Op: collective.AllReduce, Groups: [][]int{{0, 1}, {2, 3}}, Rows: 4, RowsOut: 4, K: 4},
 		{Op: collective.AllReduce, Groups: [][]int{{0, 2}, {1, 3}}, Rows: 4, RowsOut: 4, K: 4},
 	}
-	fused := FuseAllReduces(steps)
+	fused, _ := fuseStepsAlgos(steps, nil)
 	if len(fused) != 1 {
 		t.Fatalf("fused into %d steps, want 1", len(fused))
 	}
@@ -148,7 +148,7 @@ func TestFuseKeepsDisjointComponents(t *testing.T) {
 		{Op: collective.AllReduce, Groups: [][]int{{0, 1}, {4, 5}}, Rows: 4, RowsOut: 4, K: 4},
 		{Op: collective.AllReduce, Groups: [][]int{{2, 3}, {6, 7}}, Rows: 4, RowsOut: 4, K: 4},
 	}
-	fused := FuseAllReduces(steps)
+	fused, _ := fuseStepsAlgos(steps, nil)
 	if len(fused) != 1 {
 		t.Fatalf("fused into %d steps, want 1", len(fused))
 	}
@@ -164,7 +164,7 @@ func TestFuseDoesNotTouchOtherOps(t *testing.T) {
 		{Op: collective.AllReduce, Groups: [][]int{{0, 2}}, Rows: 2, RowsOut: 2, K: 4},
 		{Op: collective.AllGather, Groups: [][]int{{0, 1}}, Rows: 2, RowsOut: 4, K: 4},
 	}
-	fused := FuseAllReduces(steps)
+	fused, _ := fuseStepsAlgos(steps, nil)
 	if len(fused) != 3 {
 		t.Errorf("non-AllReduce steps were fused: %d", len(fused))
 	}

@@ -307,11 +307,15 @@ func (t *threshold) tighten(v float64) {
 }
 
 // workerState is per-worker scratch: reusable zero-alloc scorers, one per
-// distinct system seen (a run almost always has exactly one), and the
-// placement-bound scratch reused across every placement the worker prunes.
+// distinct system seen (a run almost always has exactly one), the
+// placement-bound scratch reused across every placement the worker prunes,
+// and the per-placement tables of matrixScorer, cleared (not reallocated)
+// for each placement the worker scores.
 type workerState struct {
 	scorers map[*topology.System]*cost.Scorer
 	bounds  boundScratch
+	bound   map[dsl.Instruction][][]int
+	steps   map[stepKey]stepChoice
 }
 
 func (ws *workerState) scorer(sys *topology.System) *cost.Scorer {
@@ -348,7 +352,8 @@ type stepChoice struct {
 // hundreds of program steps) and steps each (instruction, rows) pair's
 // evaluation, so programs sharing a prefix — or merely an instruction at
 // the same payload fraction — share both the binding and the StepTime
-// evaluations, which dominate serial planning at scale.
+// evaluations, which dominate serial planning at scale. Both tables are
+// the worker's, so a worker has one matrixScorer live at a time.
 type matrixScorer struct {
 	sc    *cost.Scorer
 	model *cost.Model
@@ -363,13 +368,18 @@ type matrixScorer struct {
 }
 
 func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy, opts Options) *matrixScorer {
+	if ws.bound == nil {
+		ws.bound, ws.steps = map[dsl.Instruction][][]int{}, map[stepKey]stepChoice{}
+	}
+	clear(ws.bound)
+	clear(ws.steps)
 	ms := &matrixScorer{
 		sc:    ws.scorer(model.Sys),
 		model: model,
 		h:     h,
 		algos: opts.Algos,
-		bound: map[dsl.Instruction][][]int{},
-		steps: map[stepKey]stepChoice{},
+		bound: ws.bound,
+		steps: ws.steps,
 	}
 	if len(ms.algos) == 0 {
 		ms.algos = []cost.Algorithm{model.Algo}

@@ -72,6 +72,7 @@ func Chart(title string, series []Series, opts Options) string {
 	yf := func(v float64) float64 { return v }
 	if opts.LogY {
 		yf = math.Log10
+		//p2:nan-ok lo is a minimum over IsNaN-filtered values
 		if lo <= 0 {
 			lo = math.SmallestNonzeroFloat64
 		}

@@ -217,23 +217,3 @@ func TestValidationRejectsBadCrossDomain(t *testing.T) {
 		}()
 	}
 }
-
-func TestLoopbackAndBottleneckRange(t *testing.T) {
-	s := A100System(2)
-	if got := s.BottleneckLink(-1); got != Loopback {
-		t.Errorf("BottleneckLink(-1) = %+v, want Loopback", got)
-	}
-	if Loopback.Bandwidth < 1e14 || Loopback.Latency != 0 {
-		t.Errorf("Loopback = %+v outside its documented shape", Loopback)
-	}
-	for _, lvl := range []int{-2, 2, 99} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("BottleneckLink(%d) did not panic", lvl)
-				}
-			}()
-			s.BottleneckLink(lvl)
-		}()
-	}
-}

@@ -169,8 +169,9 @@ func validLink(bandwidth, latency float64) error {
 // EntityOffsets returns cumulative entity counts per level:
 // EntityOffsets()[l] is the number of entities strictly above level l, so
 // a dense per-entity array over all levels has EntityOffsets()[NumLevels()]
-// slots and entity e of level l lives at EntityOffsets()[l]+e. The slice
-// is shared and must not be mutated.
+// slots and entity e of level l lives at EntityOffsets()[l]+e — the index
+// Route returns for that entity's uplink. The slice is shared and must not
+// be mutated.
 func (s *System) EntityOffsets() []int { return s.entOffsets }
 
 // WithCrossDomain returns a copy of s carrying the given cross-domain model.
@@ -255,6 +256,26 @@ func (s *System) GroupSpanLevel(group []int) int {
 // level l is one quotient by their positional weight.
 func (s *System) EntityID(dev, l int) int { return dev / s.radix.Weight(l) }
 
+// Route is the one router: it appends to path the dense uplink indices
+// (EntityOffsets()[l] + EntityID(x, l)) that a transfer between devices a
+// and b loads — for every level l from their divergence level down to the
+// leaf, a's level-l entity then b's — and returns the extended slice. It
+// appends nothing when a == b; otherwise the divergence level is
+// NumLevels() − appended/2. The quotients of a and b first differ at the
+// divergence level and differ at every level below it, so one pass over
+// the levels routes without computing that level first.
+//
+//p2:zeroalloc
+func (s *System) Route(a, b int, path []int) []int {
+	for l, off := range s.entOffsets[:len(s.Levels)] {
+		w := s.radix.Weight(l)
+		if qa, qb := a/w, b/w; qa != qb {
+			path = append(path, off+qa, off+qb) //p2:alloc-ok appends into the caller's buffer; a reused buffer stops growing after the longest route
+		}
+	}
+	return path
+}
+
 // EntitiesAt returns the number of level-l entities in the whole system.
 func (s *System) EntitiesAt(l int) int {
 	n := 1
@@ -313,37 +334,4 @@ func (s *System) Clone() *System {
 		panic(err)
 	}
 	return &c
-}
-
-// Loopback is the pseudo-link returned by BottleneckLink for groups that
-// never leave a single device (span level -1): device-local data movement,
-// modelled as effectively free relative to any interconnect. The bandwidth
-// is a petabyte/second — far above any real link but finite, so
-// bytes/Loopback.Bandwidth stays a well-defined (tiny) float instead of
-// collapsing to 0 or NaN in downstream ratios.
-var Loopback = Link{Name: "loopback", Bandwidth: 1e15, Latency: 0}
-
-// BottleneckLink returns the uplink traversed at the given span level: a
-// group spanning level l is bottlenecked by the uplink of level-l entities
-// (e.g. a cross-node group by the per-node NIC). For a within-entity group
-// at the leaf level this is the leaf uplink. Span level -1 (a single-device
-// group, see GroupSpanLevel) yields Loopback; any other out-of-range level
-// is a programming error and panics.
-func (s *System) BottleneckLink(spanLevel int) Link {
-	if spanLevel == -1 {
-		return Loopback
-	}
-	if spanLevel < -1 || spanLevel >= len(s.Uplinks) {
-		panic(fmt.Sprintf("topology: BottleneckLink span level %d out of range [-1, %d)",
-			spanLevel, len(s.Uplinks)))
-	}
-	// A group that first diverges at level l sends traffic through the
-	// uplinks of level >= l entities; the slowest of those dominates.
-	best := s.Uplinks[spanLevel]
-	for l := spanLevel; l < len(s.Uplinks); l++ {
-		if s.Uplinks[l].Bandwidth < best.Bandwidth {
-			best = s.Uplinks[l]
-		}
-	}
-	return best
 }

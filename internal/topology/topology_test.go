@@ -3,6 +3,7 @@ package topology
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,6 +154,48 @@ func (f digitFold) divergence(a, b int) int {
 	return -1
 }
 
+// route is the uplinks a transfer a→b loads, from the definition: for
+// each level from the divergence level down, a's entity then b's, each at
+// the count of entities above its level plus its id.
+func (f digitFold) route(a, b int) []int {
+	var out []int
+	ldiv := f.divergence(a, b)
+	above, ents := 0, 1
+	for l, lv := range f.s.Levels {
+		ents *= lv.Count
+		if ldiv >= 0 && l >= ldiv {
+			out = append(out, above+f.entity(a, l), above+f.entity(b, l))
+		}
+		above += ents
+	}
+	return out
+}
+
+// checkRoute holds Route(a, b) to the digit-fold route: same indices,
+// same order, appended after what the buffer already holds, divergence
+// level NumLevels() − appended/2.
+func checkRoute(t *testing.T, s *System, a, b int) {
+	t.Helper()
+	ref := digitFold{s}
+	want := ref.route(a, b)
+	got := s.Route(a, b, []int{-1})
+	if got[0] != -1 || !slices.Equal(got[1:], want) {
+		t.Fatalf("%s: Route(%d, %d) appended %v to [-1], want %v", s.Name, a, b, got[1:], want)
+	}
+	if a != b && s.NumLevels()-len(want)/2 != ref.divergence(a, b) {
+		t.Fatalf("%s: Route(%d, %d) has %d entries, divergence level %d", s.Name, a, b, len(want), ref.divergence(a, b))
+	}
+}
+
+// checkRouteAllocs asserts Route(a, b) into a warm buffer allocates nothing.
+func checkRouteAllocs(t *testing.T, s *System, a, b int) {
+	t.Helper()
+	buf := make([]int, 0, 2*s.NumLevels())
+	if allocs := testing.AllocsPerRun(10, func() { buf = s.Route(a, b, buf[:0]) }); allocs != 0 {
+		t.Fatalf("%s: Route(%d, %d) into a warm buffer allocates %v times", s.Name, a, b, allocs)
+	}
+}
+
 func (f digitFold) span(group []int) int {
 	span := -1
 	for _, d := range group[1:] {
@@ -163,10 +206,11 @@ func (f digitFold) span(group []int) int {
 	return span
 }
 
-// TestEntityIDQuotient holds EntityID, DivergenceLevel and GroupSpanLevel
-// to the digit-fold reference on every preset shape, a non-power-of-two
-// NewSystem and an overridden system: every device at every level, and
-// seeded device pairs and groups.
+// TestEntityIDQuotient holds EntityID, DivergenceLevel, GroupSpanLevel and
+// Route to the digit-fold reference on every preset shape, a
+// non-power-of-two NewSystem and an overridden system: every device at
+// every level (and routed to itself and to its mirror device), and seeded
+// device pairs and groups. Route into a warm buffer allocates nothing.
 func TestEntityIDQuotient(t *testing.T) {
 	odd, err := New("odd",
 		[]Level{{Name: "a", Count: 3}, {Name: "b", Count: 5}, {Name: "c", Count: 7}},
@@ -195,7 +239,10 @@ func TestEntityIDQuotient(t *testing.T) {
 			if got := s.DivergenceLevel(d, d); got != -1 {
 				t.Fatalf("%s: DivergenceLevel(%d, %d) = %d, want -1", s.Name, d, d, got)
 			}
+			checkRoute(t, s, d, d)
+			checkRoute(t, s, d, n-1-d)
 		}
+		checkRouteAllocs(t, s, 0, n-1)
 		for i := 0; i < 2000; i++ {
 			a, b := rng.Intn(n), rng.Intn(n)
 			if i%2 == 1 { // a near pair: it diverges below the root
@@ -204,6 +251,7 @@ func TestEntityIDQuotient(t *testing.T) {
 			if got, want := s.DivergenceLevel(a, b), ref.divergence(a, b); got != want {
 				t.Fatalf("%s: DivergenceLevel(%d, %d) = %d, want %d", s.Name, a, b, got, want)
 			}
+			checkRoute(t, s, a, b)
 			g := make([]int, 1+rng.Intn(8))
 			for j := range g {
 				g[j] = rng.Intn(n)
@@ -252,19 +300,6 @@ func TestV100Preset(t *testing.T) {
 	}
 	if s.Uplinks[1].Bandwidth != V100RingBandwidth {
 		t.Errorf("ring bandwidth = %v", s.Uplinks[1].Bandwidth)
-	}
-}
-
-func TestBottleneckLink(t *testing.T) {
-	s := A100System(4)
-	if got := s.BottleneckLink(1).Name; got != "NVSwitch" {
-		t.Errorf("within-node bottleneck = %s", got)
-	}
-	if got := s.BottleneckLink(0).Name; got != "NIC" {
-		t.Errorf("cross-node bottleneck = %s", got)
-	}
-	if got := s.BottleneckLink(-1); got.Bandwidth < 1e14 {
-		t.Errorf("loopback bandwidth too small: %v", got.Bandwidth)
 	}
 }
 
@@ -333,12 +368,13 @@ func TestSuperPodPreset(t *testing.T) {
 		s.Uplinks[1].Bandwidth > s.Uplinks[0].Bandwidth) {
 		t.Error("uplink bandwidths not decreasing toward the root")
 	}
-	// Cross-pod traffic is bottlenecked by the spine uplink.
-	if got := s.BottleneckLink(0).Name; got != "Spine" {
-		t.Errorf("cross-pod bottleneck = %s", got)
+	// Cross-pod traffic climbs to the spine, cross-node traffic to the IB
+	// rail: the slowest uplink on each route.
+	if got := s.Uplinks[0].Name; got != "Spine" {
+		t.Errorf("pod uplink = %s", got)
 	}
-	if got := s.BottleneckLink(1).Name; got != "IBRail" {
-		t.Errorf("cross-node bottleneck = %s", got)
+	if got := s.Uplinks[1].Name; got != "IBRail" {
+		t.Errorf("node uplink = %s", got)
 	}
 }
 
