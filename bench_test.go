@@ -207,16 +207,11 @@ func BenchmarkTable5Accuracy(b *testing.B) {
 	run := func() []*eval.Result {
 		var all []*eval.Result
 		for _, s := range eval.PaperSuites() {
-			rs, err := eval.RunSuiteCtx(context.Background(), s, []cost.Algorithm{cost.Ring, cost.Tree})
+			rs, err := eval.RunSuiteCtx(context.Background(), s, eval.PaperModes...)
 			if err != nil {
 				b.Fatal(err)
 			}
 			all = append(all, rs...)
-			auto, err := eval.RunSuiteAutoCtx(context.Background(), s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			all = append(all, auto...)
 		}
 		return all
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -121,26 +122,19 @@ func (c *commonFlags) planCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), *c.timeout)
 }
 
-// requireNoTimeout rejects -timeout on commands that never plan —
-// silently ignoring it would let the user believe the deadline was
-// enforced.
-func (c *commonFlags) requireNoTimeout(path string) error {
-	if *c.timeout != 0 {
-		return fmt.Errorf("-timeout has no effect on %s", path)
-	}
-	return nil
-}
-
-// requireNoMeasure rejects -measure on commands whose output it cannot
-// influence — silently ignoring it would let the user believe the numbers
-// were emulator-ranked.
-func (c *commonFlags) requireNoMeasure(path string) error {
-	if mode, err := c.measureMode(); err != nil {
-		return err
-	} else if mode != p2.MeasureOff {
-		return fmt.Errorf("-measure has no effect on %s", path)
-	}
-	return nil
+// requireUnset rejects the named shared flags on a command (or command
+// path) whose output they cannot influence — silently ignoring, say,
+// -timeout, -measure or -bytes would let the user believe the deadline was
+// enforced, the numbers emulator-ranked or computed at the requested size.
+// Any explicit setting is rejected, the default value included.
+func (c *commonFlags) requireUnset(path string, names ...string) error {
+	var err error
+	c.fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(names, f.Name) {
+			err = fmt.Errorf("-%s has no effect on %s", f.Name, path)
+		}
+	})
+	return err
 }
 
 // requireNoStats rejects -stats on commands that have no planning
@@ -149,16 +143,6 @@ func (c *commonFlags) requireNoMeasure(path string) error {
 func (c *commonFlags) requireNoStats() error {
 	if *c.stats {
 		return fmt.Errorf("-stats is not supported by %q (use synth, or trace -summary)", c.fs.Name())
-	}
-	return nil
-}
-
-// requireNoBytes rejects -bytes on commands (or command paths) whose
-// output does not depend on the payload — silently ignoring it would let
-// the user believe the numbers were computed at the requested size.
-func (c *commonFlags) requireNoBytes(path string) error {
-	if *c.bytes != 0 {
-		return fmt.Errorf("-bytes has no effect on %s", path)
 	}
 	return nil
 }
@@ -224,7 +208,7 @@ func cmdPlacements(args []string, out, errOut io.Writer) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.requireNoTimeout(`"placements" (it only enumerates matrices)`); err != nil {
+	if err := c.requireUnset(`"placements" (it only enumerates matrices)`, "bytes", "measure", "timeout"); err != nil {
 		return err
 	}
 	sys, err := c.system()
@@ -236,12 +220,6 @@ func cmdPlacements(args []string, out, errOut io.Writer) error {
 		return err
 	}
 	if err := c.requireNoStats(); err != nil {
-		return err
-	}
-	if err := c.requireNoBytes(`"placements" (it only enumerates matrices)`); err != nil {
-		return err
-	}
-	if err := c.requireNoMeasure(`"placements" (it only enumerates matrices)`); err != nil {
 		return err
 	}
 	return c.profiled(func() error {
@@ -305,6 +283,11 @@ func cmdSynth(args []string, out, errOut io.Writer) error {
 	})
 }
 
+// sweepIgnores are the shared flags an eval sweep has no use for: it
+// ranks every matrix, unpruned, on the default worker pool, and measures
+// every program.
+var sweepIgnores = []string{"matrix", "measure", "parallelism", "topk"}
+
 func cmdEval(args []string, out, errOut io.Writer) error {
 	c := newCommon("eval", errOut)
 	tsv := c.fs.Bool("tsv", false, "emit TSV instead of markdown")
@@ -322,7 +305,7 @@ func cmdEval(args []string, out, errOut io.Writer) error {
 	if err := c.requireNoStats(); err != nil {
 		return err
 	}
-	if err := c.requireNoMeasure(`"eval" (its sweeps always measure every program)`); err != nil {
+	if err := c.requireUnset(`"eval" (a sweep ranks and measures every program of every matrix)`, sweepIgnores...); err != nil {
 		return err
 	}
 	cfg := eval.Config{Sys: sys, Axes: axes, ReduceAxes: red, Algo: algo, Algos: algos, Bytes: *c.bytes}
@@ -364,7 +347,7 @@ func cmdExport(args []string, out, errOut io.Writer) error {
 	if err := c.requireNoStats(); err != nil {
 		return err
 	}
-	if err := c.requireNoMeasure(`"export" (its sweeps always measure every program)`); err != nil {
+	if err := c.requireUnset(`"export" (a sweep ranks and measures every program of every matrix)`, sweepIgnores...); err != nil {
 		return err
 	}
 	return c.profiled(func() error {
@@ -406,15 +389,9 @@ func cmdHLO(args []string, out, errOut io.Writer) error {
 	}
 	if *progStr != "" {
 		// With an explicit program nothing is planned, so neither the
-		// payload nor a measured mode can influence the emitted HLO
-		// (element count comes from -elems).
-		if err := c.requireNoBytes(`"hlo -program" (use -elems for the HLO shape)`); err != nil {
-			return err
-		}
-		if err := c.requireNoMeasure(`"hlo -program" (nothing is planned)`); err != nil {
-			return err
-		}
-		if err := c.requireNoTimeout(`"hlo -program" (nothing is planned)`); err != nil {
+		// payload nor a measured mode nor a deadline can influence the
+		// emitted HLO (element count comes from -elems).
+		if err := c.requireUnset(`"hlo -program" (nothing is planned; use -elems for the HLO shape)`, "bytes", "measure", "timeout"); err != nil {
 			return err
 		}
 	}
@@ -464,7 +441,7 @@ func cmdVerify(args []string, out, errOut io.Writer) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.requireNoTimeout(`"verify" (it executes on small concrete data)`); err != nil {
+	if err := c.requireUnset(`"verify" (it executes on small concrete data)`, "bytes", "measure", "timeout"); err != nil {
 		return err
 	}
 	sys, err := c.system()
@@ -476,12 +453,6 @@ func cmdVerify(args []string, out, errOut io.Writer) error {
 		return err
 	}
 	if err := c.requireNoStats(); err != nil {
-		return err
-	}
-	if err := c.requireNoBytes(`"verify" (it executes on small concrete data)`); err != nil {
-		return err
-	}
-	if err := c.requireNoMeasure(`"verify" (it executes on small concrete data)`); err != nil {
 		return err
 	}
 	return c.profiled(func() error {
@@ -615,10 +586,8 @@ func cmdTables(args []string, out, errOut io.Writer) error {
 	if err := c.requireNoStats(); err != nil {
 		return err
 	}
-	if err := c.requireNoBytes(`"tables" (paper tables use the paper's payload)`); err != nil {
-		return err
-	}
-	if err := c.requireNoMeasure(`"tables" (paper tables already measure every program)`); err != nil {
+	if err := c.requireUnset(`"tables" (paper tables sweep the paper's grid at its payload and measure every program)`,
+		"algo", "axes", "bytes", "matrix", "measure", "parallelism", "reduce", "topk"); err != nil {
 		return err
 	}
 	return c.profiled(func() error {
@@ -652,7 +621,7 @@ func runTables(c *commonFlags, out io.Writer, table string, tsv bool) error {
 			return err
 		}
 		suite := eval.Suite{Sys: sys, Cases: eval.PaperCases(sys.NumDevices(), *c.nodes >= 4)}
-		rs, err := eval.RunSuiteCtx(ctx, suite, []cost.Algorithm{cost.Ring, cost.Tree})
+		rs, err := eval.RunSuiteCtx(ctx, suite, eval.PaperModes[:2]...)
 		if err != nil {
 			return err
 		}
@@ -660,7 +629,7 @@ func runTables(c *commonFlags, out io.Writer, table string, tsv bool) error {
 	case "appendix":
 		var all []*eval.Result
 		for _, s := range eval.PaperSuites() {
-			rs, err := eval.RunSuiteCtx(ctx, s, []cost.Algorithm{cost.Ring, cost.Tree})
+			rs, err := eval.RunSuiteCtx(ctx, s, eval.PaperModes[:2]...)
 			if err != nil {
 				return err
 			}
@@ -720,33 +689,30 @@ func cmdAccuracy(args []string, out, errOut io.Writer) error {
 	if *jsonOut && *tsv {
 		return fmt.Errorf("-json replaces the table output; it cannot be combined with -tsv")
 	}
-	var all, autos []*eval.Result
+	modes := eval.PaperModes
+	switch {
+	case *pinnedOnly:
+		modes = modes[:2]
+	case *jsonOut:
+		modes = modes[2:] // the JSON export covers only the auto sweeps
+	}
+	var all []*eval.Result
 	for _, s := range eval.PaperSuites() {
-		if !*pinnedOnly {
-			auto, err := eval.RunSuiteAutoCtx(context.Background(), s)
-			if err != nil {
-				return err
-			}
-			autos = append(autos, auto...)
-		}
-		if *jsonOut {
-			continue // the JSON export covers only the auto sweeps
-		}
-		rs, err := eval.RunSuiteCtx(context.Background(), s, []cost.Algorithm{cost.Ring, cost.Tree})
+		rs, err := eval.RunSuiteCtx(context.Background(), s, modes...)
 		if err != nil {
 			return err
 		}
 		all = append(all, rs...)
 	}
 	if *jsonOut {
-		data, err := eval.AutoSuiteToJSON(autos)
+		data, err := eval.AutoSuiteToJSON(all)
 		if err != nil {
 			return err
 		}
 		_, err = out.Write(append(data, '\n'))
 		return err
 	}
-	emit(out, eval.BuildTable5(append(all, autos...)), *tsv)
+	emit(out, eval.BuildTable5(all), *tsv)
 	return nil
 }
 
@@ -784,11 +750,8 @@ func cmdDegrade(args []string, out, errOut io.Writer) error {
 	if err := c.requireNoStats(); err != nil {
 		return err
 	}
-	if err := c.requireNoMeasure(`"degrade" (it compares analytic rankings)`); err != nil {
+	if err := c.requireUnset(`"degrade" (it compares full analytic rankings over every matrix)`, "matrix", "measure"); err != nil {
 		return err
-	}
-	if *c.matrix != "" {
-		return fmt.Errorf("-matrix has no effect on degrade (ranking shift needs the full placement space)")
 	}
 	var overrides []topology.LinkOverride
 	for _, spec := range faults {

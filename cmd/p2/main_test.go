@@ -538,6 +538,33 @@ func TestTimeoutRejectedWhereMeaningless(t *testing.T) {
 	}
 }
 
+// TestSweepsRejectIgnoredFlags: eval and export sweep every matrix,
+// unpruned, and tables sweep the paper's grid, so the shared planning
+// flags they cannot honor are refused rather than silently dropped.
+func TestSweepsRejectIgnoredFlags(t *testing.T) {
+	sweep := []string{"-system", "v100", "-nodes", "2", "-axes", "[4 4]", "-reduce", "[1]"}
+	rows := map[string][]string{}
+	for _, cmd := range []string{"eval", "export"} {
+		for flag, val := range map[string]string{"matrix": "[[1 4] [2 2]]", "topk": "1", "parallelism": "1"} {
+			rows[cmd+" -"+flag] = append(append([]string{cmd}, sweep...), "-"+flag, val)
+		}
+	}
+	for flag, val := range map[string]string{"axes": "[4 4]", "reduce": "[1]", "algo": "Tree",
+		"matrix": "[[1 4] [2 2]]", "topk": "1", "parallelism": "1"} {
+		rows["tables -"+flag] = []string{"tables", "-table", "3", "-system", "v100", "-nodes", "2", "-" + flag, val}
+	}
+	for name, args := range rows {
+		flag := name[strings.Index(name, " ")+1:]
+		out, errOut, code := exec(args...)
+		if code != 1 || !strings.Contains(errOut, "p2: "+flag+" has no effect") {
+			t.Errorf("%s: exit=%d err=%q", name, code, errOut)
+		}
+		if out != "" {
+			t.Errorf("%s: wrote to stdout: %q", name, out)
+		}
+	}
+}
+
 func TestDegradeErrors(t *testing.T) {
 	for name, args := range map[string][]string{
 		"no fault":  {"degrade", "-system", "a100", "-nodes", "2", "-axes", "[2 16]", "-reduce", "[0]"},

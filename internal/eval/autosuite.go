@@ -1,39 +1,15 @@
 package eval
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-
-	"p2/internal/cost"
 )
 
-// The auto-mode suite runner: the paper's evaluation grid swept with the
-// per-step NCCL_ALGO search instead of a pinned algorithm, plus the
-// analytic-vs-measured agreement quantities the measured-in-the-loop
-// planning mode is motivated by (how often the cost model's argmin and
-// the emulator's argmin disagree, and by how much).
-
-// RunSuiteAutoCtx executes every (case × reduction axes) sweep of a suite
-// in auto mode — the per-step algorithm search over cost.ExtendedAlgorithms
-// (CLI `-algo auto`) — returning per-config results in deterministic
-// order. Together with RunSuiteCtx it completes the accuracy tables: pinned
-// Ring/Tree rows from the paper plus an auto row per system. Cancellation
-// aborts the suite with ctx.Err().
-func RunSuiteAutoCtx(ctx context.Context, s Suite) ([]*Result, error) {
-	var out []*Result
-	for _, c := range s.Cases {
-		for _, red := range c.ReduceAxes {
-			cfg := Config{Sys: s.Sys, Axes: c.Axes, ReduceAxes: red, Algos: cost.ExtendedAlgorithms}
-			r, err := RunCtx(ctx, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("eval: %s: %w", cfg, err)
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
+// The analytic-vs-measured agreement quantities of a suite — typically
+// the paper's grid swept in auto mode (RunSuiteCtx with
+// cost.ExtendedAlgorithms) — that the measured-in-the-loop planning mode
+// is motivated by: how often the cost model's argmin and the emulator's
+// argmin disagree, and by how much.
 
 // PredictedBest returns the sweep's predicted-best (matrix, program)
 // pair — ties broken toward the earliest enumeration position, matching

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"p2/internal/cost"
 	"p2/internal/topology"
 )
 
@@ -22,7 +23,7 @@ func v100AutoSuite(t *testing.T) []*Result {
 	s := Suite{Sys: topology.V100System(2), Cases: []Case{
 		{Axes: []int{4, 4}, ReduceAxes: [][]int{{0}, {1}}},
 	}}
-	rs, err := RunSuiteAutoCtx(context.Background(), s)
+	rs, err := RunSuiteCtx(context.Background(), s, cost.ExtendedAlgorithms)
 	if err != nil {
 		t.Fatal(err)
 	}

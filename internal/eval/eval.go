@@ -1,12 +1,13 @@
 // Package eval is the experiment harness reproducing the paper's
 // evaluation (§4–§5): it sweeps every parallelism matrix for a requested
-// axis configuration, synthesizes every reduction program per matrix,
-// predicts each program's runtime with the analytic model (internal/cost)
-// and "measures" it on the event-level emulator (internal/netsim), then
-// derives the quantities the paper reports — optimal programs, speedups
-// over AllReduce, outperforming counts, and simulator top-k accuracy —
-// plus, beyond the paper, the auto-mode (per-step NCCL_ALGO search)
-// suites and their analytic-vs-measured disagreement rate (autosuite.go).
+// axis configuration, ranks every synthesized reduction program per matrix
+// through the planning engine (internal/plan) with the analytic model
+// (internal/cost), "measures" each one on the event-level emulator
+// (internal/netsim), then derives the quantities the paper reports —
+// optimal programs, speedups over AllReduce, outperforming counts, and
+// simulator top-k accuracy — plus, beyond the paper, the auto-mode
+// (per-step NCCL_ALGO search) suites and their analytic-vs-measured
+// disagreement rate (autosuite.go).
 package eval
 
 import (
@@ -21,6 +22,7 @@ import (
 	"p2/internal/lower"
 	"p2/internal/netsim"
 	"p2/internal/placement"
+	"p2/internal/plan"
 	"p2/internal/synth"
 	"p2/internal/topology"
 )
@@ -32,6 +34,7 @@ type Config struct {
 	Sys *topology.System
 	// Axes are the parallelism axis sizes (their product must equal the
 	// device count) and ReduceAxes the axis indices reduced over.
+	// Multi-axis reductions collapse same-level factors as in §2.5.
 	Axes       []int
 	ReduceAxes []int
 	// Algo is the pinned NCCL algorithm (ignored when Algos sweeps a set).
@@ -46,13 +49,6 @@ type Config struct {
 	// (2^29 × machines float32, machines = product of all non-leaf level
 	// counts).
 	Bytes float64
-	// Synth carries synthesizer options (zero value = paper defaults).
-	Synth synth.Options
-	// Hier carries hierarchy options; Collapse is forced on for
-	// multi-axis reductions as in §2.5 unless explicitly configured via
-	// RawHier.
-	RawHier bool
-	Hier    hierarchy.Options
 	// NetsimOpts tunes the emulator (zero value = defaults).
 	NetsimOpts netsim.Options
 }
@@ -64,27 +60,22 @@ func (c Config) payload() float64 {
 	return cost.DefaultPayload(c.Sys)
 }
 
+// algo is the pinned algorithm — the single entry of Algos, else Algo —
+// and, under a searched set, the base every non-searched step runs.
+func (c Config) algo() cost.Algorithm {
+	if len(c.Algos) == 1 {
+		return c.Algos[0]
+	}
+	return c.Algo
+}
+
 // algoLabel names the config's algorithm dimension: the pinned algorithm,
 // or "auto" when a set is searched.
 func (c Config) algoLabel() string {
 	if len(c.Algos) > 1 {
 		return "auto"
 	}
-	if len(c.Algos) == 1 {
-		return c.Algos[0].String()
-	}
-	return c.Algo.String()
-}
-
-func (c Config) hierOpts() hierarchy.Options {
-	if c.RawHier {
-		return c.Hier
-	}
-	o := c.Hier
-	if len(c.ReduceAxes) > 1 {
-		o.Collapse = true
-	}
-	return o
+	return c.algo().String()
 }
 
 // String identifies the config, e.g. "a100-4node/[16 2 2]/red[0 2]/Ring"
@@ -118,9 +109,7 @@ func (p ProgramResult) AlgoString() string {
 
 // MatrixResult groups the programs synthesized for one parallelism matrix.
 type MatrixResult struct {
-	Matrix        *placement.Matrix
-	Hierarchy     *hierarchy.Hierarchy
-	SynthesisTime time.Duration
+	Matrix *placement.Matrix
 	// Programs in synthesis order; Programs[BaselineIdx] is the
 	// single-step AllReduce.
 	Programs    []ProgramResult
@@ -135,17 +124,6 @@ func (mr *MatrixResult) BestMeasured() int {
 	best := 0
 	for i, p := range mr.Programs {
 		if p.Measured < mr.Programs[best].Measured {
-			best = i
-		}
-	}
-	return best
-}
-
-// BestPredicted returns the index of the predicted-fastest program.
-func (mr *MatrixResult) BestPredicted() int {
-	best := 0
-	for i, p := range mr.Programs {
-		if p.Predicted < mr.Programs[best].Predicted {
 			best = i
 		}
 	}
@@ -170,17 +148,22 @@ func (mr *MatrixResult) Outperforming() int {
 	return n
 }
 
-// Result is a full sweep for one config.
+// Result is a full sweep for one config. The three wall-clock fields are
+// reported, never ranked.
 type Result struct {
 	// Config echoes the swept cell; Matrices holds one entry per
 	// enumerated placement, in enumeration order.
 	Config   Config
 	Matrices []*MatrixResult
-	// SynthesisTime is the summed synthesis wall-clock across matrices.
+	// SynthesisTime is the engine's synthesis wall-clock
+	// (plan.Stats.SynthElapsed): one run per distinct hierarchy signature,
+	// not per placement.
 	SynthesisTime time.Duration
-	// SimulationTime is the wall-clock spent in the analytic model.
+	// SimulationTime is the wall-clock of the analytic engine call — the
+	// worker pool runs synthesis, lowering and scoring together, so it
+	// includes SynthesisTime.
 	SimulationTime time.Duration
-	// MeasureTime is the wall-clock spent in the emulator.
+	// MeasureTime is the wall-clock of the emulator fan-out (plan.Measure).
 	MeasureTime time.Duration
 }
 
@@ -270,84 +253,69 @@ func Accuracy(results []*Result, ks []int) map[int]float64 {
 	return out
 }
 
-// RunCtx executes the full sweep for a config: enumerate matrices,
-// synthesize per matrix, lower, predict, measure. Cancellation is checked
-// between matrices and between programs, and the first observation aborts
-// the sweep with ctx.Err() (an eval sweep is all-or-nothing — there is no
-// partial-result mode, unlike planning's anytime contract).
+// RunCtx executes the full sweep for a config through the planning engine:
+// enumerate the matrices, rank every (matrix, program) candidate with no
+// pruning (plan.Planner.RunCtx, TopK 0), measure every candidate
+// (plan.Measure), and regroup them per matrix in synthesis order. A sweep
+// is all-or-nothing: any error — including cancellation, whose anytime
+// partial ranking is discarded — returns (nil, err).
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	matrices, err := placement.Enumerate(cfg.Sys.Hierarchy(), cfg.Axes)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Config: cfg}
-	algo := cfg.Algo
-	if len(cfg.Algos) == 1 {
-		algo = cfg.Algos[0]
+	model := &cost.Model{Sys: cfg.Sys, Algo: cfg.algo(), Bytes: cfg.payload()}
+	opts := plan.Options{Collapse: len(cfg.ReduceAxes) > 1, Algos: cfg.Algos, SimOpts: cfg.NetsimOpts}
+	t0 := time.Now() //p2:timing-ok SimulationTime is a reported wall-clock total, never ranked
+	cands, stats, err := plan.New().RunCtx(ctx, matrices, cfg.ReduceAxes, model, opts)
+	if err != nil {
+		return nil, err
 	}
-	model := &cost.Model{Sys: cfg.Sys, Algo: algo, Bytes: cfg.payload()}
-	sim := &netsim.Simulator{Sys: cfg.Sys, Algo: algo, Bytes: cfg.payload(), Opts: cfg.NetsimOpts}
+	res := &Result{Config: cfg, SynthesisTime: stats.SynthElapsed}
+	res.SimulationTime = time.Since(t0) //p2:timing-ok SimulationTime is a reported wall-clock total, never ranked
+	t1 := time.Now()                    //p2:timing-ok MeasureTime is a reported wall-clock total, never ranked
+	if err := plan.Measure(ctx, cands, model, opts); err != nil {
+		return nil, err
+	}
+	res.MeasureTime = time.Since(t1) //p2:timing-ok MeasureTime is a reported wall-clock total, never ranked
+
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].MatrixIdx != cands[j].MatrixIdx {
+			return cands[i].MatrixIdx < cands[j].MatrixIdx
+		}
+		return cands[i].ProgIdx < cands[j].ProgIdx
+	})
+	res.Matrices = make([]*MatrixResult, len(matrices))
+	for mi, m := range matrices {
+		res.Matrices[mi] = &MatrixResult{Matrix: m, BaselineIdx: -1}
+	}
 	baselineStr := synth.BaselineAllReduce().String()
-	for _, m := range matrices {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for _, c := range cands {
+		mr := res.Matrices[c.MatrixIdx]
+		pr := ProgramResult{Program: c.Program, Lowered: c.Lowered, Predicted: c.Predicted,
+			Measured: c.Measured, StepAlgos: c.StepAlgos, Algo: model.Algo}
+		if a, ok := cost.UniformAlgo(c.StepAlgos); ok {
+			pr.Algo, pr.StepAlgos = a, nil
 		}
-		h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, cfg.ReduceAxes, cfg.hierOpts())
-		if err != nil {
-			return nil, err
+		if c.Program.String() == baselineStr {
+			mr.BaselineIdx = len(mr.Programs)
 		}
-		sres := synth.Synthesize(h, cfg.Synth)
-		mr := &MatrixResult{
-			Matrix:        m,
-			Hierarchy:     h,
-			SynthesisTime: sres.Elapsed,
-			BaselineIdx:   -1,
-		}
-		res.SynthesisTime += sres.Elapsed
-		for _, p := range sres.Programs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			lp, err := lower.Lower(p, h)
-			if err != nil {
-				return nil, fmt.Errorf("eval: lowering %v for %v: %w", p, m, err)
-			}
-			pr := ProgramResult{Program: p, Lowered: lp, Algo: algo}
-			t0 := time.Now() //p2:timing-ok SimulationTime is a reported wall-clock total, never ranked
-			if len(cfg.Algos) > 1 {
-				stepAlgos, pred := model.BestStepAlgos(lp, cfg.Algos)
-				pr.Predicted = pred
-				if a, ok := cost.UniformAlgo(stepAlgos); ok {
-					pr.Algo = a
-				} else {
-					pr.StepAlgos = stepAlgos
-				}
-			} else {
-				pr.Predicted = model.ProgramTime(lp)
-			}
-			res.SimulationTime += time.Since(t0) //p2:timing-ok SimulationTime is a reported wall-clock total, never ranked
-			t1 := time.Now()                     //p2:timing-ok MeasureTime is a reported wall-clock total, never ranked
-			simAlgo := *sim
-			simAlgo.Algo = pr.Algo
-			pr.Measured = simAlgo.MeasureSteps(lp, pr.StepAlgos)
-			res.MeasureTime += time.Since(t1) //p2:timing-ok MeasureTime is a reported wall-clock total, never ranked
-			if p.String() == baselineStr {
-				mr.BaselineIdx = len(mr.Programs)
-			}
-			mr.Programs = append(mr.Programs, pr)
-		}
+		mr.Programs = append(mr.Programs, pr)
+	}
+	for _, mr := range res.Matrices {
 		if mr.BaselineIdx < 0 {
-			return nil, fmt.Errorf("eval: baseline AllReduce not synthesized for %v", m)
+			return nil, fmt.Errorf("eval: baseline AllReduce not synthesized for %v", mr.Matrix)
 		}
-		res.Matrices = append(res.Matrices, mr)
 	}
 	return res, nil
 }
 
-// MeasureBaseline runs only the single-AllReduce program for one matrix —
-// the Table 3 quantity — returning (predicted, measured) seconds.
+// MeasureBaseline runs only the single-AllReduce program for one matrix
+// under the config's pinned algorithm — the Table 3 quantity — returning
+// (predicted, measured) seconds.
 func MeasureBaseline(cfg Config, m *placement.Matrix) (float64, float64, error) {
-	h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, cfg.ReduceAxes, cfg.hierOpts())
+	h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, cfg.ReduceAxes,
+		hierarchy.Options{Collapse: len(cfg.ReduceAxes) > 1})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -355,19 +323,7 @@ func MeasureBaseline(cfg Config, m *placement.Matrix) (float64, float64, error) 
 	if err != nil {
 		return 0, 0, err
 	}
-	algo := cfg.Algo
-	if len(cfg.Algos) == 1 {
-		algo = cfg.Algos[0]
-	}
-	model := &cost.Model{Sys: cfg.Sys, Algo: algo, Bytes: cfg.payload()}
-	sim := &netsim.Simulator{Sys: cfg.Sys, Algo: algo, Bytes: cfg.payload(), Opts: cfg.NetsimOpts}
-	if len(cfg.Algos) > 1 {
-		stepAlgos, pred := model.BestStepAlgos(lp, cfg.Algos)
-		if a, ok := cost.UniformAlgo(stepAlgos); ok {
-			sim.Algo = a
-			stepAlgos = nil
-		}
-		return pred, sim.MeasureSteps(lp, stepAlgos), nil
-	}
+	model := &cost.Model{Sys: cfg.Sys, Algo: cfg.algo(), Bytes: cfg.payload()}
+	sim := &netsim.Simulator{Sys: cfg.Sys, Algo: cfg.algo(), Bytes: cfg.payload(), Opts: cfg.NetsimOpts}
 	return model.ProgramTime(lp), sim.Measure(lp), nil
 }

@@ -225,6 +225,30 @@ func TestRunSuiteSmall(t *testing.T) {
 	}
 }
 
+func TestRunSuiteModeOrder(t *testing.T) {
+	// Results come per case, per reduce set, per mode — the order the
+	// accuracy table and its JSON export are built in.
+	s := Suite{Sys: topology.V100System(2), Cases: []Case{
+		{Axes: []int{4, 4}, ReduceAxes: [][]int{{0}, {1}}},
+	}}
+	rs, err := RunSuiteCtx(context.Background(), s,
+		[]cost.Algorithm{cost.Ring}, []cost.Algorithm{cost.Tree}, cost.ExtendedAlgorithms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range rs {
+		got = append(got, r.Config.String())
+	}
+	want := []string{
+		"v100-2node/[4 4]/red[0]/Ring", "v100-2node/[4 4]/red[0]/Tree", "v100-2node/[4 4]/red[0]/auto",
+		"v100-2node/[4 4]/red[1]/Ring", "v100-2node/[4 4]/red[1]/Tree", "v100-2node/[4 4]/red[1]/auto",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("suite order = %v, want %v", got, want)
+	}
+}
+
 func TestBuildTable3(t *testing.T) {
 	tb, err := BuildTable3(topology.V100System(2), [][]int{{4, 4}})
 	if err != nil {
@@ -286,6 +310,31 @@ func TestBuildAppendix(t *testing.T) {
 	}
 }
 
+func TestBuildAppendixAlgoLabel(t *testing.T) {
+	// The suite runner configures modes as Algos sets; the appendix must
+	// name them like every other table, not print the zero Algo (Ring).
+	base := Config{Sys: topology.V100System(2), Axes: []int{4, 4}, ReduceAxes: []int{1}}
+	for _, tc := range []struct {
+		algos []cost.Algorithm
+		want  string
+	}{
+		{[]cost.Algorithm{cost.Tree}, "Tree"},
+		{cost.ExtendedAlgorithms, "auto"},
+	} {
+		cfg := base
+		cfg.Algos = tc.algos
+		r, err := RunCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range BuildAppendix([]*Result{r}).Rows {
+			if row[3] != tc.want {
+				t.Errorf("%s: appendix Algo cell = %q, want %q", cfg, row[3], tc.want)
+			}
+		}
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	// The whole sweep — synthesis order, predictions, measurements — must
 	// be bit-for-bit reproducible (noise is seeded from fingerprints).
@@ -306,10 +355,6 @@ func TestRunDeterministic(t *testing.T) {
 		ra[i].SynthesisSecs, rb[i].SynthesisSecs = 0, 0
 		ra[i].SimulationSecs, rb[i].SimulationSecs = 0, 0
 		ra[i].MeasureSecs, rb[i].MeasureSecs = 0, 0
-		for j := range ra[i].Matrices {
-			ra[i].Matrices[j].SynthesisSecs = 0
-			rb[i].Matrices[j].SynthesisSecs = 0
-		}
 	}
 	if !reflect.DeepEqual(ra, rb) {
 		t.Error("sweep results are not deterministic")

@@ -25,10 +25,9 @@ type ResultJSON struct {
 
 // MatrixJSON is the serialized form of a MatrixResult.
 type MatrixJSON struct {
-	Matrix        string        `json:"matrix"`
-	SynthesisSecs float64       `json:"synthesis_secs"`
-	BaselineIdx   int           `json:"baseline_idx"`
-	Programs      []ProgramJSON `json:"programs"`
+	Matrix      string        `json:"matrix"`
+	BaselineIdx int           `json:"baseline_idx"`
+	Programs    []ProgramJSON `json:"programs"`
 }
 
 // ProgramJSON is the serialized form of a ProgramResult.
@@ -60,9 +59,8 @@ func ToJSON(results []*Result) ([]byte, error) {
 		}
 		for _, mr := range r.Matrices {
 			mj := MatrixJSON{
-				Matrix:        mr.Matrix.String(),
-				SynthesisSecs: mr.SynthesisTime.Seconds(),
-				BaselineIdx:   mr.BaselineIdx,
+				Matrix:      mr.Matrix.String(),
+				BaselineIdx: mr.BaselineIdx,
 			}
 			for _, p := range mr.Programs {
 				mj.Programs = append(mj.Programs, ProgramJSON{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"p2/internal/cost"
 	"p2/internal/placement"
@@ -138,8 +137,9 @@ func BuildTable4(results []*Result) *Table {
 // RunAutoComparisonCtx executes the fixed-Ring, fixed-Tree and auto
 // (cfg.Algos, default ExtendedAlgorithms) sweeps of one config, for
 // comparing the searched per-step algorithm assignment against the
-// paper's pinned NCCL_ALGO settings; cancellation aborts all three sweeps
-// with ctx.Err().
+// paper's pinned NCCL_ALGO settings. The sweeps run in sequence — each
+// already fans out over the engine's worker pool — and cancellation
+// aborts the comparison with ctx.Err().
 func RunAutoComparisonCtx(ctx context.Context, cfg Config) (ring, tree, auto *Result, err error) {
 	fixedRing, fixedTree := cfg, cfg
 	fixedRing.Algos, fixedRing.Algo = nil, cost.Ring
@@ -147,26 +147,13 @@ func RunAutoComparisonCtx(ctx context.Context, cfg Config) (ring, tree, auto *Re
 	if len(cfg.Algos) < 2 {
 		cfg.Algos = cost.ExtendedAlgorithms
 	}
-	// The three sweeps redo the same synthesis and lowering, differing
-	// only in scoring; run them concurrently so the shared portion costs
-	// wall-clock once.
-	results := make([]*Result, 3)
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
+	var rs [3]*Result
 	for i, c := range []Config{fixedRing, fixedTree, cfg} {
-		wg.Add(1)
-		go func(i int, c Config) {
-			defer wg.Done()
-			results[i], errs[i] = RunCtx(ctx, c)
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		if rs[i], err = RunCtx(ctx, c); err != nil {
 			return nil, nil, nil, err
 		}
 	}
-	return results[0], results[1], results[2], nil
+	return rs[0], rs[1], rs[2], nil
 }
 
 // BuildAutoComparison tabulates the three sweeps of RunAutoComparisonCtx per
@@ -208,11 +195,11 @@ func BuildAutoComparison(ring, tree, auto *Result) *Table {
 // BuildTable5 reproduces (and extends) Table 5: top-k accuracy of the
 // analytic simulator against emulator measurements, grouped by system and
 // algorithm mode — pinned rows as in the paper, plus an "auto" row per
-// system when auto-mode sweeps (RunSuiteAutoCtx) are included — with the
-// mean predicted and measured best times and the analytic-vs-measured
-// disagreement rate (the fraction of sweeps whose predicted argmin is not
-// the measured argmin, i.e. 100% − Top-1), followed by one Total row per
-// algorithm mode.
+// system when auto-mode sweeps (RunSuiteCtx with cost.ExtendedAlgorithms)
+// are included — with the mean predicted and measured best times and the
+// analytic-vs-measured disagreement rate (the fraction of sweeps whose
+// predicted argmin is not the measured argmin, i.e. 100% − Top-1),
+// followed by one Total row per algorithm mode.
 func BuildTable5(results []*Result) *Table {
 	ks := []int{1, 2, 3, 5, 6, 10}
 	t := &Table{
@@ -316,7 +303,7 @@ func BuildAppendix(results []*Result) *Table {
 				r.Config.Sys.Name,
 				fmt.Sprintf("%v", r.Config.Axes),
 				fmt.Sprintf("%v", r.Config.ReduceAxes),
-				r.Config.Algo.String(),
+				r.Config.algoLabel(),
 				fmt.Sprintf("%.3f", r.SynthesisTime.Seconds()),
 				fmt.Sprintf("%.3f", r.SimulationTime.Seconds()),
 				fmt.Sprintf("%d/%d", mr.Outperforming(), len(mr.Programs)),

@@ -60,16 +60,22 @@ func PaperSuites() []Suite {
 	}
 }
 
-// RunSuiteCtx executes every (case × reduction axes × algorithm) sweep for
-// a system and returns the per-config results in deterministic order; the
-// first cancellation observed between (or inside) sweeps aborts the suite
-// with ctx.Err().
-func RunSuiteCtx(ctx context.Context, s Suite, algos []cost.Algorithm) ([]*Result, error) {
+// PaperModes are the algorithm modes of the accuracy suite, one
+// Config.Algos value each: the paper's pinned Ring and Tree rows, then the
+// per-step search over cost.ExtendedAlgorithms (the auto rows).
+var PaperModes = [][]cost.Algorithm{{cost.Ring}, {cost.Tree}, cost.ExtendedAlgorithms}
+
+// RunSuiteCtx executes every (case × reduction axes × mode) sweep for a
+// system and returns the per-config results in that order. Each mode is
+// one Config.Algos value: {Ring} and {Tree} are the paper's pinned rows,
+// cost.ExtendedAlgorithms the per-step search (CLI `-algo auto`). The
+// first cancellation observed aborts the suite with ctx.Err().
+func RunSuiteCtx(ctx context.Context, s Suite, modes ...[]cost.Algorithm) ([]*Result, error) {
 	var out []*Result
 	for _, c := range s.Cases {
 		for _, red := range c.ReduceAxes {
-			for _, algo := range algos {
-				cfg := Config{Sys: s.Sys, Axes: c.Axes, ReduceAxes: red, Algo: algo}
+			for _, algos := range modes {
+				cfg := Config{Sys: s.Sys, Axes: c.Axes, ReduceAxes: red, Algos: algos}
 				r, err := RunCtx(ctx, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("eval: %s: %w", cfg, err)

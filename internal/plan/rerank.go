@@ -120,17 +120,18 @@ func parallelEach(ctx context.Context, n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// measureCandidates emulates every candidate, filling Candidate.Measured.
-// Measurements are independent and deterministic (netsim's jitter is a
-// pure function of system, algorithm, program and seed), so they fan out
-// over the worker pool and land by index — the result does not depend on
-// Parallelism. Per-step algorithm assignments ride along via MeasureSteps;
-// a uniform assignment is canonicalized inside netsim, so a searched
-// candidate that settled on all-Ring measures byte-identically to a
-// pinned-Ring run. On cancellation some Measured fields are left
-// unfilled or +Inf (the emulator's cancelled sentinel) — the caller must
-// treat the whole batch as unusable and discard it.
-func measureCandidates(ctx context.Context, cands []*Candidate, model *cost.Model, opts Options) error {
+// Measure emulates every candidate, filling Candidate.Measured — the
+// measurement fan-out of the re-rank stage and of the eval harness, which
+// measures a full ranking. Measurements are independent and deterministic
+// (netsim's jitter is a pure function of system, algorithm, program and
+// seed), so they fan out over the worker pool and land by index — the
+// result does not depend on Parallelism. Per-step algorithm assignments
+// ride along via MeasureSteps; a uniform assignment is canonicalized inside
+// netsim, so a searched candidate that settled on all-Ring measures
+// byte-identically to a pinned-Ring run. On cancellation some Measured
+// fields are left unfilled or +Inf (the emulator's cancelled sentinel) —
+// the caller must treat the whole batch as unusable and discard it.
+func Measure(ctx context.Context, cands []*Candidate, model *cost.Model, opts Options) error {
 	// One shared read-only Simulator: MeasureSteps never mutates it.
 	sim := netsim.Simulator{Sys: model.Sys, Algo: fixedAlgo(model, opts), Bytes: model.Bytes, Opts: opts.SimOpts, Ctx: ctx}
 	parallelEach(ctx, len(cands), opts.workers(), func(i int) {
@@ -146,7 +147,7 @@ func measureCandidates(ctx context.Context, cands []*Candidate, model *cost.Mode
 // is left untouched and ctx.Err() is returned — a partial result never
 // mixes measured and unmeasured sort keys.
 func rerank(ctx context.Context, cands []*Candidate, model *cost.Model, opts Options, stats *Stats) error {
-	if err := measureCandidates(ctx, cands, model, opts); err != nil {
+	if err := Measure(ctx, cands, model, opts); err != nil {
 		for _, c := range cands {
 			c.Measured = 0
 		}
