@@ -208,7 +208,7 @@ func cmdPlacements(args []string, out, errOut io.Writer) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.requireUnset(`"placements" (it only enumerates matrices)`, "bytes", "measure", "timeout"); err != nil {
+	if err := c.requireUnset(`"placements" (it only enumerates matrices)`, "algo", "bytes", "matrix", "measure", "parallelism", "reduce", "timeout", "topk"); err != nil {
 		return err
 	}
 	sys, err := c.system()
@@ -391,7 +391,7 @@ func cmdHLO(args []string, out, errOut io.Writer) error {
 		// With an explicit program nothing is planned, so neither the
 		// payload nor a measured mode nor a deadline can influence the
 		// emitted HLO (element count comes from -elems).
-		if err := c.requireUnset(`"hlo -program" (nothing is planned; use -elems for the HLO shape)`, "bytes", "measure", "timeout"); err != nil {
+		if err := c.requireUnset(`"hlo -program" (nothing is planned; use -elems for the HLO shape)`, "algo", "bytes", "measure", "parallelism", "timeout", "topk"); err != nil {
 			return err
 		}
 	}
@@ -441,7 +441,7 @@ func cmdVerify(args []string, out, errOut io.Writer) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.requireUnset(`"verify" (it executes on small concrete data)`, "bytes", "measure", "timeout"); err != nil {
+	if err := c.requireUnset(`"verify" (it executes on small concrete data)`, "algo", "bytes", "measure", "parallelism", "timeout", "topk"); err != nil {
 		return err
 	}
 	sys, err := c.system()

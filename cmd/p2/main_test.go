@@ -538,6 +538,43 @@ func TestTimeoutRejectedWhereMeaningless(t *testing.T) {
 	}
 }
 
+// TestUnplannedRejectIgnoredFlags: placements only enumerates, verify
+// executes every synthesized program, and hlo -program lowers the given
+// one, so none of them can honor the planner's algorithm, top-K or pool
+// size (nor, for placements, a matrix or reduction set).
+func TestUnplannedRejectIgnoredFlags(t *testing.T) {
+	base := []string{"-system", "a100", "-nodes", "2", "-axes", "[4 8]"}
+	ignored := map[string]string{"algo": "Tree", "topk": "1", "parallelism": "3"}
+	cmds := map[string][]string{
+		"placements": {"placements"},
+		"verify":     {"verify", "-reduce", "[0]", "-matrix", "[[2 2] [1 8]]"},
+		"hlo -program": {"hlo", "-reduce", "[0]", "-matrix", "[[2 2] [1 8]]",
+			"-program", "(0, InsideGroup, AllReduce)"},
+	}
+	row := func(cmd []string, flag, val string) []string {
+		return append(append(append([]string{}, cmd...), base...), "-"+flag, val)
+	}
+	rows := map[string][]string{
+		"placements -matrix": row(cmds["placements"], "matrix", "[[2 2] [1 8]]"),
+		"placements -reduce": row(cmds["placements"], "reduce", "[1]"),
+	}
+	for name, cmd := range cmds {
+		for flag, val := range ignored {
+			rows[name+" -"+flag] = row(cmd, flag, val)
+		}
+	}
+	for name, args := range rows {
+		flag := name[strings.LastIndex(name, " ")+1:]
+		out, errOut, code := exec(args...)
+		if code != 1 || !strings.Contains(errOut, "p2: "+flag+" has no effect") {
+			t.Errorf("%s: exit=%d err=%q", name, code, errOut)
+		}
+		if out != "" {
+			t.Errorf("%s: wrote to stdout: %q", name, out)
+		}
+	}
+}
+
 // TestSweepsRejectIgnoredFlags: eval and export sweep every matrix,
 // unpruned, and tables sweep the paper's grid, so the shared planning
 // flags they cannot honor are refused rather than silently dropped.

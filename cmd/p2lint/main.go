@@ -10,9 +10,7 @@
 //	fanout         parallel results land by index, not by arrival order
 //	ctxflow        no context.Background/TODO in cancellable packages; ctx holders thread it to FooCtx variants
 //	atomichygiene  no package-level sync/atomic functions: typed atomics (atomic.Int64) only
-//	locksafe       no locks copied by value, no Lock without Unlock, no Add inside the goroutine
 //	errflow        errors.Is/As over ==/!=, fmt.Errorf wraps with %w
-//	leakcheck      goroutine channel ops in cancellable code carry a ctx.Done() arm
 //	exhaustive     switches over module enum types cover every constant or default
 //
 // Usage:

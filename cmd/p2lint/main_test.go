@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"p2/internal/analysis"
 )
 
 // The errflow fixture doubles as the golden input: a real package with
@@ -94,8 +96,8 @@ func TestDisableRemovesAnalyzer(t *testing.T) {
 			t.Error("-disable errflow left errflow selected")
 		}
 	}
-	if len(analyzers) != 11 {
-		t.Errorf("expected 11 analyzers after disabling one, got %d", len(analyzers))
+	if len(analyzers) != len(analysis.All)-1 {
+		t.Errorf("expected %d analyzers after disabling one, got %d", len(analysis.All)-1, len(analyzers))
 	}
 }
 

@@ -12,7 +12,10 @@
 // comments) so the suite reads like any other multichecker, but it is
 // self-contained: this module has no dependencies outside the standard
 // library, so the loader (load.go) drives `go list -export` plus go/types
-// directly instead of importing x/tools.
+// directly instead of importing x/tools. Every analyzer sees one package
+// at a time; what it needs from another module package — a callee's Ctx
+// twin, an enum's constants — it reads from that package's go/types
+// objects.
 //
 // # Escape hatches
 //
@@ -45,11 +48,6 @@ type Analyzer struct {
 	// fixtures under internal/analysis/testdata are always accepted so the
 	// analysistest harness exercises the real driver path.
 	AppliesTo func(pkgPath string) bool
-	// Collect, when non-nil, runs once per module before any Run,
-	// publishing per-object facts (Module.ExportObjectFact) that this
-	// analyzer's Run — or another analyzer's — consumes. The cross-function
-	// analyzers use it to see callees and fields outside the current pass.
-	Collect func(m *Module)
 	// Run reports the package's violations through pass.Report.
 	Run func(pass *Pass) error
 }
@@ -63,9 +61,6 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Annot holds the package's parsed //p2: markers.
 	Annot *Annotations
-	// Module is the whole-run view (facts, call graph) for the
-	// cross-function analyzers; single-package analyzers ignore it.
-	Module *Module
 
 	diags *[]Diagnostic
 }
@@ -145,17 +140,11 @@ const (
 	// MarkerNanOk blesses a NaN-unsafe float comparison (nanfloat) whose
 	// operands are validated finite upstream. Requires a justification.
 	MarkerNanOk Marker = "nan-ok"
-	// MarkerCtxOk blesses a context.Background()/TODO() root or an
-	// unthreaded blocking channel operation (ctxflow, leakcheck) — the
-	// boundary shims where a fresh context is the documented contract, or
-	// a send proven to unblock without cancellation. Requires a
-	// justification.
+	// MarkerCtxOk blesses a context.Background()/TODO() root or a call of
+	// a context-blind function whose FooCtx twin exists (ctxflow) — the
+	// boundary shims where a fresh context is the documented contract.
+	// Requires a justification.
 	MarkerCtxOk Marker = "ctx-ok"
-	// MarkerLockOk blesses a locking shape locksafe or atomichygiene would
-	// reject — a WaitGroup.Add inside a goroutine ordered before Wait by a
-	// happens-before edge, or a plain access to an atomic field proven
-	// single-threaded at that point. Requires a justification.
-	MarkerLockOk Marker = "lock-ok"
 )
 
 // markerNeedsWhy reports whether the marker requires a justification text.
@@ -169,7 +158,6 @@ var knownMarkers = map[Marker]bool{
 	MarkerAllocOk:          true,
 	MarkerNanOk:            true,
 	MarkerCtxOk:            true,
-	MarkerLockOk:           true,
 }
 
 // annotation is one parsed //p2: comment.
@@ -218,7 +206,7 @@ func (a *Annotations) scanComment(c *ast.Comment) {
 			Analyzer: "annot",
 			Pos:      pos,
 			Message:  fmt.Sprintf("unknown annotation marker //p2:%s", name),
-			Fix:      "use one of: order-independent, timing-ok, zeroalloc, alloc-ok, nan-ok, ctx-ok, lock-ok (see DESIGN.md §10)",
+			Fix:      "use one of: order-independent, timing-ok, zeroalloc, alloc-ok, nan-ok, ctx-ok (see DESIGN.md §10)",
 		})
 		return
 	}
@@ -264,6 +252,20 @@ func (a *Annotations) Covers(pos token.Pos, m Marker) bool {
 	return false
 }
 
+// StaticCallee resolves a call expression to the *types.Func it invokes,
+// or nil for dynamic calls (function values, builtins, conversions).
+func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
 // FuncMarked reports whether fn's doc comment carries marker m.
 func FuncMarked(fn *ast.FuncDecl, m Marker) bool {
 	if fn.Doc == nil {
@@ -286,7 +288,7 @@ func FuncMarked(fn *ast.FuncDecl, m Marker) bool {
 var Annot = &Analyzer{
 	Name: "annot",
 	Doc: "reject unknown //p2: markers and escape hatches without a justification; the valid set is " +
-		"order-independent, timing-ok, zeroalloc, alloc-ok, nan-ok, ctx-ok, lock-ok (DESIGN.md §10)",
+		"order-independent, timing-ok, zeroalloc, alloc-ok, nan-ok, ctx-ok (DESIGN.md §10)",
 	Run: func(pass *Pass) error {
 		*pass.diags = append(*pass.diags, pass.Annot.problems...)
 		return nil
@@ -339,10 +341,18 @@ func isFixturePath(pkgPath string) bool {
 	return strings.Contains(pkgPath, "analysis/testdata/")
 }
 
-// All is the full analyzer suite in the order p2lint runs it: the PR 7
-// single-function analyzers first, then the cross-function concurrency
-// and cancellation set built on the facts engine (facts.go).
+// inModule reports whether pkgPath is declared in this module (fixtures
+// included), whether or not the run's patterns loaded it from source —
+// the test exhaustive and ctxflow apply to an enum's or a callee's
+// declaring package.
+func inModule(pkgPath string) bool {
+	return pkgPath == "p2" || strings.HasPrefix(pkgPath, "p2/")
+}
+
+// All is the full analyzer suite in the order p2lint runs it: the
+// invariant guards first, then the cancellation, concurrency and
+// error-flow checks.
 var All = []*Analyzer{
 	Annot, DetMapRange, NaNFloat, ZeroAlloc, WallClock, FanOut,
-	CtxFlow, AtomicHygiene, LockSafe, ErrFlow, LeakCheck, Exhaustive,
+	CtxFlow, AtomicHygiene, ErrFlow, Exhaustive,
 }

@@ -19,14 +19,13 @@ func TestZeroAllocFixture(t *testing.T)   { RunFixture(t, "zeroalloc", ZeroAlloc
 func TestWallClockFixture(t *testing.T)   { RunFixture(t, "wallclock", WallClock) }
 func TestFanOutFixture(t *testing.T)      { RunFixture(t, "fanout", FanOut) }
 
-// The concurrency and cancellation analyzers. The ctxflow fixture puts
-// caller and callee in different files, so a pass exercises the call graph
-// (facts.go) across file boundaries, not just within one inspection.
+// The cancellation, concurrency and error-flow analyzers. The ctxflow
+// fixture puts caller and callee in different files, so the Ctx-twin
+// lookup resolves through go/types across file boundaries, not just
+// within one inspection.
 func TestCtxFlowFixture(t *testing.T)       { RunFixture(t, "ctxflow", CtxFlow) }
 func TestAtomicHygieneFixture(t *testing.T) { RunFixture(t, "atomichygiene", AtomicHygiene) }
-func TestLockSafeFixture(t *testing.T)      { RunFixture(t, "locksafe", LockSafe) }
 func TestErrFlowFixture(t *testing.T)       { RunFixture(t, "errflow", ErrFlow) }
-func TestLeakCheckFixture(t *testing.T)     { RunFixture(t, "leakcheck", LeakCheck) }
 func TestExhaustiveFixture(t *testing.T)    { RunFixture(t, "exhaustive", Exhaustive) }
 
 // TestLintTree is the self-test p2lint's CI step relies on: the full suite
@@ -64,7 +63,8 @@ func BenchmarkLintTree(b *testing.B) {
 // TestPackageGating pins which packages each gate accepts: detmaprange and
 // fanout run only on the determinism-critical engine set, nanfloat and
 // wallclock on all engine internals, and fixtures are always in scope so
-// the harness exercises the gated path.
+// the harness exercises the gated path. inModule is the declaring-package
+// test exhaustive and ctxflow apply to enums and callees.
 func TestPackageGating(t *testing.T) {
 	cases := []struct {
 		path                            string
@@ -94,6 +94,9 @@ func TestPackageGating(t *testing.T) {
 		{"p2/internal/analysis/testdata/src/ctxflow", true, true, true},
 	}
 	for _, tc := range cases {
+		if !inModule(tc.path) {
+			t.Errorf("inModule(%q) = false, want true", tc.path)
+		}
 		if got := inCritical(tc.path); got != tc.critical {
 			t.Errorf("inCritical(%q) = %v, want %v", tc.path, got, tc.critical)
 		}
@@ -102,6 +105,11 @@ func TestPackageGating(t *testing.T) {
 		}
 		if got := inCancellable(tc.path); got != tc.cancellable {
 			t.Errorf("inCancellable(%q) = %v, want %v", tc.path, got, tc.cancellable)
+		}
+	}
+	for _, path := range []string{"context", "sync/atomic", "p2x", "p2x/internal/plan"} {
+		if inModule(path) {
+			t.Errorf("inModule(%q) = true, want false", path)
 		}
 	}
 }
@@ -124,7 +132,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 	}
 	for _, want := range []string{
 		"annot", "detmaprange", "nanfloat", "zeroalloc", "wallclock", "fanout",
-		"ctxflow", "atomichygiene", "locksafe", "errflow", "leakcheck", "exhaustive",
+		"ctxflow", "atomichygiene", "errflow", "exhaustive",
 	} {
 		if !seen[want] {
 			t.Errorf("analyzer %s not registered in All", want)
@@ -140,8 +148,8 @@ func TestMarkerRules(t *testing.T) {
 			t.Errorf("markerNeedsWhy(%s) = %v, want %v", m, markerNeedsWhy(m), want)
 		}
 	}
-	if len(knownMarkers) != 7 {
-		t.Errorf("known marker set has %d entries, want 7 — update DESIGN.md §10 and docscheck.sh for new markers", len(knownMarkers))
+	if len(knownMarkers) != 6 {
+		t.Errorf("known marker set has %d entries, want 6 — update DESIGN.md §10 and docscheck.sh for new markers", len(knownMarkers))
 	}
 }
 

@@ -16,35 +16,14 @@ import (
 //   - a function that holds a ctx must thread it: calling the
 //     context-blind variant of a function whose FooCtx twin exists (the
 //     module's Plan/PlanCtx naming convention) silently drops
-//     the deadline mid-chain and is flagged, cross-package and cross-file,
-//     via the call graph and the CtxVariantFact its Collect publishes.
+//     the deadline mid-chain and is flagged, cross-package and cross-file:
+//     each call site's callee carries its twin in go/types.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "ban context.Background/TODO in cancellable packages and flag ctx-holding functions that " +
 		"call the context-blind variant of a FooCtx pair; boundary shims carry //p2:ctx-ok",
 	AppliesTo: inCancellable,
-	Collect:   collectCtxVariants,
 	Run:       runCtxFlow,
-}
-
-// CtxVariantFact is published on every module function fn for which a
-// sibling fn.Name()+"Ctx" taking a context.Context exists in the same
-// scope (package scope for functions, method set for methods).
-type CtxVariantFact struct {
-	Variant *types.Func
-}
-
-// AFact marks CtxVariantFact as a fact.
-func (*CtxVariantFact) AFact() {}
-
-// collectCtxVariants publishes a CtxVariantFact for every module function
-// with a context-threading twin.
-func collectCtxVariants(m *Module) {
-	for _, fn := range m.CallGraph.Functions() {
-		if v := ctxVariantOf(fn); v != nil {
-			m.ExportObjectFact(fn, &CtxVariantFact{Variant: v})
-		}
-	}
 }
 
 // ctxVariantOf resolves fn's FooCtx twin: same receiver (for methods) or
@@ -117,7 +96,9 @@ func runCtxFlow(pass *Pass) error {
 			}
 			return true
 		})
-		// Rule 2: ctx holders must thread it to FooCtx twins.
+		// Rule 2: ctx holders must thread it to FooCtx twins. Calls inside
+		// closures count as the enclosing function's: a closure is part of
+		// its parent's control flow and sees the same ctx.
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -127,23 +108,38 @@ func runCtxFlow(pass *Pass) error {
 			if !ok || !takesContext(fn.Type()) {
 				continue
 			}
-			for _, site := range pass.Module.CallGraph.CallsFrom(fn) {
-				if takesContext(site.Callee.Type()) {
-					continue // already threading (or callee takes its own ctx)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if ok {
+					checkCtxThreaded(pass, fn, call)
 				}
-				var variant CtxVariantFact
-				if !pass.Module.ImportObjectFact(site.Callee, &variant) {
-					continue // no Ctx twin: callee is genuinely context-free
-				}
-				if pass.Annot.Covers(site.Pos, MarkerCtxOk) {
-					continue
-				}
-				pass.Reportf(site.Pos,
-					"call "+variant.Variant.Name()+" with the ctx in scope, or annotate //p2:ctx-ok <why>",
-					"%s holds a ctx but calls %s, whose context-threading variant %s exists — the deadline is dropped mid-chain",
-					fn.Name(), site.Callee.Name(), variant.Variant.Name())
-			}
+				return true
+			})
 		}
 	}
 	return nil
+}
+
+// checkCtxThreaded flags call when it is a static call, from the
+// ctx-holding fn, of a context-blind module function whose Ctx twin
+// exists.
+func checkCtxThreaded(pass *Pass, fn *types.Func, call *ast.CallExpr) {
+	callee := StaticCallee(pass.TypesInfo, call)
+	if callee == nil || callee.Pkg() == nil || !inModule(callee.Pkg().Path()) {
+		return
+	}
+	if takesContext(callee.Type()) {
+		return // already threading (or callee takes its own ctx)
+	}
+	variant := ctxVariantOf(callee)
+	if variant == nil {
+		return // no Ctx twin: callee is genuinely context-free
+	}
+	if pass.Annot.Covers(call.Pos(), MarkerCtxOk) {
+		return
+	}
+	pass.Reportf(call.Pos(),
+		"call "+variant.Name()+" with the ctx in scope, or annotate //p2:ctx-ok <why>",
+		"%s holds a ctx but calls %s, whose context-threading variant %s exists — the deadline is dropped mid-chain",
+		fn.Name(), callee.Name(), variant.Name())
 }

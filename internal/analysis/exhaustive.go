@@ -84,7 +84,7 @@ func enumConstants(pass *Pass, t types.Type) (*types.Named, []*types.Const) {
 		return nil, nil
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !pass.Module.DefinedInModule(obj) {
+	if obj.Pkg() == nil || !inModule(obj.Pkg().Path()) {
 		return nil, nil
 	}
 	if _, basic := named.Underlying().(*types.Basic); !basic {

@@ -191,9 +191,7 @@ func (l *Loader) typecheck(lp listedPackage) (*LoadedPackage, error) {
 }
 
 // Run loads the patterns and applies every analyzer to each package it
-// accepts, returning the position-sorted diagnostics. The whole-run Module
-// (facts, call graph) is built once, every analyzer's Collect
-// hook runs before any Run, and each pass carries the shared Module.
+// accepts, returning the position-sorted diagnostics.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	l := NewLoader(dir)
 	pkgs, err := l.Load(patterns...)
@@ -209,15 +207,8 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 }
 
 // analyze is the shared driver body behind Run and the fixture harness:
-// build the Module, run Collect hooks, then run each accepting analyzer
-// over each package.
+// run each accepting analyzer over each package.
 func analyze(fset *token.FileSet, pkgs []*LoadedPackage, analyzers []*Analyzer, diags *[]Diagnostic) error {
-	m := BuildModule(fset, pkgs)
-	for _, a := range analyzers {
-		if a.Collect != nil {
-			a.Collect(m)
-		}
-	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
@@ -230,7 +221,6 @@ func analyze(fset *token.FileSet, pkgs []*LoadedPackage, analyzers []*Analyzer, 
 				Pkg:       pkg.Pkg,
 				TypesInfo: pkg.TypesInfo,
 				Annot:     pkg.Annot,
-				Module:    m,
 				diags:     diags,
 			}
 			if err := a.Run(pass); err != nil {

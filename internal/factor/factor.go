@@ -7,10 +7,7 @@
 // reproducible enumerations.
 package factor
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Divisors returns all positive divisors of n in increasing order.
 // It panics if n <= 0.
@@ -100,9 +97,6 @@ func NewRadix(sizes []int) *Radix {
 // Len returns the number of digit positions.
 func (r *Radix) Len() int { return len(r.sizes) }
 
-// Size returns the radix of digit position i.
-func (r *Radix) Size(i int) int { return r.sizes[i] }
-
 // Sizes returns a copy of the per-position radix sizes.
 func (r *Radix) Sizes() []int { return append([]int(nil), r.sizes...) }
 
@@ -154,55 +148,4 @@ func (r *Radix) DecodeInto(v int, dst []int) {
 // Digit extracts digit position i of index v without a full decode.
 func (r *Radix) Digit(v, i int) int {
 	return (v / r.weights[i]) % r.sizes[i]
-}
-
-// Compose returns the index obtained from v by replacing digit i with d.
-func (r *Radix) Compose(v, i, d int) int {
-	old := r.Digit(v, i)
-	return v + (d-old)*r.weights[i]
-}
-
-// PrimeFactors returns the prime factorization of n as a sorted slice with
-// multiplicity, e.g. PrimeFactors(12) = [2 2 3].
-func PrimeFactors(n int) []int {
-	if n <= 0 {
-		panic(fmt.Sprintf("factor: PrimeFactors of non-positive %d", n))
-	}
-	var out []int
-	for p := 2; p*p <= n; p++ {
-		for n%p == 0 {
-			out = append(out, p)
-			n /= p
-		}
-	}
-	if n > 1 {
-		out = append(out, n)
-	}
-	return out
-}
-
-// GCD returns the greatest common divisor of a and b.
-func GCD(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a < 0 {
-		return -a
-	}
-	return a
-}
-
-// UniqueSortedInts returns xs deduplicated and sorted ascending, without
-// modifying the input.
-func UniqueSortedInts(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	w := 0
-	for i, x := range out {
-		if i == 0 || x != out[w-1] {
-			out[w] = x
-			w++
-		}
-	}
-	return out[:w]
 }

@@ -129,14 +129,6 @@ func TestRadixDigitAndCompose(t *testing.T) {
 			if got := r.Digit(v, i); got != d[i] {
 				t.Errorf("Digit(%d,%d) = %d, want %d", v, i, got, d[i])
 			}
-			for nd := 0; nd < r.Size(i); nd++ {
-				nv := r.Compose(v, i, nd)
-				want := append([]int(nil), d...)
-				want[i] = nd
-				if nv != r.Encode(want) {
-					t.Errorf("Compose(%d,%d,%d) = %d, want %d", v, i, nd, nv, r.Encode(want))
-				}
-			}
 		}
 	}
 }
@@ -179,47 +171,6 @@ func TestRadixEncodePanicsOnBadDigit(t *testing.T) {
 		}
 	}()
 	r.Encode([]int{1, 2})
-}
-
-func TestPrimeFactors(t *testing.T) {
-	cases := []struct {
-		n    int
-		want []int
-	}{
-		{1, nil},
-		{2, []int{2}},
-		{12, []int{2, 2, 3}},
-		{64, []int{2, 2, 2, 2, 2, 2}},
-		{97, []int{97}},
-		{90, []int{2, 3, 3, 5}},
-	}
-	for _, c := range cases {
-		if got := PrimeFactors(c.n); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("PrimeFactors(%d) = %v, want %v", c.n, got, c.want)
-		}
-	}
-}
-
-func TestGCD(t *testing.T) {
-	cases := []struct{ a, b, want int }{
-		{12, 8, 4}, {8, 12, 4}, {7, 13, 1}, {0, 5, 5}, {5, 0, 5}, {16, 64, 16},
-	}
-	for _, c := range cases {
-		if got := GCD(c.a, c.b); got != c.want {
-			t.Errorf("GCD(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestUniqueSortedInts(t *testing.T) {
-	in := []int{3, 1, 2, 3, 1, 1}
-	got := UniqueSortedInts(in)
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Errorf("UniqueSortedInts = %v", got)
-	}
-	if !reflect.DeepEqual(in, []int{3, 1, 2, 3, 1, 1}) {
-		t.Error("input was modified")
-	}
 }
 
 func TestDecodeIntoMatchesDecode(t *testing.T) {

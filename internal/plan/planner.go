@@ -975,10 +975,10 @@ func fanOut[T any](ctx context.Context, opts Options, stream func(func(*placemen
 				return false
 			}
 			if produced < workers {
-				wg.Add(1) //p2:lock-ok Add happens before close(prodDone); Wait runs only after <-prodDone, so the count is always ahead of Wait
+				wg.Add(1) // Add happens before close(prodDone); Wait runs only after <-prodDone, so the count is always ahead of Wait
 				go worker()
 			}
-			ch <- item{produced, m} //p2:ctx-ok workers drain ch to close even after cancellation (the stream callback stops producing via ctx.Err), so this send always completes
+			ch <- item{produced, m} // workers drain ch to close even after cancellation (the stream callback stops producing via ctx.Err), so this send always completes
 			produced++
 			return true
 		})

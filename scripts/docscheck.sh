@@ -13,6 +13,9 @@
 #  4. The non-test line count ROADMAP.md states ("Non-test Go is N
 #     lines") is the one scripts/loc.sh measures — a number counts only
 #     if a committed script regenerates it.
+#  5. The analyzers p2lint runs (internal/analysis All, as `p2lint -h`
+#     lists them), the rows of DESIGN.md §10's analyzer table and the
+#     list in cmd/p2lint's doc comment are the same set.
 #
 # Exit status is non-zero on any mismatch, printing what drifted.
 set -eu
@@ -112,7 +115,33 @@ if [ "$stated" != "$measured" ]; then
   fail=1
 fi
 
+# --- 5. Analyzer names: analysis.All vs DESIGN.md §10 vs cmd/p2lint's doc ---
+# Registered: the "Analyzers:" listing `p2lint -h` prints from analysis.All.
+registered=$(go run ./cmd/p2lint -h 2>&1 | awk '/^Analyzers:/ {on = 1; next} on && NF {print $1}' | sort)
+# Tabled: the backticked first cell of each row of DESIGN.md §10's table.
+tabled=$(awk '/^## 10\./ {on = 1; next} /^## / {on = 0} on' DESIGN.md \
+  | grep -oE '^\| `[a-z]+` \|' | tr -d '|` ' | sort)
+# Listed: the "//<tab>name  summary" lines above "// Usage:" in cmd/p2lint.
+listed=$(awk '/^\/\/ Usage:/ {exit} /^\/\/\t[a-z]+ / {print $2}' cmd/p2lint/main.go | sort)
+
+if [ -z "$registered" ]; then
+  echo "docscheck: 'p2lint -h' listed no analyzers" >&2
+  fail=1
+fi
+same_analyzers() { # where names
+  if [ "$2" != "$registered" ]; then
+    echo "docscheck: analysis.All and the $1 name different analyzers:" >&2
+    echo "--- analysis.All ---" >&2
+    printf '%s\n' "$registered" >&2
+    echo "--- $1 ---" >&2
+    printf '%s\n' "$2" >&2
+    fail=1
+  fi
+}
+same_analyzers "DESIGN.md §10 table" "$tabled"
+same_analyzers "cmd/p2lint doc comment" "$listed"
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "docscheck: OK (README flags consistent with cmd/p2 and cmd/p2lint; DESIGN.md index matches headers; //p2: markers documented, accepted and used consistently; ROADMAP line count is scripts/loc.sh's)"
+echo "docscheck: OK (README flags consistent with cmd/p2 and cmd/p2lint; DESIGN.md index matches headers; //p2: markers documented, accepted and used consistently; ROADMAP line count is scripts/loc.sh's; analysis.All, DESIGN.md §10 and cmd/p2lint list the same analyzers)"
