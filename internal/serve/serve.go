@@ -161,6 +161,12 @@ type LatencyStatz struct {
 // latRingSize is the served-latency window /statz percentiles cover.
 const latRingSize = 1024
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// headers, lowered to half a shorter DrainTimeout: a connection stalled
+// mid-header is not idle, so Shutdown would otherwise wait out the whole
+// drain for it and fail.
+const readHeaderTimeout = time.Second
+
 // flight is one in-flight /plan computation: concurrent identical
 // requests coalesce onto it (single-flight) and share the leader's
 // outcome — including a partial or failed one; a follower that wants a
@@ -245,7 +251,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, logw io.Writer
 		return err
 	}
 	fmt.Fprintf(logw, "p2 serve listening on %s\n", ln.Addr())
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: min(readHeaderTimeout, s.cfg.DrainTimeout/2)}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -505,6 +511,12 @@ func resolve(pr *PlanRequest) (*p2.System, p2.Request, string, error) {
 	}
 	if len(pr.Axes) == 0 {
 		return nil, p2.Request{}, "", fmt.Errorf(`missing "axes"`)
+	}
+	if !(pr.Bytes >= 0) {
+		// p2.Request treats bytes <= 0 as "use the paper default", so a
+		// negative would silently plan at ~17 GB; the CLI refuses a
+		// negative -bytes for the same reason. NaN (from Warm) fails too.
+		return nil, p2.Request{}, "", fmt.Errorf(`"bytes" must be a non-negative number (got %g)`, pr.Bytes)
 	}
 	reduce := pr.Reduce
 	if len(reduce) == 0 {

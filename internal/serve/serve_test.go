@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -322,6 +323,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown measure", `{"system": "fig2a", "axes": [16], "measure": "always"}`, http.StatusBadRequest},
 		{"bad faults", `{"system": "fig2a", "axes": [16], "faults": "gpu:99"}`, http.StatusBadRequest},
 		{"axes do not cover devices", `{"system": "fig2a", "axes": [3]}`, http.StatusBadRequest},
+		{"negative bytes", `{"system": "fig2a", "axes": [16], "bytes": -1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -433,35 +435,34 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestGracefulDrain runs the real listener: requests succeed while
-// serving, cancelling the context drains and ListenAndServe returns nil
-// having logged the drain progression.
-func TestGracefulDrain(t *testing.T) {
-	s := NewServer(Config{DrainTimeout: 2 * time.Second})
-	logw := &syncBuffer{}
+// listen runs s.ListenAndServe on an ephemeral port with the given drain
+// timeout and returns the resolved address, the drain trigger,
+// ListenAndServe's result and its log.
+func listen(t *testing.T, drain time.Duration) (addr string, cancel context.CancelFunc, served <-chan error, logw *syncBuffer) {
+	t.Helper()
+	s := NewServer(Config{DrainTimeout: drain})
+	logw = &syncBuffer{}
 	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- s.ListenAndServe(ctx, "127.0.0.1:0", logw) }()
+	t.Cleanup(cancel)
+	done := make(chan error, 1)
+	go func() { done <- s.ListenAndServe(ctx, "127.0.0.1:0", logw) }()
 
 	// The listening line carries the resolved address.
-	var addr string
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		if out := logw.String(); strings.Contains(out, "listening on ") {
 			line := out[strings.Index(out, "listening on ")+len("listening on "):]
-			addr = strings.TrimSpace(strings.SplitN(line, "\n", 2)[0])
-			break
+			return strings.TrimSpace(strings.SplitN(line, "\n", 2)[0]), cancel, done, logw
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if addr == "" {
-		t.Fatalf("no listening line in log: %q", logw.String())
-	}
+	t.Fatalf("no listening line in log: %q", logw.String())
+	return "", nil, nil, nil
+}
 
-	code, _ := postPlan(t, "http://"+addr, fig2aBody)
-	if code != http.StatusOK {
-		t.Fatalf("POST /plan on live listener = %d, want 200", code)
-	}
-
+// drained cancels the serve context and fails unless ListenAndServe then
+// returns nil within the test's patience.
+func drained(t *testing.T, cancel context.CancelFunc, served <-chan error) {
+	t.Helper()
 	cancel()
 	select {
 	case err := <-served:
@@ -471,9 +472,48 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("ListenAndServe did not return within the drain timeout")
 	}
+}
+
+// TestGracefulDrain runs the real listener: requests succeed while
+// serving, cancelling the context drains and ListenAndServe returns nil
+// having logged the drain progression.
+func TestGracefulDrain(t *testing.T) {
+	addr, cancel, served, logw := listen(t, 2*time.Second)
+	code, _ := postPlan(t, "http://"+addr, fig2aBody)
+	if code != http.StatusOK {
+		t.Fatalf("POST /plan on live listener = %d, want 200", code)
+	}
+	drained(t, cancel, served)
 	out := logw.String()
 	if !strings.Contains(out, "draining") || !strings.Contains(out, "drained") {
 		t.Fatalf("drain log missing progression lines: %q", out)
+	}
+}
+
+// TestDrainStalledClient holds a connection open mid-header while the
+// daemon drains: the header timeout must close it so the drain still
+// returns nil instead of running out its deadline — both with a drain
+// longer than readHeaderTimeout and with one shorter than it.
+func TestDrainStalledClient(t *testing.T) {
+	for _, drain := range []time.Duration{2 * time.Second, 500 * time.Millisecond} {
+		t.Run(drain.String(), func(t *testing.T) {
+			addr, cancel, served, _ := listen(t, drain)
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			if _, err := io.WriteString(conn, "POST /plan HTTP/1.1\r\nHost: x\r\n"); err != nil {
+				t.Fatalf("writing partial header: %v", err)
+			}
+			// The listener accepts in dial order, so once a later connection
+			// has been served the stalled one is accepted and held by the
+			// server.
+			if code, _ := postPlan(t, "http://"+addr, fig2aBody); code != http.StatusOK {
+				t.Fatalf("POST /plan on live listener = %d, want 200", code)
+			}
+			drained(t, cancel, served)
+		})
 	}
 }
 

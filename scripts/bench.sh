@@ -1,28 +1,49 @@
 #!/bin/sh
-# bench.sh — run the planning-engine benchmark suite and snapshot it into
-# BENCH_plan.json (ns/op, B/op, allocs/op, plus the engine's memoization
-# and bound-pruning counters) for before/after comparison.
+# bench.sh — regenerate the repo's performance record, BENCH_plan.json.
+# Runs the tracked `go test` layer rows ten times (-count 10) and the five
+# BENCHMARK.json workloads as the benchmark driver runs them, once per
+# seed 1..10 (bench/baseline.json's seeds), then has scripts/benchjson
+# write each row's and each workload metric's median and spread into
+# "current", next to the commit, Go version, GOMAXPROCS and CPU model.
+# The file's "baseline" is kept. Takes about 22 minutes on 2 vCPU.
 #
 # Usage:   scripts/bench.sh [output.json]
-# Env:     BENCHTIME   go test -benchtime value (default 3x; CI uses 1x)
-#          BENCHNOTE   free-form note recorded in the snapshot
-#
-# The target file's existing "baseline" section is preserved across runs
-# (the committed BENCH_plan.json carries the pre-optimization numbers);
-# only "current" is rewritten.
+# Env:     SMOKE   if non-empty: one sample of everything, rows at
+#                  -benchtime 1x and the driver's --smoke workloads — a
+#                  check that the tooling runs, not a measurement
 set -eu
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_plan.json}"
-BENCHTIME="${BENCHTIME:-3x}"
-BENCHNOTE="${BENCHNOTE:-}"
+COUNT=10
+BENCHTIME=1s
+RUN="--seconds 15"
+if [ -n "${SMOKE:-}" ]; then
+  COUNT=1 BENCHTIME=1x RUN=--smoke
+fi
 
-TMP="$(mktemp)"
-trap 'rm -f "$TMP"' EXIT
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
 
-go test -run XXX \
+# collect appends a command's output to the writer's input; the output
+# lives only in $TMP, so a failing command's tail is shown before exiting.
+collect() {
+  "$@" >> "$TMP/out" || { tail -n 20 "$TMP/out" >&2; exit 1; }
+}
+
+echo "commit: $(git describe --always --dirty 2>/dev/null || echo unknown)" > "$TMP/out"
+echo "bench.sh: go test rows, -count $COUNT -benchtime $BENCHTIME" >&2
+collect go test -run XXX \
   -bench 'BenchmarkPlanSuperPod2x4|BenchmarkPlanSuperPod3x4|BenchmarkPlanSuperPod3x4Degraded|BenchmarkPlanSuperPod4x8|BenchmarkPlanSuperPod16x32|BenchmarkPlanJointEngine|BenchmarkPlanFreshBytesWarm|BenchmarkSynthesize/|BenchmarkCostEstimate|BenchmarkLower$|BenchmarkBind$|BenchmarkNetsimMeasure|BenchmarkNetsimConcurrent' \
-  -benchmem -benchtime "$BENCHTIME" . | tee "$TMP"
+  -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
 
-go run ./scripts/benchjson -o "$OUT" -benchtime "$BENCHTIME" -note "$BENCHNOTE" < "$TMP"
-echo "bench.sh: wrote $OUT"
+go build -o "$TMP/bench" ./bench
+for seed in $(seq 1 "$COUNT"); do
+  for w in cold_topk cold_full measured serve_fresh serve_hot; do
+    echo "bench.sh: $w seed $seed" >&2
+    collect "$TMP/bench" --workload "$w" --seed "$seed" $RUN --trace 0
+  done
+done
+
+go run ./scripts/benchjson -o "$OUT" < "$TMP/out"
+echo "bench.sh: wrote $OUT" >&2

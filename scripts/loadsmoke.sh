@@ -9,22 +9,14 @@
 #     client-vs-/statz cross-check (loadtest exits non-zero otherwise),
 #  2. nonzero throughput and reported tail latency,
 #  3. the cold run's first hot request misses the cache, the warm run's
-#     hits it — the warm-start contract,
+#     hits it — the warm-start contract.
 #
-# then snapshots both reports into BENCH_serve.json (the service-side
-# perf trajectory, next to BENCH_plan.json). The target file's existing
-# "baseline" section is preserved; only "current" is rewritten.
+# It writes no file: the repo's performance record is BENCH_plan.json,
+# written by scripts/bench.sh from non-race runs.
 #
-# Usage:   scripts/loadsmoke.sh [output.json]
-# Env:     LOADREQUESTS  stream length (default 200)
-#          LOADCLIENTS   closed-loop clients (default 8)
-#          BENCHNOTE     free-form note recorded in the snapshot
+# Usage:   scripts/loadsmoke.sh
 set -eu
 cd "$(dirname "$0")/.."
-
-OUT="${1:-BENCH_serve.json}"
-REQUESTS="${LOADREQUESTS:-200}"
-CLIENTS="${LOADCLIENTS:-8}"
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
@@ -42,7 +34,7 @@ go build -race -o "$TMP/p2" ./cmd/p2
 
 # loadtest itself exits non-zero on any unexpected error or cross-check
 # failure in either run — assertion 1 is its exit code.
-"$TMP/p2" loadtest -requests "$REQUESTS" -clients "$CLIENTS" -seed 1 \
+"$TMP/p2" loadtest -requests 200 -clients 8 -seed 1 \
   -compare-warm -json > "$TMP/report.json" 2> "$TMP/log" \
   || fail "loadtest exited non-zero"
 
@@ -63,6 +55,4 @@ grep -q '"p99":' "$TMP/report.json" || fail "no p99 in the report"
 # Warm-start contract: cold first hot request misses, warm hits.
 has first_hot_cached false
 has first_hot_cached true
-
-go run ./scripts/servebenchjson -o "$OUT" -note "${BENCHNOTE:-}" < "$TMP/report.json"
-echo "loadsmoke: OK ($REQUESTS requests x cold+warm under -race; wrote $OUT)"
+echo "loadsmoke: OK (200 requests x cold+warm under -race)"
