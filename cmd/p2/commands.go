@@ -26,58 +26,67 @@ import (
 	"p2/internal/xla"
 )
 
-// commonFlags bundles the flags shared by most subcommands.
-type commonFlags struct {
-	fs          *flag.FlagSet
-	sysName     *string
-	nodes       *int
-	axes        *string
-	reduce      *string
-	algo        *string
-	matrix      *string
-	parallelism *int
-	topk        *int
-	bytes       *float64
-	measure     *string
-	timeout     *time.Duration
-	stats       *bool
-	cpuprofile  *string
+// body runs a command on its resolved invocation.
+type body func(e *env) error
+
+// command is one row of the CLI's command table.
+type command struct {
+	name string
+	// summary is the help text; its continuation lines are indented under
+	// the first.
+	summary string
+	// flags are the shared flags the command honours, space-separated:
+	// the only ones it registers, so the flag parser refuses the rest.
+	flags string
+	// setup registers the command's own flags and returns its body.
+	setup func(fs *flag.FlagSet) body
 }
 
-// newCommon builds a subcommand's flag set. Flag-parse errors and usage
+// sharedFlags holds the values of the flags several commands share. A
+// command registers only the ones it honours; the others keep the
+// defaults register gives them.
+type sharedFlags struct {
+	system, axes, reduce, algo, matrix, measure, cpuprofile string
+	nodes, parallelism, topk                                int
+	bytes                                                   float64
+	timeout                                                 time.Duration
+	stats                                                   bool
+}
+
+// env is one resolved invocation: the shared flag values, the system and
+// planning request they describe, and the command's deadline.
+type env struct {
+	sharedFlags
+	out, errOut io.Writer
+	ctx         context.Context
+	sys         *topology.System // nil unless the command honours -system
+	req         p2.Request
+}
+
+// run executes one invocation of the command. Flag-parse errors and usage
 // go to errOut (stderr in production): stdout stays reserved for command
 // output, so piping a failed invocation never mixes diagnostics into it.
-func newCommon(name string, errOut io.Writer) *commonFlags {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+func (c *command) run(args []string, out, errOut io.Writer) error {
+	fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	return &commonFlags{
-		fs:          fs,
-		sysName:     fs.String("system", "a100", "system preset: a100, v100, fig2a, or superpod[:PxN] (P pods × N nodes, default 2x4)"),
-		nodes:       fs.Int("nodes", 4, "number of nodes (a100/v100 presets)"),
-		axes:        fs.String("axes", "", `parallelism axes, e.g. "[4 16]"`),
-		reduce:      fs.String("reduce", "[0]", `reduction axes, e.g. "[0]" or "[0 2]"`),
-		algo:        fs.String("algo", "Ring", "NCCL algorithm (case-insensitive): Ring, Tree, HalvingDoubling, or auto to search the per-step assignment"),
-		matrix:      fs.String("matrix", "", `restrict to one matrix, e.g. "[[2 2] [2 8]]"`),
-		parallelism: fs.Int("parallelism", 0, "planner worker pool size (0 = GOMAXPROCS, 1 = sequential)"),
-		topk:        fs.Int("topk", 0, "keep only the K fastest-predicted strategies (0 = all); also arms bound pruning"),
-		bytes:       fs.Float64("bytes", 0, "per-device payload in bytes (0 = paper default, 2^29 × machines float32)"),
-		measure:     fs.String("measure", "off", "measured-in-the-loop planning: off, rerank (re-rank the analytic top-K on the emulator), or rank-all (measure every candidate)"),
-		timeout:     fs.Duration("timeout", 0, "planning deadline, e.g. 500ms; past it ranking commands return the best-so-far ranking labeled PARTIAL, sweep commands abort (0 = none)"),
-		stats:       fs.Bool("stats", false, "report planning-engine statistics (memoization, pruning and measurement counters)"),
-		cpuprofile:  fs.String("cpuprofile", "", "write a CPU profile of the command to this file"),
+	e := &env{out: out, errOut: errOut, ctx: context.Background()}
+	e.register(fs, c.flags)
+	body := c.setup(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
-
-func (c *commonFlags) system() (*topology.System, error) {
-	return buildSystem(*c.sysName, *c.nodes)
-}
-
-// profiled runs fn under the optional -cpuprofile collection.
-func (c *commonFlags) profiled(fn func() error) error {
-	if *c.cpuprofile == "" {
-		return fn()
+	if err := e.resolve(fs); err != nil {
+		return err
 	}
-	f, err := os.Create(*c.cpuprofile)
+	if e.timeout > 0 {
+		var cancel context.CancelFunc
+		e.ctx, cancel = context.WithTimeout(e.ctx, e.timeout)
+		defer cancel()
+	}
+	if e.cpuprofile == "" {
+		return body(e)
+	}
+	f, err := os.Create(e.cpuprofile)
 	if err != nil {
 		return err
 	}
@@ -86,7 +95,91 @@ func (c *commonFlags) profiled(fn func() error) error {
 		return err
 	}
 	defer pprof.StopCPUProfile()
-	return fn()
+	return body(e)
+}
+
+// register defines every shared flag on a scratch set and moves the named
+// ones onto fs.
+func (e *env) register(fs *flag.FlagSet, names string) {
+	all := flag.NewFlagSet("", flag.ContinueOnError)
+	all.StringVar(&e.system, "system", "a100", "system preset: a100, v100, fig2a, or superpod[:PxN] (P pods × N nodes, default 2x4)")
+	all.IntVar(&e.nodes, "nodes", 4, "number of nodes of the a100/v100 presets (an error on fig2a and superpod)")
+	all.StringVar(&e.axes, "axes", "", `parallelism axes, e.g. "[4 16]"`)
+	all.StringVar(&e.reduce, "reduce", "[0]", `reduction axes, e.g. "[0]" or "[0 2]"`)
+	all.StringVar(&e.algo, "algo", "Ring", "NCCL algorithm (case-insensitive): Ring, Tree, HalvingDoubling, or auto to search the per-step assignment")
+	all.StringVar(&e.matrix, "matrix", "", `restrict to one matrix, e.g. "[[2 2] [2 8]]"`)
+	all.IntVar(&e.parallelism, "parallelism", 0, "planner worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	all.IntVar(&e.topk, "topk", 0, "keep only the K fastest-predicted strategies (0 = all); also arms bound pruning")
+	all.Float64Var(&e.bytes, "bytes", 0, "per-device payload in bytes (0 = paper default, 2^29 × machines float32)")
+	all.StringVar(&e.measure, "measure", "off", "measured-in-the-loop planning: off, rerank (re-rank the analytic top-K on the emulator), or rank-all (measure every candidate)")
+	all.DurationVar(&e.timeout, "timeout", 0, "planning deadline, e.g. 500ms; past it ranking commands return the best-so-far ranking labeled PARTIAL, sweep commands abort (0 = none)")
+	all.BoolVar(&e.stats, "stats", false, "report planning-engine statistics (memoization, pruning and measurement counters)")
+	all.StringVar(&e.cpuprofile, "cpuprofile", "", "write a CPU profile of the command to this file")
+	for _, name := range strings.Fields(names) {
+		f := all.Lookup(name)
+		fs.Var(f.Value, f.Name, f.Usage)
+	}
+}
+
+// resolve turns the shared flag values into the system and the planning
+// request. Only a registered -system or -axes is resolved (-axes has no
+// usable default); every other field parses its default when unregistered.
+// -nodes reaches p2.ParseSystem only when given, so that a node count on a
+// fixed-shape preset is refused instead of ignored.
+func (e *env) resolve(fs *flag.FlagSet) (err error) {
+	if fs.Lookup("system") != nil {
+		nodes := 0
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "nodes" {
+				nodes = e.nodes
+			}
+		})
+		if e.sys, err = p2.ParseSystem(e.system, nodes); err != nil {
+			return err
+		}
+	}
+	if e.bytes < 0 {
+		// Request.Bytes treats <= 0 as "use the paper default"; letting a
+		// negative through would silently plan at ~17 GB instead of the
+		// requested size.
+		return fmt.Errorf("-bytes must be positive (got %g)", e.bytes)
+	}
+	r := &e.req
+	if fs.Lookup("axes") != nil {
+		if r.Axes, err = placement.ParseVector(e.axes); err != nil {
+			return err
+		}
+	}
+	if r.ReduceAxes, err = placement.ParseVector(e.reduce); err != nil {
+		return err
+	}
+	if r.Algo, r.Algos, err = p2.ParseAlgorithms(e.algo); err != nil {
+		return err
+	}
+	if r.Measure, err = p2.ParseMeasureMode(e.measure); err != nil {
+		return err
+	}
+	if e.matrix != "" {
+		if r.Matrix, err = p2.ParseMatrix(e.sys, r.Axes, e.matrix); err != nil {
+			return err
+		}
+	}
+	r.Bytes, r.Parallelism, r.TopK = e.bytes, e.parallelism, e.topk
+	return nil
+}
+
+// evalConfig is the request as an eval sweep: every matrix, unpruned,
+// every program measured.
+func (e *env) evalConfig() eval.Config {
+	r := e.req
+	return eval.Config{Sys: e.sys, Axes: r.Axes, ReduceAxes: r.ReduceAxes, Algo: r.Algo, Algos: r.Algos, Bytes: r.Bytes}
+}
+
+// hierarchy builds the reduction hierarchy of matrix m for the request's
+// reduction axes.
+func (e *env) hierarchy(m *placement.Matrix) (*hierarchy.Hierarchy, error) {
+	red := e.req.ReduceAxes
+	return hierarchy.Build(hierarchy.KindReductionAxes, m, red, hierarchy.Options{Collapse: len(red) > 1})
 }
 
 // printStats reports the planning-engine counters when -stats is set.
@@ -95,166 +188,42 @@ func (c *commonFlags) profiled(fn func() error) error {
 // opt-in rather than part of the default (reproducible) output. The
 // measurement counters (deterministic again) appear only when a measured
 // mode actually emulated something.
-func (c *commonFlags) printStats(out io.Writer, s plan.Stats) {
-	if !*c.stats {
+func (e *env) printStats(s plan.Stats) {
+	if !e.stats {
 		return
 	}
-	fmt.Fprintf(out, "planning: %d placements (%d bound-pruned), %d synth runs (%d programs, %.1f ms), %d memo hits, %d candidates scored (%d pruned early, %d bound tightenings)\n",
+	fmt.Fprintf(e.out, "planning: %d placements (%d bound-pruned), %d synth runs (%d programs, %.1f ms), %d memo hits, %d candidates scored (%d pruned early, %d bound tightenings)\n",
 		s.Placements, s.PrunedPlacements, s.SynthRuns, s.SynthPrograms, s.SynthElapsed.Seconds()*1e3, s.MemoHits,
 		s.Candidates, s.PrunedPrograms, s.BoundTightenings)
 	if s.MeasuredCandidates > 0 {
-		fmt.Fprintf(out, "measured: %d candidates emulated, %d analytic-vs-measured rank inversions\n",
+		fmt.Fprintf(e.out, "measured: %d candidates emulated, %d analytic-vs-measured rank inversions\n",
 			s.MeasuredCandidates, s.RankInversions)
 	}
 }
 
-// measureMode parses the -measure flag.
-func (c *commonFlags) measureMode() (p2.MeasureMode, error) {
-	return p2.ParseMeasureMode(*c.measure)
-}
-
-// planCtx returns the command's planning context: Background, bounded by
-// -timeout when set. The caller must invoke the cancel function.
-func (c *commonFlags) planCtx() (context.Context, context.CancelFunc) {
-	if *c.timeout <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), *c.timeout)
-}
-
-// requireUnset rejects the named shared flags on a command (or command
-// path) whose output they cannot influence — silently ignoring, say,
-// -timeout, -measure or -bytes would let the user believe the deadline was
-// enforced, the numbers emulator-ranked or computed at the requested size.
-// Any explicit setting is rejected, the default value included.
-func (c *commonFlags) requireUnset(path string, names ...string) error {
-	var err error
-	c.fs.Visit(func(f *flag.Flag) {
-		if err == nil && slices.Contains(names, f.Name) {
-			err = fmt.Errorf("-%s has no effect on %s", f.Name, path)
-		}
-	})
-	return err
-}
-
-// requireNoStats rejects -stats on commands that have no planning
-// statistics to report, or whose output must stay machine-parseable —
-// silently ignoring the flag would misreport that no pruning happened.
-func (c *commonFlags) requireNoStats() error {
-	if *c.stats {
-		return fmt.Errorf("-stats is not supported by %q (use synth, or trace -summary)", c.fs.Name())
-	}
-	return nil
-}
-
-// parsed resolves the shared flags. With -algo auto, algo is Ring (the
-// base) and algos carries the searched set (cost.ExtendedAlgorithms);
-// otherwise algos is nil and algo is the pinned algorithm.
-func (c *commonFlags) parsed() (axes, red []int, algo cost.Algorithm, algos []cost.Algorithm, err error) {
-	if *c.bytes < 0 {
-		// Request.Bytes treats <= 0 as "use the paper default"; letting a
-		// negative through would silently plan at ~17 GB instead of the
-		// requested size.
-		return nil, nil, 0, nil, fmt.Errorf("-bytes must be positive (got %g)", *c.bytes)
-	}
-	axes, err = placement.ParseVector(*c.axes)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	red, err = placement.ParseVector(*c.reduce)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	if strings.EqualFold(*c.algo, "auto") {
-		return axes, red, cost.Ring, cost.ExtendedAlgorithms, nil
-	}
-	if algo, err = cost.ParseAlgorithm(*c.algo); err != nil {
-		// ParseAlgorithm doesn't know about the CLI-level auto mode; its
-		// error must still offer it.
-		err = fmt.Errorf("%w (or \"auto\" to search the per-step assignment)", err)
-	}
-	return axes, red, algo, nil, err
-}
-
-func buildSystem(name string, nodes int) (*topology.System, error) {
-	return p2.ParseSystem(name, nodes)
-}
-
-// planFor wraps p2.PlanCtx with optional matrix restriction and engine
-// options from the CLI flags; -timeout bounds the plan, and past it the
-// result comes back with Partial set (the anytime contract — callers
-// label it).
-func (c *commonFlags) planFor(sys *topology.System, axes, red []int, algo cost.Algorithm, algos []cost.Algorithm) (*p2.PlanResult, error) {
-	measure, err := c.measureMode()
-	if err != nil {
-		return nil, err
-	}
-	req := p2.Request{Axes: axes, ReduceAxes: red, Algo: algo, Algos: algos,
-		Parallelism: *c.parallelism, TopK: *c.topk, Bytes: *c.bytes, Measure: measure}
-	if *c.matrix != "" {
-		m, err := p2.ParseMatrix(sys, axes, *c.matrix)
-		if err != nil {
-			return nil, err
-		}
-		req.Matrix = m
-	}
-	ctx, cancel := c.planCtx()
-	defer cancel()
-	return p2.PlanCtx(ctx, sys, req)
-}
-
-func cmdPlacements(args []string, out, errOut io.Writer) error {
-	c := newCommon("placements", errOut)
-	if err := c.fs.Parse(args); err != nil {
-		return err
-	}
-	if err := c.requireUnset(`"placements" (it only enumerates matrices)`, "algo", "bytes", "matrix", "measure", "parallelism", "reduce", "timeout", "topk"); err != nil {
-		return err
-	}
-	sys, err := c.system()
-	if err != nil {
-		return err
-	}
-	axes, err := placement.ParseVector(*c.axes)
-	if err != nil {
-		return err
-	}
-	if err := c.requireNoStats(); err != nil {
-		return err
-	}
-	return c.profiled(func() error {
-		ms, err := placement.Enumerate(sys.Hierarchy(), axes)
+func cmdPlacements(*flag.FlagSet) body {
+	return func(e *env) error {
+		ms, err := placement.Enumerate(e.sys.Hierarchy(), e.req.Axes)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "system %s %v, axes %v: %d placements (naive space: %v)\n",
-			sys.Name, sys.Hierarchy(), axes, len(ms), placement.NaivePlacementCount(axes))
+		fmt.Fprintf(e.out, "system %s %v, axes %v: %d placements (naive space: %v)\n",
+			e.sys.Name, e.sys.Hierarchy(), e.req.Axes, len(ms), placement.NaivePlacementCount(e.req.Axes))
 		for i, m := range ms {
-			fmt.Fprintf(out, "  %2d: %s\n", i+1, m)
+			fmt.Fprintf(e.out, "  %2d: %s\n", i+1, m)
 		}
 		return nil
-	})
+	}
 }
 
-func cmdSynth(args []string, out, errOut io.Writer) error {
-	c := newCommon("synth", errOut)
-	top := c.fs.Int("top", 10, "show only the fastest-predicted N programs (0 = all)")
-	if err := c.fs.Parse(args); err != nil {
-		return err
-	}
-	sys, err := c.system()
-	if err != nil {
-		return err
-	}
-	axes, red, algo, algos, err := c.parsed()
-	if err != nil {
-		return err
-	}
-	return c.profiled(func() error {
-		plan, err := c.planFor(sys, axes, red, algo, algos)
+func cmdSynth(fs *flag.FlagSet) body {
+	top := fs.Int("top", 10, "show only the fastest-predicted N programs (0 = all)")
+	return func(e *env) error {
+		plan, err := p2.PlanCtx(e.ctx, e.sys, e.req)
 		if err != nil {
 			return err
 		}
+		out := e.out
 		if plan.Partial {
 			fmt.Fprintln(out, "PARTIAL: -timeout expired mid-plan; this is the best-so-far ranking, not necessarily a prefix of the full one")
 		}
@@ -278,82 +247,37 @@ func cmdSynth(args []string, out, errOut io.Writer) error {
 				fmt.Fprintf(out, "  %2d: %9.3fs  %-18v %-16s %v\n", i+1, s.Predicted, s.Matrix, s.AlgoString(), s.Program)
 			}
 		}
-		c.printStats(out, plan.Stats)
+		e.printStats(plan.Stats)
 		return nil
-	})
+	}
 }
 
-// sweepIgnores are the shared flags an eval sweep has no use for: it
-// ranks every matrix, unpruned, on the default worker pool, and measures
-// every program.
-var sweepIgnores = []string{"matrix", "measure", "parallelism", "topk"}
-
-func cmdEval(args []string, out, errOut io.Writer) error {
-	c := newCommon("eval", errOut)
-	tsv := c.fs.Bool("tsv", false, "emit TSV instead of markdown")
-	if err := c.fs.Parse(args); err != nil {
-		return err
-	}
-	sys, err := c.system()
-	if err != nil {
-		return err
-	}
-	axes, red, algo, algos, err := c.parsed()
-	if err != nil {
-		return err
-	}
-	if err := c.requireNoStats(); err != nil {
-		return err
-	}
-	if err := c.requireUnset(`"eval" (a sweep ranks and measures every program of every matrix)`, sweepIgnores...); err != nil {
-		return err
-	}
-	cfg := eval.Config{Sys: sys, Axes: axes, ReduceAxes: red, Algo: algo, Algos: algos, Bytes: *c.bytes}
-	return c.profiled(func() error {
-		ctx, cancel := c.planCtx()
-		defer cancel()
-		if len(algos) > 1 {
+func cmdEval(fs *flag.FlagSet) body {
+	tsv := fs.Bool("tsv", false, "emit TSV instead of markdown")
+	return func(e *env) error {
+		cfg := e.evalConfig()
+		if len(cfg.Algos) > 1 {
 			// Auto mode: contrast the searched per-step assignment against
 			// the paper's pinned Ring and Tree sweeps.
-			ring, tree, auto, err := eval.RunAutoComparisonCtx(ctx, cfg)
+			ring, tree, auto, err := eval.RunAutoComparisonCtx(e.ctx, cfg)
 			if err != nil {
 				return err
 			}
-			emit(out, eval.BuildAutoComparison(ring, tree, auto), *tsv)
+			emit(e.out, eval.BuildAutoComparison(ring, tree, auto), *tsv)
 			return nil
 		}
-		r, err := eval.RunCtx(ctx, cfg)
+		r, err := eval.RunCtx(e.ctx, cfg)
 		if err != nil {
 			return err
 		}
-		emit(out, eval.BuildTable4([]*eval.Result{r}), *tsv)
+		emit(e.out, eval.BuildTable4([]*eval.Result{r}), *tsv)
 		return nil
-	})
+	}
 }
 
-func cmdExport(args []string, out, errOut io.Writer) error {
-	c := newCommon("export", errOut)
-	if err := c.fs.Parse(args); err != nil {
-		return err
-	}
-	sys, err := c.system()
-	if err != nil {
-		return err
-	}
-	axes, red, algo, algos, err := c.parsed()
-	if err != nil {
-		return err
-	}
-	if err := c.requireNoStats(); err != nil {
-		return err
-	}
-	if err := c.requireUnset(`"export" (a sweep ranks and measures every program of every matrix)`, sweepIgnores...); err != nil {
-		return err
-	}
-	return c.profiled(func() error {
-		ctx, cancel := c.planCtx()
-		defer cancel()
-		r, err := eval.RunCtx(ctx, eval.Config{Sys: sys, Axes: axes, ReduceAxes: red, Algo: algo, Algos: algos, Bytes: *c.bytes})
+func cmdExport(*flag.FlagSet) body {
+	return func(e *env) error {
+		r, err := eval.RunCtx(e.ctx, e.evalConfig())
 		if err != nil {
 			return err
 		}
@@ -361,52 +285,36 @@ func cmdExport(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, err = out.Write(append(data, '\n'))
+		_, err = e.out.Write(append(data, '\n'))
 		return err
-	})
+	}
 }
 
-func cmdHLO(args []string, out, errOut io.Writer) error {
-	c := newCommon("hlo", errOut)
-	progStr := c.fs.String("program", "", `program text, e.g. "(0, InsideGroup, AllReduce)"; empty = best predicted`)
-	elems := c.fs.Int("elems", 1<<22, "per-device f32 element count")
-	if err := c.fs.Parse(args); err != nil {
-		return err
-	}
-	sys, err := c.system()
-	if err != nil {
-		return err
-	}
-	axes, red, algo, algos, err := c.parsed()
-	if err != nil {
-		return err
-	}
-	if *c.matrix == "" {
-		return fmt.Errorf("hlo requires -matrix")
-	}
-	if err := c.requireNoStats(); err != nil {
-		return err
-	}
-	if *progStr != "" {
-		// With an explicit program nothing is planned, so neither the
-		// payload nor a measured mode nor a deadline can influence the
-		// emitted HLO (element count comes from -elems).
-		if err := c.requireUnset(`"hlo -program" (nothing is planned; use -elems for the HLO shape)`, "algo", "bytes", "measure", "parallelism", "timeout", "topk"); err != nil {
-			return err
-		}
-	}
-	return c.profiled(func() error {
-		m, err := placement.ParseMatrix(*c.matrix, sys.Hierarchy(), axes)
-		if err != nil {
-			return err
-		}
-		h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, red,
-			hierarchy.Options{Collapse: len(red) > 1})
-		if err != nil {
-			return err
+func cmdHLO(fs *flag.FlagSet) body {
+	progStr := fs.String("program", "", `program text, e.g. "(0, InsideGroup, AllReduce)"; empty = best predicted`)
+	elems := fs.Int("elems", 1<<22, "per-device f32 element count")
+	return func(e *env) error {
+		if e.req.Matrix == nil {
+			return fmt.Errorf("hlo requires -matrix")
 		}
 		var lp *lower.Program
 		if *progStr != "" {
+			// With an explicit program nothing is planned, so neither the
+			// payload nor a measured mode nor a deadline can influence the
+			// emitted HLO (element count comes from -elems).
+			var err error
+			fs.Visit(func(f *flag.Flag) {
+				if err == nil && slices.Contains([]string{"algo", "bytes", "measure", "parallelism", "timeout", "topk"}, f.Name) {
+					err = fmt.Errorf(`-%s has no effect on "hlo -program" (nothing is planned; use -elems for the HLO shape)`, f.Name)
+				}
+			})
+			if err != nil {
+				return err
+			}
+			h, err := e.hierarchy(e.req.Matrix)
+			if err != nil {
+				return err
+			}
 			prog, err := p2.ParseProgram(*progStr)
 			if err != nil {
 				return err
@@ -415,14 +323,14 @@ func cmdHLO(args []string, out, errOut io.Writer) error {
 				return err
 			}
 		} else {
-			plan, err := c.planFor(sys, axes, red, algo, algos)
+			plan, err := p2.PlanCtx(e.ctx, e.sys, e.req)
 			if err != nil {
 				return err
 			}
 			if plan.Partial {
 				// The module text must stay machine-parseable, so the anytime
 				// caveat goes to stderr.
-				fmt.Fprintln(errOut, "p2: PARTIAL: -timeout expired mid-plan; emitting the best-so-far strategy")
+				fmt.Fprintln(e.errOut, "p2: PARTIAL: -timeout expired mid-plan; emitting the best-so-far strategy")
 			}
 			lp = plan.Best().Lowered()
 		}
@@ -430,46 +338,24 @@ func cmdHLO(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, err = io.WriteString(out, src)
+		_, err = io.WriteString(e.out, src)
 		return err
-	})
+	}
 }
 
-func cmdVerify(args []string, out, errOut io.Writer) error {
-	c := newCommon("verify", errOut)
-	progStr := c.fs.String("program", "", "verify only this program (empty = all synthesized)")
-	if err := c.fs.Parse(args); err != nil {
-		return err
-	}
-	if err := c.requireUnset(`"verify" (it executes on small concrete data)`, "algo", "bytes", "measure", "parallelism", "timeout", "topk"); err != nil {
-		return err
-	}
-	sys, err := c.system()
-	if err != nil {
-		return err
-	}
-	axes, red, _, _, err := c.parsed()
-	if err != nil {
-		return err
-	}
-	if err := c.requireNoStats(); err != nil {
-		return err
-	}
-	return c.profiled(func() error {
-		var matrices []*placement.Matrix
-		if *c.matrix != "" {
-			m, err := placement.ParseMatrix(*c.matrix, sys.Hierarchy(), axes)
-			if err != nil {
+func cmdVerify(fs *flag.FlagSet) body {
+	progStr := fs.String("program", "", "verify only this program (empty = all synthesized)")
+	return func(e *env) error {
+		matrices := []*placement.Matrix{e.req.Matrix}
+		if e.req.Matrix == nil {
+			var err error
+			if matrices, err = placement.Enumerate(e.sys.Hierarchy(), e.req.Axes); err != nil {
 				return err
 			}
-			matrices = []*placement.Matrix{m}
-		} else if matrices, err = placement.Enumerate(sys.Hierarchy(), axes); err != nil {
-			return err
 		}
 		total := 0
 		for _, m := range matrices {
-			h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, red,
-				hierarchy.Options{Collapse: len(red) > 1})
+			h, err := e.hierarchy(m)
 			if err != nil {
 				return err
 			}
@@ -488,48 +374,36 @@ func cmdVerify(args []string, out, errOut io.Writer) error {
 				if err != nil {
 					return fmt.Errorf("matrix %v program %v: %w", m, prog, err)
 				}
-				if err := verify.Check(lp, m, red, 2); err != nil {
+				if err := verify.Check(lp, m, e.req.ReduceAxes, 2); err != nil {
 					return fmt.Errorf("matrix %v program %v: %w", m, prog, err)
 				}
 				total++
 			}
-			fmt.Fprintf(out, "matrix %v: %d programs verified on concrete data\n", m, len(progs))
+			fmt.Fprintf(e.out, "matrix %v: %d programs verified on concrete data\n", m, len(progs))
 		}
-		fmt.Fprintf(out, "OK: %d lowered programs compute exact reduction sums\n", total)
+		fmt.Fprintf(e.out, "OK: %d lowered programs compute exact reduction sums\n", total)
 		return nil
-	})
+	}
 }
 
-func cmdTrace(args []string, out, errOut io.Writer) error {
-	c := newCommon("trace", errOut)
-	progStr := c.fs.String("program", "", "program text; empty = best predicted")
-	outPath := c.fs.String("o", "", "write Chrome trace JSON to this file (default stdout)")
-	summary := c.fs.Bool("summary", false, "print a per-step summary instead of the JSON")
-	if err := c.fs.Parse(args); err != nil {
-		return err
-	}
-	sys, err := c.system()
-	if err != nil {
-		return err
-	}
-	axes, red, algo, algos, err := c.parsed()
-	if err != nil {
-		return err
-	}
-	if *c.stats && !*summary {
-		// The JSON output must stay parseable; only the summary form has
-		// room for the stats line.
-		return fmt.Errorf("-stats requires -summary for trace")
-	}
-	return c.profiled(func() error {
-		plan, err := c.planFor(sys, axes, red, algo, algos)
+func cmdTrace(fs *flag.FlagSet) body {
+	progStr := fs.String("program", "", "program text; empty = best predicted")
+	outPath := fs.String("o", "", "write Chrome trace JSON to this file (default stdout)")
+	summary := fs.Bool("summary", false, "print a per-step summary instead of the JSON")
+	return func(e *env) error {
+		if e.stats && !*summary {
+			// The JSON output must stay parseable; only the summary form has
+			// room for the stats line.
+			return fmt.Errorf("-stats requires -summary for trace")
+		}
+		plan, err := p2.PlanCtx(e.ctx, e.sys, e.req)
 		if err != nil {
 			return err
 		}
 		if plan.Partial {
 			// The JSON output must stay machine-parseable, so the anytime
 			// caveat goes to stderr.
-			fmt.Fprintln(errOut, "p2: PARTIAL: -timeout expired mid-plan; tracing the best-so-far strategy")
+			fmt.Fprintln(e.errOut, "p2: PARTIAL: -timeout expired mid-plan; tracing the best-so-far strategy")
 		}
 		strat := plan.Best()
 		if *progStr != "" {
@@ -539,7 +413,7 @@ func cmdTrace(args []string, out, errOut io.Writer) error {
 			}
 			found := false
 			for _, s := range plan.Strategies {
-				if s.Program.String() == prog.String() && (*c.matrix == "" || s.Matrix.String() == strat.Matrix.String()) {
+				if s.Program.String() == prog.String() && (e.req.Matrix == nil || s.Matrix.String() == strat.Matrix.String()) {
 					strat, found = s, true
 					break
 				}
@@ -554,16 +428,16 @@ func cmdTrace(args []string, out, errOut io.Writer) error {
 		total, events := strat.Trace()
 		col.Events = events
 		if *summary {
-			fmt.Fprintf(out, "strategy: %v via %v [%s]\n", strat.Matrix, strat.Program, strat.AlgoString())
-			fmt.Fprintf(out, "emulated total: %.4f s, %d transfers\n", total, len(col.Events))
+			fmt.Fprintf(e.out, "strategy: %v via %v [%s]\n", strat.Matrix, strat.Program, strat.AlgoString())
+			fmt.Fprintf(e.out, "emulated total: %.4f s, %d transfers\n", total, len(col.Events))
 			for _, s := range col.Summarize() {
-				fmt.Fprintf(out, "  step %d %-14s %5d transfers %10.1f MB  [%.4f, %.4f] s\n",
+				fmt.Fprintf(e.out, "  step %d %-14s %5d transfers %10.1f MB  [%.4f, %.4f] s\n",
 					s.Step, s.Op, s.Transfers, s.Bytes/1e6, s.Start, s.End)
 			}
-			c.printStats(out, plan.Stats)
+			e.printStats(plan.Stats)
 			return nil
 		}
-		w := out
+		w := e.out
 		if *outPath != "" {
 			f, err := os.Create(*outPath)
 			if err != nil {
@@ -572,148 +446,117 @@ func cmdTrace(args []string, out, errOut io.Writer) error {
 			defer f.Close()
 			w = f
 		}
-		return col.WriteChrome(w, sys)
-	})
+		return col.WriteChrome(w, e.sys)
+	}
 }
 
-func cmdTables(args []string, out, errOut io.Writer) error {
-	c := newCommon("tables", errOut)
-	table := c.fs.String("table", "4", "which table: 3, 4 or appendix")
-	tsv := c.fs.Bool("tsv", false, "emit TSV instead of markdown")
-	if err := c.fs.Parse(args); err != nil {
-		return err
-	}
-	if err := c.requireNoStats(); err != nil {
-		return err
-	}
-	if err := c.requireUnset(`"tables" (paper tables sweep the paper's grid at its payload and measure every program)`,
-		"algo", "axes", "bytes", "matrix", "measure", "parallelism", "reduce", "topk"); err != nil {
-		return err
-	}
-	return c.profiled(func() error {
-		return runTables(c, out, *table, *tsv)
-	})
-}
-
-func runTables(c *commonFlags, out io.Writer, table string, tsv bool) error {
-	ctx, cancel := c.planCtx()
-	defer cancel()
-	switch table {
-	case "3":
-		sys, err := c.system()
-		if err != nil {
-			return err
-		}
-		var axesList [][]int
-		for _, cc := range eval.PaperCases(sys.NumDevices(), false) {
-			if len(cc.Axes) == 2 {
-				axesList = append(axesList, cc.Axes)
+func cmdTables(fs *flag.FlagSet) body {
+	table := fs.String("table", "4", "which table: 3, 4 or appendix")
+	tsv := fs.Bool("tsv", false, "emit TSV instead of markdown")
+	return func(e *env) error {
+		switch *table {
+		case "3":
+			var axesList [][]int
+			for _, cc := range eval.PaperCases(e.sys.NumDevices(), false) {
+				if len(cc.Axes) == 2 {
+					axesList = append(axesList, cc.Axes)
+				}
 			}
+			t, err := eval.BuildTable3(e.sys, axesList)
+			if err != nil {
+				return err
+			}
+			emit(e.out, t, *tsv)
+		case "4":
+			suite := eval.Suite{Sys: e.sys, Cases: eval.PaperCases(e.sys.NumDevices(), e.nodes >= 4)}
+			rs, err := eval.RunSuiteCtx(e.ctx, suite, eval.PaperModes[:2]...)
+			if err != nil {
+				return err
+			}
+			emit(e.out, eval.BuildTable4(rs), *tsv)
+		case "appendix":
+			var all []*eval.Result
+			for _, s := range eval.PaperSuites() {
+				rs, err := eval.RunSuiteCtx(e.ctx, s, eval.PaperModes[:2]...)
+				if err != nil {
+					return err
+				}
+				all = append(all, rs...)
+			}
+			emit(e.out, eval.BuildAppendix(all), *tsv)
+		default:
+			return fmt.Errorf("unknown table %q", *table)
 		}
-		t, err := eval.BuildTable3(sys, axesList)
+		return nil
+	}
+}
+
+func cmdFigure11(fs *flag.FlagSet) body {
+	panel := fs.String("panel", "a", "panel a (V100 ring [2 16] red axis 1) or b (A100 tree [4 2 8] red axes {0,2})")
+	chart := fs.Bool("chart", false, "render an ASCII chart instead of the table")
+	tsv := fs.Bool("tsv", false, "emit TSV instead of markdown")
+	return func(e *env) error {
+		var cfg eval.Config
+		switch *panel {
+		case "a":
+			cfg = eval.Config{Sys: topology.V100System(4), Axes: []int{2, 16},
+				ReduceAxes: []int{1}, Algo: cost.Ring}
+		case "b":
+			cfg = eval.Config{Sys: topology.A100System(4), Axes: []int{4, 2, 8},
+				ReduceAxes: []int{0, 2}, Algo: cost.Tree}
+		default:
+			return fmt.Errorf("unknown panel %q", *panel)
+		}
+		r, err := eval.RunCtx(e.ctx, cfg)
 		if err != nil {
 			return err
 		}
-		emit(out, t, tsv)
-	case "4":
-		sys, err := c.system()
-		if err != nil {
+		if *chart {
+			_, err = io.WriteString(e.out, eval.Figure11Chart(r))
 			return err
 		}
-		suite := eval.Suite{Sys: sys, Cases: eval.PaperCases(sys.NumDevices(), *c.nodes >= 4)}
-		rs, err := eval.RunSuiteCtx(ctx, suite, eval.PaperModes[:2]...)
-		if err != nil {
-			return err
+		emit(e.out, eval.BuildFigure11(r), *tsv)
+		return nil
+	}
+}
+
+func cmdAccuracy(fs *flag.FlagSet) body {
+	tsv := fs.Bool("tsv", false, "emit TSV instead of markdown")
+	pinnedOnly := fs.Bool("pinned-only", false, "skip the auto-mode sweeps (Ring/Tree rows only; roughly halves the runtime)")
+	jsonOut := fs.Bool("json", false, "emit the auto-mode sweeps as JSON (predicted/measured best per sweep, per-system accuracy and disagreement rate) instead of the table")
+	return func(e *env) error {
+		if *jsonOut && *pinnedOnly {
+			return fmt.Errorf("-json exports the auto-mode sweeps; it cannot be combined with -pinned-only")
 		}
-		emit(out, eval.BuildTable4(rs), tsv)
-	case "appendix":
+		if *jsonOut && *tsv {
+			return fmt.Errorf("-json replaces the table output; it cannot be combined with -tsv")
+		}
+		modes := eval.PaperModes
+		switch {
+		case *pinnedOnly:
+			modes = modes[:2]
+		case *jsonOut:
+			modes = modes[2:] // the JSON export covers only the auto sweeps
+		}
 		var all []*eval.Result
 		for _, s := range eval.PaperSuites() {
-			rs, err := eval.RunSuiteCtx(ctx, s, eval.PaperModes[:2]...)
+			rs, err := eval.RunSuiteCtx(e.ctx, s, modes...)
 			if err != nil {
 				return err
 			}
 			all = append(all, rs...)
 		}
-		emit(out, eval.BuildAppendix(all), tsv)
-	default:
-		return fmt.Errorf("unknown table %q", table)
-	}
-	return nil
-}
-
-func cmdFigure11(args []string, out, errOut io.Writer) error {
-	fs := flag.NewFlagSet("figure11", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	panel := fs.String("panel", "a", "panel a (V100 ring [2 16] red axis 1) or b (A100 tree [4 2 8] red axes {0,2})")
-	chart := fs.Bool("chart", false, "render an ASCII chart instead of the table")
-	tsv := fs.Bool("tsv", false, "emit TSV instead of markdown")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var cfg eval.Config
-	switch *panel {
-	case "a":
-		cfg = eval.Config{Sys: topology.V100System(4), Axes: []int{2, 16},
-			ReduceAxes: []int{1}, Algo: cost.Ring}
-	case "b":
-		cfg = eval.Config{Sys: topology.A100System(4), Axes: []int{4, 2, 8},
-			ReduceAxes: []int{0, 2}, Algo: cost.Tree}
-	default:
-		return fmt.Errorf("unknown panel %q", *panel)
-	}
-	r, err := eval.RunCtx(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	if *chart {
-		_, err = io.WriteString(out, eval.Figure11Chart(r))
-		return err
-	}
-	emit(out, eval.BuildFigure11(r), *tsv)
-	return nil
-}
-
-func cmdAccuracy(args []string, out, errOut io.Writer) error {
-	fs := flag.NewFlagSet("accuracy", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	tsv := fs.Bool("tsv", false, "emit TSV instead of markdown")
-	pinnedOnly := fs.Bool("pinned-only", false, "skip the auto-mode sweeps (Ring/Tree rows only; roughly halves the runtime)")
-	jsonOut := fs.Bool("json", false, "emit the auto-mode sweeps as JSON (predicted/measured best per sweep, per-system accuracy and disagreement rate) instead of the table")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *jsonOut && *pinnedOnly {
-		return fmt.Errorf("-json exports the auto-mode sweeps; it cannot be combined with -pinned-only")
-	}
-	if *jsonOut && *tsv {
-		return fmt.Errorf("-json replaces the table output; it cannot be combined with -tsv")
-	}
-	modes := eval.PaperModes
-	switch {
-	case *pinnedOnly:
-		modes = modes[:2]
-	case *jsonOut:
-		modes = modes[2:] // the JSON export covers only the auto sweeps
-	}
-	var all []*eval.Result
-	for _, s := range eval.PaperSuites() {
-		rs, err := eval.RunSuiteCtx(context.Background(), s, modes...)
-		if err != nil {
+		if *jsonOut {
+			data, err := eval.AutoSuiteToJSON(all)
+			if err != nil {
+				return err
+			}
+			_, err = e.out.Write(append(data, '\n'))
 			return err
 		}
-		all = append(all, rs...)
+		emit(e.out, eval.BuildTable5(all), *tsv)
+		return nil
 	}
-	if *jsonOut {
-		data, err := eval.AutoSuiteToJSON(all)
-		if err != nil {
-			return err
-		}
-		_, err = out.Write(append(data, '\n'))
-		return err
-	}
-	emit(out, eval.BuildTable5(all), *tsv)
-	return nil
 }
 
 // faultList collects repeated -fault flags; each value may itself hold
@@ -727,79 +570,61 @@ func (f *faultList) Set(v string) error {
 	return nil
 }
 
-func cmdDegrade(args []string, out, errOut io.Writer) error {
-	c := newCommon("degrade", errOut)
+func cmdDegrade(fs *flag.FlagSet) body {
 	var faults faultList
-	c.fs.Var(&faults, "fault", `link fault "LEVEL:ENTITY:EFFECT[,EFFECT...]" — LEVEL a level or uplink name (or index), ENTITY coords like 0/1 (or an entity id, or *), EFFECT one of down, bw*F, bw/F, lat*F, lat/F, loss=F; repeatable, ';' separates clauses`)
-	top := c.fs.Int("top", 10, "show only the N best degraded strategies (0 = all)")
-	tsv := c.fs.Bool("tsv", false, "emit TSV instead of markdown")
-	if err := c.fs.Parse(args); err != nil {
-		return err
-	}
-	if len(faults) == 0 {
-		return fmt.Errorf(`degrade requires at least one -fault (e.g. -fault "gpu:0/0/0:bw/10")`)
-	}
-	sys, err := c.system()
-	if err != nil {
-		return err
-	}
-	axes, red, algo, algos, err := c.parsed()
-	if err != nil {
-		return err
-	}
-	if err := c.requireNoStats(); err != nil {
-		return err
-	}
-	if err := c.requireUnset(`"degrade" (it compares full analytic rankings over every matrix)`, "matrix", "measure"); err != nil {
-		return err
-	}
-	var overrides []topology.LinkOverride
-	for _, spec := range faults {
-		ovs, err := topology.ParseFaults(sys, spec)
-		if err != nil {
-			return err
+	fs.Var(&faults, "fault", `link fault "LEVEL:ENTITY:EFFECT[,EFFECT...]" — LEVEL a level or uplink name (or index), ENTITY coords like 0/1 (or an entity id, or *), EFFECT one of down, bw*F, bw/F, lat*F, lat/F, loss=F; repeatable, ';' separates clauses`)
+	top := fs.Int("top", 10, "show only the N best degraded strategies (0 = all)")
+	tsv := fs.Bool("tsv", false, "emit TSV instead of markdown")
+	return func(e *env) error {
+		if len(faults) == 0 {
+			return fmt.Errorf(`degrade requires at least one -fault (e.g. -fault "gpu:0/0/0:bw/10")`)
 		}
-		overrides = append(overrides, ovs...)
-	}
-	if len(algos) == 0 {
-		algos = []cost.Algorithm{algo}
-	}
-	return c.profiled(func() error {
-		ctx, cancel := c.planCtx()
-		defer cancel()
-		r, err := eval.RunDegradeCtx(ctx, eval.DegradeConfig{
-			Sys:         sys,
+		var overrides []topology.LinkOverride
+		for _, spec := range faults {
+			ovs, err := topology.ParseFaults(e.sys, spec)
+			if err != nil {
+				return err
+			}
+			overrides = append(overrides, ovs...)
+		}
+		r := e.req
+		if len(r.Algos) == 0 {
+			r.Algos = []cost.Algorithm{r.Algo}
+		}
+		res, err := eval.RunDegradeCtx(e.ctx, eval.DegradeConfig{
+			Sys:         e.sys,
 			Overrides:   overrides,
-			Axes:        axes,
-			ReduceAxes:  red,
-			Algos:       algos,
-			Bytes:       *c.bytes,
-			Parallelism: *c.parallelism,
+			Axes:        r.Axes,
+			ReduceAxes:  r.ReduceAxes,
+			Algos:       r.Algos,
+			Bytes:       r.Bytes,
+			Parallelism: r.Parallelism,
 		})
 		if err != nil {
 			return err
 		}
+		out := e.out
 		fmt.Fprintf(out, "system %s %v with %d link override(s), axes %v, reduce %v: %d candidates\n",
-			sys.Name, sys.Hierarchy(), len(overrides), axes, red, len(r.PristineRank))
+			e.sys.Name, e.sys.Hierarchy(), len(overrides), r.Axes, r.ReduceAxes, len(res.PristineRank))
 		fmt.Fprintf(out, "ranking shift: %d of %d pairs flipped (tau-distance %.4f)\n",
-			r.Inversions, r.MaxPairs, r.Tau)
-		pb, db := r.PristineRank[0], r.DegradedRank[0]
-		if r.BestShifted {
+			res.Inversions, res.MaxPairs, res.Tau)
+		pb, db := res.PristineRank[0], res.DegradedRank[0]
+		if res.BestShifted {
 			fmt.Fprintf(out, "best strategy shifted: pristine winner %v via %v now costs %s; re-planning picks %v via %v at %s (%s)\n",
-				pb.Matrix, pb.Program, degradeTime(r.StaleTime),
-				db.Matrix, db.Program, degradeTime(r.ReplanTime),
-				replanGain(r.ReplanSpeedup))
+				pb.Matrix, pb.Program, degradeTime(res.StaleTime),
+				db.Matrix, db.Program, degradeTime(res.ReplanTime),
+				replanGain(res.ReplanSpeedup))
 		} else {
 			fmt.Fprintf(out, "best strategy unchanged: %v via %v (%s pristine, %s degraded)\n",
-				pb.Matrix, pb.Program, degradeTime(pb.Predicted), degradeTime(r.StaleTime))
+				pb.Matrix, pb.Program, degradeTime(pb.Predicted), degradeTime(res.StaleTime))
 		}
 		k := *top
-		if k > 0 && *c.topk > 0 && *c.topk < k {
-			k = *c.topk
+		if k > 0 && r.TopK > 0 && r.TopK < k {
+			k = r.TopK
 		}
-		emit(out, eval.BuildDegradeTable(r, k), *tsv)
+		emit(out, eval.BuildDegradeTable(res, k), *tsv)
 		return nil
-	})
+	}
 }
 
 // degradeTime renders a predicted time, spelling out the +Inf a down link

@@ -19,9 +19,7 @@ import (
 // warm server and reports both. The run fails (exit 1) on any
 // unexpected error or — when cross-checking — any mismatch between
 // client-observed counts and the daemon's /statz deltas.
-func cmdLoadtest(args []string, out, errOut io.Writer) error {
-	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
-	fs.SetOutput(errOut)
+func cmdLoadtest(fs *flag.FlagSet) body {
 	url := fs.String("url", "", "base URL of a running daemon (empty = boot an in-process server)")
 	mode := fs.String("mode", "closed", `drive mode: "closed" (N clients, think-time 0) or "open" (fixed arrival rate)`)
 	clients := fs.Int("clients", 8, "closed-loop concurrent clients")
@@ -38,107 +36,106 @@ func cmdLoadtest(args []string, out, errOut io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the full report as JSON instead of a summary")
 	maxInFlight := fs.Int("max-inflight", 0, "in-process server: concurrent /plan computations before shedding (0 = 2×GOMAXPROCS)")
 	cacheSize := fs.Int("cache-size", 0, "in-process server: strategy-cache capacity (0 = 256, negative disables)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *url != "" && (*warm || *compareWarm) {
-		return fmt.Errorf("loadtest: -warm and -compare-warm boot an in-process server and cannot be combined with -url")
-	}
+	return func(e *env) error {
+		if *url != "" && (*warm || *compareWarm) {
+			return fmt.Errorf("loadtest: -warm and -compare-warm boot an in-process server and cannot be combined with -url")
+		}
 
-	m, err := load.ParseMode(*mode)
-	if err != nil {
-		return err
-	}
-	stream, err := load.Generate(load.WorkloadConfig{
-		Seed:          *seed,
-		HotFrac:       *hotFrac,
-		TimeoutFrac:   *timeoutFrac,
-		MalformedFrac: *malformedFrac,
-	}, *requests)
-	if err != nil {
-		return err
-	}
-	opts := load.Options{Mode: m, Clients: *clients, RPS: *rps, Window: *window, CrossCheck: *crossCheck}
-	cfg := serve.Config{MaxInFlight: *maxInFlight, CacheSize: *cacheSize}
-	client := load.NewClient(*clients)
+		m, err := load.ParseMode(*mode)
+		if err != nil {
+			return err
+		}
+		stream, err := load.Generate(load.WorkloadConfig{
+			Seed:          *seed,
+			HotFrac:       *hotFrac,
+			TimeoutFrac:   *timeoutFrac,
+			MalformedFrac: *malformedFrac,
+		}, *requests)
+		if err != nil {
+			return err
+		}
+		opts := load.Options{Mode: m, Clients: *clients, RPS: *rps, Window: *window, CrossCheck: *crossCheck}
+		cfg := serve.Config{MaxInFlight: *maxInFlight, CacheSize: *cacheSize}
+		client := load.NewClient(*clients)
 
-	runInProcess := func(warmStart bool) (*load.Report, error) {
-		var warmSet []serve.PlanRequest
-		if warmStart {
-			warmSet = load.Catalog()
-		}
-		baseURL, warmed, shutdown, err := load.InProcess(cfg, warmSet)
-		if err != nil {
-			return nil, err
-		}
-		defer shutdown()
-		if warmStart {
-			fmt.Fprintf(errOut, "warmed %d catalog entries\n", warmed)
-		}
-		return load.Run(client, baseURL, stream, opts)
-	}
-
-	reports := map[string]*load.Report{}
-	switch {
-	case *url != "":
-		rep, err := load.Run(client, *url, stream, opts)
-		if err != nil {
-			return err
-		}
-		reports["remote"] = rep
-	case *compareWarm:
-		cold, err := runInProcess(false)
-		if err != nil {
-			return err
-		}
-		warmRep, err := runInProcess(true)
-		if err != nil {
-			return err
-		}
-		reports["cold"] = cold
-		reports["warm"] = warmRep
-	default:
-		rep, err := runInProcess(*warm)
-		if err != nil {
-			return err
-		}
-		if *warm {
-			reports["warm"] = rep
-		} else {
-			reports["cold"] = rep
-		}
-	}
-	for _, rep := range reports {
-		rep.Seed = *seed
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
-			return err
-		}
-	} else {
-		for _, name := range []string{"remote", "cold", "warm"} {
-			rep, ok := reports[name]
-			if !ok {
-				continue
+		runInProcess := func(warmStart bool) (*load.Report, error) {
+			var warmSet []serve.PlanRequest
+			if warmStart {
+				warmSet = load.Catalog()
 			}
-			printReport(out, name, rep)
+			baseURL, warmed, shutdown, err := load.InProcess(cfg, warmSet)
+			if err != nil {
+				return nil, err
+			}
+			defer shutdown()
+			if warmStart {
+				fmt.Fprintf(e.errOut, "warmed %d catalog entries\n", warmed)
+			}
+			return load.Run(client, baseURL, stream, opts)
 		}
-		if cold, warm := reports["cold"], reports["warm"]; cold != nil && warm != nil {
-			fmt.Fprintf(out, "warm-start: first-window p99 %.1fms cold vs %.1fms warm\n",
-				cold.FirstWindow.P99, warm.FirstWindow.P99)
-		}
-	}
 
-	for name, rep := range reports {
-		if rep.Failed() {
-			return fmt.Errorf("loadtest: %s run failed: %d unexpected errors, %d cross-check failures",
-				name, rep.Counts.Errors, len(rep.CrossCheck))
+		reports := map[string]*load.Report{}
+		switch {
+		case *url != "":
+			rep, err := load.Run(client, *url, stream, opts)
+			if err != nil {
+				return err
+			}
+			reports["remote"] = rep
+		case *compareWarm:
+			cold, err := runInProcess(false)
+			if err != nil {
+				return err
+			}
+			warmRep, err := runInProcess(true)
+			if err != nil {
+				return err
+			}
+			reports["cold"] = cold
+			reports["warm"] = warmRep
+		default:
+			rep, err := runInProcess(*warm)
+			if err != nil {
+				return err
+			}
+			if *warm {
+				reports["warm"] = rep
+			} else {
+				reports["cold"] = rep
+			}
 		}
+		for _, rep := range reports {
+			rep.Seed = *seed
+		}
+
+		if *jsonOut {
+			enc := json.NewEncoder(e.out)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(reports); err != nil {
+				return err
+			}
+		} else {
+			for _, name := range []string{"remote", "cold", "warm"} {
+				rep, ok := reports[name]
+				if !ok {
+					continue
+				}
+				printReport(e.out, name, rep)
+			}
+			if cold, warm := reports["cold"], reports["warm"]; cold != nil && warm != nil {
+				fmt.Fprintf(e.out, "warm-start: first-window p99 %.1fms cold vs %.1fms warm\n",
+					cold.FirstWindow.P99, warm.FirstWindow.P99)
+			}
+		}
+
+		for name, rep := range reports {
+			if rep.Failed() {
+				return fmt.Errorf("loadtest: %s run failed: %d unexpected errors, %d cross-check failures",
+					name, rep.Counts.Errors, len(rep.CrossCheck))
+			}
+		}
+		return nil
 	}
-	return nil
 }
 
 // printReport writes the human-readable summary of one run.

@@ -31,7 +31,53 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 )
+
+// commands is the CLI. run dispatches by name and usage prints the
+// summaries in this order.
+var commands = []command{
+	{"placements", "enumerate parallelism matrices for an axis configuration",
+		"system nodes axes cpuprofile", cmdPlacements},
+	{"synth", `synthesize reduction programs and rank them by predicted time
+(-measure rerank re-ranks the analytic top-K on the emulator,
+-measure rank-all ranks every candidate by measured time)`,
+		"system nodes axes reduce algo matrix parallelism topk bytes measure timeout stats cpuprofile", cmdSynth},
+	{"eval", `full sweep: synthesize, predict, measure, report per matrix
+(-algo auto searches the per-step NCCL algorithm and reports
+where it beats pinned Ring/Tree)`,
+		"system nodes axes reduce algo bytes timeout cpuprofile", cmdEval},
+	{"export", "full sweep emitted as JSON",
+		"system nodes axes reduce algo bytes timeout cpuprofile", cmdExport},
+	{"hlo", "emit a synthesized program as XLA-HLO-style module text",
+		"system nodes axes reduce algo matrix parallelism topk bytes measure timeout cpuprofile", cmdHLO},
+	{"verify", "execute synthesized programs on concrete data and check sums",
+		"system nodes axes reduce matrix cpuprofile", cmdVerify},
+	{"trace", "emulate one strategy and emit a Chrome trace of its transfers",
+		"system nodes axes reduce algo matrix parallelism topk bytes measure timeout stats cpuprofile", cmdTrace},
+	{"tables", "regenerate the paper's Table 3, Table 4 or the appendix table",
+		"system nodes timeout cpuprofile", cmdTables},
+	{"figure11", "regenerate a Figure 11 panel (-chart for an ASCII plot)", "", cmdFigure11},
+	{"accuracy", `regenerate Table 5 (top-k prediction accuracy, full suite)
+extended with auto-mode rows and the analytic-vs-measured
+disagreement rate (-pinned-only for the Ring/Tree rows
+alone, -json for the auto-sweep export)`, "", cmdAccuracy},
+	{"degrade", `plan the same request on the pristine and a degraded system
+(-fault "LEVEL:ENTITY:down|bw/F|lat*F|loss=F", repeatable) and
+report the ranking shift (Kendall-tau) plus what re-planning
+around the fault buys`,
+		"system nodes axes reduce algo parallelism topk bytes timeout cpuprofile", cmdDegrade},
+	{"serve", `run the planning daemon: POST /plan with per-request
+deadlines (anytime best-so-far results), /healthz, /statz,
+a cross-request strategy cache and graceful drain on SIGTERM
+(-warm plans the paper-suite catalog into the cache first)`, "", cmdServe},
+	{"loadtest", `drive a seeded synthetic workload against the daemon —
+in-process by default, a remote one with -url — and report
+throughput, p50/p95/p99/p99.9 latency and per-class counts
+cross-checked against /statz deltas (-compare-warm measures
+what cache warm-starting buys)`, "", cmdLoadtest},
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -47,42 +93,18 @@ func run(args []string, out, errOut io.Writer) int {
 		usage(errOut)
 		return 2
 	}
-	cmd, rest := args[0], args[1:]
-	var err error
-	switch cmd {
-	case "placements":
-		err = cmdPlacements(rest, out, errOut)
-	case "synth":
-		err = cmdSynth(rest, out, errOut)
-	case "eval":
-		err = cmdEval(rest, out, errOut)
-	case "export":
-		err = cmdExport(rest, out, errOut)
-	case "hlo":
-		err = cmdHLO(rest, out, errOut)
-	case "verify":
-		err = cmdVerify(rest, out, errOut)
-	case "trace":
-		err = cmdTrace(rest, out, errOut)
-	case "tables":
-		err = cmdTables(rest, out, errOut)
-	case "figure11":
-		err = cmdFigure11(rest, out, errOut)
-	case "accuracy":
-		err = cmdAccuracy(rest, out, errOut)
-	case "degrade":
-		err = cmdDegrade(rest, out, errOut)
-	case "serve":
-		err = cmdServe(rest, out, errOut)
-	case "loadtest":
-		err = cmdLoadtest(rest, out, errOut)
-	case "help", "-h", "--help":
+	name, rest := args[0], args[1:]
+	if name == "help" || name == "-h" || name == "--help" {
 		usage(out)
-	default:
-		fmt.Fprintf(errOut, "p2: unknown command %q\n", cmd)
+		return 0
+	}
+	i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
+	if i < 0 {
+		fmt.Fprintf(errOut, "p2: unknown command %q\n", name)
 		usage(errOut)
 		return 2
 	}
+	err := commands[i].run(rest, out, errOut)
 	if errors.Is(err, flag.ErrHelp) {
 		// -h on a subcommand: the FlagSet already printed its usage;
 		// asking for help is not a failure.
@@ -96,37 +118,8 @@ func run(args []string, out, errOut io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `p2 — parallelism placement and reduction strategy synthesis
-
-commands:
-  placements  enumerate parallelism matrices for an axis configuration
-  synth       synthesize reduction programs and rank them by predicted time
-              (-measure rerank re-ranks the analytic top-K on the emulator,
-              -measure rank-all ranks every candidate by measured time)
-  eval        full sweep: synthesize, predict, measure, report per matrix
-              (-algo auto searches the per-step NCCL algorithm and reports
-              where it beats pinned Ring/Tree)
-  export      full sweep emitted as JSON
-  hlo         emit a synthesized program as XLA-HLO-style module text
-  verify      execute synthesized programs on concrete data and check sums
-  trace       emulate one strategy and emit a Chrome trace of its transfers
-  tables      regenerate the paper's Table 3, Table 4 or the appendix table
-  figure11    regenerate a Figure 11 panel (-chart for an ASCII plot)
-  accuracy    regenerate Table 5 (top-k prediction accuracy, full suite)
-              extended with auto-mode rows and the analytic-vs-measured
-              disagreement rate (-pinned-only for the Ring/Tree rows
-              alone, -json for the auto-sweep export)
-  degrade     plan the same request on the pristine and a degraded system
-              (-fault "LEVEL:ENTITY:down|bw/F|lat*F|loss=F", repeatable) and
-              report the ranking shift (Kendall-tau) plus what re-planning
-              around the fault buys
-  serve       run the planning daemon: POST /plan with per-request
-              deadlines (anytime best-so-far results), /healthz, /statz,
-              a cross-request strategy cache and graceful drain on SIGTERM
-              (-warm plans the paper-suite catalog into the cache first)
-  loadtest    drive a seeded synthetic workload against the daemon —
-              in-process by default, a remote one with -url — and report
-              throughput, p50/p95/p99/p99.9 latency and per-class counts
-              cross-checked against /statz deltas (-compare-warm measures
-              what cache warm-starting buys)`)
+	fmt.Fprint(w, "p2 — parallelism placement and reduction strategy synthesis\n\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-10s  %s\n", c.name, strings.ReplaceAll(c.summary, "\n", "\n"+strings.Repeat(" ", 14)))
+	}
 }

@@ -158,7 +158,7 @@ func TestMeasureBadMode(t *testing.T) {
 func TestEvalRejectsMeasure(t *testing.T) {
 	_, errOut, code := exec("eval", "-system", "a100", "-nodes", "2",
 		"-axes", "[4 8]", "-reduce", "[0]", "-measure", "rerank")
-	if code != 1 || !strings.Contains(errOut, "-measure has no effect") {
+	if code != 1 || !strings.Contains(errOut, "flag provided but not defined: -measure") {
 		t.Errorf("exit=%d err=%q", code, errOut)
 	}
 }
@@ -313,14 +313,32 @@ func TestTables3V100TwoNode(t *testing.T) {
 	}
 }
 
+// TestBuildSystemErrors checks -system resolution: presets resolve
+// case-insensitively, an unknown name fails, and -nodes on a fixed-shape
+// preset is refused instead of silently planning the preset's own shape.
 func TestBuildSystemErrors(t *testing.T) {
-	if _, err := buildSystem("tpu", 4); err == nil {
-		t.Error("unknown system accepted")
-	}
-	for _, name := range []string{"a100", "V100", "fig2a"} {
-		if _, err := buildSystem(name, 2); err != nil {
-			t.Errorf("buildSystem(%q): %v", name, err)
+	for _, args := range [][]string{
+		{"-system", "a100", "-nodes", "2", "-axes", "[32]"},
+		{"-system", "V100", "-nodes", "2", "-axes", "[16]"},
+		{"-system", "fig2a", "-axes", "[16]"},
+		{"-system", "superpod:2x2", "-axes", "[32]"},
+	} {
+		if _, errOut, code := exec(append([]string{"placements"}, args...)...); code != 0 {
+			t.Errorf("%v: exit %d: %s", args, code, errOut)
 		}
+	}
+	for _, args := range [][]string{
+		{"-system", "tpu", "-axes", "[16]"},
+		{"-system", "fig2a", "-nodes", "2", "-axes", "[16]"},
+		{"-system", "superpod:4x8", "-nodes", "8", "-axes", "[256]"},
+	} {
+		out, errOut, code := exec(append([]string{"placements"}, args...)...)
+		if code != 1 || out != "" || !strings.Contains(errOut, "p2:") {
+			t.Errorf("%v: exit=%d out=%q err=%q", args, code, out, errOut)
+		}
+	}
+	if _, errOut, _ := exec("synth", "-system", "superpod:4x8", "-nodes", "8", "-axes", "[16 16]"); !strings.Contains(errOut, "node count") {
+		t.Errorf("-nodes on superpod:4x8: stderr does not name the node count: %q", errOut)
 	}
 }
 
@@ -523,7 +541,8 @@ func TestTimeoutMidPlan(t *testing.T) {
 }
 
 // TestTimeoutRejectedWhereMeaningless checks that commands that never
-// plan refuse -timeout instead of silently ignoring it.
+// plan refuse -timeout instead of silently ignoring it: placements and
+// verify do not define it, and hlo -program refuses it explicitly.
 func TestTimeoutRejectedWhereMeaningless(t *testing.T) {
 	for name, args := range map[string][]string{
 		"placements": {"placements", "-system", "a100", "-nodes", "2", "-axes", "[4 8]", "-timeout", "1s"},
@@ -532,7 +551,11 @@ func TestTimeoutRejectedWhereMeaningless(t *testing.T) {
 		"hlo -program": {"hlo", "-system", "a100", "-nodes", "2", "-axes", "[4 8]", "-reduce", "[0]",
 			"-matrix", "[[2 2] [1 8]]", "-program", "(0, InsideGroup, AllReduce)", "-timeout", "1s"},
 	} {
-		if _, errOut, code := exec(args...); code != 1 || !strings.Contains(errOut, "-timeout has no effect") {
+		want := "flag provided but not defined: -timeout"
+		if name == "hlo -program" {
+			want = "p2: -timeout has no effect"
+		}
+		if _, errOut, code := exec(args...); code != 1 || !strings.Contains(errOut, want) {
 			t.Errorf("%s: exit=%d err=%q", name, code, errOut)
 		}
 	}
@@ -541,7 +564,9 @@ func TestTimeoutRejectedWhereMeaningless(t *testing.T) {
 // TestUnplannedRejectIgnoredFlags: placements only enumerates, verify
 // executes every synthesized program, and hlo -program lowers the given
 // one, so none of them can honor the planner's algorithm, top-K or pool
-// size (nor, for placements, a matrix or reduction set).
+// size (nor, for placements, a matrix or reduction set). placements and
+// verify do not define those flags; hlo defines them for planning and
+// refuses them next to -program.
 func TestUnplannedRejectIgnoredFlags(t *testing.T) {
 	base := []string{"-system", "a100", "-nodes", "2", "-axes", "[4 8]"}
 	ignored := map[string]string{"algo": "Tree", "topk": "1", "parallelism": "3"}
@@ -565,8 +590,12 @@ func TestUnplannedRejectIgnoredFlags(t *testing.T) {
 	}
 	for name, args := range rows {
 		flag := name[strings.LastIndex(name, " ")+1:]
+		want := "flag provided but not defined: " + flag
+		if strings.HasPrefix(name, "hlo -program") {
+			want = "p2: " + flag + " has no effect"
+		}
 		out, errOut, code := exec(args...)
-		if code != 1 || !strings.Contains(errOut, "p2: "+flag+" has no effect") {
+		if code != 1 || !strings.Contains(errOut, want) {
 			t.Errorf("%s: exit=%d err=%q", name, code, errOut)
 		}
 		if out != "" {
@@ -576,8 +605,8 @@ func TestUnplannedRejectIgnoredFlags(t *testing.T) {
 }
 
 // TestSweepsRejectIgnoredFlags: eval and export sweep every matrix,
-// unpruned, and tables sweep the paper's grid, so the shared planning
-// flags they cannot honor are refused rather than silently dropped.
+// unpruned, and tables sweep the paper's grid, so they do not define the
+// shared planning flags they cannot honor.
 func TestSweepsRejectIgnoredFlags(t *testing.T) {
 	sweep := []string{"-system", "v100", "-nodes", "2", "-axes", "[4 4]", "-reduce", "[1]"}
 	rows := map[string][]string{}
@@ -593,7 +622,7 @@ func TestSweepsRejectIgnoredFlags(t *testing.T) {
 	for name, args := range rows {
 		flag := name[strings.Index(name, " ")+1:]
 		out, errOut, code := exec(args...)
-		if code != 1 || !strings.Contains(errOut, "p2: "+flag+" has no effect") {
+		if code != 1 || !strings.Contains(errOut, "flag provided but not defined: "+flag) {
 			t.Errorf("%s: exit=%d err=%q", name, code, errOut)
 		}
 		if out != "" {

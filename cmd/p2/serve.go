@@ -1,10 +1,8 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -20,9 +18,7 @@ import (
 // shedding and graceful drain. SIGTERM or interrupt starts the drain;
 // the command exits 0 once in-flight requests have finished (or the
 // -drain bound expired).
-func cmdServe(args []string, out, errOut io.Writer) error {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	fs.SetOutput(errOut)
+func cmdServe(fs *flag.FlagSet) body {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free one, printed on startup)")
 	maxInFlight := fs.Int("max-inflight", 0, "concurrent /plan computations before requests are shed with 429 (0 = 2×GOMAXPROCS)")
 	cacheSize := fs.Int("cache-size", 0, "complete /plan responses cached across requests, evicted FIFO (0 = 256, negative disables)")
@@ -30,24 +26,23 @@ func cmdServe(args []string, out, errOut io.Writer) error {
 	requestTimeout := fs.Duration("request-timeout", 0, "default planning deadline per request when the request body has no timeout_ms (0 = none)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown bound: how long in-flight requests may finish after SIGTERM/interrupt")
 	warm := fs.Bool("warm", false, "plan the paper-suite catalog into the strategy cache before accepting traffic")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	s := serve.NewServer(serve.Config{
-		MaxInFlight:    *maxInFlight,
-		CacheSize:      *cacheSize,
-		MemoCap:        *memoCap,
-		DefaultTimeout: *requestTimeout,
-		DrainTimeout:   *drain,
-	})
-	if *warm {
-		warmed, err := s.Warm(ctx, load.Catalog())
-		if err != nil {
-			return err
+	return func(e *env) error {
+		ctx, stop := signal.NotifyContext(e.ctx, os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		s := serve.NewServer(serve.Config{
+			MaxInFlight:    *maxInFlight,
+			CacheSize:      *cacheSize,
+			MemoCap:        *memoCap,
+			DefaultTimeout: *requestTimeout,
+			DrainTimeout:   *drain,
+		})
+		if *warm {
+			warmed, err := s.Warm(ctx, load.Catalog())
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(e.out, "warmed %d catalog entries\n", warmed)
 		}
-		fmt.Fprintf(out, "warmed %d catalog entries\n", warmed)
+		return s.ListenAndServe(ctx, *addr, e.out)
 	}
-	return s.ListenAndServe(ctx, *addr, out)
 }

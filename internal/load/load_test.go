@@ -1,10 +1,14 @@
 package load
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"p2/internal/serve"
 )
@@ -171,6 +175,63 @@ func TestRunInProcessWarm(t *testing.T) {
 	}
 	if rep.Statz.Requests != int64(len(stream)) {
 		t.Fatalf("statz requests delta %d, want %d", rep.Statz.Requests, len(stream))
+	}
+}
+
+// delayFirst is a transport that holds the first request carrying body
+// back by delay before sending it, so identical later requests overtake it
+// unless nothing else is in flight.
+type delayFirst struct {
+	body    string
+	delay   time.Duration
+	delayed atomic.Bool
+}
+
+func (d *delayFirst) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		data, err := io.ReadAll(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		r = r.Clone(r.Context())
+		r.Body = io.NopCloser(bytes.NewReader(data))
+		if string(data) == d.body && d.delayed.CompareAndSwap(false, true) {
+			time.Sleep(d.delay)
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestFirstHotMissesCold pins FirstHotCached to the server's warm state,
+// not to which client wins a race: on a cold server the stream's first hot
+// request misses even when its transport is slow enough for every later
+// identical request to be planned and cached first, in both drive modes.
+func TestFirstHotMissesCold(t *testing.T) {
+	stream, err := Generate(WorkloadConfig{Seed: 1, HotFrac: 1, HotSetSize: 1}, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{Clients: 4}, {Mode: OpenLoop, RPS: 400}} {
+		t.Run(opts.Mode.String(), func(t *testing.T) {
+			baseURL, _, shutdown, err := InProcess(serve.Config{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown()
+			client := &http.Client{Transport: &delayFirst{body: stream[0].Body, delay: 100 * time.Millisecond}}
+			opts.CrossCheck = true
+			rep, err := Run(client, baseURL, stream, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Failed() {
+				t.Fatalf("run failed: errors %d, crosscheck %v, samples %v",
+					rep.Counts.Errors, rep.CrossCheck, rep.ErrorSamples)
+			}
+			if rep.FirstHotCached {
+				t.Fatal("first hot request hit the cache of a cold server")
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -128,7 +129,8 @@ type Report struct {
 	Window      int         `json:"window"`
 	// FirstHotCached reports whether the response to the stream's first
 	// hot-set request was served from the strategy cache — true on a
-	// warm-started server, the loadsmoke assertion.
+	// warm-started server and false on a cold one (Run sends that request
+	// alone, before any other), the loadsmoke assertion.
 	FirstHotCached bool       `json:"first_hot_cached"`
 	Statz          StatzDelta `json:"statz_delta"`
 	// CrossCheck lists client-vs-/statz accounting inconsistencies
@@ -185,12 +187,25 @@ func Run(client *http.Client, baseURL string, stream []Request, opts Options) (*
 	}
 
 	results := make([]result, len(stream))
+	// The stream's first hot request goes out alone, before any other, so
+	// that on a cold server it misses by construction: FirstHotCached then
+	// reports the server's warm state, not which client won a race.
+	order := make([]int, 0, len(stream))
+	first := slices.IndexFunc(stream, func(r Request) bool { return r.Kind == KindHot })
+	for i := range stream {
+		if i != first {
+			order = append(order, i)
+		}
+	}
 	start := time.Now()
+	if first >= 0 {
+		results[first] = send(client, baseURL, stream[first].Body)
+	}
 	switch opts.Mode {
 	case OpenLoop:
-		runOpen(client, baseURL, stream, results, opts.RPS)
+		runOpen(client, baseURL, stream, order, results, opts.RPS)
 	default:
-		runClosed(client, baseURL, stream, results, opts.Clients)
+		runClosed(client, baseURL, stream, order, results, opts.Clients)
 	}
 	duration := time.Since(start)
 
@@ -206,9 +221,9 @@ func Run(client *http.Client, baseURL string, stream []Request, opts Options) (*
 }
 
 // runClosed is the closed-loop driver: Clients workers pull the next
-// stream index from a shared counter, think time zero. Results land by
-// index, so the report is independent of completion interleaving.
-func runClosed(client *http.Client, baseURL string, stream []Request, results []result, clients int) {
+// stream index of order from a shared counter, think time zero. Results
+// land by index, so the report is independent of completion interleaving.
+func runClosed(client *http.Client, baseURL string, stream []Request, order []int, results []result, clients int) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -216,10 +231,11 @@ func runClosed(client *http.Client, baseURL string, stream []Request, results []
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(stream) {
+				k := int(next.Add(1)) - 1
+				if k >= len(order) {
 					return
 				}
+				i := order[k]
 				results[i] = send(client, baseURL, stream[i].Body)
 			}
 		}()
@@ -227,15 +243,16 @@ func runClosed(client *http.Client, baseURL string, stream []Request, results []
 	wg.Wait()
 }
 
-// runOpen is the open-loop driver: requests depart on a fixed-interval
-// ticker regardless of outstanding responses, one goroutine each.
-func runOpen(client *http.Client, baseURL string, stream []Request, results []result, rps float64) {
+// runOpen is the open-loop driver: the stream indices of order depart on
+// a fixed-interval ticker regardless of outstanding responses, one
+// goroutine each.
+func runOpen(client *http.Client, baseURL string, stream []Request, order []int, results []result, rps float64) {
 	interval := time.Duration(float64(time.Second) / rps)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	var wg sync.WaitGroup
-	for i := range stream {
-		if i > 0 {
+	for k, i := range order {
+		if k > 0 {
 			<-ticker.C
 		}
 		wg.Add(1)

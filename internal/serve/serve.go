@@ -30,14 +30,13 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"p2"
-	"p2/internal/cost"
 	"p2/internal/plan"
+	"p2/internal/synth"
 )
 
 // Config tunes the daemon; the zero value serves with sensible defaults.
@@ -66,7 +65,7 @@ type Config struct {
 type PlanRequest struct {
 	// System is a preset name as understood by p2.ParseSystem: "a100",
 	// "v100", "fig2a" or "superpod[:PxN]"; Nodes scales the a100/v100
-	// presets (0 means 4).
+	// presets (0 means 4) and must be 0 on the fixed-shape ones.
 	System string `json:"system"`
 	Nodes  int    `json:"nodes,omitempty"`
 	// Faults optionally degrades the system's fabric, in the
@@ -488,10 +487,12 @@ func buildResponse(res *p2.PlanResult) *PlanResponse {
 }
 
 // resolve validates a wire request against the shared CLI vocabulary
-// (p2.ParseSystem, topology.ParseFaults, cost.ParseAlgorithm,
-// p2.ParseMeasureMode) and derives the cache key from the normalized
-// fields. The key deliberately excludes timeout_ms: a cached complete
-// result satisfies any deadline.
+// (p2.ParseSystem, topology.ParseFaults, p2.ParseAlgorithms,
+// p2.ParseMeasureMode) and derives the cache key from the resolved
+// fields, so that spellings that plan identically share one entry: the
+// system's own name, topk clamped at 0, max_program_size defaulted. The
+// key deliberately excludes timeout_ms: a cached complete result
+// satisfies any deadline.
 func resolve(pr *PlanRequest) (*p2.System, p2.Request, string, error) {
 	if pr.System == "" {
 		return nil, p2.Request{}, "", fmt.Errorf(`missing "system"`)
@@ -525,34 +526,31 @@ func resolve(pr *PlanRequest) (*p2.System, p2.Request, string, error) {
 	req := p2.Request{
 		Axes:           pr.Axes,
 		ReduceAxes:     reduce,
+		Algo:           p2.Ring,
 		Bytes:          pr.Bytes,
-		TopK:           pr.TopK,
+		TopK:           max(pr.TopK, 0),
 		MaxProgramSize: pr.MaxProgramSize,
 	}
-	algoKey := "Ring"
-	switch {
-	case pr.Algo == "" || strings.EqualFold(pr.Algo, "Ring"):
-		req.Algo = p2.Ring
-	case strings.EqualFold(pr.Algo, "auto"):
-		req.Algo, req.Algos, algoKey = p2.Ring, p2.ExtendedAlgorithms, "auto"
-	default:
-		if req.Algo, err = cost.ParseAlgorithm(pr.Algo); err != nil {
-			return nil, p2.Request{}, "", fmt.Errorf(`%w (or "auto" to search the per-step assignment)`, err)
+	if req.MaxProgramSize <= 0 {
+		req.MaxProgramSize = synth.DefaultMaxSize
+	}
+	if pr.Algo != "" {
+		if req.Algo, req.Algos, err = p2.ParseAlgorithms(pr.Algo); err != nil {
+			return nil, p2.Request{}, "", err
 		}
-		algoKey = req.Algo.String()
+	}
+	algoKey := req.Algo.String()
+	if req.Algos != nil {
+		algoKey = "auto"
 	}
 	if pr.Measure != "" {
 		if req.Measure, err = p2.ParseMeasureMode(pr.Measure); err != nil {
 			return nil, p2.Request{}, "", err
 		}
 	}
-	nodes := pr.Nodes
-	if nodes <= 0 {
-		nodes = 4
-	}
-	key := fmt.Sprintf("%s|%d|%s|%v|%v|%s|%g|%d|%d|%s",
-		strings.ToLower(pr.System), nodes, pr.Faults, pr.Axes, reduce,
-		algoKey, pr.Bytes, pr.TopK, pr.MaxProgramSize, req.Measure)
+	key := fmt.Sprintf("%s|%s|%v|%v|%s|%g|%d|%d|%s",
+		sys.Name, pr.Faults, pr.Axes, reduce,
+		algoKey, pr.Bytes, req.TopK, req.MaxProgramSize, req.Measure)
 	return sys, req, key, nil
 }
 

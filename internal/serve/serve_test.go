@@ -324,6 +324,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad faults", `{"system": "fig2a", "axes": [16], "faults": "gpu:99"}`, http.StatusBadRequest},
 		{"axes do not cover devices", `{"system": "fig2a", "axes": [3]}`, http.StatusBadRequest},
 		{"negative bytes", `{"system": "fig2a", "axes": [16], "bytes": -1}`, http.StatusBadRequest},
+		{"nodes on a fixed-shape preset", `{"system": "fig2a", "nodes": 2, "axes": [16]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -573,6 +574,22 @@ func TestCacheKeyNormalization(t *testing.T) {
 			base,
 			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}, Reduce: []int{1}, TopK: 5},
 			false},
+		{"superpod defaulted vs explicit shape",
+			PlanRequest{System: "superpod", Axes: []int{8, 8}},
+			PlanRequest{System: "superpod:2x4", Axes: []int{8, 8}},
+			true},
+		{"superpod shape spelling",
+			PlanRequest{System: "superpod:02x04", Axes: []int{8, 8}},
+			PlanRequest{System: "superpod:2x4", Axes: []int{8, 8}},
+			true},
+		{"max_program_size defaulted vs explicit",
+			base,
+			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}, Reduce: []int{0}, TopK: 5, MaxProgramSize: 5},
+			true},
+		{"topk 0 vs negative",
+			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}},
+			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}, TopK: -1},
+			true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -124,6 +124,24 @@ const (
 // shared vocabulary of every -measure CLI flag.
 func ParseMeasureMode(s string) (MeasureMode, error) { return plan.ParseRerankMode(s) }
 
+// ParseAlgorithms parses an algorithm choice into Request.Algo and
+// Request.Algos — the shared vocabulary of the CLI's -algo flag and the
+// serve API's "algo" field. A name ParseAlgorithm accepts pins that
+// algorithm (nil Algos); "auto" (case-insensitive) searches the per-step
+// assignment over ExtendedAlgorithms from a Ring base.
+func ParseAlgorithms(s string) (Algorithm, []Algorithm, error) {
+	if strings.EqualFold(s, "auto") {
+		return Ring, ExtendedAlgorithms, nil
+	}
+	a, err := cost.ParseAlgorithm(s)
+	if err != nil {
+		// cost.ParseAlgorithm does not know the auto mode; its error must
+		// still offer it.
+		return 0, nil, fmt.Errorf(`%w (or "auto" to search the per-step assignment)`, err)
+	}
+	return a, nil, nil
+}
+
 // NewSystem builds a custom system; levels are ordered root-most first and
 // uplinks align with levels.
 func NewSystem(name string, levels []Level, uplinks []Link) (*System, error) {
@@ -152,32 +170,38 @@ func SuperPodSystem(pods, nodesPerPod int) *System {
 // between the CLI's -system flag and the serve API's "system" field:
 // "a100" or "v100" scaled to nodes (nodes <= 0 defaults to 4, the CLI
 // default), "fig2a" (fixed shape), or "superpod[:PxN]" (P pods × N nodes
-// per pod, default 2x4). Names are case-insensitive.
+// per pod, default 2x4). A positive node count on a fixed-shape preset is
+// an error rather than silently ignored. Names are case-insensitive.
 func ParseSystem(name string, nodes int) (*System, error) {
-	if nodes <= 0 {
-		nodes = 4
-	}
 	lname := strings.ToLower(name)
-	if shape, ok := strings.CutPrefix(lname, "superpod"); ok {
-		pods, nodesPerPod := 2, 4
-		if shape != "" {
-			var err error
-			if pods, nodesPerPod, err = parseSuperPodShape(shape); err != nil {
-				return nil, err
-			}
-		}
-		return topology.SuperPodSystem(pods, nodesPerPod), nil
-	}
 	switch lname {
-	case "a100":
-		return topology.A100System(nodes), nil
-	case "v100":
+	case "a100", "v100":
+		if nodes <= 0 {
+			nodes = 4
+		}
+		if lname == "a100" {
+			return topology.A100System(nodes), nil
+		}
 		return topology.V100System(nodes), nil
-	case "fig2a":
-		return topology.Fig2aSystem(), nil
-	default:
+	}
+	shape, superpod := strings.CutPrefix(lname, "superpod")
+	if !superpod && lname != "fig2a" {
 		return nil, fmt.Errorf("unknown system %q (want a100, v100, fig2a or superpod[:PxN])", name)
 	}
+	if nodes > 0 {
+		return nil, fmt.Errorf("system %q has a fixed shape: a node count (%d) applies only to a100 and v100", name, nodes)
+	}
+	if !superpod {
+		return topology.Fig2aSystem(), nil
+	}
+	pods, nodesPerPod := 2, 4
+	if shape != "" {
+		var err error
+		if pods, nodesPerPod, err = parseSuperPodShape(shape); err != nil {
+			return nil, err
+		}
+	}
+	return topology.SuperPodSystem(pods, nodesPerPod), nil
 }
 
 // parseSuperPodShape parses the ":PxN" suffix of superpod:PxN.

@@ -2,8 +2,8 @@
 # docscheck.sh — documentation consistency checks, run in CI:
 #
 #  1. Every CLI flag mentioned in README.md (a token like `-topk` after a
-#     space, backtick or parenthesis) is actually defined by cmd/p2 or
-#     cmd/p2lint.
+#     space, backtick or parenthesis) is actually defined by cmd/p2 (some
+#     `p2 <cmd> -h` lists it) or cmd/p2lint.
 #  2. DESIGN.md's "Contents" index matches its numbered "## N." section
 #     headers exactly, both ways.
 #  3. The //p2: annotation markers documented in DESIGN.md §10, the set
@@ -16,6 +16,8 @@
 #  5. The analyzers p2lint runs (internal/analysis All, as `p2lint -h`
 #     lists them), the rows of DESIGN.md §10's analyzer table and the
 #     list in cmd/p2lint's doc comment are the same set.
+#  6. Each row of README.md's "Common flags" table names exactly the
+#     commands whose `p2 <cmd> -h` lists the row's flag(s).
 #
 # Exit status is non-zero on any mismatch, printing what drifted.
 set -eu
@@ -23,18 +25,25 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
+# Checks 1 and 6 read the flags each p2 command registers from its -h.
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+go build -o "$TMP/p2" ./cmd/p2
+commands=$("$TMP/p2" help | awk '/^  [a-z0-9]+  / {print $1}')
+for c in $commands; do
+  "$TMP/p2" "$c" -h 2>&1 | grep -oE '^  -[a-z-]+' | sed 's/^  -//' > "$TMP/$c.flags"
+done
+
 # --- 1. README flags exist in cmd/p2 or cmd/p2lint --------------------------
-# Flags defined anywhere in the CLIs: flag.FlagSet
-# String/Int/Bool/Float64/Duration declarations name the flag in the
-# first argument, Var declarations (used for repeatable flags like
-# -fault) in the second.
+# Flags defined anywhere in the CLIs: every p2 command's -h, plus
+# cmd/p2lint's flag.FlagSet String/Bool declarations.
 defined=$(
   {
-    grep -hoE 'fs\.(String|Int|Int64|Bool|Float64|Duration)\("[a-z-]+"' cmd/p2/*.go cmd/p2lint/*.go
-    grep -hoE 'fs\.Var\([^,]+, "[a-z-]+"' cmd/p2/*.go
+    for c in $commands; do cat "$TMP/$c.flags"; done
+    grep -hoE 'fs\.(String|Bool)\("[a-z-]+"' cmd/p2lint/*.go | sed -E 's/.*"([a-z-]+)"/\1/'
     # package flag defines -h/-help on every FlagSet implicitly.
     printf 'h\nhelp\n'
-  } | sed -E 's/.*"([a-z-]+)"/\1/' | sort -u
+  } | sort -u
 )
 
 # Flag-looking tokens in the README: "-name" right after start-of-line,
@@ -141,7 +150,26 @@ same_analyzers() { # where names
 same_analyzers "DESIGN.md §10 table" "$tabled"
 same_analyzers "cmd/p2lint doc comment" "$listed"
 
+# --- 6. README "Common flags" rows name the commands that register the flag --
+# Row shape: | `-a`, `-b` | cmd, cmd, ... | meaning |
+rows=$(awk '/^### Common flags/ {on = 1; next} /^#/ {on = 0} on && /^\| `-/' README.md)
+if [ -z "$rows" ]; then
+  echo "docscheck: README.md has no Common flags table rows" >&2
+  fail=1
+fi
+printf '%s\n' "$rows" | while IFS='|' read -r _ flagcell cmdcell _; do
+  stated=$(printf '%s\n' "$cmdcell" | tr ',' '\n' | tr -d ' ' | grep . | sort)
+  for f in $(printf '%s\n' "$flagcell" | grep -oE -- '-[a-z][a-z-]*' | sed 's/^-//'); do
+    registered=$(for c in $commands; do grep -qx "$f" "$TMP/$c.flags" && echo "$c"; done | sort)
+    if [ "$stated" != "$registered" ]; then
+      echo "docscheck: README.md says -$f applies to {$(echo $stated)}, but p2 -h lists it for {$(echo $registered)}" >&2
+      echo 1 > "$TMP/fail6"
+    fi
+  done
+done
+[ -f "$TMP/fail6" ] && fail=1
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "docscheck: OK (README flags consistent with cmd/p2 and cmd/p2lint; DESIGN.md index matches headers; //p2: markers documented, accepted and used consistently; ROADMAP line count is scripts/loc.sh's; analysis.All, DESIGN.md §10 and cmd/p2lint list the same analyzers)"
+echo "docscheck: OK (README flags consistent with cmd/p2 and cmd/p2lint; DESIGN.md index matches headers; //p2: markers documented, accepted and used consistently; ROADMAP line count is scripts/loc.sh's; analysis.All, DESIGN.md §10 and cmd/p2lint list the same analyzers; README Common flags rows match p2 <cmd> -h)"
