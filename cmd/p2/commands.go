@@ -144,6 +144,10 @@ func (e *env) resolve(fs *flag.FlagSet) (err error) {
 		// requested size.
 		return fmt.Errorf("-bytes must be positive (got %g)", e.bytes)
 	}
+	if e.timeout < 0 {
+		// A negative deadline would silently mean none.
+		return fmt.Errorf("-timeout must not be negative (got %v)", e.timeout)
+	}
 	r := &e.req
 	if fs.Lookup("axes") != nil {
 		if r.Axes, err = placement.ParseVector(e.axes); err != nil {

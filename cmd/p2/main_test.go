@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // exec runs the CLI and returns (stdout, stderr, exit code).
@@ -314,8 +315,9 @@ func TestTables3V100TwoNode(t *testing.T) {
 }
 
 // TestBuildSystemErrors checks -system resolution: presets resolve
-// case-insensitively, an unknown name fails, and -nodes on a fixed-shape
-// preset is refused instead of silently planning the preset's own shape.
+// case-insensitively, an unknown name fails, and a negative -nodes, or
+// -nodes on a fixed-shape preset, is refused instead of silently planning
+// the default or the preset's own shape.
 func TestBuildSystemErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-system", "a100", "-nodes", "2", "-axes", "[32]"},
@@ -331,6 +333,8 @@ func TestBuildSystemErrors(t *testing.T) {
 		{"-system", "tpu", "-axes", "[16]"},
 		{"-system", "fig2a", "-nodes", "2", "-axes", "[16]"},
 		{"-system", "superpod:4x8", "-nodes", "8", "-axes", "[256]"},
+		{"-system", "a100", "-nodes", "-2", "-axes", "[4 16]"},
+		{"-system", "fig2a", "-nodes", "-2", "-axes", "[16]"},
 	} {
 		out, errOut, code := exec(append([]string{"placements"}, args...)...)
 		if code != 1 || out != "" || !strings.Contains(errOut, "p2:") {
@@ -537,6 +541,36 @@ func TestTimeoutMidPlan(t *testing.T) {
 		}
 	default:
 		t.Errorf("exit = %d, want 0 or 1", code)
+	}
+}
+
+// TestNegativeDurationsRefused: the flag package accepts a negative
+// duration, which a deadline or drain bound would read as "none" or its
+// default; every duration flag refuses one with exit 1 instead. A serve
+// that accepted one would start serving, hence the bounded wait.
+func TestNegativeDurationsRefused(t *testing.T) {
+	for name, args := range map[string][]string{
+		"synth -timeout":         {"synth", "-system", "a100", "-nodes", "2", "-axes", "[4 8]", "-timeout", "-5ms"},
+		"serve -request-timeout": {"serve", "-addr", "127.0.0.1:0", "-request-timeout", "-1s"},
+		"serve -drain":           {"serve", "-addr", "127.0.0.1:0", "-drain", "-1s"},
+	} {
+		type result struct {
+			out, errOut string
+			code        int
+		}
+		done := make(chan result, 1)
+		go func() {
+			out, errOut, code := exec(args...)
+			done <- result{out, errOut, code}
+		}()
+		select {
+		case r := <-done:
+			if r.code != 1 || r.out != "" || !strings.Contains(r.errOut, "must not be negative") {
+				t.Errorf("%s: exit=%d out=%q err=%q", name, r.code, r.out, r.errOut)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: still running after 10s: the negative duration was accepted", name)
+		}
 	}
 }
 

@@ -27,6 +27,9 @@ func cmdServe(fs *flag.FlagSet) body {
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown bound: how long in-flight requests may finish after SIGTERM/interrupt")
 	warm := fs.Bool("warm", false, "plan the paper-suite catalog into the strategy cache before accepting traffic")
 	return func(e *env) error {
+		if *requestTimeout < 0 || *drain < 0 {
+			return fmt.Errorf("-request-timeout and -drain must not be negative (got %v, %v)", *requestTimeout, *drain)
+		}
 		ctx, stop := signal.NotifyContext(e.ctx, os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		s := serve.NewServer(serve.Config{

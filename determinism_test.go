@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -546,6 +547,120 @@ func TestPlanJointRerankDeterministic(t *testing.T) {
 				par, g, want)
 		}
 	}
+}
+
+// countdownCtx is a context whose Err turns Canceled after n checks: a
+// work clock instead of a wall clock, so a test can cut a plan at every
+// point the engine looks — and repeat the cut exactly at parallelism 1.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCountdown(n int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// jointChoiceFingerprint renders one placement's joint outcome bit for bit:
+// the total, the weighted costs, and each reduction's program, algorithm
+// assignment and prediction.
+func jointChoiceFingerprint(c *p2.JointChoice) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%016x", math.Float64bits(c.Total))
+	for i, s := range c.PerReduction {
+		fmt.Fprintf(&b, "|%v[%s]@%016x*%016x", s.Program, s.AlgoString(),
+			math.Float64bits(s.Predicted), math.Float64bits(c.Costs[i]))
+	}
+	return b.String()
+}
+
+// TestPlanJointCtxCancelledKeepsCompletedPlacements is the joint anytime
+// contract, cut at every engine context check over a stride: a cancelled
+// joint plan either returns the context error and no result, or a Partial
+// ranking whose choices are in (Total, placement order) order and each
+// bit-equal to the uncancelled run's choice for the same placement — a
+// placement appears only once every reduction was scored.
+func TestPlanJointCtxCancelledKeepsCompletedPlacements(t *testing.T) {
+	sys, axes := p2.SuperPodSystem(2, 4), []int{8, 8}
+	reductions := []p2.Reduction{
+		{ReduceAxes: []int{0}, Bytes: 1 << 30},
+		{ReduceAxes: []int{1}, Bytes: 1 << 26, Count: 48, Algos: p2.ExtendedAlgorithms},
+	}
+	matrices, err := p2.Placements(sys, axes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := map[string]int{}
+	for i, m := range matrices {
+		order[m.String()] = i
+	}
+	full, err := p2.PlanJointCtx(context.Background(), sys, axes, reductions, p2.JointOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, c := range full.Choices {
+		want[c.Matrix.String()] = jointChoiceFingerprint(c)
+	}
+	probe := newCountdown(math.MaxInt64)
+	if _, err := p2.PlanJointCtx(probe, sys, axes, reductions, p2.JointOptions{Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	checks := math.MaxInt64 - probe.left.Load()
+	step := max(1, checks/40)
+	partials := 0
+	for _, par := range []int{1, 4} {
+		for _, k := range []int{0, 2} {
+			for n := int64(0); n <= checks+1; n += step {
+				jp, err := p2.PlanJointCtx(newCountdown(n), sys, axes, reductions,
+					p2.JointOptions{Parallelism: par, TopK: k})
+				where := fmt.Sprintf("parallelism %d TopK %d cut after %d checks", par, k, n)
+				if err != nil {
+					if !errors.Is(err, context.Canceled) || jp != nil {
+						t.Fatalf("%s: (%v, %v), want (nil, context.Canceled)", where, jp, err)
+					}
+					continue
+				}
+				wantLen := len(full.Choices)
+				if k > 0 {
+					wantLen = min(k, wantLen)
+				}
+				if jp.Partial {
+					partials++
+				} else if len(jp.Choices) != wantLen {
+					t.Fatalf("%s: complete run kept %d choices, want %d", where, len(jp.Choices), wantLen)
+				}
+				if len(jp.Choices) == 0 || len(jp.Choices) > wantLen {
+					t.Fatalf("%s: %d choices (partial %v)", where, len(jp.Choices), jp.Partial)
+				}
+				for i, c := range jp.Choices {
+					if got := jointChoiceFingerprint(c); got != want[c.Matrix.String()] {
+						t.Fatalf("%s: choice %v\n got %s\nwant %s", where, c.Matrix, got, want[c.Matrix.String()])
+					}
+					if i == 0 {
+						continue
+					}
+					prev := jp.Choices[i-1]
+					if prev.Total > c.Total || (prev.Total == c.Total && order[prev.Matrix.String()] >= order[c.Matrix.String()]) {
+						t.Fatalf("%s: choice %d (%v, %g) ranks after %v (%g)", where, i, c.Matrix, c.Total, prev.Matrix, prev.Total)
+					}
+				}
+			}
+		}
+	}
+	if partials == 0 {
+		t.Fatal("no cut produced a partial result: the stride never landed mid-plan")
+	}
+	t.Logf("%d context checks per uncancelled run; %d cuts came back partial", checks, partials)
 }
 
 // TestPlanPrunedStatsConsistent: every streamed placement is either

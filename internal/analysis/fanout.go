@@ -6,7 +6,7 @@ import (
 )
 
 // FanOut flags unordered result collection in goroutine fan-outs. The
-// engine's convention (plan.parallelEach, the rerank measurement stage) is
+// engine's convention (plan.Measure, the rerank measurement stage) is
 // that parallel results land by index into a preallocated slice — the one
 // collection shape that is independent of goroutine scheduling. Two
 // nondeterministic shapes are flagged:

@@ -290,6 +290,77 @@ func TestTopKHeapProperty(t *testing.T) {
 	}
 }
 
+// TestRerankCancelledKeepsAnalyticOrder drives the measured re-sort's
+// cancel path directly, for both request shapes: under an already
+// cancelled context every Measured field comes back zero (or nil), the
+// analytic order survives, no measurement is counted and the context
+// error is returned.
+func TestRerankCancelledKeepsAnalyticOrder(t *testing.T) {
+	matrices, red, model := testSetup(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	cands, _, err := New().RunCtx(context.Background(), matrices, red, model, Options{TopK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rankString(cands)
+	for _, c := range cands {
+		c.Measured = 1 // stale values the cancel path must clear
+	}
+	var stats Stats
+	if err := rerank(ctx, cands, New().single(ctx, red, model, Options{}), &stats); !errors.Is(err, context.Canceled) {
+		t.Fatalf("single: err = %v, want context.Canceled", err)
+	}
+	if got := rankString(cands); got != want {
+		t.Errorf("single: cancelled re-rank reordered the analytic ranking:\ngot:\n%swant:\n%s", got, want)
+	}
+	for _, c := range cands {
+		if c.Measured != 0 {
+			t.Errorf("single: %v %v kept Measured %v", c.Matrix, c.Program, c.Measured)
+		}
+	}
+	if stats != (Stats{}) {
+		t.Errorf("single: cancelled re-rank counted %+v", stats)
+	}
+
+	specs := []JointSpec{
+		{ReduceAxes: []int{0}, Model: model},
+		{ReduceAxes: []int{1}, Model: model, Weight: 4},
+	}
+	jcs, _, err := New().RunJointCtx(context.Background(), matrices, specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, len(jcs))
+	for i, jc := range jcs {
+		order[i] = jc.MatrixIdx
+		jc.Measured, jc.MeasuredTotal = []float64{1, 4}, 5
+		for _, c := range jc.PerReduction {
+			c.Measured = 1
+		}
+	}
+	if err := rerank(ctx, jcs, New().joint(ctx, specs, Options{}), &stats); !errors.Is(err, context.Canceled) {
+		t.Fatalf("joint: err = %v, want context.Canceled", err)
+	}
+	for i, jc := range jcs {
+		if jc.MatrixIdx != order[i] {
+			t.Errorf("joint: choice %d is placement %d, want %d (analytic order)", i, jc.MatrixIdx, order[i])
+		}
+		if jc.Measured != nil || jc.MeasuredTotal != 0 {
+			t.Errorf("joint: placement %d kept Measured %v / %v", jc.MatrixIdx, jc.Measured, jc.MeasuredTotal)
+		}
+		for ri, c := range jc.PerReduction {
+			if c.Measured != 0 {
+				t.Errorf("joint: placement %d reduction %d kept Measured %v", jc.MatrixIdx, ri, c.Measured)
+			}
+		}
+	}
+	if stats != (Stats{}) {
+		t.Errorf("joint: cancelled re-rank counted %+v", stats)
+	}
+}
+
 func TestRunJointMatchesSerial(t *testing.T) {
 	sys := topology.A100System(2)
 	axes := []int{4, 8}

@@ -428,62 +428,6 @@ func (ms *matrixScorer) evalStep(key stepKey) stepChoice {
 	return ch
 }
 
-// planMatrix synthesizes, lowers and scores every program for one
-// placement, in synthesis order (size, then lexicographic — the same order
-// the serial path appends them in). The per-program sum runs over the same
-// values in the same order as cost.Model.BestStepAlgos (resp.
-// ProgramTime), so predictions are bit-identical to the serial brute-force
-// path. It works against shared worker scratch, counters and the run's
-// pruning threshold, emitting each completed candidate as soon as it is
-// scored (the caller's sink pushes it into the worker heap, which can
-// tighten the shared threshold mid-placement). With TopK armed it may skip
-// the placement entirely (admissible bound above the threshold) and
-// abandons individual programs once their partial cost sum exceeds the
-// threshold. Neither cut can remove a final top-K member: the bound
-// never exceeds any program's true cost, partial sums never exceed
-// the total (step costs are non-negative), and both cuts require strictly
-// exceeding a value that K scored candidates already meet.
-//
-// Cancellation is cooperative at program granularity: ctx is consulted
-// between programs and the first observed cancellation returns ctx.Err()
-// with the placement partially scored (every candidate already emitted is
-// valid and ranked). ctx is deliberately NOT threaded into synthesize —
-// memo entries complete under sync.Once exactly once, so a cancelled
-// request can never leave a poisoned half-built entry for later requests.
-func (p *Planner) planMatrix(ctx context.Context, ws *workerState, mi int, m *placement.Matrix, reduceAxes []int, model *cost.Model, opts Options, rc *runCounters, thr *threshold, emit func(*Candidate)) error {
-	h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, reduceAxes, hierarchy.Options{Collapse: opts.Collapse})
-	if err != nil {
-		return err
-	}
-	prune := opts.TopK > 0
-	if prune && ws.bounds.placementBound(model.Sys, h, model.Bytes) > thr.load() {
-		rc.prunedPlacements.Add(1)
-		return nil
-	}
-	res := p.synthesize(h, opts.MaxProgramSize, rc)
-	ms := newMatrixScorer(ws, model, h, opts)
-	// Early exit: the remaining steps can only add cost, so a partial sum
-	// strictly above the threshold already loses to K kept candidates —
-	// stop scoring the program.
-	cutoff := func(partial float64) bool { return prune && partial > thr.load() }
-	scored := 0
-	for pi, prog := range res.Programs {
-		if err := ctx.Err(); err != nil {
-			rc.scored.Add(int64(scored))
-			return err
-		}
-		c := ms.scoreProgram(mi, pi, m, prog, res.Shapes[pi], cutoff)
-		if c == nil {
-			rc.prunedPrograms.Add(1)
-			continue
-		}
-		scored++
-		emit(c)
-	}
-	rc.scored.Add(int64(scored))
-	return nil
-}
-
 // scoreProgram accumulates one synthesized program's predicted time (and
 // per-step algorithm assignment when searching) in exactly the serial
 // order — each step a lookup of its synthesis-time shape and its
@@ -532,10 +476,49 @@ func (ms *matrixScorer) score(prog dsl.Program, shapes []dsl.Shape, cutoff func(
 	return predicted, true
 }
 
+// scorePrograms synthesizes (memoized) and scores every program of one
+// (placement, reduction hierarchy) pair, in synthesis order (size, then
+// lexicographic — the same order the serial path appends them in), and
+// emits each program the cutoff lets through as soon as it is scored. The
+// per-program sum runs over the same values in the same order as
+// cost.Model.BestStepAlgos (resp. ProgramTime), so predictions are
+// bit-identical to the serial brute-force path. The two request shapes
+// differ only in cutoff and emit: a single reduction cuts against the
+// run's top-K threshold and emits into the worker heap (which can tighten
+// the threshold mid-placement); a joint reduction cuts against its own
+// incumbent best and keeps the minimum (DESIGN.md §6.1, cut 3).
+//
+// Cancellation is cooperative at program granularity: ctx is consulted
+// between programs and the first observed cancellation returns ctx.Err()
+// with the placement partially scored (every candidate already emitted is
+// valid and ranked). ctx is deliberately NOT threaded into synthesize —
+// memo entries complete under sync.Once exactly once, so a cancelled
+// request can never leave a poisoned half-built entry for later requests.
+func (p *Planner) scorePrograms(ctx context.Context, ws *workerState, mi int, m *placement.Matrix, h *hierarchy.Hierarchy, model *cost.Model, opts Options, rc *runCounters, cutoff func(partial float64) bool, emit func(*Candidate)) error {
+	res := p.synthesize(h, opts.MaxProgramSize, rc)
+	ms := newMatrixScorer(ws, model, h, opts)
+	scored := 0
+	for pi, prog := range res.Programs {
+		if err := ctx.Err(); err != nil {
+			rc.scored.Add(int64(scored))
+			return err
+		}
+		c := ms.scoreProgram(mi, pi, m, prog, res.Shapes[pi], cutoff)
+		if c == nil {
+			rc.prunedPrograms.Add(1)
+			continue
+		}
+		scored++
+		emit(c)
+	}
+	rc.scored.Add(int64(scored))
+	return nil
+}
+
 // RunCtx ranks every (matrix, program) candidate for one reduction
 // request, fanning the matrices out over the worker pool. The returned
-// slice is sorted by Less and truncated to TopK when set. See RunStreamCtx
-// for the cancellation and anytime-result contract.
+// slice is sorted by Less and truncated to TopK when set. The
+// cancellation and anytime contract is run's.
 func (p *Planner) RunCtx(ctx context.Context, matrices []*placement.Matrix, reduceAxes []int, model *cost.Model, opts Options) ([]*Candidate, Stats, error) {
 	return p.RunStreamCtx(ctx, sliceStream(matrices), reduceAxes, model, opts)
 }
@@ -560,54 +543,42 @@ func sliceStream(matrices []*placement.Matrix) func(func(*placement.Matrix) bool
 // The ranking is identical to RunCtx over the materialized equivalent.
 //
 // With Options.Rerank set, the analytic ranking is then measured on the
-// emulator and re-sorted by measured time (rerank.go); RerankAll runs the
-// analytic stage unpruned so that every candidate exists to be measured,
-// and truncates to TopK only after the measured sort.
-//
-// An uncancelled context changes nothing (the checks observe nil). On
-// cancellation or deadline expiry the run stops
-// cooperatively — between programs, between measured candidates, and
-// every few emulator event-loop iterations — and returns an *anytime*
-// result alongside ctx.Err(): the merged per-worker top-K heaps, sorted
-// by Less and truncated to TopK. Every returned candidate is fully
-// scored and correctly ordered among those returned; the set is the best
-// of what was scored before the cut, not necessarily a prefix of the
-// full ranking. If cancellation lands during the re-rank measurement
-// stage, partially-filled Measured values are zeroed and the analytic
-// order is returned, so a partial result never mixes measured and
-// unmeasured sort keys. Non-context errors return (nil, stats, err).
+// emulator and re-sorted by measured time (rerank.go). The cancellation
+// and anytime contract is run's.
 func (p *Planner) RunStreamCtx(ctx context.Context, stream func(func(*placement.Matrix) bool) error, reduceAxes []int, model *cost.Model, opts Options) ([]*Candidate, Stats, error) {
-	runOpts := opts
-	if opts.Rerank == RerankAll {
-		runOpts.TopK = 0
+	return run(ctx, opts, stream, p.single(ctx, reduceAxes, model, opts))
+}
+
+// single is the single-reduction shape. With TopK armed a placement is
+// skipped outright when its admissible bound exceeds the threshold, and a
+// program is abandoned once its partial cost sum does. Neither cut can
+// remove a final top-K member: the bound never exceeds any program's true
+// cost, partial sums never exceed the total (step costs are
+// non-negative), and both cuts require strictly exceeding a value that K
+// scored candidates already meet.
+func (p *Planner) single(ctx context.Context, reduceAxes []int, model *cost.Model, opts Options) shape[*Candidate] {
+	return shape[*Candidate]{
+		produce: func(ws *workerState, mi int, m *placement.Matrix, prune bool, rc *runCounters, thr *threshold, emit func(*Candidate)) error {
+			h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, reduceAxes, hierarchy.Options{Collapse: opts.Collapse})
+			if err != nil {
+				return err
+			}
+			if prune && ws.bounds.placementBound(model.Sys, h, model.Bytes) > thr.load() {
+				rc.prunedPlacements.Add(1)
+				return nil
+			}
+			return p.scorePrograms(ctx, ws, mi, m, h, model, opts, rc,
+				func(partial float64) bool { return prune && partial > thr.load() }, emit)
+		},
+		less: Less,
+		key:  func(c *Candidate) float64 { return c.Predicted },
+		measure: func(ctx context.Context, cands []*Candidate) int {
+			_ = Measure(ctx, cands, model, opts) // its only error is ctx.Err(), which rerank reports
+			return len(cands)
+		},
+		measured:  func(c *Candidate) float64 { return c.Measured },
+		unmeasure: func(c *Candidate) { c.Measured = 0 },
 	}
-	var rc runCounters
-	thr := newThreshold()
-	perWorker, produced, err := fanOut(ctx, runOpts, stream, func(ws *workerState, mi int, m *placement.Matrix, emit func(*Candidate)) error {
-		return p.planMatrix(ctx, ws, mi, m, reduceAxes, model, runOpts, &rc, thr, emit)
-	}, Less, func(c *Candidate) float64 { return c.Predicted }, thr)
-	stats := rc.stats(produced, thr)
-	if err != nil {
-		return nil, stats, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		// Anytime result: the workers' heaps hold the best of everything
-		// scored before the cut; truncate to the user-facing K (runOpts.TopK
-		// is zeroed under RerankAll, which no longer applies — a cancelled
-		// run never reaches the measurement stage).
-		return mergeRanked(perWorker, opts.TopK, Less), stats, cerr
-	}
-	cands := mergeRanked(perWorker, runOpts.TopK, Less)
-	if opts.Rerank != RerankOff {
-		rerr := rerank(ctx, cands, model, opts, &stats)
-		if opts.TopK > 0 && len(cands) > opts.TopK {
-			cands = cands[:opts.TopK]
-		}
-		if rerr != nil {
-			return cands, stats, rerr
-		}
-	}
-	return cands, stats, nil
 }
 
 // JointSpec describes one recurring reduction of a joint request.
@@ -688,140 +659,180 @@ func (e *ErrNoPrograms) Error() string {
 	return fmt.Sprintf("plan: no valid programs for reduction axes %v on matrix %v", e.ReduceAxes, e.Matrix)
 }
 
-// bestForReduction returns the Less-minimal candidate of one reduction
-// under one placement without materializing the rest. Scoring a program
-// aborts as soon as its partial cost reaches the incumbent best's total:
-// the abandoned program's final cost can only be ≥ the partial, and at
-// equality it still loses the (MatrixIdx, ProgIdx) tie-break to the
-// earlier incumbent, so the argmin is exact. This cut needs no threshold
-// and is always on.
-func (p *Planner) bestForReduction(ctx context.Context, ws *workerState, mi int, m *placement.Matrix, h *hierarchy.Hierarchy, spec JointSpec, opts Options, rc *runCounters) (*Candidate, error) {
-	res := p.synthesize(h, opts.MaxProgramSize, rc)
-	ms := newMatrixScorer(ws, spec.Model, h, opts)
-	var best *Candidate
-	cutoff := func(partial float64) bool { return best != nil && partial >= best.Predicted }
-	scored := 0
-	for pi, prog := range res.Programs {
-		if err := ctx.Err(); err != nil {
-			rc.scored.Add(int64(scored))
-			return nil, err
-		}
-		c := ms.scoreProgram(mi, pi, m, prog, res.Shapes[pi], cutoff)
-		if c == nil {
-			rc.prunedPrograms.Add(1)
-			continue
-		}
-		scored++
-		if best == nil || Less(c, best) {
-			best = c
-		}
-	}
-	rc.scored.Add(int64(scored))
-	if best == nil && len(res.Programs) > 0 {
-		// Unreachable: the first program is never pruned (no incumbent).
-		return nil, &ErrNoPrograms{ReduceAxes: spec.ReduceAxes, Matrix: m}
-	}
-	return best, nil
-}
-
 // RunJointCtx scores every placement against all reductions jointly,
 // fanning placements out over the worker pool. Synthesis is memoized
-// across both placements and reductions; with TopK set, placements whose
-// summed per-reduction lower bounds exceed the shared total threshold are
-// skipped before any synthesis. The result is sorted by (Total,
+// across both placements and reductions. The result is sorted by (Total,
 // MatrixIdx) and truncated to TopK placements when set.
 //
 // With Options.Rerank set, the kept placements' per-reduction winners are
 // measured on the emulator and the placements re-sorted by summed
-// weighted measured time (rerank.go); RerankAll disables the placement
-// top-K during the analytic stage and truncates after the measured sort.
-//
-// The anytime contract is RunStreamCtx's: an uncancelled context changes
-// nothing; on cancellation the merged per-worker heaps of *completed*
-// placements (a joint candidate only exists once every reduction scored)
-// are returned sorted and truncated alongside ctx.Err(); cancellation
-// during the measured re-rank zeroes the partially-filled Measured fields
-// and returns the analytic placement order.
+// weighted measured time (rerank.go). The cancellation and anytime
+// contract is run's; a joint candidate only exists once every reduction
+// of its placement is scored, so an anytime result holds completed
+// placements only.
 func (p *Planner) RunJointCtx(ctx context.Context, matrices []*placement.Matrix, reds []JointSpec, opts Options) ([]*JointCandidate, Stats, error) {
-	mode, finalTopK := opts.Rerank, opts.TopK
-	if mode == RerankAll {
-		opts.TopK = 0 // measured rank-all needs every placement materialized
+	return run(ctx, opts, sliceStream(matrices), p.joint(ctx, reds, opts))
+}
+
+// joint is the joint shape. Each reduction's winner is the argmin of its
+// programs, found by scorePrograms with the incumbent as the cutoff: a
+// program is abandoned once its partial cost reaches the incumbent's
+// total, since its final cost can only be ≥ the partial and at equality
+// it still loses the (MatrixIdx, ProgIdx) tie-break to the earlier
+// incumbent. That cut needs no threshold and is always on. With TopK
+// armed, a placement is also skipped when its summed per-reduction bounds
+// exceed the shared total threshold — up front, before any synthesis, and
+// again after each reduction, with the finished reductions' exact totals
+// in place of their bounds.
+func (p *Planner) joint(ctx context.Context, reds []JointSpec, opts Options) shape[*JointCandidate] {
+	return shape[*JointCandidate]{
+		produce: func(ws *workerState, mi int, m *placement.Matrix, prune bool, rc *runCounters, thr *threshold, emit func(*JointCandidate)) error {
+			hs := make([]*hierarchy.Hierarchy, len(reds))
+			bounds := make([]float64, len(reds))
+			for ri, red := range reds {
+				h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, red.ReduceAxes, hierarchy.Options{Collapse: red.Collapse})
+				if err != nil {
+					return err
+				}
+				hs[ri] = h
+				if prune {
+					bounds[ri] = red.weight() * ws.bounds.placementBound(red.Model.Sys, h, red.Model.Bytes)
+				}
+			}
+			jc := &JointCandidate{MatrixIdx: mi, Matrix: m}
+			for ri, red := range reds {
+				if prune {
+					// The reductions still to score cost at least their
+					// bounds, so a placement already provably above the
+					// threshold cannot enter the top-K placements. The
+					// remaining bounds are summed afresh, in order: a running
+					// difference could round above the true sum and wrongly
+					// prune.
+					rest := 0.0
+					for _, b := range bounds[ri:] {
+						rest += b
+					}
+					if jc.Total+rest > thr.load() {
+						rc.prunedPlacements.Add(1)
+						return nil
+					}
+				}
+				var best *Candidate
+				err := p.scorePrograms(ctx, ws, mi, m, hs[ri], red.Model, red.options(opts), rc,
+					func(partial float64) bool { return best != nil && partial >= best.Predicted },
+					func(c *Candidate) {
+						if best == nil || Less(c, best) {
+							best = c
+						}
+					})
+				if err != nil {
+					return err
+				}
+				if best == nil {
+					return &ErrNoPrograms{ReduceAxes: red.ReduceAxes, Matrix: m}
+				}
+				w := red.weight()
+				jc.PerReduction = append(jc.PerReduction, best)
+				jc.Costs = append(jc.Costs, w*best.Predicted)
+				jc.Total += w * best.Predicted
+			}
+			emit(jc)
+			return nil
+		},
+		less: jointLess,
+		key:  func(jc *JointCandidate) float64 { return jc.Total },
+		// Candidate.Measured carries each winner's raw emulated seconds and
+		// JointCandidate.Measured the weighted entries, mirroring Costs.
+		measure: func(ctx context.Context, jcs []*JointCandidate) int {
+			cands := make([]*Candidate, len(jcs))
+			for ri, red := range reds {
+				for i, jc := range jcs {
+					cands[i] = jc.PerReduction[ri]
+				}
+				_ = Measure(ctx, cands, red.Model, red.options(opts)) // its only error is ctx.Err(), which rerank reports
+			}
+			for _, jc := range jcs {
+				jc.Measured, jc.MeasuredTotal = make([]float64, len(reds)), 0
+				for ri, red := range reds {
+					jc.Measured[ri] = red.weight() * jc.PerReduction[ri].Measured
+					jc.MeasuredTotal += jc.Measured[ri]
+				}
+			}
+			return len(jcs) * len(reds)
+		},
+		measured: func(jc *JointCandidate) float64 { return jc.MeasuredTotal },
+		unmeasure: func(jc *JointCandidate) {
+			jc.Measured, jc.MeasuredTotal = nil, 0
+			for _, c := range jc.PerReduction {
+				c.Measured = 0
+			}
+		},
 	}
+}
+
+// shape is what sets the engine's two request shapes apart: a single
+// reduction ranks *Candidate, a joint request *JointCandidate. Everything
+// else about a planning run is run's.
+type shape[T any] struct {
+	// produce plans one placement, emitting what it keeps. prune reports
+	// whether the analytic stage prunes at all (TopK set, and not
+	// disarmed by RerankAll); thr is the run's shared top-K threshold.
+	produce func(ws *workerState, mi int, m *placement.Matrix, prune bool, rc *runCounters, thr *threshold, emit func(T)) error
+	// less is the analytic total order and key its leading sort key, the
+	// unit the threshold is kept in.
+	less func(a, b T) bool
+	key  func(T) float64
+	// measure emulates every item for the re-rank stage and returns the
+	// number of emulator runs; measured reads an item's measured sort key
+	// and unmeasure clears everything measure filled in.
+	measure   func(ctx context.Context, items []T) int
+	measured  func(T) float64
+	unmeasure func(T)
+}
+
+// run is the one planning loop behind both request shapes: fan the
+// placements out over the worker pool (fanOut), merge the workers'
+// top-K heaps, re-rank the merge by measured time when Options.Rerank
+// asks (rerank.go), and truncate to TopK. RerankAll runs the analytic
+// stage unpruned — analytic bounds cannot cut a measured ranking — so
+// every item exists to be measured, and truncates only after the
+// measured sort.
+//
+// An uncancelled context changes nothing (the checks observe nil). On
+// cancellation or deadline expiry the run stops cooperatively — between
+// programs, between measured items, and every few emulator event-loop
+// iterations — and returns an *anytime* result alongside ctx.Err(): the
+// merged per-worker heaps, sorted by the analytic order and truncated to
+// TopK. Every returned item is fully scored and correctly ordered among
+// those returned; the set is the best of what was scored before the cut,
+// not necessarily a prefix of the full ranking. If cancellation lands
+// during the re-rank, the measured fields are cleared and the analytic
+// order is returned, so a partial result never mixes measured and
+// unmeasured sort keys. Non-context errors return (nil, stats, err).
+func run[T any](ctx context.Context, opts Options, stream func(func(*placement.Matrix) bool) error, sh shape[T]) ([]T, Stats, error) {
+	analytic := opts
+	if opts.Rerank == RerankAll {
+		analytic.TopK = 0
+	}
+	prune := analytic.TopK > 0
 	var rc runCounters
 	thr := newThreshold()
-	prune := opts.TopK > 0
-	perWorker, produced, err := fanOut(ctx, opts, sliceStream(matrices), func(ws *workerState, mi int, m *placement.Matrix, emit func(*JointCandidate)) error {
-		hs := make([]*hierarchy.Hierarchy, len(reds))
-		bounds := make([]float64, len(reds))
-		for ri, red := range reds {
-			ropts := red.options(opts)
-			h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, red.ReduceAxes, hierarchy.Options{Collapse: ropts.Collapse})
-			if err != nil {
-				return err
-			}
-			hs[ri] = h
-			if prune {
-				bounds[ri] = red.weight() * ws.bounds.placementBound(red.Model.Sys, h, red.Model.Bytes)
-			}
-		}
-		if prune {
-			bound := 0.0
-			for _, b := range bounds {
-				bound += b
-			}
-			if bound > thr.load() {
-				rc.prunedPlacements.Add(1)
-				return nil
-			}
-		}
-		jc := &JointCandidate{MatrixIdx: mi, Matrix: m}
-		for ri, red := range reds {
-			best, err := p.bestForReduction(ctx, ws, mi, m, hs[ri], red, red.options(opts), &rc)
-			if err != nil {
-				return err
-			}
-			if best == nil {
-				return &ErrNoPrograms{ReduceAxes: red.ReduceAxes, Matrix: m}
-			}
-			w := red.weight()
-			jc.PerReduction = append(jc.PerReduction, best)
-			jc.Costs = append(jc.Costs, w*best.Predicted)
-			jc.Total += w * best.Predicted
-			if prune && ri+1 < len(reds) {
-				// The remaining reductions cost at least their bounds; a
-				// placement already provably above the threshold cannot
-				// enter the top-K placements.
-				rest := 0.0
-				for _, b := range bounds[ri+1:] {
-					rest += b
-				}
-				if jc.Total+rest > thr.load() {
-					rc.prunedPlacements.Add(1)
-					return nil
-				}
-			}
-		}
-		emit(jc)
-		return nil
-	}, jointLess, func(jc *JointCandidate) float64 { return jc.Total }, thr)
+	perWorker, produced, err := fanOut(ctx, analytic, stream, func(ws *workerState, mi int, m *placement.Matrix, emit func(T)) error {
+		return sh.produce(ws, mi, m, prune, &rc, thr, emit)
+	}, sh.less, sh.key, thr)
 	stats := rc.stats(produced, thr)
 	if err != nil {
 		return nil, stats, err
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return mergeRanked(perWorker, finalTopK, jointLess), stats, cerr
+	items := mergeRanked(perWorker, analytic.TopK, sh.less)
+	err = ctx.Err()
+	if err == nil && opts.Rerank != RerankOff {
+		err = rerank(ctx, items, sh, &stats)
 	}
-	jcs := mergeRanked(perWorker, opts.TopK, jointLess)
-	if mode != RerankOff {
-		rerr := rerankJoint(ctx, jcs, reds, opts, &stats)
-		if finalTopK > 0 && len(jcs) > finalTopK {
-			jcs = jcs[:finalTopK]
-		}
-		if rerr != nil {
-			return jcs, stats, rerr
-		}
+	if opts.TopK > 0 && len(items) > opts.TopK {
+		items = items[:opts.TopK]
 	}
-	return jcs, stats, nil
+	return items, stats, err
 }
 
 // errRecorder tracks the lowest-indexed failure of a run. Once any item

@@ -66,145 +66,76 @@ func ParseRerankMode(s string) (RerankMode, error) {
 	return RerankOff, fmt.Errorf("unknown -measure mode %q (want off, rerank or rank-all)", s)
 }
 
-// measuredLess is the total order of a measured re-rank: emulated time
-// first, analytic order — (Predicted, MatrixIdx, ProgIdx), the order the
-// candidates already arrive in — as the tie-break. Re-sorting the
-// analytic ranking stably by Measured produces exactly this order, which
-// is what makes the re-ranked output byte-identical at every parallelism
-// level: both the measured values (netsim is deterministic) and the
-// tie-break are pure functions of the request.
-func measuredLess(a, b *Candidate) bool {
-	//p2:nan-ok emulated times are never NaN: netsim returns finite times or +Inf (stalled down links)
-	if a.Measured != b.Measured {
-		return a.Measured < b.Measured
-	}
-	return Less(a, b)
-}
-
-// fixedAlgo resolves the algorithm every step of a candidate runs when its
-// StepAlgos is nil: the single pinned entry of Options.Algos, or the
-// model's algorithm — mirroring matrixScorer so that measurement and
-// scoring agree on what was planned.
-func fixedAlgo(model *cost.Model, opts Options) cost.Algorithm {
+// Measure emulates every candidate, filling Candidate.Measured — the
+// measurement fan-out of the re-rank stage and of the eval harness, which
+// measures a full ranking. Measurements are independent and deterministic
+// (netsim's jitter is a pure function of system, algorithm, program and
+// seed), so workers pull indices from a shared counter and land results
+// by index — the result does not depend on Parallelism. A candidate runs
+// its StepAlgos (a uniform assignment is canonicalized inside netsim, so a
+// searched candidate that settled on all-Ring measures byte-identically
+// to a pinned-Ring run) or, as matrixScorer scored it, the single pinned
+// entry of Options.Algos or the model's algorithm. Workers re-check ctx
+// before each index, so on cancellation some Measured fields are left
+// unfilled or +Inf (the emulator's cancelled sentinel) — the caller must
+// treat the whole batch as unusable and discard it.
+func Measure(ctx context.Context, cands []*Candidate, model *cost.Model, opts Options) error {
+	algo := model.Algo
 	if len(opts.Algos) == 1 {
-		return opts.Algos[0]
+		algo = opts.Algos[0]
 	}
-	return model.Algo
-}
-
-// parallelEach runs fn(i) for i in [0, n) over at most `workers`
-// goroutines, pulling indices from a shared atomic counter. Results must
-// land by index (no cross-item state), which is what keeps every
-// measured re-rank independent of the worker count. Cancellation skips
-// the remaining indices (each goroutine re-checks ctx before pulling the
-// next one); indices already claimed still run to completion.
-func parallelEach(ctx context.Context, n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
+	// One shared read-only Simulator: MeasureSteps never mutates it.
+	sim := netsim.Simulator{Sys: model.Sys, Algo: algo, Bytes: model.Bytes, Opts: opts.SimOpts, Ctx: ctx}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(opts.workers(), len(cands)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= len(cands) {
 					return
 				}
-				fn(i)
+				cands[i].Measured = sim.MeasureSteps(cands[i].Lowered, cands[i].StepAlgos)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// Measure emulates every candidate, filling Candidate.Measured — the
-// measurement fan-out of the re-rank stage and of the eval harness, which
-// measures a full ranking. Measurements are independent and deterministic
-// (netsim's jitter is a pure function of system, algorithm, program and
-// seed), so they fan out over the worker pool and land by index — the
-// result does not depend on Parallelism. Per-step algorithm assignments
-// ride along via MeasureSteps; a uniform assignment is canonicalized inside
-// netsim, so a searched candidate that settled on all-Ring measures
-// byte-identically to a pinned-Ring run. On cancellation some Measured
-// fields are left unfilled or +Inf (the emulator's cancelled sentinel) —
-// the caller must treat the whole batch as unusable and discard it.
-func Measure(ctx context.Context, cands []*Candidate, model *cost.Model, opts Options) error {
-	// One shared read-only Simulator: MeasureSteps never mutates it.
-	sim := netsim.Simulator{Sys: model.Sys, Algo: fixedAlgo(model, opts), Bytes: model.Bytes, Opts: opts.SimOpts, Ctx: ctx}
-	parallelEach(ctx, len(cands), opts.workers(), func(i int) {
-		cands[i].Measured = sim.MeasureSteps(cands[i].Lowered, cands[i].StepAlgos)
-	})
 	return ctx.Err()
 }
 
 // rerank measures the merged analytic ranking and re-sorts it by measured
-// time (stable, so analytic order breaks measured ties), recording how
-// many candidates were emulated and how far the two rankings disagree.
-// On cancellation the half-measured values are zeroed, the analytic order
-// is left untouched and ctx.Err() is returned — a partial result never
-// mixes measured and unmeasured sort keys.
-func rerank(ctx context.Context, cands []*Candidate, model *cost.Model, opts Options, stats *Stats) error {
-	if err := Measure(ctx, cands, model, opts); err != nil {
-		for _, c := range cands {
-			c.Measured = 0
+// time, the analytic order breaking measured ties — exactly the stable
+// re-sort of the analytic ranking by measured time. That is what makes a
+// re-ranked result byte-identical at every parallelism level: the
+// measured values (netsim is deterministic) and the tie-break are pure
+// functions of the request. It records how many emulator runs it made
+// and how far the two rankings disagree. On cancellation every measured
+// field is cleared, the analytic order is left untouched and ctx.Err() is
+// returned — a partial result never mixes measured and unmeasured sort
+// keys.
+func rerank[T any](ctx context.Context, items []T, sh shape[T], stats *Stats) error {
+	runs := sh.measure(ctx, items)
+	if err := ctx.Err(); err != nil {
+		for _, x := range items {
+			sh.unmeasure(x)
 		}
 		return err
 	}
-	stats.MeasuredCandidates += len(cands)
-	measured := make([]float64, len(cands))
-	for i, c := range cands {
-		measured[i] = c.Measured
+	stats.MeasuredCandidates += runs
+	measured := make([]float64, len(items))
+	for i, x := range items {
+		measured[i] = sh.measured(x)
 	}
 	stats.RankInversions += CountInversions(measured)
-	sort.Slice(cands, func(i, j int) bool { return measuredLess(cands[i], cands[j]) })
-	return nil
-}
-
-// rerankJoint measures every kept placement's per-reduction winners and
-// re-sorts the placements by summed weighted measured time (stable, so
-// the analytic (Total, MatrixIdx) order breaks ties). Candidate.Measured
-// carries the raw per-reduction emulated seconds; JointCandidate.Measured
-// the weighted entries, mirroring Costs. Cancellation mirrors rerank:
-// every partially-filled Measured field is reset and the analytic
-// placement order survives.
-func rerankJoint(ctx context.Context, jcs []*JointCandidate, reds []JointSpec, opts Options, stats *Stats) error {
-	parallelEach(ctx, len(jcs), opts.workers(), func(i int) {
-		jc := jcs[i]
-		jc.Measured = make([]float64, len(reds))
-		jc.MeasuredTotal = 0
-		for ri, red := range reds {
-			c := jc.PerReduction[ri]
-			sim := netsim.Simulator{Sys: red.Model.Sys, Algo: fixedAlgo(red.Model, red.options(opts)),
-				Bytes: red.Model.Bytes, Opts: opts.SimOpts, Ctx: ctx}
-			c.Measured = sim.MeasureSteps(c.Lowered, c.StepAlgos)
-			jc.Measured[ri] = red.weight() * c.Measured
-			jc.MeasuredTotal += jc.Measured[ri]
+	sort.Slice(items, func(i, j int) bool {
+		a, b := sh.measured(items[i]), sh.measured(items[j])
+		//p2:nan-ok emulated times are never NaN: netsim returns finite times or +Inf (stalled down links)
+		if a != b {
+			return a < b
 		}
-	})
-	if err := ctx.Err(); err != nil {
-		for _, jc := range jcs {
-			jc.Measured, jc.MeasuredTotal = nil, 0
-			for _, c := range jc.PerReduction {
-				c.Measured = 0
-			}
-		}
-		return err
-	}
-	stats.MeasuredCandidates += len(jcs) * len(reds)
-	totals := make([]float64, len(jcs))
-	for i, jc := range jcs {
-		totals[i] = jc.MeasuredTotal
-	}
-	stats.RankInversions += CountInversions(totals)
-	sort.Slice(jcs, func(i, j int) bool {
-		//p2:nan-ok measured totals are weighted sums of never-NaN emulated times (finite or +Inf)
-		if jcs[i].MeasuredTotal != jcs[j].MeasuredTotal {
-			return jcs[i].MeasuredTotal < jcs[j].MeasuredTotal
-		}
-		return jointLess(jcs[i], jcs[j])
+		return sh.less(items[i], items[j])
 	})
 	return nil
 }

@@ -65,7 +65,7 @@ type Config struct {
 type PlanRequest struct {
 	// System is a preset name as understood by p2.ParseSystem: "a100",
 	// "v100", "fig2a" or "superpod[:PxN]"; Nodes scales the a100/v100
-	// presets (0 means 4) and must be 0 on the fixed-shape ones.
+	// presets (0 means 4, never negative) and must be 0 on fixed shapes.
 	System string `json:"system"`
 	Nodes  int    `json:"nodes,omitempty"`
 	// Faults optionally degrades the system's fabric, in the
@@ -89,7 +89,7 @@ type PlanRequest struct {
 	Measure string `json:"measure,omitempty"`
 	// TimeoutMs is the per-request planning deadline in milliseconds;
 	// past it the response is the best-so-far ranking with "partial"
-	// set. 0 falls back to the server's DefaultTimeout.
+	// set. 0 falls back to the server's DefaultTimeout; negative is refused.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
@@ -512,6 +512,9 @@ func resolve(pr *PlanRequest) (*p2.System, p2.Request, string, error) {
 	}
 	if len(pr.Axes) == 0 {
 		return nil, p2.Request{}, "", fmt.Errorf(`missing "axes"`)
+	}
+	if pr.TimeoutMs < 0 {
+		return nil, p2.Request{}, "", fmt.Errorf(`"timeout_ms" must not be negative (got %d)`, pr.TimeoutMs)
 	}
 	if !(pr.Bytes >= 0) {
 		// p2.Request treats bytes <= 0 as "use the paper default", so a

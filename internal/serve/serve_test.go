@@ -325,6 +325,8 @@ func TestBadRequests(t *testing.T) {
 		{"axes do not cover devices", `{"system": "fig2a", "axes": [3]}`, http.StatusBadRequest},
 		{"negative bytes", `{"system": "fig2a", "axes": [16], "bytes": -1}`, http.StatusBadRequest},
 		{"nodes on a fixed-shape preset", `{"system": "fig2a", "nodes": 2, "axes": [16]}`, http.StatusBadRequest},
+		{"negative nodes", `{"system": "a100", "nodes": -3, "axes": [64]}`, http.StatusBadRequest},
+		{"negative timeout_ms", `{"system": "fig2a", "axes": [16], "timeout_ms": -1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -168,15 +168,19 @@ func SuperPodSystem(pods, nodesPerPod int) *System {
 
 // ParseSystem resolves a preset name to a system, sharing one vocabulary
 // between the CLI's -system flag and the serve API's "system" field:
-// "a100" or "v100" scaled to nodes (nodes <= 0 defaults to 4, the CLI
-// default), "fig2a" (fixed shape), or "superpod[:PxN]" (P pods × N nodes
-// per pod, default 2x4). A positive node count on a fixed-shape preset is
-// an error rather than silently ignored. Names are case-insensitive.
+// "a100" or "v100" scaled to nodes (0 defaults to 4, the CLI default),
+// "fig2a" (fixed shape), or "superpod[:PxN]" (P pods × N nodes per pod,
+// default 2x4). A negative node count, or a positive one on a fixed-shape
+// preset, is an error rather than silently replaced or ignored. Names are
+// case-insensitive.
 func ParseSystem(name string, nodes int) (*System, error) {
+	if nodes < 0 {
+		return nil, fmt.Errorf("node count must not be negative (got %d; 0 means the default)", nodes)
+	}
 	lname := strings.ToLower(name)
 	switch lname {
 	case "a100", "v100":
-		if nodes <= 0 {
+		if nodes == 0 {
 			nodes = 4
 		}
 		if lname == "a100" {
