@@ -594,6 +594,21 @@ func BenchmarkNetsimConcurrent(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanRankAll is measured-in-the-loop planning with every
+// candidate emulated: superpod:2x2 [4 8] reducing axis 0 under
+// MeasureRankAll, the shape that sets the bench's measured op_ms_p90.
+// netsim dominates it.
+func BenchmarkPlanRankAll(b *testing.B) {
+	sys := topology.SuperPodSystem(2, 2)
+	req := p2.Request{Axes: []int{4, 8}, ReduceAxes: []int{0}, Measure: p2.MeasureRankAll}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p2.Plan(sys, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Planning engine: serial vs parallel memoized (DESIGN.md §6) -----------
 
 // benchPlanEngine compares the serial reference path against the

@@ -314,6 +314,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 // under the config's pinned algorithm — the Table 3 quantity — returning
 // (predicted, measured) seconds.
 func MeasureBaseline(cfg Config, m *placement.Matrix) (float64, float64, error) {
+	if err := cfg.NetsimOpts.Validate(); err != nil {
+		return 0, 0, err
+	}
 	h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, cfg.ReduceAxes,
 		hierarchy.Options{Collapse: len(cfg.ReduceAxes) > 1})
 	if err != nil {

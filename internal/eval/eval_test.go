@@ -29,6 +29,16 @@ func run416(t *testing.T, algo cost.Algorithm) *Result {
 	return r
 }
 
+// TestRunRefusesInvalidSimOptions: a sweep with an emulator option that
+// is not finite and non-negative fails before planning, naming the field.
+func TestRunRefusesInvalidSimOptions(t *testing.T) {
+	cfg := Config{Sys: topology.Fig2aSystem(), Axes: []int{4, 4}, ReduceAxes: []int{0},
+		NetsimOpts: netsim.Options{LaunchOverhead: -1}}
+	if _, err := RunCtx(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "LaunchOverhead") {
+		t.Errorf("RunCtx error = %v, want one naming LaunchOverhead", err)
+	}
+}
+
 func TestRunProducesAllMatrices(t *testing.T) {
 	r := run416(t, cost.Ring)
 	if len(r.Matrices) != 3 {

@@ -13,6 +13,7 @@ package lower
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"p2/internal/collective"
@@ -136,28 +137,28 @@ func Assemble(p dsl.Program, h *hierarchy.Hierarchy, shapes []dsl.Shape, groups 
 	return out
 }
 
-// Key returns a canonical fingerprint of the lowered step sequence — the
-// (G1,C1)...(Gn,Cn) form used to compare expressiveness of synthesis
-// hierarchies (Definition 3.1). Chunk annotations are excluded: two
-// hierarchies chunk the same payload differently without changing the
-// communication structure.
-func (p *Program) Key() string {
-	var b strings.Builder
+// AppendKey appends a canonical fingerprint of the lowered step sequence to
+// buf — the (G1,C1)...(Gn,Cn) form used to compare expressiveness of
+// synthesis hierarchies (Definition 3.1), e.g. "AllReduce:{0,1}{2,3};".
+// Chunk annotations are excluded: two hierarchies chunk the same payload
+// differently without changing the communication structure. The emulator
+// seeds a program's jitter from these bytes.
+func (p *Program) AppendKey(buf []byte) []byte {
 	for _, st := range p.Steps {
-		fmt.Fprintf(&b, "%s:", st.Op)
+		buf = append(append(buf, st.Op.String()...), ':')
 		for _, g := range st.Groups {
-			b.WriteByte('{')
+			buf = append(buf, '{')
 			for i, d := range g {
 				if i > 0 {
-					b.WriteByte(',')
+					buf = append(buf, ',')
 				}
-				fmt.Fprintf(&b, "%d", d)
+				buf = strconv.AppendInt(buf, int64(d), 10)
 			}
-			b.WriteByte('}')
+			buf = append(buf, '}')
 		}
-		b.WriteByte(';')
+		buf = append(buf, ';')
 	}
-	return b.String()
+	return buf
 }
 
 // String renders the lowered program compactly, e.g.

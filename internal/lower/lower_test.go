@@ -154,7 +154,7 @@ func TestKeyDistinguishesPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := lp.Key()
+		k := string(lp.AppendKey(nil))
 		if prev, ok := keys[k]; ok {
 			t.Logf("programs %v and %v share key (may be genuinely equivalent)", prev, p)
 		}

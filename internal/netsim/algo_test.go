@@ -82,7 +82,7 @@ func TestHalvingDoublingCrossCheckResidual(t *testing.T) {
 		for q := 1; q < cost.CorePow2(n); q *= 2 {
 			wantRounds += 2
 		}
-		if rounds := scheduleRounds(sys, collective.AllReduce, g, 1e9, cost.HalvingDoubling); len(rounds) != wantRounds {
+		if _, rounds := scheduleRounds(sys, collective.AllReduce, g, 1e9, cost.HalvingDoubling, nil, nil); len(rounds) != wantRounds {
 			t.Errorf("n=%d: emulator runs %d rounds, want %d (fold + core + unfold)", n, len(rounds), wantRounds)
 		}
 		hdModel := &cost.Model{Sys: sys, Algo: cost.HalvingDoubling, Bytes: 1e9}
@@ -139,15 +139,15 @@ func TestFusionRespectsStepAlgos(t *testing.T) {
 		{Op: collective.AllReduce, Groups: [][]int{{0, 1}, {2, 3}}, Rows: 1, RowsOut: 1, K: 1},
 		{Op: collective.AllReduce, Groups: [][]int{{0, 2}, {1, 3}}, Rows: 1, RowsOut: 1, K: 1},
 	}
-	same, sameAlgos := fuseStepsAlgos(steps, []cost.Algorithm{cost.Ring, cost.Ring})
+	same, sameAlgos := fuseStepsAlgos(nil, nil, steps, []cost.Algorithm{cost.Ring, cost.Ring})
 	if len(same) != 1 || len(sameAlgos) != 1 {
 		t.Errorf("same-algo AllReduces should fuse: got %d steps", len(same))
 	}
-	diff, diffAlgos := fuseStepsAlgos(steps, []cost.Algorithm{cost.Ring, cost.Tree})
+	diff, diffAlgos := fuseStepsAlgos(nil, nil, steps, []cost.Algorithm{cost.Ring, cost.Tree})
 	if len(diff) != 2 || len(diffAlgos) != 2 {
 		t.Errorf("different-algo AllReduces must not fuse: got %d steps", len(diff))
 	}
-	plain, nilAlgos := fuseStepsAlgos(steps, nil)
+	plain, nilAlgos := fuseStepsAlgos(nil, nil, steps, nil)
 	if len(plain) != 1 || nilAlgos != nil {
 		t.Errorf("nil assignment should fuse as before: got %d steps", len(plain))
 	}

@@ -3,9 +3,12 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"p2/internal/cost"
 	"p2/internal/lower"
+	"p2/internal/topology"
 )
 
 // ConcurrentSpec pairs a program with its own payload size and algorithm
@@ -75,22 +78,53 @@ func (s *Simulator) MeasureConcurrent(programs []*lower.Program) []float64 {
 // (MeasureSteps) the multi-lane loop bit for bit rather than up to an ULP:
 // on one global clock, (now+latency)−now rounds differently at a large now.
 type lane struct {
-	steps     []lower.Step
-	stepAlgos []cost.Algorithm // per fused step; nil = algo throughout
+	steps     []lower.Step     // the program's steps after fusion
+	stepAlgos []cost.Algorithm // per fused step; empty = algo throughout
 	algo      cost.Algorithm
 	bytes     float64
-	noise     *noiseStream
+	noise     noiseStream
 
-	step   int        // current step, or the next one while between steps
-	groups []groupRun // the current step's groups
-	live   int        // unfinished groups of the current step; 0 = between steps
-	wait   float64    // launch overhead left to wait out before the next step
-	now    float64    // step-local clock
-	total  float64    // elapsed time up to the current step's start; the finish time once done
+	step   int            // current step, or the next one while between steps
+	groups []groupRun     // the current step's groups
+	rounds []span         // the current step's rounds, group after group
+	specs  []transferSpec // the current step's distinct transfers
+	live   int            // unfinished groups of the current step; 0 = between steps
+	wait   float64        // launch overhead left to wait out before the next step
+	now    float64        // step-local clock
+	total  float64        // elapsed time up to the current step's start; the finish time once done
 }
 
 // done reports whether the lane has finished its last step.
 func (ln *lane) done() bool { return ln.step == len(ln.steps) }
+
+// scratch is one measurement's working state. It is pooled, so a warm
+// measurement allocates nothing per step, group, round or transfer, and it
+// holds no Program between measurements. The Simulator itself stays a
+// read-only value that any number of goroutines share.
+type scratch struct {
+	net    network
+	lanes  []lane
+	active []transfer // live transfers, in start order
+	paths  []int      // the live transfers' paths, in the same order
+	route  []int      // one route, for the latency scan
+	key    []byte     // noise fingerprint bytes
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes a scratch from the pool and resets it for n lanes on
+// sys: a cancelled or stalled run is put back with transfers in flight.
+func getScratch(sys *topology.System, opts Options, n int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.net.reset(sys, opts)
+	sc.active, sc.paths, sc.lanes = sc.active[:0], sc.paths[:0], slices.Grow(sc.lanes[:0], n)[:n]
+	for i := range sc.lanes {
+		ln := &sc.lanes[i]
+		*ln = lane{steps: ln.steps[:0], stepAlgos: ln.stepAlgos[:0], groups: ln.groups[:0],
+			rounds: ln.rounds[:0], specs: ln.specs[:0], wait: opts.LaunchOverhead}
+	}
+	return sc
+}
 
 // MeasureConcurrentSpecs is MeasureConcurrent with per-program payloads
 // and algorithms. It is the emulator's one event loop: each iteration
@@ -103,10 +137,9 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 	}
 	opts := s.Opts.effective()
 	sys := s.Sys
-	net := newNetwork(sys, opts)
-	var path []int // latency scratch
+	sc := getScratch(sys, opts, len(specs))
+	net, lanes := &sc.net, sc.lanes
 
-	lanes := make([]*lane, len(specs))
 	unfinished := 0
 	for li, spec := range specs {
 		spec = spec.normalized(s)
@@ -115,26 +148,30 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			panic(fmt.Sprintf("netsim: program has %d devices, system %d",
 				p.NumDevices, sys.NumDevices()))
 		}
-		steps, stepAlgos := p.Steps, spec.StepAlgos
-		if !opts.DisableFusion {
-			steps, stepAlgos = fuseStepsAlgos(steps, stepAlgos)
+		ln := &lanes[li]
+		if opts.DisableFusion {
+			ln.steps, ln.stepAlgos = append(ln.steps, p.Steps...), append(ln.stepAlgos, spec.StepAlgos...)
+		} else {
+			ln.steps, ln.stepAlgos = fuseStepsAlgos(ln.steps, ln.stepAlgos, p.Steps, spec.StepAlgos)
 		}
-		lanes[li] = &lane{
-			steps:     steps,
-			stepAlgos: stepAlgos,
-			algo:      spec.Algo,
-			bytes:     spec.Bytes,
-			wait:      opts.LaunchOverhead,
-			noise: newNoise(opts.Seed ^
-				fingerprintAlgos(fingerprint(sys.Name, int(spec.Algo), p.Key()), stepAlgos) ^
-				uint64(li)*0x9e3779b97f4a7c15),
+		ln.algo, ln.bytes = spec.Algo, spec.Bytes
+		// The jitter seed is FNV-1a over the system name, the algorithm,
+		// the program key and, for a mixed assignment, each step's
+		// algorithm + 1; with none, fixed-algorithm runs keep their streams.
+		sc.key = p.AppendKey(append(append(sc.key[:0], sys.Name...), byte(spec.Algo)))
+		for _, a := range ln.stepAlgos {
+			sc.key = append(sc.key, byte(a+1))
 		}
-		if !lanes[li].done() {
+		h := uint64(14695981039346656037)
+		for _, c := range sc.key {
+			h = (h ^ uint64(c)) * 1099511628211
+		}
+		ln.noise.state = (opts.Seed ^ h ^ uint64(li)*0x9e3779b97f4a7c15) | 1
+		if !ln.done() {
 			unfinished++
 		}
 	}
 
-	var active []*transfer
 	stalled := 0
 
 	// startStep opens the lane's next step: the launch overhead it waited
@@ -143,54 +180,46 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 	startStep := func(ln *lane) {
 		st := ln.steps[ln.step]
 		algo := ln.algo
-		if ln.stepAlgos != nil {
+		if len(ln.stepAlgos) > 0 {
 			algo = ln.stepAlgos[ln.step]
 		}
 		ln.total += opts.LaunchOverhead
 		ln.now = 0
 		perDevice := st.FracIn() * ln.bytes
-		ln.groups = ln.groups[:0]
+		ln.groups, ln.rounds, ln.specs = ln.groups[:0], ln.rounds[:0], ln.specs[:0]
 		for _, g := range st.Groups {
-			rounds := scheduleRounds(sys, st.Op, g, perDevice, algo)
+			lo, first := len(ln.rounds), len(ln.specs)
+			ln.specs, ln.rounds = scheduleRounds(sys, st.Op, g, perDevice, algo, ln.specs, ln.rounds)
+			// The group's latency is the max over its rounds' transfers;
+			// each distinct transfer is in specs once, and max is exact.
 			lat := 0.0
-			for _, rd := range rounds {
-				for _, tr := range rd {
-					path = net.route(tr.src, tr.dst, path[:0])
-					if l := net.latency(path); l > lat {
-						lat = l
-					}
+			for _, tr := range ln.specs[first:] {
+				sc.route = net.route(tr.src, tr.dst, sc.route[:0])
+				if l := net.latency(sc.route); l > lat {
+					lat = l
 				}
 			}
-			ln.groups = append(ln.groups, groupRun{rounds: rounds, latency: lat})
+			ln.groups = append(ln.groups, groupRun{lo: lo, hi: len(ln.rounds), latency: lat})
 		}
 		ln.live = len(ln.groups)
 	}
 	startRound := func(li, gi int) {
-		ln := lanes[li]
+		ln := &lanes[li]
 		g := &ln.groups[gi]
-		round := g.rounds[g.next]
+		round := ln.rounds[g.lo+g.next]
 		g.next++
-		// One backing array holds the round's paths: a route loads at most
-		// two uplinks per level plus a cross-domain slot.
-		paths := make([]int, 0, len(round)*(2*sys.NumLevels()+1))
-		for ti, spec := range round {
+		for k := round.lo; k < round.hi; k++ {
+			spec := ln.specs[k]
 			b := spec.bytes
 			if !opts.DisableNoise {
-				b *= 1 + opts.NoiseFrac*ln.noise.next(ln.step, gi, g.next, ti)
+				b *= 1 + opts.NoiseFrac*ln.noise.next(ln.step, gi, g.next, k-round.lo)
 			}
-			start := len(paths)
-			paths = net.route(spec.src, spec.dst, paths)
-			tr := &transfer{
-				remaining: b,
-				paths:     paths[start:len(paths):len(paths)],
-				lane:      li,
-				group:     gi,
-				src:       spec.src,
-				dst:       spec.dst,
-				bytes:     b,
-				started:   ln.now,
-			}
-			for _, ri := range tr.paths {
+			tr := transfer{remaining: b, lo: len(sc.paths), lane: li, group: gi,
+				src: spec.src, dst: spec.dst, bytes: b, started: ln.now}
+			sc.paths = net.route(spec.src, spec.dst, sc.paths)
+			tr.hi = len(sc.paths)
+			path := sc.paths[tr.lo:tr.hi]
+			for _, ri := range path {
 				//p2:nan-ok link rates are validated finite by (*System).init; exact 0 is the down-link sentinel
 				if net.links[ri].bandwidth == 0 {
 					tr.stalled = true
@@ -199,18 +228,16 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			if tr.stalled {
 				stalled++
 			} else {
-				for _, ri := range tr.paths {
-					net.links[ri].active++
-				}
+				net.load(path, 1)
 			}
-			active = append(active, tr)
+			sc.active = append(sc.active, tr)
 			g.inflight++
 		}
 	}
 	// abandon marks every unfinished lane as never completing.
 	abandon := func() {
-		for _, ln := range lanes {
-			if !ln.done() {
+		for li := range lanes {
+			if ln := &lanes[li]; !ln.done() {
 				ln.total = math.Inf(1)
 			}
 		}
@@ -225,7 +252,8 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			break
 		}
 		// Launch the lane steps and group rounds whose time has come.
-		for li, ln := range lanes {
+		for li := range lanes {
+			ln := &lanes[li]
 			if ln.done() {
 				continue
 			}
@@ -243,36 +271,32 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				}
 			}
 		}
-		// Assign equal-share rates. Stalled transfers hold rate 0 and do
-		// not count toward any link's active share (they move no bytes).
-		for _, tr := range active {
+		// Equal-share rates and the time to the next completion, in one
+		// pass. Stalled transfers keep rate 0 and do not count toward any
+		// link's share (they move no bytes). Every other transfer has rate
+		// > 0: base bandwidths are validated positive and a transfer counts
+		// toward its own links' shares.
+		active := sc.active
+		dt := math.Inf(1)
+		for i := range active {
+			tr := &active[i]
 			if tr.stalled {
-				tr.rate = 0
 				continue
 			}
 			rate := math.Inf(1)
-			for _, ri := range tr.paths {
-				r := net.links[ri].bandwidth / float64(net.links[ri].active)
-				if r < rate {
+			for _, ri := range sc.paths[tr.lo:tr.hi] {
+				if r := net.links[ri].share; r < rate {
 					rate = r
 				}
 			}
 			tr.rate = rate
-		}
-		// Time of the next completion, pending round start or step launch.
-		// Non-stalled transfers always have rate > 0: base bandwidths are
-		// validated positive and a transfer counts toward its own links'
-		// shares.
-		dt := math.Inf(1)
-		for _, tr := range active {
-			if tr.stalled {
-				continue
-			}
-			if d := tr.remaining / tr.rate; d < dt {
+			if d := tr.remaining / rate; d < dt {
 				dt = d
 			}
 		}
-		for _, ln := range lanes {
+		// ... then the next pending round start or step launch.
+		for li := range lanes {
+			ln := &lanes[li]
 			if ln.done() {
 				continue
 			}
@@ -302,7 +326,8 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 		if dt < 0 {
 			dt = 0
 		}
-		for _, ln := range lanes {
+		for li := range lanes {
+			ln := &lanes[li]
 			if ln.done() {
 				continue
 			}
@@ -312,15 +337,25 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				ln.now += dt
 			}
 		}
-		// Drain and retire completed transfers.
-		kept := active[:0]
-		for _, tr := range active {
+		// Drain and retire completed transfers. Compaction is stable and
+		// moves each kept transfer's path down to the end of the paths
+		// kept before it, so paths stay in active order.
+		kept, w := 0, 0
+		for i := range active {
+			tr := &active[i]
 			tr.remaining -= tr.rate * dt
 			if tr.remaining > 1e-9*tr.rate+1e-12 {
-				kept = append(kept, tr)
+				if tr.lo != w {
+					tr.lo, tr.hi = w, w+copy(sc.paths[w:], sc.paths[tr.lo:tr.hi])
+				}
+				w = tr.hi
+				if kept != i {
+					active[kept] = *tr
+				}
+				kept++
 				continue
 			}
-			ln := lanes[tr.lane]
+			ln := &lanes[tr.lane]
 			if s.Recorder != nil {
 				s.Recorder(Event{
 					Step:  ln.step,
@@ -333,15 +368,13 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 					End:   ln.total + ln.now,
 				})
 			}
-			for _, ri := range tr.paths {
-				net.links[ri].active--
-			}
+			net.load(sc.paths[tr.lo:tr.hi], -1)
 			g := &ln.groups[tr.group]
 			g.inflight--
 			if g.inflight > 0 {
 				continue
 			}
-			if g.next < len(g.rounds) {
+			if g.more() {
 				g.startAt = ln.now + g.latency
 				continue
 			}
@@ -357,12 +390,14 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				unfinished--
 			}
 		}
-		active = kept
+		sc.active, sc.paths = active[:kept], sc.paths[:w]
 	}
 
 	out := make([]float64, len(lanes))
-	for li, ln := range lanes {
-		out[li] = ln.total
+	for li := range lanes {
+		out[li] = lanes[li].total
+		clear(lanes[li].steps) // the pool holds no Program
 	}
+	scratchPool.Put(sc)
 	return out
 }

@@ -145,8 +145,9 @@ func TestConcurrentRecorder(t *testing.T) {
 	for _, lp := range []*lower.Program{lpA, lpB} {
 		for _, st := range lp.Steps {
 			for _, g := range st.Groups {
-				for _, round := range scheduleRounds(sys, st.Op, g, 1, cost.Ring) {
-					want += len(round)
+				_, rounds := scheduleRounds(sys, st.Op, g, 1, cost.Ring, nil, nil)
+				for _, round := range rounds {
+					want += round.hi - round.lo
 				}
 			}
 		}

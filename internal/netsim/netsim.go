@@ -27,6 +27,8 @@ package netsim
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sort"
 
 	"p2/internal/collective"
@@ -66,10 +68,27 @@ const (
 	defaultLaunchOverhead = 30e-6
 )
 
+// Validate reports an option that is not a finite number >= 0. A NaN
+// launch overhead makes every emulated time NaN, a negative one negative,
+// and a NaN noise fraction or an infinite overhead leaves the event loop
+// with no next event.
+func (o Options) Validate() error {
+	names, vals := [...]string{"NoiseFrac", "LaunchOverhead"}, [...]float64{o.NoiseFrac, o.LaunchOverhead}
+	for i, v := range vals {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("netsim: Options.%s = %v, want a finite value >= 0", names[i], v)
+		}
+	}
+	return nil
+}
+
 // effective resolves the option defaults: zero NoiseFrac / LaunchOverhead
 // mean "default", with DisableNoise / DisableLaunchOverhead as the
-// explicit-zero sentinels.
+// explicit-zero sentinels. It panics on options Validate refuses.
 func (o Options) effective() Options {
+	if err := o.Validate(); err != nil {
+		panic(err.Error())
+	}
 	//p2:nan-ok exact zero is the documented default sentinel; DisableNoise carries explicit zero
 	if o.NoiseFrac == 0 {
 		o.NoiseFrac = defaultNoiseFrac
@@ -150,10 +169,12 @@ func (s *Simulator) MeasureSteps(p *lower.Program, stepAlgos []cost.Algorithm) f
 }
 
 // resource is a contended link: an entity's uplink or a node's V100
-// cross-domain path.
+// cross-domain path. share, bandwidth / float64(active), is stored at every
+// change of active, and a transfer's rate is the min share on its path.
 type resource struct {
 	bandwidth, latency float64
 	active             int
+	share              float64
 }
 
 // network is one measurement's link table, indexed the way
@@ -167,10 +188,10 @@ type network struct {
 	leaf, perDomain int
 }
 
-func newNetwork(sys *topology.System, opts Options) *network {
+// reset rebuilds the link table for sys in place, every link idle.
+func (n *network) reset(sys *topology.System, opts Options) {
 	L, off := sys.NumLevels(), sys.EntityOffsets()
-	n := &network{sys: sys, leaf: sys.Levels[L-1].Count}
-	n.links = make([]resource, 0, off[L]+sys.NumDevices()/n.leaf)
+	n.sys, n.leaf, n.perDomain, n.links = sys, sys.Levels[L-1].Count, 0, n.links[:0]
 	for l := range L {
 		for e := range off[l+1] - off[l] {
 			n.links = append(n.links, resource{bandwidth: sys.LinkBandwidth(l, e), latency: sys.LinkLatency(l, e)})
@@ -182,7 +203,15 @@ func newNetwork(sys *topology.System, opts Options) *network {
 			n.links = append(n.links, resource{bandwidth: cd.Bandwidth, latency: cd.Latency})
 		}
 	}
-	return n
+}
+
+// load adds d transfers to every link of path and refreshes their shares.
+func (n *network) load(path []int, d int) {
+	for _, i := range path {
+		l := &n.links[i]
+		l.active += d
+		l.share = l.bandwidth / float64(l.active)
+	}
 }
 
 // route appends to path the links a transfer a→b loads: its uplinks
@@ -220,10 +249,15 @@ type transferSpec struct {
 	bytes    float64
 }
 
-// transfer is a live transfer.
+// span is one round: the transfers specs[lo:hi] of its lane's spec buffer.
+type span struct{ lo, hi int }
+
+// transfer is a live transfer. It holds no pointer: its path is
+// paths[lo:hi] of the measurement's one path buffer, which keeps the live
+// transfers' paths in the order of the active list.
 type transfer struct {
 	remaining float64
-	paths     []int // network.links indices
+	lo, hi    int
 	lane      int
 	group     int
 	rate      float64
@@ -241,88 +275,98 @@ type transfer struct {
 
 // groupRun tracks one group's progress through its rounds.
 type groupRun struct {
-	rounds   [][]transferSpec
-	next     int     // next round index
+	lo, hi   int     // the group's rounds: its lane's rounds[lo:hi]
+	next     int     // rounds started so far
 	inflight int     // live transfers of the current round
 	latency  float64 // per-round latency for this group
 	startAt  float64 // step-local time the next round may start
 }
 
+// more reports whether the group has rounds left to start.
+func (g *groupRun) more() bool { return g.lo+g.next < g.hi }
+
 // pending reports whether the group is between rounds, waiting out its
 // latency before the next one.
-func (g *groupRun) pending() bool { return g.inflight == 0 && g.next < len(g.rounds) }
+func (g *groupRun) pending() bool { return g.inflight == 0 && g.more() }
 
 // scheduleRounds unrolls the emulator view of cost.ScheduleOf — the same
 // schedule value the analytic model consumes — over one concrete group into
-// rounds of concurrent transfers. Rounds that repeat the same transfers (a
-// ring's steps, the doubling phase mirroring the halving phase) share one
-// slice; nothing downstream writes to a round.
-func scheduleRounds(sys *topology.System, op collective.Op, g []int, perDevice float64, algo cost.Algorithm) [][]transferSpec {
+// rounds of concurrent transfers, appending the transfers to specs and the
+// rounds to rounds. Rounds that repeat the same transfers (a ring's steps,
+// the doubling phase mirroring the halving phase) share one span, so each
+// transfer in specs is distinct.
+func scheduleRounds(sys *topology.System, op collective.Op, g []int, perDevice float64, algo cost.Algorithm, specs []transferSpec, rounds []span) ([]transferSpec, []span) {
 	n := len(g)
 	sch := cost.ScheduleOf(op, algo, n, perDevice)
-	rounds := make([][]transferSpec, 0, sch.Rounds)
+	// round closes the round whose transfers start at specs[lo].
+	round := func(lo int) { rounds = append(rounds, span{lo, len(specs)}) }
 	switch sch.Pattern {
 	case cost.PatternRing:
-		round := make([]transferSpec, n)
-		for i := range round {
+		lo := len(specs)
+		for i := range n {
 			a, b := cost.RingLink(n, i)
-			round[i] = transferSpec{src: g[a], dst: g[b], bytes: sch.RoundBytes}
+			specs = append(specs, transferSpec{src: g[a], dst: g[b], bytes: sch.RoundBytes})
 		}
-		for r := 0; r < sch.Rounds; r++ {
-			rounds = append(rounds, round)
+		for range sch.Rounds {
+			round(lo)
 		}
 	case cost.PatternChain:
-		round := make([]transferSpec, n-1)
-		for i := range round {
+		lo := len(specs)
+		for i := range n - 1 {
 			src, dst := cost.ChainLink(i)
 			if sch.TowardRoot {
 				src, dst = dst, src
 			}
-			round[i] = transferSpec{src: g[src], dst: g[dst], bytes: sch.RoundBytes}
+			specs = append(specs, transferSpec{src: g[src], dst: g[dst], bytes: sch.RoundBytes})
 		}
-		rounds = append(rounds, round)
+		round(lo)
 	case cost.PatternTree:
 		links := cost.TreeLinks(sys, g)
-		for r := 0; r < sch.Rounds; r++ {
-			round := make([]transferSpec, len(links))
-			for i, link := range links {
+		for r := range sch.Rounds {
+			lo := len(specs)
+			for _, link := range links {
 				src, dst := link[0], link[1]
 				if sch.TowardRoot == (r == 0) {
 					src, dst = dst, src
 				}
-				round[i] = transferSpec{src: src, dst: dst, bytes: sch.RoundBytes}
+				specs = append(specs, transferSpec{src: src, dst: dst, bytes: sch.RoundBytes})
 			}
-			rounds = append(rounds, round)
+			round(lo)
 		}
 	case cost.PatternHalvingDoubling:
 		// Fold, halving levels 0…, doubling levels …0, unfold; p = n folds nothing.
 		p := cost.CorePow2(n)
-		fold, unfold := make([]transferSpec, n-p), make([]transferSpec, n-p)
-		for k := p; k < n; k++ {
-			a, b := cost.FoldLink(p, k)
-			fold[k-p] = transferSpec{src: g[a], dst: g[b], bytes: sch.RoundBytes}
-			unfold[k-p] = transferSpec{src: g[b], dst: g[a], bytes: sch.RoundBytes}
+		fold := func(unfold bool) {
+			lo := len(specs)
+			for k := p; k < n; k++ {
+				a, b := cost.FoldLink(p, k)
+				if unfold {
+					a, b = b, a
+				}
+				specs = append(specs, transferSpec{src: g[a], dst: g[b], bytes: sch.RoundBytes})
+			}
+			round(lo)
 		}
 		if p < n {
-			rounds = append(rounds, fold)
+			fold(false)
 		}
 		first := len(rounds)
 		for r := 0; 1<<r < p; r++ {
-			round, bytes := make([]transferSpec, p), sch.RoundBytes/float64(int(2)<<r)
-			for i := range round {
+			lo, bytes := len(specs), sch.RoundBytes/float64(int(2)<<r)
+			for i := range p {
 				a, b := cost.CoreLink(r, i)
-				round[i] = transferSpec{src: g[a], dst: g[b], bytes: bytes}
+				specs = append(specs, transferSpec{src: g[a], dst: g[b], bytes: bytes})
 			}
-			rounds = append(rounds, round)
+			round(lo)
 		}
 		for r := len(rounds) - 1; r >= first; r-- {
 			rounds = append(rounds, rounds[r])
 		}
 		if p < n {
-			rounds = append(rounds, unfold)
+			fold(true)
 		}
 	}
-	return rounds
+	return specs, rounds
 }
 
 // fuseStepsAlgos applies the XLA peephole: consecutive AllReduce steps are
@@ -332,12 +376,9 @@ func scheduleRounds(sys *topology.System, op collective.Op, g []int, perDevice f
 // rides alongside: steps assigned different algorithms would not be fused
 // by XLA into one collective, so they only merge when their algorithms
 // agree, and the fused step inherits the shared algorithm.
-func fuseStepsAlgos(steps []lower.Step, algos []cost.Algorithm) ([]lower.Step, []cost.Algorithm) {
-	out := make([]lower.Step, 0, len(steps))
-	var outAlgos []cost.Algorithm
-	if algos != nil {
-		outAlgos = make([]cost.Algorithm, 0, len(algos))
-	}
+// The fused steps and algorithms are appended to out[:0] and outAlgos[:0].
+func fuseStepsAlgos(out []lower.Step, outAlgos []cost.Algorithm, steps []lower.Step, algos []cost.Algorithm) ([]lower.Step, []cost.Algorithm) {
+	out, outAlgos = out[:0], outAlgos[:0]
 	for i, st := range steps {
 		if len(out) > 0 && st.Op == collective.AllReduce && out[len(out)-1].Op == collective.AllReduce &&
 			(algos == nil || algos[i] == outAlgos[len(outAlgos)-1]) {
@@ -416,13 +457,10 @@ type noiseStream struct {
 	state uint64
 }
 
-func newNoise(seed uint64) *noiseStream {
-	return &noiseStream{state: seed | 1}
-}
-
-func (n *noiseStream) next(vals ...int) float64 {
+// next draws the value for one transfer: (step, group, round, transfer).
+func (n *noiseStream) next(step, group, round, transfer int) float64 {
 	x := n.state
-	for _, v := range vals {
+	for _, v := range [...]int{step, group, round, transfer} {
 		x ^= uint64(v+0x9e37) * 0x9e3779b97f4a7c15
 		x ^= x >> 29
 		x *= 0xbf58476d1ce4e5b9
@@ -430,29 +468,4 @@ func (n *noiseStream) next(vals ...int) float64 {
 	x ^= x >> 32
 	n.state = n.state*6364136223846793005 + 1442695040888963407
 	return float64(x%1_000_003) / 1_000_003
-}
-
-// fingerprintAlgos folds a per-step algorithm assignment into a noise
-// fingerprint; a nil assignment leaves it unchanged, so fixed-algorithm
-// runs keep their historical noise streams.
-func fingerprintAlgos(h uint64, stepAlgos []cost.Algorithm) uint64 {
-	for _, a := range stepAlgos {
-		h = (h ^ uint64(int(a)+1)) * 1099511628211
-	}
-	return h
-}
-
-func fingerprint(name string, algo int, key string) uint64 {
-	var h uint64 = 14695981039346656037
-	mix := func(b byte) {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	for i := 0; i < len(name); i++ {
-		mix(name[i])
-	}
-	mix(byte(algo))
-	for i := 0; i < len(key); i++ {
-		mix(key[i])
-	}
-	return h
 }

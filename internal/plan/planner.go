@@ -79,7 +79,8 @@ type Options struct {
 	Rerank RerankMode
 	// SimOpts tunes the emulator used by the re-rank stage (noise, launch
 	// overhead, fusion and cross-domain toggles); the zero value is the
-	// emulator's defaults. Ignored with Rerank == RerankOff.
+	// emulator's defaults. Ignored with Rerank == RerankOff, except that a
+	// run refuses options netsim.Options.Validate refuses in every mode.
 	SimOpts netsim.Options
 }
 
@@ -810,6 +811,9 @@ type shape[T any] struct {
 // order is returned, so a partial result never mixes measured and
 // unmeasured sort keys. Non-context errors return (nil, stats, err).
 func run[T any](ctx context.Context, opts Options, stream func(func(*placement.Matrix) bool) error, sh shape[T]) ([]T, Stats, error) {
+	if err := opts.SimOpts.Validate(); err != nil {
+		return nil, Stats{}, err
+	}
 	analytic := opts
 	if opts.Rerank == RerankAll {
 		analytic.TopK = 0

@@ -23,7 +23,7 @@ func loweredSet(t *testing.T, kind hierarchy.Kind, m *placement.Matrix, red []in
 		if err != nil {
 			t.Fatalf("%v: lowering synthesized program %v: %v", kind, p, err)
 		}
-		out[lp.Key()] = true
+		out[string(lp.AppendKey(nil))] = true
 	}
 	return out
 }

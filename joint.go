@@ -117,7 +117,8 @@ type JointOptions struct {
 	// every placement. MeasureOff (the zero value) ranks analytically.
 	Measure MeasureMode
 	// SimOpts tunes the emulator used by measured modes; ignored with
-	// MeasureOff.
+	// MeasureOff. A NoiseFrac or LaunchOverhead that is not finite and
+	// >= 0 is refused.
 	SimOpts SimOptions
 }
 

@@ -277,7 +277,8 @@ type Request struct {
 	// emulation effort and the analytic-vs-measured rank inversions.
 	Measure MeasureMode
 	// SimOpts tunes the emulator used by measured planning modes (the
-	// zero value is the emulator defaults); ignored with MeasureOff.
+	// zero value is the emulator defaults); ignored with MeasureOff. Plan
+	// refuses a NoiseFrac or LaunchOverhead that is not finite and >= 0.
 	SimOpts SimOptions
 }
 
@@ -325,7 +326,8 @@ func (s *Strategy) AlgoString() string {
 func (s *Strategy) Measure() float64 { return s.MeasureWith(SimOptions{}) }
 
 // MeasureWith is Measure under explicit emulator options (noise, launch
-// overhead, fusion and cross-domain toggles).
+// overhead, fusion and cross-domain toggles). It panics, naming the field,
+// on a NoiseFrac or LaunchOverhead that is not finite and >= 0.
 func (s *Strategy) MeasureWith(opts SimOptions) float64 {
 	sim := &netsim.Simulator{Sys: s.sys, Algo: s.algo, Bytes: s.bytes, Opts: opts}
 	return sim.MeasureSteps(s.lowered, s.StepAlgos)

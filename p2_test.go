@@ -1,7 +1,9 @@
 package p2
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -76,6 +78,49 @@ func TestPlanErrors(t *testing.T) {
 	}
 	if _, err := Plan(A100System(2), Request{Axes: []int{32}, ReduceAxes: []int{7}}); err == nil {
 		t.Error("bad reduce axis accepted")
+	}
+}
+
+// TestInvalidSimOptionsRefused: every emulator option must be finite and
+// non-negative. The planning entry points refuse a bad one before planning
+// starts and a direct MeasureWith panics naming the field. Unchecked, a
+// NaN launch overhead made every measured time NaN (an undefined re-rank
+// order), a negative one made times negative, and a NaN noise fraction or
+// an infinite overhead deadlocked the event loop inside a measuring
+// goroutine, killing the process.
+func TestInvalidSimOptionsRefused(t *testing.T) {
+	sys := Fig2aSystem()
+	plan, err := Plan(sys, Request{Axes: []int{4, 4}, ReduceAxes: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name, field string
+		opts        SimOptions
+	}{
+		{"NaN launch overhead", "LaunchOverhead", SimOptions{LaunchOverhead: math.NaN()}},
+		{"negative launch overhead", "LaunchOverhead", SimOptions{LaunchOverhead: -1}},
+		{"infinite launch overhead", "LaunchOverhead", SimOptions{LaunchOverhead: math.Inf(1)}},
+		{"NaN noise", "NoiseFrac", SimOptions{NoiseFrac: math.NaN()}},
+		{"negative noise", "NoiseFrac", SimOptions{NoiseFrac: -0.5}},
+	} {
+		req := Request{Axes: []int{4, 4}, ReduceAxes: []int{0}, Measure: MeasureRankAll, SimOpts: r.opts}
+		if _, err := Plan(sys, req); err == nil || !strings.Contains(err.Error(), r.field) {
+			t.Errorf("%s: Plan error = %v, want one naming %s", r.name, err, r.field)
+		}
+		_, err := PlanJointCtx(context.Background(), sys, []int{4, 4}, []Reduction{{ReduceAxes: []int{0}}},
+			JointOptions{Measure: MeasureRankAll, SimOpts: r.opts})
+		if err == nil || !strings.Contains(err.Error(), r.field) {
+			t.Errorf("%s: PlanJointCtx error = %v, want one naming %s", r.name, err, r.field)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), r.field) {
+					t.Errorf("%s: MeasureWith panic = %v, want one naming %s", r.name, p, r.field)
+				}
+			}()
+			plan.Best().MeasureWith(r.opts)
+		}()
 	}
 }
 

@@ -34,7 +34,7 @@ collect() {
 echo "commit: $(git describe --always --dirty 2>/dev/null || echo unknown)" > "$TMP/out"
 echo "bench.sh: go test rows, -count $COUNT -benchtime $BENCHTIME" >&2
 collect go test -run XXX \
-  -bench 'BenchmarkPlanSuperPod2x4|BenchmarkPlanSuperPod3x4|BenchmarkPlanSuperPod3x4Degraded|BenchmarkPlanSuperPod4x8|BenchmarkPlanSuperPod16x32|BenchmarkPlanJointEngine|BenchmarkPlanFreshBytesWarm|BenchmarkSynthesize/|BenchmarkCostEstimate|BenchmarkLower$|BenchmarkBind$|BenchmarkNetsimMeasure|BenchmarkNetsimConcurrent' \
+  -bench 'BenchmarkPlanSuperPod2x4|BenchmarkPlanSuperPod3x4|BenchmarkPlanSuperPod3x4Degraded|BenchmarkPlanSuperPod4x8|BenchmarkPlanSuperPod16x32|BenchmarkPlanJointEngine|BenchmarkPlanFreshBytesWarm|BenchmarkSynthesize/|BenchmarkCostEstimate|BenchmarkLower$|BenchmarkBind$|BenchmarkNetsimMeasure|BenchmarkNetsimConcurrent|BenchmarkPlanRankAll' \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
 
 go build -o "$TMP/bench" ./bench
