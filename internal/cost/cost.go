@@ -94,53 +94,9 @@ type Model struct {
 	Bytes float64
 }
 
-// StepTime predicts the duration of one lowered step. Per-uplink traffic
-// is accumulated in a dense slice indexed the way topology.System.Route
-// numbers uplinks: every schedule link's volume is added to each uplink on
-// its route, levels from the divergence level down, endpoint a then b.
+// StepTime predicts the duration of one lowered step.
 func (m *Model) StepTime(st lower.Step) float64 {
-	perDevice := st.FracIn() * m.Bytes
-	L := m.Sys.NumLevels()
-	offsets := m.Sys.EntityOffsets()
-	traffic := make([]float64, offsets[L])
-	maxRounds := 0
-	maxLatency := 0.0
-	var tree treePartition
-	var edges []relEdge
-	var path []int
-	for _, g := range st.Groups {
-		sch := ScheduleOf(st.Op, m.Algo, len(g), perDevice)
-		if sch.LatencyRounds > maxRounds {
-			maxRounds = sch.LatencyRounds
-		}
-		if sch.Pattern == PatternTree {
-			edges = tree.edges(m.Sys, g, sch.LinkBytes, edges[:0])
-		} else {
-			edges = sch.edges()
-		}
-		for _, e := range edges {
-			path = m.Sys.Route(g[e.a], g[e.b], path[:0])
-			if lat := endpointLatency(m.Sys, path); lat > maxLatency {
-				maxLatency = lat
-			}
-			for _, i := range path {
-				traffic[i] += e.bytes
-			}
-		}
-	}
-	// Each entity's uplink has its own effective bandwidth. A down link
-	// (bandwidth 0) carrying traffic yields +Inf; with zero traffic the 0/0
-	// NaN fails the > comparison and is correctly ignored (no traffic, no
-	// cost).
-	worst := 0.0
-	for l := 0; l < L; l++ {
-		for e, bytes := range traffic[offsets[l]:offsets[l+1]] {
-			if t := bytes / m.Sys.LinkBandwidth(l, e); t > worst {
-				worst = t
-			}
-		}
-	}
-	return worst + float64(maxRounds)*maxLatency
+	return m.StepTimeAlgo(st, m.Algo)
 }
 
 // endpointLatency is the analytic model's latency rule for a transfer
@@ -165,23 +121,28 @@ func endpointLatency(sys *topology.System, path []int) float64 {
 }
 
 // ProgramTime predicts the end-to-end duration of a lowered program: the
-// sum of its step times (steps are global barriers).
+// sum of its step times (steps are global barriers). Like every Model
+// method it borrows a Scorer from the package pool for the call.
+//
+//p2:zeroalloc
 func (m *Model) ProgramTime(p *lower.Program) float64 {
-	total := 0.0
-	for _, st := range p.Steps {
-		total += m.StepTime(st)
-	}
-	return total
+	s := getScorer()
+	t := s.ProgramTime(m, p)
+	putScorer(s)
+	return t
 }
 
 // StepTimeAlgo is StepTime under an explicit algorithm, overriding m.Algo.
 // It is the evaluation primitive of the per-step algorithm search: a step
 // is free to run a different NCCL_ALGO than its neighbors because steps
 // are barriers.
+//
+//p2:zeroalloc
 func (m *Model) StepTimeAlgo(st lower.Step, algo Algorithm) float64 {
-	mm := *m
-	mm.Algo = algo
-	return mm.StepTime(st)
+	s := getScorer()
+	t := s.StepTimeAlgo(m, st, algo)
+	putScorer(s)
+	return t
 }
 
 // BestStepAlgos brute-forces the per-step algorithm sweep: for every step
@@ -195,18 +156,20 @@ func (m *Model) BestStepAlgos(p *lower.Program, algos []Algorithm) ([]Algorithm,
 	if len(algos) == 0 {
 		panic("cost: BestStepAlgos with no algorithms")
 	}
+	s := getScorer()
 	assign := make([]Algorithm, len(p.Steps))
 	total := 0.0
 	for i, st := range p.Steps {
-		best := m.StepTimeAlgo(st, algos[0])
+		best := s.StepTimeAlgo(m, st, algos[0])
 		assign[i] = algos[0]
 		for _, a := range algos[1:] {
-			if t := m.StepTimeAlgo(st, a); t < best {
+			if t := s.StepTimeAlgo(m, st, a); t < best {
 				best, assign[i] = t, a
 			}
 		}
 		total += best
 	}
+	putScorer(s)
 	return assign, total
 }
 
@@ -250,8 +213,7 @@ func FormatAlgos(fixed Algorithm, stepAlgos []Algorithm) string {
 // by a single tree). For groups with one member per entity this degenerates
 // to a plain binary tree. It is PatternTree's link formula, shared with the
 // event-level emulator so both simulators model the same schedule; the
-// analytic model and the Scorer run the same partition (treePartition)
-// over reusable scratch.
+// Scorer runs the same partition (treePartition) over reusable scratch.
 func TreeLinks(sys *topology.System, g []int) [][2]int {
 	edges := new(treePartition).edges(sys, g, 0, nil)
 	out := make([][2]int, len(edges))

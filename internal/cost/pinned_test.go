@@ -1,6 +1,8 @@
 package cost
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -9,16 +11,16 @@ import (
 	"p2/internal/topology"
 )
 
-// partition splits devices 0..n-1 into n/g groups of g: contiguous blocks,
-// or — strided — group k holding k, k+n/g, k+2n/g, …, which puts every
-// member of a group under a different top-level entity.
+// partition splits the first ⌊n/g⌋·g of devices 0..n-1 into groups of g:
+// contiguous blocks, or — strided — group k holding k, k+n/g, k+2n/g, …,
+// which puts the members of a group under different top-level entities.
 func partition(n, g int, strided bool) [][]int {
 	out := make([][]int, n/g)
 	for k := range out {
 		grp := make([]int, g)
 		for i := range grp {
 			if strided {
-				grp[i] = k + i*(n/g)
+				grp[i] = k + i*len(out)
 			} else {
 				grp[i] = k*g + i
 			}
@@ -34,10 +36,11 @@ func partition(n, g int, strided bool) [][]int {
 // and netsim each still expanded the ring/chain/tree/halving-doubling
 // schedule themselves, immediately before the three expansions were
 // replaced by ScheduleOf — so the table is the proof that the one generator
-// performs the old float arithmetic operation for operation. Since then
-// TestScorerMatchesModel compares two consumers of one generator and cannot
-// see a change to it; this table can. A deliberate change to the model's
-// arithmetic re-records it (the failure message prints the new bits).
+// performs the old float arithmetic operation for operation. Model and
+// Scorer are one evaluator now, so this table and TestStepTimeDigest are
+// the oracle: a comparison between two of its callers cannot see a change
+// to it. A deliberate change to the model's arithmetic re-records both (the
+// failure messages print the new values).
 func TestStepTimePinnedBits(t *testing.T) {
 	const (
 		AR = collective.AllReduce
@@ -90,13 +93,8 @@ func TestStepTimePinnedBits(t *testing.T) {
 		{name: "a100 down rd ring g16 in node", sys: down, op: RD, algo: R, groups: partition(64, 16, false), rows: 1, k: 1, bytes: odd, bits: 0x3f039cbcd0fe729c},
 		{name: "v100 ar tree g4", sys: v100, op: AR, algo: T, groups: partition(16, 4, false), rows: 1, k: 1, bytes: DefaultPayload(v100), bits: 0x3fc04a430541e9cb},
 	}
-	scorers := map[*topology.System]*Scorer{}
+	sc := new(Scorer) // one Scorer, rebinding between the rows' systems
 	for _, r := range rows {
-		sc := scorers[r.sys]
-		if sc == nil {
-			sc = NewScorer(r.sys)
-			scorers[r.sys] = sc
-		}
 		st := lower.Step{Op: r.op, Groups: r.groups, Rows: r.rows, RowsOut: r.rows, K: r.k}
 		m := &Model{Sys: r.sys, Algo: r.algo, Bytes: r.bytes}
 		model := math.Float64bits(m.StepTime(st))
@@ -105,4 +103,60 @@ func TestStepTimePinnedBits(t *testing.T) {
 			t.Errorf("%s: model bits: %#x, scorer bits: %#x, want bits: %#x", r.name, model, scorer, r.bits)
 		}
 	}
+}
+
+// TestStepTimeDigest pins every step time of scorerCases under every
+// algorithm at once: FNV-1a over the little-endian Float64bits of
+// Model.StepTimeAlgo, cases in order, each step's algorithms in
+// ExtendedAlgorithms order — on each case's system as built, and again on
+// a degraded copy (degradeEveryLevel) whose two endpoint latencies differ,
+// which the pristine systems never exercise. Both digests were recorded at
+// commit def05f4, the last commit on which Model.StepTime ran its own
+// accumulation loop beside the Scorer's, so they carry that loop's floats
+// forward as data.
+func TestStepTimeDigest(t *testing.T) {
+	cases := scorerCases(t)
+	for _, row := range []struct {
+		name    string
+		variant func(*topology.System) *topology.System
+		want    uint64
+	}{
+		{"pristine", func(sys *topology.System) *topology.System { return sys }, 0x155375329e14d412},
+		{"degraded", degradeEveryLevel, 0x065d41130a51a1e4},
+	} {
+		h := fnv.New64a()
+		var buf [8]byte
+		n := 0
+		variants := map[*topology.System]*topology.System{}
+		for _, tc := range cases {
+			sys, ok := variants[tc.sys]
+			if !ok {
+				sys = row.variant(tc.sys)
+				variants[tc.sys] = sys
+			}
+			model := &Model{Sys: sys, Algo: Ring, Bytes: DefaultPayload(sys)}
+			for _, st := range tc.lp.Steps {
+				for _, algo := range ExtendedAlgorithms {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(model.StepTimeAlgo(st, algo)))
+					h.Write(buf[:])
+					n++
+				}
+			}
+		}
+		if got := h.Sum64(); got != row.want {
+			t.Errorf("%s: digest of %d step times = %#x, want %#x", row.name, n, got, row.want)
+		}
+	}
+}
+
+// degradeEveryLevel slows entity 1's uplink 3× in latency and throttles
+// entity 0's 4× in bandwidth, at every level that has two entities.
+func degradeEveryLevel(sys *topology.System) *topology.System {
+	var ovs []topology.LinkOverride
+	for l := 0; l < sys.NumLevels(); l++ {
+		if sys.EntitiesAt(l) > 1 {
+			ovs = append(ovs, topology.Slow(l, 1, 3), topology.Throttle(l, 0, 4))
+		}
+	}
+	return sys.MustWithOverrides(ovs...)
 }

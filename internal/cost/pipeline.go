@@ -29,20 +29,21 @@ func (m *Model) PipelinedTimeSteps(p *lower.Program, buckets int, stepAlgos []Al
 	if stepAlgos != nil && len(stepAlgos) != len(p.Steps) {
 		panic(fmt.Sprintf("cost: %d step algorithms for %d steps", len(stepAlgos), len(p.Steps)))
 	}
-	scaled := &Model{Sys: m.Sys, Algo: m.Algo, Bytes: m.Bytes / float64(buckets)}
+	scaled := Model{Sys: m.Sys, Algo: m.Algo, Bytes: m.Bytes / float64(buckets)}
+	s := getScorer()
 	sum, worst := 0.0, 0.0
 	for i, st := range p.Steps {
-		t := 0.0
+		algo := m.Algo
 		if stepAlgos != nil {
-			t = scaled.StepTimeAlgo(st, stepAlgos[i])
-		} else {
-			t = scaled.StepTime(st)
+			algo = stepAlgos[i]
 		}
+		t := s.StepTimeAlgo(&scaled, st, algo)
 		sum += t
 		if t > worst {
 			worst = t
 		}
 	}
+	putScorer(s)
 	return sum + float64(buckets-1)*worst
 }
 

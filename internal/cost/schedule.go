@@ -54,8 +54,8 @@ type Schedule struct {
 
 // ScheduleOf is the one place that decides how collective op runs under
 // algorithm algo over n devices each holding perDevice input bytes. The
-// analytic model, the Scorer and the event emulator all consume its result,
-// so a collective is added or changed here and nowhere else.
+// analytic evaluator (Scorer) and the event emulator both consume its
+// result, so a collective is added or changed here and nowhere else.
 func ScheduleOf(op collective.Op, algo Algorithm, n int, perDevice float64) Schedule {
 	switch op {
 	case collective.AllReduce:

@@ -57,89 +57,97 @@ func emulatorRounds(sch Schedule) (rounds [][][2]int, repeat []int, bytes []floa
 	return rounds, repeat, bytes
 }
 
-// TestScheduleViewsAgree holds the two views of one Schedule together: per
+// TestScheduleViewsAgree runs checkScheduleViews over every op and
+// algorithm for groups of 2 to 64 at a payload no schedule divides.
+func TestScheduleViewsAgree(t *testing.T) {
+	for _, op := range scheduleOps {
+		for _, algo := range ExtendedAlgorithms {
+			for n := 2; n <= 64; n++ {
+				checkScheduleViews(t, op, algo, n, 1e6+1.0/3)
+			}
+		}
+	}
+}
+
+// scheduleOps lists every collective a Schedule expands.
+var scheduleOps = []collective.Op{collective.AllReduce, collective.ReduceScatter, collective.AllGather,
+	collective.Reduce, collective.Broadcast}
+
+// checkScheduleViews holds the two views of one Schedule together: per
 // unordered link, the emulator's rounds × per-round bytes must sum to the
 // analytic volume, both views must run over the same multiset of links,
 // the emulator's round count must be the one it unrolls, and LatencyRounds
 // must equal the count computed independently here.
-func TestScheduleViewsAgree(t *testing.T) {
-	const d = 1e6 + 1.0/3
-	ops := []collective.Op{collective.AllReduce, collective.ReduceScatter, collective.AllGather,
-		collective.Reduce, collective.Broadcast}
-	for _, op := range ops {
-		for _, algo := range ExtendedAlgorithms {
-			for n := 2; n <= 64; n++ {
-				sch := ScheduleOf(op, algo, n, d)
-				ceilLog, floorLog := 0, 0
-				for 1<<ceilLog < n {
-					ceilLog++
-				}
-				for 2<<floorLog <= n {
-					floorLog++
-				}
-				var wantLatency int
-				switch sch.Pattern {
-				case PatternRing:
-					wantLatency = n - 1
-					if op == collective.AllReduce {
-						wantLatency = 2 * (n - 1) // reduce-scatter then all-gather
-					}
-				case PatternChain:
-					wantLatency = n - 1
-				case PatternTree:
-					wantLatency = ceilLog
-					if op == collective.AllReduce {
-						wantLatency = 2 * ceilLog // up, then down
-					}
-				case PatternHalvingDoubling:
-					// 2 per core halving level plus the fold and unfold
-					// rounds when a residual exists.
-					wantLatency = 2 * floorLog
-					if CorePow2(n) != n {
-						wantLatency += 2
-					}
-				}
-				if sch.N != n || sch.LatencyRounds != wantLatency {
-					t.Errorf("%v %v n=%d: N=%d LatencyRounds=%d, want %d", op, algo, n, sch.N, sch.LatencyRounds, wantLatency)
-				}
-				if sch.Pattern == PatternTree {
-					// Both views run over TreeLinks of the concrete group.
-					if got := float64(sch.Rounds) * sch.RoundBytes; math.Abs(got-sch.LinkBytes) > 1e-12*sch.LinkBytes {
-						t.Errorf("%v %v n=%d: tree link moves %v emulated, %v analytic", op, algo, n, got, sch.LinkBytes)
-					}
-					continue
-				}
-				analytic, analyticLinks := map[[2]int]float64{}, map[[2]int]int{}
-				for _, e := range sch.edges() {
-					analytic[link(e.a, e.b)] += e.bytes
-					analyticLinks[link(e.a, e.b)]++
-				}
-				emulated, emulatedLinks := map[[2]int]float64{}, map[[2]int]int{}
-				rounds, repeat, bytes := emulatorRounds(sch)
-				total := 0
-				for i, round := range rounds {
-					total += repeat[i]
-					for _, l := range round {
-						emulated[l] += float64(repeat[i]) * bytes[i]
-						emulatedLinks[l]++
-					}
-				}
-				if total != sch.Rounds {
-					t.Errorf("%v %v n=%d: %d rounds unrolled, Rounds = %d", op, algo, n, total, sch.Rounds)
-				}
-				if len(analytic) != len(emulated) {
-					t.Errorf("%v %v n=%d: %d analytic links, %d emulated", op, algo, n, len(analytic), len(emulated))
-				}
-				for l, want := range analytic {
-					if got := emulated[l]; math.Abs(got-want) > 1e-12*want {
-						t.Errorf("%v %v n=%d link %v: emulated volume %v, analytic %v", op, algo, n, l, got, want)
-					}
-					if analyticLinks[l] != emulatedLinks[l] {
-						t.Errorf("%v %v n=%d link %v: %d analytic edges, %d emulated transfers per pass",
-							op, algo, n, l, analyticLinks[l], emulatedLinks[l])
-					}
-				}
-			}
+func checkScheduleViews(t *testing.T, op collective.Op, algo Algorithm, n int, d float64) {
+	t.Helper()
+	sch := ScheduleOf(op, algo, n, d)
+	ceilLog, floorLog := 0, 0
+	for 1<<ceilLog < n {
+		ceilLog++
+	}
+	for 2<<floorLog <= n {
+		floorLog++
+	}
+	var wantLatency int
+	switch sch.Pattern {
+	case PatternRing:
+		wantLatency = n - 1
+		if op == collective.AllReduce {
+			wantLatency = 2 * (n - 1) // reduce-scatter then all-gather
+		}
+	case PatternChain:
+		wantLatency = n - 1
+	case PatternTree:
+		wantLatency = ceilLog
+		if op == collective.AllReduce {
+			wantLatency = 2 * ceilLog // up, then down
+		}
+	case PatternHalvingDoubling:
+		// 2 per core halving level plus the fold and unfold
+		// rounds when a residual exists.
+		wantLatency = 2 * floorLog
+		if CorePow2(n) != n {
+			wantLatency += 2
+		}
+	}
+	if sch.N != n || sch.LatencyRounds != wantLatency {
+		t.Errorf("%v %v n=%d: N=%d LatencyRounds=%d, want %d", op, algo, n, sch.N, sch.LatencyRounds, wantLatency)
+	}
+	if sch.Pattern == PatternTree {
+		// Both views run over TreeLinks of the concrete group.
+		if got := float64(sch.Rounds) * sch.RoundBytes; math.Abs(got-sch.LinkBytes) > 1e-12*sch.LinkBytes {
+			t.Errorf("%v %v n=%d: tree link moves %v emulated, %v analytic", op, algo, n, got, sch.LinkBytes)
+		}
+		return
+	}
+	analytic, analyticLinks := map[[2]int]float64{}, map[[2]int]int{}
+	for _, e := range sch.edges() {
+		analytic[link(e.a, e.b)] += e.bytes
+		analyticLinks[link(e.a, e.b)]++
+	}
+	emulated, emulatedLinks := map[[2]int]float64{}, map[[2]int]int{}
+	rounds, repeat, bytes := emulatorRounds(sch)
+	total := 0
+	for i, round := range rounds {
+		total += repeat[i]
+		for _, l := range round {
+			emulated[l] += float64(repeat[i]) * bytes[i]
+			emulatedLinks[l]++
+		}
+	}
+	if total != sch.Rounds {
+		t.Errorf("%v %v n=%d: %d rounds unrolled, Rounds = %d", op, algo, n, total, sch.Rounds)
+	}
+	if len(analytic) != len(emulated) {
+		t.Errorf("%v %v n=%d: %d analytic links, %d emulated", op, algo, n, len(analytic), len(emulated))
+	}
+	for l, want := range analytic {
+		if got := emulated[l]; math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%v %v n=%d link %v: emulated volume %v, analytic %v", op, algo, n, l, got, want)
+		}
+		if analyticLinks[l] != emulatedLinks[l] {
+			t.Errorf("%v %v n=%d link %v: %d analytic edges, %d emulated transfers per pass",
+				op, algo, n, l, analyticLinks[l], emulatedLinks[l])
 		}
 	}
 }

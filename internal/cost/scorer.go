@@ -1,25 +1,22 @@
 package cost
 
 import (
-	"fmt"
+	"sync"
 
 	"p2/internal/collective"
 	"p2/internal/lower"
 	"p2/internal/topology"
 )
 
-// Scorer is a reusable step-cost evaluator producing bit-identical floats
-// to Model.StepTime with zero allocations on the scoring path. It is the
-// planning engine's per-worker workhorse: planning scores thousands of
-// steps and the per-step `make([]float64, entities)` plus the schedule
-// expansion slices dominated the allocation profile.
-//
-// Two mechanisms replace the allocations:
+// Scorer is the one step-cost evaluator: every Model method borrows one
+// from a package pool, and each planning worker holds its own. A warm
+// Scorer scores with zero allocations, by two mechanisms:
 //
 //   - The per-uplink traffic array is scratch owned by the Scorer. Instead
 //     of reallocating (or zeroing the whole array) per step, the Scorer
 //     records which entries a step touched and resets exactly those during
-//     the final max-scan (dirty-entry reset).
+//     the final max-scan (dirty-entry reset), so traffic is all zero
+//     between steps.
 //   - Schedule expansions are memoized. Ring, chain and halving-doubling
 //     schedules depend only on (pattern, group size, link bytes) — their
 //     edges are cached in group-index space and mapped through the
@@ -27,13 +24,16 @@ import (
 //     hardware entities, so they are expanded per group, but into reusable
 //     partition and edge scratch.
 //
-// The accumulation order — groups in step order, edges in schedule order,
-// each edge's route (topology.System.Route, into reusable path scratch) —
-// matches Model.StepTime exactly, so every float (and therefore every
-// ranking) is unchanged.
+// The accumulation order is fixed — groups in step order, edges in
+// schedule order, each edge's route (topology.System.Route) endpoint a
+// then b, levels from the divergence level down — and the step time is
+// the most-loaded uplink's transfer time plus the rounds × latency term.
+// TestStepTimePinnedBits and TestStepTimeDigest pin the resulting floats.
 //
-// A Scorer is bound to one System and is not safe for concurrent use; give
-// each worker its own.
+// Neither the memo nor the reset depends on the System, so a Scorer binds
+// to the System of each Model it is handed, growing its traffic array when
+// the System has more uplinks. The zero Scorer is ready to use; a Scorer
+// is not safe for concurrent use.
 type Scorer struct {
 	sys *topology.System
 
@@ -57,38 +57,50 @@ type schedKey struct {
 	bytes   float64
 }
 
-// NewScorer returns a Scorer for sys.
+// NewScorer returns a Scorer bound to sys, its traffic array and schedule
+// memo allocated up front.
 func NewScorer(sys *topology.System) *Scorer {
-	offsets := sys.EntityOffsets()
-	return &Scorer{
-		sys:     sys,
-		traffic: make([]float64, offsets[sys.NumLevels()]),
-		sched:   map[schedKey][]relEdge{},
+	s := &Scorer{sched: map[schedKey][]relEdge{}}
+	s.bind(sys)
+	return s
+}
+
+// scorers pools the Scorers Model's methods borrow for one call each.
+var scorers = sync.Pool{New: func() any { return new(Scorer) }}
+
+// maxPooledSched bounds the schedule memo a pooled Scorer keeps: one
+// program's evaluation caches a few dozen shapes, but callers sweeping
+// payloads (every distinct byte count is a new key) would otherwise grow a
+// hot pooled memo without bound.
+const maxPooledSched = 256
+
+func getScorer() *Scorer { return scorers.Get().(*Scorer) }
+
+// putScorer returns s to the pool. A call that panics does not return its
+// Scorer, so the pool never holds a dirty traffic array.
+func putScorer(s *Scorer) {
+	if len(s.sched) > maxPooledSched {
+		clear(s.sched)
+	}
+	scorers.Put(s)
+}
+
+// bind points s at sys, the cold path of StepTimeAlgo. traffic is all
+// zero between steps, so it is only grown, never cleared.
+func (s *Scorer) bind(sys *topology.System) {
+	s.sys = sys
+	if n := sys.EntityOffsets()[sys.NumLevels()]; len(s.traffic) < n {
+		s.traffic = make([]float64, n)
 	}
 }
 
-// StepTime predicts the duration of one lowered step under m, exactly as
-// m.StepTime would. m.Sys must be the scorer's system.
-//
-//p2:zeroalloc
-func (s *Scorer) StepTime(m *Model, st lower.Step) float64 {
-	return s.StepTimeAlgo(m, st, m.Algo)
-}
-
-// panicModelMismatch is the cold failure path of StepTimeAlgo, kept out
-// of the //p2:zeroalloc hot function so its formatting does not count
-// against the zero-allocation guarantee.
-func (s *Scorer) panicModelMismatch(m *Model) {
-	panic(fmt.Sprintf("cost: Scorer for %q used with model for %q", s.sys.Name, m.Sys.Name))
-}
-
-// StepTimeAlgo is StepTime under an explicit algorithm, the allocation-free
-// equivalent of Model.StepTimeAlgo.
+// StepTimeAlgo predicts the duration of one lowered step under m, run
+// with algo in place of m.Algo.
 //
 //p2:zeroalloc
 func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 	if m.Sys != s.sys {
-		s.panicModelMismatch(m)
+		s.bind(m.Sys)
 	}
 	perDevice := st.FracIn() * m.Bytes
 	s.maxLat = 0
@@ -99,6 +111,9 @@ func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 			maxRounds = rounds
 		}
 	}
+	// Each entity's uplink has its own effective bandwidth. A down link
+	// (bandwidth 0) carrying traffic yields +Inf; with zero traffic the 0/0
+	// NaN fails the > comparison and is ignored (no traffic, no cost).
 	worst := 0.0
 	offsets := s.sys.EntityOffsets()
 	L := s.sys.NumLevels()
@@ -115,14 +130,13 @@ func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 	return worst + float64(maxRounds)*s.maxLat
 }
 
-// ProgramTime sums the step times of a lowered program, exactly as
-// m.ProgramTime would.
+// ProgramTime sums the step times of a lowered program in step order.
 //
 //p2:zeroalloc
 func (s *Scorer) ProgramTime(m *Model, p *lower.Program) float64 {
 	total := 0.0
 	for _, st := range p.Steps {
-		total += s.StepTime(m, st)
+		total += s.StepTimeAlgo(m, st, m.Algo)
 	}
 	return total
 }
@@ -154,15 +168,17 @@ func (s *Scorer) structural(sch Schedule) []relEdge {
 	key := schedKey{pattern: sch.Pattern, n: sch.N, bytes: sch.LinkBytes}
 	edges, ok := s.sched[key]
 	if !ok {
+		if s.sched == nil {
+			s.sched = map[schedKey][]relEdge{}
+		}
 		edges = sch.edges()
 		s.sched[key] = edges
 	}
 	return edges
 }
 
-// addEdge routes one transfer through the uplinks it traverses — the body
-// of Model.StepTime's accumulation loop, accumulating into the dirty-
-// tracked scratch instead of a fresh slice.
+// addEdge routes one transfer through the uplinks it traverses and adds
+// its bytes to each of them, charging the endpoint latency of the route.
 //
 //p2:zeroalloc
 func (s *Scorer) addEdge(a, b int, bytes float64) {

@@ -2,8 +2,10 @@ package cost
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"p2/internal/collective"
 	"p2/internal/hierarchy"
 	"p2/internal/lower"
 	"p2/internal/placement"
@@ -61,34 +63,30 @@ func scorerCases(t *testing.T) []struct {
 	return out
 }
 
-// TestScorerMatchesModel: the scorer must reproduce Model.StepTimeAlgo bit
-// for bit across every op, algorithm and system — including across calls,
-// which exercises the dirty-entry scratch reset.
+// TestScorerMatchesModel: one Scorer reused across every case — all ops,
+// algorithms and systems, so it rebinds between systems and relies on the
+// dirty-entry reset between steps — must reproduce a fresh Scorer, and so
+// must the pooled Scorer behind the Model's methods, bit for bit.
 func TestScorerMatchesModel(t *testing.T) {
-	scorers := map[*topology.System]*Scorer{}
+	reused := new(Scorer)
 	for _, tc := range scorerCases(t) {
-		sc, ok := scorers[tc.sys]
-		if !ok {
-			sc = NewScorer(tc.sys)
-			scorers[tc.sys] = sc
-		}
-		model := &Model{Sys: tc.sys, Algo: Ring, Bytes: DefaultPayload(tc.sys)}
 		for _, algo := range ExtendedAlgorithms {
+			model := &Model{Sys: tc.sys, Algo: algo, Bytes: DefaultPayload(tc.sys)}
 			for si, st := range tc.lp.Steps {
-				want := model.StepTimeAlgo(st, algo)
-				got := sc.StepTimeAlgo(model, st, algo)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %v step %d algo %v: scorer %v (%016x), model %v (%016x)",
-						tc.sys.Name, tc.lp, si, algo,
-						got, math.Float64bits(got), want, math.Float64bits(want))
+				want := math.Float64bits(NewScorer(tc.sys).StepTimeAlgo(model, st, algo))
+				got := math.Float64bits(reused.StepTimeAlgo(model, st, algo))
+				pooled := math.Float64bits(model.StepTime(st))
+				if got != want || pooled != want {
+					t.Fatalf("%s %v step %d algo %v: reused %016x, pooled %016x, fresh %016x",
+						tc.sys.Name, tc.lp, si, algo, got, pooled, want)
 				}
 			}
-			// Whole-program sums must agree too (same order of additions).
-			mm := *model
-			mm.Algo = algo
-			want := mm.ProgramTime(tc.lp)
-			if got := sc.ProgramTime(&mm, tc.lp); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s %v algo %v: ProgramTime %v != %v", tc.sys.Name, tc.lp, algo, got, want)
+			want := NewScorer(tc.sys).ProgramTime(model, tc.lp)
+			if got := reused.ProgramTime(model, tc.lp); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %v algo %v: reused ProgramTime %v != fresh %v", tc.sys.Name, tc.lp, algo, got, want)
+			}
+			if got := model.ProgramTime(tc.lp); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %v algo %v: Model.ProgramTime %v != fresh %v", tc.sys.Name, tc.lp, algo, got, want)
 			}
 		}
 	}
@@ -130,17 +128,87 @@ func testScorerZeroAlloc(t *testing.T, sys *topology.System, matrix string, axes
 		if allocs := testing.AllocsPerRun(20, func() { sc.ProgramTime(mm, lp) }); allocs != 0 {
 			t.Errorf("algo %v: %v allocs/op on the scoring path, want 0", algo, allocs)
 		}
+		// The Model's methods borrow a pooled Scorer, so a warm call
+		// allocates nothing either — except under the race detector, whose
+		// sync.Pool drops items at random.
+		if raceEnabled {
+			continue
+		}
+		mm.ProgramTime(lp)
+		if allocs := testing.AllocsPerRun(20, func() { mm.ProgramTime(lp) }); allocs != 0 {
+			t.Errorf("algo %v: %v allocs/op in a warm Model.ProgramTime, want 0", algo, allocs)
+		}
 	}
 }
 
-// TestScorerRejectsForeignSystem: using a scorer with another system's
-// model is a programming error and must panic rather than corrupt scratch.
-func TestScorerRejectsForeignSystem(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for foreign system")
+// TestModelConcurrentUse: goroutines calling the Model's methods at once
+// share the Scorer pool; each must get the serial result, bit for bit,
+// whichever pooled Scorer (last bound to whichever system) it borrows.
+func TestModelConcurrentUse(t *testing.T) {
+	cases := scorerCases(t)
+	want := make([][]uint64, len(cases))
+	for i, tc := range cases {
+		model := &Model{Sys: tc.sys, Algo: HalvingDoubling, Bytes: DefaultPayload(tc.sys)}
+		for _, st := range tc.lp.Steps {
+			want[i] = append(want[i], math.Float64bits(model.StepTime(st)))
 		}
-	}()
-	sc := NewScorer(topology.A100System(2))
-	sc.StepTime(&Model{Sys: topology.V100System(2), Algo: Ring, Bytes: 1}, lower.Step{})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range cases {
+				i := (k + w*len(cases)/4) % len(cases) // each goroutine a rotated order
+				tc := cases[i]
+				model := &Model{Sys: tc.sys, Algo: HalvingDoubling, Bytes: DefaultPayload(tc.sys)}
+				for si, st := range tc.lp.Steps {
+					if got := math.Float64bits(model.StepTime(st)); got != want[i][si] {
+						t.Errorf("goroutine %d, %s %v step %d: %016x, serial %016x", w, tc.sys.Name, tc.lp, si, got, want[i][si])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPooledScorerMemoBounded: a pooled Scorer goes back with its schedule
+// memo cleared once the memo outgrows maxPooledSched — a caller sweeping
+// payloads adds a key per byte count.
+func TestPooledScorerMemoBounded(t *testing.T) {
+	sys := topology.Fig2aSystem()
+	st := lower.Step{Op: collective.AllReduce, Groups: partition(sys.NumDevices(), 4, false), Rows: 1, RowsOut: 1, K: 1}
+	s := new(Scorer)
+	for b := 1; b <= maxPooledSched+1; b++ {
+		s.StepTimeAlgo(&Model{Sys: sys, Bytes: float64(b)}, st, Ring)
+	}
+	if len(s.sched) <= maxPooledSched {
+		t.Fatalf("memo holds %d shapes after %d payloads", len(s.sched), maxPooledSched+1)
+	}
+	putScorer(s)
+	if n := len(s.sched); n != 0 {
+		t.Errorf("pooled Scorer kept %d memo entries, want 0", n)
+	}
+}
+
+// TestScorerRebindsSystem: a Scorer handed another system's model binds
+// to it — growing its traffic array for a system with more uplinks, and
+// keeping the larger array on the way back — and scores exactly as a fresh
+// Scorer of that system does.
+func TestScorerRebindsSystem(t *testing.T) {
+	small, large := topology.V100System(2), topology.SuperPodSystem(3, 2)
+	degraded := large.MustWithOverrides(topology.Throttle(1, 2, 4), topology.Down(2, 5))
+	sc := NewScorer(small)
+	for i, sys := range []*topology.System{small, large, small, degraded, large, small} {
+		for _, algo := range ExtendedAlgorithms {
+			m := &Model{Sys: sys, Algo: algo, Bytes: DefaultPayload(sys)}
+			st := lower.Step{Op: collective.AllReduce, Groups: partition(sys.NumDevices(), 4, true), Rows: 1, RowsOut: 1, K: 1}
+			want := math.Float64bits(NewScorer(sys).StepTimeAlgo(m, st, algo))
+			if got := math.Float64bits(sc.StepTimeAlgo(m, st, algo)); got != want {
+				t.Errorf("row %d %s %v: rebound scorer %016x, fresh %016x", i, sys.Name, algo, got, want)
+			}
+		}
+	}
 }

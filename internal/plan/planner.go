@@ -46,7 +46,6 @@ import (
 	"p2/internal/netsim"
 	"p2/internal/placement"
 	"p2/internal/synth"
-	"p2/internal/topology"
 )
 
 // Options tune one planning run.
@@ -307,28 +306,16 @@ func (t *threshold) tighten(v float64) {
 	}
 }
 
-// workerState is per-worker scratch: reusable zero-alloc scorers, one per
-// distinct system seen (a run almost always has exactly one), the
-// placement-bound scratch reused across every placement the worker prunes,
-// and the per-placement tables of matrixScorer, cleared (not reallocated)
-// for each placement the worker scores.
+// workerState is per-worker scratch: the worker's zero-alloc step-cost
+// evaluator (it binds to each model's system), the placement-bound
+// scratch reused across every placement the worker prunes, and the
+// per-placement tables of matrixScorer, cleared (not reallocated) for
+// each placement the worker scores.
 type workerState struct {
-	scorers map[*topology.System]*cost.Scorer
-	bounds  boundScratch
-	bound   map[dsl.Instruction][][]int
-	steps   map[stepKey]stepChoice
-}
-
-func (ws *workerState) scorer(sys *topology.System) *cost.Scorer {
-	if sc, ok := ws.scorers[sys]; ok {
-		return sc
-	}
-	if ws.scorers == nil {
-		ws.scorers = map[*topology.System]*cost.Scorer{}
-	}
-	sc := cost.NewScorer(sys)
-	ws.scorers[sys] = sc
-	return sc
+	sc     cost.Scorer
+	bounds boundScratch
+	bound  map[dsl.Instruction][][]int
+	steps  map[stepKey]stepChoice
 }
 
 // stepKey identifies a lowered step up to cost equivalence within one
@@ -375,7 +362,7 @@ func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy,
 	clear(ws.bound)
 	clear(ws.steps)
 	ms := &matrixScorer{
-		sc:    ws.scorer(model.Sys),
+		sc:    &ws.sc,
 		model: model,
 		h:     h,
 		algos: opts.Algos,
@@ -480,8 +467,9 @@ func (ms *matrixScorer) score(prog dsl.Program, shapes []dsl.Shape, cutoff func(
 // scorePrograms synthesizes (memoized) and scores every program of one
 // (placement, reduction hierarchy) pair, in synthesis order (size, then
 // lexicographic — the same order the serial path appends them in), and
-// emits each program the cutoff lets through as soon as it is scored. The
-// per-program sum runs over the same values in the same order as
+// emits each program the cutoff lets through as soon as it is scored. Step
+// times come from the one evaluator (cost.Scorer) the Model's methods
+// borrow too, and the per-program sum runs over them in the same order as
 // cost.Model.BestStepAlgos (resp. ProgramTime), so predictions are
 // bit-identical to the serial brute-force path. The two request shapes
 // differ only in cutoff and emit: a single reduction cuts against the

@@ -161,9 +161,9 @@ type LatencyStatz struct {
 const latRingSize = 1024
 
 // readHeaderTimeout bounds how long a connection may take to send its
-// headers, lowered to half a shorter DrainTimeout: a connection stalled
-// mid-header is not idle, so Shutdown would otherwise wait out the whole
-// drain for it and fail.
+// headers, and its whole request, lowered to half a shorter DrainTimeout:
+// a connection stalled mid-header or mid-body is not idle, so Shutdown
+// would otherwise wait out the whole drain for it and fail.
 const readHeaderTimeout = time.Second
 
 // flight is one in-flight /plan computation: concurrent identical
@@ -250,7 +250,13 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, logw io.Writer
 		return err
 	}
 	fmt.Fprintf(logw, "p2 serve listening on %s\n", ln.Addr())
-	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: min(readHeaderTimeout, s.cfg.DrainTimeout/2)}
+	// IdleTimeout -1 keeps idle keep-alive connections open as before;
+	// left 0 they would inherit ReadTimeout. No read is pending while a
+	// handler runs until the body has been read to its end, and net/http
+	// lifts the read deadline then, so a plan that runs past ReadTimeout
+	// keeps its request context.
+	read := min(readHeaderTimeout, s.cfg.DrainTimeout/2)
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: read, ReadTimeout: read, IdleTimeout: -1}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -438,12 +439,11 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// listen runs s.ListenAndServe on an ephemeral port with the given drain
-// timeout and returns the resolved address, the drain trigger,
-// ListenAndServe's result and its log.
-func listen(t *testing.T, drain time.Duration) (addr string, cancel context.CancelFunc, served <-chan error, logw *syncBuffer) {
+// listen runs s.ListenAndServe on an ephemeral port and returns the
+// resolved address, the drain trigger, ListenAndServe's result and its
+// log.
+func listen(t *testing.T, s *Server) (addr string, cancel context.CancelFunc, served <-chan error, logw *syncBuffer) {
 	t.Helper()
-	s := NewServer(Config{DrainTimeout: drain})
 	logw = &syncBuffer{}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -481,7 +481,7 @@ func drained(t *testing.T, cancel context.CancelFunc, served <-chan error) {
 // serving, cancelling the context drains and ListenAndServe returns nil
 // having logged the drain progression.
 func TestGracefulDrain(t *testing.T) {
-	addr, cancel, served, logw := listen(t, 2*time.Second)
+	addr, cancel, served, logw := listen(t, NewServer(Config{DrainTimeout: 2 * time.Second}))
 	code, _ := postPlan(t, "http://"+addr, fig2aBody)
 	if code != http.StatusOK {
 		t.Fatalf("POST /plan on live listener = %d, want 200", code)
@@ -493,31 +493,95 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestDrainStalledClient holds a connection open mid-header while the
-// daemon drains: the header timeout must close it so the drain still
-// returns nil instead of running out its deadline — both with a drain
-// longer than readHeaderTimeout and with one shorter than it.
+// TestDrainStalledClient holds a connection open mid-request while the
+// daemon drains — stalled mid-header, or with its headers sent and the
+// body stalled after 10 of its 100 declared bytes or after a complete
+// request shorter than the declared length. The read timeouts must
+// close it so the drain still returns nil instead of running out its
+// deadline, both with a drain longer than readHeaderTimeout and with one
+// shorter than it.
 func TestDrainStalledClient(t *testing.T) {
+	stalls := []struct{ name, sent string }{
+		{"header", "POST /plan HTTP/1.1\r\nHost: x\r\n"},
+		{"body", "POST /plan HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"system\":"},
+		{"body-after-value", "POST /plan HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n" + fig2aBody},
+	}
 	for _, drain := range []time.Duration{2 * time.Second, 500 * time.Millisecond} {
 		t.Run(drain.String(), func(t *testing.T) {
-			addr, cancel, served, _ := listen(t, drain)
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatalf("dial: %v", err)
+			for _, stall := range stalls {
+				t.Run(stall.name, func(t *testing.T) {
+					addr, cancel, served, _ := listen(t, NewServer(Config{DrainTimeout: drain}))
+					conn, err := net.Dial("tcp", addr)
+					if err != nil {
+						t.Fatalf("dial: %v", err)
+					}
+					defer conn.Close()
+					if _, err := io.WriteString(conn, stall.sent); err != nil {
+						t.Fatalf("writing the stalled request: %v", err)
+					}
+					// The listener accepts in dial order, so once a later
+					// connection has been served the stalled one is
+					// accepted and held by the server.
+					if code, _ := postPlan(t, "http://"+addr, fig2aBody); code != http.StatusOK {
+						t.Fatalf("POST /plan on live listener = %d, want 200", code)
+					}
+					drained(t, cancel, served)
+				})
 			}
-			defer conn.Close()
-			if _, err := io.WriteString(conn, "POST /plan HTTP/1.1\r\nHost: x\r\n"); err != nil {
-				t.Fatalf("writing partial header: %v", err)
-			}
-			// The listener accepts in dial order, so once a later connection
-			// has been served the stalled one is accepted and held by the
-			// server.
-			if code, _ := postPlan(t, "http://"+addr, fig2aBody); code != http.StatusOK {
-				t.Fatalf("POST /plan on live listener = %d, want 200", code)
-			}
-			drained(t, cancel, served)
 		})
 	}
+}
+
+// TestPlanOutlivesReadTimeout: the listener's read timeout bounds reading
+// a request, not serving it — a plan that runs three times past it on the
+// real listener keeps its request context and answers 200.
+func TestPlanOutlivesReadTimeout(t *testing.T) {
+	const drain = 200 * time.Millisecond // read timeout: drain/2
+	s := NewServer(Config{DrainTimeout: drain})
+	realPlan := s.planFn
+	s.planFn = func(ctx context.Context, sys *p2.System, req p2.Request) (*p2.PlanResult, error) {
+		time.Sleep(3 * drain / 2)
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("request context ended mid-plan: %w", err)
+		}
+		return realPlan(ctx, sys, req)
+	}
+	addr, cancel, served, _ := listen(t, s)
+	if code, data := postPlan(t, "http://"+addr, fig2aBody); code != http.StatusOK {
+		t.Fatalf("POST /plan = %d, want 200\nbody: %s", code, data)
+	}
+	drained(t, cancel, served)
+}
+
+// TestKeepAliveOutlivesReadTimeout: the read timeout bounds a request,
+// not the idle wait between two requests on one keep-alive connection.
+func TestKeepAliveOutlivesReadTimeout(t *testing.T) {
+	const drain = 200 * time.Millisecond // read timeout: drain/2
+	addr, cancel, served, _ := listen(t, NewServer(Config{DrainTimeout: drain}))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for i := 1; i <= 2; i++ {
+		if i > 1 {
+			time.Sleep(3 * drain / 2)
+		}
+		if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("request %d on one connection: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+	drained(t, cancel, served)
 }
 
 // TestCacheKeyNormalization table-drives the cache-key contract of
