@@ -556,6 +556,22 @@ func BenchmarkCostEstimate(b *testing.B) {
 	})
 }
 
+// BenchmarkRoute is the scorer's hottest leaf: one op routes every device
+// of superpod:16x32 (4 096 devices, three levels) to its mirror device,
+// n−1−d, into a reused buffer — mostly spine routes, which load all three
+// levels' uplinks on both sides.
+func BenchmarkRoute(b *testing.B) {
+	sys := topology.SuperPodSystem(16, 32)
+	n := sys.NumDevices()
+	path := make([]int, 0, 2*sys.NumLevels())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for d := 0; d < n; d++ {
+			path = sys.Route(d, n-1-d, path[:0])
+		}
+	}
+}
+
 func BenchmarkNetsimMeasure(b *testing.B) {
 	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
 	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})

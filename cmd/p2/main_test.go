@@ -344,6 +344,17 @@ func TestBuildSystemErrors(t *testing.T) {
 	if _, errOut, _ := exec("synth", "-system", "superpod:4x8", "-nodes", "8", "-axes", "[16 16]"); !strings.Contains(errOut, "node count") {
 		t.Errorf("-nodes on superpod:4x8: stderr does not name the node count: %q", errOut)
 	}
+	// A system of 2³² or more devices is refused while resolving -system,
+	// before any axes check or planning.
+	for _, args := range [][]string{
+		{"placements", "-system", "superpod:4294967296x4294967296", "-axes", "[4]"},
+		{"synth", "-system", "a100", "-nodes", "536870912", "-axes", "[16]"},
+	} {
+		out, errOut, code := exec(args...)
+		if code != 1 || out != "" || !strings.Contains(errOut, "2^32") {
+			t.Errorf("%v: exit=%d out=%q err=%q", args, code, out, errOut)
+		}
+	}
 }
 
 func TestTraceSummaryCommand(t *testing.T) {

@@ -693,3 +693,53 @@ func TestPlanMemoizedStats(t *testing.T) {
 		t.Errorf("no memo sharing on SuperPod(2,4): %+v", res.Stats)
 	}
 }
+
+// TestPlanStatsPinned pins the planner's work counters at Parallelism 1,
+// where they repeat exactly, on the eleven shapes of the bench cold_topk
+// workload (top-5, cold memo). A change in what the bounds prune or what
+// synthesis runs moves a row; re-record deliberately. Summed over the
+// rows: 20 synthesis runs, 74 pruned placements, 4 515 pruned programs,
+// 183 candidates (22, 72, 4 701 and 183 before the placement bound grew
+// its volume term: superpod:8x8 and 16x32 each drop a synthesis run).
+func TestPlanStatsPinned(t *testing.T) {
+	for _, r := range []struct {
+		system string
+		nodes  int
+		axes   []int
+		reduce []int
+		auto   bool
+		// Placements, SynthRuns, MemoHits, Candidates, PrunedPlacements,
+		// PrunedPrograms, BoundTightenings.
+		want [7]int
+	}{
+		{"a100", 4, []int{8, 8}, []int{0}, false, [7]int{3, 2, 0, 8, 1, 88, 3}},
+		{"a100", 4, []int{8, 8}, []int{0}, true, [7]int{3, 2, 0, 5, 1, 91, 1}},
+		{"a100", 4, []int{4, 4, 4}, []int{0, 2}, false, [7]int{6, 3, 1, 38, 2, 244, 23}},
+		{"v100", 4, []int{4, 8}, []int{1}, false, [7]int{3, 3, 0, 38, 0, 151, 23}},
+		{"superpod:2x4", 0, []int{8, 8}, []int{0}, false, [7]int{6, 2, 0, 8, 4, 88, 3}},
+		{"superpod:3x4", 0, []int{12, 8}, []int{0}, false, [7]int{3, 2, 1, 19, 0, 1802, 10}},
+		{"superpod:3x4", 0, []int{12, 8}, []int{0}, true, [7]int{3, 2, 1, 18, 0, 1803, 10}},
+		{"superpod:4x8", 0, []int{16, 16}, []int{0}, false, [7]int{10, 1, 0, 14, 9, 79, 6}},
+		{"superpod:4x8", 0, []int{4, 8, 8}, []int{0}, false, [7]int{35, 1, 5, 14, 29, 4, 2}},
+		{"superpod:8x8", 0, []int{32, 16}, []int{0}, false, [7]int{12, 1, 0, 11, 11, 82, 6}},
+		{"superpod:16x32", 0, []int{64, 64}, []int{0}, false, [7]int{18, 1, 0, 10, 17, 83, 4}},
+	} {
+		sys, err := p2.ParseSystem(r.system, r.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := p2.Request{Axes: r.axes, ReduceAxes: r.reduce, TopK: 5, Parallelism: 1}
+		if r.auto {
+			req.Algos = p2.ExtendedAlgorithms
+		}
+		res, err := p2.Plan(sys, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Stats
+		got := [7]int{s.Placements, s.SynthRuns, s.MemoHits, s.Candidates, s.PrunedPlacements, s.PrunedPrograms, s.BoundTightenings}
+		if got != r.want {
+			t.Errorf("%s %v reduce %v auto=%v: counters %v, want %v", r.system, r.axes, r.reduce, r.auto, got, r.want)
+		}
+	}
+}

@@ -40,16 +40,27 @@ const boundSafety = 1 - 1e-9
 //
 // for every entity E; the bound takes the best (max) entity.
 //
+// Volume: per byte position, an all-reduce among e parties needs at least
+// 2(e−1) one-way messages between them (the directed-gossip minimum). A
+// group touching e_l level-l entities therefore sends at least 2(e_l−1)
+// Bytes between them, and Route charges each such byte to two uplinks of
+// S_l, the level-l entities the groups touch; by the mediant inequality
+//
+//	Σ_steps worst_s ≥ 4·Bytes·C_l / Σ_{E∈S_l} bandwidth(E),  C_l = Σ_groups (e_l−1)
+//
+// for every level l (DESIGN.md §6.1 has the proof). On a ring-optimal
+// placement this term is exact and 2(e−1)/e times the per-entity one.
+//
 // Latency: let l* be the root-most level any reduction group spans. Data
 // of a group spanning l* must cross between two level-l* entities, so some
 // step contains an edge diverging at a level ≤ l*; that step pays at least
 // one round of that uplink's latency, so Σ_steps rounds_s·lat_s ≥ the
 // minimum uplink latency over levels ≤ l*.
 //
-// The bound is exactly tight (up to rounding) for the hierarchical
-// ReduceScatter/AllReduce/AllGather strategy on two-level systems, which
-// is what makes it useful: placements whose best program is far from the
-// incumbent top-K are provably outside it without synthesizing anything.
+// On ring-optimal placements the bound's bandwidth part is exact (up to
+// rounding), which is what makes it useful: placements whose best program
+// is far from the incumbent top-K are provably outside it without
+// synthesizing anything.
 //
 // placementBound is the scratch-free convenience wrapper used by tests
 // and one-shot callers; the engine's workers call boundScratch's method
@@ -62,14 +73,15 @@ func placementBound(sys *topology.System, h *hierarchy.Hierarchy, bytes float64)
 }
 
 // boundScratch is per-worker reusable scratch for placementBound: splits
-// holds the per-entity split-group counters (zeroed again by the final
-// max-scan before every return), ents the distinct entity ids of one
-// group at one level, deduplicated through seen — an entry equal to gen
-// marks an entity already in ents, so a new group and level needs only
-// gen++, not a clear (as Scorer.addTree's partition stamps). The zero
-// value is ready to use.
+// holds the per-entity split-group counters and vol the per-level C_l
+// (both zeroed again by the final max-scan before every return), ents the
+// distinct entity ids of one group at one level, deduplicated through seen
+// — an entry equal to gen marks an entity already in ents, so a new group
+// and level needs only gen++, not a clear (as Scorer.addTree's partition
+// stamps). The zero value is ready to use.
 type boundScratch struct {
 	splits []int
+	vol    []int
 	ents   []int
 	seen   []uint64
 	gen    uint64
@@ -92,6 +104,9 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 	if cap(bs.splits) < offsets[L] {
 		bs.splits = make([]int, offsets[L])  //p2:alloc-ok scratch growth to the largest system seen, amortized across a run's placements
 		bs.seen = make([]uint64, offsets[L]) //p2:alloc-ok grows with splits, amortized likewise
+	}
+	if len(bs.vol) < L {
+		bs.vol = make([]int, L) //p2:alloc-ok grows to the deepest system seen, amortized likewise
 	}
 	splits := bs.splits[:offsets[L]]
 	crossed := L // root-most level any group spans (L = none)
@@ -121,6 +136,7 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 				if l < crossed {
 					crossed = l
 				}
+				bs.vol[l] += len(ents) - 1
 				for _, e := range ents {
 					splits[offsets[l]+e]++
 				}
@@ -133,6 +149,7 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 	worst := 0.0
 	for l := 0; l < L; l++ {
 		sub := splits[offsets[l]:offsets[l+1]]
+		bw := 0.0 // Σ bandwidth over S_l, the level's touched entities
 		for e, n := range sub {
 			if n == 0 {
 				// Skip untouched entities: besides the scan cost, a down
@@ -142,16 +159,18 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 			// Re-zero the dirtied counter so the scratch is clean for the
 			// next placement; untouched entries are already zero.
 			sub[e] = 0
-			// Per-entity effective bandwidth keeps the bound admissible —
-			// and tighter than a worst-case-per-level bandwidth would —
-			// because the flow argument above is already per-entity: entity
-			// E's 2·Bytes·splitGroups(E) crosses E's own uplink. A down
-			// uplink (bandwidth 0) with splits yields +Inf: every program
-			// for this placement must cross it, so every prediction is +Inf
-			// too and the bound remains a true lower bound.
-			if t := 2 * bytes * float64(n) / sys.LinkBandwidth(l, e); t > worst {
-				worst = t
-			}
+			// The flow argument is per entity, so each entity's own
+			// effective bandwidth keeps the bound admissible. A down uplink
+			// (bandwidth 0) with splits yields +Inf: every program for this
+			// placement crosses it, so every prediction is +Inf too.
+			b := sys.LinkBandwidth(l, e)
+			bw += b
+			worst = max(worst, 2*bytes*float64(n)/b)
+		}
+		// The volume term (C_l > 0 exactly when S_l is non-empty: no 0/0).
+		if c := bs.vol[l]; c > 0 {
+			bs.vol[l] = 0
+			worst = max(worst, 4*bytes*float64(c)/bw)
 		}
 	}
 	lat := 0.0

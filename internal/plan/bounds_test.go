@@ -2,10 +2,14 @@ package plan
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"p2/internal/cost"
+	"p2/internal/factor"
 	"p2/internal/hierarchy"
 	"p2/internal/lower"
 	"p2/internal/placement"
@@ -144,6 +148,148 @@ func TestPlacementBoundAdmissibleRandomOverrides(t *testing.T) {
 	}
 }
 
+// entityTerm is the bound without its volume term: the best per-entity
+// flow term plus the latency term, scaled by boundSafety, from the
+// definition — every (group, replica, level) charges each distinct entity
+// it splits across once.
+func entityTerm(sys *topology.System, h *hierarchy.Hierarchy, bytes float64) float64 {
+	splits := map[[2]int]int{}
+	crossed := sys.NumLevels()
+	for u, grp := range h.Groups {
+		if len(grp) < 2 || grp[0] != u {
+			continue
+		}
+		for r := 0; r < h.Replicas(); r++ {
+			for l := 0; l < sys.NumLevels(); l++ {
+				ents := map[int]bool{}
+				for _, v := range grp {
+					ents[sys.EntityID(h.Leaves[v][r], l)] = true
+				}
+				if len(ents) < 2 {
+					continue
+				}
+				crossed = min(crossed, l)
+				for e := range ents {
+					splits[[2]int{l, e}]++
+				}
+			}
+		}
+	}
+	worst := 0.0
+	for le, n := range splits {
+		worst = max(worst, 2*bytes*float64(n)/sys.LinkBandwidth(le[0], le[1]))
+	}
+	lat := 0.0
+	if crossed < sys.NumLevels() {
+		lat = math.Inf(1)
+		for l := 0; l <= crossed; l++ {
+			lat = min(lat, sys.MinLinkLatency(l))
+		}
+	}
+	return (worst + lat) * boundSafety
+}
+
+// TestPlacementBoundAdmissibleGenerated holds the bound admissible on
+// generated systems: 2–3 levels with fan-outs 1–6 (non-powers of two
+// among them), random per-level bandwidths and latencies, random
+// overrides including outages, and every axes factorization (axes ≥ 2,
+// up to three) with every reduce set. For every placement, synthesized
+// program and algorithm of cost.ExtendedAlgorithms the bound is at most
+// the prediction, and never below the per-entity term it extends.
+func TestPlacementBoundAdmissibleGenerated(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	shapes := [][]int{{3, 5}, {3, 2, 2}, {6, 1, 4}, {2, 3}, {1, 6}, {5, 2, 2}}
+	for len(shapes) < 12 {
+		sh := make([]int, 2+rng.Intn(2))
+		for i := range sh {
+			sh[i] = 1 + rng.Intn(6)
+		}
+		if n := factor.Product(sh); n >= 4 && n <= 24 {
+			shapes = append(shapes, sh)
+		}
+	}
+	cases, checked := 0, 0
+	for si, sh := range shapes {
+		lv := make([]topology.Level, len(sh))
+		up := make([]topology.Link, len(sh))
+		for l, c := range sh {
+			lv[l] = topology.Level{Name: fmt.Sprintf("l%d", l), Count: c}
+			up[l] = topology.Link{Name: fmt.Sprintf("u%d", l), Bandwidth: 1e9 * math.Exp2(8*rng.Float64()), Latency: 20e-6 * rng.Float64()}
+		}
+		sys, err := topology.New(fmt.Sprintf("gen%d", si), lv, up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ovs []topology.LinkOverride
+		for n := rng.Intn(4); n > 0; n-- {
+			l := rng.Intn(sys.NumLevels())
+			o := topology.LinkOverride{Level: l, Entity: rng.Intn(sys.EntitiesAt(l)), BandwidthScale: 1, LatencyScale: 1}
+			switch rng.Intn(4) {
+			case 0:
+				o.BandwidthScale = 0 // down
+			case 1:
+				o.BandwidthScale = 0.05 + 0.95*rng.Float64()
+			case 2:
+				o.LatencyScale = 1 + 31*rng.Float64()
+			case 3:
+				o.LossFrac = 0.9 * rng.Float64()
+			}
+			ovs = append(ovs, o)
+		}
+		if len(ovs) > 0 {
+			if sys, err = sys.WithOverrides(ovs...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bytes := cost.DefaultPayload(sys)
+		for k := 1; k <= 3; k++ {
+			for _, axes := range factor.OrderedFactorizations(sys.NumDevices(), k) {
+				if slices.Contains(axes, 1) {
+					continue
+				}
+				matrices, err := placement.Enumerate(sys.Hierarchy(), axes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for mask := 1; mask < 1<<k; mask++ {
+					var red []int
+					for a := 0; a < k; a++ {
+						if mask>>a&1 == 1 {
+							red = append(red, a)
+						}
+					}
+					cases++
+					for _, m := range matrices {
+						h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, red, hierarchy.Options{Collapse: len(red) > 1})
+						if err != nil {
+							t.Fatal(err)
+						}
+						bound := placementBound(sys, h, bytes)
+						if old := entityTerm(sys, h, bytes); bound < old {
+							t.Fatalf("%v axes %v reduce %v matrix %v: bound %v below the per-entity term %v", sys, axes, red, m, bound, old)
+						}
+						for _, prog := range synth.Synthesize(h, synth.Options{}).Programs {
+							lp, err := lower.Lower(prog, h)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, algo := range cost.ExtendedAlgorithms {
+								model := &cost.Model{Sys: sys, Algo: algo, Bytes: bytes}
+								if predicted := model.ProgramTime(lp); bound > predicted {
+									t.Fatalf("%v overrides %+v axes %v reduce %v matrix %v program %v algo %v: bound %v exceeds predicted %v",
+										sys, ovs, axes, red, m, prog, algo, bound, predicted)
+								}
+								checked++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d systems, %d (axes, reduce) cases, %d (placement, program, algorithm) checks", len(shapes), cases, checked)
+}
+
 // TestPlacementBoundTightOnHierarchicalStrategy pins the bound's teeth:
 // on the canonical two-level A100 placement the bound must reach a good
 // fraction of the best program's cost — a vacuous bound (say, 0) would
@@ -174,6 +320,49 @@ func TestPlacementBoundTightOnHierarchicalStrategy(t *testing.T) {
 		}
 		if bound < best/4 {
 			t.Errorf("matrix %v: bound %v is <25%% of best program %v — too loose to prune", m, bound, best)
+		}
+	}
+	// On a ring-optimal placement the volume term is exact: on a100:4
+	// [8 8] placement 0 (eight groups of eight GPUs, each within one node)
+	// the bandwidth part of the bound equals the best program's, so with
+	// zero-latency links the bound is the best program up to boundSafety,
+	// and with the preset's latencies it is short only by the latency
+	// rounds the bound does not charge. The per-entity term alone is
+	// 2(e−1)/e = 1.75 times looser there (e = 8 GPU entities per group).
+	a100 := topology.A100System(4)
+	flat := make([]topology.Link, len(a100.Uplinks))
+	for i, u := range a100.Uplinks {
+		flat[i] = topology.Link{Name: u.Name, Bandwidth: u.Bandwidth}
+	}
+	noLat, err := topology.New("a100-4node-nolat", a100.Levels, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sys *topology.System
+		tol float64
+	}{{noLat, 2e-9}, {a100, 1e-3}} {
+		matrices, err := placement.Enumerate(tc.sys.Hierarchy(), []int{8, 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := cost.DefaultPayload(tc.sys)
+		model := &cost.Model{Sys: tc.sys, Algo: cost.Ring, Bytes: bytes}
+		h, err := hierarchy.Build(hierarchy.KindReductionAxes, matrices[0], []int{0}, hierarchy.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := math.Inf(1)
+		for _, prog := range synth.Synthesize(h, synth.Options{}).Programs {
+			lp, err := lower.Lower(prog, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, model.ProgramTime(lp))
+		}
+		if bound := placementBound(tc.sys, h, bytes); bound > best || bound < best*(1-tc.tol) {
+			t.Errorf("%s [8 8] matrix %v: bound %v, best program %v (ratio %v), want equal within %g",
+				tc.sys.Name, matrices[0], bound, best, best/bound, tc.tol)
 		}
 	}
 }
@@ -214,6 +403,33 @@ func TestPlacementBoundZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("placementBound allocates %v times per call on warm scratch, want 0", allocs)
+	}
+}
+
+// BenchmarkPlacementBound is the analytic stage's per-placement cut: one
+// op bounds all 18 placements of superpod:16x32 [64 64] reducing axis 0
+// (the largest cold_topk shape) on one warm scratch.
+func BenchmarkPlacementBound(b *testing.B) {
+	sys := topology.SuperPodSystem(16, 32)
+	matrices, err := placement.Enumerate(sys.Hierarchy(), []int{64, 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs := make([]*hierarchy.Hierarchy, len(matrices))
+	for i, m := range matrices {
+		if hs[i], err = hierarchy.Build(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bytes := cost.DefaultPayload(sys)
+	var bs boundScratch
+	bs.placementBound(sys, hs[0], bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, h := range hs {
+			bs.placementBound(sys, h, bytes)
+		}
 	}
 }
 

@@ -471,11 +471,12 @@ func (ms *matrixScorer) score(prog dsl.Program, shapes []dsl.Shape, cutoff func(
 // times come from the one evaluator (cost.Scorer) the Model's methods
 // borrow too, and the per-program sum runs over them in the same order as
 // cost.Model.BestStepAlgos (resp. ProgramTime), so predictions are
-// bit-identical to the serial brute-force path. The two request shapes
-// differ only in cutoff and emit: a single reduction cuts against the
-// run's top-K threshold and emits into the worker heap (which can tighten
-// the threshold mid-placement); a joint reduction cuts against its own
-// incumbent best and keeps the minimum (DESIGN.md §6.1, cut 3).
+// bit-identical to the serial brute-force path. cutoff(0) before a program
+// cuts it and every later one, as their first steps would. The two request
+// shapes differ only in cutoff and emit: a single reduction cuts against
+// the run's top-K threshold and emits into the worker heap (which can
+// tighten the threshold mid-placement); a joint reduction cuts against its
+// own incumbent best and keeps the minimum (DESIGN.md §6.1, cut 3).
 //
 // Cancellation is cooperative at program granularity: ctx is consulted
 // between programs and the first observed cancellation returns ctx.Err()
@@ -491,6 +492,10 @@ func (p *Planner) scorePrograms(ctx context.Context, ws *workerState, mi int, m 
 		if err := ctx.Err(); err != nil {
 			rc.scored.Add(int64(scored))
 			return err
+		}
+		if cutoff(0) {
+			rc.prunedPrograms.Add(int64(len(res.Programs) - pi))
+			break
 		}
 		c := ms.scoreProgram(mi, pi, m, prog, res.Shapes[pi], cutoff)
 		if c == nil {
@@ -544,7 +549,9 @@ func (p *Planner) RunStreamCtx(ctx context.Context, stream func(func(*placement.
 // remove a final top-K member: the bound never exceeds any program's true
 // cost, partial sums never exceed the total (step costs are
 // non-negative), and both cuts require strictly exceeding a value that K
-// scored candidates already meet.
+// scored candidates already meet. The program cut compares max(partial,
+// bound), so the placement cut is re-checked after synthesis, against a
+// threshold other workers may have tightened meanwhile.
 func (p *Planner) single(ctx context.Context, reduceAxes []int, model *cost.Model, opts Options) shape[*Candidate] {
 	return shape[*Candidate]{
 		produce: func(ws *workerState, mi int, m *placement.Matrix, prune bool, rc *runCounters, thr *threshold, emit func(*Candidate)) error {
@@ -552,12 +559,15 @@ func (p *Planner) single(ctx context.Context, reduceAxes []int, model *cost.Mode
 			if err != nil {
 				return err
 			}
-			if prune && ws.bounds.placementBound(model.Sys, h, model.Bytes) > thr.load() {
-				rc.prunedPlacements.Add(1)
-				return nil
+			bound := 0.0
+			if prune {
+				if bound = ws.bounds.placementBound(model.Sys, h, model.Bytes); bound > thr.load() {
+					rc.prunedPlacements.Add(1)
+					return nil
+				}
 			}
 			return p.scorePrograms(ctx, ws, mi, m, h, model, opts, rc,
-				func(partial float64) bool { return prune && partial > thr.load() }, emit)
+				func(partial float64) bool { return prune && max(partial, bound) > thr.load() }, emit)
 		},
 		less: Less,
 		key:  func(c *Candidate) float64 { return c.Predicted },

@@ -352,6 +352,37 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTooManyDevicesRefused: a system of 2³² or more devices is a 400
+// naming the limit, refused while resolving the request — before the
+// strategy cache is consulted and without a planner call. superpod:2³²x2³²
+// used to resolve to a system of 0 devices and reach the planner.
+func TestTooManyDevicesRefused(t *testing.T) {
+	s := NewServer(Config{})
+	var calls atomic.Int64
+	s.planFn = func(ctx context.Context, sys *p2.System, req p2.Request) (*p2.PlanResult, error) {
+		calls.Add(1)
+		return nil, fmt.Errorf("planner called for %s", sys.Name)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, body := range []string{
+		`{"system": "superpod:4294967296x4294967296", "axes": [4]}`,
+		`{"system": "superpod:65536x8192", "axes": [4294967296]}`,
+		`{"system": "a100", "nodes": 536870912, "axes": [16]}`,
+	} {
+		code, data := postPlan(t, ts.URL, body)
+		if code != http.StatusBadRequest || !strings.Contains(string(data), "2^32") {
+			t.Errorf("POST %s = %d %s, want a 400 naming 2^32", body, code, data)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("planner ran %d times on refused systems", n)
+	}
+	if h, m := s.hits.Load(), s.misses.Load(); h+m != 0 {
+		t.Errorf("cache consulted for refused systems: %d hits, %d misses", h, m)
+	}
+}
+
 // TestHealthzAndStatz checks the probes: liveness text and the counter
 // payload after a hit/miss pair.
 func TestHealthzAndStatz(t *testing.T) {

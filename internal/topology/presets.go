@@ -29,12 +29,13 @@ const (
 
 // A100System models the GCP A100 configuration of Fig. 9a: `nodes` nodes,
 // each with 16 GPUs sharing one NVSwitch and one NIC to the data-center
-// network. The paper uses the hierarchy [nodes 16].
-func A100System(nodes int) *System {
-	if nodes <= 0 {
-		panic(fmt.Sprintf("topology: A100System(%d)", nodes))
-	}
-	return MustNew(
+// network. The paper uses the hierarchy [nodes 16]. It panics where
+// NewA100System errs.
+func A100System(nodes int) *System { return must(NewA100System(nodes)) }
+
+// NewA100System is A100System returning New's error.
+func NewA100System(nodes int) (*System, error) {
+	return New(
 		fmt.Sprintf("a100-%dnode", nodes),
 		[]Level{{Name: "node", Count: nodes}, {Name: "gpu", Count: 16}},
 		[]Link{
@@ -52,12 +53,13 @@ func A100System(nodes int) *System {
 //
 // The returned system carries a CrossDomainModel so that the event-level
 // emulator can reproduce the cross-domain traffic the analytic model
-// ignores — the paper's stated source of reduced V100 accuracy (§5).
-func V100System(nodes int) *System {
-	if nodes <= 0 {
-		panic(fmt.Sprintf("topology: V100System(%d)", nodes))
-	}
-	s := MustNew(
+// ignores — the paper's stated source of reduced V100 accuracy (§5). It
+// panics where NewV100System errs.
+func V100System(nodes int) *System { return must(NewV100System(nodes)) }
+
+// NewV100System is V100System returning New's error.
+func NewV100System(nodes int) (*System, error) {
+	s, err := New(
 		fmt.Sprintf("v100-%dnode", nodes),
 		[]Level{{Name: "node", Count: nodes}, {Name: "gpu", Count: 8}},
 		[]Link{
@@ -65,11 +67,14 @@ func V100System(nodes int) *System {
 			{Name: "NVLinkRing", Bandwidth: V100RingBandwidth, Latency: NVLinkLatency},
 		},
 	)
+	if err != nil {
+		return nil, err
+	}
 	return s.WithCrossDomain(CrossDomainModel{
 		DomainsPerNode: 2,
 		Bandwidth:      PCIeBandwidth,
 		Latency:        PCIeLatency,
-	})
+	}), nil
 }
 
 // SuperPodSystem models a three-level DGX-style cluster beyond the paper's
@@ -78,12 +83,13 @@ func V100System(nodes int) *System {
 // InfiniBand-rail bandwidth; pods reach the cluster spine through an
 // oversubscribed uplink. Useful for projecting the paper's techniques onto
 // deeper hierarchies (§7's "projections about communication costs when
-// investigating new system hierarchies").
-func SuperPodSystem(pods, nodesPerPod int) *System {
-	if pods <= 0 || nodesPerPod <= 0 {
-		panic(fmt.Sprintf("topology: SuperPodSystem(%d, %d)", pods, nodesPerPod))
-	}
-	return MustNew(
+// investigating new system hierarchies"). It panics where NewSuperPodSystem
+// errs.
+func SuperPodSystem(pods, nodesPerPod int) *System { return must(NewSuperPodSystem(pods, nodesPerPod)) }
+
+// NewSuperPodSystem is SuperPodSystem returning New's error.
+func NewSuperPodSystem(pods, nodesPerPod int) (*System, error) {
+	return New(
 		fmt.Sprintf("superpod-%dx%d", pods, nodesPerPod),
 		[]Level{
 			{Name: "pod", Count: pods},

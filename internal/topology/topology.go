@@ -16,6 +16,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"p2/internal/factor"
@@ -76,6 +77,8 @@ type System struct {
 	Overrides []LinkOverride
 
 	radix *factor.Radix
+	// recip[l] is ⌈2⁶⁴/Weight(l)⌉, or 0 when the weight is 1; see quo.
+	recip []uint64
 	// entOffsets[l] is the cumulative entity count of levels above l; see
 	// EntityOffsets.
 	entOffsets []int
@@ -101,7 +104,10 @@ func New(name string, levels []Level, uplinks []Link) (*System, error) {
 
 // MustNew is New panicking on error; intended for preset construction.
 func MustNew(name string, levels []Level, uplinks []Link) *System {
-	s, err := New(name, levels, uplinks)
+	return must(New(name, levels, uplinks))
+}
+
+func must(s *System, err error) *System {
 	if err != nil {
 		panic(err)
 	}
@@ -143,10 +149,18 @@ func (s *System) init() error {
 	}
 	s.radix = factor.NewRadix(sizes)
 	s.entOffsets = make([]int, len(s.Levels)+1)
+	s.recip = make([]uint64, len(s.Levels))
 	prod := 1
 	for l, lv := range s.Levels {
+		// Checked before multiplying, so the device count cannot overflow.
+		if prod > math.MaxUint32/lv.Count {
+			return fmt.Errorf("topology: system %q has 2^32 or more devices; at most 2^32-1 are supported", s.Name)
+		}
 		prod *= lv.Count
 		s.entOffsets[l+1] = s.entOffsets[l] + prod
+		if w := s.radix.Weight(l); w > 1 {
+			s.recip[l] = math.MaxUint64/uint64(w) + 1
+		}
 	}
 	return s.initOverrides()
 }
@@ -223,7 +237,7 @@ func (s *System) DivergenceLevel(a, b int) int {
 		return -1
 	}
 	for l := range s.Levels {
-		if w := s.radix.Weight(l); a/w != b/w {
+		if s.quo(a, l) != s.quo(b, l) {
 			return l
 		}
 	}
@@ -254,7 +268,19 @@ func (s *System) GroupSpanLevel(group []int) int {
 // the mixed-radix prefix of its address truncated at level l, encoded as a
 // single integer unique among level-l entities. Dropping the digits below
 // level l is one quotient by their positional weight.
-func (s *System) EntityID(dev, l int) int { return dev / s.radix.Weight(l) }
+func (s *System) EntityID(dev, l int) int { return s.quo(dev, l) }
+
+// quo is dev / Weight(l) as the high word of dev × ⌈2⁶⁴/w⌉ (Lemire, Kaser
+// & Kurz 2019): exact for every dev < 2³² when w ≤ 2³², which New's
+// device-count limit guarantees.
+func (s *System) quo(dev, l int) int {
+	r := s.recip[l]
+	if r == 0 {
+		return dev
+	}
+	q, _ := bits.Mul64(uint64(dev), r)
+	return int(q)
+}
 
 // Route is the one router: it appends to path the dense uplink indices
 // (EntityOffsets()[l] + EntityID(x, l)) that a transfer between devices a
@@ -268,8 +294,7 @@ func (s *System) EntityID(dev, l int) int { return dev / s.radix.Weight(l) }
 //p2:zeroalloc
 func (s *System) Route(a, b int, path []int) []int {
 	for l, off := range s.entOffsets[:len(s.Levels)] {
-		w := s.radix.Weight(l)
-		if qa, qb := a/w, b/w; qa != qb {
+		if qa, qb := s.quo(a, l), s.quo(b, l); qa != qb {
 			path = append(path, off+qa, off+qb) //p2:alloc-ok appends into the caller's buffer; a reused buffer stops growing after the longest route
 		}
 	}

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -403,4 +405,62 @@ func TestSuperPodPanicsOnBadArgs(t *testing.T) {
 		}
 	}()
 	SuperPodSystem(0, 0)
+}
+
+// TestNewRefusesTooManyDevices: a system of 2³² or more devices is
+// refused with an error naming it — including products that wrap a
+// 64-bit int to a small or zero count — while 2³² − 1 devices is accepted
+// and routed exactly at its top device.
+func TestNewRefusesTooManyDevices(t *testing.T) {
+	up := func(n int) []Link {
+		out := make([]Link, n)
+		for i := range out {
+			out[i] = Link{Name: fmt.Sprintf("u%d", i), Bandwidth: 1e9}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		counts []int
+	}{
+		{"exactly-2^32", []int{1 << 16, 1 << 16}},
+		{"wraps-to-zero", []int{1 << 32, 1 << 32, 8}},
+		{"wraps-to-small", []int{1<<62 + 1, 4}},
+		{"a100-2^29-nodes", []int{1 << 29, 16}},
+	} {
+		lv := make([]Level, len(tc.counts))
+		for i, c := range tc.counts {
+			lv[i] = Level{Name: fmt.Sprintf("l%d", i), Count: c}
+		}
+		if s, err := New(tc.name, lv, up(len(lv))); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("New(%s %v) = %v, %v; want an error naming the system", tc.name, tc.counts, s, err)
+		}
+	}
+	if s, err := NewA100System(1 << 29); err == nil || !strings.Contains(err.Error(), "a100-536870912node") {
+		t.Errorf("NewA100System(2^29) = %v, %v; want an error naming the system", s, err)
+	}
+	if s, err := NewSuperPodSystem(1<<32, 1<<32); err == nil || !strings.Contains(err.Error(), "superpod-4294967296x4294967296") {
+		t.Errorf("NewSuperPodSystem(2^32, 2^32) = %v, %v; want an error naming the system", s, err)
+	}
+	if s, err := NewV100System(1 << 29); err == nil {
+		t.Errorf("NewV100System(2^29) = %v, want an error", s)
+	}
+	for _, counts := range [][]int{{65535, 65537}, {65537, 65535}, {3, 5, 17, 257, 65537}} {
+		lv := make([]Level, len(counts))
+		for i, c := range counts {
+			lv[i] = Level{Name: fmt.Sprintf("l%d", i), Count: c}
+		}
+		s, err := New("limit", lv, up(len(lv)))
+		if err != nil {
+			t.Fatalf("New(%v): %v", counts, err)
+		}
+		n := s.NumDevices()
+		if n != math.MaxUint32 {
+			t.Fatalf("New(%v) has %d devices, want 2^32-1", counts, n)
+		}
+		for _, d := range []int{0, 1, n / 2, n - 65538, n - 65537, n - 2, n - 1} {
+			checkRoute(t, s, d, n-1-d)
+			checkRoute(t, s, d, n-1)
+		}
+	}
 }

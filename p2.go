@@ -184,9 +184,9 @@ func ParseSystem(name string, nodes int) (*System, error) {
 			nodes = 4
 		}
 		if lname == "a100" {
-			return topology.A100System(nodes), nil
+			return topology.NewA100System(nodes)
 		}
-		return topology.V100System(nodes), nil
+		return topology.NewV100System(nodes)
 	}
 	shape, superpod := strings.CutPrefix(lname, "superpod")
 	if !superpod && lname != "fig2a" {
@@ -205,7 +205,7 @@ func ParseSystem(name string, nodes int) (*System, error) {
 			return nil, err
 		}
 	}
-	return topology.SuperPodSystem(pods, nodesPerPod), nil
+	return topology.NewSuperPodSystem(pods, nodesPerPod)
 }
 
 // parseSuperPodShape parses the ":PxN" suffix of superpod:PxN.

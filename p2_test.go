@@ -81,6 +81,36 @@ func TestPlanErrors(t *testing.T) {
 	}
 }
 
+// TestParseSystemRefusesTooManyDevices: a preset shape of 2³² or more
+// devices is an error naming the system, not a system whose device count
+// wrapped (superpod:2³²x2³² used to parse with 0 devices) or one too large
+// to route exactly (a100 with 2²⁹ nodes used to parse with 8.6 G devices).
+// The largest shapes below the limit still parse.
+func TestParseSystemRefusesTooManyDevices(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		want  string
+	}{
+		{"superpod:4294967296x4294967296", 0, "superpod-4294967296x4294967296"},
+		{"superpod:65536x8192", 0, "superpod-65536x8192"},
+		{"a100", 1 << 29, "a100-536870912node"},
+		{"v100", 1 << 29, "v100-536870912node"},
+	} {
+		if sys, err := ParseSystem(tc.name, tc.nodes); err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "2^32") {
+			t.Errorf("ParseSystem(%q, %d) = %v, %v; want a 2^32 error naming %s", tc.name, tc.nodes, sys, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		nodes int
+	}{{"superpod:65535x8192", 0}, {"a100", 1<<28 - 1}} {
+		if _, err := ParseSystem(tc.name, tc.nodes); err != nil {
+			t.Errorf("ParseSystem(%q, %d): %v", tc.name, tc.nodes, err)
+		}
+	}
+}
+
 // TestInvalidSimOptionsRefused: every emulator option must be finite and
 // non-negative. The planning entry points refuse a bad one before planning
 // starts and a direct MeasureWith panics naming the field. Unchecked, a

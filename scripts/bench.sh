@@ -34,8 +34,10 @@ collect() {
 echo "commit: $(git describe --always --dirty 2>/dev/null || echo unknown)" > "$TMP/out"
 echo "bench.sh: go test rows, -count $COUNT -benchtime $BENCHTIME" >&2
 collect go test -run XXX \
-  -bench 'BenchmarkPlanSuperPod2x4|BenchmarkPlanSuperPod3x4|BenchmarkPlanSuperPod3x4Degraded|BenchmarkPlanSuperPod4x8|BenchmarkPlanSuperPod16x32|BenchmarkPlanJointEngine|BenchmarkPlanFreshBytesWarm|BenchmarkSynthesize/|BenchmarkCostEstimate|BenchmarkLower$|BenchmarkBind$|BenchmarkNetsimMeasure|BenchmarkNetsimConcurrent|BenchmarkPlanRankAll' \
+  -bench 'BenchmarkPlanSuperPod2x4|BenchmarkPlanSuperPod3x4|BenchmarkPlanSuperPod3x4Degraded|BenchmarkPlanSuperPod4x8|BenchmarkPlanSuperPod16x32|BenchmarkPlanJointEngine|BenchmarkPlanFreshBytesWarm|BenchmarkSynthesize/|BenchmarkCostEstimate|BenchmarkLower$|BenchmarkBind$|BenchmarkNetsimMeasure|BenchmarkNetsimConcurrent|BenchmarkPlanRankAll|BenchmarkRoute$' \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
+collect go test -run XXX -bench 'BenchmarkPlacementBound$' \
+  -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/plan
 
 go build -o "$TMP/bench" ./bench
 for seed in $(seq 1 "$COUNT"); do

@@ -2,7 +2,7 @@
 # textalign.sh — print where the linker put the planner's hot loops and the
 # bench's calibration kernel (main.refKernel, which sets the machine
 # factor): the address and the address mod 64 (the offset inside a 64-byte
-# cache line) of five symbols in the bench binary, read from
+# cache line) of six symbols in the bench binary, read from
 # `go tool nm -size -sort address`. Timings on a small box move by several
 # percent when a hot loop slides across a cache-line boundary
 # (EXPERIMENTS.md "One event loop", "One schedule expansion"), so a
@@ -16,7 +16,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-syms='p2/internal/cost.(*Scorer).addEdge
+syms='p2/internal/topology.(*System).Route
+p2/internal/cost.(*Scorer).addEdge
 p2/internal/cost.(*Scorer).StepTimeAlgo
 p2/internal/plan.(*matrixScorer).score
 p2/internal/netsim.(*Simulator).MeasureConcurrentSpecs
