@@ -159,43 +159,43 @@ func benchTable4(b *testing.B, cfg eval.Config, key string) {
 
 func BenchmarkTable4RowF(b *testing.B) {
 	benchTable4(b, eval.Config{Sys: topology.A100System(2), Axes: []int{8, 4},
-		ReduceAxes: []int{0}, Algo: cost.Ring},
+		ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Ring}},
 		"Table 4 row F — 2-node A100, Ring, axes [8 4]")
 }
 
 func BenchmarkTable4RowG(b *testing.B) {
 	benchTable4(b, eval.Config{Sys: topology.A100System(4), Axes: []int{4, 16},
-		ReduceAxes: []int{0}, Algo: cost.Tree},
+		ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Tree}},
 		"Table 4 row G — 4-node A100, Tree, axes [4 16]")
 }
 
 func BenchmarkTable4RowH(b *testing.B) {
 	benchTable4(b, eval.Config{Sys: topology.A100System(4), Axes: []int{16, 2, 2},
-		ReduceAxes: []int{0, 2}, Algo: cost.Ring},
+		ReduceAxes: []int{0, 2}, Algos: []cost.Algorithm{cost.Ring}},
 		"Table 4 row H — 4-node A100, Ring, axes [16 2 2], reduce {0,2}")
 }
 
 func BenchmarkTable4RowI(b *testing.B) {
 	benchTable4(b, eval.Config{Sys: topology.A100System(4), Axes: []int{2, 2, 16},
-		ReduceAxes: []int{0, 2}, Algo: cost.Ring},
+		ReduceAxes: []int{0, 2}, Algos: []cost.Algorithm{cost.Ring}},
 		"Table 4 row I — 4-node A100, Ring, axes [2 2 16], reduce {0,2}")
 }
 
 func BenchmarkTable4RowJ(b *testing.B) {
 	benchTable4(b, eval.Config{Sys: topology.A100System(4), Axes: []int{64},
-		ReduceAxes: []int{0}, Algo: cost.Tree},
+		ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Tree}},
 		"Table 4 row J — 4-node A100, Tree, axes [64]")
 }
 
 func BenchmarkTable4RowK(b *testing.B) {
 	benchTable4(b, eval.Config{Sys: topology.V100System(4), Axes: []int{8, 2, 2},
-		ReduceAxes: []int{0, 2}, Algo: cost.Ring},
+		ReduceAxes: []int{0, 2}, Algos: []cost.Algorithm{cost.Ring}},
 		"Table 4 row K — 4-node V100, Ring, axes [8 2 2], reduce {0,2}")
 }
 
 func BenchmarkTable4RowL(b *testing.B) {
 	benchTable4(b, eval.Config{Sys: topology.V100System(4), Axes: []int{32},
-		ReduceAxes: []int{0}, Algo: cost.Ring},
+		ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Ring}},
 		"Table 4 row L — 4-node V100, Ring, axes [32]")
 }
 
@@ -242,13 +242,13 @@ func benchFigure11(b *testing.B, cfg eval.Config, key string) {
 
 func BenchmarkFigure11a(b *testing.B) {
 	benchFigure11(b, eval.Config{Sys: topology.V100System(4), Axes: []int{2, 16},
-		ReduceAxes: []int{1}, Algo: cost.Ring},
+		ReduceAxes: []int{1}, Algos: []cost.Algorithm{cost.Ring}},
 		"Figure 11a — 4-node V100, Ring, axes [2 16], reduce axis 1")
 }
 
 func BenchmarkFigure11b(b *testing.B) {
 	benchFigure11(b, eval.Config{Sys: topology.A100System(4), Axes: []int{4, 2, 8},
-		ReduceAxes: []int{0, 2}, Algo: cost.Tree},
+		ReduceAxes: []int{0, 2}, Algos: []cost.Algorithm{cost.Tree}},
 		"Figure 11b — 4-node A100, Tree, axes [4 2 8], reduce {0,2}")
 }
 

@@ -54,13 +54,15 @@ type sharedFlags struct {
 }
 
 // env is one resolved invocation: the shared flag values, the system and
-// planning request they describe, and the command's deadline.
+// planning request they describe, the request as the engine plans it, and
+// the command's deadline.
 type env struct {
 	sharedFlags
 	out, errOut io.Writer
 	ctx         context.Context
 	sys         *topology.System // nil unless the command honours -system
 	req         p2.Request
+	spec        plan.JointSpec // req resolved (plan.Resolve) when sys is set
 }
 
 // run executes one invocation of the command. Flag-parse errors and usage
@@ -138,11 +140,8 @@ func (e *env) resolve(fs *flag.FlagSet) (err error) {
 			return err
 		}
 	}
-	if e.bytes < 0 {
-		// Request.Bytes treats <= 0 as "use the paper default"; letting a
-		// negative through would silently plan at ~17 GB instead of the
-		// requested size.
-		return fmt.Errorf("-bytes must be positive (got %g)", e.bytes)
+	if err := p2.CheckPayload(e.bytes); err != nil {
+		return fmt.Errorf("-bytes %w", err)
 	}
 	if e.timeout < 0 {
 		// A negative deadline would silently mean none.
@@ -169,21 +168,22 @@ func (e *env) resolve(fs *flag.FlagSet) (err error) {
 		}
 	}
 	r.Bytes, r.Parallelism, r.TopK = e.bytes, e.parallelism, e.topk
-	return nil
+	if e.sys != nil {
+		e.spec, err = plan.Resolve(e.sys, plan.Reduction{ReduceAxes: r.ReduceAxes, Algo: r.Algo, Algos: r.Algos, Bytes: r.Bytes})
+	}
+	return err
 }
 
 // evalConfig is the request as an eval sweep: every matrix, unpruned,
 // every program measured.
 func (e *env) evalConfig() eval.Config {
-	r := e.req
-	return eval.Config{Sys: e.sys, Axes: r.Axes, ReduceAxes: r.ReduceAxes, Algo: r.Algo, Algos: r.Algos, Bytes: r.Bytes}
+	return eval.Config{Sys: e.sys, Axes: e.req.Axes, ReduceAxes: e.spec.ReduceAxes, Algos: e.spec.Algos, Bytes: e.spec.Model.Bytes}
 }
 
-// hierarchy builds the reduction hierarchy of matrix m for the request's
-// reduction axes.
+// hierarchy builds the reduction hierarchy of matrix m the request plans
+// on.
 func (e *env) hierarchy(m *placement.Matrix) (*hierarchy.Hierarchy, error) {
-	red := e.req.ReduceAxes
-	return hierarchy.Build(hierarchy.KindReductionAxes, m, red, hierarchy.Options{Collapse: len(red) > 1})
+	return hierarchy.Build(hierarchy.KindReductionAxes, m, e.spec.ReduceAxes, hierarchy.Options{Collapse: e.spec.Collapse})
 }
 
 // printStats reports the planning-engine counters when -stats is set.
@@ -504,10 +504,10 @@ func cmdFigure11(fs *flag.FlagSet) body {
 		switch *panel {
 		case "a":
 			cfg = eval.Config{Sys: topology.V100System(4), Axes: []int{2, 16},
-				ReduceAxes: []int{1}, Algo: cost.Ring}
+				ReduceAxes: []int{1}, Algos: []cost.Algorithm{cost.Ring}}
 		case "b":
 			cfg = eval.Config{Sys: topology.A100System(4), Axes: []int{4, 2, 8},
-				ReduceAxes: []int{0, 2}, Algo: cost.Tree}
+				ReduceAxes: []int{0, 2}, Algos: []cost.Algorithm{cost.Tree}}
 		default:
 			return fmt.Errorf("unknown panel %q", *panel)
 		}
@@ -592,15 +592,12 @@ func cmdDegrade(fs *flag.FlagSet) body {
 			overrides = append(overrides, ovs...)
 		}
 		r := e.req
-		if len(r.Algos) == 0 {
-			r.Algos = []cost.Algorithm{r.Algo}
-		}
 		res, err := eval.RunDegradeCtx(e.ctx, eval.DegradeConfig{
 			Sys:         e.sys,
 			Overrides:   overrides,
 			Axes:        r.Axes,
 			ReduceAxes:  r.ReduceAxes,
-			Algos:       r.Algos,
+			Algos:       e.spec.Algos,
 			Bytes:       r.Bytes,
 			Parallelism: r.Parallelism,
 		})

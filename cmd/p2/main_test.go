@@ -555,6 +555,25 @@ func TestTimeoutMidPlan(t *testing.T) {
 	}
 }
 
+// TestNonFinitePayloadRefused: the flag package parses NaN and ±Inf as
+// floats; -bytes refuses them through the rule the serve API's "bytes"
+// shares (p2.CheckPayload) instead of planning NaN at the default payload
+// or ranking every strategy at +Inf seconds.
+func TestNonFinitePayloadRefused(t *testing.T) {
+	for name, args := range map[string][]string{
+		"synth NaN":   {"synth", "-system", "fig2a", "-axes", "[16]", "-bytes", "NaN"},
+		"synth Inf":   {"synth", "-system", "fig2a", "-axes", "[16]", "-bytes", "Inf"},
+		"synth +Inf":  {"synth", "-system", "fig2a", "-axes", "[16]", "-bytes", "+Inf"},
+		"eval NaN":    {"eval", "-system", "fig2a", "-axes", "[4 4]", "-bytes", "nan"},
+		"degrade Inf": {"degrade", "-system", "fig2a", "-axes", "[16]", "-fault", "gpu:0/0/0/0:bw/2", "-bytes", "inf"},
+	} {
+		out, errOut, code := exec(args...)
+		if code != 1 || out != "" || !strings.Contains(errOut, "-bytes must be a finite") {
+			t.Errorf("%s: exit=%d out=%q err=%q", name, code, out, errOut)
+		}
+	}
+}
+
 // TestNegativeDurationsRefused: the flag package accepts a negative
 // duration, which a deadline or drain bound would read as "none" or its
 // default; every duration flag refuses one with exit 1 instead. A serve

@@ -54,7 +54,7 @@ func TestAutoPredictionNeverWorseThanFixed(t *testing.T) {
 	}
 	for _, algo := range cost.ExtendedAlgorithms {
 		fixedCfg := base
-		fixedCfg.Algo = algo
+		fixedCfg.Algos = []cost.Algorithm{algo}
 		fixed, err := RunCtx(context.Background(), fixedCfg)
 		if err != nil {
 			t.Fatal(err)

@@ -23,7 +23,8 @@ type DegradeConfig struct {
 	// Axes / ReduceAxes define the parallelism request as in Config.
 	Axes       []int
 	ReduceAxes []int
-	// Algos is the planner's algorithm set (single entry pins it).
+	// Algos is the planner's algorithm set (single entry pins it; nil is
+	// {Ring}, as in p2.Request).
 	Algos []cost.Algorithm
 	// Bytes is the per-device payload; 0 means the paper default.
 	Bytes float64
@@ -85,32 +86,21 @@ func RunDegradeCtx(ctx context.Context, cfg DegradeConfig) (*DegradeResult, erro
 	if err != nil {
 		return nil, err
 	}
-	matrices, err := placement.Enumerate(cfg.Sys.Hierarchy(), cfg.Axes)
+	spec, err := plan.Resolve(cfg.Sys, plan.Reduction{ReduceAxes: cfg.ReduceAxes, Algos: cfg.Algos, Bytes: cfg.Bytes})
 	if err != nil {
 		return nil, err
 	}
-	bytes := cfg.Bytes
-	if !(bytes > 0) { // NaN-proof: NaN, zero and negatives take the default
-		bytes = cost.DefaultPayload(cfg.Sys)
-	}
-	algo := cost.Ring
-	if len(cfg.Algos) > 0 {
-		algo = cfg.Algos[0]
-	}
-	opts := plan.Options{
-		Parallelism: cfg.Parallelism,
-		TopK:        0, // full ranking: ranking shift needs every candidate
-		Algos:       cfg.Algos,
-	}
+	// Full ranking: ranking shift needs every candidate.
+	opts := spec.Options(plan.Options{Parallelism: cfg.Parallelism})
 	runOn := func(sys *topology.System) ([]*plan.Candidate, error) {
-		model := &cost.Model{Sys: sys, Algo: algo, Bytes: bytes}
-		cands, _, err := plan.New().RunCtx(ctx, matrices, cfg.ReduceAxes, model, opts)
-		if err != nil {
-			// Anytime partial rankings are useless for a shift comparison:
-			// treat cancellation like any other failure.
-			return nil, err
+		model := &cost.Model{Sys: sys, Algo: spec.Model.Algo, Bytes: spec.Model.Bytes}
+		stream := func(yield func(*placement.Matrix) bool) error {
+			return placement.Iterate(sys.Hierarchy(), cfg.Axes, yield)
 		}
-		return cands, nil
+		// Anytime partial rankings are useless for a shift comparison:
+		// cancellation fails the run like any other error.
+		cands, _, err := plan.New().RunStreamCtx(ctx, stream, spec.ReduceAxes, model, opts)
+		return cands, err
 	}
 	pristine, err := runOn(cfg.Sys)
 	if err != nil {
@@ -135,7 +125,7 @@ func RunDegradeCtx(ctx context.Context, cfg DegradeConfig) (*DegradeResult, erro
 	res := &DegradeResult{
 		Pristine:     cfg.Sys,
 		Degraded:     degraded,
-		Algo:         algo,
+		Algo:         spec.Model.Algo,
 		PristineRank: pristine,
 		DegradedRank: degradedRank,
 		DegradedAt:   make([]float64, len(pristine)),

@@ -6,8 +6,42 @@ import (
 	"strings"
 	"testing"
 
+	"p2"
 	"p2/internal/topology"
 )
+
+// TestRunDegradePlansLikePlan: the pristine half of a degrade comparison is
+// the ranking p2.Plan produces for the same request — candidate for
+// candidate, predictions bit for bit. A multi-axis reduction used to be
+// planned uncollapsed here (12 634 candidates against Plan's 465, and a
+// different winner among the tied first two).
+func TestRunDegradePlansLikePlan(t *testing.T) {
+	sys := topology.A100System(4)
+	axes, reduce := []int{4, 2, 8}, []int{0, 2}
+	r, err := RunDegradeCtx(context.Background(), DegradeConfig{
+		Sys:        sys,
+		Overrides:  []topology.LinkOverride{topology.Throttle(1, 0, 10)},
+		Axes:       axes,
+		ReduceAxes: reduce,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p2.Plan(sys, p2.Request{Axes: axes, ReduceAxes: reduce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.PristineRank) != len(want.Strategies) {
+		t.Fatalf("degrade ranked %d pristine candidates, Plan %d", len(r.PristineRank), len(want.Strategies))
+	}
+	for i, s := range want.Strategies {
+		c := r.PristineRank[i]
+		if c.Matrix.String() != s.Matrix.String() || c.Program.String() != s.Program.String() || c.Predicted != s.Predicted {
+			t.Fatalf("rank %d: degrade has %v via %v at %v, Plan %v via %v at %v",
+				i+1, c.Matrix, c.Program, c.Predicted, s.Matrix, s.Program, s.Predicted)
+		}
+	}
+}
 
 func TestRunDegradeRequiresOverrides(t *testing.T) {
 	_, err := RunDegradeCtx(context.Background(), DegradeConfig{

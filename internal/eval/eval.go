@@ -37,13 +37,10 @@ type Config struct {
 	// Multi-axis reductions collapse same-level factors as in §2.5.
 	Axes       []int
 	ReduceAxes []int
-	// Algo is the pinned NCCL algorithm (ignored when Algos sweeps a set).
-	Algo cost.Algorithm
-	// Algos, when it has two or more entries, sweeps the per-step
-	// algorithm assignment of every program over the set ("auto" mode,
-	// NCCL_ALGO as a searched dimension): each step is predicted and
-	// measured under the algorithm the cost model picks for it. Empty or
-	// single-entry slices pin every step to Algo (resp. the entry).
+	// Algos is the algorithm set: one entry pins every step to it (the
+	// paper's Ring and Tree sweeps), nil pins Ring (plan.Resolve), and two
+	// or more sweep the per-step assignment of every program over the set
+	// ("auto" mode, NCCL_ALGO as a searched dimension).
 	Algos []cost.Algorithm
 	// Bytes is the per-device payload; 0 means the paper's default
 	// (2^29 × machines float32, machines = product of all non-leaf level
@@ -53,29 +50,19 @@ type Config struct {
 	NetsimOpts netsim.Options
 }
 
-func (c Config) payload() float64 {
-	if c.Bytes > 0 {
-		return c.Bytes
-	}
-	return cost.DefaultPayload(c.Sys)
+// spec resolves the config through the engine's one request resolution.
+func (c Config) spec() (plan.JointSpec, error) {
+	return plan.Resolve(c.Sys, plan.Reduction{ReduceAxes: c.ReduceAxes, Algos: c.Algos, Bytes: c.Bytes})
 }
 
-// algo is the pinned algorithm — the single entry of Algos, else Algo —
-// and, under a searched set, the base every non-searched step runs.
-func (c Config) algo() cost.Algorithm {
-	if len(c.Algos) == 1 {
-		return c.Algos[0]
-	}
-	return c.Algo
-}
-
-// algoLabel names the config's algorithm dimension: the pinned algorithm,
-// or "auto" when a set is searched.
+// algoLabel names the config's algorithm dimension as the engine resolves
+// it: the pinned algorithm, or "auto" when a set is searched.
 func (c Config) algoLabel() string {
-	if len(c.Algos) > 1 {
+	spec, _ := plan.Resolve(c.Sys, plan.Reduction{Algos: c.Algos}) // no payload or count to refuse
+	if len(spec.Algos) > 1 {
 		return "auto"
 	}
-	return c.algo().String()
+	return spec.Model.Algo.String()
 }
 
 // String identifies the config, e.g. "a100-4node/[16 2 2]/red[0 2]/Ring"
@@ -151,8 +138,8 @@ func (mr *MatrixResult) Outperforming() int {
 // Result is a full sweep for one config. The three wall-clock fields are
 // reported, never ranked.
 type Result struct {
-	// Config echoes the swept cell; Matrices holds one entry per
-	// enumerated placement, in enumeration order.
+	// Config echoes the swept cell, its Bytes resolved; Matrices holds one
+	// entry per enumerated placement, in enumeration order.
 	Config   Config
 	Matrices []*MatrixResult
 	// SynthesisTime is the engine's synthesis wall-clock
@@ -254,30 +241,37 @@ func Accuracy(results []*Result, ks []int) map[int]float64 {
 }
 
 // RunCtx executes the full sweep for a config through the planning engine:
-// enumerate the matrices, rank every (matrix, program) candidate with no
-// pruning (plan.Planner.RunCtx, TopK 0), measure every candidate
+// stream the matrices, rank every (matrix, program) candidate with no
+// pruning (plan.Planner.RunStreamCtx, TopK 0), measure every candidate
 // (plan.Measure), and regroup them per matrix in synthesis order. A sweep
 // is all-or-nothing: any error — including cancellation, whose anytime
 // partial ranking is discarded — returns (nil, err).
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	matrices, err := placement.Enumerate(cfg.Sys.Hierarchy(), cfg.Axes)
+	spec, err := cfg.spec()
 	if err != nil {
 		return nil, err
 	}
-	model := &cost.Model{Sys: cfg.Sys, Algo: cfg.algo(), Bytes: cfg.payload()}
-	opts := plan.Options{Collapse: len(cfg.ReduceAxes) > 1, Algos: cfg.Algos, SimOpts: cfg.NetsimOpts}
+	var matrices []*placement.Matrix
+	stream := func(yield func(*placement.Matrix) bool) error {
+		return placement.Iterate(cfg.Sys.Hierarchy(), cfg.Axes, func(m *placement.Matrix) bool {
+			matrices = append(matrices, m)
+			return yield(m)
+		})
+	}
+	opts := spec.Options(plan.Options{SimOpts: cfg.NetsimOpts})
 	t0 := time.Now() //p2:timing-ok SimulationTime is a reported wall-clock total, never ranked
-	cands, stats, err := plan.New().RunCtx(ctx, matrices, cfg.ReduceAxes, model, opts)
+	cands, stats, err := plan.New().RunStreamCtx(ctx, stream, spec.ReduceAxes, spec.Model, opts)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Config: cfg, SynthesisTime: stats.SynthElapsed}
 	res.SimulationTime = time.Since(t0) //p2:timing-ok SimulationTime is a reported wall-clock total, never ranked
 	t1 := time.Now()                    //p2:timing-ok MeasureTime is a reported wall-clock total, never ranked
-	if err := plan.Measure(ctx, cands, model, opts); err != nil {
+	if err := plan.Measure(ctx, cands, spec.Model, opts); err != nil {
 		return nil, err
 	}
 	res.MeasureTime = time.Since(t1) //p2:timing-ok MeasureTime is a reported wall-clock total, never ranked
+	res.Config.Bytes = spec.Model.Bytes
 
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].MatrixIdx != cands[j].MatrixIdx {
@@ -293,7 +287,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	for _, c := range cands {
 		mr := res.Matrices[c.MatrixIdx]
 		pr := ProgramResult{Program: c.Program, Lowered: c.Lowered, Predicted: c.Predicted,
-			Measured: c.Measured, StepAlgos: c.StepAlgos, Algo: model.Algo}
+			Measured: c.Measured, StepAlgos: c.StepAlgos, Algo: spec.Model.Algo}
 		if a, ok := cost.UniformAlgo(c.StepAlgos); ok {
 			pr.Algo, pr.StepAlgos = a, nil
 		}
@@ -317,8 +311,11 @@ func MeasureBaseline(cfg Config, m *placement.Matrix) (float64, float64, error) 
 	if err := cfg.NetsimOpts.Validate(); err != nil {
 		return 0, 0, err
 	}
-	h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, cfg.ReduceAxes,
-		hierarchy.Options{Collapse: len(cfg.ReduceAxes) > 1})
+	spec, err := cfg.spec()
+	if err != nil {
+		return 0, 0, err
+	}
+	h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, spec.ReduceAxes, hierarchy.Options{Collapse: spec.Collapse})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -326,7 +323,6 @@ func MeasureBaseline(cfg Config, m *placement.Matrix) (float64, float64, error) 
 	if err != nil {
 		return 0, 0, err
 	}
-	model := &cost.Model{Sys: cfg.Sys, Algo: cfg.algo(), Bytes: cfg.payload()}
-	sim := &netsim.Simulator{Sys: cfg.Sys, Algo: cfg.algo(), Bytes: cfg.payload(), Opts: cfg.NetsimOpts}
-	return model.ProgramTime(lp), sim.Measure(lp), nil
+	sim := &netsim.Simulator{Sys: cfg.Sys, Algo: spec.Model.Algo, Bytes: spec.Model.Bytes, Opts: cfg.NetsimOpts}
+	return spec.Model.ProgramTime(lp), sim.Measure(lp), nil
 }

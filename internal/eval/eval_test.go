@@ -21,7 +21,7 @@ func run416(t *testing.T, algo cost.Algorithm) *Result {
 		Sys:        topology.A100System(4),
 		Axes:       []int{4, 16},
 		ReduceAxes: []int{0},
-		Algo:       algo,
+		Algos:      []cost.Algorithm{algo},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestAccuracy(t *testing.T) {
 }
 
 func TestMeasureBaseline(t *testing.T) {
-	cfg := Config{Sys: topology.A100System(4), Axes: []int{4, 16}, ReduceAxes: []int{0}, Algo: cost.Ring}
+	cfg := Config{Sys: topology.A100System(4), Axes: []int{4, 16}, ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Ring}}
 	m := placement.MustMatrix([]int{4, 16}, []int{4, 16}, [][]int{{1, 4}, {4, 4}})
 	pred, meas, err := MeasureBaseline(cfg, m)
 	if err != nil {
@@ -167,7 +167,7 @@ func TestMeasureBaseline(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	_, err := RunCtx(context.Background(), Config{Sys: topology.A100System(4), Axes: []int{3, 7}, ReduceAxes: []int{0}, Algo: cost.Ring})
+	_, err := RunCtx(context.Background(), Config{Sys: topology.A100System(4), Axes: []int{3, 7}, ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Ring}})
 	if err == nil {
 		t.Error("invalid axes accepted")
 	}
@@ -375,12 +375,12 @@ func TestNetsimOptionsPropagate(t *testing.T) {
 	// A different emulator seed must change measurements but not
 	// predictions.
 	base, err := RunCtx(context.Background(), Config{Sys: topology.V100System(2), Axes: []int{4, 4},
-		ReduceAxes: []int{1}, Algo: cost.Ring})
+		ReduceAxes: []int{1}, Algos: []cost.Algorithm{cost.Ring}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeded, err := RunCtx(context.Background(), Config{Sys: topology.V100System(2), Axes: []int{4, 4},
-		ReduceAxes: []int{1}, Algo: cost.Ring,
+		ReduceAxes: []int{1}, Algos: []cost.Algorithm{cost.Ring},
 		NetsimOpts: netsim.Options{Seed: 99}})
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func ToJSON(results []*Result) ([]byte, error) {
 			Axes:           r.Config.Axes,
 			ReduceAxes:     r.Config.ReduceAxes,
 			Algorithm:      r.Config.algoLabel(),
-			PayloadBytes:   r.Config.payload(),
+			PayloadBytes:   r.Config.Bytes,
 			SynthesisSecs:  r.SynthesisTime.Seconds(),
 			SimulationSecs: r.SimulationTime.Seconds(),
 			MeasureSecs:    r.MeasureTime.Seconds(),

@@ -23,12 +23,12 @@ import (
 func pinnedConfigs() []Config {
 	a100, v100 := topology.A100System(4), topology.V100System(4)
 	return []Config{
-		{Sys: a100, Axes: []int{4, 16}, ReduceAxes: []int{0}, Algo: cost.Ring},
-		{Sys: a100, Axes: []int{4, 16}, ReduceAxes: []int{0}, Algo: cost.Tree},
+		{Sys: a100, Axes: []int{4, 16}, ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Ring}},
+		{Sys: a100, Axes: []int{4, 16}, ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Tree}},
 		{Sys: a100, Axes: []int{4, 16}, ReduceAxes: []int{0}, Algos: cost.ExtendedAlgorithms},
-		{Sys: v100, Axes: []int{2, 16}, ReduceAxes: []int{1}, Algo: cost.Ring},
-		{Sys: a100, Axes: []int{4, 2, 8}, ReduceAxes: []int{0, 2}, Algo: cost.Tree},
-		{Sys: topology.V100System(2), Axes: []int{4, 4}, ReduceAxes: []int{1}, Algo: cost.Ring,
+		{Sys: v100, Axes: []int{2, 16}, ReduceAxes: []int{1}, Algos: []cost.Algorithm{cost.Ring}},
+		{Sys: a100, Axes: []int{4, 2, 8}, ReduceAxes: []int{0, 2}, Algos: []cost.Algorithm{cost.Tree}},
+		{Sys: topology.V100System(2), Axes: []int{4, 4}, ReduceAxes: []int{1}, Algos: []cost.Algorithm{cost.Ring},
 			NetsimOpts: netsim.Options{Seed: 99}},
 		{Sys: topology.SuperPodSystem(3, 2), Axes: []int{6, 8}, ReduceAxes: []int{0}, Algos: cost.ExtendedAlgorithms},
 	}
@@ -92,7 +92,7 @@ func TestRunPinned(t *testing.T) {
 // TestRunCtxCancelled: a sweep is all-or-nothing, so a cancelled or expired
 // context yields the context error and no result — never a partial sweep.
 func TestRunCtxCancelled(t *testing.T) {
-	cfg := Config{Sys: topology.A100System(4), Axes: []int{4, 16}, ReduceAxes: []int{0}, Algo: cost.Ring}
+	cfg := Config{Sys: topology.A100System(4), Axes: []int{4, 16}, ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Ring}}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))

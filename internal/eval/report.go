@@ -48,14 +48,10 @@ func (t *Table) TSV() string {
 }
 
 func secs(v float64) string {
-	switch {
-	case v >= 10:
+	if v >= 0.095 {
 		return fmt.Sprintf("%.2f", v)
-	case v >= 0.095:
-		return fmt.Sprintf("%.2f", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
 	}
+	return fmt.Sprintf("%.3f", v)
 }
 
 // BuildTable3 reproduces Table 3: AllReduce time per parallelism matrix
@@ -81,7 +77,7 @@ func BuildTable3(sys *topology.System, axesList [][]int) (*Table, error) {
 					continue
 				}
 				for _, algo := range []cost.Algorithm{cost.Ring, cost.Tree} {
-					cfg := Config{Sys: sys, Axes: axes, ReduceAxes: red, Algo: algo}
+					cfg := Config{Sys: sys, Axes: axes, ReduceAxes: red, Algos: []cost.Algorithm{algo}}
 					_, meas, err := MeasureBaseline(cfg, m)
 					if err != nil {
 						return nil, err
@@ -142,8 +138,8 @@ func BuildTable4(results []*Result) *Table {
 // aborts the comparison with ctx.Err().
 func RunAutoComparisonCtx(ctx context.Context, cfg Config) (ring, tree, auto *Result, err error) {
 	fixedRing, fixedTree := cfg, cfg
-	fixedRing.Algos, fixedRing.Algo = nil, cost.Ring
-	fixedTree.Algos, fixedTree.Algo = nil, cost.Tree
+	fixedRing.Algos = []cost.Algorithm{cost.Ring}
+	fixedTree.Algos = []cost.Algorithm{cost.Tree}
 	if len(cfg.Algos) < 2 {
 		cfg.Algos = cost.ExtendedAlgorithms
 	}

@@ -71,7 +71,7 @@ func TestFromJSONError(t *testing.T) {
 }
 
 func TestConfigString(t *testing.T) {
-	cfg := Config{Sys: topology.A100System(4), Axes: []int{4, 16}, ReduceAxes: []int{0}, Algo: cost.Tree}
+	cfg := Config{Sys: topology.A100System(4), Axes: []int{4, 16}, ReduceAxes: []int{0}, Algos: []cost.Algorithm{cost.Tree}}
 	s := cfg.String()
 	for _, want := range []string{"a100-4node", "[4 16]", "red[0]", "Tree"} {
 		if !strings.Contains(s, want) {

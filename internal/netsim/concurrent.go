@@ -11,38 +11,24 @@ import (
 	"p2/internal/topology"
 )
 
-// ConcurrentSpec pairs a program with its own payload size and algorithm
-// (zero values inherit the simulator's).
+// ConcurrentSpec is one lane of MeasureConcurrentSpecs: a program with its
+// own payload size and algorithm.
 type ConcurrentSpec struct {
 	// Program is the lowered program this lane executes.
 	Program *lower.Program
-	// Bytes is the per-device payload; <= 0 or NaN inherits the simulator's.
+	// Bytes is the per-device payload and Algo the lane's algorithm.
 	Bytes float64
-	// Algo is the lane's algorithm, honored only with HasAlgo set —
-	// the explicit-set marker exists because the zero Algorithm value is
-	// a valid algorithm (Ring), so a zero Algo alone cannot distinguish
-	// "inherit" from "pin Ring".
-	Algo    cost.Algorithm
-	HasAlgo bool
+	Algo  cost.Algorithm
 	// StepAlgos, when non-nil, assigns a per-step algorithm (one entry
 	// per step of Program), overriding Algo step by step; uniform
 	// assignments are canonicalized to the fixed algorithm they name.
 	StepAlgos []cost.Algorithm
 }
 
-// normalized resolves the spec's inherit-from-simulator defaults into
-// explicit values: a non-positive or NaN payload becomes the simulator's
-// Bytes, an unset algorithm the simulator's Algo, and a uniform per-step
-// assignment collapses to the fixed algorithm it names. It is the single place spec
-// defaulting happens, so every spelling of the same assignment — and
-// MeasureSteps, which is a lone default spec — measures the same float.
-func (c ConcurrentSpec) normalized(s *Simulator) ConcurrentSpec {
-	if !(c.Bytes > 0) {
-		c.Bytes = s.Bytes
-	}
-	if !c.HasAlgo {
-		c.Algo, c.HasAlgo = s.Algo, true
-	}
+// normalized collapses a uniform per-step assignment to the fixed algorithm
+// it names, so every spelling of the same assignment measures the same
+// float. It panics on an assignment of the wrong length.
+func (c ConcurrentSpec) normalized() ConcurrentSpec {
 	if c.StepAlgos != nil && len(c.StepAlgos) != len(c.Program.Steps) {
 		panic(fmt.Sprintf("netsim: %d step algorithms for %d steps",
 			len(c.StepAlgos), len(c.Program.Steps)))
@@ -65,7 +51,7 @@ func (c ConcurrentSpec) normalized(s *Simulator) ConcurrentSpec {
 func (s *Simulator) MeasureConcurrent(programs []*lower.Program) []float64 {
 	specs := make([]ConcurrentSpec, len(programs))
 	for i, p := range programs {
-		specs[i] = ConcurrentSpec{Program: p}
+		specs[i] = ConcurrentSpec{Program: p, Bytes: s.Bytes, Algo: s.Algo}
 	}
 	return s.MeasureConcurrentSpecs(specs)
 }
@@ -127,7 +113,8 @@ func getScratch(sys *topology.System, opts Options, n int) *scratch {
 }
 
 // MeasureConcurrentSpecs is MeasureConcurrent with per-program payloads
-// and algorithms. It is the emulator's one event loop: each iteration
+// and algorithms: the specs, not the simulator's Algo and Bytes, say what
+// each lane runs. It is the emulator's one event loop: each iteration
 // launches the steps and rounds that are due, splits every link's
 // bandwidth equally among the transfers crossing it, advances every lane
 // by the time to the next event, and retires the transfers that finished.
@@ -142,7 +129,7 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 
 	unfinished := 0
 	for li, spec := range specs {
-		spec = spec.normalized(s)
+		spec = spec.normalized()
 		p := spec.Program
 		if p.NumDevices != sys.NumDevices() {
 			panic(fmt.Sprintf("netsim: program has %d devices, system %d",

@@ -89,12 +89,12 @@ func TestConcurrentMixedLiveDownLanes(t *testing.T) {
 	down := topology.A100System(4).MustWithOverrides(topology.Down(0, 2))
 	sim := &Simulator{Sys: down, Algo: cost.Ring, Bytes: cost.PayloadBytes(4),
 		Opts: Options{DisableNoise: true}}
-	solo := sim.MeasureConcurrentSpecs([]ConcurrentSpec{{Program: intraNode}})[0]
+	solo := sim.MeasureConcurrent([]*lower.Program{intraNode})[0]
 	if math.IsInf(solo, 1) || solo <= 0 {
 		t.Fatalf("intra-node lane alone = %v, want finite and positive", solo)
 	}
-	a := sim.MeasureConcurrentSpecs([]ConcurrentSpec{{Program: crossNode}, {Program: intraNode}})
-	b := sim.MeasureConcurrentSpecs([]ConcurrentSpec{{Program: intraNode}, {Program: crossNode}})
+	a := sim.MeasureConcurrent([]*lower.Program{crossNode, intraNode})
+	b := sim.MeasureConcurrent([]*lower.Program{intraNode, crossNode})
 	for _, tc := range []struct {
 		name       string
 		down, live float64

@@ -5,38 +5,37 @@ import (
 	"testing"
 
 	"p2/internal/cost"
+	"p2/internal/lower"
 	"p2/internal/synth"
 	"p2/internal/topology"
 )
 
-// TestConcurrentSpecDefaultsMatchMeasureSteps is the spec-normalisation
-// table: a lone spec that inherits every default (payload, algorithm,
-// per-step assignment) must produce the exact float MeasureSteps produces,
-// for every way of spelling the same assignment. A NaN payload inherits the
-// simulator's like a non-positive one (it used to slip past a `<= 0` guard
-// and deadlock the event loop).
-func TestConcurrentSpecDefaultsMatchMeasureSteps(t *testing.T) {
+// TestConcurrentSpecMatchesMeasureSteps is the spec-normalisation table: a
+// lone spec carrying the simulator's payload and algorithm must produce the
+// exact float MeasureSteps produces, for every way of spelling the same
+// per-step assignment.
+func TestConcurrentSpecMatchesMeasureSteps(t *testing.T) {
 	lp := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0},
 		synth.BaselineAllReduce())
-	sim := &Simulator{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4),
+	sim := &Simulator{Sys: topology.A100System(4), Algo: cost.Tree, Bytes: cost.PayloadBytes(4),
 		Opts: Options{DisableNoise: true}}
 	uniform := make([]cost.Algorithm, len(lp.Steps))
 	for i := range uniform {
-		uniform[i] = cost.Ring
+		uniform[i] = cost.Tree
 	}
 	want := sim.MeasureSteps(lp, nil)
 	specs := map[string]ConcurrentSpec{
-		"zero value":        {Program: lp},
-		"explicit payload":  {Program: lp, Bytes: sim.Bytes},
-		"NaN payload":       {Program: lp, Bytes: math.NaN()},
-		"explicit algo":     {Program: lp, Algo: cost.Ring, HasAlgo: true},
-		"uniform stepAlgos": {Program: lp, StepAlgos: uniform},
+		"fixed algo":        {Program: lp, Bytes: sim.Bytes, Algo: cost.Tree},
+		"uniform stepAlgos": {Program: lp, Bytes: sim.Bytes, Algo: cost.Ring, StepAlgos: uniform},
 	}
 	for name, spec := range specs {
 		if got := sim.MeasureConcurrentSpecs([]ConcurrentSpec{spec})[0]; got != want {
 			t.Errorf("%s: MeasureConcurrentSpecs = %v, MeasureSteps = %v (must be bitwise equal)",
 				name, got, want)
 		}
+	}
+	if got := sim.MeasureConcurrent([]*lower.Program{lp})[0]; got != want {
+		t.Errorf("MeasureConcurrent = %v, MeasureSteps = %v (must be bitwise equal)", got, want)
 	}
 }
 
@@ -52,7 +51,7 @@ func TestMeasureDownLinkStalls(t *testing.T) {
 	if got := sim.Measure(lp); !math.IsInf(got, 1) {
 		t.Errorf("Measure over a down NIC = %v, want +Inf", got)
 	}
-	got := sim.MeasureConcurrentSpecs([]ConcurrentSpec{{Program: lp}, {Program: lp}})
+	got := sim.MeasureConcurrent([]*lower.Program{lp, lp})
 	for i, v := range got {
 		if !math.IsInf(v, 1) {
 			t.Errorf("concurrent lane %d over a down NIC = %v, want +Inf", i, v)

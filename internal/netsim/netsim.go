@@ -165,7 +165,7 @@ func (s *Simulator) Measure(p *lower.Program) float64 {
 // different algorithms are never fused. It is the one-lane case of
 // MeasureConcurrentSpecs.
 func (s *Simulator) MeasureSteps(p *lower.Program, stepAlgos []cost.Algorithm) float64 {
-	return s.MeasureConcurrentSpecs([]ConcurrentSpec{{Program: p, StepAlgos: stepAlgos}})[0]
+	return s.MeasureConcurrentSpecs([]ConcurrentSpec{{Program: p, Bytes: s.Bytes, Algo: s.Algo, StepAlgos: stepAlgos}})[0]
 }
 
 // resource is a contended link: an entity's uplink or a node's V100

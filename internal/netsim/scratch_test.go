@@ -82,7 +82,7 @@ func scratchCases(t *testing.T) []scratchCase {
 			return recorded(sim, func(s *Simulator) []float64 {
 				return s.MeasureConcurrentSpecs([]ConcurrentSpec{
 					{Program: allReduce, Bytes: 1 << 28},
-					{Program: ring, Bytes: 1 << 26, Algo: cost.HalvingDoubling, HasAlgo: true},
+					{Program: ring, Bytes: 1 << 26, Algo: cost.HalvingDoubling},
 				})
 			})
 		}},

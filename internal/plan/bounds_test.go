@@ -442,12 +442,12 @@ func TestMemoCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(sys)}
-	free, freeStats, err := New().RunCtx(context.Background(), matrices, []int{0}, model, Options{Parallelism: 1})
+	free, freeStats, err := New().RunStreamCtx(context.Background(), streamOf(matrices), []int{0}, model, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	capped := New(WithMemoCap(1))
-	got, cappedStats, err := capped.RunCtx(context.Background(), matrices, []int{0}, model, Options{Parallelism: 1})
+	got, cappedStats, err := capped.RunStreamCtx(context.Background(), streamOf(matrices), []int{0}, model, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

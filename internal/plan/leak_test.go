@@ -85,7 +85,7 @@ func TestRerankDeadlineReleasesGoroutines(t *testing.T) {
 	}
 	model := &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: cost.PayloadBytes(8)}
 	start := time.Now()
-	_, analytic, err := New().RunCtx(context.Background(), matrices, []int{0}, model, Options{Parallelism: 2})
+	_, analytic, err := New().RunStreamCtx(context.Background(), streamOf(matrices), []int{0}, model, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRerankDeadlineReleasesGoroutines(t *testing.T) {
 	for attempt := 0; attempt < 10; attempt++ {
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		_, stats, err := New().RunCtx(ctx, matrices, []int{0}, model, Options{Parallelism: 2, Rerank: RerankAll})
+		_, stats, err := New().RunStreamCtx(ctx, streamOf(matrices), []int{0}, model, Options{Parallelism: 2, Rerank: RerankAll})
 		cancel()
 		waitGoroutines(t, base)
 		switch {

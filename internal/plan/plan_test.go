@@ -50,6 +50,32 @@ func rankString(cands []*Candidate) string {
 	return s
 }
 
+// streamOf yields a materialized placement set in order, the engine's
+// placement stream for tests that enumerate first.
+func streamOf(matrices []*placement.Matrix) func(func(*placement.Matrix) bool) error {
+	return func(yield func(*placement.Matrix) bool) error {
+		for _, m := range matrices {
+			if !yield(m) {
+				break
+			}
+		}
+		return nil
+	}
+}
+
+// resolveAll resolves joint reductions the way p2.PlanJoint does.
+func resolveAll(t *testing.T, sys *topology.System, reds ...Reduction) []JointSpec {
+	t.Helper()
+	specs := make([]JointSpec, len(reds))
+	for i, r := range reds {
+		var err error
+		if specs[i], err = Resolve(sys, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return specs
+}
+
 func testSetup(t *testing.T) ([]*placement.Matrix, []int, *cost.Model) {
 	t.Helper()
 	sys := topology.A100System(4)
@@ -66,7 +92,7 @@ func TestRunMatchesSerial(t *testing.T) {
 	matrices, red, model := testSetup(t)
 	want := rankString(serialRank(t, matrices, red, model, false))
 	for _, par := range []int{1, 2, 4, 16} {
-		got, _, err := New().RunCtx(context.Background(), matrices, red, model, Options{Parallelism: par})
+		got, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), red, model, Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,12 +104,12 @@ func TestRunMatchesSerial(t *testing.T) {
 
 func TestTopKIsPrefixOfFullRanking(t *testing.T) {
 	matrices, red, model := testSetup(t)
-	full, _, err := New().RunCtx(context.Background(), matrices, red, model, Options{})
+	full, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), red, model, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 3, 10, len(full), len(full) + 50} {
-		got, _, err := New().RunCtx(context.Background(), matrices, red, model, Options{TopK: k, Parallelism: 4})
+		got, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), red, model, Options{TopK: k, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +138,7 @@ func TestMemoizationSharesSynthesis(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: cost.PayloadBytes(32)}
-	_, stats, err := New().RunCtx(context.Background(), matrices, []int{0}, model, Options{Parallelism: 1})
+	_, stats, err := New().RunStreamCtx(context.Background(), streamOf(matrices), []int{0}, model, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +161,7 @@ func TestSignatureMemoIsCorrect(t *testing.T) {
 	matrices, red, model := testSetup(t)
 	p := New()
 	for _, m := range matrices {
-		got, _, err := p.RunCtx(context.Background(), []*placement.Matrix{m}, red, model, Options{})
+		got, _, err := p.RunStreamCtx(context.Background(), streamOf([]*placement.Matrix{m}), red, model, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +193,7 @@ func TestPlannerConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := p.RunCtx(context.Background(), matrices, red, model, Options{Parallelism: 4})
+			got, _, err := p.RunStreamCtx(context.Background(), streamOf(matrices), red, model, Options{Parallelism: 4})
 			if err != nil {
 				t.Error(err)
 				return
@@ -192,7 +218,7 @@ func TestRunErrorDeterministic(t *testing.T) {
 	matrices, _, model := testSetup(t)
 	want := ""
 	for _, par := range []int{1, 4, 16} {
-		_, _, err := New().RunCtx(context.Background(), matrices, []int{9}, model, Options{Parallelism: par})
+		_, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), []int{9}, model, Options{Parallelism: par})
 		if err == nil {
 			t.Fatalf("parallelism %d: expected error for out-of-range axis", par)
 		}
@@ -218,7 +244,7 @@ func TestFanOutPanicBecomesError(t *testing.T) {
 		var mu sync.Mutex
 		ran := map[int]bool{}
 		_, produced, err := fanOut[int](context.Background(), Options{Parallelism: par},
-			sliceStream(matrices),
+			streamOf(matrices),
 			func(ws *workerState, i int, m *placement.Matrix, emit func(int)) error {
 				mu.Lock()
 				ran[i] = true
@@ -300,7 +326,7 @@ func TestRerankCancelledKeepsAnalyticOrder(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	cands, _, err := New().RunCtx(context.Background(), matrices, red, model, Options{TopK: 5})
+	cands, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), red, model, Options{TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +350,10 @@ func TestRerankCancelledKeepsAnalyticOrder(t *testing.T) {
 		t.Errorf("single: cancelled re-rank counted %+v", stats)
 	}
 
-	specs := []JointSpec{
-		{ReduceAxes: []int{0}, Model: model},
-		{ReduceAxes: []int{1}, Model: model, Weight: 4},
-	}
-	jcs, _, err := New().RunJointCtx(context.Background(), matrices, specs, Options{})
+	specs := resolveAll(t, model.Sys,
+		Reduction{ReduceAxes: []int{0}, Bytes: model.Bytes},
+		Reduction{ReduceAxes: []int{1}, Bytes: model.Bytes, Count: 4})
+	jcs, _, err := New().RunJointCtx(context.Background(), streamOf(matrices), specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,10 +393,9 @@ func TestRunJointMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []JointSpec{
-		{ReduceAxes: []int{0}, Model: &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: 1 << 30}, Weight: 1},
-		{ReduceAxes: []int{1}, Model: &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: 1 << 26}, Weight: 48},
-	}
+	specs := resolveAll(t, sys,
+		Reduction{ReduceAxes: []int{0}, Bytes: 1 << 30},
+		Reduction{ReduceAxes: []int{1}, Bytes: 1 << 26, Count: 48})
 	// Serial reference: per matrix, best per reduction, weighted total,
 	// stable sort by total.
 	type ref struct {
@@ -384,7 +408,7 @@ func TestRunJointMatchesSerial(t *testing.T) {
 		for _, spec := range specs {
 			// Unpruned, so the reference does not lean on the bound; the
 			// ranking is sorted by Less, so its head is the best.
-			cands, _, err := New().RunCtx(context.Background(), []*placement.Matrix{m}, spec.ReduceAxes, spec.Model,
+			cands, _, err := New().RunStreamCtx(context.Background(), streamOf([]*placement.Matrix{m}), spec.ReduceAxes, spec.Model,
 				Options{Collapse: spec.Collapse})
 			if err != nil {
 				t.Fatal(err)
@@ -396,7 +420,7 @@ func TestRunJointMatchesSerial(t *testing.T) {
 	sort.SliceStable(want, func(i, j int) bool { return want[i].total < want[j].total })
 
 	for _, par := range []int{1, 4, 16} {
-		got, _, err := New().RunJointCtx(context.Background(), matrices, specs, Options{Parallelism: par})
+		got, _, err := New().RunJointCtx(context.Background(), streamOf(matrices), specs, Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,6 +46,7 @@ import (
 	"p2/internal/netsim"
 	"p2/internal/placement"
 	"p2/internal/synth"
+	"p2/internal/topology"
 )
 
 // Options tune one planning run.
@@ -66,8 +67,8 @@ type Options struct {
 	// the set per step: every lowered step independently runs the
 	// algorithm minimizing its predicted time (ties go to the earliest
 	// entry), and candidates carry the winning assignment in StepAlgos.
-	// Empty or single-entry slices pin every step to the model's (resp.
-	// the single) algorithm, exactly as before the search existed.
+	// An empty or single-entry slice pins every step to the model's (resp.
+	// the single) algorithm (pin).
 	Algos []cost.Algorithm
 	// Rerank selects measured-in-the-loop planning: with RerankTopK the
 	// analytic top-K survivors are measured on the netsim emulator and
@@ -369,9 +370,6 @@ func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy,
 		bound: ws.bound,
 		steps: ws.steps,
 	}
-	if len(ms.algos) == 0 {
-		ms.algos = []cost.Algorithm{model.Algo}
-	}
 	if len(ms.algos) > 1 {
 		ms.stepAlgos = make([]cost.Algorithm, max(opts.MaxProgramSize, synth.DefaultMaxSize))
 	}
@@ -509,37 +507,17 @@ func (p *Planner) scorePrograms(ctx context.Context, ws *workerState, mi int, m 
 	return nil
 }
 
-// RunCtx ranks every (matrix, program) candidate for one reduction
-// request, fanning the matrices out over the worker pool. The returned
-// slice is sorted by Less and truncated to TopK when set. The
-// cancellation and anytime contract is run's.
-func (p *Planner) RunCtx(ctx context.Context, matrices []*placement.Matrix, reduceAxes []int, model *cost.Model, opts Options) ([]*Candidate, Stats, error) {
-	return p.RunStreamCtx(ctx, sliceStream(matrices), reduceAxes, model, opts)
-}
-
-// sliceStream adapts a materialized placement set to the streaming
-// producer interface.
-func sliceStream(matrices []*placement.Matrix) func(func(*placement.Matrix) bool) error {
-	return func(yield func(*placement.Matrix) bool) error {
-		for _, m := range matrices {
-			if !yield(m) {
-				return nil
-			}
-		}
-		return nil
-	}
-}
-
-// RunStreamCtx is RunCtx over a placement producer instead of a
-// materialized slice: stream (typically placement.Iterate) yields matrices
-// in canonical enumeration order and the engine feeds them to the worker
-// pool as they appear, so the full placement set never resides in memory.
-// The ranking is identical to RunCtx over the materialized equivalent.
+// RunStreamCtx ranks every (matrix, program) candidate for one reduction
+// request. stream (typically placement.Iterate) yields matrices in
+// canonical enumeration order and the engine feeds them to the worker pool
+// as they appear, so the full placement set never resides in memory. The
+// returned slice is sorted by Less and truncated to TopK when set.
 //
 // With Options.Rerank set, the analytic ranking is then measured on the
 // emulator and re-sorted by measured time (rerank.go). The cancellation
 // and anytime contract is run's.
 func (p *Planner) RunStreamCtx(ctx context.Context, stream func(func(*placement.Matrix) bool) error, reduceAxes []int, model *cost.Model, opts Options) ([]*Candidate, Stats, error) {
+	model, opts.Algos = pin(model, opts.Algos)
 	return run(ctx, opts, stream, p.single(ctx, reduceAxes, model, opts))
 }
 
@@ -580,44 +558,81 @@ func (p *Planner) single(ctx context.Context, reduceAxes []int, model *cost.Mode
 	}
 }
 
-// JointSpec describes one recurring reduction of a joint request.
+// JointSpec is one reduction of a request as Resolve resolves it: what the
+// engine plans, alone or as one reduction of a joint request.
 type JointSpec struct {
 	// ReduceAxes are the axis indices reduced over.
 	ReduceAxes []int
-	// Model is the per-reduction cost model (its Algo and Bytes may
-	// differ between reductions of one joint request).
+	// Model is the reduction's cost model: system, pinned (or, when Algos
+	// searches a set, base) algorithm and payload.
 	Model *cost.Model
-	// Weight scales the reduction's predicted time in the joint total
-	// (the per-step occurrence count; <= 0 means 1).
+	// Weight scales the reduction's predicted time in the joint total (the
+	// per-step occurrence count).
 	Weight float64
-	// Collapse and MaxProgramSize mirror Options per reduction.
+	// Collapse, MaxProgramSize and Algos are the reduction's Options (see
+	// there); each reduction of a joint request may search its own
+	// algorithm set.
 	Collapse       bool
 	MaxProgramSize int
-	// Algos enables the per-step algorithm search for this reduction
-	// (see Options.Algos); each reduction of a joint request may search
-	// its own set.
-	Algos []cost.Algorithm
+	Algos          []cost.Algorithm
 }
 
-// weight resolves the defaulted occurrence count.
-func (s JointSpec) weight() float64 {
-	// NaN-proof form: NaN (like zero and negatives) defaults to 1 instead
-	// of poisoning every weighted total.
-	if !(s.Weight > 0) {
-		return 1
-	}
-	return s.Weight
+// Reduction is one reduction as a caller requests it, before Resolve: the
+// fields of p2.Request and p2.Reduction that planning defaults or refuses.
+type Reduction struct {
+	ReduceAxes     []int
+	Algo           cost.Algorithm
+	Algos          []cost.Algorithm
+	Bytes, Count   float64
+	MaxProgramSize int
 }
 
-// options projects the run options onto one reduction.
-func (s JointSpec) options(opts Options) Options {
-	ropts := opts
-	ropts.Collapse = s.Collapse
-	ropts.Algos = s.Algos
-	if s.MaxProgramSize > 0 {
-		ropts.MaxProgramSize = s.MaxProgramSize
+// Resolve is the one request resolution behind p2.Plan, p2.PlanJoint, eval,
+// the CLI and the daemon. It decides r's payload (non-positive or NaN is the
+// paper default for sys), count (likewise 1), program-size limit, algorithm
+// set (pin) and collapse flag (multi-axis reductions collapse same-level
+// factors, §2.5) once, and refuses a +Inf payload or count.
+func Resolve(sys *topology.System, r Reduction) (JointSpec, error) {
+	if math.IsInf(r.Bytes, 1) {
+		return JointSpec{}, errors.New("payload Bytes must be finite, not +Inf")
 	}
-	return ropts
+	if math.IsInf(r.Count, 1) {
+		return JointSpec{}, errors.New("occurrence Count must be finite, not +Inf")
+	}
+	// NaN-proof forms: NaN, like zero and negatives, takes the default
+	// instead of planning on NaN traffic, which every max-scan skips.
+	if !(r.Bytes > 0) {
+		r.Bytes = cost.DefaultPayload(sys)
+	}
+	if !(r.Count > 0) {
+		r.Count = 1
+	}
+	if r.MaxProgramSize <= 0 {
+		r.MaxProgramSize = synth.DefaultMaxSize
+	}
+	model, algos := pin(&cost.Model{Sys: sys, Algo: r.Algo, Bytes: r.Bytes}, r.Algos)
+	return JointSpec{ReduceAxes: r.ReduceAxes, Model: model, Weight: r.Count,
+		Collapse: len(r.ReduceAxes) > 1, MaxProgramSize: r.MaxProgramSize, Algos: algos}, nil
+}
+
+// pin is the algorithm-set rule, applied by Resolve and again by
+// RunStreamCtx for hand-built options: an empty set is the model's algorithm
+// alone, and a one-entry set pins the model to that entry.
+func pin(model *cost.Model, algos []cost.Algorithm) (*cost.Model, []cost.Algorithm) {
+	if len(algos) == 0 {
+		return model, []cost.Algorithm{model.Algo}
+	}
+	if len(algos) == 1 && model.Algo != algos[0] {
+		model = &cost.Model{Sys: model.Sys, Algo: algos[0], Bytes: model.Bytes}
+	}
+	return model, algos
+}
+
+// Options projects run options onto the reduction: its collapse flag,
+// program-size limit and algorithm set.
+func (s JointSpec) Options(opts Options) Options {
+	opts.Collapse, opts.MaxProgramSize, opts.Algos = s.Collapse, s.MaxProgramSize, s.Algos
+	return opts
 }
 
 // JointCandidate is the joint outcome for one placement: the best
@@ -658,10 +673,11 @@ func (e *ErrNoPrograms) Error() string {
 	return fmt.Sprintf("plan: no valid programs for reduction axes %v on matrix %v", e.ReduceAxes, e.Matrix)
 }
 
-// RunJointCtx scores every placement against all reductions jointly,
-// fanning placements out over the worker pool. Synthesis is memoized
-// across both placements and reductions. The result is sorted by (Total,
-// MatrixIdx) and truncated to TopK placements when set.
+// RunJointCtx scores every placement stream yields against all reductions
+// (each resolved by Resolve) jointly, fanning placements out over the
+// worker pool. Synthesis is memoized across both placements and
+// reductions. The result is sorted by (Total, MatrixIdx) and truncated to
+// TopK placements when set.
 //
 // With Options.Rerank set, the kept placements' per-reduction winners are
 // measured on the emulator and the placements re-sorted by summed
@@ -669,8 +685,8 @@ func (e *ErrNoPrograms) Error() string {
 // contract is run's; a joint candidate only exists once every reduction
 // of its placement is scored, so an anytime result holds completed
 // placements only.
-func (p *Planner) RunJointCtx(ctx context.Context, matrices []*placement.Matrix, reds []JointSpec, opts Options) ([]*JointCandidate, Stats, error) {
-	return run(ctx, opts, sliceStream(matrices), p.joint(ctx, reds, opts))
+func (p *Planner) RunJointCtx(ctx context.Context, stream func(func(*placement.Matrix) bool) error, reds []JointSpec, opts Options) ([]*JointCandidate, Stats, error) {
+	return run(ctx, opts, stream, p.joint(ctx, reds, opts))
 }
 
 // joint is the joint shape. Each reduction's winner is the argmin of its
@@ -695,7 +711,7 @@ func (p *Planner) joint(ctx context.Context, reds []JointSpec, opts Options) sha
 				}
 				hs[ri] = h
 				if prune {
-					bounds[ri] = red.weight() * ws.bounds.placementBound(red.Model.Sys, h, red.Model.Bytes)
+					bounds[ri] = red.Weight * ws.bounds.placementBound(red.Model.Sys, h, red.Model.Bytes)
 				}
 			}
 			jc := &JointCandidate{MatrixIdx: mi, Matrix: m}
@@ -717,7 +733,7 @@ func (p *Planner) joint(ctx context.Context, reds []JointSpec, opts Options) sha
 					}
 				}
 				var best *Candidate
-				err := p.scorePrograms(ctx, ws, mi, m, hs[ri], red.Model, red.options(opts), rc,
+				err := p.scorePrograms(ctx, ws, mi, m, hs[ri], red.Model, red.Options(opts), rc,
 					func(partial float64) bool { return best != nil && partial >= best.Predicted },
 					func(c *Candidate) {
 						if best == nil || Less(c, best) {
@@ -730,10 +746,9 @@ func (p *Planner) joint(ctx context.Context, reds []JointSpec, opts Options) sha
 				if best == nil {
 					return &ErrNoPrograms{ReduceAxes: red.ReduceAxes, Matrix: m}
 				}
-				w := red.weight()
 				jc.PerReduction = append(jc.PerReduction, best)
-				jc.Costs = append(jc.Costs, w*best.Predicted)
-				jc.Total += w * best.Predicted
+				jc.Costs = append(jc.Costs, red.Weight*best.Predicted)
+				jc.Total += red.Weight * best.Predicted
 			}
 			emit(jc)
 			return nil
@@ -748,12 +763,12 @@ func (p *Planner) joint(ctx context.Context, reds []JointSpec, opts Options) sha
 				for i, jc := range jcs {
 					cands[i] = jc.PerReduction[ri]
 				}
-				_ = Measure(ctx, cands, red.Model, red.options(opts)) // its only error is ctx.Err(), which rerank reports
+				_ = Measure(ctx, cands, red.Model, red.Options(opts)) // its only error is ctx.Err(), which rerank reports
 			}
 			for _, jc := range jcs {
 				jc.Measured, jc.MeasuredTotal = make([]float64, len(reds)), 0
 				for ri, red := range reds {
-					jc.Measured[ri] = red.weight() * jc.PerReduction[ri].Measured
+					jc.Measured[ri] = red.Weight * jc.PerReduction[ri].Measured
 					jc.MeasuredTotal += jc.Measured[ri]
 				}
 			}

@@ -74,18 +74,14 @@ func ParseRerankMode(s string) (RerankMode, error) {
 // by index — the result does not depend on Parallelism. A candidate runs
 // its StepAlgos (a uniform assignment is canonicalized inside netsim, so a
 // searched candidate that settled on all-Ring measures byte-identically
-// to a pinned-Ring run) or, as matrixScorer scored it, the single pinned
-// entry of Options.Algos or the model's algorithm. Workers re-check ctx
-// before each index, so on cancellation some Measured fields are left
-// unfilled or +Inf (the emulator's cancelled sentinel) — the caller must
-// treat the whole batch as unusable and discard it.
+// to a pinned-Ring run) or the model's algorithm, which a pinned run's
+// model carries (pin, Resolve). Workers re-check ctx before each index, so
+// on cancellation some Measured fields are left unfilled or +Inf (the
+// emulator's cancelled sentinel) — the caller must treat the whole batch as
+// unusable and discard it.
 func Measure(ctx context.Context, cands []*Candidate, model *cost.Model, opts Options) error {
-	algo := model.Algo
-	if len(opts.Algos) == 1 {
-		algo = opts.Algos[0]
-	}
 	// One shared read-only Simulator: MeasureSteps never mutates it.
-	sim := netsim.Simulator{Sys: model.Sys, Algo: algo, Bytes: model.Bytes, Opts: opts.SimOpts, Ctx: ctx}
+	sim := netsim.Simulator{Sys: model.Sys, Algo: model.Algo, Bytes: model.Bytes, Opts: opts.SimOpts, Ctx: ctx}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(opts.workers(), len(cands)) {

@@ -46,7 +46,7 @@ func TestEngineLoweredEqualsLower(t *testing.T) {
 			}
 			model := &cost.Model{Sys: tc.sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(tc.sys)}
 			collapse := len(tc.red) > 1
-			cands, _, err := New().RunCtx(context.Background(), matrices, tc.red, model, Options{Parallelism: 4, Collapse: collapse, Algos: tc.algos})
+			cands, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), tc.red, model, Options{Parallelism: 4, Collapse: collapse, Algos: tc.algos})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestSharedGroupsReadOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			model := &cost.Model{Sys: tc.sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(tc.sys)}
-			cands, _, err := New().RunCtx(context.Background(), matrices, tc.red, model, Options{Parallelism: 4, Collapse: len(tc.red) > 1, Algos: tc.algos})
+			cands, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), tc.red, model, Options{Parallelism: 4, Collapse: len(tc.red) > 1, Algos: tc.algos})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestScoreProgramPrunedZeroAlloc(t *testing.T) {
 	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
 	res := synth.Synthesize(h, synth.Options{})
 	model := &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(sys)}
-	for _, algos := range [][]cost.Algorithm{nil, cost.ExtendedAlgorithms} {
+	for _, algos := range [][]cost.Algorithm{{cost.Ring}, cost.ExtendedAlgorithms} {
 		ms := newMatrixScorer(&workerState{}, model, h, Options{Algos: algos})
 		never := func(float64) bool { return false }
 		cheapest, longest := 0.0, dsl.Program(nil)

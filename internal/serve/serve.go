@@ -13,14 +13,16 @@
 //
 // The daemon is a transport wrapper around p2.Planner.PlanCtx and adds
 // no nondeterminism to planning itself: an undeadlined /plan request
-// returns exactly what PlanCtx returns, and the cache only ever stores
-// complete (non-partial) results, so a cache hit is identical to
-// recomputing. All requests share one Planner, so repeat traffic also
-// hits a warm synthesis memo even on a cache miss.
+// returns exactly what PlanCtx returns. The cache, keyed by the resolved
+// request and system, stores complete results only, so a hit carries the
+// strategies recomputing would (its pruning counters, which depend on
+// worker timing, may differ). All requests share one Planner, so repeat
+// traffic also hits a warm synthesis memo even on a cache miss.
 package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,7 +38,6 @@ import (
 
 	"p2"
 	"p2/internal/plan"
-	"p2/internal/synth"
 )
 
 // Config tunes the daemon; the zero value serves with sensible defaults.
@@ -115,7 +116,7 @@ type PlanResponse struct {
 	// never cached; repeating the request recomputes it.
 	Partial bool `json:"partial"`
 	// Cached reports that the response was served from the strategy
-	// cache (always a complete result, identical to recomputing).
+	// cache: a complete result, its Stats those of the run that filled it.
 	Cached bool `json:"cached"`
 	// ElapsedMs is this request's wall-clock service time.
 	ElapsedMs  float64        `json:"elapsed_ms"`
@@ -493,12 +494,11 @@ func buildResponse(res *p2.PlanResult) *PlanResponse {
 }
 
 // resolve validates a wire request against the shared CLI vocabulary
-// (p2.ParseSystem, topology.ParseFaults, p2.ParseAlgorithms,
-// p2.ParseMeasureMode) and derives the cache key from the resolved
-// fields, so that spellings that plan identically share one entry: the
-// system's own name, topk clamped at 0, max_program_size defaulted. The
-// key deliberately excludes timeout_ms: a cached complete result
-// satisfies any deadline.
+// (p2.ParseSystem, p2.ParseFaults, p2.ParseAlgorithms, p2.ParseMeasureMode,
+// p2.CheckPayload) and resolves it (p2.Request.Resolve), so that the cache
+// key is the resolved request plus the resolved system: spellings that plan
+// identically share one entry. The key deliberately excludes timeout_ms: a
+// cached complete result satisfies any deadline.
 func resolve(pr *PlanRequest) (*p2.System, p2.Request, string, error) {
 	if pr.System == "" {
 		return nil, p2.Request{}, "", fmt.Errorf(`missing "system"`)
@@ -522,45 +522,59 @@ func resolve(pr *PlanRequest) (*p2.System, p2.Request, string, error) {
 	if pr.TimeoutMs < 0 {
 		return nil, p2.Request{}, "", fmt.Errorf(`"timeout_ms" must not be negative (got %d)`, pr.TimeoutMs)
 	}
-	if !(pr.Bytes >= 0) {
-		// p2.Request treats bytes <= 0 as "use the paper default", so a
-		// negative would silently plan at ~17 GB; the CLI refuses a
-		// negative -bytes for the same reason. NaN (from Warm) fails too.
-		return nil, p2.Request{}, "", fmt.Errorf(`"bytes" must be a non-negative number (got %g)`, pr.Bytes)
+	if err := p2.CheckPayload(pr.Bytes); err != nil {
+		return nil, p2.Request{}, "", fmt.Errorf(`"bytes" %w`, err)
 	}
-	reduce := pr.Reduce
-	if len(reduce) == 0 {
-		reduce = []int{0}
-	}
-	req := p2.Request{
-		Axes:           pr.Axes,
-		ReduceAxes:     reduce,
-		Algo:           p2.Ring,
-		Bytes:          pr.Bytes,
-		TopK:           max(pr.TopK, 0),
-		MaxProgramSize: pr.MaxProgramSize,
-	}
-	if req.MaxProgramSize <= 0 {
-		req.MaxProgramSize = synth.DefaultMaxSize
+	req := p2.Request{Axes: pr.Axes, ReduceAxes: pr.Reduce, Bytes: pr.Bytes, TopK: pr.TopK, MaxProgramSize: pr.MaxProgramSize}
+	if len(req.ReduceAxes) == 0 {
+		req.ReduceAxes = []int{0}
 	}
 	if pr.Algo != "" {
 		if req.Algo, req.Algos, err = p2.ParseAlgorithms(pr.Algo); err != nil {
 			return nil, p2.Request{}, "", err
 		}
 	}
-	algoKey := req.Algo.String()
-	if req.Algos != nil {
-		algoKey = "auto"
-	}
 	if pr.Measure != "" {
 		if req.Measure, err = p2.ParseMeasureMode(pr.Measure); err != nil {
 			return nil, p2.Request{}, "", err
 		}
 	}
-	key := fmt.Sprintf("%s|%s|%v|%v|%s|%g|%d|%d|%s",
-		sys.Name, pr.Faults, pr.Axes, reduce,
-		algoKey, pr.Bytes, req.TopK, req.MaxProgramSize, req.Measure)
-	return sys, req, key, nil
+	if req, err = req.Resolve(sys); err != nil {
+		return nil, p2.Request{}, "", err
+	}
+	return sys, req, cacheKey(sys, req), nil
+}
+
+// cacheKey encodes a resolved request and its system injectively, as
+// varints of every field resolve sets (floats by their bits, counts before
+// lists; the wire sets no Matrix and no SimOpts): the system's name, its
+// override list in the given order — unsorted, because overrides naming
+// one link compose in floats — and the request. Equal keys mean equal
+// inputs to the planner.
+func cacheKey(sys *p2.System, req p2.Request) string {
+	b := append(make([]byte, 0, 256), sys.Name...)
+	u := func(vs ...uint64) {
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+	}
+	f := math.Float64bits
+	u(0, uint64(len(sys.Overrides)))
+	for _, o := range sys.Overrides {
+		u(uint64(o.Level), uint64(o.Entity), f(o.BandwidthScale), f(o.LatencyScale), f(o.LossFrac))
+	}
+	for _, vs := range [][]int{req.Axes, req.ReduceAxes} {
+		u(uint64(len(vs)))
+		for _, v := range vs {
+			u(uint64(v))
+		}
+	}
+	u(uint64(req.Algo), uint64(len(req.Algos)))
+	for _, a := range req.Algos {
+		u(uint64(a))
+	}
+	u(f(req.Bytes), uint64(req.MaxProgramSize), uint64(req.Parallelism), uint64(req.TopK), uint64(req.Measure))
+	return string(b)
 }
 
 // cacheGet returns a per-request copy of the cached response for key.

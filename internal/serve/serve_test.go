@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"p2"
+	"p2/internal/cost"
 )
 
 // postPlan sends one /plan request and decodes the response body.
@@ -687,6 +689,26 @@ func TestCacheKeyNormalization(t *testing.T) {
 			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}},
 			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}, TopK: -1},
 			true},
+		{"default payload left out vs spelled out",
+			base,
+			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}, Reduce: []int{0}, TopK: 5, Bytes: cost.DefaultPayload(p2.A100System(4))},
+			true},
+		{"fault by coordinates vs by entity id",
+			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}, Faults: "node:2:bw/10"},
+			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}, Faults: "0:2:bw/10"},
+			true},
+		{"gpu fault by coordinates vs by entity id",
+			PlanRequest{System: "fig2a", Axes: []int{16}, Faults: "gpu:0/1/0/3:lat*4"},
+			PlanRequest{System: "fig2a", Axes: []int{16}, Faults: "3:11:lat*4"},
+			true},
+		{"fault effect splits the key",
+			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}, Faults: "node:2:bw/10"},
+			PlanRequest{System: "a100", Nodes: 4, Axes: []int{4, 16}, Faults: "node:2:bw/9"},
+			false},
+		{"fault order splits the key",
+			PlanRequest{System: "fig2a", Axes: []int{16}, Faults: "gpu:0:bw/3;gpu:0:bw/7"},
+			PlanRequest{System: "fig2a", Axes: []int{16}, Faults: "gpu:0:bw/7;gpu:0:bw/3"},
+			false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -909,6 +931,14 @@ func TestWarm(t *testing.T) {
 	cancel()
 	if _, err := NewServer(Config{}).Warm(ctx, reqs); err == nil {
 		t.Fatal("Warm with canceled context returned nil error")
+	}
+
+	// NaN and ±Inf payloads reach resolve only through Warm (JSON cannot
+	// spell them); each is refused like the CLI's -bytes refuses it.
+	for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewServer(Config{}).Warm(context.Background(), []PlanRequest{{System: "fig2a", Axes: []int{16}, Bytes: b}}); err == nil || !strings.Contains(err.Error(), `"bytes"`) {
+			t.Errorf("Warm with bytes %v: err = %v, want a refusal naming \"bytes\"", b, err)
+		}
 	}
 
 	// A malformed warm request fails the sweep rather than starting a

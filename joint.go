@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 
-	"p2/internal/cost"
 	"p2/internal/netsim"
+	"p2/internal/placement"
 	"p2/internal/plan"
 )
 
@@ -20,7 +20,8 @@ type Reduction struct {
 	Bytes float64
 	// Count is how many times the reduction runs per training step
 	// (e.g. twice per transformer layer for tensor-parallel AllReduce);
-	// 0 means 1.
+	// a non-positive or NaN Count means 1, and +Inf is refused, like a +Inf
+	// Bytes.
 	Count float64
 	// Algo is the modelled NCCL algorithm (default Ring).
 	Algo Algorithm
@@ -60,19 +61,11 @@ func (c *JointChoice) MeasureConcurrent() []float64 {
 	if len(c.PerReduction) == 0 {
 		return nil
 	}
-	first := c.PerReduction[0]
-	sim := &netsim.Simulator{Sys: first.sys, Algo: first.algo, Bytes: first.bytes}
 	specs := make([]netsim.ConcurrentSpec, len(c.PerReduction))
 	for i, s := range c.PerReduction {
-		specs[i] = netsim.ConcurrentSpec{
-			Program:   s.lowered,
-			Bytes:     s.bytes,
-			Algo:      s.algo,
-			HasAlgo:   true,
-			StepAlgos: s.StepAlgos,
-		}
+		specs[i] = netsim.ConcurrentSpec{Program: s.lowered, Bytes: s.bytes, Algo: s.algo, StepAlgos: s.StepAlgos}
 	}
-	return sim.MeasureConcurrentSpecs(specs)
+	return (&netsim.Simulator{Sys: c.PerReduction[0].sys}).MeasureConcurrentSpecs(specs)
 }
 
 // JointPlan ranks every placement by the combined cost of all requested
@@ -156,29 +149,19 @@ func (pl *Planner) PlanJointCtx(ctx context.Context, sys *System, axes []int, re
 	if len(reductions) == 0 {
 		return nil, fmt.Errorf("p2: PlanJoint needs at least one reduction")
 	}
-	matrices, err := Placements(sys, axes)
-	if err != nil {
-		return nil, err
-	}
 	specs := make([]plan.JointSpec, len(reductions))
 	for i, red := range reductions {
-		bytes := red.Bytes
-		if !(bytes > 0) { // NaN-proof, as Request.withDefaults
-			bytes = cost.DefaultPayload(sys)
-		}
-		algo := red.Algo
-		if len(red.Algos) == 1 {
-			algo = red.Algos[0]
-		}
-		specs[i] = plan.JointSpec{
-			ReduceAxes: red.ReduceAxes,
-			Model:      &cost.Model{Sys: sys, Algo: algo, Bytes: bytes},
-			Weight:     red.Count,
-			Collapse:   len(red.ReduceAxes) > 1,
-			Algos:      red.Algos,
+		var err error
+		specs[i], err = plan.Resolve(sys, plan.Reduction{ReduceAxes: red.ReduceAxes, Algo: red.Algo,
+			Algos: red.Algos, Bytes: red.Bytes, Count: red.Count})
+		if err != nil {
+			return nil, fmt.Errorf("p2: reduction %d: %w", i, err)
 		}
 	}
-	jcs, stats, err := pl.eng.RunJointCtx(ctx, matrices, specs, plan.Options{
+	stream := func(yield func(*placement.Matrix) bool) error {
+		return placement.Iterate(sys.Hierarchy(), axes, yield)
+	}
+	jcs, stats, err := pl.eng.RunJointCtx(ctx, stream, specs, plan.Options{
 		Parallelism: opts.Parallelism,
 		TopK:        opts.TopK,
 		Rerank:      opts.Measure,
@@ -206,8 +189,7 @@ func (pl *Planner) PlanJointCtx(ctx context.Context, sys *System, axes []int, re
 			MeasuredTotal: jc.MeasuredTotal,
 		}
 		for ri, c := range jc.PerReduction {
-			choice.PerReduction = append(choice.PerReduction,
-				strategyFromCandidate(c, sys, specs[ri].Model.Algo, specs[ri].Model.Bytes))
+			choice.PerReduction = append(choice.PerReduction, strategyFromCandidate(c, specs[ri].Model))
 		}
 		jp.Choices = append(jp.Choices, choice)
 	}

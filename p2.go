@@ -31,6 +31,7 @@ package p2
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -249,9 +250,10 @@ type Request struct {
 	// (= p2.ExtendedAlgorithms) for the full Ring/Tree/HalvingDoubling
 	// space. nil means {Algo}; a single entry pins that algorithm.
 	Algos []Algorithm
-	// Bytes is the per-device payload in bytes (default: the paper's
-	// 2^29 × machines float32, where machines is the product of all
-	// non-leaf level counts).
+	// Bytes is the per-device payload in bytes (default, for any
+	// non-positive or NaN value: the paper's 2^29 × machines float32, where
+	// machines is the product of all non-leaf level counts). +Inf is
+	// refused.
 	Bytes float64
 	// MaxProgramSize limits synthesized program length (default 5).
 	MaxProgramSize int
@@ -412,28 +414,40 @@ func (p *PlanResult) BaselineFor(m *Matrix) *Strategy {
 	return nil
 }
 
-// withDefaults resolves every defaulted Request field, so that
-// PlanResult.Request faithfully echoes what was planned: payload (the
-// paper's 2^29 × machines float32), program-size limit, worker pool, and
-// the algorithm set (nil Algos means {Algo}; a single entry pins Algo).
-func (req Request) withDefaults(sys *System) Request {
-	// NaN-proof form: a NaN payload (like zero and negatives) takes the
-	// default instead of planning on NaN traffic, which every max-scan skips.
-	if !(req.Bytes > 0) {
-		req.Bytes = cost.DefaultPayload(sys)
+// Resolve returns the request as Plan plans it and PlanResult.Request
+// echoes it: payload, program-size limit and algorithm set resolved by the
+// engine's one request resolution (plan.Resolve: nil Algos is {Algo}, a
+// one-entry set pins Algo), a negative TopK clamped to 0 and the worker pool
+// sized — or the error Plan refuses it with (a +Inf Bytes). Resolving a
+// resolved request changes nothing.
+func (req Request) Resolve(sys *System) (Request, error) {
+	req, _, err := req.resolve(sys)
+	return req, err
+}
+
+// resolve is Resolve returning the engine's view of the request as well.
+func (req Request) resolve(sys *System) (Request, plan.JointSpec, error) {
+	spec, err := plan.Resolve(sys, plan.Reduction{ReduceAxes: req.ReduceAxes, Algo: req.Algo,
+		Algos: req.Algos, Bytes: req.Bytes, MaxProgramSize: req.MaxProgramSize})
+	if err != nil {
+		return req, spec, fmt.Errorf("p2: %w", err)
 	}
-	if req.MaxProgramSize <= 0 {
-		req.MaxProgramSize = synth.DefaultMaxSize
-	}
+	req.Algo, req.Algos, req.Bytes, req.MaxProgramSize = spec.Model.Algo, spec.Algos, spec.Model.Bytes, spec.MaxProgramSize
+	req.TopK = max(req.TopK, 0)
 	if req.Parallelism <= 0 {
 		req.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if len(req.Algos) == 0 {
-		req.Algos = []Algorithm{req.Algo}
-	} else if len(req.Algos) == 1 {
-		req.Algo = req.Algos[0]
+	return req, spec, nil
+}
+
+// CheckPayload is the payload rule of the CLI's -bytes and the serve API's
+// "bytes": a finite, non-negative number of bytes, 0 meaning the default.
+// (The library takes any non-positive or NaN Bytes as the default.)
+func CheckPayload(bytes float64) error {
+	if !(bytes >= 0) || math.IsInf(bytes, 1) {
+		return fmt.Errorf("must be a finite, non-negative number of bytes (got %g; 0 means the default)", bytes)
 	}
-	return req
+	return nil
 }
 
 // Plan enumerates placements (or uses req.Matrix), synthesizes every valid
@@ -501,7 +515,10 @@ func NewPlanner(memoCap int) *Planner {
 // PlanCtx plans one request on the Planner's shared memo; see the
 // package-level PlanCtx for the anytime contract.
 func (pl *Planner) PlanCtx(ctx context.Context, sys *System, req Request) (*PlanResult, error) {
-	req = req.withDefaults(sys)
+	req, spec, err := req.resolve(sys)
+	if err != nil {
+		return nil, err
+	}
 	stream := func(yield func(*placement.Matrix) bool) error {
 		if req.Matrix != nil {
 			yield(req.Matrix)
@@ -509,16 +526,12 @@ func (pl *Planner) PlanCtx(ctx context.Context, sys *System, req Request) (*Plan
 		}
 		return placement.Iterate(sys.Hierarchy(), req.Axes, yield)
 	}
-	model := &cost.Model{Sys: sys, Algo: req.Algo, Bytes: req.Bytes}
-	cands, stats, err := pl.eng.RunStreamCtx(ctx, stream, req.ReduceAxes, model, plan.Options{
-		Parallelism:    req.Parallelism,
-		TopK:           req.TopK,
-		MaxProgramSize: req.MaxProgramSize,
-		Collapse:       len(req.ReduceAxes) > 1,
-		Algos:          req.Algos,
-		Rerank:         req.Measure,
-		SimOpts:        req.SimOpts,
-	})
+	cands, stats, err := pl.eng.RunStreamCtx(ctx, stream, req.ReduceAxes, spec.Model, spec.Options(plan.Options{
+		Parallelism: req.Parallelism,
+		TopK:        req.TopK,
+		Rerank:      req.Measure,
+		SimOpts:     req.SimOpts,
+	}))
 	partial := false
 	if err != nil {
 		if !plan.IsCtxErr(err) || len(cands) == 0 {
@@ -532,16 +545,17 @@ func (pl *Planner) PlanCtx(ctx context.Context, sys *System, req Request) (*Plan
 	res := &PlanResult{Request: req, System: sys, Stats: stats, Partial: partial}
 	res.Strategies = make([]*Strategy, len(cands))
 	for i, c := range cands {
-		res.Strategies[i] = strategyFromCandidate(c, sys, req.Algo, req.Bytes)
+		res.Strategies[i] = strategyFromCandidate(c, spec.Model)
 	}
 	return res, nil
 }
 
-// strategyFromCandidate adopts a planner candidate as a public Strategy,
-// canonicalizing uniform per-step assignments to the fixed algorithm they
-// name (so they render and measure exactly like a pinned run).
-func strategyFromCandidate(c *plan.Candidate, sys *System, algo Algorithm, bytes float64) *Strategy {
-	stepAlgos := c.StepAlgos
+// strategyFromCandidate adopts a planner candidate scored under model as a
+// public Strategy, canonicalizing uniform per-step assignments to the fixed
+// algorithm they name (so they render and measure exactly like a pinned
+// run).
+func strategyFromCandidate(c *plan.Candidate, model *cost.Model) *Strategy {
+	algo, stepAlgos := model.Algo, c.StepAlgos
 	if a, ok := cost.UniformAlgo(stepAlgos); ok {
 		algo, stepAlgos = a, nil
 	}
@@ -552,9 +566,9 @@ func strategyFromCandidate(c *plan.Candidate, sys *System, algo Algorithm, bytes
 		Measured:  c.Measured,
 		StepAlgos: stepAlgos,
 		lowered:   c.Lowered,
-		sys:       sys,
+		sys:       model.Sys,
 		algo:      algo,
-		bytes:     bytes,
+		bytes:     model.Bytes,
 	}
 }
 

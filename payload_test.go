@@ -7,6 +7,7 @@ package p2_test
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"p2"
@@ -137,6 +138,38 @@ func TestNonPositivePayloadTakesDefault(t *testing.T) {
 		}
 		if g, w := gotJoint.Choices[0].Total, wantJoint.Choices[0].Total; g != w {
 			t.Errorf("Bytes %v: PlanJoint best total %v, want %v (default payload)", bytes, g, w)
+		}
+	}
+}
+
+// TestInfinitePayloadRefused: a +Inf payload or occurrence count cannot be
+// planned — every candidate would predict +Inf, which the wire reports as
+// a route that never completes — so Plan, PlanJoint and Request.Resolve
+// refuse it with an error naming the field instead of ranking on it.
+func TestInfinitePayloadRefused(t *testing.T) {
+	sys, axes := p2.A100System(2), []int{4, 8}
+	inf := math.Inf(1)
+	for name, call := range map[string]func() error{
+		"Plan Bytes": func() error {
+			_, err := p2.Plan(sys, p2.Request{Axes: axes, ReduceAxes: []int{0}, Bytes: inf})
+			return err
+		},
+		"Resolve Bytes": func() error {
+			_, err := p2.Request{Axes: axes, ReduceAxes: []int{0}, Bytes: inf}.Resolve(sys)
+			return err
+		},
+		"PlanJoint Bytes": func() error {
+			_, err := p2.PlanJoint(sys, axes, []p2.Reduction{{ReduceAxes: []int{0}, Bytes: inf}})
+			return err
+		},
+		"PlanJoint Count": func() error {
+			_, err := p2.PlanJoint(sys, axes, []p2.Reduction{{ReduceAxes: []int{0}}, {ReduceAxes: []int{1}, Count: inf}})
+			return err
+		},
+	} {
+		field := strings.Fields(name)[1]
+		if err := call(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s = +Inf: err = %v, want a refusal naming %s", name, err, field)
 		}
 	}
 }

@@ -35,7 +35,10 @@ func planMatrices(sys *System, req Request) ([]*Matrix, error) {
 // exists for exactly that cross-check and for ablation benchmarks of the
 // engine.
 func PlanSerial(sys *System, req Request) (*PlanResult, error) {
-	req = req.withDefaults(sys)
+	req, err := req.Resolve(sys)
+	if err != nil {
+		return nil, err
+	}
 	matrices, err := planMatrices(sys, req)
 	if err != nil {
 		return nil, err
