@@ -527,9 +527,11 @@ func BenchmarkPlanFreshBytesWarm(b *testing.B) {
 }
 
 // BenchmarkCostEstimate compares the reference Model.ProgramTime against
-// the planner's reusable cost.Scorer: identical floats, but the scorer's
-// dirty-entry scratch reset and schedule memo make the scoring path
-// allocation-free (the "scorer" sub-benchmark must report 0 allocs/op).
+// the planner's reusable cost.Scorer: identical floats, and the scorer's
+// dirty-entry scratch reset and inline link walk make the scoring path
+// allocation-free (the "scorer" sub-benchmarks must report 0 allocs/op),
+// also when every op scores a payload it has not seen, as the daemon's
+// slow path does ("scorer-fresh-payload").
 func BenchmarkCostEstimate(b *testing.B) {
 	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
 	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
@@ -547,11 +549,22 @@ func BenchmarkCostEstimate(b *testing.B) {
 	})
 	b.Run("scorer", func(b *testing.B) {
 		sc := cost.NewScorer(sys)
-		sc.ProgramTime(model, lp) // warm the schedule cache
+		sc.ProgramTime(model, lp) // warm the scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sc.ProgramTime(model, lp)
+		}
+	})
+	b.Run("scorer-fresh-payload", func(b *testing.B) {
+		sc := cost.NewScorer(sys)
+		fresh := *model
+		sc.ProgramTime(&fresh, lp) // warm the scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fresh.Bytes = model.Bytes + float64(i+1)
+			sc.ProgramTime(&fresh, lp)
 		}
 	})
 }

@@ -743,3 +743,62 @@ func TestPlanStatsPinned(t *testing.T) {
 		}
 	}
 }
+
+// scaleLinks returns sys with every uplink's bandwidth scaled by 2^k and
+// its latency by 2^−k, overrides kept.
+func scaleLinks(t *testing.T, sys *p2.System, k int) *p2.System {
+	t.Helper()
+	links := append([]p2.Link(nil), sys.Uplinks...)
+	for i := range links {
+		links[i].Bandwidth = math.Ldexp(links[i].Bandwidth, k)
+		links[i].Latency = math.Ldexp(links[i].Latency, -k)
+	}
+	scaled, err := p2.NewSystem(sys.Name, sys.Levels, links)
+	if err == nil && len(sys.Overrides) > 0 {
+		scaled, err = scaled.WithOverrides(sys.Overrides...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scaled
+}
+
+// TestPlanScalesWithLinks is a metamorphic property of the whole planner:
+// scaling every bandwidth by 2^k and every latency by 2^−k scales every
+// prediction by exactly 2^−k (power-of-two scaling commutes with rounding,
+// so bit for bit) and changes nothing else — p2.Plan on the
+// determinism-matrix systems returns the same ranking and the same Stats,
+// the pruning counters included, for the full ranking and a top 5.
+func TestPlanScalesWithLinks(t *testing.T) {
+	for _, tc := range determinismCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, topK := range []int{0, 5} {
+				req := p2.Request{Axes: tc.axes, ReduceAxes: tc.red, Algos: tc.algos, TopK: topK, Parallelism: 1}
+				base, err := p2.Plan(tc.sys, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{-3, 5} {
+					got, err := p2.Plan(scaleLinks(t, tc.sys, k), req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := &p2.PlanResult{Strategies: make([]*p2.Strategy, len(base.Strategies))}
+					for i, s := range base.Strategies {
+						c := *s
+						c.Predicted = math.Ldexp(s.Predicted, -k)
+						want.Strategies[i] = &c
+					}
+					if g, w := planFingerprint(got), planFingerprint(want); g != w {
+						t.Errorf("top %d, links ×2^%d: ranking differs from the pristine one scaled by 2^%d:\n%s\nwant\n%s", topK, k, -k, g, w)
+					}
+					gs, ws := got.Stats, base.Stats
+					gs.SynthElapsed, ws.SynthElapsed = 0, 0
+					if gs != ws {
+						t.Errorf("top %d, links ×2^%d: stats %+v, pristine %+v", topK, k, gs, ws)
+					}
+				}
+			}
+		})
+	}
+}

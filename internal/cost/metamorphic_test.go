@@ -2,8 +2,11 @@ package cost
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"p2/internal/collective"
+	"p2/internal/lower"
 	"p2/internal/topology"
 )
 
@@ -80,4 +83,103 @@ func TestStepTimeMonotoneInBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scaleLinks returns sys with every uplink's bandwidth scaled by 2^k and
+// its latency by 2^−k, overrides kept.
+func scaleLinks(t *testing.T, sys *topology.System, k int) *topology.System {
+	t.Helper()
+	links := append([]topology.Link(nil), sys.Uplinks...)
+	for i := range links {
+		links[i].Bandwidth = math.Ldexp(links[i].Bandwidth, k)
+		links[i].Latency = math.Ldexp(links[i].Latency, -k)
+	}
+	scaled, err := topology.New(sys.Name, sys.Levels, links)
+	if err == nil && len(sys.Overrides) > 0 {
+		scaled, err = scaled.WithOverrides(sys.Overrides...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scaled
+}
+
+// TestStepTimeScalesWithLinks: scaling every bandwidth by 2^k and every
+// latency by 2^−k scales every step time by exactly 2^−k — both terms of a
+// step time are, and power-of-two scaling commutes with rounding — on
+// every step of scorerCases under every algorithm, on each system pristine
+// and degraded (a throttled, a slowed and a down link).
+func TestStepTimeScalesWithLinks(t *testing.T) {
+	variants := map[*topology.System][]*topology.System{}
+	for _, tc := range scorerCases(t) {
+		if variants[tc.sys] == nil {
+			leaf := tc.sys.NumLevels() - 1
+			variants[tc.sys] = []*topology.System{tc.sys,
+				tc.sys.MustWithOverrides(topology.Throttle(1, 0, 4), topology.Slow(leaf, 2, 3), topology.Down(leaf, 1))}
+		}
+		for _, sys := range variants[tc.sys] {
+			for _, k := range []int{-7, 3, 20} {
+				scaled := scaleLinks(t, sys, k)
+				for _, algo := range ExtendedAlgorithms {
+					m := &Model{Sys: sys, Algo: algo, Bytes: DefaultPayload(sys)}
+					mk := &Model{Sys: scaled, Algo: algo, Bytes: m.Bytes}
+					for si, st := range tc.lp.Steps {
+						want := math.Float64bits(math.Ldexp(m.StepTime(st), -k))
+						if got := math.Float64bits(mk.StepTime(st)); got != want {
+							t.Fatalf("%s %v step %d algo %v, links ×2^%d: %016x, want %016x",
+								sys.Name, tc.lp, si, algo, k, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSameAnalyticScoresEqual: StepTimeAlgo reads its algorithm only
+// through ScheduleOf, so whenever two algorithms' analytic views agree for
+// a step (SameAnalytic), their step times are bit-equal — what lets the
+// planner's per-step search skip the later of the two. Every op, every
+// pair of ExtendedAlgorithms, group sizes 2…33, on generated disjoint
+// groups of fig2a, superpod:3x4 and a degraded superpod:3x4.
+func TestSameAnalyticScoresEqual(t *testing.T) {
+	systems := []*topology.System{
+		topology.Fig2aSystem(),
+		topology.SuperPodSystem(3, 4),
+		topology.SuperPodSystem(3, 4).MustWithOverrides(topology.Throttle(1, 2, 4), topology.Slow(2, 13, 3), topology.Down(2, 40)),
+	}
+	rng := rand.New(rand.NewSource(1))
+	agree, differ := 0, 0
+	for _, sys := range systems {
+		devices := sys.NumDevices()
+		for n := 2; n <= 33 && n <= devices; n++ {
+			perm := rng.Perm(devices)
+			groups := make([][]int, 1+rng.Intn(devices/n))
+			for i := range groups {
+				groups[i] = perm[i*n : (i+1)*n]
+			}
+			for _, op := range collective.Ops {
+				st := lower.Step{Op: op, Groups: groups, Rows: 1 + rng.Intn(4), RowsOut: 1, K: 4}
+				m := &Model{Sys: sys, Bytes: []float64{1, 1e6 + 1.0/3, DefaultPayload(sys)}[rng.Intn(3)]}
+				perDevice := st.FracIn() * m.Bytes
+				for i, a := range ExtendedAlgorithms {
+					for _, b := range ExtendedAlgorithms[i+1:] {
+						if !ScheduleOf(op, a, n, perDevice).SameAnalytic(ScheduleOf(op, b, n, perDevice)) {
+							differ++
+							continue
+						}
+						agree++
+						ta, tb := m.StepTimeAlgo(st, a), m.StepTimeAlgo(st, b)
+						if math.Float64bits(ta) != math.Float64bits(tb) {
+							t.Fatalf("%s %v n=%d: %v and %v agree analytically but score %v and %v", sys.Name, op, n, a, b, ta, tb)
+						}
+					}
+				}
+			}
+		}
+	}
+	if agree == 0 || differ == 0 {
+		t.Fatalf("vacuous: %d agreeing pairs, %d differing", agree, differ)
+	}
+	t.Logf("%d agreeing pairs, %d differing", agree, differ)
 }

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 
 	"p2/internal/collective"
 )
@@ -114,52 +115,17 @@ func FoldLink(p, k int) (residual, partner int) { return k, k - p }
 // CoreLink is core member i's exchange at halving-doubling level r.
 func CoreLink(r, i int) (src, dst int) { return i, i ^ (1 << r) }
 
-// relEdge is one link of the analytic view in group-index space.
+// relEdge is one link of the analytic view in group-index space: a tree's,
+// from treePartition.
 type relEdge struct {
 	a, b  int
 	bytes float64
 }
 
-// edges expands the analytic view of a ring, chain or halving-doubling
-// schedule (a tree's links come from treePartition over the concrete group)
-// into one exact-capacity slice: the Scorer's memo misses on every fresh plan, so
-// this is on the planner's hot path. Routing a link bumps both endpoints'
-// uplinks by the same amount and all links of one halving-doubling level
-// carry the same bytes, so the order inside a level is free (it is the
-// emulator's); across levels floats do not reassociate, and fold and
-// unfold are both accumulated before the core.
-func (s Schedule) edges() []relEdge {
-	switch n := s.N; s.Pattern {
-	case PatternRing:
-		out := make([]relEdge, n)
-		for i := range out {
-			a, b := RingLink(n, i)
-			out[i] = relEdge{a, b, s.LinkBytes}
-		}
-		return out
-	case PatternChain:
-		out := make([]relEdge, n-1)
-		for i := range out {
-			a, b := ChainLink(i)
-			out[i] = relEdge{a, b, s.LinkBytes}
-		}
-		return out
-	case PatternHalvingDoubling:
-		p := CorePow2(n)
-		out := make([]relEdge, 0, 2*(n-p)+p*logRounds(p))
-		for k := p; k < n; k++ {
-			a, b := FoldLink(p, k)
-			out = append(out, relEdge{a, b, s.LinkBytes}, relEdge{b, a, s.LinkBytes})
-		}
-		for r := 0; 1<<r < p; r++ {
-			bytes := 2 * s.LinkBytes / float64(int(2)<<r) // halving + doubling phases
-			for i := 0; i < p; i++ {
-				a, b := CoreLink(r, i)
-				out = append(out, relEdge{a, b, bytes})
-			}
-		}
-		return out
-	default:
-		panic(fmt.Sprintf("cost: pattern %d has no group-independent edges", s.Pattern))
-	}
+// SameAnalytic reports whether s and o agree in their analytic view —
+// Pattern, LinkBytes and LatencyRounds — which is all a Scorer reads: over
+// one group, two schedules that agree in it score the same time.
+func (s Schedule) SameAnalytic(o Schedule) bool {
+	return s.Pattern == o.Pattern && s.LatencyRounds == o.LatencyRounds &&
+		math.Float64bits(s.LinkBytes) == math.Float64bits(o.LinkBytes)
 }

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -149,5 +150,44 @@ func checkScheduleViews(t *testing.T, op collective.Op, algo Algorithm, n int, d
 			t.Errorf("%v %v n=%d link %v: %d analytic edges, %d emulated transfers per pass",
 				op, algo, n, l, analyticLinks[l], emulatedLinks[l])
 		}
+	}
+}
+
+// edges expands the analytic view of a ring, chain or halving-doubling
+// schedule into the list of links the Scorer walks inline, in its order:
+// the oracle the volume and emulator-agreement tests read.
+func (s Schedule) edges() []relEdge {
+	switch n := s.N; s.Pattern {
+	case PatternRing:
+		out := make([]relEdge, n)
+		for i := range out {
+			a, b := RingLink(n, i)
+			out[i] = relEdge{a, b, s.LinkBytes}
+		}
+		return out
+	case PatternChain:
+		out := make([]relEdge, n-1)
+		for i := range out {
+			a, b := ChainLink(i)
+			out[i] = relEdge{a, b, s.LinkBytes}
+		}
+		return out
+	case PatternHalvingDoubling:
+		p := CorePow2(n)
+		var out []relEdge
+		for k := p; k < n; k++ {
+			a, b := FoldLink(p, k)
+			out = append(out, relEdge{a, b, s.LinkBytes}, relEdge{b, a, s.LinkBytes})
+		}
+		for r := 0; 1<<r < p; r++ {
+			bytes := 2 * s.LinkBytes / float64(int(2)<<r) // halving + doubling phases
+			for i := 0; i < p; i++ {
+				a, b := CoreLink(r, i)
+				out = append(out, relEdge{a, b, bytes})
+			}
+		}
+		return out
+	default:
+		panic(fmt.Sprintf("cost: pattern %d has no group-independent edges", s.Pattern))
 	}
 }

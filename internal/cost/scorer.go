@@ -3,44 +3,42 @@ package cost
 import (
 	"sync"
 
-	"p2/internal/collective"
 	"p2/internal/lower"
 	"p2/internal/topology"
 )
 
 // Scorer is the one step-cost evaluator: every Model method borrows one
 // from a package pool, and each planning worker holds its own. A warm
-// Scorer scores with zero allocations, by two mechanisms:
+// Scorer scores with zero allocations, whatever the payload:
 //
 //   - The per-uplink traffic array is scratch owned by the Scorer. Instead
 //     of reallocating (or zeroing the whole array) per step, the Scorer
 //     records which entries a step touched and resets exactly those during
 //     the final max-scan (dirty-entry reset), so traffic is all zero
 //     between steps.
-//   - Schedule expansions are memoized. Ring, chain and halving-doubling
-//     schedules depend only on (pattern, group size, link bytes) — their
-//     edges are cached in group-index space and mapped through the
-//     concrete group on replay. Tree schedules depend on the members'
-//     hardware entities, so they are expanded per group, but into reusable
-//     partition and edge scratch.
+//   - A step's groups are uniform, so one Schedule serves them all, and
+//     ring, chain and halving-doubling links are walked straight off their
+//     link formulas in group-index space, mapped through each concrete
+//     group. Tree links depend on the members' hardware entities, so they
+//     are expanded per group, but into reusable partition and edge scratch.
 //
-// The accumulation order is fixed — groups in step order, edges in
-// schedule order, each edge's route (topology.System.Route) endpoint a
-// then b, levels from the divergence level down — and the step time is
-// the most-loaded uplink's transfer time plus the rounds × latency term.
-// TestStepTimePinnedBits and TestStepTimeDigest pin the resulting floats.
+// The accumulation order is fixed — groups in step order, links in the
+// order their formulas number them (a halving-doubling group's folds and
+// unfolds before its core levels), each link's route
+// (topology.System.Route) endpoint a then b, levels from the divergence
+// level down — and the step time is the most-loaded uplink's transfer time
+// plus the rounds × latency term. TestStepTimePinnedBits and
+// TestStepTimeDigest pin the resulting floats.
 //
-// Neither the memo nor the reset depends on the System, so a Scorer binds
-// to the System of each Model it is handed, growing its traffic array when
-// the System has more uplinks. The zero Scorer is ready to use; a Scorer
-// is not safe for concurrent use.
+// Nothing a Scorer keeps depends on the System, so it binds to the System
+// of each Model it is handed, growing its traffic array when the System
+// has more uplinks. The zero Scorer is ready to use; a Scorer is not safe
+// for concurrent use.
 type Scorer struct {
 	sys *topology.System
 
 	traffic []float64
 	dirty   []int
-
-	sched map[schedKey][]relEdge
 
 	tree      treePartition
 	treeEdges []relEdge
@@ -50,17 +48,10 @@ type Scorer struct {
 	maxLat float64
 }
 
-// schedKey identifies one cached structural (group-independent) schedule.
-type schedKey struct {
-	pattern Pattern
-	n       int
-	bytes   float64
-}
-
-// NewScorer returns a Scorer bound to sys, its traffic array and schedule
-// memo allocated up front.
+// NewScorer returns a Scorer bound to sys, its traffic array allocated up
+// front.
 func NewScorer(sys *topology.System) *Scorer {
-	s := &Scorer{sched: map[schedKey][]relEdge{}}
+	s := new(Scorer)
 	s.bind(sys)
 	return s
 }
@@ -68,22 +59,11 @@ func NewScorer(sys *topology.System) *Scorer {
 // scorers pools the Scorers Model's methods borrow for one call each.
 var scorers = sync.Pool{New: func() any { return new(Scorer) }}
 
-// maxPooledSched bounds the schedule memo a pooled Scorer keeps: one
-// program's evaluation caches a few dozen shapes, but callers sweeping
-// payloads (every distinct byte count is a new key) would otherwise grow a
-// hot pooled memo without bound.
-const maxPooledSched = 256
-
 func getScorer() *Scorer { return scorers.Get().(*Scorer) }
 
 // putScorer returns s to the pool. A call that panics does not return its
 // Scorer, so the pool never holds a dirty traffic array.
-func putScorer(s *Scorer) {
-	if len(s.sched) > maxPooledSched {
-		clear(s.sched)
-	}
-	scorers.Put(s)
-}
+func putScorer(s *Scorer) { scorers.Put(s) }
 
 // bind points s at sys, the cold path of StepTimeAlgo. traffic is all
 // zero between steps, so it is only grown, never cleared.
@@ -95,21 +75,24 @@ func (s *Scorer) bind(sys *topology.System) {
 }
 
 // StepTimeAlgo predicts the duration of one lowered step under m, run
-// with algo in place of m.Algo.
+// with algo in place of m.Algo. It reads algo only through ScheduleOf, so
+// two algorithms whose analytic views (Pattern, LinkBytes, LatencyRounds)
+// agree score a step identically.
 //
 //p2:zeroalloc
 func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 	if m.Sys != s.sys {
 		s.bind(m.Sys)
 	}
-	perDevice := st.FracIn() * m.Bytes
 	s.maxLat = 0
 	s.dirty = s.dirty[:0]
-	maxRounds := 0
-	for _, g := range st.Groups {
-		if rounds := s.addGroup(st.Op, algo, g, perDevice); rounds > maxRounds {
-			maxRounds = rounds
+	rounds := 0
+	if len(st.Groups) > 0 {
+		sch := ScheduleOf(st.Op, algo, st.GroupSize(), st.FracIn()*m.Bytes)
+		for _, g := range st.Groups {
+			s.addGroup(sch, g)
 		}
+		rounds = sch.LatencyRounds
 	}
 	// Each entity's uplink has its own effective bandwidth. A down link
 	// (bandwidth 0) carrying traffic yields +Inf; with zero traffic the 0/0
@@ -127,7 +110,7 @@ func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 		}
 		s.traffic[i] = 0
 	}
-	return worst + float64(maxRounds)*s.maxLat
+	return worst + float64(rounds)*s.maxLat
 }
 
 // ProgramTime sums the step times of a lowered program in step order.
@@ -141,40 +124,48 @@ func (s *Scorer) ProgramTime(m *Model, p *lower.Program) float64 {
 	return total
 }
 
-// addGroup accumulates one group's schedule into the traffic scratch and
-// returns its pipeline round count. The structural schedule cache it
-// consults allocates only on first sight of a (pattern, size, bytes) shape —
-// a miss is outside the steady-state scoring path.
+// addGroup accumulates the analytic view of sch over one group g into the
+// traffic scratch. Ring, chain and halving-doubling links come straight
+// from RingLink, ChainLink, FoldLink and CoreLink. Routing a link bumps
+// both endpoints' uplinks by the same amount and all links of one
+// halving-doubling level carry the same bytes, so the order inside a level
+// is free; across levels floats do not reassociate, and fold and unfold are
+// both accumulated before the core.
 //
 //p2:zeroalloc
-func (s *Scorer) addGroup(op collective.Op, algo Algorithm, g []int, perDevice float64) int {
-	sch := ScheduleOf(op, algo, len(g), perDevice)
-	var edges []relEdge
-	if sch.Pattern == PatternTree {
-		s.treeEdges = s.tree.edges(s.sys, g, sch.LinkBytes, s.treeEdges[:0])
-		edges = s.treeEdges
-	} else {
-		edges = s.structural(sch)
-	}
-	for _, e := range edges {
-		s.addEdge(g[e.a], g[e.b], e.bytes)
-	}
-	return sch.LatencyRounds
-}
-
-// structural returns the cached group-index-space edges of a ring, chain
-// or halving-doubling schedule, expanding and caching on first use.
-func (s *Scorer) structural(sch Schedule) []relEdge {
-	key := schedKey{pattern: sch.Pattern, n: sch.N, bytes: sch.LinkBytes}
-	edges, ok := s.sched[key]
-	if !ok {
-		if s.sched == nil {
-			s.sched = map[schedKey][]relEdge{}
+func (s *Scorer) addGroup(sch Schedule, g []int) {
+	n, bytes := len(g), sch.LinkBytes
+	switch sch.Pattern {
+	case PatternRing:
+		for i := range n {
+			a, b := RingLink(n, i)
+			s.addEdge(g[a], g[b], bytes)
 		}
-		edges = sch.edges()
-		s.sched[key] = edges
+	case PatternChain:
+		for i := range n - 1 {
+			a, b := ChainLink(i)
+			s.addEdge(g[a], g[b], bytes)
+		}
+	case PatternHalvingDoubling:
+		p := CorePow2(n)
+		for k := p; k < n; k++ {
+			a, b := FoldLink(p, k)
+			s.addEdge(g[a], g[b], bytes)
+			s.addEdge(g[b], g[a], bytes)
+		}
+		for r := 0; 1<<r < p; r++ {
+			level := 2 * bytes / float64(int(2)<<r) // halving + doubling phases
+			for i := range p {
+				a, b := CoreLink(r, i)
+				s.addEdge(g[a], g[b], level)
+			}
+		}
+	case PatternTree:
+		s.treeEdges = s.tree.edges(s.sys, g, bytes, s.treeEdges[:0])
+		for _, e := range s.treeEdges {
+			s.addEdge(g[e.a], g[e.b], e.bytes)
+		}
 	}
-	return edges
 }
 
 // addEdge routes one transfer through the uplinks it traverses and adds

@@ -92,14 +92,14 @@ func TestScorerMatchesModel(t *testing.T) {
 	}
 }
 
-// TestScorerZeroAlloc: after warm-up (schedule cache populated), scoring
-// must not allocate.
+// TestScorerZeroAlloc: after warm-up (scratch grown), scoring must not
+// allocate.
 func TestScorerZeroAlloc(t *testing.T) {
 	t.Run("superpod-2x4", func(t *testing.T) {
 		testScorerZeroAlloc(t, topology.SuperPodSystem(2, 4), "[[1 2 4] [2 2 2]]", []int{8, 8})
 	})
 	// Non-power-of-two groups must stay allocation-free too: the residual
-	// halving-doubling expansion is cached like the pure-core one.
+	// halving-doubling links are walked inline like the pure-core ones.
 	t.Run("superpod-3x2", func(t *testing.T) {
 		testScorerZeroAlloc(t, topology.SuperPodSystem(3, 2), "[[3 1 2] [1 2 4]]", []int{6, 8})
 	})
@@ -121,7 +121,7 @@ func testScorerZeroAlloc(t *testing.T, sys *topology.System, matrix string, axes
 	model := &Model{Sys: sys, Algo: Ring, Bytes: DefaultPayload(sys)}
 	sc := NewScorer(sys)
 	for _, algo := range ExtendedAlgorithms {
-		sc.ProgramTime(&Model{Sys: sys, Algo: algo, Bytes: model.Bytes}, lp) // warm the caches
+		sc.ProgramTime(&Model{Sys: sys, Algo: algo, Bytes: model.Bytes}, lp) // warm the scratch
 	}
 	for _, algo := range ExtendedAlgorithms {
 		mm := &Model{Sys: sys, Algo: algo, Bytes: model.Bytes}
@@ -174,22 +174,39 @@ func TestModelConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPooledScorerMemoBounded: a pooled Scorer goes back with its schedule
-// memo cleared once the memo outgrows maxPooledSched — a caller sweeping
-// payloads adds a key per byte count.
-func TestPooledScorerMemoBounded(t *testing.T) {
-	sys := topology.Fig2aSystem()
-	st := lower.Step{Op: collective.AllReduce, Groups: partition(sys.NumDevices(), 4, false), Rows: 1, RowsOut: 1, K: 1}
-	s := new(Scorer)
-	for b := 1; b <= maxPooledSched+1; b++ {
-		s.StepTimeAlgo(&Model{Sys: sys, Bytes: float64(b)}, st, Ring)
+// TestScorerFreshPayloadZeroAlloc: a warm Scorer allocates nothing on a
+// payload it has not seen — the daemon's slow path plans every request at
+// a new byte count. 257 distinct payloads, each scored on a ring, a chain,
+// a non-power-of-two halving-doubling and a tree step.
+func TestScorerFreshPayloadZeroAlloc(t *testing.T) {
+	sys := topology.SuperPodSystem(3, 4)
+	n := sys.NumDevices()
+	steps := []struct {
+		st   lower.Step
+		algo Algorithm
+	}{
+		{lower.Step{Op: collective.AllReduce, Groups: partition(n, 4, true), Rows: 1, RowsOut: 1, K: 1}, Ring},
+		{lower.Step{Op: collective.Reduce, Groups: partition(n, 4, true), Rows: 1, RowsOut: 1, K: 1}, Ring},
+		{lower.Step{Op: collective.AllReduce, Groups: partition(n, 6, true), Rows: 1, RowsOut: 1, K: 1}, HalvingDoubling},
+		{lower.Step{Op: collective.AllReduce, Groups: partition(n, 8, true), Rows: 1, RowsOut: 1, K: 1}, Tree},
 	}
-	if len(s.sched) <= maxPooledSched {
-		t.Fatalf("memo holds %d shapes after %d payloads", len(s.sched), maxPooledSched+1)
+	wantPatterns := []Pattern{PatternRing, PatternChain, PatternHalvingDoubling, PatternTree}
+	sc := NewScorer(sys)
+	m := &Model{Sys: sys, Bytes: DefaultPayload(sys)}
+	for i, c := range steps {
+		if p := ScheduleOf(c.st.Op, c.algo, c.st.GroupSize(), 1).Pattern; p != wantPatterns[i] {
+			t.Fatalf("step %d runs pattern %d, want %d", i, p, wantPatterns[i])
+		}
+		sc.StepTimeAlgo(m, c.st, c.algo) // warm the scratch
 	}
-	putScorer(s)
-	if n := len(s.sched); n != 0 {
-		t.Errorf("pooled Scorer kept %d memo entries, want 0", n)
+	allocs := testing.AllocsPerRun(257, func() {
+		m.Bytes++
+		for _, c := range steps {
+			sc.StepTimeAlgo(m, c.st, c.algo)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per fresh payload, want 0", allocs)
 	}
 }
 

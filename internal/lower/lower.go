@@ -76,7 +76,7 @@ func Lower(p dsl.Program, h *hierarchy.Hierarchy) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Assemble(p, h, shapes, func(in dsl.Instruction) [][]int { return Bind(in, h) }), nil
+	return Assemble(p, h, func(i int) ([][]int, dsl.Shape) { return Bind(p[i], h), shapes[i] }), nil
 }
 
 // Annotate runs the universe semantics of p over h and returns the shape
@@ -121,10 +121,10 @@ func Bind(in dsl.Instruction, h *hierarchy.Hierarchy) [][]int {
 	return phys
 }
 
-// Assemble builds the lowered program of p from its step shapes and a
-// source of bound groups: groups(in) must return Bind(in, h), and may hand
-// the same slices to any number of programs (see Step.Groups).
-func Assemble(p dsl.Program, h *hierarchy.Hierarchy, shapes []dsl.Shape, groups func(dsl.Instruction) [][]int) *Program {
+// Assemble builds the lowered program of p from a source of its steps:
+// step(i) must return Bind(p[i], h) — and may hand the same slices to any
+// number of programs (see Step.Groups) — and step i's shape.
+func Assemble(p dsl.Program, h *hierarchy.Hierarchy, step func(i int) ([][]int, dsl.Shape)) *Program {
 	out := &Program{
 		Steps:      make([]Step, len(p)),
 		NumDevices: h.K() * h.Replicas(),
@@ -132,7 +132,8 @@ func Assemble(p dsl.Program, h *hierarchy.Hierarchy, shapes []dsl.Shape, groups 
 		Source:     p.Clone(),
 	}
 	for i, in := range p {
-		out.Steps[i] = Step{Op: in.Op, Groups: groups(in), Rows: shapes[i].Rows, RowsOut: shapes[i].RowsOut, K: h.K()}
+		groups, shape := step(i)
+		out.Steps[i] = Step{Op: in.Op, Groups: groups, Rows: shape.Rows, RowsOut: shape.RowsOut, K: h.K()}
 	}
 	return out
 }

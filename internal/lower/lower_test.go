@@ -353,7 +353,7 @@ func TestLowerIsAnnotateBindAssemble(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := Assemble(p, h, shapes, groups)
+		got := Assemble(p, h, func(i int) ([][]int, dsl.Shape) { return groups(p[i]), shapes[i] })
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: Assemble(Annotate, Bind) differs from Lower", p)
 		}

@@ -8,9 +8,10 @@
 // synthesis and lowering for placements that cannot enter the incumbent
 // top-K, and per-program scoring aborts once a partial step-cost sum
 // exceeds the shared threshold. Lowering itself is a table lookup: the
-// memoized synthesis result carries each program's step shapes (the
-// universe semantics ran once, in synthesis) and each placement binds every
-// distinct instruction to its physical groups once.
+// memoized synthesis result numbers its distinct steps and carries each
+// program's step ids (the universe semantics ran once, in synthesis), and
+// each placement binds every distinct instruction to its physical groups
+// once and scores every step id once.
 //
 // The engine is deterministic: its output is byte-identical to the serial
 // reference path (enumerate placements in order, synthesize, rank with a
@@ -34,6 +35,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -310,130 +312,133 @@ func (t *threshold) tighten(v float64) {
 // workerState is per-worker scratch: the worker's zero-alloc step-cost
 // evaluator (it binds to each model's system), the placement-bound
 // scratch reused across every placement the worker prunes, and the
-// per-placement tables of matrixScorer, cleared (not reallocated) for
-// each placement the worker scores.
+// matrixScorer of the placement the worker scores, whose tables are
+// resized and zeroed per placement and reallocated only to grow.
 type workerState struct {
 	sc     cost.Scorer
 	bounds boundScratch
-	bound  map[dsl.Instruction][][]int
-	steps  map[stepKey]stepChoice
-}
-
-// stepKey identifies a lowered step up to cost equivalence within one
-// placement: the instruction determines Op and the device groups, rows the
-// payload fraction. RowsOut and K are not read by StepTime (K is constant
-// per hierarchy anyway).
-type stepKey struct {
-	in   dsl.Instruction
-	rows int
+	ms     matrixScorer
 }
 
 // stepChoice is one memoized step evaluation: the winning algorithm of the
-// searched set and its predicted time.
+// searched set and its predicted time, once scored is set.
 type stepChoice struct {
-	algo cost.Algorithm
-	time float64
+	algo   cost.Algorithm
+	time   float64
+	scored bool
 }
 
 // matrixScorer scores the programs of one (placement, reduction hierarchy)
-// pair as table lookups. bound holds each distinct instruction's physical
-// groups (lower.Bind, once per instruction — tens per placement against
-// hundreds of program steps) and steps each (instruction, rows) pair's
-// evaluation, so programs sharing a prefix — or merely an instruction at
-// the same payload fraction — share both the binding and the StepTime
-// evaluations, which dominate serial planning at scale. Both tables are
-// the worker's, so a worker has one matrixScorer live at a time.
+// pair as table lookups indexed by the synthesis result's numbering:
+// groups holds each instruction's physical groups (lower.Bind, once per
+// instruction — tens per placement against hundreds of program steps) and
+// steps each step's evaluation, so programs sharing a prefix — or merely
+// an instruction at the same shape — share both the binding and the
+// StepTime evaluations, which dominate serial planning at scale.
 type matrixScorer struct {
-	sc    *cost.Scorer
-	model *cost.Model
-	h     *hierarchy.Hierarchy
-	algos []cost.Algorithm // the searched set; one entry pins every step
-	bound map[dsl.Instruction][][]int
-	steps map[stepKey]stepChoice
+	sc     *cost.Scorer
+	model  *cost.Model
+	h      *hierarchy.Hierarchy
+	res    *synth.Result
+	algos  []cost.Algorithm // the searched set; one entry pins every step
+	groups [][][]int        // by Result instruction; nil until bound
+	steps  []stepChoice     // by Result step id
+	views  []cost.Schedule  // evalStep's scratch, one per searched algorithm
 	// stepAlgos is the per-step assignment scratch of a searching run (nil
 	// when pinned), sized to the longest program; a surviving candidate
 	// copies its prefix out.
 	stepAlgos []cost.Algorithm
 }
 
-func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy, opts Options) *matrixScorer {
-	if ws.bound == nil {
-		ws.bound, ws.steps = map[dsl.Instruction][][]int{}, map[stepKey]stepChoice{}
-	}
-	clear(ws.bound)
-	clear(ws.steps)
-	ms := &matrixScorer{
-		sc:    &ws.sc,
-		model: model,
-		h:     h,
-		algos: opts.Algos,
-		bound: ws.bound,
-		steps: ws.steps,
-	}
+// zeroed returns s resized to n zero entries, reusing its array when it is
+// large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy, res *synth.Result, opts Options) *matrixScorer {
+	ms := &ws.ms
+	ms.sc, ms.model, ms.h, ms.res, ms.algos = &ws.sc, model, h, res, opts.Algos
+	ms.groups = zeroed(ms.groups, len(res.Instructions))
+	ms.steps = zeroed(ms.steps, len(res.Steps))
+	ms.views = zeroed(ms.views, len(opts.Algos))
 	if len(ms.algos) > 1 {
-		ms.stepAlgos = make([]cost.Algorithm, max(opts.MaxProgramSize, synth.DefaultMaxSize))
+		ms.stepAlgos = zeroed(ms.stepAlgos, max(opts.MaxProgramSize, synth.DefaultMaxSize))
+	} else {
+		ms.stepAlgos = nil
 	}
 	return ms
 }
 
-// groups returns the physical groups of in under the scorer's placement,
-// binding the instruction on first use.
-func (ms *matrixScorer) groups(in dsl.Instruction) [][]int {
-	g, ok := ms.bound[in]
-	if !ok {
-		g = lower.Bind(in, ms.h)
-		ms.bound[in] = g
+// bind returns the physical groups of instruction i under the scorer's
+// placement, binding it on first use.
+func (ms *matrixScorer) bind(i int32) [][]int {
+	if ms.groups[i] == nil {
+		ms.groups[i] = lower.Bind(ms.res.Instructions[i], ms.h)
 	}
-	return g
+	return ms.groups[i]
 }
 
 // stepTime returns one step's memoized evaluation.
 //
 //p2:zeroalloc
-func (ms *matrixScorer) stepTime(in dsl.Instruction, rows int) stepChoice {
-	var key stepKey
-	key.in, key.rows = in, rows
-	if ch, ok := ms.steps[key]; ok {
+func (ms *matrixScorer) stepTime(id int32) stepChoice {
+	if ch := ms.steps[id]; ch.scored {
 		return ch
 	}
-	return ms.evalStep(key)
+	return ms.evalStep(id)
 }
 
 // evalStep is stepTime's cold path: bind the instruction and take the
 // argmin over the algorithm set (ties to the earliest entry, matching
-// cost.Model.BestStepAlgos; a pinned run's set has one entry).
-func (ms *matrixScorer) evalStep(key stepKey) stepChoice {
-	st := lower.Step{Op: key.in.Op, Groups: ms.groups(key.in), Rows: key.rows, K: ms.h.K()}
-	ch := stepChoice{algo: ms.algos[0], time: ms.sc.StepTimeAlgo(ms.model, st, ms.algos[0])}
-	for _, a := range ms.algos[1:] {
-		if t := ms.sc.StepTimeAlgo(ms.model, st, a); t < ch.time {
-			ch = stepChoice{algo: a, time: t}
+// cost.Model.BestStepAlgos; a pinned run's set has one entry). The Scorer
+// reads an algorithm only through cost.ScheduleOf, so an algorithm whose
+// analytic view equals an earlier entry's would score the earlier entry's
+// time and lose the tie: it is skipped.
+func (ms *matrixScorer) evalStep(id int32) stepChoice {
+	step := ms.res.Steps[id]
+	st := lower.Step{Op: ms.res.Instructions[step.Instr].Op, Groups: ms.bind(step.Instr), Rows: step.Shape.Rows, K: ms.h.K()}
+	n, perDevice := st.GroupSize(), st.FracIn()*ms.model.Bytes
+	ch := stepChoice{scored: true}
+	for i, a := range ms.algos {
+		ms.views[i] = cost.ScheduleOf(st.Op, a, n, perDevice)
+		if slices.ContainsFunc(ms.views[:i], ms.views[i].SameAnalytic) {
+			continue
+		}
+		if t := ms.sc.StepTimeAlgo(ms.model, st, a); i == 0 || t < ch.time {
+			ch.algo, ch.time = a, t
 		}
 	}
-	ms.steps[key] = ch
+	ms.steps[id] = ch
 	return ch
 }
 
-// scoreProgram accumulates one synthesized program's predicted time (and
-// per-step algorithm assignment when searching) in exactly the serial
-// order — each step a lookup of its synthesis-time shape and its
-// instruction's bound groups — and abandons it as soon as cutoff reports
-// the partial sum disqualifies it (nil is returned). The caller's cutoff
-// must only ever cut programs whose final value provably cannot matter:
-// partial sums never exceed the final value because step costs are
+// scoreProgram accumulates program pi's predicted time (and per-step
+// algorithm assignment when searching) in exactly the serial order — each
+// step a lookup in the step table — and abandons it as soon as cutoff
+// reports the partial sum disqualifies it (nil is returned). The caller's
+// cutoff must only ever cut programs whose final value provably cannot
+// matter: partial sums never exceed the final value because step costs are
 // non-negative. Only a surviving program is materialized as a
 // lower.Program, equal to what lower.Lower builds semantically.
-func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, prog dsl.Program, shapes []dsl.Shape, cutoff func(partial float64) bool) *Candidate {
-	predicted, ok := ms.score(prog, shapes, cutoff)
+func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, cutoff func(partial float64) bool) *Candidate {
+	ids := ms.res.StepIDs[pi]
+	predicted, ok := ms.score(ids, cutoff)
 	if !ok {
 		return nil
 	}
+	prog := ms.res.Programs[pi]
 	c := &Candidate{
 		MatrixIdx: mi,
 		ProgIdx:   pi,
 		Matrix:    m,
 		Program:   prog,
-		Lowered:   lower.Assemble(prog, ms.h, shapes, ms.groups),
+		Lowered: lower.Assemble(prog, ms.h, func(s int) ([][]int, dsl.Shape) {
+			step := ms.res.Steps[ids[s]]
+			return ms.bind(step.Instr), step.Shape
+		}),
 		Predicted: predicted,
 	}
 	if ms.stepAlgos != nil {
@@ -442,15 +447,15 @@ func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, prog dsl.P
 	return c
 }
 
-// score is scoreProgram's step loop. Once the placement's tables are warm
-// a program — in particular one the cutoff prunes — costs map lookups and
-// nothing else.
+// score is scoreProgram's step loop over a program's step ids. Once the
+// placement's tables are warm a program — in particular one the cutoff
+// prunes — costs indexed loads and nothing else.
 //
 //p2:zeroalloc
-func (ms *matrixScorer) score(prog dsl.Program, shapes []dsl.Shape, cutoff func(partial float64) bool) (float64, bool) {
+func (ms *matrixScorer) score(ids []int32, cutoff func(partial float64) bool) (float64, bool) {
 	predicted := 0.0
-	for si, in := range prog {
-		ch := ms.stepTime(in, shapes[si].Rows)
+	for si, id := range ids {
+		ch := ms.stepTime(id)
 		if ms.stepAlgos != nil {
 			ms.stepAlgos[si] = ch.algo
 		}
@@ -484,9 +489,9 @@ func (ms *matrixScorer) score(prog dsl.Program, shapes []dsl.Shape, cutoff func(
 // request can never leave a poisoned half-built entry for later requests.
 func (p *Planner) scorePrograms(ctx context.Context, ws *workerState, mi int, m *placement.Matrix, h *hierarchy.Hierarchy, model *cost.Model, opts Options, rc *runCounters, cutoff func(partial float64) bool, emit func(*Candidate)) error {
 	res := p.synthesize(h, opts.MaxProgramSize, rc)
-	ms := newMatrixScorer(ws, model, h, opts)
+	ms := newMatrixScorer(ws, model, h, res, opts)
 	scored := 0
-	for pi, prog := range res.Programs {
+	for pi := range res.Programs {
 		if err := ctx.Err(); err != nil {
 			rc.scored.Add(int64(scored))
 			return err
@@ -495,7 +500,7 @@ func (p *Planner) scorePrograms(ctx context.Context, ws *workerState, mi int, m 
 			rc.prunedPrograms.Add(int64(len(res.Programs) - pi))
 			break
 		}
-		c := ms.scoreProgram(mi, pi, m, prog, res.Shapes[pi], cutoff)
+		c := ms.scoreProgram(mi, pi, m, cutoff)
 		if c == nil {
 			rc.prunedPrograms.Add(1)
 			continue

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"p2/internal/cost"
-	"p2/internal/dsl"
 	"p2/internal/hierarchy"
 	"p2/internal/lower"
 	"p2/internal/netsim"
@@ -144,7 +143,7 @@ func TestSharedGroupsReadOnly(t *testing.T) {
 
 // TestScoreProgramPrunedZeroAlloc: once a placement's binding and step-cost
 // tables are warm, a program the threshold cuts — the common case under
-// TopK — costs map lookups and not one allocation, pinned and searching.
+// TopK — costs indexed loads and not one allocation, pinned and searching.
 func TestScoreProgramPrunedZeroAlloc(t *testing.T) {
 	sys := topology.SuperPodSystem(2, 2)
 	matrices, err := placement.Enumerate(sys.Hierarchy(), []int{4, 8})
@@ -156,28 +155,27 @@ func TestScoreProgramPrunedZeroAlloc(t *testing.T) {
 	res := synth.Synthesize(h, synth.Options{})
 	model := &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(sys)}
 	for _, algos := range [][]cost.Algorithm{{cost.Ring}, cost.ExtendedAlgorithms} {
-		ms := newMatrixScorer(&workerState{}, model, h, Options{Algos: algos})
+		ms := newMatrixScorer(&workerState{}, model, h, res, Options{Algos: algos})
 		never := func(float64) bool { return false }
-		cheapest, longest := 0.0, dsl.Program(nil)
-		var shapes []dsl.Shape
-		for pi, prog := range res.Programs { // warm every table
-			c := ms.scoreProgram(0, pi, m, prog, res.Shapes[pi], never)
+		cheapest, longest := 0.0, 0
+		for pi := range res.Programs { // warm every table
+			c := ms.scoreProgram(0, pi, m, never)
 			if pi == 0 || c.Predicted < cheapest {
 				cheapest = c.Predicted
 			}
-			longest, shapes = prog, res.Shapes[pi]
+			longest = pi
 		}
-		if len(longest) < 2 {
-			t.Fatalf("longest program %v has no step to cut after", longest)
+		if len(res.Programs[longest]) < 2 {
+			t.Fatalf("longest program %v has no step to cut after", res.Programs[longest])
 		}
 		// A threshold at the cheapest total cuts the longest program
 		// somewhere past its first step.
 		cut := func(partial float64) bool { return partial > cheapest }
-		if ms.scoreProgram(0, 0, m, longest, shapes, cut) != nil {
-			t.Fatalf("algos %v: %v survived a threshold of %v", algos, longest, cheapest)
+		if ms.scoreProgram(0, longest, m, cut) != nil {
+			t.Fatalf("algos %v: %v survived a threshold of %v", algos, res.Programs[longest], cheapest)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			ms.scoreProgram(0, 0, m, longest, shapes, cut)
+			ms.scoreProgram(0, longest, m, cut)
 		})
 		if allocs != 0 {
 			t.Errorf("algos %v: pruned program allocates %v times on warm tables, want 0", algos, allocs)

@@ -88,7 +88,7 @@ func pinnedOptions(h *hierarchy.Hierarchy) []Options {
 func digest(res *Result) string {
 	d := sha256.New()
 	for i, p := range res.Programs {
-		fmt.Fprintf(d, "%s\n%v\n", p, res.Shapes[i])
+		fmt.Fprintf(d, "%s\n%v\n", p, shapesOf(res, i))
 	}
 	return fmt.Sprintf("%x", d.Sum(nil))
 }

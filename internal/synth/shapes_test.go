@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"p2/internal/dsl"
 	"p2/internal/hierarchy"
 	"p2/internal/lower"
 	"p2/internal/placement"
@@ -14,7 +15,7 @@ import (
 // TestSynthShapesMatchAnnotate: the lowering skeleton the synthesizer reads
 // off its own DAG walk must equal, program by program and step by step,
 // what lower.Annotate derives by re-running the universe semantics. The
-// planning engine lowers through Result.Shapes and the serial reference
+// planning engine lowers through Result.Steps and the serial reference
 // through Annotate, so this is the per-signature half of their byte
 // equality. Covered: every distinct reduction hierarchy of the root
 // determinism-matrix rows (non-power-of-two superpod:3x4 and the
@@ -55,16 +56,17 @@ func TestSynthShapesMatchAnnotate(t *testing.T) {
 				for _, opts := range []Options{{MaxSize: 3}, {MaxSize: 3, NoMemo: true}, {MaxSize: 5}} {
 					name := fmt.Sprintf("%s %v r%v %v collapse=%v %+v", row.sys.Name, row.axes, row.red, h, collapse, opts)
 					res := Synthesize(h, opts)
-					if len(res.Shapes) != len(res.Programs) {
-						t.Fatalf("%s: %d shape lists for %d programs", name, len(res.Shapes), len(res.Programs))
+					if len(res.StepIDs) != len(res.Programs) {
+						t.Fatalf("%s: %d step lists for %d programs", name, len(res.StepIDs), len(res.Programs))
 					}
+					checkStepTable(t, name, res)
 					for i, p := range res.Programs {
 						want, err := lower.Annotate(p, h)
 						if err != nil {
 							t.Fatalf("%s: %v: %v", name, p, err)
 						}
-						if !reflect.DeepEqual(res.Shapes[i], want) {
-							t.Errorf("%s: %v: shapes %v, Annotate derives %v", name, p, res.Shapes[i], want)
+						if !reflect.DeepEqual(shapesOf(res, i), want) {
+							t.Errorf("%s: %v: shapes %v, Annotate derives %v", name, p, shapesOf(res, i), want)
 						}
 						programs++
 					}
@@ -74,5 +76,45 @@ func TestSynthShapesMatchAnnotate(t *testing.T) {
 	}
 	if len(seen) < 10 || programs == 0 {
 		t.Fatalf("test is vacuous: %d signatures, %d programs", len(seen), programs)
+	}
+}
+
+// shapesOf reads the shapes of Programs[i] off the step table.
+func shapesOf(res *Result, i int) []dsl.Shape {
+	out := make([]dsl.Shape, len(res.StepIDs[i]))
+	for s, id := range res.StepIDs[i] {
+		out[s] = res.Steps[id].Shape
+	}
+	return out
+}
+
+// checkStepTable: every program's step ids name its own instructions, and
+// the step table holds each (instruction, shape) pair once and the
+// instruction table each instruction once. Steps on dead-end edges are
+// numbered too, so not every entry is some program's.
+func checkStepTable(t *testing.T, name string, res *Result) {
+	t.Helper()
+	steps, instrs := map[Step]bool{}, map[dsl.Instruction]bool{}
+	for _, st := range res.Steps {
+		if steps[st] {
+			t.Fatalf("%s: step %+v numbered twice", name, st)
+		}
+		steps[st] = true
+	}
+	for _, in := range res.Instructions {
+		if instrs[in] {
+			t.Fatalf("%s: instruction %v numbered twice", name, in)
+		}
+		instrs[in] = true
+	}
+	for i, p := range res.Programs {
+		if len(res.StepIDs[i]) != len(p) {
+			t.Fatalf("%s: %v has %d step ids", name, p, len(res.StepIDs[i]))
+		}
+		for s, id := range res.StepIDs[i] {
+			if in := res.Instructions[res.Steps[id].Instr]; in != p[s] {
+				t.Fatalf("%s: %v step %d is %v, its id %d names %v", name, p, s, p[s], id, in)
+			}
+		}
 	}
 }

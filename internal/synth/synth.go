@@ -49,12 +49,18 @@ type Result struct {
 	// Programs are all distinct valid programs implementing the requested
 	// reduction, sorted by size then lexicographically by instruction.
 	Programs []dsl.Program
-	// Shapes is the leaf-space lowering skeleton: Shapes[i][s] is the
-	// chunk accounting of step s of Programs[i], read off the contexts the
-	// search walked while proving the program valid. Lowering a synthesized
-	// program therefore never re-runs the universe semantics (what
-	// lower.Annotate does for programs from anywhere else).
-	Shapes [][]dsl.Shape
+	// StepIDs[i][s] is the index in Steps of step s of Programs[i].
+	StepIDs [][]int32
+	// Steps are the distinct steps the programs take, numbered in the order
+	// the search first took them: an instruction of Instructions with the
+	// chunk accounting (shape) read off the contexts the search walked while
+	// proving the programs valid. Lowering a synthesized program therefore
+	// never re-runs the universe semantics (what lower.Annotate does for
+	// programs from anywhere else), and a consumer scoring every program can
+	// keep per-step and per-instruction tables indexed, not hashed.
+	Steps []Step
+	// Instructions are the distinct instructions of Steps.
+	Instructions []dsl.Instruction
 	// Explored counts instruction applications attempted (search effort):
 	// every candidate, once per expanded context.
 	Explored int
@@ -63,6 +69,13 @@ type Result struct {
 	MemoHits int
 	// Elapsed is the wall-clock synthesis time.
 	Elapsed time.Duration
+}
+
+// Step is one distinct step of a Result: Instructions[Instr], taken where
+// it has shape Shape.
+type Step struct {
+	Instr int32
+	Shape dsl.Shape
 }
 
 // candidate is an instruction with its rendering and its device groups.
@@ -155,13 +168,20 @@ type synthesizer struct {
 	// by its exact id tuple (unused under NoMemo).
 	nodes  []node
 	nodeOf map[string]int32
+	// stepOf numbers the distinct steps of Result.Steps, instrOf the
+	// candidates' indexes in Result.Instructions (-1 until one is taken).
+	stepOf  map[Step]int32
+	instrOf []int32
 
 	// Scratch reused across steps.
-	key    []byte
-	group  []*collective.State
-	next   []int32
-	prog   dsl.Program
-	shapes []dsl.Shape
+	key   []byte
+	group []*collective.State
+	next  []int32
+	// emit's prefix of step ids, and the backing arrays every finished
+	// program and step list is a capacity-capped window of.
+	path []int32
+	prog dsl.Program
+	ids  []int32
 }
 
 // node is one context of the search: the state id of every leaf and, once
@@ -172,11 +192,10 @@ type node struct {
 	edges []edge
 }
 
-// edge is a valid step: candidate cand takes its node to next. Its shape is
-// a function of the node it leaves, so every program through it shares it.
+// edge is a valid step: step takes its node to next. Its shape is a
+// function of the node it leaves, so every program through it shares it.
 type edge struct {
-	cand, next int32
-	shape      dsl.Shape
+	step, next int32
 }
 
 // Synthesize enumerates every valid reduction program for h of size at
@@ -208,6 +227,7 @@ func newSynthesizer(h *hierarchy.Hierarchy, opts Options) *synthesizer {
 		byHash: map[uint64][]int32{},
 		apps:   map[string][]int32{},
 		nodeOf: map[string]int32{},
+		stepOf: map[Step]int32{},
 		target: make([]int32, h.K()),
 	}
 	// Programs are reported by size, then in Program.String order. No
@@ -215,6 +235,10 @@ func newSynthesizer(h *hierarchy.Hierarchy, opts Options) *synthesizer {
 	// the instruction sequences under the instructions' own String order:
 	// walking candidates in it emits every size class already sorted.
 	slices.SortFunc(s.cands, func(a, b candidate) int { return strings.Compare(a.name, b.name) })
+	s.instrOf = make([]int32, len(s.cands))
+	for i := range s.instrOf {
+		s.instrOf[i] = -1
+	}
 	for u := range s.target {
 		// A reduction group shares one goal; its smallest leaf comes first.
 		if first := h.Groups[u][0]; first != u {
@@ -352,7 +376,7 @@ func (s *synthesizer) explore() {
 				}
 				u := cand.groups[0][0]
 				shape := dsl.StepShape(s.states[s.nodes[n].ids[u]], s.states[s.nodes[m].ids[u]])
-				edges = append(edges, edge{cand: int32(ci), next: m, shape: shape})
+				edges = append(edges, edge{step: s.stepID(ci, shape), next: m})
 			}
 			s.nodes[n].edges = edges
 		}
@@ -360,47 +384,77 @@ func (s *synthesizer) explore() {
 	}
 }
 
+// stepID returns the number of the step candidate ci takes where it has
+// shape shape, numbering it on first sight.
+func (s *synthesizer) stepID(ci int, shape dsl.Shape) int32 {
+	if s.instrOf[ci] < 0 {
+		s.instrOf[ci] = int32(len(s.res.Instructions))
+		s.res.Instructions = append(s.res.Instructions, s.cands[ci].in)
+	}
+	st := Step{Instr: s.instrOf[ci], Shape: shape}
+	id, seen := s.stepOf[st]
+	if !seen {
+		id = int32(len(s.res.Steps))
+		s.res.Steps = append(s.res.Steps, st)
+		s.stepOf[st] = id
+	}
+	return id
+}
+
 // emitAll reports every path from the root to a goal of at most MaxSize
-// steps, shortest first. reach[n][v] says that exactly n steps can take node
-// v to a goal, so the walk only ever enters a prefix that completes.
+// steps, shortest first. paths[n][v] counts the ways exactly n steps take
+// node v to a goal, so the walk only ever enters a prefix that completes,
+// and the programs and their step lists are packed into two backing arrays
+// sized exactly.
 func (s *synthesizer) emitAll() {
-	reach := make([][]bool, s.opts.MaxSize+1)
-	for n := range reach {
-		reach[n] = make([]bool, len(s.nodes))
+	paths := make([][]int, s.opts.MaxSize+1)
+	programs, steps := 0, 0
+	for n := range paths {
+		paths[n] = make([]int, len(s.nodes))
 		for v := range s.nodes {
 			if n == 0 {
-				reach[n][v] = s.nodes[v].goal
+				if s.nodes[v].goal {
+					paths[n][v] = 1
+				}
 				continue
 			}
 			for _, e := range s.nodes[v].edges {
-				if reach[n-1][e.next] {
-					reach[n][v] = true
-					break
-				}
+				paths[n][v] += paths[n-1][e.next]
 			}
 		}
-		if reach[n][0] {
-			s.emit(reach, 0, n)
+		programs, steps = programs+paths[n][0], steps+n*paths[n][0]
+	}
+	s.res.Programs = make([]dsl.Program, 0, programs)
+	s.res.StepIDs = make([][]int32, 0, programs)
+	s.prog, s.ids = make(dsl.Program, 0, steps), make([]int32, 0, steps)
+	for n := range paths {
+		if paths[n][0] > 0 {
+			s.emit(paths, 0, n)
 		}
 	}
 }
 
 // emit appends every way to finish the current prefix from node v in exactly
 // n steps.
-func (s *synthesizer) emit(reach [][]bool, v int32, n int) {
+func (s *synthesizer) emit(paths [][]int, v int32, n int) {
 	if n == 0 {
-		s.res.Programs = append(s.res.Programs, slices.Clone(s.prog))
-		s.res.Shapes = append(s.res.Shapes, slices.Clone(s.shapes))
+		lo := len(s.ids)
+		for _, id := range s.path {
+			s.prog = append(s.prog, s.res.Instructions[s.res.Steps[id].Instr])
+		}
+		s.ids = append(s.ids, s.path...)
+		hi := len(s.ids)
+		s.res.Programs = append(s.res.Programs, s.prog[lo:hi:hi])
+		s.res.StepIDs = append(s.res.StepIDs, s.ids[lo:hi:hi])
 		return
 	}
 	for _, e := range s.nodes[v].edges {
-		if !reach[n-1][e.next] {
+		if paths[n-1][e.next] == 0 {
 			continue
 		}
-		s.prog = append(s.prog, s.cands[e.cand].in)
-		s.shapes = append(s.shapes, e.shape)
-		s.emit(reach, e.next, n-1)
-		s.prog, s.shapes = s.prog[:len(s.prog)-1], s.shapes[:len(s.shapes)-1]
+		s.path = append(s.path, e.step)
+		s.emit(paths, e.next, n-1)
+		s.path = s.path[:len(s.path)-1]
 	}
 }
 

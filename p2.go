@@ -460,8 +460,8 @@ func CheckPayload(bytes float64) error {
 // placements stream from the enumeration DFS (placement.Iterate) straight
 // into req.Parallelism workers without materializing the placement set,
 // placements inducing the same reduction hierarchy share one synthesis
-// run, step costs are scored allocation-free and memoized by
-// (instruction, rows), and req.TopK bounds the result without
+// run, step costs are scored allocation-free and memoized per synthesized
+// step, and req.TopK bounds the result without
 // materializing the full cross-product — additionally arming admissible
 // lower-bound pruning that skips synthesis, lowering and scoring for
 // provably out-of-top-K work (see PlanResult.Stats). The ranking —
