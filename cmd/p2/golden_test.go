@@ -62,6 +62,10 @@ func TestStdoutGolden(t *testing.T) {
 		{"tables-3", []string{"tables", "-table", "3"}, false},
 		{"degrade", []string{"degrade", "-system", "a100", "-nodes", "2", "-axes", "[2 16]", "-reduce", "[0]",
 			"-fault", "gpu:0/0:bw/10", "-top", "5"}, false},
+		// The engine folds a uniform searched assignment, so -algo auto
+		// renders an all-Ring winner "Ring", as synth does, not "Ring/Ring".
+		{"degrade-auto", []string{"degrade", "-system", "a100", "-nodes", "2", "-axes", "[2 16]", "-reduce", "[0]",
+			"-fault", "gpu:0/0:bw/10", "-top", "5", "-algo", "auto"}, false},
 		{"synth", with("synth", "-top", "5"), false},
 		{"synth-auto-topk3", with("synth", "-algo", "auto", "-topk", "3"), false},
 		{"synth-rerank-topk3", with("synth", "-measure", "rerank", "-topk", "3"), false},

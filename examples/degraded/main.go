@@ -73,7 +73,7 @@ func degrade(pristine *p2.System, spec string) {
 func main() {
 	sys := p2.A100System(4)
 	fmt.Printf("system %s %v\n", sys.Name, sys)
-	degrade(sys, "gpu:0/0:bw/10")      // one NVSwitch uplink at a tenth
-	degrade(sys, "node:2:down")        // a dead NIC
+	degrade(sys, "gpu:0/0:bw/10")                 // one NVSwitch uplink at a tenth
+	degrade(sys, "node:2:down")                   // a dead NIC
 	degrade(sys, "node:*:lat*4;gpu:1/3:loss=0.2") // fleet-wide slow + one lossy link
 }

@@ -174,9 +174,10 @@ func (m *Model) BestStepAlgos(p *lower.Program, algos []Algorithm) ([]Algorithm,
 }
 
 // UniformAlgo reports whether a per-step assignment uses one algorithm
-// throughout, returning it. Uniform assignments are canonicalized to a
-// fixed algorithm (nil assignment) by every consumer so that e.g. an
-// all-Ring auto choice measures byte-identically to a fixed-Ring run.
+// throughout, returning it. The planning engine canonicalizes a uniform
+// winner to that fixed algorithm (nil assignment), and netsim normalizes
+// its input the same way, so an all-Ring auto choice measures
+// byte-identically to a fixed-Ring run.
 func UniformAlgo(stepAlgos []Algorithm) (Algorithm, bool) {
 	if len(stepAlgos) == 0 {
 		return 0, false

@@ -26,8 +26,8 @@ func TestAutoComparisonBeatsFixedRing(t *testing.T) {
 	wins := 0
 	for mi, amr := range auto.Matrices {
 		rmr := ring.Matrices[mi]
-		aBest := amr.Programs[amr.BestMeasured()].Measured
-		rBest := rmr.Programs[rmr.BestMeasured()].Measured
+		aBest := amr.BestMeasured().Measured
+		rBest := rmr.BestMeasured().Measured
 		if aBest < rBest {
 			wins++
 		}

@@ -3,6 +3,8 @@ package eval
 import (
 	"encoding/json"
 	"fmt"
+
+	"p2/internal/plan"
 )
 
 // The analytic-vs-measured agreement quantities of a suite — typically
@@ -11,40 +13,10 @@ import (
 // is motivated by: how often the cost model's argmin and the emulator's
 // argmin disagree, and by how much.
 
-// PredictedBest returns the sweep's predicted-best (matrix, program)
-// pair — ties broken toward the earliest enumeration position, matching
-// the planner's deterministic order.
-func (r *Result) PredictedBest() Pair {
-	pairs := r.Pairs()
-	best := 0
-	for i, p := range pairs {
-		if p.Predicted < pairs[best].Predicted {
-			best = i
-		}
-	}
-	return pairs[best]
-}
-
-// MeasuredBest returns the sweep's measured-best (matrix, program) pair,
-// ties broken toward the earliest enumeration position.
-func (r *Result) MeasuredBest() Pair {
-	pairs := r.Pairs()
-	best := 0
-	for i, p := range pairs {
-		if p.Measured < pairs[best].Measured {
-			best = i
-		}
-	}
-	return pairs[best]
-}
-
 // Disagreement reports whether the analytic and measured rankings of the
 // sweep disagree on the best candidate — the quantity the ROADMAP's
-// measured-in-the-loop mode exists to correct (equivalently, !TopKHit(1)).
-func (r *Result) Disagreement() bool {
-	p, m := r.PredictedBest(), r.MeasuredBest()
-	return p.MatrixIdx != m.MatrixIdx || p.ProgramIdx != m.ProgramIdx
-}
+// measured-in-the-loop mode exists to correct.
+func (r *Result) Disagreement() bool { return !r.TopKHit(1) }
 
 // DisagreementRate is the fraction of sweeps whose analytic argmin
 // differs from the measured argmin.
@@ -61,7 +33,7 @@ func DisagreementRate(results []*Result) float64 {
 	return float64(n) / float64(len(results))
 }
 
-// PairJSON is the serialized form of one ranked (matrix, program) pair in
+// PairJSON is the serialized form of one (matrix, program) candidate in
 // the auto-suite export.
 type PairJSON struct {
 	Matrix    string  `json:"matrix"`
@@ -93,15 +65,14 @@ type AutoSuiteJSON struct {
 	DisagreementRate float64         `json:"disagreement_rate"`
 }
 
-// pairJSON projects a Pair through its owning Result.
-func pairJSON(r *Result, p Pair) PairJSON {
-	pr := r.Matrices[p.MatrixIdx].Programs[p.ProgramIdx]
+// pairJSON projects a candidate.
+func pairJSON(c *plan.Candidate) PairJSON {
 	return PairJSON{
-		Matrix:    r.Matrices[p.MatrixIdx].Matrix.String(),
-		Program:   pr.Program.String(),
-		Algorithm: pr.AlgoString(),
-		Predicted: p.Predicted,
-		Measured:  p.Measured,
+		Matrix:    c.Matrix.String(),
+		Program:   c.Program.String(),
+		Algorithm: c.AlgoString(),
+		Predicted: c.Predicted,
+		Measured:  c.Measured,
 	}
 }
 
@@ -109,7 +80,6 @@ func pairJSON(r *Result, p Pair) PairJSON {
 // envelopes, grouping in first-appearance order (deterministic for the
 // deterministic suite runners).
 func BuildAutoSuite(results []*Result) []AutoSuiteJSON {
-	ks := []int{1, 2, 3, 5, 6, 10}
 	bySys := map[string]int{}
 	var out []AutoSuiteJSON
 	grouped := map[string][]*Result{}
@@ -126,14 +96,14 @@ func BuildAutoSuite(results []*Result) []AutoSuiteJSON {
 			Axes:          r.Config.Axes,
 			ReduceAxes:    r.Config.ReduceAxes,
 			Programs:      r.TotalPrograms(),
-			PredictedBest: pairJSON(r, r.PredictedBest()),
-			MeasuredBest:  pairJSON(r, r.MeasuredBest()),
+			PredictedBest: pairJSON(r.Ranked[0]),
+			MeasuredBest:  pairJSON(r.MeasuredBest()),
 			Disagree:      r.Disagreement(),
 		})
 	}
 	for i := range out {
 		rs := grouped[out[i].System]
-		out[i].TopKAccuracy = Accuracy(rs, ks)
+		out[i].TopKAccuracy = Accuracy(rs, topKs)
 		out[i].DisagreementRate = DisagreementRate(rs)
 	}
 	return out

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"p2/internal/cost"
-	"p2/internal/placement"
 	"p2/internal/plan"
 	"p2/internal/topology"
 )
@@ -36,9 +35,6 @@ type DegradeConfig struct {
 type DegradeResult struct {
 	// Pristine and Degraded are the two systems compared.
 	Pristine, Degraded *topology.System
-	// Algo is the fixed algorithm of candidates without a per-step
-	// assignment, for rendering.
-	Algo cost.Algorithm
 	// PristineRank is the full pristine ranking; DegradedAt[i] is the
 	// degraded predicted time of PristineRank[i] (matched by candidate
 	// identity, not rank), and DegradedRank the degraded ranking.
@@ -70,7 +66,7 @@ type DegradeResult struct {
 // enumerate the same matrices in the same order and synthesize the same
 // programs per matrix (pruning is disabled), so (MatrixIdx, ProgIdx) is a
 // stable identity.
-type candKey struct{ mi, pi int }
+type candKey struct{ mi, pi int32 }
 
 // RunDegradeCtx plans the request on the pristine and the degraded system
 // (full rankings, no top-K pruning, analytic mode — the comparison is about
@@ -90,16 +86,12 @@ func RunDegradeCtx(ctx context.Context, cfg DegradeConfig) (*DegradeResult, erro
 	if err != nil {
 		return nil, err
 	}
-	// Full ranking: ranking shift needs every candidate.
-	opts := spec.Options(plan.Options{Parallelism: cfg.Parallelism})
+	// Full ranking: ranking shift needs every candidate. Anytime partial
+	// rankings are useless for a shift comparison: cancellation fails the
+	// run like any other error.
 	runOn := func(sys *topology.System) ([]*plan.Candidate, error) {
 		model := &cost.Model{Sys: sys, Algo: spec.Model.Algo, Bytes: spec.Model.Bytes}
-		stream := func(yield func(*placement.Matrix) bool) error {
-			return placement.Iterate(sys.Hierarchy(), cfg.Axes, yield)
-		}
-		// Anytime partial rankings are useless for a shift comparison:
-		// cancellation fails the run like any other error.
-		cands, _, err := plan.New().RunStreamCtx(ctx, stream, spec.ReduceAxes, model, opts)
+		cands, _, err := rankAll(ctx, model, cfg.Axes, spec, plan.Options{Parallelism: cfg.Parallelism})
 		return cands, err
 	}
 	pristine, err := runOn(cfg.Sys)
@@ -125,7 +117,6 @@ func RunDegradeCtx(ctx context.Context, cfg DegradeConfig) (*DegradeResult, erro
 	res := &DegradeResult{
 		Pristine:     cfg.Sys,
 		Degraded:     degraded,
-		Algo:         spec.Model.Algo,
 		PristineRank: pristine,
 		DegradedRank: degradedRank,
 		DegradedAt:   make([]float64, len(pristine)),
@@ -183,7 +174,7 @@ func BuildDegradeTable(r *DegradeResult, k int) *Table {
 			fmt.Sprintf("%d", pr+1),
 			c.Matrix.String(),
 			c.Program.String(),
-			cost.FormatAlgos(r.Algo, c.StepAlgos),
+			c.AlgoString(),
 			degradeSecs(c.Predicted),
 			degradeSecs(r.PristineRank[pr].Predicted),
 		})

@@ -11,13 +11,14 @@
 package eval
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"p2/internal/cost"
-	"p2/internal/dsl"
 	"p2/internal/hierarchy"
 	"p2/internal/lower"
 	"p2/internal/netsim"
@@ -71,47 +72,25 @@ func (c Config) String() string {
 	return fmt.Sprintf("%s/%v/red%v/%s", c.Sys.Name, c.Axes, c.ReduceAxes, c.algoLabel())
 }
 
-// ProgramResult is one synthesized program with its predicted and measured
-// runtimes.
-type ProgramResult struct {
-	Program   dsl.Program
-	Lowered   *lower.Program
-	Predicted float64 // analytic model, seconds
-	Measured  float64 // event-level emulator, seconds
-	// StepAlgos is the winning per-step algorithm assignment in auto
-	// mode; nil when the sweep pinned one algorithm or the winner was
-	// uniform (AlgoString names it either way).
-	StepAlgos []cost.Algorithm
-	// Algo is the fixed algorithm of every step not overridden by
-	// StepAlgos (the config's pinned algorithm, or the uniform winner of
-	// an auto sweep).
-	Algo cost.Algorithm
-}
-
-// AlgoString names the program's algorithm assignment compactly: one name
-// when uniform, a "/"-joined per-step sequence otherwise.
-func (p ProgramResult) AlgoString() string {
-	return cost.FormatAlgos(p.Algo, p.StepAlgos)
-}
-
-// MatrixResult groups the programs synthesized for one parallelism matrix.
+// MatrixResult groups the candidates of one parallelism matrix.
 type MatrixResult struct {
 	Matrix *placement.Matrix
 	// Programs in synthesis order; Programs[BaselineIdx] is the
 	// single-step AllReduce.
-	Programs    []ProgramResult
+	Programs    []*plan.Candidate
 	BaselineIdx int
 }
 
-// Baseline returns the single-AllReduce result.
-func (mr *MatrixResult) Baseline() ProgramResult { return mr.Programs[mr.BaselineIdx] }
+// Baseline returns the single-AllReduce candidate.
+func (mr *MatrixResult) Baseline() *plan.Candidate { return mr.Programs[mr.BaselineIdx] }
 
-// BestMeasured returns the index of the measured-fastest program.
-func (mr *MatrixResult) BestMeasured() int {
-	best := 0
-	for i, p := range mr.Programs {
-		if p.Measured < mr.Programs[best].Measured {
-			best = i
+// BestMeasured returns the measured-fastest candidate, ties broken toward
+// the earliest synthesis position.
+func (mr *MatrixResult) BestMeasured() *plan.Candidate {
+	best := mr.Programs[0]
+	for _, c := range mr.Programs[1:] {
+		if c.Measured < best.Measured {
+			best = c
 		}
 	}
 	return best
@@ -119,7 +98,7 @@ func (mr *MatrixResult) BestMeasured() int {
 
 // Speedup is the baseline-over-optimal measured ratio (≥ ~1).
 func (mr *MatrixResult) Speedup() float64 {
-	return mr.Baseline().Measured / mr.Programs[mr.BestMeasured()].Measured
+	return mr.Baseline().Measured / mr.BestMeasured().Measured
 }
 
 // Outperforming counts programs measured strictly faster than the baseline
@@ -127,21 +106,25 @@ func (mr *MatrixResult) Speedup() float64 {
 func (mr *MatrixResult) Outperforming() int {
 	base := mr.Baseline().Measured
 	n := 0
-	for _, p := range mr.Programs {
-		if p.Measured < base {
+	for _, c := range mr.Programs {
+		if c.Measured < base {
 			n++
 		}
 	}
 	return n
 }
 
-// Result is a full sweep for one config. The three wall-clock fields are
-// reported, never ranked.
+// Result is a full sweep for one config: the engine's candidates, measured,
+// in two views that share them. The three wall-clock fields are reported,
+// never ranked.
 type Result struct {
 	// Config echoes the swept cell, its Bytes resolved; Matrices holds one
 	// entry per enumerated placement, in enumeration order.
 	Config   Config
 	Matrices []*MatrixResult
+	// Ranked is the engine's analytic ranking of every candidate
+	// (plan.Less: predicted time, ties in enumeration order).
+	Ranked []*plan.Candidate
 	// SynthesisTime is the engine's synthesis wall-clock
 	// (plan.Stats.SynthElapsed): one run per distinct hierarchy signature,
 	// not per placement.
@@ -154,14 +137,8 @@ type Result struct {
 	MeasureTime time.Duration
 }
 
-// TotalPrograms sums program counts over all matrices.
-func (r *Result) TotalPrograms() int {
-	n := 0
-	for _, mr := range r.Matrices {
-		n += len(mr.Programs)
-	}
-	return n
-}
+// TotalPrograms counts the sweep's candidates.
+func (r *Result) TotalPrograms() int { return len(r.Ranked) }
 
 // TotalOutperforming sums Outperforming over all matrices.
 func (r *Result) TotalOutperforming() int {
@@ -172,55 +149,38 @@ func (r *Result) TotalOutperforming() int {
 	return n
 }
 
-// Pair is a flattened (matrix, program) entry used for ranking.
-type Pair struct {
-	// MatrixIdx / ProgramIdx index into Result.Matrices and its Programs.
-	MatrixIdx  int
-	ProgramIdx int
-	// Predicted and Measured are the candidate's analytic and emulated
-	// runtimes in seconds.
-	Predicted float64
-	Measured  float64
-}
-
-// Pairs flattens the sweep into ranking entries.
-func (r *Result) Pairs() []Pair {
-	var out []Pair
-	for mi, mr := range r.Matrices {
-		for pi, p := range mr.Programs {
-			out = append(out, Pair{mi, pi, p.Predicted, p.Measured})
+// MeasuredBest returns the sweep's measured-best candidate, ties broken
+// toward the earliest enumeration position; nil for an empty sweep.
+func (r *Result) MeasuredBest() *plan.Candidate {
+	var best *plan.Candidate
+	for _, mr := range r.Matrices {
+		if c := mr.BestMeasured(); best == nil || c.Measured < best.Measured {
+			best = c
 		}
 	}
+	return best
+}
+
+// TopKHit reports whether the measured-best candidate of the sweep is among
+// the k best-predicted ones (the paper's top-k accuracy criterion, §5).
+func (r *Result) TopKHit(k int) bool {
+	return slices.Contains(r.Ranked[:min(k, len(r.Ranked))], r.MeasuredBest())
+}
+
+// byMeasured lists the sweep's candidates in increasing order of measured
+// time, ties in enumeration order (Figure 11's x axis).
+func (r *Result) byMeasured() []*plan.Candidate {
+	var out []*plan.Candidate
+	for _, mr := range r.Matrices {
+		out = append(out, mr.Programs...)
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Measured < out[b].Measured })
 	return out
 }
 
-// TopKHit reports whether the measured-best pair of the sweep is among the
-// k best-predicted pairs (the paper's top-k accuracy criterion, §5).
-func (r *Result) TopKHit(k int) bool {
-	pairs := r.Pairs()
-	if len(pairs) == 0 {
-		return false
-	}
-	best := 0
-	for i, p := range pairs {
-		if p.Measured < pairs[best].Measured {
-			best = i
-		}
-	}
-	byPred := make([]int, len(pairs))
-	for i := range byPred {
-		byPred[i] = i
-	}
-	sort.SliceStable(byPred, func(a, b int) bool {
-		return pairs[byPred[a]].Predicted < pairs[byPred[b]].Predicted
-	})
-	for rank := 0; rank < k && rank < len(byPred); rank++ {
-		if byPred[rank] == best {
-			return true
-		}
-	}
-	return false
-}
+// topKs are the k of every top-k accuracy the package reports (Table 5 and
+// the auto-suite export).
+var topKs = []int{1, 2, 3, 5, 6, 10}
 
 // Accuracy summarizes top-k accuracy over many sweeps (Table 5).
 func Accuracy(results []*Result, ks []int) map[int]float64 {
@@ -240,31 +200,32 @@ func Accuracy(results []*Result, ks []int) map[int]float64 {
 	return out
 }
 
+// rankAll is every sweep's engine call: the full analytic ranking of the
+// request on model's system, TopK 0 so that nothing is pruned.
+func rankAll(ctx context.Context, model *cost.Model, axes []int, spec plan.JointSpec, opts plan.Options) ([]*plan.Candidate, plan.Stats, error) {
+	stream := func(yield func(*placement.Matrix) bool) error {
+		return placement.Iterate(model.Sys.Hierarchy(), axes, yield)
+	}
+	return plan.New().RunStreamCtx(ctx, stream, spec.ReduceAxes, model, spec.Options(opts))
+}
+
 // RunCtx executes the full sweep for a config through the planning engine:
-// stream the matrices, rank every (matrix, program) candidate with no
-// pruning (plan.Planner.RunStreamCtx, TopK 0), measure every candidate
-// (plan.Measure), and regroup them per matrix in synthesis order. A sweep
-// is all-or-nothing: any error — including cancellation, whose anytime
-// partial ranking is discarded — returns (nil, err).
+// rank every (matrix, program) candidate with no pruning (rankAll), measure
+// every candidate (plan.Measure), and group them per matrix in synthesis
+// order. A sweep is all-or-nothing: any error — including cancellation,
+// whose anytime partial ranking is discarded — returns (nil, err).
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	spec, err := cfg.spec()
 	if err != nil {
 		return nil, err
 	}
-	var matrices []*placement.Matrix
-	stream := func(yield func(*placement.Matrix) bool) error {
-		return placement.Iterate(cfg.Sys.Hierarchy(), cfg.Axes, func(m *placement.Matrix) bool {
-			matrices = append(matrices, m)
-			return yield(m)
-		})
-	}
-	opts := spec.Options(plan.Options{SimOpts: cfg.NetsimOpts})
+	opts := plan.Options{SimOpts: cfg.NetsimOpts}
 	t0 := time.Now() //p2:timing-ok SimulationTime is a reported wall-clock total, never ranked
-	cands, stats, err := plan.New().RunStreamCtx(ctx, stream, spec.ReduceAxes, spec.Model, opts)
+	cands, stats, err := rankAll(ctx, spec.Model, cfg.Axes, spec, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Config: cfg, SynthesisTime: stats.SynthElapsed}
+	res := &Result{Config: cfg, Ranked: cands, SynthesisTime: stats.SynthElapsed}
 	res.SimulationTime = time.Since(t0) //p2:timing-ok SimulationTime is a reported wall-clock total, never ranked
 	t1 := time.Now()                    //p2:timing-ok MeasureTime is a reported wall-clock total, never ranked
 	if err := plan.Measure(ctx, cands, spec.Model, opts); err != nil {
@@ -273,32 +234,26 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	res.MeasureTime = time.Since(t1) //p2:timing-ok MeasureTime is a reported wall-clock total, never ranked
 	res.Config.Bytes = spec.Model.Bytes
 
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].MatrixIdx != cands[j].MatrixIdx {
-			return cands[i].MatrixIdx < cands[j].MatrixIdx
-		}
-		return cands[i].ProgIdx < cands[j].ProgIdx
+	byEnum := slices.Clone(cands)
+	slices.SortFunc(byEnum, func(a, b *plan.Candidate) int {
+		return cmp.Or(cmp.Compare(a.MatrixIdx, b.MatrixIdx), cmp.Compare(a.ProgIdx, b.ProgIdx))
 	})
-	res.Matrices = make([]*MatrixResult, len(matrices))
-	for mi, m := range matrices {
-		res.Matrices[mi] = &MatrixResult{Matrix: m, BaselineIdx: -1}
-	}
+	res.Matrices = make([]*MatrixResult, stats.Placements)
 	baselineStr := synth.BaselineAllReduce().String()
-	for _, c := range cands {
+	for _, c := range byEnum {
 		mr := res.Matrices[c.MatrixIdx]
-		pr := ProgramResult{Program: c.Program, Lowered: c.Lowered, Predicted: c.Predicted,
-			Measured: c.Measured, StepAlgos: c.StepAlgos, Algo: spec.Model.Algo}
-		if a, ok := cost.UniformAlgo(c.StepAlgos); ok {
-			pr.Algo, pr.StepAlgos = a, nil
+		if mr == nil {
+			mr = &MatrixResult{Matrix: c.Matrix, BaselineIdx: -1}
+			res.Matrices[c.MatrixIdx] = mr
 		}
 		if c.Program.String() == baselineStr {
 			mr.BaselineIdx = len(mr.Programs)
 		}
-		mr.Programs = append(mr.Programs, pr)
+		mr.Programs = append(mr.Programs, c)
 	}
-	for _, mr := range res.Matrices {
-		if mr.BaselineIdx < 0 {
-			return nil, fmt.Errorf("eval: baseline AllReduce not synthesized for %v", mr.Matrix)
+	for mi, mr := range res.Matrices {
+		if mr == nil || mr.BaselineIdx < 0 {
+			return nil, fmt.Errorf("eval: baseline AllReduce not synthesized for placement %d", mi)
 		}
 	}
 	return res, nil

@@ -10,6 +10,7 @@ import (
 	"p2/internal/cost"
 	"p2/internal/netsim"
 	"p2/internal/placement"
+	"p2/internal/plan"
 	"p2/internal/topology"
 )
 
@@ -84,9 +85,9 @@ func TestResult3WithinNodeAllReduceOptimal(t *testing.T) {
 	r := run416(t, cost.Ring)
 	for _, mr := range r.Matrices {
 		if mr.Matrix.String() == "[[1 4] [4 4]]" {
-			if mr.BestMeasured() != mr.BaselineIdx {
+			if mr.BestMeasured() != mr.Baseline() {
 				t.Errorf("expected AllReduce optimal for %v, got %v",
-					mr.Matrix, mr.Programs[mr.BestMeasured()].Program)
+					mr.Matrix, mr.BestMeasured().Program)
 			}
 			if mr.Outperforming() != 0 {
 				t.Errorf("programs outperform AllReduce within node: %d", mr.Outperforming())
@@ -119,8 +120,8 @@ func TestResult5CrossNodeSynthesisWins(t *testing.T) {
 
 func TestTopKHitSanity(t *testing.T) {
 	r := run416(t, cost.Ring)
-	// Top-K with K = total pairs is always a hit.
-	if !r.TopKHit(len(r.Pairs())) {
+	// Top-K with K = every candidate is always a hit.
+	if !r.TopKHit(len(r.Ranked)) {
 		t.Error("TopKHit(all) = false")
 	}
 	// Monotonicity: a hit at k implies a hit at k+1.
@@ -400,5 +401,48 @@ func TestNetsimOptionsPropagate(t *testing.T) {
 	}
 	if !diff {
 		t.Error("seed did not change any measurement")
+	}
+}
+
+// TestMeasuredTieBreaksToEnumerationOrder pins the tie-breaks Table 5 and
+// Figure 11 rest on, on a hand-built sweep whose three measured-best
+// candidates tie, two in one matrix and one in the next: the earliest
+// enumeration position is the measured best even though both later ones
+// are predicted ahead of it, TopKHit reads that candidate's rank in Ranked,
+// and Figure 11 lists the tie in enumeration order.
+func TestMeasuredTieBreaksToEnumerationOrder(t *testing.T) {
+	m0 := placement.MustMatrix([]int{4, 16}, []int{4, 16}, [][]int{{1, 4}, {4, 4}})
+	m1 := placement.MustMatrix([]int{4, 16}, []int{4, 16}, [][]int{{4, 1}, {1, 16}})
+	cand := func(mi, pi int32, m *placement.Matrix, pred, meas float64) *plan.Candidate {
+		return &plan.Candidate{MatrixIdx: mi, ProgIdx: pi, Matrix: m, Predicted: pred, Measured: meas}
+	}
+	c00, c01 := cand(0, 0, m0, 3, 1), cand(0, 1, m0, 0.5, 1)
+	c10, c11 := cand(1, 0, m1, 0.25, 1), cand(1, 1, m1, 2, 5)
+	r := &Result{
+		Config: Config{Sys: topology.A100System(4), Axes: []int{4, 16}, ReduceAxes: []int{0}},
+		Matrices: []*MatrixResult{
+			{Matrix: m0, Programs: []*plan.Candidate{c00, c01}},
+			{Matrix: m1, Programs: []*plan.Candidate{c10, c11}},
+		},
+		Ranked: []*plan.Candidate{c10, c01, c11, c00},
+	}
+	if got := r.MeasuredBest(); got != c00 {
+		t.Fatalf("MeasuredBest = %+v, want the earliest tied candidate %+v", got, c00)
+	}
+	for k, want := range map[int]bool{1: false, 2: false, 3: false, 4: true} {
+		if got := r.TopKHit(k); got != want {
+			t.Errorf("TopKHit(%d) = %v, want %v (the measured best ranks 4th)", k, got, want)
+		}
+	}
+	if !r.Disagreement() {
+		t.Error("Disagreement = false, but the predicted best is not the measured best")
+	}
+	var got []string
+	for _, row := range BuildFigure11(r).Rows {
+		got = append(got, row[1]+" "+row[4])
+	}
+	want := []string{m0.String() + " 3.00", m0.String() + " 0.50", m1.String() + " 0.25", m1.String() + " 2.00"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Figure 11 rows (matrix, predicted) = %q, want %q", got, want)
 	}
 }

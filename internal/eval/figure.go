@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 
 	"p2/internal/plot"
 )
@@ -12,16 +11,15 @@ import (
 // measurements drawn as '*' (the paper's solid dots) and analytic
 // predictions as 'x' (the paper's translucent crosses), on a log y axis.
 func Figure11Chart(r *Result) string {
-	pairs := r.Pairs()
-	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].Measured < pairs[b].Measured })
-	measured := make([]float64, len(pairs))
-	predicted := make([]float64, len(pairs))
-	for i, p := range pairs {
-		measured[i] = p.Measured
-		predicted[i] = p.Predicted
+	cands := r.byMeasured()
+	measured := make([]float64, len(cands))
+	predicted := make([]float64, len(cands))
+	for i, c := range cands {
+		measured[i] = c.Measured
+		predicted[i] = c.Predicted
 	}
 	title := fmt.Sprintf("Figure 11 — %s: %d programs, synthesis %.2fs, simulation %.2fs",
-		r.Config, len(pairs), r.SynthesisTime.Seconds(), r.SimulationTime.Seconds())
+		r.Config, len(cands), r.SynthesisTime.Seconds(), r.SimulationTime.Seconds())
 	return plot.Chart(title, []plot.Series{
 		{Name: "measured", Marker: '*', Values: measured},
 		{Name: "simulated", Marker: 'x', Values: predicted},

@@ -30,7 +30,7 @@ type MatrixJSON struct {
 	Programs    []ProgramJSON `json:"programs"`
 }
 
-// ProgramJSON is the serialized form of a ProgramResult.
+// ProgramJSON is the serialized form of one candidate of a MatrixResult.
 type ProgramJSON struct {
 	Program   string  `json:"program"`
 	Steps     int     `json:"steps"`

@@ -104,7 +104,7 @@ func BuildTable4(results []*Result) *Table {
 	for _, r := range results {
 		first := true
 		for _, mr := range r.Matrices {
-			best := mr.Programs[mr.BestMeasured()]
+			best := mr.BestMeasured()
 			lead := []string{"", "", "", "", "", ""}
 			if first {
 				lead = []string{
@@ -165,9 +165,9 @@ func BuildAutoComparison(ring, tree, auto *Result) *Table {
 			"vs Ring", "Winner"},
 	}
 	for mi, amr := range auto.Matrices {
-		rBest := ring.Matrices[mi].Programs[ring.Matrices[mi].BestMeasured()].Measured
-		tBest := tree.Matrices[mi].Programs[tree.Matrices[mi].BestMeasured()].Measured
-		aProg := amr.Programs[amr.BestMeasured()]
+		rBest := ring.Matrices[mi].BestMeasured().Measured
+		tBest := tree.Matrices[mi].BestMeasured().Measured
+		aProg := amr.BestMeasured()
 		winner := "Ring"
 		switch {
 		case aProg.Measured < rBest && aProg.Measured < tBest:
@@ -197,7 +197,6 @@ func BuildAutoComparison(ring, tree, auto *Result) *Table {
 // predicted argmin is not the measured argmin, i.e. 100% − Top-1),
 // followed by one Total row per algorithm mode.
 func BuildTable5(results []*Result) *Table {
-	ks := []int{1, 2, 3, 5, 6, 10}
 	t := &Table{
 		Caption: "Table 5 — analytic-simulator prediction accuracy (fraction of sweeps whose measured-best program is in the top-k predictions), with mean best-candidate times and the analytic-vs-measured disagreement rate",
 		Header: []string{"System", "Algo", "Top-1", "Top-2", "Top-3", "Top-5", "Top-6", "Top-10",
@@ -226,14 +225,14 @@ func BuildTable5(results []*Result) *Table {
 		return keys[i].algo < keys[j].algo
 	})
 	addRow := func(sys, algo string, rs []*Result) {
-		acc := Accuracy(rs, ks)
+		acc := Accuracy(rs, topKs)
 		row := []string{sys, algo}
-		for _, k := range ks {
+		for _, k := range topKs {
 			row = append(row, fmt.Sprintf("%.1f%%", 100*acc[k]))
 		}
 		pred, meas := 0.0, 0.0
 		for _, r := range rs {
-			pred += r.PredictedBest().Predicted
+			pred += r.Ranked[0].Predicted
 			meas += r.MeasuredBest().Measured
 		}
 		n := float64(len(rs))
@@ -268,16 +267,13 @@ func BuildFigure11(r *Result) *Table {
 		Caption: fmt.Sprintf("Figure 11 — simulation vs. measurement for %s (sorted by measured time)", r.Config),
 		Header:  []string{"Rank", "Matrix", "Program", "Measured (s)", "Predicted (s)"},
 	}
-	pairs := r.Pairs()
-	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].Measured < pairs[b].Measured })
-	for i, p := range pairs {
-		mr := r.Matrices[p.MatrixIdx]
+	for i, c := range r.byMeasured() {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", i+1),
-			mr.Matrix.String(),
-			mr.Programs[p.ProgramIdx].Program.String(),
-			secs(p.Measured),
-			secs(p.Predicted),
+			c.Matrix.String(),
+			c.Program.String(),
+			secs(c.Measured),
+			secs(c.Predicted),
 		})
 	}
 	return t
@@ -294,7 +290,7 @@ func BuildAppendix(results []*Result) *Table {
 	}
 	for _, r := range results {
 		for _, mr := range r.Matrices {
-			best := mr.Programs[mr.BestMeasured()]
+			best := mr.BestMeasured()
 			t.Rows = append(t.Rows, []string{
 				r.Config.Sys.Name,
 				fmt.Sprintf("%v", r.Config.Axes),

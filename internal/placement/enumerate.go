@@ -121,19 +121,6 @@ func Enumerate(hier, axes []int) ([]*Matrix, error) {
 	return out, nil
 }
 
-// Count returns the number of parallelism matrices without materializing
-// them.
-func Count(hier, axes []int) int {
-	n := 0
-	if err := Iterate(hier, axes, func(*Matrix) bool {
-		n++
-		return true
-	}); err != nil {
-		return 0
-	}
-	return n
-}
-
 // NaivePlacementCount returns the number of arbitrary device assignments
 // the naive search space contains: (∏ axes)! — the quantity the paper
 // contrasts against (e.g. (4·4)! > 2^44 for Fig. 2). The result is exact.

@@ -12,6 +12,7 @@ import (
 	"p2/internal/cost"
 	"p2/internal/hierarchy"
 	"p2/internal/lower"
+	"p2/internal/netsim"
 	"p2/internal/placement"
 	"p2/internal/synth"
 	"p2/internal/topology"
@@ -34,7 +35,7 @@ func serialRank(t *testing.T, matrices []*placement.Matrix, reduceAxes []int, mo
 			if err != nil {
 				t.Fatal(err)
 			}
-			all = append(all, &Candidate{MatrixIdx: mi, ProgIdx: pi, Matrix: m,
+			all = append(all, &Candidate{MatrixIdx: int32(mi), ProgIdx: int32(pi), Matrix: m,
 				Program: prog, Lowered: lp, Predicted: model.ProgramTime(lp)})
 		}
 	}
@@ -433,5 +434,68 @@ func TestRunJointMatchesSerial(t *testing.T) {
 					par, i, got[i].MatrixIdx, got[i].Total, want[i].mi, want[i].total)
 			}
 		}
+	}
+}
+
+// TestCandidateAlgoCanonical: the engine decides a searched candidate's
+// algorithm once. A uniform winning assignment is folded into Algo and
+// StepAlgos left nil; a mixed one is kept whole. Either way AlgoString is
+// the canonical form of Model.BestStepAlgos, and Measure, which runs
+// (Algo, StepAlgos) as they are, reproduces bit for bit the emulator on
+// the raw assignment with the model's algorithm — netsim folds a uniform
+// assignment the same way, so the jitter seed cannot move.
+func TestCandidateAlgoCanonical(t *testing.T) {
+	folded, mixed := 0, 0 // folded counts uniform winners other than the model's algorithm
+	for _, tc := range []struct {
+		sys  *topology.System
+		axes []int
+		red  []int
+	}{
+		{topology.Fig2aSystem(), []int{4, 4}, []int{0}},
+		{topology.A100System(2), []int{4, 8}, []int{0}},
+		{topology.A100System(2), []int{2, 16}, []int{0}},
+		{topology.V100System(2), []int{4, 4}, []int{1}},
+	} {
+		spec, err := Resolve(tc.sys, Reduction{ReduceAxes: tc.red, Algos: cost.ExtendedAlgorithms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		matrices, err := placement.Enumerate(tc.sys.Hierarchy(), tc.axes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := spec.Options(Options{})
+		cands, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), spec.ReduceAxes, spec.Model, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Measure(context.Background(), cands, spec.Model, opts); err != nil {
+			t.Fatal(err)
+		}
+		sim := &netsim.Simulator{Sys: tc.sys, Algo: spec.Model.Algo, Bytes: spec.Model.Bytes}
+		for _, c := range cands {
+			raw, _ := spec.Model.BestStepAlgos(c.Lowered, cost.ExtendedAlgorithms)
+			want := cost.FormatAlgos(spec.Model.Algo, raw)
+			if a, ok := cost.UniformAlgo(raw); ok {
+				want = a.String()
+				if a != spec.Model.Algo {
+					folded++
+				}
+			} else {
+				mixed++
+			}
+			if _, ok := cost.UniformAlgo(c.StepAlgos); ok {
+				t.Errorf("%s %v %v: uniform StepAlgos %v left unfolded", tc.sys.Name, c.Matrix, c.Program, c.StepAlgos)
+			}
+			if got := c.AlgoString(); got != want {
+				t.Errorf("%s %v %v: AlgoString %q, want %q", tc.sys.Name, c.Matrix, c.Program, got, want)
+			}
+			if want := sim.MeasureSteps(c.Lowered, raw); math.Float64bits(c.Measured) != math.Float64bits(want) {
+				t.Errorf("%s %v %v: Measured %v, raw assignment measures %v", tc.sys.Name, c.Matrix, c.Program, c.Measured, want)
+			}
+		}
+	}
+	if folded == 0 || mixed == 0 {
+		t.Errorf("%d uniform winners off the model's algorithm, %d mixed: want both kinds covered", folded, mixed)
 	}
 }

@@ -68,7 +68,8 @@ type Options struct {
 	// Algos, when it has two or more entries, makes scoring search over
 	// the set per step: every lowered step independently runs the
 	// algorithm minimizing its predicted time (ties go to the earliest
-	// entry), and candidates carry the winning assignment in StepAlgos.
+	// entry), and candidates carry the winning assignment in Algo and
+	// StepAlgos.
 	// An empty or single-entry slice pins every step to the model's (resp.
 	// the single) algorithm (pin).
 	Algos []cost.Algorithm
@@ -96,10 +97,11 @@ func (o Options) workers() int {
 
 // Candidate is one (placement, program) pair with its predicted runtime
 // and its provenance in the enumeration order (for deterministic
-// tie-breaking).
+// tie-breaking). The indices are int32 so that Algo costs no memory: the
+// struct stays in the 96-byte allocation size class.
 type Candidate struct {
-	MatrixIdx int
-	ProgIdx   int
+	MatrixIdx int32
+	ProgIdx   int32
 	Matrix    *placement.Matrix
 	Program   dsl.Program
 	Lowered   *lower.Program
@@ -108,11 +110,21 @@ type Candidate struct {
 	// stage of a measured-in-the-loop run (Options.Rerank); 0 in purely
 	// analytic runs.
 	Measured float64
+	// Algo is the algorithm of every step StepAlgos does not override: the
+	// run's pinned algorithm, or the one algorithm a searched run's winning
+	// assignment settled on.
+	Algo cost.Algorithm
 	// StepAlgos is the winning per-step algorithm assignment (one entry
-	// per lowered step) when Options.Algos enabled the search; nil when
-	// the run was pinned to a single algorithm.
+	// per lowered step) when Options.Algos searched a set and the steps
+	// disagree; nil when the run was pinned or the winner was uniform. The
+	// engine canonicalizes this once, so consumers render and measure
+	// (Algo, StepAlgos) as they are.
 	StepAlgos []cost.Algorithm
 }
+
+// AlgoString names the candidate's algorithm assignment: one name when
+// uniform, a "/"-joined per-step sequence otherwise.
+func (c *Candidate) AlgoString() string { return cost.FormatAlgos(c.Algo, c.StepAlgos) }
 
 // Less is the total candidate order: predicted time, then placement
 // enumeration order, then program enumeration order. It refines the
@@ -416,8 +428,9 @@ func (ms *matrixScorer) evalStep(id int32) stepChoice {
 }
 
 // scoreProgram accumulates program pi's predicted time (and per-step
-// algorithm assignment when searching) in exactly the serial order — each
-// step a lookup in the step table — and abandons it as soon as cutoff
+// algorithm assignment when searching, a uniform one folded into
+// Candidate.Algo) in exactly the serial order — each step a lookup in the
+// step table — and abandons it as soon as cutoff
 // reports the partial sum disqualifies it (nil is returned). The caller's
 // cutoff must only ever cut programs whose final value provably cannot
 // matter: partial sums never exceed the final value because step costs are
@@ -431,8 +444,8 @@ func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, cutoff fun
 	}
 	prog := ms.res.Programs[pi]
 	c := &Candidate{
-		MatrixIdx: mi,
-		ProgIdx:   pi,
+		MatrixIdx: int32(mi),
+		ProgIdx:   int32(pi),
 		Matrix:    m,
 		Program:   prog,
 		Lowered: lower.Assemble(prog, ms.h, func(s int) ([][]int, dsl.Shape) {
@@ -440,9 +453,15 @@ func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, cutoff fun
 			return ms.bind(step.Instr), step.Shape
 		}),
 		Predicted: predicted,
+		Algo:      ms.model.Algo,
 	}
 	if ms.stepAlgos != nil {
-		c.StepAlgos = append([]cost.Algorithm(nil), ms.stepAlgos[:len(prog)]...)
+		assign := ms.stepAlgos[:len(prog)]
+		if a, ok := cost.UniformAlgo(assign); ok {
+			c.Algo = a
+		} else {
+			c.StepAlgos = slices.Clone(assign)
+		}
 	}
 	return c
 }

@@ -72,27 +72,26 @@ func ParseRerankMode(s string) (RerankMode, error) {
 // (netsim's jitter is a pure function of system, algorithm, program and
 // seed), so workers pull indices from a shared counter and land results
 // by index — the result does not depend on Parallelism. A candidate runs
-// its StepAlgos (a uniform assignment is canonicalized inside netsim, so a
+// its own Algo and StepAlgos, which the engine canonicalized, so a
 // searched candidate that settled on all-Ring measures byte-identically
-// to a pinned-Ring run) or the model's algorithm, which a pinned run's
-// model carries (pin, Resolve). Workers re-check ctx before each index, so
+// to a pinned-Ring run. Workers re-check ctx before each index, so
 // on cancellation some Measured fields are left unfilled or +Inf (the
 // emulator's cancelled sentinel) — the caller must treat the whole batch as
 // unusable and discard it.
 func Measure(ctx context.Context, cands []*Candidate, model *cost.Model, opts Options) error {
-	// One shared read-only Simulator: MeasureSteps never mutates it.
-	sim := netsim.Simulator{Sys: model.Sys, Algo: model.Algo, Bytes: model.Bytes, Opts: opts.SimOpts, Ctx: ctx}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(opts.workers(), len(cands)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sim := netsim.Simulator{Sys: model.Sys, Bytes: model.Bytes, Opts: opts.SimOpts, Ctx: ctx}
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= len(cands) {
 					return
 				}
+				sim.Algo = cands[i].Algo
 				cands[i].Measured = sim.MeasureSteps(cands[i].Lowered, cands[i].StepAlgos)
 			}
 		}()

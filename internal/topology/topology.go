@@ -219,9 +219,6 @@ func (s *System) NumMachines() int {
 // Hierarchy returns the level cardinalities [h0 ... hn].
 func (s *System) Hierarchy() []int { return s.radix.Sizes() }
 
-// Radix exposes the device-address codec (levels root-most first).
-func (s *System) Radix() *factor.Radix { return s.radix }
-
 // Coords decodes a device id into its per-level coordinates.
 func (s *System) Coords(dev int) []int { return s.radix.Decode(dev) }
 
@@ -343,20 +340,4 @@ func (s *System) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// Clone returns a deep copy of the system.
-func (s *System) Clone() *System {
-	c := *s
-	c.Levels = append([]Level(nil), s.Levels...)
-	c.Uplinks = append([]Link(nil), s.Uplinks...)
-	if s.CrossDomain != nil {
-		cd := *s.CrossDomain
-		c.CrossDomain = &cd
-	}
-	c.Overrides = append([]LinkOverride(nil), s.Overrides...)
-	if err := c.init(); err != nil {
-		panic(err)
-	}
-	return &c
 }

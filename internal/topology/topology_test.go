@@ -325,14 +325,16 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: WithOverrides copies levels, uplinks and the
+// cross-domain model rather than sharing them.
 func TestCloneIsDeep(t *testing.T) {
 	s := V100System(2)
-	c := s.Clone()
+	c := s.MustWithOverrides(s.Overrides...)
 	c.Levels[0].Count = 99
 	c.Uplinks[0].Bandwidth = 1
 	c.CrossDomain.DomainsPerNode = 4
 	if s.Levels[0].Count == 99 || s.Uplinks[0].Bandwidth == 1 || s.CrossDomain.DomainsPerNode == 4 {
-		t.Error("Clone shares state with original")
+		t.Error("copy shares state with original")
 	}
 }
 

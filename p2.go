@@ -551,23 +551,18 @@ func (pl *Planner) PlanCtx(ctx context.Context, sys *System, req Request) (*Plan
 }
 
 // strategyFromCandidate adopts a planner candidate scored under model as a
-// public Strategy, canonicalizing uniform per-step assignments to the fixed
-// algorithm they name (so they render and measure exactly like a pinned
-// run).
+// public Strategy. The engine already canonicalized the candidate's
+// algorithm assignment, so it renders and measures as it is.
 func strategyFromCandidate(c *plan.Candidate, model *cost.Model) *Strategy {
-	algo, stepAlgos := model.Algo, c.StepAlgos
-	if a, ok := cost.UniformAlgo(stepAlgos); ok {
-		algo, stepAlgos = a, nil
-	}
 	return &Strategy{
 		Matrix:    c.Matrix,
 		Program:   c.Program,
 		Predicted: c.Predicted,
 		Measured:  c.Measured,
-		StepAlgos: stepAlgos,
+		StepAlgos: c.StepAlgos,
 		lowered:   c.Lowered,
 		sys:       model.Sys,
-		algo:      algo,
+		algo:      c.Algo,
 		bytes:     model.Bytes,
 	}
 }
