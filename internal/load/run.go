@@ -107,6 +107,8 @@ type StatzDelta struct {
 	Shed        int64 `json:"shed"`
 	Partials    int64 `json:"partials"`
 	Panics      int64 `json:"panics"`
+	// Outcomes are the per-outcome request counts (serve.Statz.Outcomes).
+	Outcomes map[string]int64 `json:"outcomes"`
 }
 
 // Report is the outcome of one Run.
@@ -307,7 +309,11 @@ func buildReport(stream []Request, results []result, duration time.Duration, opt
 			Shed:        after.Shed - before.Shed,
 			Partials:    after.Partials - before.Partials,
 			Panics:      after.Panics - before.Panics,
+			Outcomes:    map[string]int64{},
 		},
+	}
+	for name, o := range after.Outcomes {
+		r.Statz.Outcomes[name] = o.Requests - before.Outcomes[name].Requests
 	}
 	if opts.Mode == OpenLoop {
 		r.TargetRPS = opts.RPS
@@ -436,6 +442,16 @@ func crossCheck(c *Counts, d *StatzDelta) []string {
 	checkf(d.Coalesced <= d.CacheMisses,
 		"statz coalesced delta %d > misses delta %d", d.Coalesced, d.CacheMisses)
 	checkf(d.Panics == 0, "statz panics delta %d != 0", d.Panics)
+	// Each request has one outcome, and the client's class of its
+	// response names it: a hit, a 200 the daemon planned or coalesced,
+	// or any other status.
+	o, ok := d.Outcomes, c.Complete+c.Partials
+	checkf(o["hit"] == c.CacheHits,
+		"statz hit outcomes delta %d != %d cached responses observed", o["hit"], c.CacheHits)
+	checkf(o["full"]+o["partial"]+o["coalesced"] == ok,
+		"statz full+partial+coalesced outcomes delta %d != %d uncached 200s observed", o["full"]+o["partial"]+o["coalesced"], ok)
+	checkf(o["error"] == c.Sent-c.CacheHits-ok,
+		"statz error outcomes delta %d != %d non-200s observed", o["error"], c.Sent-c.CacheHits-ok)
 	return bad
 }
 

@@ -134,6 +134,8 @@ type Statz struct {
 	CacheMisses  int64   `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	CacheEntries int     `json:"cache_entries"`
+	// CacheEvictions counts the entries the FIFO bound has dropped.
+	CacheEvictions int64 `json:"cache_evictions"`
 	// Coalesced counts followers: requests that joined an identical
 	// in-flight computation (single-flight) instead of planning
 	// themselves. Each coalesced request is also a cache miss.
@@ -143,6 +145,20 @@ type Statz struct {
 	Partials  int64        `json:"partials"`
 	InFlight  int          `json:"in_flight"`
 	Latency   LatencyStatz `json:"latency_ms"`
+	// Outcomes splits /plan requests by how each was answered: "hit" (the
+	// strategy cache), "full" and "partial" (planned by the request
+	// itself), "coalesced" (a follower's 200) — the four latency_ms blends
+	// — and "error" (every other status, shed 429s included). Unlike
+	// latency_ms, which holds the elapsed_ms each 200 reported, their
+	// windows time the whole handler, writing the response included.
+	Outcomes map[string]OutcomeStatz `json:"outcomes"`
+}
+
+// OutcomeStatz is one outcome's cumulative request count and the
+// percentiles of its own window of the latest latRingSize latencies.
+type OutcomeStatz struct {
+	Requests int64 `json:"requests"`
+	LatencyStatz
 }
 
 // LatencyStatz reports percentiles over the last latRingSize served
@@ -160,6 +176,26 @@ type LatencyStatz struct {
 
 // latRingSize is the served-latency window /statz percentiles cover.
 const latRingSize = 1024
+
+// outcome classifies how a /plan request was answered (Statz.Outcomes).
+type outcome int
+
+const (
+	outHit outcome = iota
+	outFull
+	outPartial
+	outCoalesced
+	outError
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"hit", "full", "partial", "coalesced", "error"}
+
+// window is a ring of the latest latRingSize latencies and their count.
+type window struct {
+	ring [latRingSize]float64
+	n    int64
+}
 
 // readHeaderTimeout bounds how long a connection may take to send its
 // headers, and its whole request, lowered to half a shorter DrainTimeout:
@@ -189,10 +225,11 @@ type Server struct {
 	// means shed).
 	sem chan struct{}
 
-	mu      sync.Mutex
-	cache   map[string]*PlanResponse
-	order   []string // cache keys in insertion order, for FIFO eviction
-	flights map[string]*flight
+	mu        sync.Mutex
+	cache     map[string]*PlanResponse
+	order     []string // cache keys in insertion order, for FIFO eviction
+	flights   map[string]*flight
+	evictions int64
 
 	requests  atomic.Int64
 	hits      atomic.Int64
@@ -203,8 +240,8 @@ type Server struct {
 	partials  atomic.Int64
 
 	latMu sync.Mutex
-	lat   [latRingSize]float64
-	latN  int
+	lat   window // every 200
+	byOut [numOutcomes]window
 }
 
 // NewServer builds a daemon with its shared planner and normalized
@@ -315,8 +352,8 @@ func (s *Server) Warm(ctx context.Context, reqs []PlanRequest) (int, error) {
 	return warmed, nil
 }
 
-// handlePlan serves POST /plan: decode → cache → coalesce/shed → plan
-// under the request deadline → respond.
+// handlePlan serves POST /plan and records how it was answered, and how
+// fast, for /statz.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -325,23 +362,30 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	s.requests.Add(1)
 	start := time.Now() //p2:timing-ok served-latency reporting for /statz and elapsed_ms, never ranked
+	o, elapsed := s.answer(w, r, start)
+	s.observe(o, elapsed, s.sinceMs(start))
+}
+
+// answer answers one /plan request: decode → cache → coalesce/shed → plan
+// under the request deadline → respond. It returns the outcome and, for a
+// 200, the elapsed_ms it wrote.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time) (outcome, float64) {
 	var pr PlanRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&pr); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return
+		return outError, 0
 	}
 	sys, req, key, err := resolve(&pr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return outError, 0
 	}
 
 	if resp, ok := s.cacheGet(key); ok {
 		s.hits.Add(1)
 		resp.ElapsedMs = s.sinceMs(start)
 		writeJSON(w, http.StatusOK, resp)
-		s.observe(resp.ElapsedMs)
-		return
+		return outHit, resp.ElapsedMs
 	}
 	s.misses.Add(1)
 
@@ -364,13 +408,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.coalesced.Add(1)
 		select {
 		case <-f.done:
-			s.respondFlight(w, f, start)
+			return s.respondFlight(w, f, start, outCoalesced)
 		case <-ctx.Done():
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusServiceUnavailable,
 				"deadline expired waiting for an identical in-flight request; retry for a fresh computation")
+			return outError, 0
 		}
-		return
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -381,7 +425,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "server at planning capacity")
-		return
+		return outError, 0
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
@@ -398,7 +442,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	<-s.sem
 	close(f.done)
-	s.respondFlight(w, f, start)
+	if f.status == http.StatusOK && f.resp.Partial {
+		return s.respondFlight(w, f, start, outPartial)
+	}
+	return s.respondFlight(w, f, start, outFull)
 }
 
 // runPlan executes one planning computation with panic isolation: a
@@ -453,16 +500,16 @@ func (s *Server) outcome(res *p2.PlanResult, err error) (int, *PlanResponse, str
 }
 
 // respondFlight writes a flight's outcome with this request's own
-// elapsed time.
-func (s *Server) respondFlight(w http.ResponseWriter, f *flight, start time.Time) {
+// elapsed time; a 200 is outcome o.
+func (s *Server) respondFlight(w http.ResponseWriter, f *flight, start time.Time, o outcome) (outcome, float64) {
 	if f.status != http.StatusOK {
 		httpError(w, f.status, f.errMsg)
-		return
+		return outError, 0
 	}
 	resp := *f.resp // shallow copy: Strategies/Stats are shared read-only
 	resp.ElapsedMs = s.sinceMs(start)
 	writeJSON(w, http.StatusOK, &resp)
-	s.observe(resp.ElapsedMs)
+	return o, resp.ElapsedMs
 }
 
 // buildResponse projects a plan result to the wire shape, folding +Inf
@@ -604,6 +651,7 @@ func (s *Server) cacheAdd(key string, resp *PlanResponse) {
 	for len(s.order) > s.cfg.CacheSize {
 		delete(s.cache, s.order[0])
 		s.order = s.order[1:]
+		s.evictions++
 	}
 }
 
@@ -628,9 +676,9 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		st.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	s.mu.Lock()
-	st.CacheEntries = len(s.cache)
+	st.CacheEntries, st.CacheEvictions = len(s.cache), s.evictions
 	s.mu.Unlock()
-	st.Latency = s.latency()
+	st.Latency, st.Outcomes = s.latency()
 	writeJSON(w, http.StatusOK, &st)
 }
 
@@ -640,30 +688,45 @@ func (s *Server) sinceMs(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Millisecond) //p2:timing-ok served-latency reporting for /statz and elapsed_ms, never ranked
 }
 
-// observe records one served latency into the /statz percentile window.
-func (s *Server) observe(ms float64) {
+// observe records one /plan request: its handler time, the write
+// included, into its outcome's window and, for a 200, the elapsed_ms it
+// reported into the served-latency window.
+func (s *Server) observe(o outcome, elapsed, ms float64) {
 	s.latMu.Lock()
-	s.lat[s.latN%latRingSize] = ms
-	s.latN++
+	s.byOut[o].add(ms)
+	if o != outError {
+		s.lat.add(elapsed)
+	}
 	s.latMu.Unlock()
 }
 
-// latency snapshots the served-latency window and computes percentiles.
-func (s *Server) latency() LatencyStatz {
+func (w *window) add(ms float64) {
+	w.ring[w.n%latRingSize] = ms
+	w.n++
+}
+
+// latency snapshots the served-latency window and each outcome's, and
+// computes their percentiles.
+func (s *Server) latency() (LatencyStatz, map[string]OutcomeStatz) {
 	s.latMu.Lock()
-	n := s.latN
-	if n > latRingSize {
-		n = latRingSize
-	}
-	win := make([]float64, n)
-	copy(win, s.lat[:n])
+	lat, byOut := s.lat, s.byOut
 	s.latMu.Unlock()
-	if n == 0 {
+	outs := make(map[string]OutcomeStatz, numOutcomes)
+	for o, w := range byOut {
+		outs[outcomeNames[o]] = OutcomeStatz{w.n, w.stats()}
+	}
+	return lat.stats(), outs
+}
+
+// stats computes a window's percentiles.
+func (w *window) stats() LatencyStatz {
+	win := w.ring[:min(w.n, latRingSize)]
+	if len(win) == 0 {
 		return LatencyStatz{}
 	}
 	sort.Float64s(win)
 	pct := func(p float64) float64 { return Percentile(win, p) }
-	return LatencyStatz{Count: n, P50: pct(50), P90: pct(90), P95: pct(95), P99: pct(99), P999: pct(99.9)}
+	return LatencyStatz{Count: len(win), P50: pct(50), P90: pct(90), P95: pct(95), P99: pct(99), P999: pct(99.9)}
 }
 
 // Percentile returns the nearest-rank p-th percentile of a sorted,

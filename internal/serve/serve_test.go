@@ -421,6 +421,11 @@ func TestHealthzAndStatz(t *testing.T) {
 	if st.Latency.Count != 2 || st.Latency.P50 < 0 {
 		t.Fatalf("statz latency %+v, want count 2 and non-negative percentiles", st.Latency)
 	}
+	for name, want := range map[string]int64{"hit": 1, "full": 1, "partial": 0, "coalesced": 0, "error": 0} {
+		if o := st.Outcomes[name]; o.Requests != want || o.Count != int(want) {
+			t.Errorf("statz outcome %q = %+v, want %d requests in its window", name, o, want)
+		}
+	}
 }
 
 // TestCacheEviction checks FIFO eviction at CacheSize.
@@ -438,10 +443,10 @@ func TestCacheEviction(t *testing.T) {
 		postPlan(t, ts.URL, b)
 	}
 	s.mu.Lock()
-	entries := len(s.cache)
+	entries, evictions := len(s.cache), s.evictions
 	s.mu.Unlock()
-	if entries != 2 {
-		t.Fatalf("cache holds %d entries after 3 distinct requests with CacheSize 2, want 2", entries)
+	if entries != 2 || evictions != 1 {
+		t.Fatalf("cache holds %d entries after 3 distinct requests with CacheSize 2 and evicted %d, want 2 and 1", entries, evictions)
 	}
 	// The oldest request was evicted: repeating it misses.
 	misses := s.misses.Load()
@@ -861,9 +866,9 @@ func TestLatencyPercentilePin(t *testing.T) {
 	t.Run("partial window", func(t *testing.T) {
 		s := NewServer(Config{})
 		for i := 1; i <= 10; i++ {
-			s.observe(float64(10 * i)) // 10, 20, ..., 100
+			s.observe(outFull, float64(10*i), 0) // 10, 20, ..., 100
 		}
-		got := s.latency()
+		got, _ := s.latency()
 		want := LatencyStatz{Count: 10, P50: 50, P90: 90, P95: 100, P99: 100, P999: 100}
 		if got != want {
 			t.Fatalf("latency() = %+v, want %+v", got, want)
@@ -872,9 +877,9 @@ func TestLatencyPercentilePin(t *testing.T) {
 	t.Run("full ring", func(t *testing.T) {
 		s := NewServer(Config{})
 		for i := 1; i <= latRingSize; i++ {
-			s.observe(float64(i)) // 1..1024
+			s.observe(outFull, float64(i), 0) // 1..1024
 		}
-		got := s.latency()
+		got, _ := s.latency()
 		want := LatencyStatz{Count: 1024, P50: 512, P90: 922, P95: 973, P99: 1014, P999: 1023}
 		if got != want {
 			t.Fatalf("latency() = %+v, want %+v", got, want)
@@ -883,10 +888,10 @@ func TestLatencyPercentilePin(t *testing.T) {
 	t.Run("wrapped ring drops oldest", func(t *testing.T) {
 		s := NewServer(Config{})
 		for i := 1; i <= latRingSize; i++ {
-			s.observe(float64(i))
+			s.observe(outFull, float64(i), 0)
 		}
-		s.observe(2048) // overwrites sample 1; window is now {2..1024, 2048}
-		got := s.latency()
+		s.observe(outFull, 2048, 0) // overwrites sample 1; window is now {2..1024, 2048}
+		got, _ := s.latency()
 		want := LatencyStatz{Count: 1024, P50: 513, P90: 923, P95: 974, P99: 1015, P999: 1024}
 		if got != want {
 			t.Fatalf("latency() = %+v, want %+v", got, want)
