@@ -189,6 +189,21 @@ func planJSON(t *testing.T, sys *p2.System, req p2.Request) []byte {
 	return data
 }
 
+// wireBody is what a served 200 /plan body for resp must be: writeJSON of
+// resp as a response with the given cached flag and the elapsed_ms the
+// served body reports.
+func wireBody(t testing.TB, resp PlanResponse, cached bool, served []byte) []byte {
+	t.Helper()
+	var head PlanResponse
+	if err := json.Unmarshal(served, &head); err != nil {
+		t.Fatalf("decoding a served body: %v\n%s", err, served)
+	}
+	resp.Cached, resp.ElapsedMs = cached, head.ElapsedMs
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, &resp)
+	return rec.Body.Bytes()
+}
+
 // small bounds the requests the fuzz target plans for real.
 func small(sys *p2.System, req p2.Request) bool {
 	measuresAll := req.Measure == p2.MeasureRankAll || (req.Measure == p2.MeasureRerank && req.TopK == 0)
@@ -224,7 +239,9 @@ var fuzzSystems = []string{"fig2a", "a100", "V100", "superpod:1x2", "superpod", 
 //   - the wire refuses a request's system, nodes, bytes, algo and measure
 //     exactly when the CLI's rules do;
 //   - an equivalent spelling resolves to the same key, and two requests
-//     with equal keys plan byte-identical responses at Parallelism 1.
+//     with equal keys plan byte-identical responses at Parallelism 1;
+//     served in turn by one daemon, the second is a cache hit, and both
+//     bodies are writeJSON of that response.
 func FuzzServeResolve(f *testing.F) {
 	for i, pr := range bases {
 		body, err := json.Marshal(pr)
@@ -326,9 +343,31 @@ func fuzzTyped(t *testing.T, pr PlanRequest, pick uint8) {
 	if altKey != key {
 		t.Fatalf("%s of %+v keys apart", sp.name, pr)
 	}
-	if small(sys, req) {
-		if a, b := planJSON(t, sys, req), planJSON(t, altSys, altReq); !bytes.Equal(a, b) {
-			t.Fatalf("%s of %+v: equal keys, different responses:\n%s\n%s", sp.name, pr, a, b)
+	if !small(sys, req) {
+		return
+	}
+	a, b := planJSON(t, sys, req), planJSON(t, altSys, altReq)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("%s of %+v: equal keys, different responses:\n%s\n%s", sp.name, pr, a, b)
+	}
+	var want PlanResponse
+	if json.Unmarshal(a, &want) != nil {
+		return // the planner refuses it
+	}
+	s = NewServer(Config{})
+	s.planFn = func(_ context.Context, sys *p2.System, req p2.Request) (*p2.PlanResult, error) {
+		req.Parallelism = 1
+		return p2.Plan(sys, req)
+	}
+	for i, p := range []PlanRequest{pr, alt} {
+		body, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.handlePlan(rec, httptest.NewRequest(http.MethodPost, "/plan", bytes.NewReader(body)))
+		if got := rec.Body.Bytes(); !bytes.Equal(got, wireBody(t, want, i == 1, got)) {
+			t.Fatalf("%s of %+v: served body %d is not writeJSON of the planned response:\n%s", sp.name, pr, i, got)
 		}
 	}
 }

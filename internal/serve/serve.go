@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -32,6 +33,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,12 +147,11 @@ type Statz struct {
 	Partials  int64        `json:"partials"`
 	InFlight  int          `json:"in_flight"`
 	Latency   LatencyStatz `json:"latency_ms"`
-	// Outcomes splits /plan requests by how each was answered: "hit" (the
-	// strategy cache), "full" and "partial" (planned by the request
-	// itself), "coalesced" (a follower's 200) — the four latency_ms blends
-	// — and "error" (every other status, shed 429s included). Unlike
-	// latency_ms, which holds the elapsed_ms each 200 reported, their
-	// windows time the whole handler, writing the response included.
+	// Outcomes splits /plan requests by how each was answered: the 200s
+	// latency_ms blends — "hit", "full" and "partial" (planned by the
+	// request itself) and "coalesced" — and "error" (any other status).
+	// Their windows time the whole handler, the response write included;
+	// latency_ms holds the elapsed_ms each 200 reported.
 	Outcomes map[string]OutcomeStatz `json:"outcomes"`
 }
 
@@ -197,6 +198,11 @@ type window struct {
 	n    int64
 }
 
+// maxFaultedDevices bounds the systems "faults" may degrade: parsing a
+// fault spec ("*" names every entity of a level) and attaching its
+// overrides build tables sized by the system, so resolve bounds it first.
+const maxFaultedDevices = 1 << 16
+
 // readHeaderTimeout bounds how long a connection may take to send its
 // headers, and its whole request, lowered to half a shorter DrainTimeout:
 // a connection stalled mid-header or mid-body is not idle, so Shutdown
@@ -206,12 +212,14 @@ const readHeaderTimeout = time.Second
 // flight is one in-flight /plan computation: concurrent identical
 // requests coalesce onto it (single-flight) and share the leader's
 // outcome — including a partial or failed one; a follower that wants a
-// fresh computation retries after the flight lands.
+// fresh computation retries after the flight lands. The strategy cache
+// keeps landed complete flights.
 type flight struct {
-	done   chan struct{}
-	resp   *PlanResponse // nil unless status == 200
-	status int
-	errMsg string
+	done    chan struct{}
+	tail    []byte // the response encoded from "strategies" on (encodeTail); nil unless status == 200
+	partial bool
+	status  int
+	errMsg  string
 }
 
 // Server is the planning daemon. Construct with NewServer; serve via
@@ -226,7 +234,7 @@ type Server struct {
 	sem chan struct{}
 
 	mu        sync.Mutex
-	cache     map[string]*PlanResponse
+	cache     map[string]*flight
 	order     []string // cache keys in insertion order, for FIFO eviction
 	flights   map[string]*flight
 	evictions int64
@@ -264,7 +272,7 @@ func NewServer(cfg Config) *Server {
 		cfg:     cfg,
 		planFn:  planner.PlanCtx,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
-		cache:   map[string]*PlanResponse{},
+		cache:   map[string]*flight{},
 		flights: map[string]*flight{},
 	}
 }
@@ -341,8 +349,12 @@ func (s *Server) Warm(ctx context.Context, reqs []PlanRequest) (int, error) {
 		if res.Partial {
 			continue
 		}
+		tail, err := encodeTail(buildResponse(res))
+		if err != nil {
+			return warmed, fmt.Errorf("serve: warm request %d: %w", i, err)
+		}
 		s.mu.Lock()
-		s.cacheAdd(key, buildResponse(res))
+		s.cacheAdd(key, &flight{status: http.StatusOK, tail: tail})
 		s.mu.Unlock()
 		warmed++
 		if err := ctx.Err(); err != nil {
@@ -381,11 +393,9 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time)
 		return outError, 0
 	}
 
-	if resp, ok := s.cacheGet(key); ok {
+	if f, ok := s.cacheGet(key); ok {
 		s.hits.Add(1)
-		resp.ElapsedMs = s.sinceMs(start)
-		writeJSON(w, http.StatusOK, resp)
-		return outHit, resp.ElapsedMs
+		return s.respond(w, f, start, outHit)
 	}
 	s.misses.Add(1)
 
@@ -408,7 +418,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time)
 		s.coalesced.Add(1)
 		select {
 		case <-f.done:
-			return s.respondFlight(w, f, start, outCoalesced)
+			return s.respond(w, f, start, outCoalesced)
 		case <-ctx.Done():
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusServiceUnavailable,
@@ -432,20 +442,20 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time)
 	s.mu.Unlock()
 
 	res, perr := s.runPlan(ctx, sys, req)
-	f.status, f.resp, f.errMsg = s.outcome(res, perr)
+	s.settle(f, res, perr)
 
 	s.mu.Lock()
 	delete(s.flights, key)
-	if f.status == http.StatusOK && !f.resp.Partial {
-		s.cacheAdd(key, f.resp)
+	if f.status == http.StatusOK && !f.partial {
+		s.cacheAdd(key, f)
 	}
 	s.mu.Unlock()
 	<-s.sem
 	close(f.done)
-	if f.status == http.StatusOK && f.resp.Partial {
-		return s.respondFlight(w, f, start, outPartial)
+	if f.partial {
+		return s.respond(w, f, start, outPartial)
 	}
-	return s.respondFlight(w, f, start, outFull)
+	return s.respond(w, f, start, outFull)
 }
 
 // runPlan executes one planning computation with panic isolation: a
@@ -476,40 +486,86 @@ func (e *panicFailure) Error() string {
 	return fmt.Sprintf("internal error: planning panicked: %v", e.val)
 }
 
-// outcome maps a planning result to the flight's HTTP outcome. PlanCtx
-// already folds deadline expiry into the anytime contract: a partial
-// ranking arrives as a normal result with Partial set; only a deadline
-// that beat the first scored candidate surfaces as a context error.
-func (s *Server) outcome(res *p2.PlanResult, err error) (int, *PlanResponse, string) {
+// settle maps a planning result to the flight's HTTP outcome, encoding a
+// 200's tail once for every request the flight answers. PlanCtx already
+// folds deadline expiry into the anytime contract: a partial ranking
+// arrives as a normal result with Partial set; only a deadline that beat
+// the first scored candidate surfaces as a context error.
+func (s *Server) settle(f *flight, res *p2.PlanResult, err error) {
+	var pf *panicFailure
 	switch {
 	case err == nil:
+		tail, err := encodeTail(buildResponse(res))
+		if err != nil {
+			f.status, f.errMsg = http.StatusInternalServerError, "internal error: encoding the response: "+err.Error()
+			return
+		}
+		f.status, f.tail, f.partial = http.StatusOK, tail, res.Partial
 		if res.Partial {
 			s.partials.Add(1)
 		}
-		return http.StatusOK, buildResponse(res), ""
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, nil,
-			"deadline expired before any candidate was scored; raise timeout_ms"
+		f.status, f.errMsg = http.StatusGatewayTimeout, "deadline expired before any candidate was scored; raise timeout_ms"
+	case errors.As(err, &pf):
+		f.status, f.errMsg = http.StatusInternalServerError, err.Error()
 	default:
-		var pf *panicFailure
-		if errors.As(err, &pf) {
-			return http.StatusInternalServerError, nil, err.Error()
-		}
-		return http.StatusBadRequest, nil, err.Error()
+		f.status, f.errMsg = http.StatusBadRequest, err.Error()
 	}
 }
 
-// respondFlight writes a flight's outcome with this request's own
-// elapsed time; a 200 is outcome o.
-func (s *Server) respondFlight(w http.ResponseWriter, f *flight, start time.Time, o outcome) (outcome, float64) {
+// respond answers a request from a landed flight — a cache hit, the
+// leader's own or a follower's — with this request's elapsed time: a 200
+// is outcome o, and the elapsed_ms it wrote.
+func (s *Server) respond(w http.ResponseWriter, f *flight, start time.Time, o outcome) (outcome, float64) {
 	if f.status != http.StatusOK {
 		httpError(w, f.status, f.errMsg)
 		return outError, 0
 	}
-	resp := *f.resp // shallow copy: Strategies/Stats are shared read-only
-	resp.ElapsedMs = s.sinceMs(start)
-	writeJSON(w, http.StatusOK, &resp)
-	return o, resp.ElapsedMs
+	ms := s.sinceMs(start)
+	writePlan(w, f.tail, f.partial, o == outHit, ms)
+	return o, ms
+}
+
+// tailEncoder encodes responses into buf; pooled, because a json.Encoder
+// keeps its indent buffer between uses.
+type tailEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var tailEncoders = sync.Pool{New: func() any {
+	te := &tailEncoder{}
+	te.enc = json.NewEncoder(&te.buf)
+	te.enc.SetIndent("", "  ")
+	return te
+}}
+
+// encodeTail encodes resp once, as writeJSON does, and keeps the part
+// every request it answers shares: from `  "strategies"` to the end.
+func encodeTail(resp *PlanResponse) ([]byte, error) {
+	te := tailEncoders.Get().(*tailEncoder)
+	defer tailEncoders.Put(te)
+	te.buf.Reset()
+	if err := te.enc.Encode(resp); err != nil {
+		return nil, err
+	}
+	b := te.buf.Bytes()
+	return bytes.Clone(b[bytes.Index(b, []byte(`  "strategies"`)):]), nil
+}
+
+// writePlan writes every 200 /plan body — a cache hit's, a leader's and a
+// follower's alike: the head (partial, cached, elapsed_ms), then the
+// stored tail, which is byte for byte writeJSON of the whole PlanResponse.
+func writePlan(w http.ResponseWriter, tail []byte, partial, cached bool, elapsedMs float64) {
+	ms, _ := json.Marshal(elapsedMs) // finite: a duration
+	var buf [96]byte
+	head := strconv.AppendBool(append(buf[:0], "{\n  \"partial\": "...), partial)
+	head = strconv.AppendBool(append(head, ",\n  \"cached\": "...), cached)
+	head = append(append(append(head, ",\n  \"elapsed_ms\": "...), ms...), ",\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(head)
+	w.Write(tail)
 }
 
 // buildResponse projects a plan result to the wire shape, folding +Inf
@@ -555,6 +611,9 @@ func resolve(pr *PlanRequest) (*p2.System, p2.Request, string, error) {
 		return nil, p2.Request{}, "", err
 	}
 	if pr.Faults != "" {
+		if n := sys.NumDevices(); n > maxFaultedDevices {
+			return nil, p2.Request{}, "", fmt.Errorf(`"faults" applies to systems of at most %d devices (got %d)`, maxFaultedDevices, n)
+		}
 		ov, err := p2.ParseFaults(sys, pr.Faults)
 		if err != nil {
 			return nil, p2.Request{}, "", err
@@ -624,29 +683,24 @@ func cacheKey(sys *p2.System, req p2.Request) string {
 	return string(b)
 }
 
-// cacheGet returns a per-request copy of the cached response for key.
-func (s *Server) cacheGet(key string) (*PlanResponse, bool) {
+// cacheGet returns the landed flight cached for key.
+func (s *Server) cacheGet(key string) (*flight, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.cache[key]
-	if !ok {
-		return nil, false
-	}
-	resp := *c // shallow copy: Strategies/Stats are shared read-only
-	resp.Cached = true
-	return &resp, true
+	f, ok := s.cache[key]
+	return f, ok
 }
 
-// cacheAdd stores a complete response, evicting the oldest entry past
+// cacheAdd stores a landed complete flight, evicting the oldest entry past
 // CacheSize. Caller holds s.mu.
-func (s *Server) cacheAdd(key string, resp *PlanResponse) {
+func (s *Server) cacheAdd(key string, f *flight) {
 	if s.cfg.CacheSize < 0 {
 		return
 	}
 	if _, ok := s.cache[key]; ok {
 		return
 	}
-	s.cache[key] = resp
+	s.cache[key] = f
 	s.order = append(s.order, key)
 	for len(s.order) > s.cfg.CacheSize {
 		delete(s.cache, s.order[0])

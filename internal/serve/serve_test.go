@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -382,6 +383,32 @@ func TestTooManyDevicesRefused(t *testing.T) {
 	}
 	if h, m := s.hits.Load(), s.misses.Load(); h+m != 0 {
 		t.Errorf("cache consulted for refused systems: %d hits, %d misses", h, m)
+	}
+}
+
+// TestFaultsOnHugeSystemRefused: "faults" on a system past
+// maxFaultedDevices is a 400 before any per-entity table is built. On
+// superpod:65536x4096 (2³¹ devices) the fault tables alone would take
+// about 34 GB; the refusal allocates under 1 MB.
+func TestFaultsOnHugeSystemRefused(t *testing.T) {
+	s := NewServer(Config{})
+	for _, faults := range []string{"0:0:bw/2", "gpu:*:down"} {
+		body := fmt.Sprintf(`{"system": "superpod:65536x4096", "faults": %q, "axes": [2147483648]}`, faults)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		s.handlePlan(rec, httptest.NewRequest(http.MethodPost, "/plan", strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "at most 65536 devices") {
+			t.Errorf("POST %s = %d %s, want a 400 naming the bound", body, rec.Code, rec.Body)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("POST %s allocated %d bytes while refused, want under 1 MB", body, grew)
+		}
+	}
+	// At the bound a fault still applies.
+	if _, _, _, err := resolve(&PlanRequest{System: "superpod:1024x8", Faults: "gpu:*:bw/2", Axes: []int{1 << 16}}); err != nil {
+		t.Errorf("a fault on a system of %d devices: %v", maxFaultedDevices, err)
 	}
 }
 

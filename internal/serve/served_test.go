@@ -2,11 +2,15 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"p2"
 	"p2/internal/load"
@@ -88,4 +92,125 @@ func servePlan(t *testing.T, h http.Handler, body []byte) *serve.PlanResponse {
 	}
 	served.ElapsedMs = 0
 	return &served
+}
+
+// TestPlanBodiesEqualWriteJSON gates the encode-once wire format: every
+// 200 /plan body — a single-flight leader's, a coalesced follower's and a
+// cache hit's — is byte for byte writeJSON of the PlanResponse it stands
+// for. It covers the 16 catalog entries (two of them measured, so with
+// measured_s) and a down-link entry (never_completes, -1), each through
+// the handler and through writePlan at the elapsed_ms values where
+// encoding/json's float format changes shape.
+func TestPlanBodiesEqualWriteJSON(t *testing.T) {
+	reqs := append(load.Catalog(), serve.PlanRequest{System: "a100", Nodes: 2, Faults: "node:1:down", Axes: []int{32}, TopK: 3})
+	var measured, never bool
+	for _, pr := range reqs {
+		sys, req, _, err := serve.Resolve(&pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p2.Plan(sys, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := *serve.BuildResponse(res)
+		tail, err := serve.EncodeTail(&resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ms := range []float64{0, 5e-7, 1e-6, 0.0123456789, 12.5, 1e21} {
+			for _, flags := range [][2]bool{{false, false}, {true, false}, {false, true}} {
+				rec := httptest.NewRecorder()
+				serve.WritePlan(rec, tail, flags[0], flags[1], ms)
+				want := resp
+				want.Partial = flags[0]
+				if got := rec.Body.Bytes(); !bytes.Equal(got, serve.WireBody(t, want, flags[1], got)) {
+					t.Fatalf("%s system at elapsed_ms %g, partial/cached %v: writePlan wrote\n%s", pr.System, ms, flags, got)
+				}
+			}
+		}
+
+		// The handler: a leader holds the flight until a follower has
+		// joined it, then a repeat hits the cache.
+		s := serve.NewServer(serve.Config{})
+		entered, release := make(chan struct{}), make(chan struct{})
+		serve.SetPlanFn(s, func(context.Context, *p2.System, p2.Request) (*p2.PlanResult, error) {
+			close(entered)
+			<-release
+			return res, nil
+		})
+		body, err := json.Marshal(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		post := func() []byte {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/plan", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s: status %d: %s", body, rec.Code, rec.Body)
+			}
+			return rec.Body.Bytes()
+		}
+		var bodies [2][]byte
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); bodies[0] = post() }()
+		<-entered
+		go func() { defer wg.Done(); bodies[1] = post() }()
+		for serve.Coalesced(s) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		wg.Wait()
+		for i, got := range append(bodies[:], post()) {
+			if !bytes.Equal(got, serve.WireBody(t, resp, i == 2, got)) {
+				t.Fatalf("%s: the %s's body is not writeJSON of its response:\n%s", body, [...]string{"leader", "follower", "cache hit"}[i], got)
+			}
+			measured = measured || strings.Contains(string(got), `"measured_s"`)
+			never = never || strings.Contains(string(got), `"never_completes": true`)
+		}
+	}
+	if !measured || !never {
+		t.Fatalf("covered measured_s: %v, never_completes: %v; want both", measured, never)
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps no body.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// rewindBody is a request body that can be re-read from the start.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// BenchmarkServeHit is the daemon's hit path without a socket:
+// Server.Handler answering the 16 catalog bodies in turn, every one a
+// cache hit on a warmed entry.
+func BenchmarkServeHit(b *testing.B) {
+	s := serve.NewServer(serve.Config{})
+	cat := load.Catalog()
+	if _, err := s.Warm(context.Background(), cat); err != nil {
+		b.Fatal(err)
+	}
+	bodies := make([][]byte, len(cat))
+	for i := range cat {
+		var err error
+		if bodies[i], err = json.Marshal(cat[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	h, w, rb := s.Handler(), &discardWriter{h: http.Header{}}, &rewindBody{}
+	r := httptest.NewRequest(http.MethodPost, "/plan", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb.Reset(bodies[i%len(bodies)])
+		r.Body = rb
+		h.ServeHTTP(w, r)
+	}
 }

@@ -38,6 +38,8 @@ collect go test -run XXX \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
 collect go test -run XXX -bench 'BenchmarkPlacementBound$' \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/plan
+collect go test -run XXX -bench 'BenchmarkServeHit$' \
+  -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/serve
 
 go build -o "$TMP/bench" ./bench
 for seed in $(seq 1 "$COUNT"); do

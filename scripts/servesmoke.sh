@@ -6,7 +6,8 @@
 #  1. a complete /plan round trip (partial=false, ranked strategies),
 #  2. concurrent mixed traffic, including one deliberately-deadlined
 #     rank-all request that must come back partial=true (anytime),
-#  3. a repeat of request 1 that must be served from the cache,
+#  3. a repeat of request 1 that must be served from the cache, its body
+#     byte-equal to request 1's once "cached" and "elapsed_ms" are masked,
 #  4. /statz accounting for the cache hit,
 #  5. a clean SIGTERM drain: exit status 0, drain messages logged.
 #
@@ -75,6 +76,12 @@ has a100.json partial false
 has auto.json partial false
 has cached.json cached true
 has cached.json partial false
+# The hit writes the stored bytes of the miss it repeats.
+for f in full cached; do
+  sed -e 's/"cached": [a-z]*/"cached": X/' -e 's/"elapsed_ms": [-+.0-9eE]*/"elapsed_ms": X/' \
+    "$TMP/$f.json" > "$TMP/$f.masked"
+done
+cmp -s "$TMP/full.masked" "$TMP/cached.masked" || fail "cache-hit body differs from the miss it repeats"
 has partial.json partial true
 
 # 3. /statz accounts for the cache hit.
