@@ -445,13 +445,13 @@ func crossCheck(c *Counts, d *StatzDelta) []string {
 	// Each request has one outcome, and the client's class of its
 	// response names it: a hit, a 200 the daemon planned or coalesced,
 	// or any other status.
-	o, ok := d.Outcomes, c.Complete+c.Partials
+	o, uncached := d.Outcomes, c.Complete+c.Partials
 	checkf(o["hit"] == c.CacheHits,
 		"statz hit outcomes delta %d != %d cached responses observed", o["hit"], c.CacheHits)
-	checkf(o["full"]+o["partial"]+o["coalesced"] == ok,
-		"statz full+partial+coalesced outcomes delta %d != %d uncached 200s observed", o["full"]+o["partial"]+o["coalesced"], ok)
-	checkf(o["error"] == c.Sent-c.CacheHits-ok,
-		"statz error outcomes delta %d != %d non-200s observed", o["error"], c.Sent-c.CacheHits-ok)
+	checkf(o["full"]+o["partial"]+o["coalesced"] == uncached,
+		"statz full+partial+coalesced outcomes delta %d != %d uncached 200s observed", o["full"]+o["partial"]+o["coalesced"], uncached)
+	checkf(o["error"] == c.Sent-c.CacheHits-uncached,
+		"statz error outcomes delta %d != %d non-200s observed", o["error"], c.Sent-c.CacheHits-uncached)
 	return bad
 }
 
