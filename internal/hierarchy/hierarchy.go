@@ -14,6 +14,12 @@
 // (a)–(c) each leaf is exactly one device; for (d) each leaf stands for one
 // device per combination of non-reduction coordinates (its replicas), and
 // lowering replicates synthesized groups across replicas.
+//
+// One construction serves all four kinds. A device is a sum of per-axis
+// offsets (placement.Matrix.Device), so replica v of leaf u is
+// redOff[u] + freeOff[v]: the device of the coordinates u's digits spell,
+// plus that of replica v's coordinates on the axes that do not address a
+// leaf — none for (a)–(c), whose one replica is freeOff[0] = 0.
 package hierarchy
 
 import (
@@ -191,14 +197,10 @@ func Build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) (*Hie
 		}
 		seen[r] = true
 	}
-	switch kind {
-	case KindSystem, KindColumnBased, KindRowBased:
-		return buildFull(kind, m, reduceAxes, opts)
-	case KindReductionAxes:
-		return buildReduction(m, reduceAxes, opts)
-	default:
+	if kind < KindSystem || kind > KindReductionAxes {
 		return nil, fmt.Errorf("hierarchy: unknown kind %v", kind)
 	}
+	return build(kind, m, reduceAxes, opts), nil
 }
 
 // MustBuild is Build panicking on error.
@@ -210,262 +212,147 @@ func MustBuild(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *
 	return h
 }
 
-// levelRef identifies one hierarchy position in terms of the matrix.
-type levelRef struct {
-	axis      int // -1 for a raw hardware level (kind (a))
-	level     int
-	size      int
-	name      string
-	reduction bool
-}
-
-func buildFull(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) (*Hierarchy, error) {
+// build constructs every kind the same way. The kind decides which axes
+// address a leaf (the reduction axes for (d), every axis otherwise), the
+// digit order (level-major for (a), (b) and a collapsed (d), axis-major
+// otherwise) and whether a hardware level's factors collapse into one
+// level ((a) and a collapsed (d)). A collapsed level packs its axes'
+// digits in axis order as Matrix.LevelCoord does, so a leaf index reads
+// the same in its expanded digits whether or not levels collapse, and
+// dropped unit levels are digit 0 either way.
+func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hierarchy {
 	isRed := make([]bool, m.NumAxes())
 	for _, r := range reduceAxes {
 		isRed[r] = true
 	}
-	// A raw hardware level is a reduction level when every non-reduction
-	// factor in its column is 1.
-	levelIsRed := func(j int) bool {
-		for i := 0; i < m.NumAxes(); i++ {
-			if !isRed[i] && m.X[i][j] != 1 {
-				return false
+	addr := reduceAxes
+	var freeAxes, freeSizes []int
+	if kind == KindReductionAxes {
+		for i, p := range m.Axes {
+			if !isRed[i] {
+				freeAxes = append(freeAxes, i)
+				freeSizes = append(freeSizes, p)
 			}
-		}
-		return true
-	}
-	var refs []levelRef
-	switch kind {
-	case KindSystem:
-		for j := 0; j < m.NumLevels(); j++ {
-			refs = append(refs, levelRef{axis: -1, level: j, size: m.Hier[j],
-				name: fmt.Sprintf("h%d", j), reduction: levelIsRed(j)})
-		}
-	case KindColumnBased:
-		for j := 0; j < m.NumLevels(); j++ {
-			for i := 0; i < m.NumAxes(); i++ {
-				refs = append(refs, levelRef{axis: i, level: j, size: m.X[i][j],
-					name: fmt.Sprintf("x%d,%d", i, j), reduction: isRed[i]})
-			}
-		}
-	case KindRowBased:
-		for i := 0; i < m.NumAxes(); i++ {
-			for j := 0; j < m.NumLevels(); j++ {
-				refs = append(refs, levelRef{axis: i, level: j, size: m.X[i][j],
-					name: fmt.Sprintf("x%d,%d", i, j), reduction: isRed[i]})
-			}
-		}
-	default:
-		// Build routes KindReductionAxes to buildReduction; any kind landing
-		// here would otherwise build an empty hierarchy silently.
-		return nil, fmt.Errorf("hierarchy: buildFull cannot handle kind %v", kind)
-	}
-	kept := keepRefs(refs, opts)
-	sizes := refSizes(kept)
-	rad := factor.NewRadix(sizes)
-
-	n := m.NumDevices()
-	// leafOf maps each physical device to its leaf index under this
-	// hierarchy's digit ordering.
-	leaves := make([][]int, n)
-	leafOf := make([]int, n)
-	digits := make([]int, len(kept))
-	for dev := 0; dev < n; dev++ {
-		for p, ref := range kept[1:] { // skip root digit (always 0)
-			if ref.axis < 0 {
-				digits[p+1] = m.LevelCoord(dev, ref.level)
-			} else {
-				digits[p+1] = m.FactorDigit(dev, ref.axis, ref.level)
-			}
-		}
-		digits[0] = 0
-		u := rad.Encode(digits)
-		leafOf[dev] = u
-		leaves[u] = []int{dev}
-	}
-	// Leaf-space reduction groups via the matrix's device groups.
-	groups := make([][]int, n)
-	for dev := 0; dev < n; dev++ {
-		phys := m.ReductionGroup(dev, reduceAxes)
-		g := make([]int, len(phys))
-		for i, pd := range phys {
-			g[i] = leafOf[pd]
-		}
-		groups[leafOf[dev]] = sortedInts(g)
-	}
-	return &Hierarchy{
-		Kind:           kind,
-		Sizes:          sizes,
-		Names:          refNames(kept),
-		Leaves:         leaves,
-		Groups:         groups,
-		ReductionLevel: refReduction(kept),
-		radix:          rad,
-	}, nil
-}
-
-func buildReduction(m *placement.Matrix, reduceAxes []int, opts Options) (*Hierarchy, error) {
-	var refs []levelRef
-	if opts.Collapse {
-		// One level per hardware level: the product of the reduction
-		// axes' factors there (e.g. [1 2 3; 7 8 9] on axes {0,1} gives
-		// [7 16 27] as in §2.5).
-		for j := 0; j < m.NumLevels(); j++ {
-			size := 1
-			for _, r := range reduceAxes {
-				size *= m.X[r][j]
-			}
-			refs = append(refs, levelRef{axis: -2, level: j, size: size,
-				name: fmt.Sprintf("c%d", j), reduction: true})
 		}
 	} else {
-		for _, r := range reduceAxes {
-			for j := 0; j < m.NumLevels(); j++ {
-				refs = append(refs, levelRef{axis: r, level: j, size: m.X[r][j],
-					name: fmt.Sprintf("x%d,%d", r, j), reduction: true})
+		addr = make([]int, m.NumAxes())
+		for i := range addr {
+			addr[i] = i
+		}
+	}
+	collapse := kind == KindSystem || kind == KindReductionAxes && opts.Collapse
+	prefix := "c"
+	if kind == KindSystem {
+		prefix = "h"
+	}
+
+	sizes, names, redLevel := []int{1}, []string{"root"}, []bool{true}
+	level := func(size int, name string, reduction bool) {
+		if size == 1 && !opts.KeepUnitLevels {
+			return
+		}
+		sizes = append(sizes, size)
+		names = append(names, name)
+		redLevel = append(redLevel, reduction)
+	}
+	// order lists a leaf address's non-unit digits, most significant
+	// first; place is a digit's weight within its axis coordinate.
+	type leafDigit struct {
+		axis, size, place int
+		red               bool
+	}
+	var order []leafDigit
+	digit := func(a, j int) {
+		if !collapse {
+			level(m.X[a][j], fmt.Sprintf("x%d,%d", a, j), isRed[a])
+		}
+		if m.X[a][j] > 1 {
+			order = append(order, leafDigit{a, m.X[a][j], factor.Product(m.X[a][j+1:]), isRed[a]})
+		}
+	}
+	if collapse || kind == KindColumnBased {
+		for j := range m.Hier {
+			size, reduction := 1, true
+			for _, a := range addr {
+				digit(a, j)
+				size *= m.X[a][j]
+				reduction = reduction && (isRed[a] || m.X[a][j] == 1)
+			}
+			if collapse {
+				level(size, fmt.Sprintf("%s%d", prefix, j), reduction)
+			}
+		}
+	} else {
+		for _, a := range addr {
+			for j := range m.Hier {
+				digit(a, j)
 			}
 		}
 	}
-	kept := keepRefs(refs, opts)
-	sizes := refSizes(kept)
 	rad := factor.NewRadix(sizes)
 	k := rad.Total()
 
-	// A device is the sum of per-axis offsets (placement.Matrix.Device),
-	// so replica v of leaf u is redOff[u] + freeOff[v]: the device of u's
-	// reduction coordinates with every free coordinate 0, plus that of
-	// replica v's free coordinates — all combinations of the non-reduction
-	// axes — with every reduction coordinate 0.
-	isRed := make([]bool, m.NumAxes())
-	for _, r := range reduceAxes {
-		isRed[r] = true
-	}
-	var freeAxes, freeSizes []int
-	for i := 0; i < m.NumAxes(); i++ {
-		if !isRed[i] {
-			freeAxes = append(freeAxes, i)
-			freeSizes = append(freeSizes, m.Axes[i])
-		}
-	}
+	// freeOff[v] is the device of replica v's coordinates on the axes that
+	// do not address a leaf, with every other coordinate 0.
 	freeRad := factor.NewRadix(freeSizes)
 	freeOff := make([]int, freeRad.Total())
-	freeCoords := make([]int, m.NumAxes())
+	coords := make([]int, m.NumAxes())
 	freeDigits := make([]int, freeRad.Len())
 	for v := range freeOff {
 		freeRad.DecodeInto(v, freeDigits)
 		for idx, a := range freeAxes {
-			freeCoords[a] = freeDigits[idx]
+			coords[a] = freeDigits[idx]
 		}
-		freeOff[v] = m.Device(freeCoords)
+		freeOff[v] = m.Device(coords)
 	}
 
-	// A leaf address has one digit per (reduction axis, level) factor,
-	// axis-major — or level-major when collapsed, a collapsed level
-	// packing its axes row-major; dropped unit levels are digit 0 either
-	// way. place is the digit's weight within its axis coordinate.
-	type leafDigit struct{ axis, size, place int }
-	var order []leafDigit
-	add := func(r, j int) {
-		place := factor.Product(m.X[r][j+1:])
-		order = append(order, leafDigit{r, m.X[r][j], place})
-	}
-	if opts.Collapse {
-		for j := range m.Hier {
-			for _, r := range reduceAxes {
-				add(r, j)
-			}
-		}
-	} else {
-		for _, r := range reduceAxes {
-			for j := range m.Hier {
-				add(r, j)
-			}
+	// Leaf u's group is every leaf with its non-reduction digits (key),
+	// ascending: u sits at the rank its reduction digits spell. (d) has no
+	// non-reduction digit, so its one group is every leaf.
+	groupSize := 1
+	for _, d := range order {
+		if d.red {
+			groupSize *= d.size
 		}
 	}
-
 	leaves := make([][]int, k)
-	backing := make([]int, k*len(freeOff))
-	redCoords := make([]int, m.NumAxes())
+	groups := make([][]int, k)
+	reps := len(freeOff)
+	backing := make([]int, k*reps)
+	members := make([]int, k)
 	for u := range leaves {
-		for _, r := range reduceAxes {
-			redCoords[r] = 0
-		}
-		rest := u
+		clear(coords)
+		rest, key, rank, keyW, rankW := u, 0, 0, 1, 1
 		for p := len(order) - 1; p >= 0; p-- {
 			d := order[p]
-			redCoords[d.axis] += rest % d.size * d.place
+			dv := rest % d.size
 			rest /= d.size
+			coords[d.axis] += dv * d.place
+			if d.red {
+				rank += dv * rankW
+				rankW *= d.size
+			} else {
+				key += dv * keyW
+				keyW *= d.size
+			}
 		}
-		redOff := m.Device(redCoords)
-		reps := backing[u*len(freeOff) : (u+1)*len(freeOff) : (u+1)*len(freeOff)]
+		redOff := m.Device(coords)
+		leaf := backing[u*reps : (u+1)*reps : (u+1)*reps]
 		for v, f := range freeOff {
-			reps[v] = redOff + f
+			leaf[v] = redOff + f
 		}
-		leaves[u] = reps
-	}
-
-	all := make([]int, k)
-	for i := range all {
-		all[i] = i
-	}
-	groups := make([][]int, k)
-	for u := range groups {
-		groups[u] = all
+		leaves[u] = leaf
+		g := members[key*groupSize : (key+1)*groupSize : (key+1)*groupSize]
+		g[rank] = u
+		groups[u] = g
 	}
 	return &Hierarchy{
-		Kind:           KindReductionAxes,
+		Kind:           kind,
 		Sizes:          sizes,
-		Names:          refNames(kept),
+		Names:          names,
 		Leaves:         leaves,
 		Groups:         groups,
-		ReductionLevel: refReduction(kept),
+		ReductionLevel: redLevel,
 		radix:          rad,
-	}, nil
-}
-
-// keepRefs prepends the root and drops interior unit levels unless asked
-// to keep them.
-func keepRefs(refs []levelRef, opts Options) []levelRef {
-	out := []levelRef{{axis: -3, level: -1, size: 1, name: "root", reduction: true}}
-	for _, r := range refs {
-		if r.size == 1 && !opts.KeepUnitLevels {
-			continue
-		}
-		out = append(out, r)
 	}
-	return out
-}
-
-func refSizes(refs []levelRef) []int {
-	out := make([]int, len(refs))
-	for i, r := range refs {
-		out[i] = r.size
-	}
-	return out
-}
-
-func refReduction(refs []levelRef) []bool {
-	out := make([]bool, len(refs))
-	for i, r := range refs {
-		out[i] = r.reduction
-	}
-	return out
-}
-
-func refNames(refs []levelRef) []string {
-	out := make([]string, len(refs))
-	for i, r := range refs {
-		out[i] = r.name
-	}
-	return out
-}
-
-func sortedInts(xs []int) []int {
-	out := append([]int(nil), xs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }

@@ -171,14 +171,6 @@ func (m *Matrix) Device(axisCoords []int) int {
 	return dev
 }
 
-// FactorDigit returns the expanded-address digit of device dev belonging
-// to axis i at hardware level j — the coordinate within the parallelism
-// factor x[i][j]. The full set of factor digits uniquely addresses a
-// device.
-func (m *Matrix) FactorDigit(dev, i, j int) int {
-	return m.devRadix.Digit(dev, m.digitPos(i, j))
-}
-
 // LevelCoord returns dev's hardware coordinate at level j (in [0, h[j])),
 // combining the level's per-axis digits in axis order.
 func (m *Matrix) LevelCoord(dev, j int) int {
