@@ -610,12 +610,16 @@ func cmdDegrade(fs *flag.FlagSet) body {
 		fmt.Fprintf(out, "ranking shift: %d of %d pairs flipped (tau-distance %.4f)\n",
 			res.Inversions, res.MaxPairs, res.Tau)
 		pb, db := res.PristineRank[0], res.DegradedRank[0]
-		if res.BestShifted {
+		switch {
+		case res.BestShifted:
 			fmt.Fprintf(out, "best strategy shifted: pristine winner %v via %v now costs %s; re-planning picks %v via %v at %s (%s)\n",
 				pb.Matrix, pb.Program, degradeTime(res.StaleTime),
 				db.Matrix, db.Program, degradeTime(res.ReplanTime),
 				replanGain(res.ReplanSpeedup))
-		} else {
+		case math.IsInf(res.ReplanTime, 1):
+			fmt.Fprintf(out, "no strategy avoids the down link: all %d candidates never complete, the pristine winner %v via %v (%s pristine) among them\n",
+				len(res.DegradedRank), pb.Matrix, pb.Program, degradeTime(pb.Predicted))
+		default:
 			fmt.Fprintf(out, "best strategy unchanged: %v via %v (%s pristine, %s degraded)\n",
 				pb.Matrix, pb.Program, degradeTime(pb.Predicted), degradeTime(res.StaleTime))
 		}

@@ -413,6 +413,37 @@ func TestDegradeDownLinkCommand(t *testing.T) {
 	}
 }
 
+// TestDegradeShiftedCommand pins the finite "best strategy shifted" line:
+// a throttled GPU link makes Reduce+Broadcast beat the pristine AllReduce.
+func TestDegradeShiftedCommand(t *testing.T) {
+	out, errOut, code := exec("degrade", "-system", "a100", "-nodes", "4",
+		"-axes", "[4 16]", "-reduce", "[0]", "-fault", "gpu:0/0:bw/10", "-top", "1")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	want := "best strategy shifted: pristine winner [[1 4] [4 4]] via (0, InsideGroup, AllReduce) now costs 0.954s; " +
+		"re-planning picks [[1 4] [4 4]] via (0, InsideGroup, Reduce); (0, InsideGroup, Broadcast) at 0.636s " +
+		"(1.50x faster than keeping the stale plan)\n"
+	if !strings.Contains(out, want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+}
+
+// TestDegradeNothingCompletesCommand: when no candidate avoids the down
+// link, degrade says so instead of claiming a shift at NaNx.
+func TestDegradeNothingCompletesCommand(t *testing.T) {
+	out, errOut, code := exec("degrade", "-system", "a100", "-nodes", "4",
+		"-axes", "[4 16]", "-reduce", "[1]", "-fault", "gpu:0/0:down", "-top", "1")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	want := "no strategy avoids the down link: all 189 candidates never complete, " +
+		"the pristine winner [[4 1] [1 16]] via (0, InsideGroup, AllReduce) (0.119s pristine) among them\n"
+	if !strings.Contains(out, want) || strings.Contains(out, "NaN") || strings.Contains(out, "shifted") {
+		t.Errorf("want %q and no NaN or shift claim:\n%s", want, out)
+	}
+}
+
 func TestDegradeDeterministic(t *testing.T) {
 	args := func(par string) []string {
 		return []string{"degrade", "-system", "a100", "-nodes", "2",

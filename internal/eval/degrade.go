@@ -49,13 +49,15 @@ type DegradeResult struct {
 	MaxPairs   int
 	Tau        float64
 
-	// BestShifted reports whether the degraded fabric changes the winning
-	// (matrix, program) candidate. StaleTime is the degraded time of the
-	// pristine winner — what a plan chosen while ignoring the fault would
-	// actually cost — and ReplanTime the degraded winner's time.
-	// ReplanSpeedup = StaleTime/ReplanTime ≥ 1 is the payoff of
-	// re-planning; +Inf when the stale plan routes traffic over a down
-	// link (it would never finish) while re-planning finds a finite route.
+	// BestShifted reports whether re-planning on the degraded fabric picks
+	// a strictly faster candidate than the pristine winner. StaleTime is
+	// the degraded time of the pristine winner — what a plan chosen while
+	// ignoring the fault would actually cost — and ReplanTime the degraded
+	// winner's time (+Inf when no candidate avoids a down link).
+	// ReplanSpeedup = StaleTime/ReplanTime > 1 is the payoff of a shift,
+	// +Inf when the stale plan routes traffic over a down link (it would
+	// never finish) while re-planning finds a finite route, and 1 when the
+	// best did not shift.
 	BestShifted   bool
 	StaleTime     float64
 	ReplanTime    float64
@@ -138,14 +140,15 @@ func RunDegradeCtx(ctx context.Context, cfg DegradeConfig) (*DegradeResult, erro
 		res.Tau = float64(res.Inversions) / float64(res.MaxPairs)
 	}
 
-	pb, db := pristine[0], degradedRank[0]
-	res.BestShifted = pb.MatrixIdx != db.MatrixIdx || pb.ProgIdx != db.ProgIdx
 	res.StaleTime = res.DegradedAt[0]
-	res.ReplanTime = db.Predicted
-	if res.ReplanTime > 0 {
+	res.ReplanTime = degradedRank[0].Predicted
+	// Only a strictly faster winner is a shift: among tied candidates
+	// (every one of them when none avoids a down link) rank order alone
+	// picks the first, and re-planning gains nothing.
+	res.BestShifted = res.ReplanTime < res.StaleTime
+	res.ReplanSpeedup = 1
+	if res.BestShifted {
 		res.ReplanSpeedup = res.StaleTime / res.ReplanTime
-	} else {
-		res.ReplanSpeedup = 1
 	}
 	return res, nil
 }

@@ -151,6 +151,36 @@ func TestRunDegradeDownLink(t *testing.T) {
 	}
 }
 
+// TestRunDegradeNothingCompletes: when every candidate crosses the down
+// link, no re-planned winner is faster than the stale plan, so the best
+// has not shifted and the speedup is 1 — not +Inf/+Inf = NaN, and not a
+// shift picked by rank order among tied +Inf candidates.
+func TestRunDegradeNothingCompletes(t *testing.T) {
+	sys := topology.A100System(4)
+	ovs, err := topology.ParseFaults(sys, "gpu:0/0:down")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunDegradeCtx(context.Background(), DegradeConfig{
+		Sys:        sys,
+		Overrides:  ovs,
+		Axes:       []int{4, 16},
+		ReduceAxes: []int{1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range r.DegradedRank {
+		if !math.IsInf(c.Predicted, 1) {
+			t.Fatalf("rank %d completes in %v s; the case needs every candidate down", i+1, c.Predicted)
+		}
+	}
+	if r.BestShifted || r.ReplanSpeedup != 1 || !math.IsInf(r.StaleTime, 1) || !math.IsInf(r.ReplanTime, 1) {
+		t.Errorf("BestShifted %v, ReplanSpeedup %v, StaleTime %v, ReplanTime %v; want false, 1, +Inf, +Inf",
+			r.BestShifted, r.ReplanSpeedup, r.StaleTime, r.ReplanTime)
+	}
+}
+
 func TestRunDegradePristineScalesKeepRanking(t *testing.T) {
 	// All-1.0x overrides are a fault spec that degrades nothing: the two
 	// rankings must agree bitwise, so the shift metrics all read zero.
