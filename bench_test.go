@@ -907,7 +907,7 @@ func BenchmarkVerifyConcrete(b *testing.B) {
 	}
 }
 
-// BenchmarkXLAEmit measures the HLO renderer round trip.
+// BenchmarkXLAEmit measures the HLO renderer.
 func BenchmarkXLAEmit(b *testing.B) {
 	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
 	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
@@ -917,11 +917,7 @@ func BenchmarkXLAEmit(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		src, err := xla.Emit(lp, 1<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := xla.Parse(src); err != nil {
+		if _, err := xla.Emit(lp, 1<<20); err != nil {
 			b.Fatal(err)
 		}
 	}
