@@ -82,7 +82,7 @@ type Hierarchy struct {
 	Leaves [][]int
 	// Groups[u] is the leaf-space reduction group of leaf u: the leaves
 	// whose data must be reduced with it, sorted ascending and including
-	// u itself.
+	// u itself. The leaves of one group share its slice.
 	Groups [][]int
 	// ReductionLevel[l] reports whether level l consists purely of
 	// reduction-axis parallelism factors. The admissibility conditions of
@@ -247,9 +247,17 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 	}
 
 	sizes, names, redLevel := []int{1}, []string{"root"}, []bool{true}
-	level := func(size int, name string, reduction bool) {
+	// level appends the level of factor (a, j), or of hardware level j
+	// collapsed when a < 0, unless it is a dropped unit level.
+	level := func(size, a, j int, reduction bool) {
 		if size == 1 && !opts.KeepUnitLevels {
 			return
+		}
+		var name string
+		if a < 0 {
+			name = prefix + strconv.Itoa(j)
+		} else {
+			name = "x" + strconv.Itoa(a) + "," + strconv.Itoa(j)
 		}
 		sizes = append(sizes, size)
 		names = append(names, name)
@@ -264,7 +272,7 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 	var order []leafDigit
 	digit := func(a, j int) {
 		if !collapse {
-			level(m.X[a][j], fmt.Sprintf("x%d,%d", a, j), isRed[a])
+			level(m.X[a][j], a, j, isRed[a])
 		}
 		if m.X[a][j] > 1 {
 			order = append(order, leafDigit{a, m.X[a][j], factor.Product(m.X[a][j+1:]), isRed[a]})
@@ -279,7 +287,7 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 				reduction = reduction && (isRed[a] || m.X[a][j] == 1)
 			}
 			if collapse {
-				level(size, fmt.Sprintf("%s%d", prefix, j), reduction)
+				level(size, -1, j, reduction)
 			}
 		}
 	} else {

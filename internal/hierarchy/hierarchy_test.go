@@ -368,3 +368,38 @@ func sortedCopy(xs []int) []int {
 	}
 	return out
 }
+
+// BenchmarkBuildReductionAxes builds hierarchy (d), as the planner does,
+// for every placement of three shapes in turn: superpod:16x32 [64 64]
+// r[0], superpod:3x4 [12 8] r[0] and a100:4 [4 4 4] r[0 2] (collapsed).
+func BenchmarkBuildReductionAxes(b *testing.B) {
+	type job struct {
+		m      *placement.Matrix
+		reduce []int
+	}
+	var jobs []job
+	for _, s := range []struct {
+		sys    *topology.System
+		axes   []int
+		reduce []int
+	}{
+		{topology.SuperPodSystem(16, 32), []int{64, 64}, []int{0}},
+		{topology.SuperPodSystem(3, 4), []int{12, 8}, []int{0}},
+		{topology.A100System(4), []int{4, 4, 4}, []int{0, 2}},
+	} {
+		ms, err := placement.Enumerate(s.sys.Hierarchy(), s.axes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range ms {
+			jobs = append(jobs, job{m, s.reduce})
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		j := jobs[i%len(jobs)]
+		MustBuild(KindReductionAxes, j.m, j.reduce, Options{Collapse: len(j.reduce) > 1})
+		i++
+	}
+}
