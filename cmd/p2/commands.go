@@ -169,7 +169,7 @@ func (e *env) resolve(fs *flag.FlagSet) (err error) {
 	}
 	r.Bytes, r.Parallelism, r.TopK = e.bytes, e.parallelism, e.topk
 	if e.sys != nil {
-		e.spec, err = plan.Resolve(e.sys, plan.Reduction{ReduceAxes: r.ReduceAxes, Algo: r.Algo, Algos: r.Algos, Bytes: r.Bytes})
+		e.spec, err = plan.Resolve(e.sys, plan.Reduction{Axes: r.Axes, ReduceAxes: r.ReduceAxes, Algo: r.Algo, Algos: r.Algos, Bytes: r.Bytes})
 	}
 	return err
 }

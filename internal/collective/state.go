@@ -182,6 +182,9 @@ func (s *State) Equal(o *State) bool {
 
 // SubsetOf reports s ≤ o: every bit of s is set in o.
 func (s *State) SubsetOf(o *State) bool {
+	if s == o {
+		return true
+	}
 	if s.k != o.k {
 		return false
 	}

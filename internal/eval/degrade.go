@@ -84,7 +84,7 @@ func RunDegradeCtx(ctx context.Context, cfg DegradeConfig) (*DegradeResult, erro
 	if err != nil {
 		return nil, err
 	}
-	spec, err := plan.Resolve(cfg.Sys, plan.Reduction{ReduceAxes: cfg.ReduceAxes, Algos: cfg.Algos, Bytes: cfg.Bytes})
+	spec, err := plan.Resolve(cfg.Sys, plan.Reduction{Axes: cfg.Axes, ReduceAxes: cfg.ReduceAxes, Algos: cfg.Algos, Bytes: cfg.Bytes})
 	if err != nil {
 		return nil, err
 	}

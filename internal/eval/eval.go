@@ -53,7 +53,7 @@ type Config struct {
 
 // spec resolves the config through the engine's one request resolution.
 func (c Config) spec() (plan.JointSpec, error) {
-	return plan.Resolve(c.Sys, plan.Reduction{ReduceAxes: c.ReduceAxes, Algos: c.Algos, Bytes: c.Bytes})
+	return plan.Resolve(c.Sys, plan.Reduction{Axes: c.Axes, ReduceAxes: c.ReduceAxes, Algos: c.Algos, Bytes: c.Bytes})
 }
 
 // algoLabel names the config's algorithm dimension as the engine resolves

@@ -357,8 +357,8 @@ type matrixScorer struct {
 	steps  []stepChoice     // by Result step id
 	views  []cost.Schedule  // evalStep's scratch, one per searched algorithm
 	// stepAlgos is the per-step assignment scratch of a searching run (nil
-	// when pinned), sized to the longest program; a surviving candidate
-	// copies its prefix out.
+	// when pinned), sized to the longest program, whatever the size limit;
+	// a surviving candidate copies its prefix out.
 	stepAlgos []cost.Algorithm
 }
 
@@ -377,7 +377,12 @@ func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy,
 	ms.steps = zeroed(ms.steps, len(res.Steps))
 	ms.views = zeroed(ms.views, len(opts.Algos))
 	if len(ms.algos) > 1 {
-		ms.stepAlgos = zeroed(ms.stepAlgos, max(opts.MaxProgramSize, synth.DefaultMaxSize))
+		// Programs come shortest first: the last is the longest.
+		longest := 0
+		if n := len(res.Programs); n > 0 {
+			longest = len(res.Programs[n-1])
+		}
+		ms.stepAlgos = zeroed(ms.stepAlgos, max(longest, synth.DefaultMaxSize))
 	} else {
 		ms.stepAlgos = nil
 	}
@@ -604,6 +609,7 @@ type JointSpec struct {
 // Reduction is one reduction as a caller requests it, before Resolve: the
 // fields of p2.Request and p2.Reduction that planning defaults or refuses.
 type Reduction struct {
+	Axes           []int
 	ReduceAxes     []int
 	Algo           cost.Algorithm
 	Algos          []cost.Algorithm
@@ -615,8 +621,12 @@ type Reduction struct {
 // the CLI and the daemon. It decides r's payload (non-positive or NaN is the
 // paper default for sys), count (likewise 1), program-size limit, algorithm
 // set (pin) and collapse flag (multi-axis reductions collapse same-level
-// factors, §2.5) once, and refuses a +Inf payload or count.
+// factors, §2.5) once, and refuses a +Inf payload or count and a reduction
+// group of more than synth.MaxUniverse devices.
 func Resolve(sys *topology.System, r Reduction) (JointSpec, error) {
+	if n := groupSize(r.Axes, r.ReduceAxes); n > synth.MaxUniverse {
+		return JointSpec{}, fmt.Errorf("a reduction group of %d devices is over the synthesis limit of %d", n, synth.MaxUniverse)
+	}
 	if math.IsInf(r.Bytes, 1) {
 		return JointSpec{}, errors.New("payload Bytes must be finite, not +Inf")
 	}
@@ -637,6 +647,26 @@ func Resolve(sys *topology.System, r Reduction) (JointSpec, error) {
 	model, algos := pin(&cost.Model{Sys: sys, Algo: r.Algo, Bytes: r.Bytes}, r.Algos)
 	return JointSpec{ReduceAxes: r.ReduceAxes, Model: model, Weight: r.Count,
 		Collapse: len(r.ReduceAxes) > 1, MaxProgramSize: r.MaxProgramSize, Algos: algos}, nil
+}
+
+// groupSize is the device count of one reduction group, the product of the
+// reduced axes' sizes, or the first factor or partial product past
+// synth.MaxUniverse. An index out of range or repeated, and a size below
+// one, are left to the planner to refuse.
+func groupSize(axes, reduce []int) int {
+	n := 1
+	for i, a := range reduce {
+		if a < 0 || a >= len(axes) || axes[a] < 1 || slices.Contains(reduce[:i], a) {
+			continue
+		}
+		if axes[a] > synth.MaxUniverse {
+			return axes[a]
+		}
+		if n *= axes[a]; n > synth.MaxUniverse {
+			return n
+		}
+	}
+	return n
 }
 
 // pin is the algorithm-set rule, applied by Resolve and again by

@@ -211,19 +211,23 @@ func small(sys *p2.System, req p2.Request) bool {
 }
 
 // cliRefuses reports whether the CLI's rules refuse a request's system,
-// nodes, bytes, algo or measure: the CLI resolves those flags with exactly
-// p2.ParseSystem, p2.CheckPayload, p2.ParseAlgorithms and
-// p2.ParseMeasureMode.
+// nodes, bytes, algo, measure or reduction group: the CLI resolves those
+// flags with exactly p2.ParseSystem, p2.CheckPayload, p2.ParseAlgorithms,
+// p2.ParseMeasureMode and the one request resolution, which bounds the
+// group.
 func cliRefuses(pr PlanRequest) bool {
-	_, sysErr := p2.ParseSystem(pr.System, pr.Nodes)
-	var algoErr, measureErr error
+	sys, sysErr := p2.ParseSystem(pr.System, pr.Nodes)
+	var algoErr, measureErr, groupErr error
 	if pr.Algo != "" {
 		_, _, algoErr = p2.ParseAlgorithms(pr.Algo)
 	}
 	if pr.Measure != "" {
 		_, measureErr = p2.ParseMeasureMode(pr.Measure)
 	}
-	return sysErr != nil || p2.CheckPayload(pr.Bytes) != nil || algoErr != nil || measureErr != nil
+	if sysErr == nil {
+		_, groupErr = p2.Request{Axes: pr.Axes, ReduceAxes: pr.Reduce}.Resolve(sys)
+	}
+	return sysErr != nil || p2.CheckPayload(pr.Bytes) != nil || algoErr != nil || measureErr != nil || groupErr != nil
 }
 
 // fuzzSystems are the system names the typed requests draw from.
@@ -256,6 +260,7 @@ func FuzzServeResolve(f *testing.F) {
 	f.Add(`{"system": "a100", "nodes": 1, "axes": [16], "topk": -2, "max_program_size": 3}`, uint8(2), 2, -1.0, "Tree", "Off", uint8(7))
 	f.Add(`{"system": "fig2a", "axes": [16], "faults": "gpu:0/1/1/3:bw/2;3:15:lat*2"}`, uint8(3), 0, 1e9, "hd", "rank-all", uint8(3))
 	f.Add(`{"system": "fig2a", "axes": [1`, uint8(5), 0, 0.0, "", "", uint8(0))
+	f.Add(`{"system": "superpod:16x32", "axes": [4096]}`, uint8(4), 0, 0.0, "", "", uint8(2))
 	f.Fuzz(func(t *testing.T, body string, system uint8, nodes int, payload float64, algo, measure string, pick uint8) {
 		fuzzWire(t, body)
 		fuzzTyped(t, PlanRequest{System: fuzzSystems[int(system)%len(fuzzSystems)], Nodes: nodes,

@@ -1,8 +1,10 @@
 package synth
 
 import (
+	"cmp"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"p2/internal/dsl"
@@ -19,7 +21,8 @@ import (
 // implement the reduction through Program.Run — which shares no table with
 // the synthesizer — carry the shapes lower.Annotate derives, and come out
 // of the memo-less walk identically; the reported order is strict, so no
-// program appears twice.
+// program appears twice. On at most 16 leaves the programs must also be
+// exactly bruteForce's, which shares none of the search's pruning.
 func FuzzSynthesizeSound(f *testing.F) {
 	// The shapes of the pinned set — superpod:3x4 [12 8] → [3 2 2],
 	// superpod:2x4 [8 8] → [2 2 2] and [2 4], a100:4 [4 4 4] r[0 2] with
@@ -109,7 +112,45 @@ func FuzzSynthesizeSound(f *testing.F) {
 		if res.Explored > plain.Explored {
 			t.Fatalf("%v %v: memoized walk explored %d, memo-less %d", h.Kind, h, res.Explored, plain.Explored)
 		}
+		if h.K() > 16 {
+			return
+		}
+		if want := bruteForce(h, opts.MaxSize); !slices.EqualFunc(want, res.Programs, slices.Equal) {
+			t.Fatalf("%v %v: Synthesize found %d programs, the brute force %d, or they differ", h.Kind, h, len(res.Programs), len(want))
+		}
 	})
+}
+
+// bruteForce is the completeness oracle: every sequence of at most maxSize
+// candidates that dsl.Context.Apply runs and that ends AtGoal, by size and
+// then Program.String. Only an Apply error cuts a prefix, so no pruning of
+// the search — target bounding, the memo, the goal-directed last step, the
+// shared preconditions — can hide a program from it.
+func bruteForce(h *hierarchy.Hierarchy, maxSize int) []dsl.Program {
+	cands := Candidates(h)
+	var out []dsl.Program
+	var prefix dsl.Program
+	var walk func(ctx dsl.Context)
+	walk = func(ctx dsl.Context) {
+		if ctx.AtGoal(h) {
+			out = append(out, prefix.Clone())
+		}
+		if len(prefix) == maxSize {
+			return
+		}
+		for _, in := range cands {
+			if next, err := ctx.Apply(in, h); err == nil {
+				prefix = append(prefix, in)
+				walk(next)
+				prefix = prefix[:len(prefix)-1]
+			}
+		}
+	}
+	walk(dsl.NewContext(h))
+	slices.SortFunc(out, func(a, b dsl.Program) int {
+		return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a.String(), b.String()))
+	})
+	return out
 }
 
 // allShapes reads every program's shapes off the step table, which the

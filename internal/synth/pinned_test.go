@@ -95,7 +95,9 @@ func digest(res *Result) string {
 
 // TestSynthesizePinned holds Synthesize to the output recorded at commit
 // 5f1c3c9, before synthesis moved onto sealed, interned states: the ordered
-// programs and shapes bit for bit, and a search effort that may only fall.
+// programs and shapes bit for bit, and a search effort that may only fall
+// (the explored column was last re-recorded when the last step became
+// goal-directed).
 // Regenerate (only for a deliberate change of the program set) with
 // `go test ./internal/synth/ -run SynthesizePinned -update`.
 func TestSynthesizePinned(t *testing.T) {

@@ -3,7 +3,7 @@
 // in increasing order of program size, using the Hoare-rule semantics of
 // the collectives to prune semantically invalid prefixes.
 //
-// Two prunings keep the search tractable:
+// Three prunings keep the search tractable:
 //
 //   - Semantic preconditions: a step whose collective preconditions fail on
 //     the current state context is discarded (this rejects the Fig. 4
@@ -12,16 +12,25 @@
 //     goal state can never reach the goal (information never shrinks), so
 //     the whole subtree is discarded. This is the operational form of the
 //     "only partitioned over reduction axes" requirement (Lemma B.3).
+//   - Goal-directed last step: at the size limit only a step that lands on
+//     the goal matters. Reduce and ReduceScatter leave a member short of
+//     it and a grouping that misses a leaf off its goal leaves that leaf
+//     there, so neither is attempted; a step that misses the goal makes
+//     no context.
 //
 // The sealed states of a run are interned, so a context is a tuple of state
-// ids: collective.Apply runs once per distinct (op, member states), a state
-// meets its goal once, and a context reached by different prefixes is found
-// by its exact tuple and expanded once. The search walks that DAG breadth
-// first; the programs are its root-to-goal paths.
+// ids. The candidates that differ only in their op share their groups, and
+// each group's premises are checked once per context for all of them —
+// AllReduce, Reduce and ReduceScatter share one. collective.Apply runs once
+// per distinct (op, member states), a state meets its goal once, and a
+// context reached by different prefixes is found by its exact tuple and
+// expanded once. The search walks that DAG breadth first; the programs are
+// its root-to-goal paths.
 package synth
 
 import (
-	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -44,6 +53,14 @@ type Options struct {
 // zero (the paper uses 5).
 const DefaultMaxSize = 5
 
+// MaxUniverse is the largest reduction group, in leaves, that request
+// resolution (plan.Resolve) lets reach synthesis. A leaf's state is a K×K
+// bit matrix and a run starts from K of them, so the cost grows with K² and
+// faster: on four levels, K = 128 takes about 21 MB and 75 ms, K = 256
+// about 124 MB and 0.5 s (2-vCPU Xeon). The largest group the benchmark
+// plans has 64 leaves.
+const MaxUniverse = 128
+
 // Result is the outcome of a synthesis run.
 type Result struct {
 	// Programs are all distinct valid programs implementing the requested
@@ -61,8 +78,11 @@ type Result struct {
 	Steps []Step
 	// Instructions are the distinct instructions of Steps.
 	Instructions []dsl.Instruction
-	// Explored counts instruction applications attempted (search effort):
-	// every candidate, once per expanded context.
+	// Explored counts the instruction applications attempted (search
+	// effort): every candidate at every context the search expands, except
+	// that a last step, at the size limit, attempts only the candidates
+	// that can land on the goal — no Reduce or ReduceScatter, and no
+	// candidate whose groups miss a leaf off its goal.
 	Explored int
 	// MemoHits counts steps that reached a context already in the memo
 	// table.
@@ -146,37 +166,49 @@ func groupsKey(groups [][]int, op collective.Op) string {
 // synthesizer is the state of one Synthesize run. Nothing in it is shared
 // between runs: a planner synthesizes several signatures concurrently.
 type synthesizer struct {
-	cands []candidate
-	opts  Options
-	res   *Result
+	cands     []candidate
+	groupings []grouping
+	opts      Options
+	res       *Result
 
 	// The run's sealed states, interned: states[id], where two states share
-	// an id iff they are Equal. byHash lists the ids per State.Hash.
-	states []*collective.State
-	byHash map[uint64][]int32
-	// targets are the distinct goal states, goalID their ids, and target[u]
-	// indexes leaf u's. within[id*len(targets)+t] says that state id is a
-	// subset of targets[t]; interning fills it, so a (state, target) pair is
-	// compared once.
+	// an id iff they are Equal. byHash is the highest id per State.Hash and
+	// sameHash[id] the next lower id sharing id's hash (-1: none).
+	states   []*collective.State
+	byHash   map[uint64]int32
+	sameHash []int32
+	// targets are the distinct goal states, goal the goal's id tuple, and
+	// target[u] indexes leaf u's. within[id*len(targets)+t] says that state
+	// id is a subset of targets[t]; interning fills it, so a (state, target)
+	// pair is compared once.
 	targets []*collective.State
-	goalID  []int32
+	goal    []int32
 	target  []int32
 	within  []bool
-	// apps caches collective.Apply: (op, member state ids) → result ids.
-	apps map[string][]int32
-	// nodes are the contexts reached, in discovery order; nodeOf finds one
-	// by its exact id tuple (unused under NoMemo).
-	nodes  []node
-	nodeOf map[string]int32
+	// apps caches collective.Apply: tuple a of apps is (op, member state
+	// ids), and its result ids are appOut[appAt[a]:][:len(members)]. empty
+	// is the id of the empty state.
+	apps   tupleSet
+	appAt  []int
+	appOut []int32
+	empty  int32
+	// nodes are the contexts reached, in discovery order; ctxs holds their
+	// id tuples, indexed for lookup unless NoMemo. edges holds every node's
+	// valid steps, one node's contiguously.
+	nodes []node
+	ctxs  tupleSet
+	edges []edge
 	// stepOf numbers the distinct steps of Result.Steps, instrOf the
 	// candidates' indexes in Result.Instructions (-1 until one is taken).
 	stepOf  map[Step]int32
 	instrOf []int32
 
 	// Scratch reused across steps.
-	key   []byte
+	key   []int32
+	out   []int32
 	group []*collective.State
 	next  []int32
+	off   []uint64
 	// emit's prefix of step ids, and the backing arrays every finished
 	// program and step list is a capacity-capped window of.
 	path []int32
@@ -184,18 +216,92 @@ type synthesizer struct {
 	ids  []int32
 }
 
-// node is one context of the search: the state id of every leaf and, once
-// expanded, the valid steps out of it in candidate order.
+// grouping is a run of candidates that differ only in their op, so they
+// share their device groups and, op family by op family, their premises:
+// cands[first:end]. ops has a bit per candidate op, and cover a bit per
+// leaf some group holds.
+type grouping struct {
+	first, end int
+	groups     [][]int
+	ops        opSet
+	cover      []uint64
+}
+
+// opSet is a set of collective ops, bit op for op.
+type opSet uint8
+
+func bit(op collective.Op) opSet { return 1 << op }
+
+// reducing are the ops of collective.Check's one reducing premise; the
+// last step never takes the last two, which leave a leaf short of its goal.
+const (
+	reducing  = 1<<collective.AllReduce | 1<<collective.Reduce | 1<<collective.ReduceScatter
+	shortfall = 1<<collective.Reduce | 1<<collective.ReduceScatter
+)
+
+// node is one context of the search: whether it is the goal and, once
+// expanded, its valid steps edges[lo:hi] in candidate order.
 type node struct {
-	ids   []int32
-	goal  bool
-	edges []edge
+	goal   bool
+	lo, hi int32
 }
 
 // edge is a valid step: step takes its node to next. Its shape is a
 // function of the node it leaves, so every program through it shares it.
 type edge struct {
 	step, next int32
+}
+
+// tupleSet numbers distinct int32 tuples, kept back to back in one arena:
+// tuple i is arena[at[i]:at[i+1]]. A hash only narrows the search for a
+// tuple, slices.Equal decides, so colliding tuples get distinct numbers.
+type tupleSet struct {
+	arena []int32
+	at    []int
+	// last is the highest-numbered tuple per hash, and prev[i] the next
+	// lower one sharing tuple i's hash (-1: none). Tuples added by push
+	// alone are in neither.
+	last map[uint64]int32
+	prev []int32
+}
+
+func newTupleSet() tupleSet { return tupleSet{at: []int{0}, last: map[uint64]int32{}} }
+
+func (t *tupleSet) tuple(i int32) []int32 { return t.arena[t.at[i]:t.at[i+1]] }
+
+// intern returns the number of key, adding it if it is new (added).
+func (t *tupleSet) intern(key []int32) (i int32, added bool) {
+	h := hashIDs(key)
+	last, ok := t.last[h]
+	for i = last; ok && i >= 0; i = t.prev[i] {
+		if slices.Equal(t.tuple(i), key) {
+			return i, false
+		}
+	}
+	i = t.push(key)
+	if ok {
+		t.prev[i] = last
+	}
+	t.last[h] = i
+	return i, true
+}
+
+// push numbers key without indexing it: intern never finds it.
+func (t *tupleSet) push(key []int32) int32 {
+	t.arena = append(t.arena, key...)
+	t.at = append(t.at, len(t.arena))
+	t.prev = append(t.prev, -1)
+	return int32(len(t.prev) - 1)
+}
+
+// hashIDs hashes an id tuple.
+func hashIDs(ids []int32) uint64 {
+	h := uint64(len(ids))
+	for _, id := range ids {
+		h = (h ^ uint64(uint32(id))) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
 }
 
 // Synthesize enumerates every valid reduction program for h of size at
@@ -214,8 +320,8 @@ func Synthesize(h *hierarchy.Hierarchy, opts Options) *Result {
 	return s.res
 }
 
-// newSynthesizer sets a run up: the candidates in reporting order and the
-// goal of every leaf.
+// newSynthesizer sets a run up: the candidates in reporting order, grouped,
+// and the goal of every leaf.
 func newSynthesizer(h *hierarchy.Hierarchy, opts Options) *synthesizer {
 	if opts.MaxSize <= 0 {
 		opts.MaxSize = DefaultMaxSize
@@ -224,20 +330,37 @@ func newSynthesizer(h *hierarchy.Hierarchy, opts Options) *synthesizer {
 		cands:  enumerate(h),
 		opts:   opts,
 		res:    &Result{},
-		byHash: map[uint64][]int32{},
-		apps:   map[string][]int32{},
-		nodeOf: map[string]int32{},
+		byHash: map[uint64]int32{},
+		apps:   newTupleSet(),
+		ctxs:   newTupleSet(),
 		stepOf: map[Step]int32{},
 		target: make([]int32, h.K()),
+		off:    make([]uint64, (h.K()+63)/64),
 	}
 	// Programs are reported by size, then in Program.String order. No
 	// instruction renders as a prefix of another, so that is the order of
 	// the instruction sequences under the instructions' own String order:
-	// walking candidates in it emits every size class already sorted.
+	// walking candidates in it emits every size class already sorted. The
+	// ops of one instruction render last, so they stay adjacent.
 	slices.SortFunc(s.cands, func(a, b candidate) int { return strings.Compare(a.name, b.name) })
 	s.instrOf = make([]int32, len(s.cands))
 	for i := range s.instrOf {
 		s.instrOf[i] = -1
+	}
+	for i, c := range s.cands {
+		in := c.in
+		if i > 0 && s.cands[i-1].in == (dsl.Instruction{Slice: in.Slice, Form: in.Form, Arg: in.Arg, Op: s.cands[i-1].in.Op}) {
+			gr := &s.groupings[len(s.groupings)-1]
+			gr.end, gr.ops = i+1, gr.ops|bit(in.Op)
+			continue
+		}
+		gr := grouping{first: i, end: i + 1, groups: c.groups, ops: bit(in.Op), cover: make([]uint64, len(s.off))}
+		for _, g := range c.groups {
+			for _, u := range g {
+				gr.cover[u/64] |= 1 << (u % 64)
+			}
+		}
+		s.groupings = append(s.groupings, gr)
 	}
 	for u := range s.target {
 		// A reduction group shares one goal; its smallest leaf comes first.
@@ -248,9 +371,15 @@ func newSynthesizer(h *hierarchy.Hierarchy, opts Options) *synthesizer {
 		s.target[u] = int32(len(s.targets))
 		s.targets = append(s.targets, dsl.TargetState(h, u))
 	}
-	for _, t := range s.targets {
-		s.goalID = append(s.goalID, s.intern(t))
+	goalID := make([]int32, len(s.targets))
+	for t, st := range s.targets {
+		goalID[t] = s.intern(st)
 	}
+	s.goal = make([]int32, h.K())
+	for u, t := range s.target {
+		s.goal[u] = goalID[t]
+	}
+	s.empty = s.intern(collective.NewState(h.K()).Seal())
 	return s
 }
 
@@ -260,68 +389,108 @@ func (s *synthesizer) intern(st *collective.State) int32 { return s.internHashed
 // internHashed is intern with the bucket given: a hash only ever narrows the
 // search, Equal decides, so colliding states still get distinct ids.
 func (s *synthesizer) internHashed(st *collective.State, hash uint64) int32 {
-	for _, id := range s.byHash[hash] {
+	prev, ok := s.byHash[hash]
+	for id := prev; ok && id >= 0; id = s.sameHash[id] {
 		if s.states[id].Equal(st) {
 			return id
 		}
 	}
+	if !ok {
+		prev = -1
+	}
 	id := int32(len(s.states))
-	s.states = append(s.states, st)
-	s.byHash[hash] = append(s.byHash[hash], id)
+	s.states, s.sameHash = append(s.states, st), append(s.sameHash, prev)
+	s.byHash[hash] = id
 	for _, t := range s.targets {
 		s.within = append(s.within, st.SubsetOf(t))
 	}
 	return id
 }
 
-// appendIDs appends the ids to a map key, four bytes each.
-func appendIDs(key []byte, ids ...int32) []byte {
-	for _, id := range ids {
-		key = binary.LittleEndian.AppendUint32(key, uint32(id))
-	}
-	return key
-}
-
-// apply returns the state ids op leaves on the members of group g of the
-// context ids, in group order, or false if the Hoare premise fails.
-// collective.Check decides that before anything is looked up or built —
-// most attempts end there — and collective.Apply runs once per distinct
-// (op, member states).
-func (s *synthesizer) apply(op collective.Op, ids []int32, g []int) ([]int32, bool) {
-	s.group, s.key = s.group[:0], append(s.key[:0], byte(op))
+// members gathers the states of group g of the context ids.
+func (s *synthesizer) members(ids []int32, g []int) []*collective.State {
+	s.group = s.group[:0]
 	for _, u := range g {
 		s.group = append(s.group, s.states[ids[u]])
-		s.key = appendIDs(s.key, ids[u])
 	}
-	if collective.Check(op, s.group) != nil {
-		return nil, false
-	}
-	out, seen := s.apps[string(s.key)]
-	if !seen {
-		res, err := collective.Apply(op, s.group)
-		if err != nil {
-			return nil, false
-		}
-		out = make([]int32, len(res))
-		for i, st := range res {
-			out[i] = s.intern(st)
-		}
-		s.apps[string(s.key)] = out
-	}
-	return out, true
+	return s.group
 }
 
-// step applies cand to node n. It returns the node reached, or false if some
-// group's premise fails or some leaf would exceed its goal; only scratch is
-// written before every group has passed.
-func (s *synthesizer) step(n int32, cand *candidate) (int32, bool) {
-	ids := s.nodes[n].ids
+// admits returns the ops of live whose Hoare premise holds on group g of
+// the context ids. AllReduce, Reduce and ReduceScatter share one premise
+// (ReduceScatter adds divisibility), so one collective.Check decides it
+// for all three.
+func (s *synthesizer) admits(live opSet, ids []int32, g []int) opSet {
+	members := s.members(ids, g)
+	if live&reducing != 0 && collective.Check(collective.AllReduce, members) != nil {
+		live &^= reducing
+	}
+	if live&bit(collective.ReduceScatter) != 0 && members[0].NumRows()%len(g) != 0 {
+		live &^= bit(collective.ReduceScatter)
+	}
+	if live&bit(collective.AllGather) != 0 && collective.Check(collective.AllGather, members) != nil {
+		live &^= bit(collective.AllGather)
+	}
+	if live&bit(collective.Broadcast) != 0 && collective.Check(collective.Broadcast, members) != nil {
+		live &^= bit(collective.Broadcast)
+	}
+	return live
+}
+
+// apply returns the state ids op, whose premise holds, leaves on the
+// members of group g of the context ids, in group order. By the rules
+// collective.Apply implements, Broadcast hands every member the root's
+// state, and Reduce leaves the root what AllReduce leaves every member and
+// the rest empty, so neither runs it; for the other three it runs once per
+// distinct (op, member states).
+func (s *synthesizer) apply(op collective.Op, ids []int32, g []int) []int32 {
+	switch op {
+	case collective.Broadcast:
+		s.out = s.out[:0]
+		for range g {
+			s.out = append(s.out, ids[g[0]])
+		}
+		return s.out
+	case collective.Reduce:
+		sum := s.apply(collective.AllReduce, ids, g)[0]
+		s.out = append(s.out[:0], sum)
+		for range g[1:] {
+			s.out = append(s.out, s.empty)
+		}
+		return s.out
+	default:
+		return s.applyOnce(op, ids, g)
+	}
+}
+
+// applyOnce is apply by collective.Apply, cached in apps.
+func (s *synthesizer) applyOnce(op collective.Op, ids []int32, g []int) []int32 {
+	s.key = append(s.key[:0], int32(op))
+	for _, u := range g {
+		s.key = append(s.key, ids[u])
+	}
+	if a, added := s.apps.intern(s.key); !added {
+		return s.appOut[s.appAt[a]:][:len(g)]
+	}
+	res, err := collective.Apply(op, s.members(ids, g))
+	if err != nil {
+		panic(fmt.Sprintf("synth: %v on a group admits passed: %v", op, err))
+	}
+	at := len(s.appOut)
+	s.appAt = append(s.appAt, at)
+	for _, st := range res {
+		s.appOut = append(s.appOut, s.intern(st))
+	}
+	return s.appOut[at:]
+}
+
+// step applies cand, whose premise holds on every group, to the context
+// ids. It returns the node reached, or false if some leaf would exceed its
+// goal or, on the last step, the goal is missed; no node is made then.
+func (s *synthesizer) step(ids []int32, cand *candidate, last bool) (int32, bool) {
 	s.next = append(s.next[:0], ids...)
 	for _, g := range cand.groups {
-		out, ok := s.apply(cand.in.Op, ids, g)
-		if !ok {
-			return 0, false
-		}
+		out := s.apply(cand.in.Op, ids, g)
 		for i, u := range g {
 			// Information never shrinks: past its goal, a leaf stays there.
 			if !s.within[int(out[i])*len(s.targets)+int(s.target[u])] {
@@ -330,58 +499,95 @@ func (s *synthesizer) step(n int32, cand *candidate) (int32, bool) {
 			s.next[u] = out[i]
 		}
 	}
+	if last && !slices.Equal(s.next, s.goal) {
+		return 0, false
+	}
 	return s.nodeFor(s.next), true
 }
 
 // nodeFor returns the node of the context ids, adding it if it is new —
 // which under NoMemo it always is.
 func (s *synthesizer) nodeFor(ids []int32) int32 {
-	if !s.opts.NoMemo {
-		s.key = appendIDs(s.key[:0], ids...)
-		if n, seen := s.nodeOf[string(s.key)]; seen {
-			s.res.MemoHits++
-			return n
-		}
+	var n int32
+	added := true
+	if s.opts.NoMemo {
+		n = s.ctxs.push(ids)
+	} else {
+		n, added = s.ctxs.intern(ids)
 	}
-	nd := node{ids: slices.Clone(ids), goal: true}
-	for u, id := range ids {
-		nd.goal = nd.goal && id == s.goalID[s.target[u]]
+	if !added {
+		s.res.MemoHits++
+		return n
 	}
-	n := int32(len(s.nodes))
-	s.nodes = append(s.nodes, nd)
-	if !s.opts.NoMemo {
-		s.nodeOf[string(s.key)] = n
-	}
+	s.nodes = append(s.nodes, node{goal: slices.Equal(ids, s.goal)})
 	return n
 }
 
 // explore expands, breadth first, every context within MaxSize-1 steps of
 // the root (node 0), each once: the valid steps of a context do not depend
-// on how many steps remain. No valid instruction can apply at the goal
-// without exceeding a target, so a goal is never expanded.
+// on how many steps remain, except that the last one must reach the goal.
+// No valid instruction can apply at the goal without exceeding a target,
+// so a goal is never expanded.
 func (s *synthesizer) explore() {
 	lo, hi := int32(0), int32(1) // the nodes first reached at the current depth
 	for depth := 0; depth < s.opts.MaxSize && lo < hi; depth++ {
 		for n := lo; n < hi; n++ {
-			if s.nodes[n].goal {
-				continue
+			if !s.nodes[n].goal {
+				s.expand(n, depth == s.opts.MaxSize-1)
 			}
-			var edges []edge
-			for ci := range s.cands {
-				cand := &s.cands[ci]
-				s.res.Explored++
-				m, ok := s.step(n, cand)
-				if !ok {
-					continue
-				}
-				u := cand.groups[0][0]
-				shape := dsl.StepShape(s.states[s.nodes[n].ids[u]], s.states[s.nodes[m].ids[u]])
-				edges = append(edges, edge{step: s.stepID(ci, shape), next: m})
-			}
-			s.nodes[n].edges = edges
 		}
 		lo, hi = hi, int32(len(s.nodes))
 	}
+}
+
+// expand records the valid steps out of node n, grouping by grouping: each
+// group's premises are checked once for all the grouping's ops. A last
+// step must land on the goal, so it skips the ops that leave a leaf short
+// of it and the groupings that miss a leaf off it.
+func (s *synthesizer) expand(n int32, last bool) {
+	ids := s.ctxs.tuple(n)
+	if last {
+		clear(s.off)
+		for u, id := range ids {
+			if id != s.goal[u] {
+				s.off[u/64] |= 1 << (u % 64)
+			}
+		}
+	}
+	lo := int32(len(s.edges))
+	for gi := range s.groupings {
+		gr := &s.groupings[gi]
+		live := gr.ops
+		if last {
+			live &^= shortfall
+			for w, off := range s.off {
+				if off&^gr.cover[w] != 0 {
+					live = 0
+				}
+			}
+		}
+		s.res.Explored += bits.OnesCount8(uint8(live))
+		for _, g := range gr.groups {
+			if live == 0 {
+				break
+			}
+			live = s.admits(live, ids, g)
+		}
+		for ci := gr.first; ci < gr.end && live != 0; ci++ {
+			cand := &s.cands[ci]
+			if live&bit(cand.in.Op) == 0 {
+				continue
+			}
+			m, ok := s.step(ids, cand, last)
+			if !ok {
+				continue
+			}
+			u := cand.groups[0][0]
+			shape := dsl.StepShape(s.states[ids[u]], s.states[s.next[u]])
+			s.edges = append(s.edges, edge{step: s.stepID(ci, shape), next: m})
+		}
+	}
+	s.nodes[n].lo, s.nodes[n].hi = lo, int32(len(s.edges))
 }
 
 // stepID returns the number of the step candidate ci takes where it has
@@ -405,24 +611,30 @@ func (s *synthesizer) stepID(ci int, shape dsl.Shape) int32 {
 // steps, shortest first. paths[n][v] counts the ways exactly n steps take
 // node v to a goal, so the walk only ever enters a prefix that completes,
 // and the programs and their step lists are packed into two backing arrays
-// sized exactly.
+// sized exactly. A row of zeros ends the table, since every later row is
+// zero too: its length follows the longest path, not MaxSize.
 func (s *synthesizer) emitAll() {
-	paths := make([][]int, s.opts.MaxSize+1)
+	var paths [][]int
 	programs, steps := 0, 0
-	for n := range paths {
-		paths[n] = make([]int, len(s.nodes))
-		for v := range s.nodes {
+	for n := 0; n <= s.opts.MaxSize; n++ {
+		row, reached := make([]int, len(s.nodes)), false
+		for v, nd := range s.nodes {
 			if n == 0 {
-				if s.nodes[v].goal {
-					paths[n][v] = 1
+				if nd.goal {
+					row[v] = 1
 				}
-				continue
+			} else {
+				for _, e := range s.edges[nd.lo:nd.hi] {
+					row[v] += paths[n-1][e.next]
+				}
 			}
-			for _, e := range s.nodes[v].edges {
-				paths[n][v] += paths[n-1][e.next]
-			}
+			reached = reached || row[v] > 0
 		}
-		programs, steps = programs+paths[n][0], steps+n*paths[n][0]
+		if !reached {
+			break
+		}
+		paths = append(paths, row)
+		programs, steps = programs+row[0], steps+n*row[0]
 	}
 	s.res.Programs = make([]dsl.Program, 0, programs)
 	s.res.StepIDs = make([][]int32, 0, programs)
@@ -448,7 +660,8 @@ func (s *synthesizer) emit(paths [][]int, v int32, n int) {
 		s.res.StepIDs = append(s.res.StepIDs, s.ids[lo:hi:hi])
 		return
 	}
-	for _, e := range s.nodes[v].edges {
+	nd := s.nodes[v]
+	for _, e := range s.edges[nd.lo:nd.hi] {
 		if paths[n-1][e.next] == 0 {
 			continue
 		}

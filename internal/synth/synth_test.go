@@ -2,6 +2,7 @@ package synth
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"p2/internal/collective"
@@ -230,5 +231,35 @@ func TestCollapsedEquivalentSearch(t *testing.T) {
 		if !p.Implements(h) {
 			t.Errorf("invalid program %v", p)
 		}
+	}
+}
+
+// TestMemoryFollowsPrograms: a run's memory follows the programs it finds,
+// not the size limit it is given. On [2 4] the longest program has five
+// steps, so a limit of 1<<16 finds exactly the programs a limit of 5 does
+// and may allocate at most twice as much (its path-count table once had a
+// row per allowed length: 22 MB against 0.1 MB).
+func TestMemoryFollowsPrograms(t *testing.T) {
+	var h *hierarchy.Hierarchy
+	for _, ph := range pinnedSet(t) {
+		if ph.h.String() == "[2 4]" {
+			h = ph.h
+			break
+		}
+	}
+	synthesize := func(maxSize int) (*Result, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Synthesize(h, Options{MaxSize: maxSize})
+		runtime.ReadMemStats(&after)
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	small, smallBytes := synthesize(5)
+	large, largeBytes := synthesize(1 << 16)
+	if !reflect.DeepEqual(small.Programs, large.Programs) {
+		t.Fatalf("size limit 1<<16 found %d programs, 5 found %d", len(large.Programs), len(small.Programs))
+	}
+	if largeBytes > 2*smallBytes {
+		t.Errorf("size limit 1<<16 allocated %d bytes, 5 allocated %d: want at most twice", largeBytes, smallBytes)
 	}
 }

@@ -152,7 +152,7 @@ func (pl *Planner) PlanJointCtx(ctx context.Context, sys *System, axes []int, re
 	specs := make([]plan.JointSpec, len(reductions))
 	for i, red := range reductions {
 		var err error
-		specs[i], err = plan.Resolve(sys, plan.Reduction{ReduceAxes: red.ReduceAxes, Algo: red.Algo,
+		specs[i], err = plan.Resolve(sys, plan.Reduction{Axes: axes, ReduceAxes: red.ReduceAxes, Algo: red.Algo,
 			Algos: red.Algos, Bytes: red.Bytes, Count: red.Count})
 		if err != nil {
 			return nil, fmt.Errorf("p2: reduction %d: %w", i, err)

@@ -427,7 +427,7 @@ func (req Request) Resolve(sys *System) (Request, error) {
 
 // resolve is Resolve returning the engine's view of the request as well.
 func (req Request) resolve(sys *System) (Request, plan.JointSpec, error) {
-	spec, err := plan.Resolve(sys, plan.Reduction{ReduceAxes: req.ReduceAxes, Algo: req.Algo,
+	spec, err := plan.Resolve(sys, plan.Reduction{Axes: req.Axes, ReduceAxes: req.ReduceAxes, Algo: req.Algo,
 		Algos: req.Algos, Bytes: req.Bytes, MaxProgramSize: req.MaxProgramSize})
 	if err != nil {
 		return req, spec, fmt.Errorf("p2: %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,69 @@ func TestPlanErrors(t *testing.T) {
 	}
 	if _, err := Plan(A100System(2), Request{Axes: []int{32}, ReduceAxes: []int{7}}); err == nil {
 		t.Error("bad reduce axis accepted")
+	}
+}
+
+// TestReductionGroupLimit: a reduction group of more than synth.MaxUniverse
+// devices — the product of the reduced axes — is refused by the one request
+// resolution, so Plan, PlanJoint, the CLI and the daemon refuse it before
+// any state is built (superpod:16x32 [4096] would start synthesis from
+// about 8.6 GB of states). The largest groups under the limit resolve.
+func TestReductionGroupLimit(t *testing.T) {
+	sys := SuperPodSystem(16, 32)
+	for _, tc := range []struct {
+		axes, reduce []int
+		refused      bool
+	}{
+		{[]int{4096}, []int{0}, true},
+		{[]int{256, 16}, []int{0}, true},
+		{[]int{16, 16, 16}, []int{0, 2}, true},
+		{[]int{128, 32}, []int{0}, false},
+		{[]int{32, 128}, []int{0}, false},
+		{[]int{8, 16, 32}, []int{0, 1}, false},
+	} {
+		_, err := Request{Axes: tc.axes, ReduceAxes: tc.reduce}.Resolve(sys)
+		if refused := err != nil; refused != tc.refused || refused && !strings.Contains(err.Error(), "synthesis limit of 128") {
+			t.Errorf("axes %v reduce %v: %v, want refused=%v", tc.axes, tc.reduce, err, tc.refused)
+		}
+	}
+	if _, err := Plan(sys, Request{Axes: []int{4096}, ReduceAxes: []int{0}}); err == nil || !strings.Contains(err.Error(), "synthesis limit") {
+		t.Errorf("Plan of a 4096-device group: %v", err)
+	}
+	if _, err := PlanJoint(sys, []int{64, 64}, []Reduction{{ReduceAxes: []int{0}}, {ReduceAxes: []int{0, 1}}}); err == nil || !strings.Contains(err.Error(), "synthesis limit") {
+		t.Errorf("PlanJoint with a 4096-device group: %v", err)
+	}
+}
+
+// TestProgramSizeLimitMemory: planning memory follows the programs found,
+// not the program-size limit asked for. Every hierarchy of superpod:4x8
+// [4 8 8] has three levels or fewer, so its longest program has five steps
+// and a limit of 1<<16 plans exactly what the default does, with at most
+// twice the allocation (a searching run's per-step scratch was once sized
+// to the limit, per placement).
+func TestProgramSizeLimitMemory(t *testing.T) {
+	sys := SuperPodSystem(4, 8)
+	plan := func(maxSize int) (string, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Plan(sys, Request{Axes: []int{4, 8, 8}, ReduceAxes: []int{0}, Algos: ExtendedAlgorithms, MaxProgramSize: maxSize, Parallelism: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, s := range res.Strategies {
+			fmt.Fprintln(&b, s)
+		}
+		return b.String(), after.TotalAlloc - before.TotalAlloc
+	}
+	small, smallBytes := plan(5)
+	large, largeBytes := plan(1 << 16)
+	if small != large {
+		t.Fatal("size limit 1<<16 ranks differently from 5")
+	}
+	if largeBytes > 2*smallBytes {
+		t.Errorf("size limit 1<<16 allocated %d bytes, 5 allocated %d: want at most twice", largeBytes, smallBytes)
 	}
 }
 
