@@ -377,7 +377,9 @@ func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy,
 	ms.steps = zeroed(ms.steps, len(res.Steps))
 	ms.views = zeroed(ms.views, len(opts.Algos))
 	if len(ms.algos) > 1 {
-		// Programs come shortest first: the last is the longest.
+		// Programs come shortest first: the last is the longest. At least
+		// DefaultMaxSize entries keep a searching run's scratch non-nil
+		// even when no program has a step.
 		longest := 0
 		if n := len(res.Programs); n > 0 {
 			longest = len(res.Programs[n-1])

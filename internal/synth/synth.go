@@ -56,8 +56,8 @@ const DefaultMaxSize = 5
 // MaxUniverse is the largest reduction group, in leaves, that request
 // resolution (plan.Resolve) lets reach synthesis. A leaf's state is a K×K
 // bit matrix and a run starts from K of them, so the cost grows with K² and
-// faster: on four levels, K = 128 takes about 21 MB and 75 ms, K = 256
-// about 124 MB and 0.5 s (2-vCPU Xeon). The largest group the benchmark
+// faster: on four levels, K = 128 takes about 21 MB and 55 ms, K = 256
+// about 125 MB and 0.35 s (2-vCPU Xeon). The largest group the benchmark
 // plans has 64 leaves.
 const MaxUniverse = 128
 
@@ -208,7 +208,7 @@ type synthesizer struct {
 	out   []int32
 	group []*collective.State
 	next  []int32
-	off   []uint64
+	off   []uint64 // on a last step, the leaves off their goal
 	// emit's prefix of step ids, and the backing arrays every finished
 	// program and step list is a capacity-capped window of.
 	path []int32
@@ -348,8 +348,8 @@ func newSynthesizer(h *hierarchy.Hierarchy, opts Options) *synthesizer {
 		s.instrOf[i] = -1
 	}
 	for i, c := range s.cands {
-		in := c.in
-		if i > 0 && s.cands[i-1].in == (dsl.Instruction{Slice: in.Slice, Form: in.Form, Arg: in.Arg, Op: s.cands[i-1].in.Op}) {
+		in, prev := c.in, s.cands[max(i-1, 0)].in
+		if i > 0 && prev.Slice == in.Slice && prev.Form == in.Form && prev.Arg == in.Arg {
 			gr := &s.groupings[len(s.groupings)-1]
 			gr.end, gr.ops = i+1, gr.ops|bit(in.Op)
 			continue

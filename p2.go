@@ -418,7 +418,8 @@ func (p *PlanResult) BaselineFor(m *Matrix) *Strategy {
 // echoes it: payload, program-size limit and algorithm set resolved by the
 // engine's one request resolution (plan.Resolve: nil Algos is {Algo}, a
 // one-entry set pins Algo), a negative TopK clamped to 0 and the worker pool
-// sized — or the error Plan refuses it with (a +Inf Bytes). Resolving a
+// sized — or the error Plan refuses it with (a +Inf Bytes, or a reduction
+// group of more than 128 devices, the synthesis limit). Resolving a
 // resolved request changes nothing.
 func (req Request) Resolve(sys *System) (Request, error) {
 	req, _, err := req.resolve(sys)
