@@ -11,11 +11,11 @@
 // vocabulary (Analyzer, Pass, Diagnostic, testdata fixtures with `want`
 // comments) so the suite reads like any other multichecker, but it is
 // self-contained: this module has no dependencies outside the standard
-// library, so the loader (load.go) drives `go list -export` plus go/types
-// directly instead of importing x/tools. Every analyzer sees one package
-// at a time; what it needs from another module package — a callee's Ctx
-// twin, an enum's constants — it reads from that package's go/types
-// objects.
+// library, so Load (load.go) drives `go list -export` plus go/types
+// directly instead of importing x/tools, typechecking from source only the
+// packages the patterns name. Every analyzer sees one package at a time;
+// what it needs from another module package — a callee's Ctx twin, an
+// enum's constants — it reads from that package's export data.
 //
 // # Escape hatches
 //

@@ -46,8 +46,8 @@ func TestLintTree(t *testing.T) {
 
 // BenchmarkLintTree tracks the wall time of a full-suite run over the
 // whole module — the p2lint CI step's cost. The loader dominates (go list
-// plus typechecking everything); a regression here slows every CI run,
-// so the number is tracked alongside the engine benchmarks.
+// plus typechecking every package from source); a regression here slows
+// every CI run, so the number is tracked alongside the engine benchmarks.
 func BenchmarkLintTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		diags, err := Run("../..", []string{"./..."}, All)

@@ -8,14 +8,14 @@ import (
 	"testing"
 )
 
-// analysistest.go is the fixture harness, mirroring the conventions of
+// fixtures_test.go is the fixture harness, mirroring the conventions of
 // golang.org/x/tools/go/analysis/analysistest: a fixture package lives
 // under testdata/src/<name>/, every line expecting a diagnostic carries a
 // trailing `// want "regexp"` comment, and RunFixture fails the test on
 // any mismatch in either direction. Fixtures are loaded through the real
-// driver (loader, annotation scanner, AppliesTo gating — fixture paths are
-// always accepted), so the harness exercises exactly the path p2lint runs
-// in CI.
+// driver (Load, the annotation scanner, AppliesTo gating — fixture paths
+// are always accepted) and must typecheck as strictly as the tree does, so
+// the harness exercises exactly the path p2lint runs in CI.
 
 // wantRe matches `// want "..."` with an optional second expectation for
 // lines two analyzers flag: `// want "a" "b"`.
@@ -26,9 +26,7 @@ var wantRe = regexp.MustCompile(`// want (".*")$`)
 func RunFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
 	fixture := filepath.Join("testdata", "src", dir)
-	l := NewLoader("")
-	l.Lenient = true // fixtures may deliberately trip vet-grade checks
-	pkgs, err := l.Load("./" + fixture)
+	fset, pkgs, err := Load("", "./"+fixture)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
@@ -41,11 +39,11 @@ func RunFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	}
 	// The shared driver runs the fixture exactly as a real run does.
 	var diags []Diagnostic
-	if err := analyze(l.Fset, pkgs, analyzers, &diags); err != nil {
+	if err := analyze(fset, pkgs, analyzers, &diags); err != nil {
 		t.Fatalf("analyzing fixture %s: %v", fixture, err)
 	}
 	sortDiagnostics(diags)
-	checkWants(t, l.Fset, pkgs, diags)
+	checkWants(t, fset, pkgs, diags)
 }
 
 // wantKey addresses one fixture line.

@@ -19,18 +19,18 @@ import (
 
 // load.go is the self-contained package loader behind p2lint: the module
 // bakes in no golang.org/x/tools dependency, so instead of go/packages it
-// drives `go list -export -json -deps` for the build graph and typechecks
-// the module's own packages from source with go/types, resolving standard-
-// library imports through the compiler export data `go list -export`
-// places in the build cache. Only non-test GoFiles are analyzed — the
-// invariants guard the engine, and tests legitimately time, print and
-// shuffle.
+// drives `go list -e -export -json -deps` for the build graph and
+// typechecks the packages the patterns name from source with go/types.
+// Every import, standard library and module alike, resolves through the
+// compiler export data that same call places in the build cache, so no
+// dependency is typechecked from source. Only non-test GoFiles are
+// analyzed — the invariants guard the engine, and tests legitimately
+// time, print and shuffle.
 
 // listedPackage is the subset of `go list -json` output the loader reads.
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Standard   bool
 	Export     string
 	GoFiles    []string
 	DepOnly    bool
@@ -46,90 +46,53 @@ type LoadedPackage struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Annot     *Annotations
-	// TypeErrors holds soft typechecking failures (fixture packages may
-	// deliberately not compile under vet-grade strictness).
-	TypeErrors []error
 }
 
-// Loader typechecks build-graph packages on demand.
-type Loader struct {
-	Fset *token.FileSet
-	// Dir is the working directory `go list` runs in ("" = current).
-	Dir string
-	// Lenient tolerates type errors in analyzed packages (fixture mode).
-	Lenient bool
-
-	pkgs    map[string]*types.Package // by import path, source or export
-	exports map[string]string         // import path -> export data file
-	gc      types.ImporterFrom
-}
-
-// NewLoader returns a Loader rooted at dir.
-func NewLoader(dir string) *Loader {
-	l := &Loader{Fset: token.NewFileSet(), Dir: dir, pkgs: map[string]*types.Package{}, exports: map[string]string{}}
-	l.gc = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
-		exp, ok := l.exports[path]
-		if !ok || exp == "" {
+// Load lists the patterns with their full dependency graph, run in dir
+// ("" = the current directory), and typechecks the packages the patterns
+// name. A listing, parse or type error in one of them fails the load with
+// the package named; a dependency that did not compile has no export data,
+// so importing it is the type error.
+func Load(dir string, patterns ...string) (*token.FileSet, []*LoadedPackage, error) {
+	listed, err := goList(dir, patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	exports := map[string]string{}
+	for _, lp := range listed {
+		exports[lp.ImportPath] = lp.Export
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
-		return os.Open(exp)
-	}).(types.ImporterFrom)
-	return l
-}
-
-// Import resolves one import path for go/types: module packages come from
-// the source-typechecked cache, everything else from compiler export data.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
-	pkg, err := l.gc.Import(path)
-	if err != nil {
-		return nil, err
-	}
-	l.pkgs[path] = pkg
-	return pkg, nil
-}
-
-// Load lists patterns with their full dependency graph and typechecks
-// every non-standard package from source in dependency order, returning
-// the packages the patterns name (build-graph-only dependencies are
-// typechecked but not returned).
-func (l *Loader) Load(patterns ...string) ([]*LoadedPackage, error) {
-	listed, err := l.goList(patterns)
-	if err != nil {
-		return nil, err
-	}
+		return os.Open(exports[path])
+	})
 	var out []*LoadedPackage
 	for _, lp := range listed {
-		if lp.Standard {
-			if lp.Export != "" {
-				l.exports[lp.ImportPath] = lp.Export
-			}
+		if lp.DepOnly {
 			continue
 		}
-		if lp.Error != nil && !l.Lenient {
-			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
+		if lp.Error != nil {
+			return nil, nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		loaded, err := l.typecheck(lp)
+		loaded, err := typecheck(fset, imp, lp)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if !lp.DepOnly {
-			out = append(out, loaded)
-		}
+		out = append(out, loaded)
 	}
-	return out, nil
+	return fset, out, nil
 }
 
-// goList runs `go list -e -export -json -deps` over the patterns. -deps
-// lists dependencies before dependents, which is exactly the order
-// typecheck needs; -export materializes compiler export data for the
-// standard library in the build cache.
-func (l *Loader) goList(patterns []string) ([]listedPackage, error) {
+// goList runs `go list -e -export -json -deps` over the patterns in dir.
+// -export compiles every listed package, dependencies included, and names
+// its export data file.
+func goList(dir string, patterns []string) ([]listedPackage, error) {
 	args := append([]string{"list", "-e", "-export", "-json", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = l.Dir
+	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -150,11 +113,11 @@ func (l *Loader) goList(patterns []string) ([]listedPackage, error) {
 	return listed, nil
 }
 
-// typecheck parses and typechecks one module package from source.
-func (l *Loader) typecheck(lp listedPackage) (*LoadedPackage, error) {
+// typecheck parses and typechecks one package from source.
+func typecheck(fset *token.FileSet, imp types.Importer, lp listedPackage) (*LoadedPackage, error) {
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
 		}
@@ -168,38 +131,29 @@ func (l *Loader) typecheck(lp listedPackage) (*LoadedPackage, error) {
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	pkg, err := conf.Check(lp.ImportPath, l.Fset, files, info)
-	if err != nil && !l.Lenient {
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(lp.ImportPath, fset, files, info)
+	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", lp.ImportPath, err)
 	}
-	if pkg != nil {
-		l.pkgs[lp.ImportPath] = pkg
-	}
 	return &LoadedPackage{
-		Path:       lp.ImportPath,
-		Files:      files,
-		Pkg:        pkg,
-		TypesInfo:  info,
-		Annot:      parseAnnotations(l.Fset, files),
-		TypeErrors: typeErrs,
+		Path:      lp.ImportPath,
+		Files:     files,
+		Pkg:       pkg,
+		TypesInfo: info,
+		Annot:     parseAnnotations(fset, files),
 	}, nil
 }
 
 // Run loads the patterns and applies every analyzer to each package it
 // accepts, returning the position-sorted diagnostics.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	l := NewLoader(dir)
-	pkgs, err := l.Load(patterns...)
+	fset, pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
 	var diags []Diagnostic
-	if err := analyze(l.Fset, pkgs, analyzers, &diags); err != nil {
+	if err := analyze(fset, pkgs, analyzers, &diags); err != nil {
 		return nil, err
 	}
 	sortDiagnostics(diags)

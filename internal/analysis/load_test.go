@@ -8,8 +8,8 @@ import (
 )
 
 // load_test.go covers the loader's error paths: packages that do not
-// parse, packages that do not typecheck (strict vs Lenient), missing
-// export data, and bad patterns. Each writes a throwaway module so the
+// parse, packages that do not typecheck, imports without export data,
+// and bad patterns. Each writes a throwaway module so the
 // failures are hermetic and deliberate.
 
 // writeModule lays out a one-package module under a temp dir and returns
@@ -36,7 +36,7 @@ func TestLoadSyntaxError(t *testing.T) {
 	})
 	// go list -e still reports the package; the parse failure must surface
 	// from typecheck with the import path in the message.
-	_, err := NewLoader(root).Load("./bad")
+	_, _, err := Load(root, "./bad")
 	if err == nil {
 		t.Fatal("Load succeeded on a package that does not parse")
 	}
@@ -52,20 +52,9 @@ func TestLoadTypeErrorStrictVsLenient(t *testing.T) {
 	t.Run("strict", func(t *testing.T) {
 		// go list -export may report the compile failure itself before
 		// go/types runs; either surface must fail and name the package.
-		_, err := NewLoader(writeModule(t, files)).Load("./bad")
+		_, _, err := Load(writeModule(t, files), "./bad")
 		if err == nil || !strings.Contains(err.Error(), "broken/bad") {
-			t.Errorf("strict mode must fail with the package named, got: %v", err)
-		}
-	})
-	t.Run("lenient", func(t *testing.T) {
-		l := NewLoader(writeModule(t, files))
-		l.Lenient = true
-		pkgs, err := l.Load("./bad")
-		if err != nil {
-			t.Fatalf("lenient mode must tolerate type errors, got: %v", err)
-		}
-		if len(pkgs) != 1 || len(pkgs[0].TypeErrors) == 0 {
-			t.Errorf("lenient load must record the soft type errors, got %+v", pkgs)
+			t.Errorf("a type error must fail the load with the package named, got: %v", err)
 		}
 	})
 }
@@ -74,22 +63,15 @@ func TestLoadBrokenImport(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"bad/bad.go": "package bad\n\nimport \"no/such/dependency\"\n\nvar _ = dependency.X\n",
 	})
-	_, err := NewLoader(root).Load("./bad")
-	if err == nil {
-		t.Fatal("Load succeeded despite an unresolvable import")
-	}
-}
-
-func TestImportMissingExportData(t *testing.T) {
-	// Importing a path go list never materialized export data for must
-	// fail cleanly, not panic.
-	if _, err := NewLoader("").Import("no/such/dependency"); err == nil {
-		t.Error("Import succeeded for a package with no export data")
+	_, _, err := Load(root, "./bad")
+	// The missing package has no export data, so the importer refuses it.
+	if err == nil || !strings.Contains(err.Error(), "no export data") {
+		t.Fatalf("an unresolvable import must fail for lack of export data, got: %v", err)
 	}
 }
 
 func TestLoadBadPattern(t *testing.T) {
-	_, err := NewLoader("").Load("./does/not/exist")
+	_, _, err := Load("", "./does/not/exist")
 	if err == nil || !strings.Contains(err.Error(), "does/not/exist") {
 		t.Errorf("bad pattern must fail with the pattern named, got: %v", err)
 	}
@@ -98,7 +80,7 @@ func TestLoadBadPattern(t *testing.T) {
 func TestLoadNoPatterns(t *testing.T) {
 	// Zero patterns means `go list` defaults to the current directory; from
 	// this package's own dir that loads internal/analysis itself.
-	pkgs, err := NewLoader("").Load()
+	_, pkgs, err := Load("")
 	if err != nil {
 		t.Fatalf("Load() with no patterns: %v", err)
 	}

@@ -238,23 +238,31 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			abandon()
 			break
 		}
-		// Launch the lane steps and group rounds whose time has come.
+		// Launch the lane steps and group rounds whose time has come, and
+		// take the time to the next pending round start or step launch.
+		dt := math.Inf(1)
 		for li := range lanes {
 			ln := &lanes[li]
 			if ln.done() {
 				continue
 			}
+			if ln.live == 0 && ln.wait <= 1e-15 {
+				startStep(ln)
+			}
 			if ln.live == 0 {
 				// Between steps: waiting out the launch overhead.
-				if ln.wait > 1e-15 {
-					continue
+				if ln.wait < dt {
+					dt = ln.wait
 				}
-				startStep(ln)
+				continue
 			}
 			for gi := range ln.groups {
 				g := &ln.groups[gi]
 				if g.pending() && g.startAt <= ln.now+1e-15 {
 					startRound(li, gi)
+				}
+				if d := g.startAt - ln.now; g.pending() && d < dt {
+					dt = d
 				}
 			}
 		}
@@ -264,7 +272,6 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 		// > 0: base bandwidths are validated positive and a transfer counts
 		// toward its own links' shares.
 		active := sc.active
-		dt := math.Inf(1)
 		for i := range active {
 			tr := &active[i]
 			if tr.stalled {
@@ -279,25 +286,6 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			tr.rate = rate
 			if d := tr.remaining / rate; d < dt {
 				dt = d
-			}
-		}
-		// ... then the next pending round start or step launch.
-		for li := range lanes {
-			ln := &lanes[li]
-			if ln.done() {
-				continue
-			}
-			if ln.live == 0 {
-				if ln.wait < dt {
-					dt = ln.wait
-				}
-				continue
-			}
-			for gi := range ln.groups {
-				g := &ln.groups[gi]
-				if d := g.startAt - ln.now; g.pending() && d < dt {
-					dt = d
-				}
 			}
 		}
 		if math.IsInf(dt, 1) {
@@ -324,14 +312,15 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				ln.now += dt
 			}
 		}
-		// Drain and retire completed transfers. Compaction is stable and
-		// moves each kept transfer's path down to the end of the paths
-		// kept before it, so paths stay in active order.
+		// Drain and retire completed transfers; a stalled one, even of 0
+		// bytes, never completes. Compaction is stable and moves each kept
+		// transfer's path down to the end of the paths kept before it, so
+		// paths stay in active order.
 		kept, w := 0, 0
 		for i := range active {
 			tr := &active[i]
 			tr.remaining -= tr.rate * dt
-			if tr.remaining > 1e-9*tr.rate+1e-12 {
+			if tr.stalled || tr.remaining > 1e-9*tr.rate+1e-12 {
 				if tr.lo != w {
 					tr.lo, tr.hi = w, w+copy(sc.paths[w:], sc.paths[tr.lo:tr.hi])
 				}

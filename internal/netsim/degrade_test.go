@@ -46,15 +46,18 @@ func TestMeasureDownLinkStalls(t *testing.T) {
 	lp := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0},
 		synth.BaselineAllReduce())
 	down := topology.A100System(4).MustWithOverrides(topology.Down(0, 2))
-	sim := &Simulator{Sys: down, Algo: cost.Ring, Bytes: cost.PayloadBytes(4),
-		Opts: Options{DisableNoise: true}}
-	if got := sim.Measure(lp); !math.IsInf(got, 1) {
-		t.Errorf("Measure over a down NIC = %v, want +Inf", got)
-	}
-	got := sim.MeasureConcurrent([]*lower.Program{lp, lp})
-	for i, v := range got {
-		if !math.IsInf(v, 1) {
-			t.Errorf("concurrent lane %d over a down NIC = %v, want +Inf", i, v)
+	// At the subnormal payload every transfer rounds to 0 bytes; it still
+	// stalls, and retiring it must not unload links it never loaded.
+	for _, bytes := range []float64{cost.PayloadBytes(4), math.SmallestNonzeroFloat64} {
+		sim := &Simulator{Sys: down, Algo: cost.Ring, Bytes: bytes, Opts: Options{DisableNoise: true}}
+		if got := sim.Measure(lp); !math.IsInf(got, 1) {
+			t.Errorf("%g B: Measure over a down NIC = %v, want +Inf", bytes, got)
+		}
+		got := sim.MeasureConcurrent([]*lower.Program{lp, lp})
+		for i, v := range got {
+			if !math.IsInf(v, 1) {
+				t.Errorf("%g B: concurrent lane %d over a down NIC = %v, want +Inf", bytes, i, v)
+			}
 		}
 	}
 }

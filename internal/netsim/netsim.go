@@ -29,7 +29,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"p2/internal/collective"
 	"p2/internal/cost"
@@ -399,56 +399,63 @@ func fuseStepsAlgos(out []lower.Step, outAlgos []cost.Algorithm, steps []lower.S
 	return out, outAlgos
 }
 
-// mergeGroups unions two partitions into connected components. It returns
-// nil when the components would be ragged (different sizes), in which case
-// fusion is skipped.
+// mergeGroups unions two partitions into connected components, listed by
+// least member with their members ascending. A device that no group of two
+// or more holds is left out: an AllReduce over it alone moves nothing. It
+// returns nil when the components would be ragged (different sizes), or
+// when there are none, in which case fusion is skipped.
 func mergeGroups(a, b [][]int) [][]int {
-	parent := map[int]int{}
-	var find func(x int) int
-	find = func(x int) int {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
+	groups := slices.Concat(a, b)
+	n := 0
+	for _, g := range groups {
+		for _, d := range g {
+			n = max(n, d+1)
 		}
-		if p != x {
-			parent[x] = find(p)
-		}
-		return parent[x]
 	}
-	union := func(x, y int) {
-		parent[find(x)] = find(y)
+	// parent is a union-find forest over device ids. A root is its
+	// component's least member and holds minus the component's size.
+	parent := make([]int, n)
+	for d := range parent {
+		parent[d] = -1
 	}
-	for _, gs := range [][][]int{a, b} {
-		for _, g := range gs {
-			for _, d := range g[1:] {
-				union(g[0], d)
+	find := func(x int) int {
+		for parent[x] >= 0 {
+			if up := parent[parent[x]]; up >= 0 {
+				parent[x] = up
 			}
+			x = parent[x]
+		}
+		return x
+	}
+	for _, g := range groups {
+		for _, d := range g[1:] {
+			x, y := find(g[0]), find(d)
+			if x == y {
+				continue
+			}
+			x, y = min(x, y), max(x, y)
+			parent[x] += parent[y]
+			parent[y] = x
 		}
 	}
-	comps := map[int][]int{}
-	var roots []int
-	//p2:order-independent components and their members are fully sorted before return; the ragged-size nil outcome is order-invariant
-	for x := range parent {
-		r := find(x)
-		if _, ok := comps[r]; !ok {
-			roots = append(roots, r)
-		}
-		comps[r] = append(comps[r], x)
-	}
+	// One ascending pass: each component opens at its root and fills in
+	// ascending order, so the components come out already sorted.
 	var out [][]int
-	size := -1
-	for _, r := range roots {
-		c := comps[r]
-		sort.Ints(c)
-		if size < 0 {
-			size = len(c)
-		} else if len(c) != size {
-			return nil
+	at := make([]int, n) // a root's index in out
+	for d := range parent {
+		r := find(d)
+		if parent[r] == -1 {
+			continue
 		}
-		out = append(out, c)
+		if r == d {
+			if len(out) > 0 && parent[d] != parent[out[0][0]] {
+				return nil
+			}
+			at[d] = len(out)
+			out = append(out, make([]int, 0, -parent[d]))
+		}
+		out[at[r]] = append(out[at[r]], d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 

@@ -128,9 +128,6 @@ func (m *Matrix) init() error {
 // NumAxes returns the number of parallelism axes (rows).
 func (m *Matrix) NumAxes() int { return len(m.Axes) }
 
-// NumLevels returns the number of hardware levels (columns).
-func (m *Matrix) NumLevels() int { return len(m.Hier) }
-
 // NumDevices returns the total device count (= product of the hierarchy =
 // product of the axes).
 func (m *Matrix) NumDevices() int { return m.devRadix.Total() }

@@ -161,17 +161,19 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 			sub[e] = 0
 			// The flow argument is per entity, so each entity's own
 			// effective bandwidth keeps the bound admissible. A down uplink
-			// (bandwidth 0) with splits yields +Inf: every program for this
-			// placement crosses it, so every prediction is +Inf too.
+			// adds no term: a payload whose transfers round to 0 bytes
+			// crosses it at finite cost (DESIGN.md §6.1).
 			b := sys.LinkBandwidth(l, e)
 			bw += b
-			worst = max(worst, 2*bytes*float64(n)/b)
+			if b > 0 {
+				worst = max(worst, 2*bytes*float64(n)/b)
+			}
 		}
-		// The volume term (C_l > 0 exactly when S_l is non-empty: no 0/0).
-		if c := bs.vol[l]; c > 0 {
-			bs.vol[l] = 0
-			worst = max(worst, 4*bytes*float64(c)/bw)
+		// The volume term (C_l > 0 when S_l has a live link: no 0/0).
+		if bw > 0 {
+			worst = max(worst, 4*bytes*float64(bs.vol[l])/bw)
 		}
+		bs.vol[l] = 0
 	}
 	lat := 0.0
 	if crossed < L {

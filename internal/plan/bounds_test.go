@@ -44,7 +44,7 @@ func TestPlacementBoundAdmissible(t *testing.T) {
 		{topology.SuperPodSystem(3, 2), []int{4, 2, 6}, []int{0, 2}},
 		// Override-carrying systems: the per-entity flow argument must keep
 		// the bound admissible when links are throttled, slowed, lossy or
-		// down (down ⇒ bound +Inf and predicted +Inf; Inf > Inf is false).
+		// down (a down link adds no term to the bound).
 		{topology.A100System(2).MustWithOverrides(
 			topology.Throttle(1, 3, 10)), []int{4, 8}, []int{0}},
 		{topology.SuperPodSystem(2, 4).MustWithOverrides(
@@ -177,7 +177,9 @@ func entityTerm(sys *topology.System, h *hierarchy.Hierarchy, bytes float64) flo
 	}
 	worst := 0.0
 	for le, n := range splits {
-		worst = max(worst, 2*bytes*float64(n)/sys.LinkBandwidth(le[0], le[1]))
+		if b := sys.LinkBandwidth(le[0], le[1]); b > 0 {
+			worst = max(worst, 2*bytes*float64(n)/b)
+		}
 	}
 	lat := 0.0
 	if crossed < sys.NumLevels() {
