@@ -28,7 +28,6 @@ import (
 	"p2/internal/placement"
 	"p2/internal/synth"
 	"p2/internal/topology"
-	"p2/internal/trace"
 	"p2/internal/verify"
 	"p2/internal/xla"
 )
@@ -878,15 +877,15 @@ func BenchmarkTraceRecording(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	col := &trace.Collector{}
+	var events []netsim.Event
 	sim := &netsim.Simulator{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4),
-		Recorder: col.Record}
+		Recorder: func(ev netsim.Event) { events = append(events, ev) }}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		col.Events = col.Events[:0]
+		events = events[:0]
 		sim.Measure(lp)
 	}
-	if len(col.Events) == 0 {
+	if len(events) == 0 {
 		b.Fatal("no events recorded")
 	}
 }

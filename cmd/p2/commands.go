@@ -428,13 +428,11 @@ func cmdTrace(fs *flag.FlagSet) body {
 		}
 		// Trace through the strategy so the request's (defaulted) payload and
 		// any per-step algorithm assignment are honored.
-		col := &trace.Collector{}
 		total, events := strat.Trace()
-		col.Events = events
 		if *summary {
 			fmt.Fprintf(e.out, "strategy: %v via %v [%s]\n", strat.Matrix, strat.Program, strat.AlgoString())
-			fmt.Fprintf(e.out, "emulated total: %.4f s, %d transfers\n", total, len(col.Events))
-			for _, s := range col.Summarize() {
+			fmt.Fprintf(e.out, "emulated total: %.4f s, %d transfers\n", total, len(events))
+			for _, s := range trace.Summarize(events) {
 				fmt.Fprintf(e.out, "  step %d %-14s %5d transfers %10.1f MB  [%.4f, %.4f] s\n",
 					s.Step, s.Op, s.Transfers, s.Bytes/1e6, s.Start, s.End)
 			}
@@ -450,7 +448,7 @@ func cmdTrace(fs *flag.FlagSet) body {
 			defer f.Close()
 			w = f
 		}
-		return col.WriteChrome(w, e.sys)
+		return trace.WriteChrome(w, e.sys, events)
 	}
 }
 

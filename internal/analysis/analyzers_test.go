@@ -79,7 +79,7 @@ func TestPackageGating(t *testing.T) {
 		{"p2/internal/eval", true, true, true},
 		{"p2/internal/topology", false, true, true},
 		{"p2/internal/verify", false, true, true},
-		{"p2/internal/plot", false, true, true},
+		{"p2/internal/trace", false, true, true},
 		// The root package anchors the cancellation contract (PlanCtx)
 		// even though it is not an engine internal.
 		{"p2", false, false, true},

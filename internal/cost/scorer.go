@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"sync"
 
 	"p2/internal/lower"
@@ -94,9 +95,9 @@ func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 		}
 		rounds = sch.LatencyRounds
 	}
-	// Each entity's uplink has its own effective bandwidth. A down link
-	// (bandwidth 0) carrying traffic yields +Inf; with zero traffic the 0/0
-	// NaN fails the > comparison and is ignored (no traffic, no cost).
+	// Each entity's uplink has its own effective bandwidth. A step that
+	// touches a down link (bandwidth 0) never completes, whatever its
+	// traffic there: a transfer that rounds to 0 bytes stalls on it too.
 	worst := 0.0
 	offsets := s.sys.EntityOffsets()
 	L := s.sys.NumLevels()
@@ -105,7 +106,9 @@ func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 		for l+1 < L && i >= offsets[l+1] {
 			l++
 		}
-		if t := s.traffic[i] / s.sys.LinkBandwidth(l, i-offsets[l]); t > worst {
+		if bw := s.sys.LinkBandwidth(l, i-offsets[l]); !(bw > 0) {
+			worst = math.Inf(1)
+		} else if t := s.traffic[i] / bw; t > worst {
 			worst = t
 		}
 		s.traffic[i] = 0
@@ -182,11 +185,11 @@ func (s *Scorer) addEdge(a, b int, bytes float64) {
 	}
 }
 
-// bump adds bytes to one traffic entry, recording the first touch for the
-// dirty-entry reset. Entries only ever accumulate non-negative transfer
-// sizes, so a touched entry is nonzero unless every contribution was zero
-// — in which case leaving it off the dirty list is harmless (it is already
-// zero for the next step).
+// bump adds bytes to one traffic entry, listing it for the final scan and
+// the dirty-entry reset while it is still zero. Entries only ever
+// accumulate non-negative transfer sizes, so each touched entry is listed
+// — a zero-byte contribution to a zero entry lists it again, which the
+// scan tolerates — and a down link a step touches is always scanned.
 //
 //p2:zeroalloc
 func (s *Scorer) bump(i int, bytes float64) {

@@ -86,10 +86,7 @@ func TestAutoLabelsAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := FromJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parsed := decodeJSON[ResultJSON](t, data)
 	if parsed[0].Algorithm != "auto" {
 		t.Errorf("JSON algorithm = %q, want auto", parsed[0].Algorithm)
 	}

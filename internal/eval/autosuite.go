@@ -2,7 +2,6 @@ package eval
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"p2/internal/plan"
 )
@@ -113,14 +112,4 @@ func BuildAutoSuite(results []*Result) []AutoSuiteJSON {
 // tooling-friendly counterpart of the accuracy table's auto rows).
 func AutoSuiteToJSON(results []*Result) ([]byte, error) {
 	return json.MarshalIndent(BuildAutoSuite(results), "", "  ")
-}
-
-// AutoSuiteFromJSON parses the export back (for downstream tools and
-// tests).
-func AutoSuiteFromJSON(data []byte) ([]AutoSuiteJSON, error) {
-	var out []AutoSuiteJSON
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("eval: decoding auto-suite results: %w", err)
-	}
-	return out, nil
 }

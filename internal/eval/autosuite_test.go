@@ -64,10 +64,7 @@ func TestAutoSuiteJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := AutoSuiteFromJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := decodeJSON[AutoSuiteJSON](t, data)
 	if len(back) != 1 {
 		t.Fatalf("decoded %d systems, want 1", len(back))
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"strconv"
 	"strings"
@@ -13,6 +14,16 @@ import (
 	"p2/internal/plan"
 	"p2/internal/topology"
 )
+
+// decodeJSON decodes an export back, as a downstream tool would.
+func decodeJSON[T any](t *testing.T, data []byte) []T {
+	t.Helper()
+	var out []T
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // run416 sweeps the Table 4 G configuration: 4-node A100, axes [4 16],
 // reduce axis 0.
@@ -360,8 +371,7 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Strip the wall-clock fields, which legitimately differ.
-	ra, _ := FromJSON(da)
-	rb, _ := FromJSON(db)
+	ra, rb := decodeJSON[ResultJSON](t, da), decodeJSON[ResultJSON](t, db)
 	for i := range ra {
 		ra[i].SynthesisSecs, rb[i].SynthesisSecs = 0, 0
 		ra[i].SimulationSecs, rb[i].SimulationSecs = 0, 0

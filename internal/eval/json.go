@@ -1,9 +1,6 @@
 package eval
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // The JSON export is a stable, tooling-friendly projection of sweep
 // results: program texts instead of internal structures, seconds instead
@@ -76,13 +73,4 @@ func ToJSON(results []*Result) ([]byte, error) {
 		out = append(out, rj)
 	}
 	return json.MarshalIndent(out, "", "  ")
-}
-
-// FromJSON parses the projection back (for downstream tools and tests).
-func FromJSON(data []byte) ([]ResultJSON, error) {
-	var out []ResultJSON
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("eval: decoding results: %w", err)
-	}
-	return out, nil
 }

@@ -8,34 +8,13 @@ import (
 	"p2/internal/topology"
 )
 
-func TestFigure11Chart(t *testing.T) {
-	r := run416(t, cost.Ring)
-	chart := Figure11Chart(r)
-	if !strings.Contains(chart, "measured") || !strings.Contains(chart, "simulated") {
-		t.Error("chart legend missing")
-	}
-	if !strings.Contains(chart, "*") || !strings.Contains(chart, "x") {
-		t.Error("chart markers missing")
-	}
-	if !strings.Contains(chart, "Figure 11") {
-		t.Error("chart title missing")
-	}
-	lines := strings.Split(chart, "\n")
-	if len(lines) < 20 {
-		t.Errorf("chart too short: %d lines", len(lines))
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	r := run416(t, cost.Ring)
 	data, err := ToJSON([]*Result{r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := decodeJSON[ResultJSON](t, data)
 	if len(back) != 1 {
 		t.Fatalf("decoded %d results", len(back))
 	}
@@ -61,12 +40,6 @@ func TestJSONRoundTrip(t *testing.T) {
 				t.Errorf("matrix %d program %d has %d steps", mi, pi, pj.Steps)
 			}
 		}
-	}
-}
-
-func TestFromJSONError(t *testing.T) {
-	if _, err := FromJSON([]byte("{nonsense")); err == nil {
-		t.Error("malformed JSON accepted")
 	}
 }
 

@@ -161,8 +161,9 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 			sub[e] = 0
 			// The flow argument is per entity, so each entity's own
 			// effective bandwidth keeps the bound admissible. A down uplink
-			// adds no term: a payload whose transfers round to 0 bytes
-			// crosses it at finite cost (DESIGN.md §6.1).
+			// adds no term: leaving a term out only loosens the bound, and a
+			// program touching the link predicts +Inf at that step, which
+			// the program cut drops (DESIGN.md §6.1).
 			b := sys.LinkBandwidth(l, e)
 			bw += b
 			if b > 0 {

@@ -209,13 +209,14 @@ const maxFaultedDevices = 1 << 16
 // would otherwise wait out the whole drain for it and fail.
 const readHeaderTimeout = time.Second
 
-// flight is one in-flight /plan computation: concurrent identical
-// requests coalesce onto it (single-flight) and share the leader's
-// outcome — including a partial or failed one; a follower that wants a
-// fresh computation retries after the flight lands. The strategy cache
-// keeps landed complete flights.
+// flight is one /plan computation: concurrent identical requests
+// coalesce onto it (single-flight) and share the leader's outcome —
+// including a partial or failed one; a follower that wants a fresh
+// computation retries after the flight lands. A complete flight that
+// lands stays in Server.flights as the strategy cache's entry.
 type flight struct {
 	done    chan struct{}
+	landed  bool   // a cache entry: complete and landed (set under Server.mu)
 	tail    []byte // the response encoded from "strategies" on (encodeTail); nil unless status == 200
 	partial bool
 	status  int
@@ -233,10 +234,12 @@ type Server struct {
 	// means shed).
 	sem chan struct{}
 
+	// flights holds every computation in flight and every landed cache
+	// entry, one per key; order lists the landed keys in landing order,
+	// for FIFO eviction.
 	mu        sync.Mutex
-	cache     map[string]*flight
-	order     []string // cache keys in insertion order, for FIFO eviction
 	flights   map[string]*flight
+	order     []string
 	evictions int64
 
 	requests  atomic.Int64
@@ -272,7 +275,6 @@ func NewServer(cfg Config) *Server {
 		cfg:     cfg,
 		planFn:  planner.PlanCtx,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
-		cache:   map[string]*flight{},
 		flights: map[string]*flight{},
 	}
 }
@@ -323,7 +325,8 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, logw io.Writer
 // Warm plans each request on the shared planner and stores the complete
 // results in the strategy cache, so the first client to ask gets a cache
 // hit instead of paying a cold plan — call it before the listener
-// accepts traffic (`p2 serve -warm` does, with the paper-suite catalog).
+// accepts traffic (`p2 serve -warm` does, with the paper-suite catalog):
+// its flights land without joining the single-flight table first.
 // Warming also fills the planner's synthesis memo, so even warm-set
 // misses plan against shared synthesis runs. Warm responses do not touch
 // the /statz request counters: the daemon's accounting covers served
@@ -339,7 +342,10 @@ func (s *Server) Warm(ctx context.Context, reqs []PlanRequest) (int, error) {
 		if err != nil {
 			return warmed, fmt.Errorf("serve: warm request %d: %w", i, err)
 		}
-		if _, ok := s.cacheGet(key); ok {
+		s.mu.Lock()
+		_, known := s.flights[key]
+		s.mu.Unlock()
+		if known {
 			continue
 		}
 		res, err := s.runPlan(ctx, sys, req)
@@ -353,10 +359,9 @@ func (s *Server) Warm(ctx context.Context, reqs []PlanRequest) (int, error) {
 		if err != nil {
 			return warmed, fmt.Errorf("serve: warm request %d: %w", i, err)
 		}
-		s.mu.Lock()
-		s.cacheAdd(key, &flight{status: http.StatusOK, tail: tail})
-		s.mu.Unlock()
-		warmed++
+		if s.land(key, &flight{status: http.StatusOK, tail: tail}) {
+			warmed++
+		}
 		if err := ctx.Err(); err != nil {
 			return warmed, fmt.Errorf("serve: warm: %w", err)
 		}
@@ -378,9 +383,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.observe(o, elapsed, s.sinceMs(start))
 }
 
-// answer answers one /plan request: decode → cache → coalesce/shed → plan
-// under the request deadline → respond. It returns the outcome and, for a
-// 200, the elapsed_ms it wrote.
+// answer answers one /plan request: decode → one flight-table lookup (hit,
+// follow or lead; a leader may be shed) → plan under the request deadline
+// → respond. It returns the outcome and, for a 200, the elapsed_ms it
+// wrote.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time) (outcome, float64) {
 	var pr PlanRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&pr); err != nil {
@@ -393,11 +399,30 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time)
 		return outError, 0
 	}
 
-	if f, ok := s.cacheGet(key); ok {
+	s.mu.Lock()
+	f, follow := s.flights[key]
+	if follow && f.landed {
+		s.mu.Unlock()
 		s.hits.Add(1)
 		return s.respond(w, f, start, outHit)
 	}
 	s.misses.Add(1)
+	if !follow {
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			// At capacity: shed instead of queueing, so latency stays
+			// honest and the client knows to back off.
+			s.mu.Unlock()
+			s.shed.Add(1)
+			w.Header().Set("Retry-After", "1")
+			httpError(w, http.StatusTooManyRequests, "server at planning capacity")
+			return outError, 0
+		}
+		f = &flight{done: make(chan struct{})}
+		s.flights[key] = f
+	}
+	s.mu.Unlock()
 
 	ctx := r.Context()
 	timeout := s.cfg.DefaultTimeout
@@ -410,11 +435,9 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time)
 		defer cancel()
 	}
 
-	s.mu.Lock()
-	if f, ok := s.flights[key]; ok {
+	if follow {
 		// Follower: an identical request is already computing; share its
 		// outcome rather than burn a second worker on the same answer.
-		s.mu.Unlock()
 		s.coalesced.Add(1)
 		select {
 		case <-f.done:
@@ -426,30 +449,9 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time)
 			return outError, 0
 		}
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		// At capacity: shed instead of queueing, so latency stays honest
-		// and the client knows to back off.
-		s.mu.Unlock()
-		s.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "server at planning capacity")
-		return outError, 0
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-
 	res, perr := s.runPlan(ctx, sys, req)
 	s.settle(f, res, perr)
-
-	s.mu.Lock()
-	delete(s.flights, key)
-	if f.status == http.StatusOK && !f.partial {
-		s.cacheAdd(key, f)
-	}
-	s.mu.Unlock()
+	s.land(key, f)
 	<-s.sem
 	close(f.done)
 	if f.partial {
@@ -683,30 +685,26 @@ func cacheKey(sys *p2.System, req p2.Request) string {
 	return string(b)
 }
 
-// cacheGet returns the landed flight cached for key.
-func (s *Server) cacheGet(key string) (*flight, bool) {
+// land settles flight f of key in the flight table and reports whether it
+// became a cache entry: a complete 200 stays as one, marked landed and
+// evicting the oldest entry past CacheSize; any other outcome leaves the
+// table.
+func (s *Server) land(key string, f *flight) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.cache[key]
-	return f, ok
-}
-
-// cacheAdd stores a landed complete flight, evicting the oldest entry past
-// CacheSize. Caller holds s.mu.
-func (s *Server) cacheAdd(key string, f *flight) {
-	if s.cfg.CacheSize < 0 {
-		return
+	if f.status != http.StatusOK || f.partial || s.cfg.CacheSize < 0 {
+		delete(s.flights, key)
+		return false
 	}
-	if _, ok := s.cache[key]; ok {
-		return
-	}
-	s.cache[key] = f
+	f.landed = true
+	s.flights[key] = f
 	s.order = append(s.order, key)
 	for len(s.order) > s.cfg.CacheSize {
-		delete(s.cache, s.order[0])
+		delete(s.flights, s.order[0])
 		s.order = s.order[1:]
 		s.evictions++
 	}
+	return true
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -730,7 +728,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		st.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	s.mu.Lock()
-	st.CacheEntries, st.CacheEvictions = len(s.cache), s.evictions
+	st.CacheEntries, st.CacheEvictions = len(s.order), s.evictions
 	s.mu.Unlock()
 	st.Latency, st.Outcomes = s.latency()
 	writeJSON(w, http.StatusOK, &st)

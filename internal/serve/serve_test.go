@@ -471,7 +471,7 @@ func TestCacheEviction(t *testing.T) {
 		postPlan(t, ts.URL, b)
 	}
 	s.mu.Lock()
-	entries, evictions := len(s.cache), s.evictions
+	entries, evictions := len(s.flights), s.evictions
 	s.mu.Unlock()
 	if entries != 2 || evictions != 1 {
 		t.Fatalf("cache holds %d entries after 3 distinct requests with CacheSize 2 and evicted %d, want 2 and 1", entries, evictions)

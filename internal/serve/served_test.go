@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,6 +174,55 @@ func TestPlanBodiesEqualWriteJSON(t *testing.T) {
 	}
 	if !measured || !never {
 		t.Fatalf("covered measured_s: %v, never_completes: %v; want both", measured, never)
+	}
+}
+
+// TestFlightLandsAsCacheEntry: a leader stalled until a follower has
+// joined its flight plans once for both, and a repeat after the flight
+// landed is a hit on that same flight, not a second plan. With caching
+// off the landed flight leaves the table and the repeat plans again.
+func TestFlightLandsAsCacheEntry(t *testing.T) {
+	for _, tc := range []struct {
+		cacheSize int
+		plans     int64
+		cached    bool
+	}{{0, 1, true}, {-1, 2, false}} {
+		s := serve.NewServer(serve.Config{CacheSize: tc.cacheSize})
+		var calls atomic.Int64
+		entered, release := make(chan struct{}), make(chan struct{})
+		serve.SetPlanFn(s, func(ctx context.Context, sys *p2.System, req p2.Request) (*p2.PlanResult, error) {
+			if calls.Add(1) == 1 {
+				close(entered)
+				<-release
+			}
+			return p2.Plan(sys, req)
+		})
+		h := s.Handler()
+		post := func() *serve.PlanResponse {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/plan", strings.NewReader(`{"system": "fig2a", "axes": [16], "topk": 3}`)))
+			var resp serve.PlanResponse
+			if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+				t.Errorf("CacheSize %d: status %d: %s", tc.cacheSize, rec.Code, rec.Body)
+			}
+			return &resp
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); post() }()
+		<-entered
+		go func() { defer wg.Done(); post() }()
+		for serve.Coalesced(s) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		wg.Wait()
+		if got := post(); got.Cached != tc.cached {
+			t.Errorf("CacheSize %d: repeat cached = %v, want %v", tc.cacheSize, got.Cached, tc.cached)
+		}
+		if got := calls.Load(); got != tc.plans {
+			t.Errorf("CacheSize %d: planFn ran %d times, want %d", tc.cacheSize, got, tc.plans)
+		}
 	}
 }
 

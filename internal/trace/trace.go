@@ -9,20 +9,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"p2/internal/netsim"
 	"p2/internal/topology"
 )
-
-// Collector accumulates emulator events; attach Collector.Record to
-// netsim.Simulator.Recorder.
-type Collector struct {
-	Events []netsim.Event
-}
-
-// Record appends an event (the netsim.Recorder signature).
-func (c *Collector) Record(ev netsim.Event) { c.Events = append(c.Events, ev) }
 
 // chromeEvent is one entry of the Chrome trace-event format.
 type chromeEvent struct {
@@ -44,11 +36,12 @@ type chromeMeta struct {
 	Args  map[string]any `json:"args"`
 }
 
-// WriteChrome renders the collected events as a Chrome trace. Devices
-// become threads of a single process named after the system; transfers are
-// duration events on the *source* device's track.
-func (c *Collector) WriteChrome(w io.Writer, sys *topology.System) error {
-	events := append([]netsim.Event(nil), c.Events...)
+// WriteChrome renders emulator events (netsim.Simulator.Recorder's, or
+// p2.Strategy.Trace's) as a Chrome trace. Devices become threads of a
+// single process named after the system; transfers are duration events on
+// the *source* device's track.
+func WriteChrome(w io.Writer, sys *topology.System, events []netsim.Event) error {
+	events = slices.Clone(events)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
 
 	var out []any
@@ -93,7 +86,7 @@ func (c *Collector) WriteChrome(w io.Writer, sys *topology.System) error {
 	return enc.Encode(map[string]any{"traceEvents": out})
 }
 
-// Summary aggregates the collected events per (step, op): transfer count,
+// Summary aggregates emulator events per (step, op): transfer count,
 // total bytes, and the step's busy interval. Rows are ordered by step.
 type Summary struct {
 	Step      int
@@ -104,11 +97,11 @@ type Summary struct {
 	End       float64
 }
 
-// Summarize builds per-step summaries from the collected events.
-func (c *Collector) Summarize() []Summary {
+// Summarize builds per-step summaries from emulator events.
+func Summarize(events []netsim.Event) []Summary {
 	byStep := map[int]*Summary{}
 	var steps []int
-	for _, ev := range c.Events {
+	for _, ev := range events {
 		s, ok := byStep[ev.Step]
 		if !ok {
 			s = &Summary{Step: ev.Step, Op: ev.Op.String(), Start: ev.Start, End: ev.End}

@@ -16,8 +16,9 @@ import (
 	"p2/internal/topology"
 )
 
-// record runs the RS-AR-AG program on the emulator with a collector.
-func record(t *testing.T) (*Collector, *topology.System) {
+// record runs the RS-AR-AG program on the emulator and returns the
+// transfers it recorded.
+func record(t *testing.T) ([]netsim.Event, *topology.System) {
 	t.Helper()
 	m, err := placement.NewMatrix([]int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
 	if err != nil {
@@ -36,23 +37,23 @@ func record(t *testing.T) (*Collector, *topology.System) {
 		t.Fatal(err)
 	}
 	sys := topology.A100System(4)
-	col := &Collector{}
+	var events []netsim.Event
 	sim := &netsim.Simulator{Sys: sys, Algo: cost.Ring, Bytes: 1e9,
 		Opts:     netsim.Options{DisableNoise: true, LaunchOverhead: 1e-9},
-		Recorder: col.Record}
+		Recorder: func(ev netsim.Event) { events = append(events, ev) }}
 	if got := sim.Measure(lp); got <= 0 {
 		t.Fatalf("Measure = %v", got)
 	}
-	return col, sys
+	return events, sys
 }
 
 func TestCollectorRecordsAllSteps(t *testing.T) {
-	col, _ := record(t)
-	if len(col.Events) == 0 {
+	events, _ := record(t)
+	if len(events) == 0 {
 		t.Fatal("no events recorded")
 	}
 	steps := map[int]bool{}
-	for _, ev := range col.Events {
+	for _, ev := range events {
 		steps[ev.Step] = true
 		if ev.End < ev.Start {
 			t.Errorf("event ends before it starts: %+v", ev)
@@ -72,10 +73,10 @@ func TestCollectorRecordsAllSteps(t *testing.T) {
 }
 
 func TestEventTimesRespectStepOrder(t *testing.T) {
-	col, _ := record(t)
+	events, _ := record(t)
 	// Compute per-step intervals; step i must end before step i+1 starts
 	// (steps are barriers).
-	sums := col.Summarize()
+	sums := Summarize(events)
 	if len(sums) != 3 {
 		t.Fatalf("summaries = %d", len(sums))
 	}
@@ -91,8 +92,8 @@ func TestEventTimesRespectStepOrder(t *testing.T) {
 }
 
 func TestSummaryByteAccounting(t *testing.T) {
-	col, _ := record(t)
-	sums := col.Summarize()
+	events, _ := record(t)
+	sums := Summarize(events)
 	// Step 1 (cross-node AllReduce over halves) must move fewer bytes
 	// than a full AllReduce would: its per-device input is 0.5 GB.
 	if sums[1].Bytes >= sums[0].Bytes*2.1 {
@@ -106,17 +107,17 @@ func TestSummaryByteAccounting(t *testing.T) {
 }
 
 func TestWriteChromeProducesValidJSON(t *testing.T) {
-	col, sys := record(t)
+	events, sys := record(t)
 	var buf bytes.Buffer
-	if err := col.WriteChrome(&buf, sys); err != nil {
+	if err := WriteChrome(&buf, sys, events); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	events, ok := doc["traceEvents"].([]any)
-	if !ok || len(events) == 0 {
+	entries, ok := doc["traceEvents"].([]any)
+	if !ok || len(entries) == 0 {
 		t.Fatal("traceEvents missing")
 	}
 	s := buf.String()
@@ -128,12 +129,11 @@ func TestWriteChromeProducesValidJSON(t *testing.T) {
 }
 
 func TestEmptyCollector(t *testing.T) {
-	col := &Collector{}
-	if got := col.Summarize(); len(got) != 0 {
+	if got := Summarize(nil); len(got) != 0 {
 		t.Errorf("Summarize on empty = %v", got)
 	}
 	var buf bytes.Buffer
-	if err := col.WriteChrome(&buf, topology.A100System(2)); err != nil {
+	if err := WriteChrome(&buf, topology.A100System(2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "traceEvents") {

@@ -73,6 +73,44 @@ func TestStrategyMeasure(t *testing.T) {
 	}
 }
 
+// TestDownLinkFinitenessAgrees: a strategy whose transfers cross a down
+// link never completes, whatever bytes they carry, so its prediction and
+// its emulated time are +Inf together. At a subnormal payload every
+// transfer rounds to 0 bytes; the emulator stalls them all the same, and
+// the analytic model must not call such a step free. The request is the
+// FuzzPlanEquivalence corpus input 620f788e70100acd.
+func TestDownLinkFinitenessAgrees(t *testing.T) {
+	sys, err := NewSystem("fuzz", []Level{{Name: "l0", Count: 3}, {Name: "l1", Count: 2}},
+		[]Link{{Name: "u0", Bandwidth: 150e9, Latency: 7e-7}, {Name: "u1", Bandwidth: 300e9, Latency: 5e-6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ovs, err := ParseFaults(sys, "0:1:down")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys, err = sys.WithOverrides(ovs...); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Plan(sys, Request{Axes: []int{6}, ReduceAxes: []int{0}, Bytes: math.SmallestNonzeroFloat64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := 0
+	for _, s := range plan.Strategies {
+		meas := s.Measure()
+		if math.IsInf(s.Predicted, 1) != math.IsInf(meas, 1) {
+			t.Errorf("%v via %v: predicted %v, measured %v", s.Matrix, s.Program, s.Predicted, meas)
+		}
+		if math.IsInf(meas, 1) {
+			stalled++
+		}
+	}
+	if stalled == 0 {
+		t.Errorf("none of %d strategies stalls; the request no longer crosses the down link", len(plan.Strategies))
+	}
+}
+
 func TestPlanErrors(t *testing.T) {
 	if _, err := Plan(A100System(2), Request{Axes: []int{3}, ReduceAxes: []int{0}}); err == nil {
 		t.Error("bad axes accepted")
