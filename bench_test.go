@@ -26,6 +26,7 @@ import (
 	"p2/internal/lower"
 	"p2/internal/netsim"
 	"p2/internal/placement"
+	"p2/internal/plan"
 	"p2/internal/synth"
 	"p2/internal/topology"
 	"p2/internal/verify"
@@ -48,6 +49,32 @@ func mustMatrix(b *testing.B, hier, axes []int, rows [][]int) *placement.Matrix 
 		b.Fatal(err)
 	}
 	return m
+}
+
+// planCounters plans req once at parallelism 1, where every plan.Stats
+// counter is deterministic, and returns the run's Stats.
+func planCounters(b *testing.B, sys *p2.System, req p2.Request) plan.Stats {
+	b.Helper()
+	req.Parallelism = 1
+	res, err := p2.Plan(sys, req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Stats
+}
+
+// reportCounters reports a tracked row's work counters, taken from a
+// parallelism-1 run of its shape: placements streamed and cut by the
+// bound, synthesis runs, candidates scored and programs cut.
+// scripts/benchjson records them as exact values, and `CHECK=1
+// scripts/bench.sh` fails when one differs from BENCH_plan.json. Call it
+// after the timed loop: ResetTimer clears reported metrics.
+func reportCounters(b *testing.B, st plan.Stats) {
+	b.ReportMetric(float64(st.Placements), "placements")
+	b.ReportMetric(float64(st.PrunedPlacements), "pruned-placements")
+	b.ReportMetric(float64(st.SynthRuns), "synth-runs")
+	b.ReportMetric(float64(st.Candidates), "candidates")
+	b.ReportMetric(float64(st.PrunedPrograms), "pruned-programs")
 }
 
 // --- Table 1: synthesis hierarchies --------------------------------------
@@ -508,21 +535,36 @@ func BenchmarkPlanFreshBytesWarm(b *testing.B) {
 		}
 		shapes = append(shapes, shape{sys, req})
 	}
-	pl := p2.NewPlanner(0)
-	plan := func(bytes float64) {
+	planAll := func(pl *p2.Planner, bytes float64, parallelism int) plan.Stats {
+		var sum plan.Stats
 		for _, s := range shapes {
-			s.req.Bytes = bytes
-			if _, err := pl.PlanCtx(context.Background(), s.sys, s.req); err != nil {
+			s.req.Bytes, s.req.Parallelism = bytes, parallelism
+			res, err := pl.PlanCtx(context.Background(), s.sys, s.req)
+			if err != nil {
 				b.Fatal(err)
 			}
+			st := res.Stats
+			sum.Placements += st.Placements
+			sum.PrunedPlacements += st.PrunedPlacements
+			sum.SynthRuns += st.SynthRuns
+			sum.Candidates += st.Candidates
+			sum.PrunedPrograms += st.PrunedPrograms
 		}
+		return sum
 	}
-	plan(1 << 20) // warm the synthesis memo
+	// The counters are one fresh-payload op's, summed over the shapes, on
+	// a planner warmed the same way.
+	counted := p2.NewPlanner(0)
+	planAll(counted, 1<<20, 1)
+	counters := planAll(counted, 1<<20+1, 1)
+	pl := p2.NewPlanner(0)
+	planAll(pl, 1<<20, 0) // warm the synthesis memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan(float64(1<<20 + 1 + i))
+		planAll(pl, float64(1<<20+1+i), 0)
 	}
+	reportCounters(b, counters)
 }
 
 // BenchmarkCostEstimate compares the reference Model.ProgramTime against
@@ -629,12 +671,15 @@ func BenchmarkNetsimConcurrent(b *testing.B) {
 func BenchmarkPlanRankAll(b *testing.B) {
 	sys := topology.SuperPodSystem(2, 2)
 	req := p2.Request{Axes: []int{4, 8}, ReduceAxes: []int{0}, Measure: p2.MeasureRankAll}
+	counters := planCounters(b, sys, req)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p2.Plan(sys, req); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportCounters(b, counters)
 }
 
 // --- Planning engine: serial vs parallel memoized (DESIGN.md §6) -----------
@@ -647,29 +692,23 @@ func BenchmarkPlanRankAll(b *testing.B) {
 // placement).
 func benchPlanEngine(b *testing.B, sys *topology.System, axes, red []int) {
 	req := p2.Request{Axes: axes, ReduceAxes: red}
-	stat, err := p2.Plan(sys, req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	top5 := req
-	top5.TopK = 5
-	pruned, err := p2.Plan(sys, top5)
-	if err != nil {
-		b.Fatal(err)
-	}
+	top8, top5 := req, req
+	top8.TopK, top5.TopK = 8, 5
+	full, pruned, pruned8 := planCounters(b, sys, req), planCounters(b, sys, top5), planCounters(b, sys, top8)
 	printArtifact(fmt.Sprintf("Planning engine — %s axes %v", sys.Name, axes),
 		fmt.Sprintf("placements=%d synthRuns=%d memoHits=%d candidates=%d workers<=%d\n"+
 			"topk=5 pruning: prunedPlacements=%d prunedPrograms=%d boundTightenings=%d candidates=%d\n",
-			stat.Stats.Placements, stat.Stats.SynthRuns, stat.Stats.MemoHits,
-			stat.Stats.Candidates, runtime.GOMAXPROCS(0),
-			pruned.Stats.PrunedPlacements, pruned.Stats.PrunedPrograms,
-			pruned.Stats.BoundTightenings, pruned.Stats.Candidates))
+			full.Placements, full.SynthRuns, full.MemoHits,
+			full.Candidates, runtime.GOMAXPROCS(0),
+			pruned.PrunedPlacements, pruned.PrunedPrograms,
+			pruned.BoundTightenings, pruned.Candidates))
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := p2.PlanSerial(sys, req); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, full)
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -677,15 +716,15 @@ func benchPlanEngine(b *testing.B, sys *topology.System, axes, red []int) {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, full)
 	})
 	b.Run("parallel-top8", func(b *testing.B) {
-		r := req
-		r.TopK = 8
 		for i := 0; i < b.N; i++ {
-			if _, err := p2.Plan(sys, r); err != nil {
+			if _, err := p2.Plan(sys, top8); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, pruned8)
 	})
 	// parallel-top5 is the acceptance configuration: bound pruning plus
 	// early-exit scoring against the shared top-5 threshold.
@@ -695,6 +734,7 @@ func benchPlanEngine(b *testing.B, sys *topology.System, axes, red []int) {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, pruned)
 	})
 }
 
@@ -719,11 +759,14 @@ func BenchmarkPlanSuperPod4x8(b *testing.B) {
 func BenchmarkPlanSuperPod16x32(b *testing.B) {
 	sys := topology.SuperPodSystem(16, 32)
 	req := p2.Request{Axes: []int{64, 64}, ReduceAxes: []int{0}, TopK: 5}
+	counters := planCounters(b, sys, req)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p2.Plan(sys, req); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportCounters(b, counters)
 }
 
 // BenchmarkPlanSuperPod3x4 is the non-power-of-two configuration: a
@@ -733,12 +776,16 @@ func BenchmarkPlanSuperPod16x32(b *testing.B) {
 func BenchmarkPlanSuperPod3x4(b *testing.B) {
 	sys := topology.SuperPodSystem(3, 4)
 	req := p2.Request{Axes: []int{12, 8}, ReduceAxes: []int{0}, Algos: cost.ExtendedAlgorithms}
+	top5 := req
+	top5.TopK = 5
+	full, pruned := planCounters(b, sys, req), planCounters(b, sys, top5)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := p2.PlanSerial(sys, req); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, full)
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -746,15 +793,15 @@ func BenchmarkPlanSuperPod3x4(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, full)
 	})
 	b.Run("parallel-top5", func(b *testing.B) {
-		r := req
-		r.TopK = 5
 		for i := 0; i < b.N; i++ {
-			if _, err := p2.Plan(sys, r); err != nil {
+			if _, err := p2.Plan(sys, top5); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, pruned)
 	})
 }
 
@@ -767,21 +814,24 @@ func BenchmarkPlanSuperPod3x4Degraded(b *testing.B) {
 	sys := topology.SuperPodSystem(3, 4).MustWithOverrides(
 		topology.Throttle(2, 13, 10), topology.Slow(1, 5, 4))
 	req := p2.Request{Axes: []int{12, 8}, ReduceAxes: []int{0}, Algos: cost.ExtendedAlgorithms}
+	top5 := req
+	top5.TopK = 5
+	full, pruned := planCounters(b, sys, req), planCounters(b, sys, top5)
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := p2.Plan(sys, req); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, full)
 	})
 	b.Run("parallel-top5", func(b *testing.B) {
-		r := req
-		r.TopK = 5
 		for i := 0; i < b.N; i++ {
-			if _, err := p2.Plan(sys, r); err != nil {
+			if _, err := p2.Plan(sys, top5); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, pruned)
 	})
 }
 
@@ -794,12 +844,17 @@ func BenchmarkPlanJointEngine(b *testing.B) {
 		{ReduceAxes: []int{0}, Bytes: 1 << 30},
 		{ReduceAxes: []int{1}, Bytes: 1 << 26, Count: 48},
 	}
+	jp, err := p2.PlanJointCtx(context.Background(), sys, axes, reductions, p2.JointOptions{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := p2.PlanJointSerial(sys, axes, reductions); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, jp.Stats)
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -807,6 +862,7 @@ func BenchmarkPlanJointEngine(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reportCounters(b, jp.Stats)
 	})
 }
 

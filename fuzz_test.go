@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"p2"
+	"p2/internal/lower"
 )
 
 // FuzzPlanEquivalence holds the planning engine to the serial reference
@@ -18,8 +19,9 @@ import (
 // either order, a payload from {0, NaN, a subnormal, +Inf, 1e9} and a
 // pinned algorithm or the ExtendedAlgorithms search. PlanCtx at
 // parallelism 1 and 4 with TopK 0 must rank byte for byte as PlanSerial
-// does, TopK 1 and 3 must be exactly its prefix, and a request either
-// path refuses the other refuses too.
+// does, TopK 1 and 3 must be exactly its prefix, every strategy must lower
+// to the steps and groups of PlanSerial's lower.Lower program, and a
+// request either path refuses the other refuses too.
 func FuzzPlanEquivalence(f *testing.F) {
 	// The determinism matrix's shapes within 64 devices: fig2a [4 4] r[0]
 	// and [2 2 4] r[0 2] on [2 2 4], a100:4 [4 16] r[0] and [16 2 2]
@@ -89,9 +91,29 @@ func FuzzPlanEquivalence(f *testing.F) {
 					t.Fatalf("%s %+v parallelism %d TopK %d: ranking differs from the serial one:\ngot:\n%swant:\n%s",
 						sys.Name, req, par, k, g, w)
 				}
+				for i, s := range got.Strategies {
+					if err := sameLowering(s.Lowered(), prefix[i].Lowered()); err != nil {
+						t.Fatalf("%s %+v parallelism %d TopK %d: rank %d %v %v: %v",
+							sys.Name, req, par, k, i, s.Matrix, s.Program, err)
+					}
+				}
 			}
 		}
 	})
+}
+
+// sameLowering compares an engine strategy's lowered program to the serial
+// reference's lower.Lower program: the rendering and every step's groups.
+func sameLowering(got, want *lower.Program) error {
+	if g, w := got.String(), want.String(); g != w {
+		return fmt.Errorf("lowered %q, lower.Lower gives %q", g, w)
+	}
+	for i := range want.Steps {
+		if g, w := got.Steps[i].Groups, want.Steps[i].Groups; !slices.EqualFunc(g, w, slices.Equal) {
+			return fmt.Errorf("step %d groups %v, lower.Lower gives %v", i, g, w)
+		}
+	}
+	return nil
 }
 
 // fuzzSystem builds FuzzPlanEquivalence's system: 1–3 levels, one byte of

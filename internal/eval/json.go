@@ -62,7 +62,7 @@ func ToJSON(results []*Result) ([]byte, error) {
 			for _, p := range mr.Programs {
 				mj.Programs = append(mj.Programs, ProgramJSON{
 					Program:   p.Program.String(),
-					Steps:     len(p.Lowered.Steps),
+					Steps:     len(p.Program),
 					Predicted: p.Predicted,
 					Measured:  p.Measured,
 					Algorithm: p.AlgoString(),

@@ -2,7 +2,10 @@ package load
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"strings"
@@ -37,6 +40,67 @@ func TestGenerateDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical request streams")
 	}
+}
+
+// TestGenerateEqualsPerRequestMarshal holds Generate, which encodes each
+// hot catalog entry once per call, to the stream a json.Marshal per
+// request produces with the same draws, for seeds 1–10 on the all-hot mix
+// and on p2 loadtest's default mix.
+func TestGenerateEqualsPerRequestMarshal(t *testing.T) {
+	mixes := map[string]WorkloadConfig{
+		"hot":      {HotFrac: 1, HotSetSize: 16},
+		"loadtest": {HotFrac: 0.5, TimeoutFrac: 0.05, MalformedFrac: 0.05},
+	}
+	for name, cfg := range mixes {
+		for seed := int64(1); seed <= 10; seed++ {
+			cfg.Seed = seed
+			got, err := Generate(cfg, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := marshalEach(t, cfg, 2000); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s mix, seed %d: stream differs from per-request json.Marshal", name, seed)
+			}
+		}
+	}
+}
+
+// marshalEach is Generate with one json.Marshal per request: the same rng
+// draws in the same order (DESIGN.md §12.2).
+func marshalEach(t *testing.T, cfg WorkloadConfig, n int) []Request {
+	t.Helper()
+	cat := Catalog()
+	hot := min(cmp.Or(cfg.HotSetSize, HotSetSize), len(cat))
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	encode := func(pr serve.PlanRequest) string {
+		b, err := json.Marshal(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	out := make([]Request, n)
+	fresh := 0
+	for i := range out {
+		u := rng.Float64()
+		switch {
+		case u < cfg.MalformedFrac:
+			out[i] = Request{Kind: KindMalformed, Body: malformedBodies[rng.Intn(len(malformedBodies))]}
+		case u < cfg.MalformedFrac+cfg.TimeoutFrac:
+			pr := cat[rng.Intn(len(cat))]
+			pr.Bytes, pr.TimeoutMs = freshBytes(fresh), 1
+			fresh++
+			out[i] = Request{Kind: KindDeadlined, Body: encode(pr)}
+		case u < cfg.MalformedFrac+cfg.TimeoutFrac+cfg.HotFrac:
+			out[i] = Request{Kind: KindHot, Body: encode(cat[rng.Intn(hot)])}
+		default:
+			pr := cat[rng.Intn(len(cat))]
+			pr.Bytes = freshBytes(fresh)
+			fresh++
+			out[i] = Request{Kind: KindFresh, Body: encode(pr)}
+		}
+	}
+	return out
 }
 
 // TestGenerateMix checks the fraction accounting: every kind the config

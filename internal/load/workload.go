@@ -134,6 +134,7 @@ func Generate(cfg WorkloadConfig, n int) ([]Request, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	out := make([]Request, n)
+	hotBodies := make([]string, hot) // each hot entry's encoding, once drawn
 	fresh := 0
 	for i := range out {
 		u := rng.Float64()
@@ -151,11 +152,15 @@ func Generate(cfg WorkloadConfig, n int) ([]Request, error) {
 			}
 			out[i] = Request{Kind: KindDeadlined, Body: body}
 		case u < cfg.MalformedFrac+cfg.TimeoutFrac+cfg.HotFrac:
-			body, err := marshalBody(cat[rng.Intn(hot)])
-			if err != nil {
-				return nil, err
+			j := rng.Intn(hot)
+			if hotBodies[j] == "" {
+				body, err := marshalBody(cat[j])
+				if err != nil {
+					return nil, err
+				}
+				hotBodies[j] = body
 			}
-			out[i] = Request{Kind: KindHot, Body: body}
+			out[i] = Request{Kind: KindHot, Body: hotBodies[j]}
 		default:
 			pr := cat[rng.Intn(len(cat))]
 			pr.Bytes = freshBytes(fresh)

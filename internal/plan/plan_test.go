@@ -36,7 +36,7 @@ func serialRank(t *testing.T, matrices []*placement.Matrix, reduceAxes []int, mo
 				t.Fatal(err)
 			}
 			all = append(all, &Candidate{MatrixIdx: int32(mi), ProgIdx: int32(pi), Matrix: m,
-				Program: prog, Lowered: lp, Predicted: model.ProgramTime(lp)})
+				Program: prog, Predicted: model.ProgramTime(lp)})
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Predicted < all[j].Predicted })
@@ -474,7 +474,7 @@ func TestCandidateAlgoCanonical(t *testing.T) {
 		}
 		sim := &netsim.Simulator{Sys: tc.sys, Algo: spec.Model.Algo, Bytes: spec.Model.Bytes}
 		for _, c := range cands {
-			raw, _ := spec.Model.BestStepAlgos(c.Lowered, cost.ExtendedAlgorithms)
+			raw, _ := spec.Model.BestStepAlgos(c.Lowered(), cost.ExtendedAlgorithms)
 			want := cost.FormatAlgos(spec.Model.Algo, raw)
 			if a, ok := cost.UniformAlgo(raw); ok {
 				want = a.String()
@@ -490,7 +490,7 @@ func TestCandidateAlgoCanonical(t *testing.T) {
 			if got := c.AlgoString(); got != want {
 				t.Errorf("%s %v %v: AlgoString %q, want %q", tc.sys.Name, c.Matrix, c.Program, got, want)
 			}
-			if want := sim.MeasureSteps(c.Lowered, raw); math.Float64bits(c.Measured) != math.Float64bits(want) {
+			if want := sim.MeasureSteps(c.Lowered(), raw); math.Float64bits(c.Measured) != math.Float64bits(want) {
 				t.Errorf("%s %v %v: Measured %v, raw assignment measures %v", tc.sys.Name, c.Matrix, c.Program, c.Measured, want)
 			}
 		}

@@ -7,11 +7,14 @@
 // work: an admissible per-placement lower bound (bounds.go) skips
 // synthesis and lowering for placements that cannot enter the incumbent
 // top-K, and per-program scoring aborts once a partial step-cost sum
-// exceeds the shared threshold. Lowering itself is a table lookup: the
-// memoized synthesis result numbers its distinct steps and carries each
-// program's step ids (the universe semantics ran once, in synthesis), and
-// each placement binds every distinct instruction to its physical groups
-// once and scores every step id once.
+// exceeds the shared threshold. Scoring is a table lookup: the memoized
+// synthesis result numbers its distinct steps and carries each program's
+// step ids (the universe semantics ran once, in synthesis), and each
+// placement binds every distinct instruction to its physical groups once
+// and scores every step id once. Ranking never lowers a program: a
+// candidate keeps its placement's record (hierarchy, synthesis result,
+// binding table) and Candidate.Lowered assembles the lowered program from
+// it on first call.
 //
 // The engine is deterministic: its output is byte-identical to the serial
 // reference path (enumerate placements in order, synthesize, rank with a
@@ -36,7 +39,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,14 +99,13 @@ func (o Options) workers() int {
 
 // Candidate is one (placement, program) pair with its predicted runtime
 // and its provenance in the enumeration order (for deterministic
-// tie-breaking). The indices are int32 so that Algo costs no memory: the
-// struct stays in the 96-byte allocation size class.
+// tie-breaking). The indices are int32 so that the struct stays in the
+// 112-byte allocation size class.
 type Candidate struct {
 	MatrixIdx int32
 	ProgIdx   int32
 	Matrix    *placement.Matrix
 	Program   dsl.Program
-	Lowered   *lower.Program
 	Predicted float64
 	// Measured is the emulated runtime in seconds, filled by the re-rank
 	// stage of a measured-in-the-loop run (Options.Rerank); 0 in purely
@@ -120,6 +121,42 @@ type Candidate struct {
 	// engine canonicalizes this once, so consumers render and measure
 	// (Algo, StepAlgos) as they are.
 	StepAlgos []cost.Algorithm
+
+	low     *lowering                     // the placement's record Lowered assembles from
+	lowered atomic.Pointer[lower.Program] // Lowered's result, once assembled
+}
+
+// lowering is what the candidates of one (placement, reduction hierarchy)
+// pair lower from: the hierarchy, the synthesis result and the physical
+// groups of every instruction their programs use. The scorer builds it
+// when the placement's first candidate survives and binds into its table
+// from then on, so the record owns its table and never aliases the
+// worker's scratch.
+type lowering struct {
+	h      *hierarchy.Hierarchy
+	res    *synth.Result
+	groups [][][]int // by Result instruction; bound for every step of a kept candidate
+}
+
+// Lowered returns the candidate's lowered program, equal to what
+// lower.Lower builds from Program on the placement's hierarchy. It is
+// assembled on first call from the placement's record, whose binding table
+// the placement's candidates share (lower.Step.Groups is read-only), and
+// kept: every later call, concurrent ones included, returns the same
+// pointer.
+func (c *Candidate) Lowered() *lower.Program {
+	if lp := c.lowered.Load(); lp != nil {
+		return lp
+	}
+	low, ids := c.low, c.low.res.StepIDs[c.ProgIdx]
+	lp := lower.Assemble(c.Program, low.h, func(s int) ([][]int, dsl.Shape) {
+		step := low.res.Steps[ids[s]]
+		return low.groups[step.Instr], step.Shape
+	})
+	if c.lowered.CompareAndSwap(nil, lp) {
+		return lp
+	}
+	return c.lowered.Load()
 }
 
 // AlgoString names the candidate's algorithm assignment: one name when
@@ -348,14 +385,19 @@ type stepChoice struct {
 // an instruction at the same shape — share both the binding and the
 // StepTime evaluations, which dominate serial planning at scale.
 type matrixScorer struct {
-	sc     *cost.Scorer
-	model  *cost.Model
-	h      *hierarchy.Hierarchy
-	res    *synth.Result
-	algos  []cost.Algorithm // the searched set; one entry pins every step
-	groups [][][]int        // by Result instruction; nil until bound
-	steps  []stepChoice     // by Result step id
-	views  []cost.Schedule  // evalStep's scratch, one per searched algorithm
+	sc    *cost.Scorer
+	model *cost.Model
+	h     *hierarchy.Hierarchy
+	res   *synth.Result
+	algos []cost.Algorithm // the searched set; one entry pins every step
+	// groups is the binding table by Result instruction, nil until bound:
+	// the worker's scratch until the placement's first candidate survives,
+	// then low's own copy, which the placement's candidates lower from.
+	groups  [][][]int
+	scratch [][][]int       // the worker's binding table, reused across placements
+	low     *lowering       // nil until a candidate of the placement survives
+	steps   []stepChoice    // by Result step id
+	views   []cost.Schedule // evalStep's scratch, one per searched algorithm
 	// stepAlgos is the per-step assignment scratch of a searching run (nil
 	// when pinned), sized to the longest program, whatever the size limit;
 	// a surviving candidate copies its prefix out.
@@ -373,7 +415,8 @@ func zeroed[T any](s []T, n int) []T {
 func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy, res *synth.Result, opts Options) *matrixScorer {
 	ms := &ws.ms
 	ms.sc, ms.model, ms.h, ms.res, ms.algos = &ws.sc, model, h, res, opts.Algos
-	ms.groups = zeroed(ms.groups, len(res.Instructions))
+	ms.scratch = zeroed(ms.scratch, len(res.Instructions))
+	ms.groups, ms.low = ms.scratch, nil
 	ms.steps = zeroed(ms.steps, len(res.Steps))
 	ms.views = zeroed(ms.views, len(opts.Algos))
 	if len(ms.algos) > 1 {
@@ -441,13 +484,17 @@ func (ms *matrixScorer) evalStep(id int32) stepChoice {
 // reports the partial sum disqualifies it (nil is returned). The caller's
 // cutoff must only ever cut programs whose final value provably cannot
 // matter: partial sums never exceed the final value because step costs are
-// non-negative. Only a surviving program is materialized as a
-// lower.Program, equal to what lower.Lower builds semantically.
+// non-negative. A surviving program is not lowered: its candidate points at
+// the placement's lowering record (Candidate.Lowered), which the first
+// survivor creates.
 func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, cutoff func(partial float64) bool) *Candidate {
-	ids := ms.res.StepIDs[pi]
-	predicted, ok := ms.score(ids, cutoff)
+	predicted, ok := ms.score(ms.res.StepIDs[pi], cutoff)
 	if !ok {
 		return nil
+	}
+	if ms.low == nil {
+		ms.low = &lowering{h: ms.h, res: ms.res, groups: slices.Clone(ms.groups)}
+		ms.groups = ms.low.groups
 	}
 	prog := ms.res.Programs[pi]
 	c := &Candidate{
@@ -455,12 +502,9 @@ func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, cutoff fun
 		ProgIdx:   int32(pi),
 		Matrix:    m,
 		Program:   prog,
-		Lowered: lower.Assemble(prog, ms.h, func(s int) ([][]int, dsl.Shape) {
-			step := ms.res.Steps[ids[s]]
-			return ms.bind(step.Instr), step.Shape
-		}),
 		Predicted: predicted,
 		Algo:      ms.model.Algo,
+		low:       ms.low,
 	}
 	if ms.stepAlgos != nil {
 		assign := ms.stepAlgos[:len(prog)]
@@ -1085,7 +1129,15 @@ func mergeRanked[T any](perWorker [][]T, topK int, less func(a, b T) bool) []T {
 	for _, cs := range perWorker {
 		all = append(all, cs...)
 	}
-	sort.Slice(all, func(i, j int) bool { return less(all[i], all[j]) })
+	slices.SortFunc(all, func(a, b T) int {
+		if less(a, b) {
+			return -1
+		}
+		if less(b, a) {
+			return 1
+		}
+		return 0
+	})
 	if topK > 0 && len(all) > topK {
 		all = all[:topK]
 	}

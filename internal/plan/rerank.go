@@ -92,7 +92,7 @@ func Measure(ctx context.Context, cands []*Candidate, model *cost.Model, opts Op
 					return
 				}
 				sim.Algo = cands[i].Algo
-				cands[i].Measured = sim.MeasureSteps(cands[i].Lowered, cands[i].StepAlgos)
+				cands[i].Measured = sim.MeasureSteps(cands[i].Lowered(), cands[i].StepAlgos)
 			}
 		}()
 	}

@@ -32,7 +32,7 @@ var skeletonCases = []struct {
 	{"superpod-3x4-auto", topology.SuperPodSystem(3, 4), []int{12, 8}, []int{0}, cost.ExtendedAlgorithms},
 }
 
-// TestEngineLoweredEqualsLower: the engine materializes Candidate.Lowered
+// TestEngineLoweredEqualsLower: Candidate.Lowered assembles the program
 // from the synthesis-time shapes and the placement's binding table; it must
 // be indistinguishable — steps, group order, NumDevices, K, Source — from
 // the semantic lower.Lower of the same program on the same hierarchy.
@@ -45,21 +45,25 @@ func TestEngineLoweredEqualsLower(t *testing.T) {
 			}
 			model := &cost.Model{Sys: tc.sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(tc.sys)}
 			collapse := len(tc.red) > 1
-			cands, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), tc.red, model, Options{Parallelism: 4, Collapse: collapse, Algos: tc.algos})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(cands) == 0 {
-				t.Fatal("empty ranking")
-			}
-			for _, c := range cands {
-				h := hierarchy.MustBuild(hierarchy.KindReductionAxes, c.Matrix, tc.red, hierarchy.Options{Collapse: collapse})
-				want, err := lower.Lower(c.Program, h)
+			// At parallelism 1 one worker's scratch serves every placement,
+			// so a record aliasing it would lower the wrong groups.
+			for _, par := range []int{1, 4} {
+				cands, _, err := New().RunStreamCtx(context.Background(), streamOf(matrices), tc.red, model, Options{Parallelism: par, Collapse: collapse, Algos: tc.algos})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(c.Lowered, want) {
-					t.Fatalf("%v %v: engine lowering\n%+v\nsemantic lowering\n%+v", c.Matrix, c.Program, c.Lowered, want)
+				if len(cands) == 0 {
+					t.Fatal("empty ranking")
+				}
+				for _, c := range cands {
+					h := hierarchy.MustBuild(hierarchy.KindReductionAxes, c.Matrix, tc.red, hierarchy.Options{Collapse: collapse})
+					want, err := lower.Lower(c.Program, h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(c.Lowered(), want) {
+						t.Fatalf("parallelism %d, %v %v: engine lowering\n%+v\nsemantic lowering\n%+v", par, c.Matrix, c.Program, c.Lowered(), want)
+					}
 				}
 			}
 		})
@@ -102,7 +106,7 @@ func TestSharedGroupsReadOnly(t *testing.T) {
 			users := map[*[]int]int{} // steps per binding, by its first group
 			shared := 0
 			for _, c := range cands {
-				for _, st := range c.Lowered.Steps {
+				for _, st := range c.Lowered().Steps {
 					if users[&st.Groups[0]]++; users[&st.Groups[0]] == 2 {
 						shared++
 					}
@@ -113,27 +117,27 @@ func TestSharedGroupsReadOnly(t *testing.T) {
 			}
 			before := make([]*lower.Program, len(cands))
 			for i, c := range cands {
-				before[i] = cloneLowered(c.Lowered)
+				before[i] = cloneLowered(c.Lowered())
 			}
 			sim := &netsim.Simulator{Sys: tc.sys, Algo: cost.Ring, Bytes: model.Bytes}
 			// The emulator is the slow consumer: a stride keeps the sweep
 			// short while still touching every placement's table.
 			stride := 1 + len(cands)/64
 			for i, c := range cands {
-				model.ProgramTime(c.Lowered)
+				model.ProgramTime(c.Lowered())
 				if i%stride != 0 {
 					continue
 				}
-				sim.MeasureSteps(c.Lowered, c.StepAlgos)
-				if err := verify.Check(c.Lowered, c.Matrix, tc.red, 2); err != nil {
+				sim.MeasureSteps(c.Lowered(), c.StepAlgos)
+				if err := verify.Check(c.Lowered(), c.Matrix, tc.red, 2); err != nil {
 					t.Fatalf("%v %v: %v", c.Matrix, c.Program, err)
 				}
-				if _, err := xla.Emit(c.Lowered, c.Lowered.K<<10); err != nil {
+				if _, err := xla.Emit(c.Lowered(), c.Lowered().K<<10); err != nil {
 					t.Fatalf("%v %v: %v", c.Matrix, c.Program, err)
 				}
 			}
 			for i, c := range cands {
-				if !reflect.DeepEqual(c.Lowered, before[i]) {
+				if !reflect.DeepEqual(c.Lowered(), before[i]) {
 					t.Fatalf("%v %v: a consumer wrote through the shared lowered program", c.Matrix, c.Program)
 				}
 			}
@@ -179,6 +183,39 @@ func TestScoreProgramPrunedZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("algos %v: pruned program allocates %v times on warm tables, want 0", algos, allocs)
+		}
+	}
+}
+
+// TestScoreProgramKeptAllocsCandidate: on warm tables a program that
+// survives scoring costs its Candidate and nothing else — no lowering —
+// pinned and searching (plus the StepAlgos copy of a mixed winner).
+func TestScoreProgramKeptAllocsCandidate(t *testing.T) {
+	sys := topology.SuperPodSystem(2, 2)
+	matrices, err := placement.Enumerate(sys.Hierarchy(), []int{4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := matrices[len(matrices)-1]
+	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
+	res := synth.Synthesize(h, synth.Options{})
+	model := &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: cost.DefaultPayload(sys)}
+	never := func(float64) bool { return false }
+	for _, algos := range [][]cost.Algorithm{{cost.Ring}, cost.ExtendedAlgorithms} {
+		ms := newMatrixScorer(&workerState{}, model, h, res, Options{Algos: algos})
+		var last *Candidate
+		for pi := range res.Programs { // warm every table and the record
+			last = ms.scoreProgram(0, pi, m, never)
+		}
+		want := 1.0
+		if last.StepAlgos != nil {
+			want = 2
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			ms.scoreProgram(0, len(res.Programs)-1, m, never)
+		})
+		if allocs != want {
+			t.Errorf("algos %v: a kept program allocates %v times on warm tables, want %v", algos, allocs, want)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func (c *JointChoice) MeasureConcurrent() []float64 {
 	}
 	specs := make([]netsim.ConcurrentSpec, len(c.PerReduction))
 	for i, s := range c.PerReduction {
-		specs[i] = netsim.ConcurrentSpec{Program: s.lowered, Bytes: s.bytes, Algo: s.algo, StepAlgos: s.StepAlgos}
+		specs[i] = netsim.ConcurrentSpec{Program: s.Lowered(), Bytes: s.bytes, Algo: s.algo, StepAlgos: s.StepAlgos}
 	}
 	return (&netsim.Simulator{Sys: c.PerReduction[0].sys}).MeasureConcurrentSpecs(specs)
 }

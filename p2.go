@@ -303,14 +303,25 @@ type Strategy struct {
 	// canonicalized to the fixed algorithm they chose.
 	StepAlgos []Algorithm
 
-	lowered *lower.Program
-	sys     *System
-	algo    Algorithm
-	bytes   float64
+	cand  lowerer
+	sys   *System
+	algo  Algorithm
+	bytes float64
 }
 
-// Lowered exposes the physical collective steps of the strategy.
-func (s *Strategy) Lowered() *lower.Program { return s.lowered }
+// lowerer is what a Strategy lowers through: the engine's *plan.Candidate,
+// or, in the serial reference the engine is tested against, lower.Lower's
+// program.
+type lowerer interface{ Lowered() *lower.Program }
+
+// Lowered returns the physical collective steps of the strategy. Planning
+// ranks without lowering: the program is assembled on first call, from the
+// hierarchy, synthesis result and instruction bindings of the strategy's
+// placement, which every strategy of that placement shares and keeps
+// alive. The result is kept, so every call — concurrent ones included —
+// returns the same program. Its steps' Groups alias the shared bindings
+// and are read-only.
+func (s *Strategy) Lowered() *lower.Program { return s.cand.Lowered() }
 
 // Algo returns the strategy's fixed algorithm; it is the algorithm of
 // every step unless StepAlgos overrides them.
@@ -332,7 +343,7 @@ func (s *Strategy) Measure() float64 { return s.MeasureWith(SimOptions{}) }
 // on a NoiseFrac or LaunchOverhead that is not finite and >= 0.
 func (s *Strategy) MeasureWith(opts SimOptions) float64 {
 	sim := &netsim.Simulator{Sys: s.sys, Algo: s.algo, Bytes: s.bytes, Opts: opts}
-	return sim.MeasureSteps(s.lowered, s.StepAlgos)
+	return sim.MeasureSteps(s.Lowered(), s.StepAlgos)
 }
 
 // Trace measures the strategy while recording every transfer, returning
@@ -346,7 +357,7 @@ func (s *Strategy) TraceWith(opts SimOptions) (float64, []netsim.Event) {
 	var events []netsim.Event
 	sim := &netsim.Simulator{Sys: s.sys, Algo: s.algo, Bytes: s.bytes, Opts: opts,
 		Recorder: func(ev netsim.Event) { events = append(events, ev) }}
-	return sim.MeasureSteps(s.lowered, s.StepAlgos), events
+	return sim.MeasureSteps(s.Lowered(), s.StepAlgos), events
 }
 
 // Pipelined predicts the strategy's runtime when the payload is split
@@ -354,14 +365,14 @@ func (s *Strategy) TraceWith(opts SimOptions) (float64, []netsim.Event) {
 // pipeline (gradient bucketing).
 func (s *Strategy) Pipelined(buckets int) float64 {
 	model := &cost.Model{Sys: s.sys, Algo: s.algo, Bytes: s.bytes}
-	return model.PipelinedTimeSteps(s.lowered, buckets, s.StepAlgos)
+	return model.PipelinedTimeSteps(s.Lowered(), buckets, s.StepAlgos)
 }
 
 // OptimalBuckets returns the bucket count (1..max) minimizing the
 // pipelined prediction, with the predicted time.
 func (s *Strategy) OptimalBuckets(max int) (int, float64) {
 	model := &cost.Model{Sys: s.sys, Algo: s.algo, Bytes: s.bytes}
-	return cost.OptimalBucketsSteps(model, s.lowered, max, s.StepAlgos)
+	return cost.OptimalBucketsSteps(model, s.Lowered(), max, s.StepAlgos)
 }
 
 // String renders the strategy compactly.
@@ -561,7 +572,7 @@ func strategyFromCandidate(c *plan.Candidate, model *cost.Model) *Strategy {
 		Predicted: c.Predicted,
 		Measured:  c.Measured,
 		StepAlgos: c.StepAlgos,
-		lowered:   c.Lowered,
+		cand:      c,
 		sys:       model.Sys,
 		algo:      c.Algo,
 		bytes:     model.Bytes,

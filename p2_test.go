@@ -6,7 +6,10 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+
+	"p2/internal/lower"
 )
 
 func TestPlanA100(t *testing.T) {
@@ -70,6 +73,48 @@ func TestStrategyMeasure(t *testing.T) {
 	}
 	if s.Lowered() == nil || len(s.Lowered().Steps) == 0 {
 		t.Error("lowered program missing")
+	}
+}
+
+// TestLoweredConcurrentFirstCall: a strategy is lowered on first call, and
+// eight goroutines racing to make that call — through Lowered and through
+// Measure — must all see one program. Run under -race it also holds the
+// first call free of data races.
+func TestLoweredConcurrentFirstCall(t *testing.T) {
+	plan, err := Plan(SuperPodSystem(2, 4), Request{Axes: []int{8, 8}, ReduceAxes: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := plan.Strategies[len(plan.Strategies)/2]
+	var (
+		wg       sync.WaitGroup
+		start    = make(chan struct{})
+		lowered  [8]*lower.Program
+		measured [8]float64
+	)
+	for i := range lowered {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if i%2 == 1 {
+				measured[i] = s.Measure()
+			}
+			lowered[i] = s.Lowered()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, lp := range lowered {
+		if lp != lowered[0] || lp == nil {
+			t.Fatalf("goroutine %d got lowered program %p, goroutine 0 got %p", i, lp, lowered[0])
+		}
+		if i%2 == 1 && math.Float64bits(measured[i]) != math.Float64bits(measured[1]) {
+			t.Fatalf("goroutine %d measured %v, goroutine 1 measured %v", i, measured[i], measured[1])
+		}
+	}
+	if s.Lowered() != lowered[0] {
+		t.Fatal("a later call returned another program")
 	}
 }
 

@@ -25,6 +25,12 @@ func planMatrices(sys *System, req Request) ([]*Matrix, error) {
 	return Placements(sys, req.Axes)
 }
 
+// serialLowered is a serial strategy's lowering: lower.Lower's program,
+// built while ranking.
+type serialLowered struct{ lp *lower.Program }
+
+func (l serialLowered) Lowered() *lower.Program { return l.lp }
+
 // PlanSerial is the reference implementation of Plan: one placement at a
 // time, a fresh synthesis per placement, full materialization, stable
 // sort, and — with req.Algos set — a brute-force per-algorithm sweep over
@@ -60,7 +66,7 @@ func PlanSerial(sys *System, req Request) (*PlanResult, error) {
 			s := &Strategy{
 				Matrix:  m,
 				Program: prog,
-				lowered: lp,
+				cand:    serialLowered{lp},
 				sys:     sys,
 				algo:    req.Algo,
 				bytes:   req.Bytes,

@@ -11,8 +11,17 @@
 # Env:     SMOKE   if non-empty: one sample of everything, rows at
 #                  -benchtime 1x and the driver's --smoke workloads — a
 #                  check that the tooling runs, not a measurement
+#          CHECK   if non-empty: write nothing; run the root package's
+#                  tracked rows once at -benchtime 1x and fail when a
+#                  row's work counters (placements, pruned placements,
+#                  synthesis runs, candidates, pruned programs) differ
+#                  from the record's "current"; timings and allocs/op
+#                  are printed as advice only
 set -eu
 cd "$(dirname "$0")/.."
+
+# The root package's tracked rows; the Plan* ones report work counters.
+ROWS='BenchmarkPlanSuperPod2x4|BenchmarkPlanSuperPod3x4|BenchmarkPlanSuperPod3x4Degraded|BenchmarkPlanSuperPod4x8|BenchmarkPlanSuperPod16x32|BenchmarkPlanJointEngine|BenchmarkPlanFreshBytesWarm|BenchmarkSynthesize/|BenchmarkCostEstimate|BenchmarkLower$|BenchmarkBind$|BenchmarkNetsimMeasure|BenchmarkNetsimConcurrent|BenchmarkPlanRankAll|BenchmarkRoute$'
 
 OUT="${1:-BENCH_plan.json}"
 COUNT=10
@@ -31,10 +40,16 @@ collect() {
   "$@" >> "$TMP/out" || { tail -n 20 "$TMP/out" >&2; exit 1; }
 }
 
+if [ -n "${CHECK:-}" ]; then
+  : > "$TMP/out"
+  collect go test -run XXX -bench "$ROWS" -benchmem -benchtime 1x .
+  go run ./scripts/benchjson -check "$OUT" < "$TMP/out"
+  exit
+fi
+
 echo "commit: $(git describe --always --dirty 2>/dev/null || echo unknown)" > "$TMP/out"
 echo "bench.sh: go test rows, -count $COUNT -benchtime $BENCHTIME" >&2
-collect go test -run XXX \
-  -bench 'BenchmarkPlanSuperPod2x4|BenchmarkPlanSuperPod3x4|BenchmarkPlanSuperPod3x4Degraded|BenchmarkPlanSuperPod4x8|BenchmarkPlanSuperPod16x32|BenchmarkPlanJointEngine|BenchmarkPlanFreshBytesWarm|BenchmarkSynthesize/|BenchmarkCostEstimate|BenchmarkLower$|BenchmarkBind$|BenchmarkNetsimMeasure|BenchmarkNetsimConcurrent|BenchmarkPlanRankAll|BenchmarkRoute$' \
+collect go test -run XXX -bench "$ROWS" \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
 collect go test -run XXX -bench 'BenchmarkPlacementBound$' \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/plan

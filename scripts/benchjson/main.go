@@ -7,14 +7,21 @@
 //     --trace 0`), each a "== W: …" header and, last, a JSON result line;
 //   - a "commit: …" line naming the measured tree.
 //
-// Each row gets the median, quartiles, min and max of its ns/op samples
-// and the median B/op and allocs/op; each workload × end-to-end metric
+// Each row gets the median, quartiles, min and max of its ns/op samples,
+// the median B/op and allocs/op, and the exact value of every other metric
+// it reports: the work counters (placements, synthesis runs, candidates,
+// ...) of the tracked planning rows. Each workload × end-to-end metric
 // gets the same statistics over its runs. The file's existing "baseline"
 // is kept byte for byte; "current" is rewritten.
 //
 // It refuses, exiting non-zero and writing nothing, input without
-// benchmark rows or driver results, and any driver result that is not
-// correct or has failed ops.
+// benchmark rows or driver results, a counter whose samples differ, and
+// any driver result that is not correct or has failed ops.
+//
+// With -check FILE it writes nothing: it reads `go test -bench` output
+// alone and fails when a row's counters differ from FILE's "current", or
+// when a row with counters is on one side only. Timings and allocs/op are
+// printed beside the record's medians as advice, never failed on.
 package main
 
 import (
@@ -26,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"regexp"
 	"runtime"
@@ -47,9 +55,10 @@ type stat struct {
 }
 
 type row struct {
-	NsOp     stat    `json:"ns_op"`
-	BOp      float64 `json:"b_op"`
-	AllocsOp float64 `json:"allocs_op"`
+	NsOp     stat               `json:"ns_op"`
+	BOp      float64            `json:"b_op"`
+	AllocsOp float64            `json:"allocs_op"`
+	Counters map[string]float64 `json:"counters,omitempty"`
 }
 
 type run struct {
@@ -67,14 +76,81 @@ type record struct {
 	Current  *run            `json:"current"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op`)
+// benchLine is one `go test -bench -benchmem` result: the row name without
+// its GOMAXPROCS suffix, the iteration count, and the (value, unit) pairs.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+((?:\s+[0-9.e+-]+ \S+)+)\s*$`)
+
+// timed are the units every row reports; any other unit is a counter.
+var timed = []string{"ns/op", "B/op", "allocs/op"}
 
 func main() {
 	out := flag.String("o", "BENCH_plan.json", "output file")
+	checkAgainst := flag.String("check", "", "compare the rows' counters on stdin to this record instead of writing one")
 	flag.Parse()
-	if err := write(os.Stdin, *out); err != nil {
+	var err error
+	if *checkAgainst != "" {
+		err = check(os.Stdin, *checkAgainst, os.Stdout)
+	} else {
+		err = write(os.Stdin, *out)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+}
+
+// samples are one row's values by unit, in input order.
+type samples map[string][]float64
+
+// parseRow parses a benchmark result line, reporting false for any other
+// line and for a row missing one of the timed units.
+func parseRow(line string) (string, map[string]float64, bool) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return "", nil, false
+	}
+	f := strings.Fields(m[2])
+	vals := map[string]float64{}
+	for i := 0; i+1 < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", nil, false
+		}
+		vals[f[i+1]] = v
+	}
+	for _, u := range timed {
+		if _, ok := vals[u]; !ok {
+			return "", nil, false
+		}
+	}
+	return m[1], vals, true
+}
+
+// summarizeRow reduces a row's samples; a counter must have one value.
+func summarizeRow(name string, s samples) (row, error) {
+	r := row{NsOp: summarize(s["ns/op"]), BOp: summarize(s["B/op"]).Median, AllocsOp: summarize(s["allocs/op"]).Median}
+	for unit, xs := range s {
+		if slices.Contains(timed, unit) {
+			continue
+		}
+		if slices.Min(xs) != slices.Max(xs) {
+			return row{}, fmt.Errorf("%s: counter %s varies across samples: %v", name, unit, xs)
+		}
+		if r.Counters == nil {
+			r.Counters = map[string]float64{}
+		}
+		r.Counters[unit] = xs[0]
+	}
+	return r, nil
+}
+
+// addSample appends a parsed row's values to its samples.
+func addSample(rows map[string]samples, name string, vals map[string]float64) {
+	if rows[name] == nil {
+		rows[name] = samples{}
+	}
+	for unit, v := range vals {
+		rows[name][unit] = append(rows[name][unit], v)
 	}
 }
 
@@ -86,19 +162,14 @@ func write(in io.Reader, out string) error {
 		Benchmarks: map[string]row{},
 		Workloads:  map[string]map[string]stat{},
 	}
-	rows := map[string][3][]float64{} // ns/op, B/op, allocs/op samples
+	rows := map[string]samples{}
 	runs := map[string]map[string][]float64{}
 	workload := ""
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		line := sc.Text()
-		if m := benchLine.FindStringSubmatch(line); m != nil {
-			r := rows[m[1]]
-			for i := range r {
-				v, _ := strconv.ParseFloat(m[i+2], 64) // the regexp admits only numbers
-				r[i] = append(r[i], v)
-			}
-			rows[m[1]] = r
+		if name, vals, ok := parseRow(line); ok {
+			addSample(rows, name, vals)
 		} else if v, ok := strings.CutPrefix(line, "cpu: "); ok {
 			cur.CPU = v
 		} else if v, ok := strings.CutPrefix(line, "commit: "); ok {
@@ -132,8 +203,12 @@ func write(in io.Reader, out string) error {
 	if len(rows) == 0 || len(runs) == 0 {
 		return fmt.Errorf("input has %d benchmark rows and %d driver workloads, want both", len(rows), len(runs))
 	}
-	for name, r := range rows {
-		cur.Benchmarks[name] = row{summarize(r[0]), summarize(r[1]).Median, summarize(r[2]).Median}
+	for name, s := range rows {
+		r, err := summarizeRow(name, s)
+		if err != nil {
+			return err
+		}
+		cur.Benchmarks[name] = r
 	}
 	for w, metrics := range runs {
 		cur.Workloads[w] = map[string]stat{}
@@ -159,6 +234,69 @@ func write(in io.Reader, out string) error {
 		return err
 	}
 	return os.WriteFile(out, buf.Bytes(), 0o644)
+}
+
+// check compares the counters of the `go test -bench` rows on in to the
+// record's current rows and prints every row's timings and allocs/op next
+// to the record's medians. It fails on any counter difference and on a row
+// with counters that only one side has.
+func check(in io.Reader, path string, out io.Writer) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var rec record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if rec.Current == nil {
+		return fmt.Errorf("%s has no current record", path)
+	}
+	rows := map[string]samples{}
+	sc := bufio.NewScanner(in)
+	for sc.Scan() {
+		if name, vals, ok := parseRow(sc.Text()); ok {
+			addSample(rows, name, vals)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if len(rows) == 0 {
+		return errors.New("input has no benchmark rows")
+	}
+	var bad []string
+	for _, name := range slices.Sorted(maps.Keys(rows)) {
+		got, err := summarizeRow(name, rows[name])
+		if err != nil {
+			return err
+		}
+		want, ok := rec.Current.Benchmarks[name]
+		if !ok {
+			if got.Counters != nil {
+				bad = append(bad, fmt.Sprintf("%s: counters %v, row not in the record", name, got.Counters))
+			}
+			continue
+		}
+		fmt.Fprintf(out, "advisory %s: %.0f ns/op (record median %.0f), %.0f allocs/op (record %.0f)\n",
+			name, got.NsOp.Median, want.NsOp.Median, got.AllocsOp, want.AllocsOp)
+		if !maps.Equal(got.Counters, want.Counters) {
+			bad = append(bad, fmt.Sprintf("%s: counters %v, record %v", name, got.Counters, want.Counters))
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(rec.Current.Benchmarks)) {
+		if _, ok := rows[name]; !ok && rec.Current.Benchmarks[name].Counters != nil {
+			bad = append(bad, fmt.Sprintf("%s: record has counters, row not run", name))
+		}
+	}
+	for _, b := range bad {
+		fmt.Fprintln(out, "MISMATCH", b)
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("%d row(s) differ from %s in their counters", len(bad), path)
+	}
+	fmt.Fprintf(out, "counters of %d rows match %s\n", len(rows), path)
+	return nil
 }
 
 func summarize(xs []float64) stat {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,6 +78,54 @@ func TestRowsAndWorkloads(t *testing.T) {
 	// statistics.quantiles(range(1, 11), n=4) == [2.75, 5.5, 8.25]
 	if s := cur.Workloads["cold_topk"]["op_ms_p50"]; s.N != 10 || s.Q1 != 2.75 || s.Median != 5.5 || s.Q3 != 8.25 {
 		t.Errorf("cold_topk op_ms_p50 = %+v, want n 10, q1 2.75, median 5.5, q3 8.25", s)
+	}
+}
+
+// counted is `go test -bench` output for a row reporting counters.
+func counted(ns, candidates, synthRuns int) string {
+	return fmt.Sprintf("BenchmarkPlanX/parallel-2 \t 10\t %d ns/op\t %d candidates\t 6.000 placements\t %d.000 synth-runs\t 1824551 B/op\t 9623 allocs/op\n",
+		ns, candidates, synthRuns)
+}
+
+func TestCountersRecordedExactly(t *testing.T) {
+	in := goTest + counted(500, 2010, 4) + counted(700, 2010, 4) + driverRun("measured", 1, true, 0)
+	cur, err := writeRecord(t, in, filepath.Join(t.TempDir(), "BENCH_plan.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cur.Benchmarks["BenchmarkPlanX/parallel"]
+	want := map[string]float64{"candidates": 2010, "placements": 6, "synth-runs": 4}
+	if !maps.Equal(r.Counters, want) || r.NsOp.Median != 600 || r.BOp != 1824551 || r.AllocsOp != 9623 {
+		t.Errorf("row = %+v, want counters %v, ns/op median 600, 1824551 B/op, 9623 allocs/op", r, want)
+	}
+	if c := cur.Benchmarks["BenchmarkLower"].Counters; c != nil {
+		t.Errorf("BenchmarkLower counters = %v, want none", c)
+	}
+	varying := goTest + counted(500, 2010, 4) + counted(500, 2010, 5) + driverRun("measured", 1, true, 0)
+	if _, err := writeRecord(t, varying, filepath.Join(t.TempDir(), "BENCH_plan.json")); err == nil {
+		t.Error("a counter varying across samples was recorded, want a refusal")
+	}
+}
+
+func TestCheckCounters(t *testing.T) {
+	record := filepath.Join(t.TempDir(), "BENCH_plan.json")
+	if _, err := writeRecord(t, goTest+counted(500, 2010, 4)+driverRun("measured", 1, true, 0), record); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		in string
+		ok bool
+	}{
+		"same counters, other timings": {goTest + counted(9000, 2010, 4), true},
+		"an extra synthesis run":       {goTest + counted(500, 2010, 5), false},
+		"counted row not run":          {goTest, false},
+		"counted row not recorded":     {goTest + strings.ReplaceAll(counted(500, 2010, 4), "PlanX", "PlanY") + counted(500, 2010, 4), false},
+		"no rows":                      {"PASS\n", false},
+	} {
+		var out bytes.Buffer
+		if err := check(strings.NewReader(tc.in), record, &out); (err == nil) != tc.ok {
+			t.Errorf("%s: check error %v, want ok %t\n%s", name, err, tc.ok, out.String())
+		}
 	}
 }
 
