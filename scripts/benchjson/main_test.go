@@ -179,7 +179,8 @@ func TestKeepsBaseline(t *testing.T) {
 
 // TestCommittedRecord holds BENCH_plan.json's current section to what
 // scripts/bench.sh writes: every BENCHMARK.json workload with every
-// end-to-end metric, and ten samples of everything.
+// end-to-end metric, ten samples of everything, and the counters of every
+// tracked planning row.
 func TestCommittedRecord(t *testing.T) {
 	data, err := os.ReadFile("../../BENCHMARK.json")
 	if err != nil {
@@ -209,6 +210,9 @@ func TestCommittedRecord(t *testing.T) {
 	}
 	for name, r := range rec.Current.Benchmarks {
 		count(name, r.NsOp)
+		if strings.HasPrefix(name, "BenchmarkPlan") && r.Counters == nil {
+			t.Errorf("%s has no counters for CHECK=1 scripts/bench.sh to hold", name)
+		}
 	}
 	for _, w := range manifest.Workloads {
 		for _, m := range manifest.EndToEnd {
