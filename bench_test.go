@@ -811,8 +811,7 @@ func BenchmarkPlanSuperPod3x4(b *testing.B) {
 // admissible bound drives the pruning. The delta against the pristine
 // benchmark is the planning cost of heterogeneity.
 func BenchmarkPlanSuperPod3x4Degraded(b *testing.B) {
-	sys := topology.SuperPodSystem(3, 4).MustWithOverrides(
-		topology.Throttle(2, 13, 10), topology.Slow(1, 5, 4))
+	sys := withFaults(topology.SuperPodSystem(3, 4), "2:13:bw/10; 1:5:lat*4")
 	req := p2.Request{Axes: []int{12, 8}, ReduceAxes: []int{0}, Algos: cost.ExtendedAlgorithms}
 	top5 := req
 	top5.TopK = 5
@@ -867,35 +866,6 @@ func BenchmarkPlanJointEngine(b *testing.B) {
 }
 
 // --- Extensions beyond the paper -------------------------------------------
-
-// BenchmarkExtensionPipelining prints the bucket-count sweep for the
-// RS-AR-AG strategy (gradient bucketing) and times the estimator.
-func BenchmarkExtensionPipelining(b *testing.B) {
-	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
-	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
-	prog := dsl.Program{
-		{Slice: 1, Form: dsl.InsideGroup, Op: collective.ReduceScatter},
-		{Slice: 1, Form: dsl.Parallel, Arg: 0, Op: collective.AllReduce},
-		{Slice: 1, Form: dsl.InsideGroup, Op: collective.AllGather},
-	}
-	lp, err := lower.Lower(prog, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := &cost.Model{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4)}
-	var body string
-	for _, buckets := range []int{1, 2, 4, 8, 16, 32, 64} {
-		body += fmt.Sprintf("buckets=%-3d predicted=%.3fs\n", buckets, model.PipelinedTimeSteps(lp, buckets, nil))
-	}
-	bOpt, tOpt := cost.OptimalBucketsSteps(model, lp, 64, nil)
-	body += fmt.Sprintf("optimal: %d buckets at %.3fs (unbucketed %.3fs)\n",
-		bOpt, tOpt, model.ProgramTime(lp))
-	printArtifact("Extension — pipelined gradient bucketing (RS-AR-AG on [[2 2] [2 8]])", body)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cost.OptimalBucketsSteps(model, lp, 64, nil)
-	}
-}
 
 // BenchmarkExtensionAlgorithms prints the three-algorithm comparison for a
 // mixed local/remote AllReduce.

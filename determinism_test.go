@@ -97,9 +97,19 @@ var determinismCases = []struct {
 
 // degradedSuperPod34 is the determinism matrix's degraded system: a
 // superpod-3x4 with one GPU's NVSwitch uplink throttled to a tenth.
-func degradedSuperPod34() *p2.System {
-	return p2.SuperPodSystem(3, 4).MustWithOverrides(
-		p2.LinkOverride{Level: 2, Entity: 13, BandwidthScale: 0.1, LatencyScale: 1})
+func degradedSuperPod34() *p2.System { return withFaults(p2.SuperPodSystem(3, 4), "2:13:bw/10") }
+
+// withFaults returns sys degraded by a fault spec in p2.ParseFaults's
+// grammar. It panics on a bad spec, so package-level tables can call it.
+func withFaults(sys *p2.System, spec string) *p2.System {
+	ovs, err := p2.ParseFaults(sys, spec)
+	if err == nil {
+		sys, err = sys.WithOverrides(ovs...)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return sys
 }
 
 func TestPlanParallelMatchesSerial(t *testing.T) {

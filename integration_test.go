@@ -37,7 +37,7 @@ func TestSuperPodThreeLevelPipeline(t *testing.T) {
 	}
 	// The best placement should keep the reduction axis as local as
 	// possible: its matrix assigns all 8 reduced shards within one node.
-	if got := best.Matrix.Row(0)[2]; got != 8 {
+	if got := best.Matrix.X[0][2]; got != 8 {
 		t.Errorf("best placement splits the reduction axis above the node level: %v", best.Matrix)
 	}
 	if best.Measure() <= 0 {

@@ -78,9 +78,6 @@ func (s *State) Hash() uint64 {
 	return s.hash
 }
 
-// K returns the universe size.
-func (s *State) K() int { return s.k }
-
 // Set sets bit (row, col). It panics on a sealed state.
 func (s *State) Set(row, col int) {
 	s.checkIdx(row, col)
@@ -116,15 +113,6 @@ func (s *State) mask() []uint64 { return s.row(s.k) }
 func (s *State) RowEmpty(r int) bool {
 	s.checkIdx(r, 0)
 	return s.mask()[r/64]&(1<<(uint(r)%64)) == 0
-}
-
-// RowPopCount returns the number of set bits in row r.
-func (s *State) RowPopCount(r int) int {
-	n := 0
-	for _, w := range s.row(r) {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Rows returns the indices of non-empty rows in increasing order — the
@@ -194,11 +182,6 @@ func (s *State) SubsetOf(o *State) bool {
 		}
 	}
 	return true
-}
-
-// IsFull reports whether the state is the all-ones goal.
-func (s *State) IsFull() bool {
-	return s.PopCount() == s.k*s.k
 }
 
 // unionInto ORs o into the unsealed s, mask row included (same k).

@@ -38,13 +38,13 @@ func fullState(k int) *State {
 
 func TestFullState(t *testing.T) {
 	s := fullState(5)
-	if !s.IsFull() {
+	if s.PopCount() != s.k*s.k {
 		t.Error("all-ones state not full")
 	}
 	if s.PopCount() != 25 {
 		t.Errorf("PopCount = %d", s.PopCount())
 	}
-	if InitialState(5, 0).IsFull() {
+	if InitialState(5, 0).PopCount() == 25 {
 		t.Error("initial state reported full")
 	}
 }
@@ -77,8 +77,8 @@ func TestRowsAndNumRows(t *testing.T) {
 	if s.NumRows() != 2 {
 		t.Errorf("NumRows = %d", s.NumRows())
 	}
-	if s.RowPopCount(4) != 2 {
-		t.Errorf("RowPopCount(4) = %d", s.RowPopCount(4))
+	if got := s.row(4)[0]; got != 1|1<<5 {
+		t.Errorf("row 4 = %b", got)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestStatePanicsOutOfRange(t *testing.T) {
 func TestSealedStateMatchesBits(t *testing.T) {
 	// The slow definitions, straight off Get.
 	rowEmpty := func(s *State, r int) bool {
-		for c := 0; c < s.K(); c++ {
+		for c := 0; c < s.k; c++ {
 			if s.Get(r, c) {
 				return false
 			}
@@ -193,7 +193,7 @@ func TestSealedStateMatchesBits(t *testing.T) {
 		t.Helper()
 		var rows []int
 		same, disjoint := true, true
-		for r := 0; r < s.K(); r++ {
+		for r := 0; r < s.k; r++ {
 			if s.RowEmpty(r) != rowEmpty(s, r) {
 				t.Errorf("%s: RowEmpty(%d) = %v, bits say %v", name, r, s.RowEmpty(r), rowEmpty(s, r))
 			}

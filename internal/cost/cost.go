@@ -94,11 +94,6 @@ type Model struct {
 	Bytes float64
 }
 
-// StepTime predicts the duration of one lowered step.
-func (m *Model) StepTime(st lower.Step) float64 {
-	return m.StepTimeAlgo(st, m.Algo)
-}
-
 // endpointLatency is the analytic model's latency rule for a transfer
 // routed over path (topology.System.Route): the slower of the two
 // endpoints' uplinks at the divergence level, path[0] and path[1]; 0 for a
@@ -132,7 +127,7 @@ func (m *Model) ProgramTime(p *lower.Program) float64 {
 	return t
 }
 
-// StepTimeAlgo is StepTime under an explicit algorithm, overriding m.Algo.
+// StepTimeAlgo predicts the duration of one lowered step under algo.
 // It is the evaluation primitive of the per-step algorithm search: a step
 // is free to run a different NCCL_ALGO than its neighbors because steps
 // are barriers.

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,6 +22,20 @@ func everyLink(sys *topology.System, mk func(l, e int) []topology.LinkOverride) 
 	return ovs
 }
 
+// withFaults returns sys degraded by a fault spec in topology.ParseFaults's
+// grammar.
+func withFaults(t *testing.T, sys *topology.System, spec string) *topology.System {
+	t.Helper()
+	ovs, err := topology.ParseFaults(sys, spec)
+	if err == nil {
+		sys, err = sys.WithOverrides(ovs...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // TestIdentityOverrideIsPristine: an override that leaves every link as it
 // is must leave every step time bit for bit as on the pristine system —
 // both the literal identity (which keeps the uniform-link fast path) and a
@@ -36,26 +51,29 @@ func TestIdentityOverrideIsPristine(t *testing.T) {
 			{Level: l, Entity: e, BandwidthScale: 0.5, LatencyScale: 0.25},
 		}
 	}
+	if composed(0, 0)[0].Pristine() {
+		t.Fatal("the composed identity would not take the per-link path")
+	}
 	variants := map[*topology.System][]*topology.System{}
 	for _, tc := range scorerCases(t) {
 		vs, ok := variants[tc.sys]
 		if !ok {
-			vs = []*topology.System{
-				tc.sys.MustWithOverrides(everyLink(tc.sys, identity)...),
-				tc.sys.MustWithOverrides(everyLink(tc.sys, composed)...),
-			}
-			if !vs[1].HasOverrides() {
-				t.Fatalf("%s: the composed identity did not take the per-link path", tc.sys.Name)
+			for _, mk := range []func(l, e int) []topology.LinkOverride{identity, composed} {
+				v, err := tc.sys.WithOverrides(everyLink(tc.sys, mk)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vs = append(vs, v)
 			}
 			variants[tc.sys] = vs
 		}
 		for _, algo := range ExtendedAlgorithms {
 			want := &Model{Sys: tc.sys, Algo: algo, Bytes: DefaultPayload(tc.sys)}
 			for si, st := range tc.lp.Steps {
-				w := math.Float64bits(want.StepTime(st))
+				w := math.Float64bits(want.StepTimeAlgo(st, algo))
 				for vi, sys := range vs {
 					m := &Model{Sys: sys, Algo: algo, Bytes: want.Bytes}
-					if got := math.Float64bits(m.StepTime(st)); got != w {
+					if got := math.Float64bits(m.StepTimeAlgo(st, algo)); got != w {
 						t.Fatalf("%s %v step %d algo %v variant %d: %016x, pristine %016x",
 							tc.sys.Name, tc.lp, si, algo, vi, got, w)
 					}
@@ -75,7 +93,7 @@ func TestStepTimeMonotoneInBytes(t *testing.T) {
 				m := &Model{Sys: tc.sys, Algo: algo, Bytes: bytes}
 				double := &Model{Sys: tc.sys, Algo: algo, Bytes: 2 * bytes}
 				for si, st := range tc.lp.Steps {
-					if lo, hi := m.StepTime(st), double.StepTime(st); hi < lo {
+					if lo, hi := m.StepTimeAlgo(st, algo), double.StepTimeAlgo(st, algo); hi < lo {
 						t.Fatalf("%s %v step %d algo %v: %v B takes %v s, %v B takes %v s",
 							tc.sys.Name, tc.lp, si, algo, bytes, lo, 2*bytes, hi)
 					}
@@ -115,7 +133,7 @@ func TestStepTimeScalesWithLinks(t *testing.T) {
 		if variants[tc.sys] == nil {
 			leaf := tc.sys.NumLevels() - 1
 			variants[tc.sys] = []*topology.System{tc.sys,
-				tc.sys.MustWithOverrides(topology.Throttle(1, 0, 4), topology.Slow(leaf, 2, 3), topology.Down(leaf, 1))}
+				withFaults(t, tc.sys, fmt.Sprintf("1:0:bw/4; %d:2:lat*3; %d:1:down", leaf, leaf))}
 		}
 		for _, sys := range variants[tc.sys] {
 			for _, k := range []int{-7, 3, 20} {
@@ -124,8 +142,8 @@ func TestStepTimeScalesWithLinks(t *testing.T) {
 					m := &Model{Sys: sys, Algo: algo, Bytes: DefaultPayload(sys)}
 					mk := &Model{Sys: scaled, Algo: algo, Bytes: m.Bytes}
 					for si, st := range tc.lp.Steps {
-						want := math.Float64bits(math.Ldexp(m.StepTime(st), -k))
-						if got := math.Float64bits(mk.StepTime(st)); got != want {
+						want := math.Float64bits(math.Ldexp(m.StepTimeAlgo(st, algo), -k))
+						if got := math.Float64bits(mk.StepTimeAlgo(st, algo)); got != want {
 							t.Fatalf("%s %v step %d algo %v, links ×2^%d: %016x, want %016x",
 								sys.Name, tc.lp, si, algo, k, got, want)
 						}
@@ -146,7 +164,7 @@ func TestSameAnalyticScoresEqual(t *testing.T) {
 	systems := []*topology.System{
 		topology.Fig2aSystem(),
 		topology.SuperPodSystem(3, 4),
-		topology.SuperPodSystem(3, 4).MustWithOverrides(topology.Throttle(1, 2, 4), topology.Slow(2, 13, 3), topology.Down(2, 40)),
+		withFaults(t, topology.SuperPodSystem(3, 4), "1:2:bw/4; 2:13:lat*3; 2:40:down"),
 	}
 	rng := rand.New(rand.NewSource(1))
 	agree, differ := 0, 0

@@ -2,8 +2,10 @@ package cost
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"p2/internal/collective"
@@ -31,7 +33,7 @@ func partition(n, g int, strided bool) [][]int {
 }
 
 // TestStepTimePinnedBits pins the analytic model's absolute output bit for
-// bit: Float64bits of Model.StepTime, which Scorer.StepTimeAlgo must
+// bit: Float64bits of Model.StepTimeAlgo, which Scorer.StepTimeAlgo must
 // reproduce. The values were recorded at commit ba1bf46, when Model, Scorer
 // and netsim each still expanded the ring/chain/tree/halving-doubling
 // schedule themselves, immediately before the three expansions were
@@ -52,8 +54,8 @@ func TestStepTimePinnedBits(t *testing.T) {
 	const R, T, H = Ring, Tree, HalvingDoubling
 	pod := topology.SuperPodSystem(3, 4) // 96 devices: every size below divides it
 	a100 := topology.A100System(4)
-	throttled := a100.MustWithOverrides(topology.Throttle(0, 1, 10))
-	down := a100.MustWithOverrides(topology.Down(0, 2))
+	throttled := withFaults(t, a100, "0:1:bw/10")
+	down := withFaults(t, a100, "0:2:down")
 	v100 := topology.V100System(2)
 	const odd = 1e6 + 1.0/3 // a payload no schedule divides exactly
 
@@ -97,7 +99,7 @@ func TestStepTimePinnedBits(t *testing.T) {
 	for _, r := range rows {
 		st := lower.Step{Op: r.op, Groups: r.groups, Rows: r.rows, RowsOut: r.rows, K: r.k}
 		m := &Model{Sys: r.sys, Algo: r.algo, Bytes: r.bytes}
-		model := math.Float64bits(m.StepTime(st))
+		model := math.Float64bits(m.StepTimeAlgo(st, r.algo))
 		scorer := math.Float64bits(sc.StepTimeAlgo(m, st, r.algo))
 		if model != r.bits || scorer != r.bits {
 			t.Errorf("%s: model bits: %#x, scorer bits: %#x, want bits: %#x", r.name, model, scorer, r.bits)
@@ -118,10 +120,10 @@ func TestStepTimeDigest(t *testing.T) {
 	cases := scorerCases(t)
 	for _, row := range []struct {
 		name    string
-		variant func(*topology.System) *topology.System
+		variant func(*testing.T, *topology.System) *topology.System
 		want    uint64
 	}{
-		{"pristine", func(sys *topology.System) *topology.System { return sys }, 0x155375329e14d412},
+		{"pristine", func(_ *testing.T, sys *topology.System) *topology.System { return sys }, 0x155375329e14d412},
 		{"degraded", degradeEveryLevel, 0x065d41130a51a1e4},
 	} {
 		h := fnv.New64a()
@@ -131,7 +133,7 @@ func TestStepTimeDigest(t *testing.T) {
 		for _, tc := range cases {
 			sys, ok := variants[tc.sys]
 			if !ok {
-				sys = row.variant(tc.sys)
+				sys = row.variant(t, tc.sys)
 				variants[tc.sys] = sys
 			}
 			model := &Model{Sys: sys, Algo: Ring, Bytes: DefaultPayload(sys)}
@@ -151,12 +153,12 @@ func TestStepTimeDigest(t *testing.T) {
 
 // degradeEveryLevel slows entity 1's uplink 3× in latency and throttles
 // entity 0's 4× in bandwidth, at every level that has two entities.
-func degradeEveryLevel(sys *topology.System) *topology.System {
-	var ovs []topology.LinkOverride
+func degradeEveryLevel(t *testing.T, sys *topology.System) *topology.System {
+	var spec []string
 	for l := 0; l < sys.NumLevels(); l++ {
 		if sys.EntitiesAt(l) > 1 {
-			ovs = append(ovs, topology.Slow(l, 1, 3), topology.Throttle(l, 0, 4))
+			spec = append(spec, fmt.Sprintf("%d:1:lat*3; %d:0:bw/4", l, l))
 		}
 	}
-	return sys.MustWithOverrides(ovs...)
+	return withFaults(t, sys, strings.Join(spec, ";"))
 }

@@ -75,7 +75,7 @@ func TestScorerMatchesModel(t *testing.T) {
 			for si, st := range tc.lp.Steps {
 				want := math.Float64bits(NewScorer(tc.sys).StepTimeAlgo(model, st, algo))
 				got := math.Float64bits(reused.StepTimeAlgo(model, st, algo))
-				pooled := math.Float64bits(model.StepTime(st))
+				pooled := math.Float64bits(model.StepTimeAlgo(st, algo))
 				if got != want || pooled != want {
 					t.Fatalf("%s %v step %d algo %v: reused %016x, pooled %016x, fresh %016x",
 						tc.sys.Name, tc.lp, si, algo, got, pooled, want)
@@ -150,7 +150,7 @@ func TestModelConcurrentUse(t *testing.T) {
 	for i, tc := range cases {
 		model := &Model{Sys: tc.sys, Algo: HalvingDoubling, Bytes: DefaultPayload(tc.sys)}
 		for _, st := range tc.lp.Steps {
-			want[i] = append(want[i], math.Float64bits(model.StepTime(st)))
+			want[i] = append(want[i], math.Float64bits(model.StepTimeAlgo(st, model.Algo)))
 		}
 	}
 	var wg sync.WaitGroup
@@ -163,7 +163,7 @@ func TestModelConcurrentUse(t *testing.T) {
 				tc := cases[i]
 				model := &Model{Sys: tc.sys, Algo: HalvingDoubling, Bytes: DefaultPayload(tc.sys)}
 				for si, st := range tc.lp.Steps {
-					if got := math.Float64bits(model.StepTime(st)); got != want[i][si] {
+					if got := math.Float64bits(model.StepTimeAlgo(st, model.Algo)); got != want[i][si] {
 						t.Errorf("goroutine %d, %s %v step %d: %016x, serial %016x", w, tc.sys.Name, tc.lp, si, got, want[i][si])
 						return
 					}
@@ -216,7 +216,7 @@ func TestScorerFreshPayloadZeroAlloc(t *testing.T) {
 // Scorer of that system does.
 func TestScorerRebindsSystem(t *testing.T) {
 	small, large := topology.V100System(2), topology.SuperPodSystem(3, 2)
-	degraded := large.MustWithOverrides(topology.Throttle(1, 2, 4), topology.Down(2, 5))
+	degraded := withFaults(t, large, "1:2:bw/4; 2:5:down")
 	sc := NewScorer(small)
 	for i, sys := range []*topology.System{small, large, small, degraded, large, small} {
 		for _, algo := range ExtendedAlgorithms {

@@ -269,7 +269,7 @@ func TestMasterOnlyLeavesOthersUnchanged(t *testing.T) {
 	if ctx[1].PopCount() != 0 || ctx[3].PopCount() != 0 {
 		t.Error("non-master leaves changed")
 	}
-	if !ctx[0].IsFull() || !ctx[2].IsFull() {
+	if full := h.K() * h.K(); ctx[0].PopCount() != full || ctx[2].PopCount() != full {
 		t.Error("master group did not reach full state")
 	}
 }

@@ -10,6 +10,16 @@ import (
 	"p2/internal/topology"
 )
 
+// faults parses a fault spec in topology.ParseFaults's grammar against sys.
+func faults(t *testing.T, sys *topology.System, spec string) []topology.LinkOverride {
+	t.Helper()
+	ovs, err := topology.ParseFaults(sys, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ovs
+}
+
 // TestRunDegradePlansLikePlan: the pristine half of a degrade comparison is
 // the ranking p2.Plan produces for the same request — candidate for
 // candidate, predictions bit for bit. A multi-axis reduction used to be
@@ -20,7 +30,7 @@ func TestRunDegradePlansLikePlan(t *testing.T) {
 	axes, reduce := []int{4, 2, 8}, []int{0, 2}
 	r, err := RunDegradeCtx(context.Background(), DegradeConfig{
 		Sys:        sys,
-		Overrides:  []topology.LinkOverride{topology.Throttle(1, 0, 10)},
+		Overrides:  faults(t, sys, "1:0:bw/10"),
 		Axes:       axes,
 		ReduceAxes: reduce,
 	})
@@ -55,9 +65,10 @@ func TestRunDegradeRequiresOverrides(t *testing.T) {
 }
 
 func TestRunDegradeThrottledLinkShiftsRanking(t *testing.T) {
+	sys := topology.A100System(4)
 	r, err := RunDegradeCtx(context.Background(), DegradeConfig{
-		Sys:        topology.A100System(4),
-		Overrides:  []topology.LinkOverride{topology.Throttle(1, 0, 10)},
+		Sys:        sys,
+		Overrides:  faults(t, sys, "1:0:bw/10"),
 		Axes:       []int{4, 16},
 		ReduceAxes: []int{0},
 	})
@@ -103,9 +114,10 @@ func TestRunDegradeThrottledLinkShiftsRanking(t *testing.T) {
 }
 
 func TestRunDegradeDownLink(t *testing.T) {
+	sys := topology.A100System(4)
 	r, err := RunDegradeCtx(context.Background(), DegradeConfig{
-		Sys:        topology.A100System(4),
-		Overrides:  []topology.LinkOverride{topology.Down(0, 2)},
+		Sys:        sys,
+		Overrides:  faults(t, sys, "0:2:down"),
 		Axes:       []int{4, 16},
 		ReduceAxes: []int{0},
 	})
@@ -157,13 +169,9 @@ func TestRunDegradeDownLink(t *testing.T) {
 // shift picked by rank order among tied +Inf candidates.
 func TestRunDegradeNothingCompletes(t *testing.T) {
 	sys := topology.A100System(4)
-	ovs, err := topology.ParseFaults(sys, "gpu:0/0:down")
-	if err != nil {
-		t.Fatal(err)
-	}
 	r, err := RunDegradeCtx(context.Background(), DegradeConfig{
 		Sys:        sys,
-		Overrides:  ovs,
+		Overrides:  faults(t, sys, "gpu:0/0:down"),
 		Axes:       []int{4, 16},
 		ReduceAxes: []int{1},
 	})

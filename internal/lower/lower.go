@@ -48,9 +48,6 @@ type Step struct {
 // FracIn returns the input payload fraction (Rows/K).
 func (s Step) FracIn() float64 { return float64(s.Rows) / float64(s.K) }
 
-// FracOut returns the output payload fraction (RowsOut/K).
-func (s Step) FracOut() float64 { return float64(s.RowsOut) / float64(s.K) }
-
 // GroupSize returns the (uniform) group size of the step.
 func (s Step) GroupSize() int { return len(s.Groups[0]) }
 
@@ -175,8 +172,8 @@ func (p *Program) String() string {
 
 // Validate checks structural invariants of a lowered program: groups within
 // a step are disjoint, device ids are in range, and chunk counts are
-// positive. It is used by property tests and by consumers that accept
-// externally built programs.
+// positive. It is a test oracle: the lowering tests check the programs
+// they lower against it.
 func (p *Program) Validate() error {
 	if len(p.Steps) == 0 {
 		return fmt.Errorf("lower: empty program")

@@ -89,8 +89,8 @@ func TestLowerChunkAccounting(t *testing.T) {
 	if lp.Steps[0].FracIn() != 1.0 || lp.Steps[1].FracIn() != 0.5 {
 		t.Error("FracIn wrong")
 	}
-	if lp.Steps[2].FracOut() != 1.0 {
-		t.Error("final FracOut wrong")
+	if st := lp.Steps[2]; st.RowsOut != st.K {
+		t.Error("final step does not end at the full payload")
 	}
 }
 

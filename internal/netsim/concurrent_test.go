@@ -86,7 +86,7 @@ func TestConcurrentMixedLiveDownLanes(t *testing.T) {
 		synth.BaselineAllReduce())
 	intraNode := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{1, 4}, {4, 4}}, []int{0},
 		synth.BaselineAllReduce())
-	down := topology.A100System(4).MustWithOverrides(topology.Down(0, 2))
+	down := withFaults(t, topology.A100System(4), "0:2:down")
 	sim := &Simulator{Sys: down, Algo: cost.Ring, Bytes: cost.PayloadBytes(4),
 		Opts: Options{DisableNoise: true}}
 	solo := sim.MeasureConcurrent([]*lower.Program{intraNode})[0]

@@ -39,13 +39,27 @@ func TestConcurrentSpecMatchesMeasureSteps(t *testing.T) {
 	}
 }
 
+// withFaults returns sys degraded by a fault spec in topology.ParseFaults's
+// grammar.
+func withFaults(t *testing.T, sys *topology.System, spec string) *topology.System {
+	t.Helper()
+	ovs, err := topology.ParseFaults(sys, spec)
+	if err == nil {
+		sys, err = sys.WithOverrides(ovs...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // TestMeasureDownLinkStalls: a transfer whose path crosses a down link can
 // never finish — the emulator must report +Inf rather than spin or panic,
 // with one lane and with several.
 func TestMeasureDownLinkStalls(t *testing.T) {
 	lp := lowerFor(t, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}}, []int{0},
 		synth.BaselineAllReduce())
-	down := topology.A100System(4).MustWithOverrides(topology.Down(0, 2))
+	down := withFaults(t, topology.A100System(4), "0:2:down")
 	// At the subnormal payload every transfer rounds to 0 bytes; it still
 	// stalls, and retiring it must not unload links it never loaded.
 	for _, bytes := range []float64{cost.PayloadBytes(4), math.SmallestNonzeroFloat64} {
@@ -72,7 +86,7 @@ func TestMeasureThrottledLinkSlowsDown(t *testing.T) {
 	sim := &Simulator{Sys: pristine, Algo: cost.Ring, Bytes: cost.PayloadBytes(4),
 		Opts: Options{DisableNoise: true}}
 	base := sim.Measure(lp)
-	slow := &Simulator{Sys: pristine.MustWithOverrides(topology.Throttle(0, 1, 10)),
+	slow := &Simulator{Sys: withFaults(t, pristine, "0:1:bw/10"),
 		Algo: cost.Ring, Bytes: cost.PayloadBytes(4), Opts: Options{DisableNoise: true}}
 	degraded := slow.Measure(lp)
 	if !(degraded > base) {

@@ -100,11 +100,11 @@ func TestMeasurePinnedBits(t *testing.T) {
 			hier: []int{2, 2, 8}, axes: []int{4, 8}, rows: [][]int{{2, 2, 1}, {1, 1, 8}}, red: []int{0},
 			prog: rsArAg, algo: R, opts: quiet,
 			total: 0x40007e34e1d09453, events: 128, firstStart: 0x0, firstEnd: 0x3fd5fd7fe1796495, lastStart: 0x3ffb7d09cb42cf81, lastEnd: 0x40007e34e1d09453},
-		{name: "a100:4 throttled nic", sys: a100x4.MustWithOverrides(topology.Throttle(0, 1, 10)),
+		{name: "a100:4 throttled nic", sys: withFaults(t, a100x4, "0:1:bw/10"),
 			hier: []int{4, 16}, axes: []int{4, 16}, rows: [][]int{{2, 2}, {2, 8}}, red: []int{0},
 			prog: rsArAg, algo: R, opts: Options{DisableNoise: true},
 			total: 0x40657b9908dd8589, events: 256, firstStart: 0x3eff75104d551d69, firstEnd: 0x3fa04dee8b6d1197, lastStart: 0x40657a9468deef53, lastEnd: 0x40657b9908dd8589},
-		{name: "a100:4 down nic", sys: a100x4.MustWithOverrides(topology.Down(0, 2)),
+		{name: "a100:4 down nic", sys: withFaults(t, a100x4, "0:2:down"),
 			hier: []int{4, 16}, axes: []int{4, 16}, rows: [][]int{{2, 2}, {2, 8}}, red: []int{0},
 			prog: allReduce, algo: R,
 			total: 0x7ff0000000000000, events: 208, firstStart: 0x3eff75104d551d69, firstEnd: 0x3f806985daee819b, lastStart: 0x4035e8c7d4e4a6f4, lastEnd: 0x403a3073fd0b34e6},

@@ -88,7 +88,7 @@ func scratchCases(t *testing.T) []scratchCase {
 		}},
 		// The last two leave live transfers behind: a stalled lane and an
 		// abandoned one.
-		{"a100:4 down nic", one(Simulator{Sys: a100x4.MustWithOverrides(topology.Down(0, 2)), Algo: cost.Ring, Bytes: cost.PayloadBytes(4)}, allReduce)},
+		{"a100:4 down nic", one(Simulator{Sys: withFaults(t, a100x4, "0:2:down"), Algo: cost.Ring, Bytes: cost.PayloadBytes(4)}, allReduce)},
 		{"superpod:3x4 cancelled", func() []uint64 {
 			sim := Simulator{Sys: pod, Algo: cost.HalvingDoubling, Bytes: cost.PayloadBytes(3),
 				Ctx: &pollCancel{Context: context.Background(), left: 1}}

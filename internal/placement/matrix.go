@@ -238,9 +238,6 @@ func (m *Matrix) ReductionGroups(reduceAxes []int) [][]int {
 	return groups
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []int { return append([]int(nil), m.X[i]...) }
-
 // String renders the matrix in the paper's compact form, e.g.
 // "[[1 4] [4 4]]".
 func (m *Matrix) String() string {

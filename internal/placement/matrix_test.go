@@ -3,6 +3,7 @@ package placement
 import (
 	"math/big"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,8 +129,8 @@ func TestMatrixDeviceOffsets(t *testing.T) {
 					for j := range levels {
 						levels[j] = m.LevelCoord(dev, j)
 					}
-					if phys := tc.sys.Device(levels); phys != dev {
-						t.Fatalf("%s %v %v: device %d has system id %d", tc.sys.Name, axes, m, dev, phys)
+					if phys := tc.sys.Coords(dev); !slices.Equal(phys, levels) {
+						t.Fatalf("%s %v %v: device %d has level coordinates %v, system coordinates %v", tc.sys.Name, axes, m, dev, levels, phys)
 					}
 				}
 				coords := m.AxisCoords(m.NumDevices() - 1)

@@ -129,7 +129,7 @@ func TestAllEnumeratedSatisfyConstraints(t *testing.T) {
 	}
 	for _, m := range ms {
 		for i, p := range m.Axes {
-			if factor.Product(m.Row(i)) != p {
+			if factor.Product(m.X[i]) != p {
 				t.Errorf("%v: row %d product wrong", m, i)
 			}
 		}

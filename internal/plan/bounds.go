@@ -22,7 +22,7 @@ const boundSafety = 1 - 1e-9
 //
 // The bound has a bandwidth and a latency component, each a simultaneous
 // lower bound on the corresponding summand of every step's predicted time
-// (StepTime = worst-link transfer + rounds × latency), so their sum lower
+// (step time = worst-link transfer + rounds × latency), so their sum lower
 // bounds the program total.
 //
 // Bandwidth: fix a hardware entity E at level l. Every physical reduction

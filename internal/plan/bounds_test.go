@@ -17,6 +17,20 @@ import (
 	"p2/internal/topology"
 )
 
+// withFaults returns sys degraded by a fault spec in topology.ParseFaults's
+// grammar.
+func withFaults(t *testing.T, sys *topology.System, spec string) *topology.System {
+	t.Helper()
+	ovs, err := topology.ParseFaults(sys, spec)
+	if err == nil {
+		sys, err = sys.WithOverrides(ovs...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // TestPlacementBoundAdmissible is the property the pruning correctness
 // proof rests on: for every placement, the lower bound must never exceed
 // the true predicted cost of ANY valid program under ANY algorithm in the
@@ -45,13 +59,9 @@ func TestPlacementBoundAdmissible(t *testing.T) {
 		// Override-carrying systems: the per-entity flow argument must keep
 		// the bound admissible when links are throttled, slowed, lossy or
 		// down (a down link adds no term to the bound).
-		{topology.A100System(2).MustWithOverrides(
-			topology.Throttle(1, 3, 10)), []int{4, 8}, []int{0}},
-		{topology.SuperPodSystem(2, 4).MustWithOverrides(
-			topology.Down(1, 5), topology.Slow(0, 0, 8)), []int{8, 8}, []int{0}},
-		{topology.Fig2aSystem().MustWithOverrides(
-			topology.Lossy(3, 7, 0.5), topology.Throttle(0, 0, 4),
-			topology.Slow(2, 1, 16)), []int{4, 4}, []int{0}},
+		{withFaults(t, topology.A100System(2), "1:3:bw/10"), []int{4, 8}, []int{0}},
+		{withFaults(t, topology.SuperPodSystem(2, 4), "1:5:down; 0:0:lat*8"), []int{8, 8}, []int{0}},
+		{withFaults(t, topology.Fig2aSystem(), "3:7:loss=0.5; 0:0:bw/4; 2:1:lat*16"), []int{4, 4}, []int{0}},
 	}
 	for _, tc := range cases {
 		matrices, err := placement.Enumerate(tc.sys.Hierarchy(), tc.axes)

@@ -383,7 +383,7 @@ type stepChoice struct {
 // instruction — tens per placement against hundreds of program steps) and
 // steps each step's evaluation, so programs sharing a prefix — or merely
 // an instruction at the same shape — share both the binding and the
-// StepTime evaluations, which dominate serial planning at scale.
+// step-time evaluations, which dominate serial planning at scale.
 type matrixScorer struct {
 	sc    *cost.Scorer
 	model *cost.Model

@@ -63,32 +63,6 @@ func (o LinkOverride) validate(s *System) error {
 	return nil
 }
 
-// Throttle returns an override dividing the bandwidth of the given
-// entity's uplink by factor (the "one NVLink degraded 10×" scenario).
-func Throttle(level, entity int, factor float64) LinkOverride {
-	return LinkOverride{Level: level, Entity: entity, BandwidthScale: 1 / factor, LatencyScale: 1}
-}
-
-// Slow returns an override multiplying the latency of the given entity's
-// uplink by factor.
-func Slow(level, entity int, factor float64) LinkOverride {
-	return LinkOverride{Level: level, Entity: entity, BandwidthScale: 1, LatencyScale: factor}
-}
-
-// Lossy returns an override making the given entity's uplink drop (and
-// retransmit) the given fraction of its traffic.
-func Lossy(level, entity int, frac float64) LinkOverride {
-	return LinkOverride{Level: level, Entity: entity, BandwidthScale: 1, LatencyScale: 1, LossFrac: frac}
-}
-
-// Down returns an override taking the given entity's uplink fully out of
-// service: transfers that must cross it never complete, so programs
-// routing traffic over it predict and measure +Inf — which is what lets
-// the planner re-plan around the failure.
-func Down(level, entity int) LinkOverride {
-	return LinkOverride{Level: level, Entity: entity, BandwidthScale: 0, LatencyScale: 1}
-}
-
 // WithOverrides returns a copy of s carrying the given per-link overrides
 // (replacing any it already had), or an error when an override names a
 // link outside the system or carries non-finite scales. Overrides naming
@@ -107,20 +81,6 @@ func (s *System) WithOverrides(ovs ...LinkOverride) (*System, error) {
 	}
 	return &c, nil
 }
-
-// MustWithOverrides is WithOverrides panicking on error; intended for
-// tests and example construction, mirroring MustNew.
-func (s *System) MustWithOverrides(ovs ...LinkOverride) *System {
-	c, err := s.WithOverrides(ovs...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// HasOverrides reports whether any attached override actually degrades a
-// link (all-pristine override sets keep the uniform fast paths).
-func (s *System) HasOverrides() bool { return s.effBW != nil }
 
 // LinkBandwidth returns the effective bandwidth in bytes/second of the
 // uplink of entity e at level l: the base per-level bandwidth times the

@@ -7,17 +7,27 @@ import (
 	"testing"
 )
 
+// withFaults returns s degraded by a fault spec in ParseFaults's grammar.
+func withFaults(t *testing.T, s *System, spec string) *System {
+	t.Helper()
+	ovs, err := ParseFaults(s, spec)
+	if err == nil {
+		s, err = s.WithOverrides(ovs...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestWithOverridesEffectiveLinks(t *testing.T) {
 	s := A100System(2) // [node 2][gpu 16]
-	d := s.MustWithOverrides(
-		Throttle(1, 5, 10), // GPU entity 5's NVSwitch uplink at a tenth
-		Slow(0, 1, 4),      // node 1's NIC at 4x latency
-		Lossy(1, 5, 0.5),   // composes with the throttle: x0.1 x0.5
-		Down(0, 0),         // node 0's NIC out of service
-		LinkOverride{Level: 1, Entity: 2, BandwidthScale: 1, LatencyScale: 1}, // pristine no-op
-	)
-	if !d.HasOverrides() {
-		t.Fatal("HasOverrides = false after degrading overrides")
+	// GPU entity 5's NVSwitch uplink at a tenth, then half lost (the two
+	// compose: x0.1 x0.5); node 1's NIC at 4x latency; node 0's NIC out of
+	// service; a pristine no-op on GPU entity 2.
+	d := withFaults(t, s, "gpu:5:bw/10; node:1:lat*4; gpu:5:loss=0.5; node:0:down; gpu:2:bw*1")
+	if d.effBW == nil {
+		t.Fatal("no effective-link arrays after degrading overrides")
 	}
 	if got, want := d.LinkBandwidth(1, 5), A100SwitchBandwidth*0.1*0.5; math.Abs(got-want) > 1e-3 {
 		t.Errorf("LinkBandwidth(1,5) = %v, want %v", got, want)
@@ -36,19 +46,16 @@ func TestWithOverridesEffectiveLinks(t *testing.T) {
 		t.Errorf("MinLinkLatency(0) = %v, want %v", got, NICLatency)
 	}
 	// The original system is untouched.
-	if s.HasOverrides() || s.LinkBandwidth(0, 0) != NICBandwidth {
+	if s.effBW != nil || s.LinkBandwidth(0, 0) != NICBandwidth {
 		t.Error("WithOverrides mutated the receiver")
 	}
 }
 
 func TestPristineOverridesKeepFastPath(t *testing.T) {
 	s := SuperPodSystem(2, 2)
-	d := s.MustWithOverrides(
-		LinkOverride{Level: 0, Entity: 1, BandwidthScale: 1, LatencyScale: 1},
-		LinkOverride{Level: 2, Entity: 7, BandwidthScale: 1, LatencyScale: 1},
-	)
-	if d.HasOverrides() {
-		t.Error("all-pristine override set reported HasOverrides")
+	d := withFaults(t, s, "0:1:bw*1;2:7:lat*1")
+	if d.effBW != nil {
+		t.Error("all-pristine override set built effective-link arrays")
 	}
 	for l := 0; l < d.NumLevels(); l++ {
 		for e := 0; e < d.EntitiesAt(l); e++ {
@@ -88,9 +95,12 @@ func TestOverrideValidation(t *testing.T) {
 // TestCloneCopiesOverrides: a system re-derived from its own overrides
 // keeps them, in a slice of its own.
 func TestCloneCopiesOverrides(t *testing.T) {
-	s := A100System(2).MustWithOverrides(Throttle(1, 3, 10))
-	c := s.MustWithOverrides(s.Overrides...)
-	if !c.HasOverrides() || c.LinkBandwidth(1, 3) != s.LinkBandwidth(1, 3) {
+	s := withFaults(t, A100System(2), "1:3:bw/10")
+	c, err := s.WithOverrides(s.Overrides...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.effBW == nil || c.LinkBandwidth(1, 3) != s.LinkBandwidth(1, 3) {
 		t.Fatal("copy dropped overrides")
 	}
 	c.Overrides[0].BandwidthScale = 1

@@ -222,9 +222,6 @@ func (s *System) Hierarchy() []int { return s.radix.Sizes() }
 // Coords decodes a device id into its per-level coordinates.
 func (s *System) Coords(dev int) []int { return s.radix.Decode(dev) }
 
-// Device encodes per-level coordinates into a device id.
-func (s *System) Device(coords []int) int { return s.radix.Encode(coords) }
-
 // DivergenceLevel returns the root-most level at which the addresses of a
 // and b differ, or -1 if a == b: the first level whose entity ids (address
 // prefixes, see EntityID) differ. Smaller return values mean communication

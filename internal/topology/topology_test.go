@@ -50,8 +50,8 @@ func TestFig2aDeviceNames(t *testing.T) {
 func TestCoordsRoundTrip(t *testing.T) {
 	s := Fig2aSystem()
 	for d := 0; d < s.NumDevices(); d++ {
-		if got := s.Device(s.Coords(d)); got != d {
-			t.Errorf("Device(Coords(%d)) = %d", d, got)
+		if got := s.radix.Encode(s.Coords(d)); got != d {
+			t.Errorf("Encode(Coords(%d)) = %d", d, got)
 		}
 	}
 }
@@ -226,7 +226,7 @@ func TestEntityIDQuotient(t *testing.T) {
 		SuperPodSystem(2, 2), SuperPodSystem(2, 4), SuperPodSystem(3, 4),
 		SuperPodSystem(4, 8), SuperPodSystem(8, 16), SuperPodSystem(16, 32),
 		odd,
-		SuperPodSystem(3, 4).MustWithOverrides(Throttle(2, 13, 10), Slow(1, 5, 4)),
+		withFaults(t, SuperPodSystem(3, 4), "2:13:bw/10;1:5:lat*4"),
 	}
 	rng := rand.New(rand.NewSource(17))
 	for _, s := range systems {
@@ -329,7 +329,10 @@ func TestNewValidation(t *testing.T) {
 // cross-domain model rather than sharing them.
 func TestCloneIsDeep(t *testing.T) {
 	s := V100System(2)
-	c := s.MustWithOverrides(s.Overrides...)
+	c, err := s.WithOverrides(s.Overrides...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Levels[0].Count = 99
 	c.Uplinks[0].Bandwidth = 1
 	c.CrossDomain.DomainsPerNode = 4

@@ -50,9 +50,6 @@ func NewMachine(n, k, chunkLen int) *Machine {
 	return m
 }
 
-// NumDevices returns the device count.
-func (m *Machine) NumDevices() int { return len(m.bufs) }
-
 // Fill initializes device d's payload with fn(chunk, index).
 func (m *Machine) Fill(d int, fn func(chunk, i int) float64) {
 	for c := range m.bufs[d] {

@@ -131,8 +131,8 @@ func TestMachineFillAndValue(t *testing.T) {
 	if got := m.Value(0, 2, 3); got != 0 {
 		t.Errorf("unfilled device value = %v", got)
 	}
-	if m.NumDevices() != 2 {
-		t.Errorf("NumDevices = %d", m.NumDevices())
+	if len(m.bufs) != 2 {
+		t.Errorf("NumDevices = %d", len(m.bufs))
 	}
 }
 

@@ -360,21 +360,6 @@ func (s *Strategy) TraceWith(opts SimOptions) (float64, []netsim.Event) {
 	return sim.MeasureSteps(s.Lowered(), s.StepAlgos), events
 }
 
-// Pipelined predicts the strategy's runtime when the payload is split
-// into the given number of buckets flowing through its steps as a
-// pipeline (gradient bucketing).
-func (s *Strategy) Pipelined(buckets int) float64 {
-	model := &cost.Model{Sys: s.sys, Algo: s.algo, Bytes: s.bytes}
-	return model.PipelinedTimeSteps(s.Lowered(), buckets, s.StepAlgos)
-}
-
-// OptimalBuckets returns the bucket count (1..max) minimizing the
-// pipelined prediction, with the predicted time.
-func (s *Strategy) OptimalBuckets(max int) (int, float64) {
-	model := &cost.Model{Sys: s.sys, Algo: s.algo, Bytes: s.bytes}
-	return cost.OptimalBucketsSteps(model, s.Lowered(), max, s.StepAlgos)
-}
-
 // String renders the strategy compactly.
 func (s *Strategy) String() string {
 	return fmt.Sprintf("%v via %v [%s] (predicted %.3fs)",

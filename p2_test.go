@@ -368,23 +368,3 @@ func TestStrategyTrace(t *testing.T) {
 		}
 	}
 }
-
-func TestStrategyPipelined(t *testing.T) {
-	plan, err := Plan(A100System(4), Request{Axes: []int{4, 16}, ReduceAxes: []int{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find the RS-AR-AG strategy for the cross-node matrix.
-	for _, s := range plan.Strategies {
-		if s.Matrix.String() != "[[2 2] [2 8]]" || len(s.Lowered().Steps) != 3 {
-			continue
-		}
-		one := s.Pipelined(1)
-		b, best := s.OptimalBuckets(32)
-		if b > 1 && best >= one {
-			t.Errorf("optimal buckets %d with time %v not better than %v", b, best, one)
-		}
-		return
-	}
-	t.Skip("no 3-step strategy found for the cross-node matrix")
-}
