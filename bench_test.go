@@ -626,6 +626,16 @@ func BenchmarkRoute(b *testing.B) {
 	}
 }
 
+// countEvents counts, with a Recorder on a copy of sim, the transfers one
+// run of measure completes: the netsim rows' events counter, taken before
+// the timed loop and reported after it (ResetTimer drops reported metrics).
+func countEvents(sim netsim.Simulator, measure func(*netsim.Simulator)) float64 {
+	events := 0
+	sim.Recorder = func(netsim.Event) { events++ }
+	measure(&sim)
+	return float64(events)
+}
+
 func BenchmarkNetsimMeasure(b *testing.B) {
 	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
 	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
@@ -634,10 +644,14 @@ func BenchmarkNetsimMeasure(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim := &netsim.Simulator{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4)}
+	measure := func(s *netsim.Simulator) { s.Measure(lp) }
+	events := countEvents(*sim, measure)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Measure(lp)
+		measure(sim)
 	}
+	b.ReportMetric(events, "events")
 }
 
 // BenchmarkNetsimConcurrent is the two-lane case of the same event loop:
@@ -658,10 +672,14 @@ func BenchmarkNetsimConcurrent(b *testing.B) {
 		progs[i] = lp
 	}
 	sim := &netsim.Simulator{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4)}
+	measure := func(s *netsim.Simulator) { s.MeasureConcurrent(progs) }
+	events := countEvents(*sim, measure)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.MeasureConcurrent(progs)
+		measure(sim)
 	}
+	b.ReportMetric(events, "events")
 }
 
 // BenchmarkPlanRankAll is measured-in-the-loop planning with every

@@ -23,7 +23,6 @@ var exportAllowlist = map[string]string{
 	"(*p2/internal/lower.Program).Validate":             "structural oracle the lowering tests check every lowered program against",
 	"(p2/internal/dsl.Program).Implements":              "semantic oracle of the dsl and synth tests, FuzzSynthesizeSound included",
 	"p2/internal/synth.Candidates":                      "the instruction space the lowering tests and the hierarchy ablation row enumerate",
-	"(p2/internal/dsl.Program).Ops":                     "only TestProgramOps calls it; deleting it retires that test",
 }
 
 // TestNoTestOnlyExports keeps test oracles in tests: every exported

@@ -87,16 +87,6 @@ func (p Program) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// Ops returns the sequence of collective operations, e.g. for recognizing
-// the Reduce-AllReduce-Broadcast pattern.
-func (p Program) Ops() []collective.Op {
-	out := make([]collective.Op, len(p))
-	for i, in := range p {
-		out[i] = in.Op
-	}
-	return out
-}
-
 // Clone returns a copy of the program.
 func (p Program) Clone() Program { return append(Program(nil), p...) }
 

@@ -343,15 +343,3 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestProgramOps(t *testing.T) {
-	p := Program{
-		{Slice: 1, Form: InsideGroup, Op: collective.Reduce},
-		{Slice: 1, Form: Master, Arg: 0, Op: collective.AllReduce},
-		{Slice: 1, Form: InsideGroup, Op: collective.Broadcast},
-	}
-	want := []collective.Op{collective.Reduce, collective.AllReduce, collective.Broadcast}
-	if !reflect.DeepEqual(p.Ops(), want) {
-		t.Errorf("Ops = %v", p.Ops())
-	}
-}

@@ -74,7 +74,9 @@ type lane struct {
 	groups []groupRun     // the current step's groups
 	rounds []span         // the current step's rounds, group after group
 	specs  []transferSpec // the current step's distinct transfers
+	paths  []int          // the specs' routes, each spec's paths[lo:hi]
 	live   int            // unfinished groups of the current step; 0 = between steps
+	idle   int            // groups between rounds (pending); 0 = no round to start
 	wait   float64        // launch overhead left to wait out before the next step
 	now    float64        // step-local clock
 	total  float64        // elapsed time up to the current step's start; the finish time once done
@@ -86,13 +88,13 @@ func (ln *lane) done() bool { return ln.step == len(ln.steps) }
 // scratch is one measurement's working state. It is pooled, so a warm
 // measurement allocates nothing per step, group, round or transfer, and it
 // holds no Program between measurements. The Simulator itself stays a
-// read-only value that any number of goroutines share.
+// read-only value that any number of goroutines share. Routes live with
+// their lane's specs for the whole step, so the live set is the only thing
+// an event compacts.
 type scratch struct {
 	net    network
 	lanes  []lane
 	active []transfer // live transfers, in start order
-	paths  []int      // the live transfers' paths, in the same order
-	route  []int      // one route, for the latency scan
 	key    []byte     // noise fingerprint bytes
 }
 
@@ -103,11 +105,11 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch(sys *topology.System, opts Options, n int) *scratch {
 	sc := scratchPool.Get().(*scratch)
 	sc.net.reset(sys, opts)
-	sc.active, sc.paths, sc.lanes = sc.active[:0], sc.paths[:0], slices.Grow(sc.lanes[:0], n)[:n]
+	sc.active, sc.lanes = sc.active[:0], slices.Grow(sc.lanes[:0], n)[:n]
 	for i := range sc.lanes {
 		ln := &sc.lanes[i]
 		*ln = lane{steps: ln.steps[:0], stepAlgos: ln.stepAlgos[:0], groups: ln.groups[:0],
-			rounds: ln.rounds[:0], specs: ln.specs[:0], wait: opts.LaunchOverhead}
+			rounds: ln.rounds[:0], specs: ln.specs[:0], paths: ln.paths[:0], wait: opts.LaunchOverhead}
 	}
 	return sc
 }
@@ -163,7 +165,9 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 
 	// startStep opens the lane's next step: the launch overhead it waited
 	// out joins the lane's total as the constant (not as the sum of the dts
-	// that consumed it) and the step-local clock restarts.
+	// that consumed it) and the step-local clock restarts. It routes each
+	// distinct transfer once, for the group's latency and the spec's down
+	// flag, and keeps the route for every round that repeats the transfer.
 	startStep := func(ln *lane) {
 		st := ln.steps[ln.step]
 		algo := ln.algo
@@ -173,52 +177,57 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 		ln.total += opts.LaunchOverhead
 		ln.now = 0
 		perDevice := st.FracIn() * ln.bytes
-		ln.groups, ln.rounds, ln.specs = ln.groups[:0], ln.rounds[:0], ln.specs[:0]
+		ln.groups, ln.rounds, ln.specs, ln.paths = ln.groups[:0], ln.rounds[:0], ln.specs[:0], ln.paths[:0]
 		for _, g := range st.Groups {
 			lo, first := len(ln.rounds), len(ln.specs)
 			ln.specs, ln.rounds = scheduleRounds(sys, st.Op, g, perDevice, algo, ln.specs, ln.rounds)
 			// The group's latency is the max over its rounds' transfers;
 			// each distinct transfer is in specs once, and max is exact.
 			lat := 0.0
-			for _, tr := range ln.specs[first:] {
-				sc.route = net.route(tr.src, tr.dst, sc.route[:0])
-				if l := net.latency(sc.route); l > lat {
+			for k := first; k < len(ln.specs); k++ {
+				sp := &ln.specs[k]
+				sp.lo = int32(len(ln.paths))
+				ln.paths = net.route(sp.src, sp.dst, ln.paths)
+				sp.hi, sp.group = int32(len(ln.paths)), int32(len(ln.groups))
+				path := ln.paths[sp.lo:sp.hi]
+				if l := net.latency(path); l > lat {
 					lat = l
+				}
+				for _, ri := range path {
+					//p2:nan-ok link rates are validated finite by (*System).init; exact 0 is the down-link sentinel
+					if net.links[ri].bandwidth == 0 {
+						sp.down = true
+					}
 				}
 			}
 			ln.groups = append(ln.groups, groupRun{lo: lo, hi: len(ln.rounds), latency: lat})
 		}
-		ln.live = len(ln.groups)
+		ln.live, ln.idle = len(ln.groups), len(ln.groups)
 	}
 	startRound := func(li, gi int) {
 		ln := &lanes[li]
 		g := &ln.groups[gi]
 		round := ln.rounds[g.lo+g.next]
 		g.next++
+		ln.idle--
 		for k := round.lo; k < round.hi; k++ {
-			spec := ln.specs[k]
-			b := spec.bytes
+			sp := &ln.specs[k]
+			b := sp.bytes
 			if !opts.DisableNoise {
 				b *= 1 + opts.NoiseFrac*ln.noise.next(ln.step, gi, g.next, k-round.lo)
 			}
-			tr := transfer{remaining: b, lo: len(sc.paths), lane: li, group: gi,
-				src: spec.src, dst: spec.dst, bytes: b, started: ln.now}
-			sc.paths = net.route(spec.src, spec.dst, sc.paths)
-			tr.hi = len(sc.paths)
-			path := sc.paths[tr.lo:tr.hi]
-			for _, ri := range path {
-				//p2:nan-ok link rates are validated finite by (*System).init; exact 0 is the down-link sentinel
-				if net.links[ri].bandwidth == 0 {
-					tr.stalled = true
-				}
-			}
-			if tr.stalled {
-				stalled++
-			} else {
-				net.load(path, 1)
-			}
-			sc.active = append(sc.active, tr)
 			g.inflight++
+			if sp.down {
+				// Stalled: it never completes and moves no bytes, so it
+				// stays out of the live set and loads no link, and its
+				// group — hence the step and the lane — never finishes,
+				// making the measured time +Inf.
+				stalled++
+				continue
+			}
+			net.load(ln.paths[sp.lo:sp.hi], 1)
+			sc.active = append(sc.active, transfer{remaining: b, bytes: b, started: ln.now,
+				lane: int32(li), spec: int32(k), lo: sp.lo, hi: sp.hi})
 		}
 	}
 	// abandon marks every unfinished lane as never completing.
@@ -256,6 +265,9 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				}
 				continue
 			}
+			if ln.idle == 0 {
+				continue // every group has a round in flight
+			}
 			for gi := range ln.groups {
 				g := &ln.groups[gi]
 				if g.pending() && g.startAt <= ln.now+1e-15 {
@@ -267,18 +279,14 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 			}
 		}
 		// Equal-share rates and the time to the next completion, in one
-		// pass. Stalled transfers keep rate 0 and do not count toward any
-		// link's share (they move no bytes). Every other transfer has rate
-		// > 0: base bandwidths are validated positive and a transfer counts
-		// toward its own links' shares.
+		// pass. Every live transfer has rate > 0: base bandwidths are
+		// validated positive, a transfer behind a down link is never live,
+		// and a transfer counts toward its own links' shares.
 		active := sc.active
 		for i := range active {
 			tr := &active[i]
-			if tr.stalled {
-				continue
-			}
 			rate := math.Inf(1)
-			for _, ri := range sc.paths[tr.lo:tr.hi] {
+			for _, ri := range lanes[tr.lane].paths[tr.lo:tr.hi] {
 				if r := net.links[ri].share; r < rate {
 					rate = r
 				}
@@ -312,19 +320,13 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				ln.now += dt
 			}
 		}
-		// Drain and retire completed transfers; a stalled one, even of 0
-		// bytes, never completes. Compaction is stable and moves each kept
-		// transfer's path down to the end of the paths kept before it, so
-		// paths stay in active order.
-		kept, w := 0, 0
+		// Drain and retire completed transfers. Compaction is stable, so
+		// the live set stays in start order.
+		kept := 0
 		for i := range active {
 			tr := &active[i]
 			tr.remaining -= tr.rate * dt
-			if tr.stalled || tr.remaining > 1e-9*tr.rate+1e-12 {
-				if tr.lo != w {
-					tr.lo, tr.hi = w, w+copy(sc.paths[w:], sc.paths[tr.lo:tr.hi])
-				}
-				w = tr.hi
+			if tr.remaining > 1e-9*tr.rate+1e-12 {
 				if kept != i {
 					active[kept] = *tr
 				}
@@ -332,26 +334,28 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				continue
 			}
 			ln := &lanes[tr.lane]
+			sp := &ln.specs[tr.spec]
 			if s.Recorder != nil {
 				s.Recorder(Event{
 					Step:  ln.step,
-					Group: tr.group,
+					Group: int(sp.group),
 					Op:    ln.steps[ln.step].Op,
-					Src:   tr.src,
-					Dst:   tr.dst,
+					Src:   sp.src,
+					Dst:   sp.dst,
 					Bytes: tr.bytes,
 					Start: ln.total + tr.started,
 					End:   ln.total + ln.now,
 				})
 			}
-			net.load(sc.paths[tr.lo:tr.hi], -1)
-			g := &ln.groups[tr.group]
+			net.load(ln.paths[tr.lo:tr.hi], -1)
+			g := &ln.groups[sp.group]
 			g.inflight--
 			if g.inflight > 0 {
 				continue
 			}
 			if g.more() {
 				g.startAt = ln.now + g.latency
+				ln.idle++
 				continue
 			}
 			ln.live--
@@ -366,7 +370,7 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				unfinished--
 			}
 		}
-		sc.active, sc.paths = active[:kept], sc.paths[:w]
+		sc.active = active[:kept]
 	}
 
 	out := make([]float64, len(lanes))

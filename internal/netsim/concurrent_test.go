@@ -76,8 +76,8 @@ func TestConcurrentEmpty(t *testing.T) {
 // TestConcurrentMixedLiveDownLanes: when lanes share a fabric with a down
 // NIC, only the lanes whose traffic crosses it stall to +Inf — a lane
 // confined to live links must still finish in finite time, in either
-// spec order (stalled transfers hold rate zero and never block the event
-// loop or hog a live link's share).
+// spec order (stalled transfers stay out of the live set, so they never
+// block the event loop or hog a live link's share).
 func TestConcurrentMixedLiveDownLanes(t *testing.T) {
 	// crossNode reduces over an axis spanning 2 nodes, so its ring crosses
 	// the NICs; intraNode reduces over 4 GPUs of a single node and never

@@ -243,34 +243,31 @@ func (n *network) latency(path []int) float64 {
 	return lat
 }
 
-// transferSpec is one point-to-point copy within a round.
+// transferSpec is one distinct point-to-point copy of a group's rounds,
+// group indexing its lane's groups. Its route, paths[lo:hi] of its lane's
+// path buffer, is taken once when its step starts; down marks a route that
+// crosses a down link (a LinkOverride with bandwidth scale 0).
 type transferSpec struct {
 	src, dst int
 	bytes    float64
+	lo, hi   int32
+	group    int32
+	down     bool
 }
 
 // span is one round: the transfers specs[lo:hi] of its lane's spec buffer.
 type span struct{ lo, hi int }
 
-// transfer is a live transfer. It holds no pointer: its path is
-// paths[lo:hi] of the measurement's one path buffer, which keeps the live
-// transfers' paths in the order of the active list.
+// transfer is a live transfer: a started copy of its lane's current
+// specs[spec] whose route crosses no down link. It holds no pointer: its
+// route is the spec's, paths[lo:hi] of its lane's path buffer, and the
+// Recorder reads its endpoints and group off the spec, so compacting the
+// live set moves 48 bytes per transfer kept and no path.
 type transfer struct {
-	remaining float64
-	lo, hi    int
-	lane      int
-	group     int
-	rate      float64
-	// stalled marks a transfer whose path crosses a down link (a
-	// LinkOverride with bandwidth scale 0): it never completes, never
-	// occupies bandwidth on the healthy links of its path, and its group —
-	// hence the step and the lane — never finishes, making the measured
-	// time +Inf.
-	stalled bool
-	// trace metadata (only used when a Recorder is attached)
-	src, dst int
-	bytes    float64
-	started  float64 // on the lane's step-local clock
+	remaining, rate    float64
+	bytes              float64 // the jittered volume, for the Recorder
+	started            float64 // on the lane's step-local clock
+	lane, spec, lo, hi int32
 }
 
 // groupRun tracks one group's progress through its rounds.

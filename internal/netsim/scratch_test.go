@@ -39,25 +39,33 @@ type scratchCase struct {
 	run  func() []uint64
 }
 
+// eventDigest counts a Recorder's events and folds every field of every
+// event, in stream order, into an FNV-1a hash.
+type eventDigest struct{ n, h uint64 }
+
+func newEventDigest() *eventDigest { return &eventDigest{h: 14695981039346656037} }
+
+func (d *eventDigest) add(ev Event) {
+	mix := func(v uint64) { d.h = (d.h ^ v) * 1099511628211 }
+	d.n++
+	for _, v := range []int{ev.Step, ev.Group, int(ev.Op), ev.Src, ev.Dst} {
+		mix(uint64(v))
+	}
+	for _, v := range []float64{ev.Bytes, ev.Start, ev.End} {
+		mix(math.Float64bits(v))
+	}
+}
+
 // recorded runs measure on sim with a Recorder attached and returns the
 // results' bits followed by the event stream's count and FNV digest.
 func recorded(sim Simulator, measure func(*Simulator) []float64) []uint64 {
-	h, n := uint64(14695981039346656037), uint64(0)
-	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
-	sim.Recorder = func(ev Event) {
-		n++
-		for _, v := range []int{ev.Step, ev.Group, int(ev.Op), ev.Src, ev.Dst} {
-			mix(uint64(v))
-		}
-		for _, v := range []float64{ev.Bytes, ev.Start, ev.End} {
-			mix(math.Float64bits(v))
-		}
-	}
+	d := newEventDigest()
+	sim.Recorder = d.add
 	var out []uint64
 	for _, v := range measure(&sim) {
 		out = append(out, math.Float64bits(v))
 	}
-	return append(out, n, h)
+	return append(out, d.n, d.h)
 }
 
 func scratchCases(t *testing.T) []scratchCase {

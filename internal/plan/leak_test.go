@@ -71,6 +71,29 @@ func TestStreamCancelReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// TestRerankCompletedReleasesGoroutines: a RerankAll run at parallelism 4
+// that runs to completion — producer, workers and the measurement fan-out
+// all busy — returns only after every goroutine it started has exited, not
+// just cancelled ones. The poll covers a goroutine that has signalled its
+// WaitGroup but not yet unwound.
+func TestRerankCompletedReleasesGoroutines(t *testing.T) {
+	sys := topology.SuperPodSystem(2, 4)
+	matrices, err := placement.Enumerate(sys.Hierarchy(), []int{8, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &cost.Model{Sys: sys, Algo: cost.Ring, Bytes: cost.PayloadBytes(8)}
+	base := runtime.NumGoroutine()
+	_, stats, err := New().RunStreamCtx(context.Background(), streamOf(matrices), []int{0}, model, Options{Parallelism: 4, Rerank: RerankAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MeasuredCandidates != stats.Candidates || stats.Candidates == 0 {
+		t.Fatalf("measured %d of %d candidates, want all", stats.MeasuredCandidates, stats.Candidates)
+	}
+	waitGoroutines(t, base)
+}
+
 // TestRerankDeadlineReleasesGoroutines lets a RerankAll run's deadline
 // expire inside the measurement stage — the analytic stage complete, the
 // emulator fan-out cut — and checks that the measurement workers exit.
