@@ -204,9 +204,9 @@ type window struct {
 const maxFaultedDevices = 1 << 16
 
 // readHeaderTimeout bounds how long a connection may take to send its
-// headers, and its whole request, lowered to half a shorter DrainTimeout:
-// a connection stalled mid-header or mid-body is not idle, so Shutdown
-// would otherwise wait out the whole drain for it and fail.
+// headers, and its whole request, lowered to a quarter of a shorter
+// DrainTimeout: Shutdown waits on a stalled connection (it is not idle) and
+// polls at doubling intervals, so one closed past half the drain fails it.
 const readHeaderTimeout = time.Second
 
 // flight is one /plan computation: concurrent identical requests
@@ -303,7 +303,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, logw io.Writer
 	// handler runs until the body has been read to its end, and net/http
 	// lifts the read deadline then, so a plan that runs past ReadTimeout
 	// keeps its request context.
-	read := min(readHeaderTimeout, s.cfg.DrainTimeout/2)
+	read := min(readHeaderTimeout, s.cfg.DrainTimeout/4)
 	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: read, ReadTimeout: read, IdleTimeout: -1}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -602,11 +602,11 @@ func TestDrainStalledClient(t *testing.T) {
 // a request, not serving it — a plan that runs three times past it on the
 // real listener keeps its request context and answers 200.
 func TestPlanOutlivesReadTimeout(t *testing.T) {
-	const drain = 200 * time.Millisecond // read timeout: drain/2
+	const drain = 200 * time.Millisecond // read timeout: drain/4
 	s := NewServer(Config{DrainTimeout: drain})
 	realPlan := s.planFn
 	s.planFn = func(ctx context.Context, sys *p2.System, req p2.Request) (*p2.PlanResult, error) {
-		time.Sleep(3 * drain / 2)
+		time.Sleep(3 * drain / 4)
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("request context ended mid-plan: %w", err)
 		}
@@ -622,7 +622,7 @@ func TestPlanOutlivesReadTimeout(t *testing.T) {
 // TestKeepAliveOutlivesReadTimeout: the read timeout bounds a request,
 // not the idle wait between two requests on one keep-alive connection.
 func TestKeepAliveOutlivesReadTimeout(t *testing.T) {
-	const drain = 200 * time.Millisecond // read timeout: drain/2
+	const drain = 200 * time.Millisecond // read timeout: drain/4
 	addr, cancel, served, _ := listen(t, NewServer(Config{DrainTimeout: drain}))
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -632,7 +632,7 @@ func TestKeepAliveOutlivesReadTimeout(t *testing.T) {
 	br := bufio.NewReader(conn)
 	for i := 1; i <= 2; i++ {
 		if i > 1 {
-			time.Sleep(3 * drain / 2)
+			time.Sleep(3 * drain / 4)
 		}
 		if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
 			t.Fatalf("request %d: %v", i, err)
