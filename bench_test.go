@@ -304,7 +304,8 @@ func BenchmarkSynthesisThreeAxis(b *testing.B) {
 // 64, each taken from a placement of the benchmark shape that synthesizes it
 // (superpod:2x4 [8 8], superpod:3x4 [12 8], superpod:16x32 [64 64]). The
 // program set depends on the level count alone (93 and 1 635 programs); the
-// time goes with K².
+// time goes with K². Each row reports the explored and programs counters of
+// one untimed run.
 func BenchmarkSynthesize(b *testing.B) {
 	rows := []struct {
 		name string
@@ -331,11 +332,14 @@ func BenchmarkSynthesize(b *testing.B) {
 			if err != nil || h == nil {
 				b.Fatalf("no placement of %s %v reduces over %s (err %v)", row.sys.Name, row.axes, row.hier, err)
 			}
+			res := synth.Synthesize(h, synth.Options{}) // the counters, before the timed loop
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				synth.Synthesize(h, synth.Options{})
 			}
+			b.ReportMetric(float64(res.Explored), "explored")
+			b.ReportMetric(float64(len(res.Programs)), "programs")
 		})
 	}
 }

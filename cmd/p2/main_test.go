@@ -517,10 +517,14 @@ func TestLoadtestCommand(t *testing.T) {
 
 func TestLoadtestErrors(t *testing.T) {
 	for name, args := range map[string][]string{
-		"warm with url": {"loadtest", "-url", "http://127.0.0.1:1", "-warm"},
-		"bad mode":      {"loadtest", "-mode", "sideways"},
-		"bad fractions": {"loadtest", "-hot-frac", "0.9", "-timeout-frac", "0.9"},
-		"dead url":      {"loadtest", "-url", "http://127.0.0.1:1", "-requests", "2"},
+		"warm with url":  {"loadtest", "-url", "http://127.0.0.1:1", "-warm"},
+		"bad mode":       {"loadtest", "-mode", "sideways"},
+		"bad fractions":  {"loadtest", "-hot-frac", "0.9", "-timeout-frac", "0.9"},
+		"dead url":       {"loadtest", "-url", "http://127.0.0.1:1", "-requests", "2"},
+		"negative count": {"loadtest", "-requests", "-1"},
+		"NaN fraction":   {"loadtest", "-hot-frac", "NaN"},
+		"Inf rate":       {"loadtest", "-mode", "open", "-rps", "Inf"},
+		"rate past 1e9":  {"loadtest", "-mode", "open", "-rps", "2e9"},
 	} {
 		if _, errOut, code := exec(args...); code != 1 || !strings.Contains(errOut, "p2:") {
 			t.Errorf("%s: exit=%d err=%q", name, code, errOut)

@@ -32,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -160,20 +161,13 @@ var knownMarkers = map[Marker]bool{
 	MarkerCtxOk:            true,
 }
 
-// annotation is one parsed //p2: comment.
-type annotation struct {
-	marker Marker
-	why    string
-	pos    token.Pos
-}
-
 // Annotations indexes a package's //p2: markers for line-level lookups.
 // A marker covers the source line it sits on and, when it is the only
 // thing on its line (a comment-above annotation), the line below it.
 type Annotations struct {
 	fset *token.FileSet
-	// byLine maps file -> line -> annotations effective on that line.
-	byLine map[string]map[int][]annotation
+	// byLine maps file -> line -> the markers in effect on that line.
+	byLine map[string]map[int][]Marker
 	// problems are malformed markers (unknown kind, missing justification),
 	// reported by the annot analyzer.
 	problems []Diagnostic
@@ -181,7 +175,7 @@ type Annotations struct {
 
 // parseAnnotations scans every comment of files for //p2: markers.
 func parseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
-	a := &Annotations{fset: fset, byLine: map[string]map[int][]annotation{}}
+	a := &Annotations{fset: fset, byLine: map[string]map[int][]Marker{}}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -230,26 +224,20 @@ func (a *Annotations) scanComment(c *ast.Comment) {
 	// marker is deliberate: distinguishing the styles needs the raw
 	// source, and the extra line is the statement the marker already
 	// blesses or a closing brace in every gofmt'd layout.
-	ann := annotation{marker: m, why: why, pos: c.Pos()}
 	lines := a.byLine[pos.Filename]
 	if lines == nil {
-		lines = map[int][]annotation{}
+		lines = map[int][]Marker{}
 		a.byLine[pos.Filename] = lines
 	}
-	lines[pos.Line] = append(lines[pos.Line], ann)
-	lines[pos.Line+1] = append(lines[pos.Line+1], ann)
+	lines[pos.Line] = append(lines[pos.Line], m)
+	lines[pos.Line+1] = append(lines[pos.Line+1], m)
 }
 
 // Covers reports whether a marker of kind m is in effect at pos: on the
 // same source line, or on the line directly above (comment-above style).
 func (a *Annotations) Covers(pos token.Pos, m Marker) bool {
 	p := a.fset.Position(pos)
-	for _, ann := range a.byLine[p.Filename][p.Line] {
-		if ann.marker == m {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(a.byLine[p.Filename][p.Line], m)
 }
 
 // StaticCallee resolves a call expression to the *types.Func it invokes,

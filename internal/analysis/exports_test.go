@@ -4,13 +4,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// exportAllowlist names the exported internal functions and methods that
-// only tests call and that stay exported anyway, each with its reason.
+// exportAllowlist names the internal functions and methods that only
+// tests call and that stay anyway, each with its reason.
 var exportAllowlist = map[string]string{
 	"p2/internal/hierarchy.MustBuild":                   "fixture shared by several test packages",
 	"p2/internal/placement.MustMatrix":                  "fixture shared by several test packages",
@@ -25,21 +28,47 @@ var exportAllowlist = map[string]string{
 	"p2/internal/synth.Candidates":                      "the instruction space the lowering tests and the hierarchy ablation row enumerate",
 }
 
-// TestNoTestOnlyExports keeps test oracles in tests: every exported
-// function or method declared under p2/internal/ must have a use in the
-// module's non-test Go (root, cmd/, bench/, examples/, scripts/ and the
-// internal packages themselves) outside its own declaration. A method that
+// fieldAllowlist names the internal struct fields that no non-test Go
+// reads and that stay anyway, each with its reason.
+var fieldAllowlist = map[string]string{
+	"p2/internal/plan.memoKey.sig":      "map key, read by the map's ==",
+	"p2/internal/plan.memoKey.maxSize":  "map key, read by the map's ==",
+	"p2/internal/eval.candKey.mi":       "map key, read by the map's ==",
+	"p2/internal/eval.candKey.pi":       "map key, read by the map's ==",
+	"p2/internal/plan.PanicError.Stack": "diagnostic payload documented for library callers",
+}
+
+// module is the one module load the scans of this file share.
+var module struct {
+	once sync.Once
+	fset *token.FileSet
+	pkgs []*LoadedPackage
+	err  error
+}
+
+// loadModule returns the module's non-test Go, loaded and typechecked on
+// first call.
+func loadModule(t *testing.T) (*token.FileSet, []*LoadedPackage) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads and typechecks the whole module")
+	}
+	module.once.Do(func() { module.fset, module.pkgs, module.err = Load("../..", "./...") })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.fset, module.pkgs
+}
+
+// TestNoTestOnlyExports keeps test oracles in tests: every function or
+// method declared under p2/internal/ must have a use in the module's
+// non-test Go (root, cmd/, bench/, examples/, scripts/ and the internal
+// packages themselves) outside its own declaration. A method that
 // satisfies a standard-library interface (String, Error, flag.Value's Set,
 // ...) counts as used. The rest either goes or joins exportAllowlist with
 // a reason.
 func TestNoTestOnlyExports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and typechecks the whole module")
-	}
-	fset, pkgs, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, pkgs := loadModule(t)
 	type decl struct {
 		fn       *types.Func
 		pos, end token.Pos
@@ -52,7 +81,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+				if !ok || fd.Name.Name == "init" {
 					continue
 				}
 				fn := p.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -94,7 +123,123 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(unused)
 	for _, name := range unused {
-		t.Errorf("%s is exported but only tests call it: move it into the tests, or allowlist it with a reason", name)
+		t.Errorf("%s has no non-test use: delete it or move it into the tests, or allowlist it with a reason", name)
+	}
+}
+
+// TestNoWriteOnlyFields keeps data a program reads: every field of a
+// struct declared under p2/internal/ must be read by the module's non-test
+// Go. A read is any use of the field other than the key of a keyed
+// composite literal or the left side of a plain = (so x.f++ and x.f += 1
+// read); a json tag other than "-" counts as one, since the encoder reads
+// the field. Embedded fields are exempt: their use is the promotion. The
+// rest either goes or joins fieldAllowlist with a reason.
+func TestNoWriteOnlyFields(t *testing.T) {
+	fset, pkgs := loadModule(t)
+	// A field reached from another package is that package's import of
+	// it, a different object whose export data keeps the declaring file
+	// and line but not the column, so fields are keyed by those and name.
+	type fieldKey struct {
+		file string
+		line int
+		name string
+	}
+	keyOf := func(v *types.Var) fieldKey {
+		pos := fset.Position(v.Pos())
+		return fieldKey{pos.Filename, pos.Line, v.Name()}
+	}
+	fields := map[fieldKey]string{}
+	read := map[string]bool{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, "p2/internal/") {
+			continue
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				ast.Inspect(ts.Type, func(n ast.Node) bool {
+					st, ok := n.(*ast.StructType)
+					if !ok {
+						return true
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.Name == "_" {
+								continue
+							}
+							name := p.Path + "." + ts.Name.Name + "." + id.Name
+							fields[keyOf(p.TypesInfo.Defs[id].(*types.Var))] = name
+							if fl.Tag != nil {
+								tag, _ := strconv.Unquote(fl.Tag.Value)
+								if j, ok := reflect.StructTag(tag).Lookup("json"); ok && j != "-" {
+									read[name] = true
+								}
+							}
+						}
+					}
+					return true
+				})
+				return false
+			})
+		}
+	}
+	for _, p := range pkgs {
+		writes := map[*ast.Ident]bool{}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+						break
+					}
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							writes[sel.Sel] = true
+						}
+					}
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								writes[id] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.TypesInfo.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				if name, ok := fields[keyOf(v.Origin())]; ok {
+					read[name] = true
+				}
+			}
+		}
+	}
+	declared := map[string]bool{}
+	var unread []string
+	for _, name := range fields {
+		declared[name] = true
+		if read[name] {
+			if _, ok := fieldAllowlist[name]; ok {
+				t.Errorf("%s is read by a program now; drop it from fieldAllowlist", name)
+			}
+		} else if _, ok := fieldAllowlist[name]; !ok {
+			unread = append(unread, name)
+		}
+	}
+	for name := range fieldAllowlist {
+		if !declared[name] {
+			t.Errorf("fieldAllowlist names %s, which is not declared", name)
+		}
+	}
+	sort.Strings(unread)
+	for _, name := range unread {
+		t.Errorf("%s is written but no program reads it: delete it, or allowlist it with a reason", name)
 	}
 }
 

@@ -145,7 +145,7 @@ func TestHalvingDoublingResidualReducesCorrectVolume(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 12, 16} {
 		p := CorePow2(n)
 		sch := ScheduleOf(collective.AllReduce, HalvingDoubling, n, d)
-		edges := sch.edges()
+		edges := sch.edges(n)
 		total := 0.0
 		residual := 0.0
 		for _, e := range edges {

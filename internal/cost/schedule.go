@@ -23,7 +23,7 @@ const (
 	PatternHalvingDoubling
 )
 
-// Schedule is how NCCL runs one collective over a group of N devices: the
+// Schedule is how NCCL runs one collective over a group of n devices: the
 // link pattern plus the two views the simulators take of it. The analytic
 // model charges every link its whole volume at once and counts latency
 // rounds; the event emulator executes rounds of concurrent transfers. Both
@@ -32,7 +32,6 @@ const (
 // to a link once, not D twice.
 type Schedule struct {
 	Pattern Pattern
-	N       int
 
 	// Analytic view: LinkBytes is the volume of one link, LatencyRounds the
 	// pipeline rounds link latency is paid for. Under halving-doubling
@@ -63,33 +62,33 @@ func ScheduleOf(op collective.Op, algo Algorithm, n int, perDevice float64) Sche
 		switch algo {
 		case Tree:
 			// Reduce up the tree, broadcast back down.
-			return Schedule{Pattern: PatternTree, N: n, LinkBytes: 2 * perDevice, LatencyRounds: 2 * logRounds(n),
+			return Schedule{Pattern: PatternTree, LinkBytes: 2 * perDevice, LatencyRounds: 2 * logRounds(n),
 				Rounds: 2, RoundBytes: perDevice, TowardRoot: true}
 		case HalvingDoubling:
 			// 2·⌈log2 n⌉ rounds: for a power of two, the halving plus
 			// doubling phases; otherwise 2·⌊log2 n⌋ core rounds plus the
 			// residual fold pre-round and unfold post-round.
 			rounds := 2 * logRounds(n)
-			return Schedule{Pattern: PatternHalvingDoubling, N: n, LinkBytes: perDevice, LatencyRounds: rounds,
+			return Schedule{Pattern: PatternHalvingDoubling, LinkBytes: perDevice, LatencyRounds: rounds,
 				Rounds: rounds, RoundBytes: perDevice}
 		default:
-			return Schedule{Pattern: PatternRing, N: n, LinkBytes: 2 * float64(n-1) / float64(n) * perDevice, LatencyRounds: 2 * (n - 1),
+			return Schedule{Pattern: PatternRing, LinkBytes: 2 * float64(n-1) / float64(n) * perDevice, LatencyRounds: 2 * (n - 1),
 				Rounds: 2 * (n - 1), RoundBytes: perDevice / float64(n)}
 		}
 	case collective.ReduceScatter:
 		// NCCL implements ReduceScatter with a ring regardless of algo.
-		return Schedule{Pattern: PatternRing, N: n, LinkBytes: float64(n-1) / float64(n) * perDevice, LatencyRounds: n - 1,
+		return Schedule{Pattern: PatternRing, LinkBytes: float64(n-1) / float64(n) * perDevice, LatencyRounds: n - 1,
 			Rounds: n - 1, RoundBytes: perDevice / float64(n)}
 	case collective.AllGather:
 		// Each device holds perDevice and must collect n-1 more shards.
-		return Schedule{Pattern: PatternRing, N: n, LinkBytes: float64(n-1) * perDevice, LatencyRounds: n - 1,
+		return Schedule{Pattern: PatternRing, LinkBytes: float64(n-1) * perDevice, LatencyRounds: n - 1,
 			Rounds: n - 1, RoundBytes: perDevice}
 	case collective.Reduce, collective.Broadcast:
 		// One pass toward (Reduce) or away from (Broadcast) the root: over
 		// the tree, or over the chain when NCCL is pinned to Ring — all hops
 		// of the pipelined chain are busy at once, so the emulator runs it
 		// as a single round.
-		s := Schedule{Pattern: PatternTree, N: n, LinkBytes: perDevice, LatencyRounds: logRounds(n),
+		s := Schedule{Pattern: PatternTree, LinkBytes: perDevice, LatencyRounds: logRounds(n),
 			Rounds: 1, RoundBytes: perDevice, TowardRoot: op == collective.Reduce}
 		if algo == Ring {
 			s.Pattern, s.LatencyRounds = PatternChain, n-1

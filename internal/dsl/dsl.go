@@ -87,9 +87,6 @@ func (p Program) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// Clone returns a copy of the program.
-func (p Program) Clone() Program { return append(Program(nil), p...) }
-
 // Validate checks that the instruction's levels are meaningful for h: the
 // slice must exist, Parallel/Master arguments must be strict ancestors, and
 // the derived groups must have at least two members.

@@ -33,8 +33,8 @@ type DegradeConfig struct {
 
 // DegradeResult compares the pristine and degraded rankings of one request.
 type DegradeResult struct {
-	// Pristine and Degraded are the two systems compared.
-	Pristine, Degraded *topology.System
+	// Degraded is the faulted system the pristine one is compared with.
+	Degraded *topology.System
 	// PristineRank is the full pristine ranking; DegradedAt[i] is the
 	// degraded predicted time of PristineRank[i] (matched by candidate
 	// identity, not rank), and DegradedRank the degraded ranking.
@@ -117,7 +117,6 @@ func RunDegradeCtx(ctx context.Context, cfg DegradeConfig) (*DegradeResult, erro
 		byKey[candKey{c.MatrixIdx, c.ProgIdx}] = c
 	}
 	res := &DegradeResult{
-		Pristine:     cfg.Sys,
 		Degraded:     degraded,
 		PristineRank: pristine,
 		DegradedRank: degradedRank,

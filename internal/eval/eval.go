@@ -260,24 +260,24 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // MeasureBaseline runs only the single-AllReduce program for one matrix
-// under the config's pinned algorithm — the Table 3 quantity — returning
-// (predicted, measured) seconds.
-func MeasureBaseline(cfg Config, m *placement.Matrix) (float64, float64, error) {
+// under the config's pinned algorithm and returns its measured seconds,
+// the Table 3 quantity.
+func MeasureBaseline(cfg Config, m *placement.Matrix) (float64, error) {
 	if err := cfg.NetsimOpts.Validate(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	spec, err := cfg.spec()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	h, err := hierarchy.Build(hierarchy.KindReductionAxes, m, spec.ReduceAxes, hierarchy.Options{Collapse: spec.Collapse})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	lp, err := lower.Lower(synth.BaselineAllReduce(), h)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	sim := &netsim.Simulator{Sys: cfg.Sys, Algo: spec.Model.Algo, Bytes: spec.Model.Bytes, Opts: cfg.NetsimOpts}
-	return spec.Model.ProgramTime(lp), sim.Measure(lp), nil
+	return sim.Measure(lp), nil
 }

@@ -78,7 +78,7 @@ func BuildTable3(sys *topology.System, axesList [][]int) (*Table, error) {
 				}
 				for _, algo := range []cost.Algorithm{cost.Ring, cost.Tree} {
 					cfg := Config{Sys: sys, Axes: axes, ReduceAxes: red, Algos: []cost.Algorithm{algo}}
-					_, meas, err := MeasureBaseline(cfg, m)
+					meas, err := MeasureBaseline(cfg, m)
 					if err != nil {
 						return nil, err
 					}

@@ -68,14 +68,11 @@ func (k Kind) String() string {
 
 // Hierarchy is a synthesis hierarchy ready for the reduction DSL.
 type Hierarchy struct {
-	Kind Kind
 	// Sizes are the level cardinalities, root-most first. Sizes[0] is
 	// always the implicit root of size 1 (the paper appends (root, 1)).
 	// Interior levels of size 1 are dropped: they cannot change any
 	// device grouping and only duplicate instructions.
 	Sizes []int
-	// Names label each level for diagnostics, aligned with Sizes.
-	Names []string
 	// Leaves[u] lists the physical devices leaf u denotes, ordered by the
 	// non-reduction coordinate combination (the replica index). All
 	// leaves have the same replica count.
@@ -241,26 +238,14 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 		}
 	}
 	collapse := kind == KindSystem || kind == KindReductionAxes && opts.Collapse
-	prefix := "c"
-	if kind == KindSystem {
-		prefix = "h"
-	}
 
-	sizes, names, redLevel := []int{1}, []string{"root"}, []bool{true}
-	// level appends the level of factor (a, j), or of hardware level j
-	// collapsed when a < 0, unless it is a dropped unit level.
-	level := func(size, a, j int, reduction bool) {
+	sizes, redLevel := []int{1}, []bool{true}
+	// level appends a level unless it is a dropped unit level.
+	level := func(size int, reduction bool) {
 		if size == 1 && !opts.KeepUnitLevels {
 			return
 		}
-		var name string
-		if a < 0 {
-			name = prefix + strconv.Itoa(j)
-		} else {
-			name = "x" + strconv.Itoa(a) + "," + strconv.Itoa(j)
-		}
 		sizes = append(sizes, size)
-		names = append(names, name)
 		redLevel = append(redLevel, reduction)
 	}
 	// order lists a leaf address's non-unit digits, most significant
@@ -272,7 +257,7 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 	var order []leafDigit
 	digit := func(a, j int) {
 		if !collapse {
-			level(m.X[a][j], a, j, isRed[a])
+			level(m.X[a][j], isRed[a])
 		}
 		if m.X[a][j] > 1 {
 			order = append(order, leafDigit{a, m.X[a][j], factor.Product(m.X[a][j+1:]), isRed[a]})
@@ -287,7 +272,7 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 				reduction = reduction && (isRed[a] || m.X[a][j] == 1)
 			}
 			if collapse {
-				level(size, -1, j, reduction)
+				level(size, reduction)
 			}
 		}
 	} else {
@@ -355,9 +340,7 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 		groups[u] = g
 	}
 	return &Hierarchy{
-		Kind:           kind,
 		Sizes:          sizes,
-		Names:          names,
 		Leaves:         leaves,
 		Groups:         groups,
 		ReductionLevel: redLevel,

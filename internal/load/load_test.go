@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"reflect"
@@ -106,7 +107,8 @@ func marshalEach(t *testing.T, cfg WorkloadConfig, n int) []Request {
 // TestGenerateMix checks the fraction accounting: every kind the config
 // asks for appears, hot requests repeat keys (that is their job), fresh
 // and deadlined bodies are unique, and a zero fraction generates none of
-// that kind.
+// that kind. A negative count and a fraction that is not a number ≥ 0 in
+// a sum ≤ 1 are refused.
 func TestGenerateMix(t *testing.T) {
 	const n = 1000
 	stream, err := Generate(WorkloadConfig{Seed: 7, HotFrac: 0.4, TimeoutFrac: 0.1, MalformedFrac: 0.1}, n)
@@ -161,8 +163,15 @@ func TestGenerateMix(t *testing.T) {
 	if _, err := Generate(WorkloadConfig{HotFrac: 0.7, TimeoutFrac: 0.4}, 1); err == nil {
 		t.Fatal("fractions summing past 1 were accepted")
 	}
-	if _, err := Generate(WorkloadConfig{HotFrac: -0.1}, 1); err == nil {
-		t.Fatal("negative fraction was accepted")
+	if _, err := Generate(WorkloadConfig{}, -1); err == nil {
+		t.Error("negative request count was accepted")
+	}
+	for _, f := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, cfg := range []WorkloadConfig{{HotFrac: f}, {TimeoutFrac: f}, {MalformedFrac: f}} {
+			if _, err := Generate(cfg, 1); err == nil {
+				t.Errorf("%+v was accepted", cfg)
+			}
+		}
 	}
 }
 
@@ -321,6 +330,20 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 	if rep.Mode != "open" || rep.TargetRPS != 400 {
 		t.Fatalf("report mode %q rps %.0f, want open/400", rep.Mode, rep.TargetRPS)
+	}
+}
+
+// TestRunRefusesOpenLoopRate holds Run to refusing an open-loop rate whose
+// arrival interval is no positive duration, before it sends anything.
+func TestRunRefusesOpenLoopRate(t *testing.T) {
+	stream, err := Generate(WorkloadConfig{Seed: 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rps := range []float64{math.NaN(), math.Inf(1), 2e9} {
+		if _, err := Run(NewClient(1), "http://127.0.0.1:1", stream, Options{Mode: OpenLoop, RPS: rps}); err == nil || !strings.Contains(err.Error(), "arrival interval") {
+			t.Errorf("RPS %g: err = %v, want an arrival-interval refusal", rps, err)
+		}
 	}
 }
 

@@ -179,6 +179,10 @@ func Run(client *http.Client, baseURL string, stream []Request, opts Options) (*
 	if opts.Window > len(stream) {
 		opts.Window = len(stream)
 	}
+	interval := float64(time.Second) / opts.RPS // ns: NaN, +Inf and rates above 1e9/s give no positive Duration
+	if opts.Mode == OpenLoop && !(interval >= 1 && interval < 1<<63) {
+		return nil, fmt.Errorf("load: open-loop rate %g req/s has no positive arrival interval", opts.RPS)
+	}
 
 	before, err := FetchStatz(client, baseURL)
 	if err != nil {
@@ -205,7 +209,7 @@ func Run(client *http.Client, baseURL string, stream []Request, opts Options) (*
 	}
 	switch opts.Mode {
 	case OpenLoop:
-		runOpen(client, baseURL, stream, order, results, opts.RPS)
+		runOpen(client, baseURL, stream, order, results, time.Duration(interval))
 	default:
 		runClosed(client, baseURL, stream, order, results, opts.Clients)
 	}
@@ -248,8 +252,7 @@ func runClosed(client *http.Client, baseURL string, stream []Request, order []in
 // runOpen is the open-loop driver: the stream indices of order depart on
 // a fixed-interval ticker regardless of outstanding responses, one
 // goroutine each.
-func runOpen(client *http.Client, baseURL string, stream []Request, order []int, results []result, rps float64) {
-	interval := time.Duration(float64(time.Second) / rps)
+func runOpen(client *http.Client, baseURL string, stream []Request, order []int, results []result, interval time.Duration) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	var wg sync.WaitGroup

@@ -117,8 +117,11 @@ func freshBytes(k int) float64 {
 // same stream, byte for byte — the property that makes cold-vs-warm
 // comparisons and cross-machine baselines face identical traffic.
 func Generate(cfg WorkloadConfig, n int) ([]Request, error) {
-	if cfg.HotFrac < 0 || cfg.TimeoutFrac < 0 || cfg.MalformedFrac < 0 {
-		return nil, fmt.Errorf("load: negative workload fraction (hot %g, timeout %g, malformed %g)",
+	if n < 0 {
+		return nil, fmt.Errorf("load: negative request count %d", n)
+	}
+	if !(cfg.HotFrac >= 0) || !(cfg.TimeoutFrac >= 0) || !(cfg.MalformedFrac >= 0) { // NaN-proof; +Inf fails the sum below
+		return nil, fmt.Errorf("load: workload fraction not a number ≥ 0 (hot %g, timeout %g, malformed %g)",
 			cfg.HotFrac, cfg.TimeoutFrac, cfg.MalformedFrac)
 	}
 	if sum := cfg.HotFrac + cfg.TimeoutFrac + cfg.MalformedFrac; sum > 1 {

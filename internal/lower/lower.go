@@ -59,8 +59,6 @@ type Program struct {
 	NumDevices int
 	// K is the synthesis-universe size (chunks per payload).
 	K int
-	// Source is the DSL program this was lowered from.
-	Source dsl.Program
 }
 
 // Lower lowers a DSL program against its synthesis hierarchy: Annotate for
@@ -126,7 +124,6 @@ func Assemble(p dsl.Program, h *hierarchy.Hierarchy, step func(i int) ([][]int, 
 		Steps:      make([]Step, len(p)),
 		NumDevices: h.K() * h.Replicas(),
 		K:          h.K(),
-		Source:     p.Clone(),
 	}
 	for i, in := range p {
 		groups, shape := step(i)

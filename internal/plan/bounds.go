@@ -13,6 +13,21 @@ import (
 // in exact arithmetic. It costs a vanishing amount of pruning power.
 const boundSafety = 1 - 1e-9
 
+// boundScratch is per-worker reusable scratch for placementBound: splits
+// holds the per-entity split-group counters and vol the per-level C_l
+// (both zeroed again by the final max-scan before every return), ents the
+// distinct entity ids of one group at one level, deduplicated through seen
+// — an entry equal to gen marks an entity already in ents, so a new group
+// and level needs only gen++, not a clear (as Scorer.addTree's partition
+// stamps). The zero value is ready to use.
+type boundScratch struct {
+	splits []int
+	vol    []int
+	ents   []int
+	seen   []uint64
+	gen    uint64
+}
+
 // placementBound returns an admissible lower bound on Model.ProgramTime of
 // EVERY valid reduction program for the placement inducing hierarchy h,
 // under every algorithm (Ring, Tree and HalvingDoubling schedules alike):
@@ -62,35 +77,9 @@ const boundSafety = 1 - 1e-9
 // is far from the incumbent top-K are provably outside it without
 // synthesizing anything.
 //
-// placementBound is the scratch-free convenience wrapper used by tests
-// and one-shot callers; the engine's workers call boundScratch's method
-// so the per-entity split counters and the entity-id scratch are reused
-// across the thousands of placements of one run instead of reallocated
-// per bound.
-func placementBound(sys *topology.System, h *hierarchy.Hierarchy, bytes float64) float64 {
-	var bs boundScratch
-	return bs.placementBound(sys, h, bytes)
-}
-
-// boundScratch is per-worker reusable scratch for placementBound: splits
-// holds the per-entity split-group counters and vol the per-level C_l
-// (both zeroed again by the final max-scan before every return), ents the
-// distinct entity ids of one group at one level, deduplicated through seen
-// — an entry equal to gen marks an entity already in ents, so a new group
-// and level needs only gen++, not a clear (as Scorer.addTree's partition
-// stamps). The zero value is ready to use.
-type boundScratch struct {
-	splits []int
-	vol    []int
-	ents   []int
-	seen   []uint64
-	gen    uint64
-}
-
-// placementBound computes the admissible bound documented above with zero
-// steady-state allocations: scratch grows to the largest system seen and
-// is reused, and every splits entry the computation dirties is re-zeroed
-// by the final scan, so the scratch is clean for the next placement.
+// It allocates nothing in steady state: each engine worker holds one
+// boundScratch, reused across a run's placements, and the final scan
+// re-zeroes every splits entry the computation dirties.
 //
 //p2:zeroalloc
 func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierarchy, bytes float64) float64 {

@@ -75,7 +75,7 @@ func TestPlacementBoundAdmissible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bound := placementBound(tc.sys, h, bytes)
+			bound := new(boundScratch).placementBound(tc.sys, h, bytes)
 			if bound < 0 {
 				t.Fatalf("%s %v: negative bound %v", tc.sys.Name, m, bound)
 			}
@@ -140,7 +140,7 @@ func TestPlacementBoundAdmissibleRandomOverrides(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bound := placementBound(sys, h, bytes)
+			bound := new(boundScratch).placementBound(sys, h, bytes)
 			for _, prog := range synth.Synthesize(h, synth.Options{}).Programs {
 				lp, err := lower.Lower(prog, h)
 				if err != nil {
@@ -276,7 +276,7 @@ func TestPlacementBoundAdmissibleGenerated(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						bound := placementBound(sys, h, bytes)
+						bound := new(boundScratch).placementBound(sys, h, bytes)
 						if old := entityTerm(sys, h, bytes); bound < old {
 							t.Fatalf("%v axes %v reduce %v matrix %v: bound %v below the per-entity term %v", sys, axes, red, m, bound, old)
 						}
@@ -319,7 +319,7 @@ func TestPlacementBoundTightOnHierarchicalStrategy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := placementBound(sys, h, bytes)
+		bound := new(boundScratch).placementBound(sys, h, bytes)
 		best := 0.0
 		for _, prog := range synth.Synthesize(h, synth.Options{}).Programs {
 			lp, err := lower.Lower(prog, h)
@@ -372,7 +372,7 @@ func TestPlacementBoundTightOnHierarchicalStrategy(t *testing.T) {
 			}
 			best = min(best, model.ProgramTime(lp))
 		}
-		if bound := placementBound(tc.sys, h, bytes); bound > best || bound < best*(1-tc.tol) {
+		if bound := new(boundScratch).placementBound(tc.sys, h, bytes); bound > best || bound < best*(1-tc.tol) {
 			t.Errorf("%s [8 8] matrix %v: bound %v, best program %v (ratio %v), want equal within %g",
 				tc.sys.Name, matrices[0], bound, best, best/bound, tc.tol)
 		}
@@ -401,7 +401,7 @@ func TestPlacementBoundZeroAlloc(t *testing.T) {
 	}
 	want := make([]float64, len(hs))
 	for i, h := range hs {
-		want[i] = placementBound(sys, h, bytes) // fresh scratch each call
+		want[i] = new(boundScratch).placementBound(sys, h, bytes) // fresh scratch each call
 	}
 	var bs boundScratch
 	bs.placementBound(sys, hs[0], bytes) // warm-up: grow scratch once

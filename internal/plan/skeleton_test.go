@@ -72,7 +72,6 @@ func TestEngineLoweredEqualsLower(t *testing.T) {
 
 func cloneLowered(p *lower.Program) *lower.Program {
 	out := *p
-	out.Source = p.Source.Clone()
 	out.Steps = make([]lower.Step, len(p.Steps))
 	for i, st := range p.Steps {
 		out.Steps[i] = st

@@ -76,7 +76,8 @@ func FuzzSynthesizeSound(f *testing.F) {
 		if len(reduce) == 0 {
 			reduce = []int{0}
 		}
-		h, err := hierarchy.Build(hierarchy.Kinds[int(kind)%len(hierarchy.Kinds)], m, reduce, hierarchy.Options{Collapse: collapse})
+		k := hierarchy.Kinds[int(kind)%len(hierarchy.Kinds)]
+		h, err := hierarchy.Build(k, m, reduce, hierarchy.Options{Collapse: collapse})
 		if err != nil {
 			t.Skip(err)
 		}
@@ -90,33 +91,33 @@ func FuzzSynthesizeSound(f *testing.F) {
 				t.Fatalf("%v: program %v exceeds size %d", h, p, opts.MaxSize)
 			}
 			if !p.Implements(h) {
-				t.Fatalf("%v %v: program %v does not implement the reduction", h.Kind, h, p)
+				t.Fatalf("%v %v: program %v does not implement the reduction", k, h, p)
 			}
 			want, err := lower.Annotate(p, h)
 			if err != nil || !slices.Equal(shapesOf(res, i), want) {
-				t.Fatalf("%v %v: program %v has shapes %v, Annotate derives %v (%v)", h.Kind, h, p, shapesOf(res, i), want, err)
+				t.Fatalf("%v %v: program %v has shapes %v, Annotate derives %v (%v)", k, h, p, shapesOf(res, i), want, err)
 			}
 			if i == 0 {
 				continue
 			}
 			q := res.Programs[i-1]
 			if len(q) > len(p) || len(q) == len(p) && q.String() >= p.String() {
-				t.Fatalf("%v %v: program %d %v does not sort after %v", h.Kind, h, i, p, q)
+				t.Fatalf("%v %v: program %d %v does not sort after %v", k, h, i, p, q)
 			}
 		}
 		opts.NoMemo = true
 		plain := Synthesize(h, opts)
 		if !reflect.DeepEqual(res.Programs, plain.Programs) || !reflect.DeepEqual(allShapes(res), allShapes(plain)) {
-			t.Fatalf("%v %v: the memoized walk found %d programs, the memo-less walk %d, or they differ", h.Kind, h, len(res.Programs), len(plain.Programs))
+			t.Fatalf("%v %v: the memoized walk found %d programs, the memo-less walk %d, or they differ", k, h, len(res.Programs), len(plain.Programs))
 		}
 		if res.Explored > plain.Explored {
-			t.Fatalf("%v %v: memoized walk explored %d, memo-less %d", h.Kind, h, res.Explored, plain.Explored)
+			t.Fatalf("%v %v: memoized walk explored %d, memo-less %d", k, h, res.Explored, plain.Explored)
 		}
 		if h.K() > 16 {
 			return
 		}
 		if want := bruteForce(h, opts.MaxSize); !slices.EqualFunc(want, res.Programs, slices.Equal) {
-			t.Fatalf("%v %v: Synthesize found %d programs, the brute force %d, or they differ", h.Kind, h, len(res.Programs), len(want))
+			t.Fatalf("%v %v: Synthesize found %d programs, the brute force %d, or they differ", k, h, len(res.Programs), len(want))
 		}
 	})
 }
@@ -133,7 +134,7 @@ func bruteForce(h *hierarchy.Hierarchy, maxSize int) []dsl.Program {
 	var walk func(ctx dsl.Context)
 	walk = func(ctx dsl.Context) {
 		if ctx.AtGoal(h) {
-			out = append(out, prefix.Clone())
+			out = append(out, slices.Clone(prefix))
 		}
 		if len(prefix) == maxSize {
 			return

@@ -14,14 +14,15 @@
 #          CHECK   if non-empty: write nothing; run the root package's
 #                  tracked rows once at -benchtime 1x and fail when a
 #                  row's work counters (placements, pruned placements,
-#                  synthesis runs, candidates, pruned programs; netsim
-#                  events) differ from the record's "current"; timings
+#                  synthesis runs, candidates, pruned programs; explored
+#                  and programs; netsim events) differ from the
+#                  record's "current"; timings
 #                  and allocs/op are printed as advice only
 set -eu
 cd "$(dirname "$0")/.."
 
-# The root package's tracked rows; the Plan* and Netsim* ones report work
-# counters.
+# The root package's tracked rows; the Plan*, Synthesize/* and Netsim*
+# ones report work counters.
 ROWS='BenchmarkPlanSuperPod2x4|BenchmarkPlanSuperPod3x4|BenchmarkPlanSuperPod3x4Degraded|BenchmarkPlanSuperPod4x8|BenchmarkPlanSuperPod16x32|BenchmarkPlanJointEngine|BenchmarkPlanFreshBytesWarm|BenchmarkSynthesize/|BenchmarkCostEstimate|BenchmarkLower$|BenchmarkBind$|BenchmarkNetsimMeasure|BenchmarkNetsimConcurrent|BenchmarkPlanRankAll|BenchmarkRoute$'
 
 OUT="${1:-BENCH_plan.json}"

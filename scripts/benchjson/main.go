@@ -9,10 +9,11 @@
 //
 // Each row gets the median, quartiles, min and max of its ns/op samples,
 // the median B/op and allocs/op, and the exact value of every other metric
-// it reports: the work counters (placements, synthesis runs, candidates,
-// ...) of the tracked planning rows and the events of the emulator rows. Each workload × end-to-end metric
-// gets the same statistics over its runs. The file's existing "baseline"
-// is kept byte for byte; "current" is rewritten.
+// it reports: the work counters (placements, synthesis runs, explored,
+// programs, ...) of the tracked planning and synthesis rows and the events
+// of the emulator rows. Each workload × end-to-end metric gets the same
+// statistics over its runs. The file's existing "baseline" is kept byte
+// for byte; "current" is rewritten.
 //
 // It refuses, exiting non-zero and writing nothing, input without
 // benchmark rows or driver results, a counter whose samples differ, and

@@ -180,7 +180,7 @@ func TestKeepsBaseline(t *testing.T) {
 // TestCommittedRecord holds BENCH_plan.json's current section to what
 // scripts/bench.sh writes: every BENCHMARK.json workload with every
 // end-to-end metric, ten samples of everything, and the counters of every
-// tracked planning and emulator row.
+// tracked planning, synthesis and emulator row.
 func TestCommittedRecord(t *testing.T) {
 	data, err := os.ReadFile("../../BENCHMARK.json")
 	if err != nil {
@@ -210,7 +210,7 @@ func TestCommittedRecord(t *testing.T) {
 	}
 	for name, r := range rec.Current.Benchmarks {
 		count(name, r.NsOp)
-		if (strings.HasPrefix(name, "BenchmarkPlan") || strings.HasPrefix(name, "BenchmarkNetsim")) && r.Counters == nil {
+		if (strings.HasPrefix(name, "BenchmarkPlan") || strings.HasPrefix(name, "BenchmarkNetsim") || strings.HasPrefix(name, "BenchmarkSynthesize/")) && r.Counters == nil {
 			t.Errorf("%s has no counters for CHECK=1 scripts/bench.sh to hold", name)
 		}
 	}
