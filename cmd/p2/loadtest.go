@@ -55,6 +55,9 @@ func cmdLoadtest(fs *flag.FlagSet) body {
 			return err
 		}
 		opts := load.Options{Mode: m, Clients: *clients, RPS: *rps, Window: *window, CrossCheck: *crossCheck}
+		if err := opts.Check(); err != nil {
+			return err
+		}
 		cfg := serve.Config{MaxInFlight: *maxInFlight, CacheSize: *cacheSize}
 		client := load.NewClient(*clients)
 

@@ -525,8 +525,10 @@ func TestLoadtestErrors(t *testing.T) {
 		"NaN fraction":   {"loadtest", "-hot-frac", "NaN"},
 		"Inf rate":       {"loadtest", "-mode", "open", "-rps", "Inf"},
 		"rate past 1e9":  {"loadtest", "-mode", "open", "-rps", "2e9"},
+		// Refused before the in-process server boots and warms.
+		"Inf rate, warm": {"loadtest", "-mode", "open", "-rps", "Inf", "-warm"},
 	} {
-		if _, errOut, code := exec(args...); code != 1 || !strings.Contains(errOut, "p2:") {
+		if _, errOut, code := exec(args...); code != 1 || !strings.Contains(errOut, "p2:") || strings.Contains(errOut, "warmed") {
 			t.Errorf("%s: exit=%d err=%q", name, code, errOut)
 		}
 	}

@@ -157,55 +157,80 @@ func checkReduceLike(states []*State) error {
 
 // Apply executes op over the group (states in group order; states[0] is the
 // root for Reduce/Broadcast, matching the paper's convention of using the
-// first device of a hierarchical group as root). On success it returns the
-// post-condition states, sealed, leaving the inputs' bits untouched. Members
-// that end up holding the same data share one State, and a Broadcast hands
-// out the root's own (sealing it, if the caller had not): states are
-// immutable once published (see State). On a precondition violation it
-// returns one of the Err* sentinels.
+// first device of a hierarchical group as root): Check, then Post on fresh
+// states. On success it returns the post-condition states, sealed, leaving
+// the inputs' bits untouched. Members that end up holding the same data
+// share one State, and a Broadcast hands out the root's own (sealing it, if
+// the caller had not): states are immutable once published (see State). On
+// a precondition violation it returns one of the Err* sentinels.
 func Apply(op Op, states []*State) ([]*State, error) {
 	if err := Check(op, states); err != nil {
 		return nil, err
 	}
-	k := states[0].k
+	fresh := make([]State, len(states))
 	out := make([]*State, len(states))
-	switch op {
-	case AllReduce, AllGather:
-		sum := unionAll(states).Seal()
-		for i := range out {
-			out[i] = sum
-		}
-	case Reduce:
-		empty := NewState(k).Seal()
-		for i := range out {
-			out[i] = empty
-		}
-		out[0] = unionAll(states).Seal()
-	case ReduceScatter:
-		sum := unionAll(states)
-		rows := sum.Rows()
-		per := len(rows) / len(states)
-		for i := range out {
-			out[i] = NewState(k)
-			for _, r := range rows[i*per : (i+1)*per] {
-				out[i].copyRow(sum, r)
-			}
-			out[i].Seal()
-		}
-	case Broadcast:
-		for i := range out {
-			out[i] = states[0].Seal()
-		}
-	default:
-		return nil, fmt.Errorf("collective: unknown op %v", op)
+	for i := range out {
+		out[i] = &fresh[i]
+	}
+	src, n := out, Post(op, states, out)
+	if n == 0 {
+		src, n = states, 1
+	}
+	for i := range out {
+		out[i] = src[min(i, n-1)].Seal()
 	}
 	return out, nil
 }
 
-func unionAll(states []*State) *State {
-	sum := states[0].Clone()
-	for _, st := range states[1:] {
-		sum.unionInto(st)
+// Post writes the post-condition of op on the group states, whose premise
+// Check has passed, into out[:n] and returns n: member i ends up holding
+// out[min(i, n-1)], or for n = 0 (Broadcast) the root's own state. The out
+// states are the caller's scratch, never inputs or published states: each
+// one written is reshaped to the inputs' size and overwritten, sealed or
+// not, and left unsealed. The post-conditions are written here alone; Apply
+// is Check plus Post on fresh states.
+func Post(op Op, states, out []*State) int {
+	k := states[0].k
+	switch op {
+	case AllReduce, AllGather:
+		unionAll(out[0], states)
+		return 1
+	case Reduce:
+		unionAll(out[0], states)
+		out[1].reset(k)
+		return 2
+	case ReduceScatter:
+		// The members share one row set; the i-th per of its rows, in
+		// increasing order, go to member i, summed over the group.
+		for _, o := range out[:len(states)] {
+			o.reset(k)
+		}
+		per, j := states[0].NumRows()/len(states), 0
+		for r := 0; r < k; r++ {
+			if states[0].RowEmpty(r) {
+				continue
+			}
+			o := out[j/per]
+			for _, st := range states {
+				for w, x := range st.row(r) {
+					o.row(r)[w] |= x
+				}
+			}
+			o.mask()[r/64] |= 1 << (uint(r) % 64)
+			j++
+		}
+		return len(states)
+	case Broadcast:
+		return 0
+	default:
+		panic(fmt.Sprintf("collective: unknown op %v", op))
 	}
-	return sum
+}
+
+// unionAll writes the union of states into o.
+func unionAll(o *State, states []*State) {
+	o.reset(states[0].k)
+	for _, st := range states {
+		o.unionInto(st)
+	}
 }

@@ -189,7 +189,7 @@ func TestEmptyGroupsRejected(t *testing.T) {
 
 func TestApplyDoesNotMutateInputs(t *testing.T) {
 	in := initialPair()
-	before0, before1 := in[0].Clone(), in[1].Clone()
+	before0, before1 := clone(in[0]), clone(in[1])
 	if _, err := Apply(AllReduce, in); err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +295,9 @@ func TestInformationNeverLostQuick(t *testing.T) {
 		if err != nil {
 			return true // precondition failed; nothing to check
 		}
-		uin := in[0].Clone()
+		uin := clone(in[0])
 		uin.unionInto(in[1])
-		uout := out[0].Clone()
+		uout := clone(out[0])
 		uout.unionInto(out[1])
 		return uin.SubsetOf(uout)
 	}
@@ -319,7 +319,7 @@ func TestAllReduceSymmetricQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		u := a.Clone()
+		u := clone(a)
 		u.unionInto(b)
 		return out[0].Equal(out[1]) && out[0].Equal(u)
 	}

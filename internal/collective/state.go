@@ -13,18 +13,19 @@ package collective
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
 // State is a k×k boolean matrix stored as k rows of packed 64-bit words.
 //
 // A State is written only while it is being built (NewState + Set, or
-// inside Apply before it is returned) and is then sealed: Seal fixes its
+// by Post into a caller's scratch) and is then sealed: Seal fixes its
 // hash and a later Set panics. Apply never mutates its inputs and seals its
 // results, as do InitialState and dsl.TargetState, so a State that has been
 // published — placed in a dsl.Context, returned from Apply — is immutable
 // and is shared freely: between contexts, and between the members of a
-// group that hold the same data. Clone before changing one.
+// group that hold the same data.
 type State struct {
 	k     int
 	words int // words per row
@@ -82,7 +83,7 @@ func (s *State) Hash() uint64 {
 func (s *State) Set(row, col int) {
 	s.checkIdx(row, col)
 	if s.sealed {
-		panic("collective: Set on a sealed state (Clone it first)")
+		panic("collective: Set on a sealed state")
 	}
 	s.bits[row*s.words+col/64] |= 1 << (uint(col) % 64)
 	s.mask()[row/64] |= 1 << (uint(row) % 64)
@@ -115,18 +116,6 @@ func (s *State) RowEmpty(r int) bool {
 	return s.mask()[r/64]&(1<<(uint(r)%64)) == 0
 }
 
-// Rows returns the indices of non-empty rows in increasing order — the
-// "rows" operator of Fig. 8 (the data chunks this device holds).
-func (s *State) Rows() []int {
-	out := make([]int, 0, s.NumRows())
-	for r := 0; r < s.k; r++ {
-		if !s.RowEmpty(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // NumRows returns the number of non-empty rows.
 func (s *State) NumRows() int {
 	n := 0
@@ -145,11 +134,11 @@ func (s *State) PopCount() int {
 	return n
 }
 
-// Clone returns an unsealed deep copy.
-func (s *State) Clone() *State {
-	c := &State{k: s.k, words: s.words, bits: make([]uint64, len(s.bits))}
-	copy(c.bits, s.bits)
-	return c
+// reset makes s the empty, unsealed k×k state, reusing its storage.
+func (s *State) reset(k int) {
+	s.k, s.words, s.hash, s.sealed = k, (k+63)/64, 0, false
+	s.bits = slices.Grow(s.bits[:0], (k+1)*s.words)[:(k+1)*s.words]
+	clear(s.bits)
 }
 
 // Equal reports exact equality (equal matrices have equal masks).
@@ -189,12 +178,6 @@ func (s *State) unionInto(o *State) {
 	for i, w := range o.bits {
 		s.bits[i] |= w
 	}
-}
-
-// copyRow copies row r of o, known non-empty, into the unsealed s.
-func (s *State) copyRow(o *State, r int) {
-	copy(s.row(r), o.row(r))
-	s.mask()[r/64] |= 1 << (uint(r) % 64)
 }
 
 // sameRowSet reports whether s and o have identical non-empty-row sets.

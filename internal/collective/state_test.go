@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,7 +18,7 @@ func TestInitialState(t *testing.T) {
 			}
 		}
 	}
-	if got := s.Rows(); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+	if got := rows(s); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
 		t.Errorf("Rows = %v", got)
 	}
 	if s.PopCount() != 4 {
@@ -71,7 +72,7 @@ func TestRowsAndNumRows(t *testing.T) {
 	s.Set(1, 3)
 	s.Set(4, 0)
 	s.Set(4, 5)
-	if got := s.Rows(); !reflect.DeepEqual(got, []int{1, 4}) {
+	if got := rows(s); !reflect.DeepEqual(got, []int{1, 4}) {
 		t.Errorf("Rows = %v", got)
 	}
 	if s.NumRows() != 2 {
@@ -82,21 +83,70 @@ func TestRowsAndNumRows(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	s := InitialState(4, 1)
-	c := s.Clone()
-	c.Set(0, 0)
-	if s.Get(0, 0) {
-		t.Error("Clone shares storage")
+// clone returns an unsealed deep copy of s.
+func clone(s *State) *State {
+	return &State{k: s.k, words: s.words, bits: slices.Clone(s.bits)}
+}
+
+// rows returns the indices of the non-empty rows of s in increasing order:
+// the "rows" operator of Fig. 8, the data chunks a device holds.
+func rows(s *State) []int {
+	var out []int
+	for r := 0; r < s.k; r++ {
+		if !s.RowEmpty(r) {
+			out = append(out, r)
+		}
 	}
-	if !c.Get(0, 1) {
-		t.Error("Clone lost bits")
+	return out
+}
+
+// TestPostOverwritesScratch: Post's out states are scratch whatever they
+// held — sealed, of another size, left over from another op — and each
+// written one ends up equal to Apply's state for its member, unsealed,
+// while the inputs keep their bits.
+func TestPostOverwritesScratch(t *testing.T) {
+	scratch := []*State{fullState(70).Seal(), InitialState(3, 1).Seal(), new(State), fullState(64)}
+	for _, k := range []int{4, 68, 8} {
+		group := []*State{InitialState(k, 0), InitialState(k, 1), InitialState(k, 2), InitialState(k, 3)}
+		before := make([]*State, len(group))
+		for i, st := range group {
+			before[i] = clone(st)
+		}
+		for _, op := range []Op{ReduceScatter, AllReduce, Reduce, Broadcast} {
+			if op == Broadcast {
+				group[1], group[2], group[3] = NewState(k).Seal(), NewState(k).Seal(), NewState(k).Seal()
+				before[1], before[2], before[3] = group[1], group[2], group[3]
+			}
+			want, err := Apply(op, group)
+			if err != nil {
+				t.Fatalf("k=%d %v: %v", k, op, err)
+			}
+			n := Post(op, group, scratch)
+			for i := range group {
+				got := group[0]
+				if n > 0 {
+					got = scratch[min(i, n-1)]
+				}
+				if !got.Equal(want[i]) {
+					t.Errorf("k=%d %v: member %d holds\n%v\nwant\n%v", k, op, i, got, want[i])
+				}
+				if i < n && got.sealed {
+					t.Errorf("k=%d %v: out[%d] is sealed", k, op, i)
+				}
+				if !group[i].Equal(before[i]) {
+					t.Errorf("k=%d %v: Post changed input %d", k, op, i)
+				}
+			}
+			for _, st := range scratch[:n] {
+				st.Seal()
+			}
+		}
 	}
 }
 
 func TestSubsetRelations(t *testing.T) {
 	a := InitialState(4, 0)
-	b := a.Clone()
+	b := clone(a)
 	b.Set(0, 1)
 	if !a.SubsetOf(b) || a.Equal(b) {
 		t.Error("a should be strict subset of b")
@@ -130,7 +180,7 @@ func TestSubsetTransitivityQuick(t *testing.T) {
 	// Property: union is an upper bound — s ⊆ s∪o for random states.
 	f := func(seedA, seedB uint64) bool {
 		a, b := randomState(8, seedA), randomState(8, seedB)
-		u := a.Clone()
+		u := clone(a)
 		u.unionInto(b)
 		return a.SubsetOf(u) && b.SubsetOf(u)
 	}
@@ -191,23 +241,20 @@ func TestSealedStateMatchesBits(t *testing.T) {
 	}
 	check := func(name string, s, o *State) {
 		t.Helper()
-		var rows []int
+		var want []int
 		same, disjoint := true, true
 		for r := 0; r < s.k; r++ {
 			if s.RowEmpty(r) != rowEmpty(s, r) {
 				t.Errorf("%s: RowEmpty(%d) = %v, bits say %v", name, r, s.RowEmpty(r), rowEmpty(s, r))
 			}
 			if !rowEmpty(s, r) {
-				rows = append(rows, r)
+				want = append(want, r)
 			}
 			same = same && rowEmpty(s, r) == rowEmpty(o, r)
 			disjoint = disjoint && (rowEmpty(s, r) || rowEmpty(o, r))
 		}
-		if got := s.Rows(); len(got) != len(rows) || len(rows) > 0 && !reflect.DeepEqual(got, rows) {
-			t.Errorf("%s: Rows = %v, bits say %v", name, got, rows)
-		}
-		if s.NumRows() != len(rows) {
-			t.Errorf("%s: NumRows = %d, bits say %d", name, s.NumRows(), len(rows))
+		if s.NumRows() != len(want) {
+			t.Errorf("%s: NumRows = %d, bits say %d", name, s.NumRows(), len(want))
 		}
 		if s.sameRowSet(o) != same {
 			t.Errorf("%s: sameRowSet = %v, bits say %v", name, s.sameRowSet(o), same)
@@ -226,7 +273,7 @@ func TestSealedStateMatchesBits(t *testing.T) {
 			}
 			check(fmt.Sprintf("k=%d seed=%d random", k, seed), a, b)
 			check(fmt.Sprintf("k=%d seed=%d sparse", k, seed), sparse, a)
-			check(fmt.Sprintf("k=%d seed=%d clone", k, seed), sparse.Clone(), sparse)
+			check(fmt.Sprintf("k=%d seed=%d clone", k, seed), clone(sparse), sparse)
 		}
 		group := make([]*State, 2)
 		for i := range group {
@@ -255,7 +302,7 @@ func TestSealedStateMatchesBits(t *testing.T) {
 	}
 
 	s := randomState(8, 3)
-	if c := s.Clone().Seal(); c.Hash() != s.Clone().Seal().Hash() || !c.Equal(s) {
+	if c := clone(s).Seal(); c.Hash() != clone(s).Seal().Hash() || !c.Equal(s) {
 		t.Error("equal states seal to different hashes")
 	}
 	func() {
@@ -267,9 +314,6 @@ func TestSealedStateMatchesBits(t *testing.T) {
 		s.Hash()
 	}()
 	s.Seal()
-	if c := s.Clone(); c.sealed {
-		t.Error("Clone of a sealed state is sealed")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Set on a sealed state did not panic")

@@ -204,7 +204,7 @@ func (in Instruction) Groups(h *hierarchy.Hierarchy) [][]int {
 // States reachable from a Context are immutable: collective.Apply returns
 // fresh states and nothing writes a *collective.State once it is part of a
 // context, so successive contexts share the states of the leaves a step did
-// not touch. Code that wants to mutate a state must Clone it first.
+// not touch.
 type Context []*collective.State
 
 // NewContext returns the initial context for hierarchy h: leaf u holds only

@@ -278,8 +278,8 @@ func TestApplyDoesNotMutateContext(t *testing.T) {
 	h := reductionHierarchy(t)
 	ctx := NewContext(h)
 	saved := make(Context, len(ctx))
-	for u, st := range ctx {
-		saved[u] = st.Clone()
+	for u := range ctx {
+		saved[u] = collective.InitialState(h.K(), u)
 	}
 	in := Instruction{Slice: 0, Form: InsideGroup, Op: collective.AllReduce}
 	if _, err := ctx.Apply(in, h); err != nil {

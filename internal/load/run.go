@@ -69,6 +69,17 @@ type Options struct {
 	CrossCheck bool
 }
 
+// Check refuses an open-loop rate with no positive arrival interval (a
+// rate of 0 or less means the default). Run makes it; a caller that boots
+// a server for the run makes it first.
+func (o Options) Check() error {
+	ns := float64(time.Second) / o.RPS // NaN, +Inf and rates above 1e9/s give no positive Duration
+	if o.Mode == OpenLoop && !(o.RPS <= 0) && !(ns >= 1 && ns < 1<<63) {
+		return fmt.Errorf("load: open-loop rate %g req/s has no positive arrival interval", o.RPS)
+	}
+	return nil
+}
+
 // Percentiles are nearest-rank latency percentiles in milliseconds
 // (serve.Percentile — the same formula /statz uses, so client- and
 // server-side numbers are comparable).
@@ -179,9 +190,8 @@ func Run(client *http.Client, baseURL string, stream []Request, opts Options) (*
 	if opts.Window > len(stream) {
 		opts.Window = len(stream)
 	}
-	interval := float64(time.Second) / opts.RPS // ns: NaN, +Inf and rates above 1e9/s give no positive Duration
-	if opts.Mode == OpenLoop && !(interval >= 1 && interval < 1<<63) {
-		return nil, fmt.Errorf("load: open-loop rate %g req/s has no positive arrival interval", opts.RPS)
+	if err := opts.Check(); err != nil {
+		return nil, err
 	}
 
 	before, err := FetchStatz(client, baseURL)
@@ -209,7 +219,7 @@ func Run(client *http.Client, baseURL string, stream []Request, opts Options) (*
 	}
 	switch opts.Mode {
 	case OpenLoop:
-		runOpen(client, baseURL, stream, order, results, time.Duration(interval))
+		runOpen(client, baseURL, stream, order, results, time.Duration(float64(time.Second)/opts.RPS))
 	default:
 		runClosed(client, baseURL, stream, order, results, opts.Clients)
 	}

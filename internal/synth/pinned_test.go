@@ -199,7 +199,8 @@ func TestProgramKeyOrder(t *testing.T) {
 // and an equal context are found again.
 func TestCollidingStatesStayDistinct(t *testing.T) {
 	h := pinnedSet(t)[1].h
-	s := newSynthesizer(h, Options{})
+	s := new(synthesizer)
+	s.reset(h, Options{})
 	a, b := collective.InitialState(h.K(), 0), collective.InitialState(h.K(), 1)
 	ida, idb := s.internHashed(a, 7), s.internHashed(b, 7)
 	if ida == idb {

@@ -21,18 +21,19 @@
 // The sealed states of a run are interned, so a context is a tuple of state
 // ids. The candidates that differ only in their op share their groups, and
 // each group's premises are checked once per context for all of them —
-// AllReduce, Reduce and ReduceScatter share one. collective.Apply runs once
-// per distinct (op, member states), a state meets its goal once, and a
+// AllReduce, Reduce and ReduceScatter share one. collective.Post runs once
+// per distinct (op, member states), into pooled scratch that is kept only
+// for a state the run has not interned, a state meets its goal once, and a
 // context reached by different prefixes is found by its exact tuple and
 // expanded once. The search walks that DAG breadth first; the programs are
 // its root-to-goal paths.
 package synth
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"p2/internal/collective"
@@ -163,11 +164,12 @@ func groupsKey(groups [][]int, op collective.Op) string {
 	return string(buf)
 }
 
-// synthesizer is the state of one Synthesize run. Nothing in it is shared
-// between runs: a planner synthesizes several signatures concurrently.
+// synthesizer is the working set of a Synthesize run, pooled: owned by one
+// run at a time and shared by none, and no Result points into it.
 type synthesizer struct {
 	cands     []candidate
 	groupings []grouping
+	covers    []uint64 // the groupings' cover words
 	opts      Options
 	res       *Result
 
@@ -177,6 +179,10 @@ type synthesizer struct {
 	states   []*collective.State
 	byHash   map[uint64]int32
 	sameHash []int32
+	// owned are the states collective.Post writes, kept from run to run:
+	// owned[:used] are this run's interned results, the rest spare.
+	owned []*collective.State
+	used  int
 	// targets are the distinct goal states, goal the goal's id tuple, and
 	// target[u] indexes leaf u's. within[id*len(targets)+t] says that state
 	// id is a subset of targets[t]; interning fills it, so a (state, target)
@@ -209,11 +215,13 @@ type synthesizer struct {
 	group []*collective.State
 	next  []int32
 	off   []uint64 // on a last step, the leaves off their goal
-	// emit's prefix of step ids, and the backing arrays every finished
-	// program and step list is a capacity-capped window of.
-	path []int32
-	prog dsl.Program
-	ids  []int32
+	// emitAll's path counts, a row of len(nodes) per step count; emit's
+	// prefix of step ids, and the backing arrays (the Result's) every
+	// finished program and step list is a capacity-capped window of.
+	paths []int
+	path  []int32
+	prog  dsl.Program
+	ids   []int32
 }
 
 // grouping is a run of candidates that differ only in their op, so they
@@ -265,7 +273,14 @@ type tupleSet struct {
 	prev []int32
 }
 
-func newTupleSet() tupleSet { return tupleSet{at: []int{0}, last: map[uint64]int32{}} }
+// reset empties t, keeping its storage.
+func (t *tupleSet) reset() {
+	t.arena, t.at, t.prev = t.arena[:0], append(t.at[:0], 0), t.prev[:0]
+	if t.last == nil {
+		t.last = map[uint64]int32{}
+	}
+	clear(t.last)
+}
 
 func (t *tupleSet) tuple(i int32) []int32 { return t.arena[t.at[i]:t.at[i+1]] }
 
@@ -304,49 +319,70 @@ func hashIDs(ids []int32) uint64 {
 	return h
 }
 
+// runs pools the synthesizers Synthesize borrows for one run each.
+var runs = sync.Pool{New: func() any { return new(synthesizer) }}
+
 // Synthesize enumerates every valid reduction program for h of size at
 // most opts.MaxSize.
 func Synthesize(h *hierarchy.Hierarchy, opts Options) *Result {
-	start := time.Now() //p2:timing-ok synthesis wall time is reported in Result.Elapsed, never ranked
-	s := newSynthesizer(h, opts)
-	ids := make([]int32, h.K())
-	for u, st := range dsl.NewContext(h) {
-		ids[u] = s.intern(st)
-	}
-	s.nodeFor(ids)
-	s.explore()
-	s.emitAll()
-	s.res.Elapsed = time.Since(start) //p2:timing-ok synthesis wall time is reported in Result.Elapsed, never ranked
-	return s.res
+	s := runs.Get().(*synthesizer)
+	res := s.run(h, opts)
+	// A run that panics does not return its synthesizer, so the pool never
+	// holds a half-built one.
+	runs.Put(s)
+	return res
 }
 
-// newSynthesizer sets a run up: the candidates in reporting order, grouped,
-// and the goal of every leaf.
-func newSynthesizer(h *hierarchy.Hierarchy, opts Options) *synthesizer {
+// run is one synthesis on s, which it resets first.
+func (s *synthesizer) run(h *hierarchy.Hierarchy, opts Options) *Result {
+	start := time.Now() //p2:timing-ok synthesis wall time is reported in Result.Elapsed, never ranked
+	s.reset(h, opts)
+	s.next = s.next[:0]
+	for _, st := range dsl.NewContext(h) {
+		s.next = append(s.next, s.intern(st))
+	}
+	s.nodeFor(s.next)
+	s.explore()
+	s.emitAll()
+	res := s.res
+	res.Elapsed = time.Since(start) //p2:timing-ok synthesis wall time is reported in Result.Elapsed, never ranked
+	s.res, s.cands, s.prog, s.ids = nil, nil, nil, nil
+	return res
+}
+
+// reset sets a run up on s's storage: the candidates in reporting order,
+// grouped, and the goal of every leaf.
+func (s *synthesizer) reset(h *hierarchy.Hierarchy, opts Options) {
 	if opts.MaxSize <= 0 {
 		opts.MaxSize = DefaultMaxSize
 	}
-	s := &synthesizer{
-		cands:  enumerate(h),
-		opts:   opts,
-		res:    &Result{},
-		byHash: map[uint64]int32{},
-		apps:   newTupleSet(),
-		ctxs:   newTupleSet(),
-		stepOf: map[Step]int32{},
-		target: make([]int32, h.K()),
-		off:    make([]uint64, (h.K()+63)/64),
+	k := h.K()
+	s.cands, s.opts, s.res = enumerate(h), opts, &Result{}
+	s.groupings, s.targets = s.groupings[:0], s.targets[:0]
+	s.states, s.sameHash, s.within, s.used = s.states[:0], s.sameHash[:0], s.within[:0], 0
+	if s.byHash == nil {
+		s.byHash, s.stepOf = map[uint64]int32{}, map[Step]int32{}
 	}
+	clear(s.byHash)
+	clear(s.stepOf)
+	s.apps.reset()
+	s.ctxs.reset()
+	s.appAt, s.appOut, s.nodes, s.edges = s.appAt[:0], s.appOut[:0], s.nodes[:0], s.edges[:0]
+	s.target, s.goal = resize(s.target, k), resize(s.goal, k)
+	s.off = resize(s.off, (k+63)/64)
 	// Programs are reported by size, then in Program.String order. No
 	// instruction renders as a prefix of another, so that is the order of
 	// the instruction sequences under the instructions' own String order:
 	// walking candidates in it emits every size class already sorted. The
 	// ops of one instruction render last, so they stay adjacent.
 	slices.SortFunc(s.cands, func(a, b candidate) int { return strings.Compare(a.name, b.name) })
-	s.instrOf = make([]int32, len(s.cands))
+	s.instrOf = resize(s.instrOf, len(s.cands))
 	for i := range s.instrOf {
 		s.instrOf[i] = -1
 	}
+	w := len(s.off) // a grouping's cover is its window of covers
+	s.covers = resize(s.covers, len(s.cands)*w)
+	clear(s.covers)
 	for i, c := range s.cands {
 		in, prev := c.in, s.cands[max(i-1, 0)].in
 		if i > 0 && prev.Slice == in.Slice && prev.Form == in.Form && prev.Arg == in.Arg {
@@ -354,7 +390,7 @@ func newSynthesizer(h *hierarchy.Hierarchy, opts Options) *synthesizer {
 			gr.end, gr.ops = i+1, gr.ops|bit(in.Op)
 			continue
 		}
-		gr := grouping{first: i, end: i + 1, groups: c.groups, ops: bit(in.Op), cover: make([]uint64, len(s.off))}
+		gr := grouping{first: i, end: i + 1, groups: c.groups, ops: bit(in.Op), cover: s.covers[len(s.groupings)*w:][:w]}
 		for _, g := range c.groups {
 			for _, u := range g {
 				gr.cover[u/64] |= 1 << (u % 64)
@@ -371,19 +407,21 @@ func newSynthesizer(h *hierarchy.Hierarchy, opts Options) *synthesizer {
 		s.target[u] = int32(len(s.targets))
 		s.targets = append(s.targets, dsl.TargetState(h, u))
 	}
-	goalID := make([]int32, len(s.targets))
-	for t, st := range s.targets {
-		goalID[t] = s.intern(st)
+	s.key = s.key[:0] // the targets' ids
+	for _, st := range s.targets {
+		s.key = append(s.key, s.intern(st))
 	}
-	s.goal = make([]int32, h.K())
 	for u, t := range s.target {
-		s.goal[u] = goalID[t]
+		s.goal[u] = s.key[t]
 	}
-	s.empty = s.intern(collective.NewState(h.K()).Seal())
-	return s
+	s.empty = s.intern(collective.NewState(k).Seal())
 }
 
-// intern returns the id of st, a sealed state.
+// resize returns x with length n, reusing its storage; the elements are
+// whatever it held.
+func resize[T any](x []T, n int) []T { return slices.Grow(x[:0], n)[:n] }
+
+// intern returns the id of st, a sealed state, adding it if it is new.
 func (s *synthesizer) intern(st *collective.State) int32 { return s.internHashed(st, st.Hash()) }
 
 // internHashed is intern with the bucket given: a hash only ever narrows the
@@ -439,9 +477,9 @@ func (s *synthesizer) admits(live opSet, ids []int32, g []int) opSet {
 
 // apply returns the state ids op, whose premise holds, leaves on the
 // members of group g of the context ids, in group order. By the rules
-// collective.Apply implements, Broadcast hands every member the root's
-// state, and Reduce leaves the root what AllReduce leaves every member and
-// the rest empty, so neither runs it; for the other three it runs once per
+// collective.Post writes, Broadcast hands every member the root's state,
+// and Reduce leaves the root what AllReduce leaves every member and the
+// rest empty, so neither runs it; for the other three it runs once per
 // distinct (op, member states).
 func (s *synthesizer) apply(op collective.Op, ids []int32, g []int) []int32 {
 	switch op {
@@ -463,7 +501,10 @@ func (s *synthesizer) apply(op collective.Op, ids []int32, g []int) []int32 {
 	}
 }
 
-// applyOnce is apply by collective.Apply, cached in apps.
+// applyOnce is apply by collective.Post, cached in apps. admits has proved
+// the premise, so it is not checked again. Post writes into spare owned
+// states; each result is sealed and looked up, and only one the run has not
+// interned yet is kept, so a state is stored once.
 func (s *synthesizer) applyOnce(op collective.Op, ids []int32, g []int) []int32 {
 	s.key = append(s.key[:0], int32(op))
 	for _, u := range g {
@@ -472,14 +513,26 @@ func (s *synthesizer) applyOnce(op collective.Op, ids []int32, g []int) []int32 
 	if a, added := s.apps.intern(s.key); !added {
 		return s.appOut[s.appAt[a]:][:len(g)]
 	}
-	res, err := collective.Apply(op, s.members(ids, g))
-	if err != nil {
-		panic(fmt.Sprintf("synth: %v on a group admits passed: %v", op, err))
+	for len(s.owned) < s.used+len(g) {
+		s.owned = append(s.owned, new(collective.State))
 	}
+	out := s.owned[s.used:][:len(g)]
+	n := collective.Post(op, s.members(ids, g), out)
 	at := len(s.appOut)
 	s.appAt = append(s.appAt, at)
-	for _, st := range res {
-		s.appOut = append(s.appOut, s.intern(st))
+	for i := range g {
+		if i >= n {
+			s.appOut = append(s.appOut, s.appOut[at+n-1])
+			continue
+		}
+		st, known := out[i], len(s.states)
+		id := s.intern(st.Seal())
+		if len(s.states) > known {
+			// New, so kept: swap it in behind the run's other kept states.
+			out[i], s.owned[s.used] = s.owned[s.used], st
+			s.used++
+		}
+		s.appOut = append(s.appOut, id)
 	}
 	return s.appOut[at:]
 }
@@ -608,47 +661,52 @@ func (s *synthesizer) stepID(ci int, shape dsl.Shape) int32 {
 }
 
 // emitAll reports every path from the root to a goal of at most MaxSize
-// steps, shortest first. paths[n][v] counts the ways exactly n steps take
+// steps, shortest first. pathsTo(n)[v] counts the ways exactly n steps take
 // node v to a goal, so the walk only ever enters a prefix that completes,
 // and the programs and their step lists are packed into two backing arrays
 // sized exactly. A row of zeros ends the table, since every later row is
 // zero too: its length follows the longest path, not MaxSize.
 func (s *synthesizer) emitAll() {
-	var paths [][]int
+	s.paths = s.paths[:0]
 	programs, steps := 0, 0
 	for n := 0; n <= s.opts.MaxSize; n++ {
-		row, reached := make([]int, len(s.nodes)), false
+		s.paths = slices.Grow(s.paths, len(s.nodes))[:(n+1)*len(s.nodes)]
+		row, prev, reached := s.pathsTo(n), s.pathsTo(max(n-1, 0)), false
 		for v, nd := range s.nodes {
+			row[v] = 0
 			if n == 0 {
 				if nd.goal {
 					row[v] = 1
 				}
 			} else {
 				for _, e := range s.edges[nd.lo:nd.hi] {
-					row[v] += paths[n-1][e.next]
+					row[v] += prev[e.next]
 				}
 			}
 			reached = reached || row[v] > 0
 		}
 		if !reached {
+			s.paths = s.paths[:n*len(s.nodes)]
 			break
 		}
-		paths = append(paths, row)
 		programs, steps = programs+row[0], steps+n*row[0]
 	}
 	s.res.Programs = make([]dsl.Program, 0, programs)
 	s.res.StepIDs = make([][]int32, 0, programs)
 	s.prog, s.ids = make(dsl.Program, 0, steps), make([]int32, 0, steps)
-	for n := range paths {
-		if paths[n][0] > 0 {
-			s.emit(paths, 0, n)
+	for n := range len(s.paths) / len(s.nodes) {
+		if s.pathsTo(n)[0] > 0 {
+			s.emit(0, n)
 		}
 	}
 }
 
+// pathsTo returns row n of emitAll's path counts.
+func (s *synthesizer) pathsTo(n int) []int { return s.paths[n*len(s.nodes):][:len(s.nodes)] }
+
 // emit appends every way to finish the current prefix from node v in exactly
 // n steps.
-func (s *synthesizer) emit(paths [][]int, v int32, n int) {
+func (s *synthesizer) emit(v int32, n int) {
 	if n == 0 {
 		lo := len(s.ids)
 		for _, id := range s.path {
@@ -660,13 +718,13 @@ func (s *synthesizer) emit(paths [][]int, v int32, n int) {
 		s.res.StepIDs = append(s.res.StepIDs, s.ids[lo:hi:hi])
 		return
 	}
-	nd := s.nodes[v]
+	nd, next := s.nodes[v], s.pathsTo(n-1)
 	for _, e := range s.edges[nd.lo:nd.hi] {
-		if paths[n-1][e.next] == 0 {
+		if next[e.next] == 0 {
 			continue
 		}
 		s.path = append(s.path, e.step)
-		s.emit(paths, e.next, n-1)
+		s.emit(e.next, n-1)
 		s.path = s.path[:len(s.path)-1]
 	}
 }
