@@ -157,19 +157,20 @@ func checkReduceLike(states []*State) error {
 
 // Apply executes op over the group (states in group order; states[0] is the
 // root for Reduce/Broadcast, matching the paper's convention of using the
-// first device of a hierarchical group as root): Check, then Post on fresh
-// states. On success it returns the post-condition states, sealed, leaving
-// the inputs' bits untouched. Members that end up holding the same data
-// share one State, and a Broadcast hands out the root's own (sealing it, if
-// the caller had not): states are immutable once published (see State). On
-// a precondition violation it returns one of the Err* sentinels.
+// first device of a hierarchical group as root): Check, then Post on the
+// fresh states it writes. On success it returns the post-condition states,
+// sealed, leaving the inputs' bits untouched. Members that end up holding
+// the same data share one State, and a Broadcast hands out the root's own
+// (sealing it, if the caller had not): states are immutable once published
+// (see State). On a precondition violation it returns one of the Err*
+// sentinels.
 func Apply(op Op, states []*State) ([]*State, error) {
 	if err := Check(op, states); err != nil {
 		return nil, err
 	}
-	fresh := make([]State, len(states))
+	fresh := make([]State, posts(op, len(states)))
 	out := make([]*State, len(states))
-	for i := range out {
+	for i := range fresh {
 		out[i] = &fresh[i]
 	}
 	src, n := out, Post(op, states, out)
@@ -194,11 +195,9 @@ func Post(op Op, states, out []*State) int {
 	switch op {
 	case AllReduce, AllGather:
 		unionAll(out[0], states)
-		return 1
 	case Reduce:
 		unionAll(out[0], states)
 		out[1].reset(k)
-		return 2
 	case ReduceScatter:
 		// The members share one row set; the i-th per of its rows, in
 		// increasing order, go to member i, summed over the group.
@@ -219,12 +218,17 @@ func Post(op Op, states, out []*State) int {
 			o.mask()[r/64] |= 1 << (uint(r) % 64)
 			j++
 		}
-		return len(states)
 	case Broadcast:
-		return 0
 	default:
 		panic(fmt.Sprintf("collective: unknown op %v", op))
 	}
+	return posts(op, len(states))
+}
+
+// posts is the number of out states Post writes for op on a group of n
+// members, and what it returns.
+func posts(op Op, n int) int {
+	return [...]int{AllReduce: 1, AllGather: 1, Reduce: 2, ReduceScatter: n, Broadcast: 0}[op]
 }
 
 // unionAll writes the union of states into o.

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -339,5 +340,52 @@ func TestCheckMatchesApply(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Sinks keep bytesPerRun's reference allocations on the heap.
+var (
+	sinkState  *State
+	sinkStates []*State
+)
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestApplyAllocatesPostedStates: Apply allocates only the states Post
+// writes, so an 8-member AllReduce costs its result slice and one fresh
+// state — as many bytes as make([]*State, 8) and one NewState — however
+// large the group.
+func TestApplyAllocatesPostedStates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	const k = 8
+	group := make([]*State, k)
+	for i := range group {
+		group[i] = InitialState(k, i)
+	}
+	got := bytesPerRun(100, func() {
+		out, err := Apply(AllReduce, group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkStates = out
+	})
+	want := bytesPerRun(100, func() { sinkStates = make([]*State, k) }) +
+		bytesPerRun(100, func() { sinkState = NewState(k) })
+	if got != want {
+		t.Errorf("an %d-member AllReduce allocates %d bytes, want %d (its result slice and one state)", k, got, want)
 	}
 }

@@ -66,6 +66,10 @@ func getScorer() *Scorer { return scorers.Get().(*Scorer) }
 // Scorer, so the pool never holds a dirty traffic array.
 func putScorer(s *Scorer) { scorers.Put(s) }
 
+// Release drops s's system and keeps its scratch, so that a Scorer kept
+// between runs holds no system alive; the next step rebinds.
+func (s *Scorer) Release() { s.sys = nil }
+
 // bind points s at sys, the cold path of StepTimeAlgo. traffic is all
 // zero between steps, so it is only grown, never cleared.
 func (s *Scorer) bind(sys *topology.System) {

@@ -68,11 +68,12 @@ type Instruction struct {
 
 // String renders the instruction like "(2, Parallel(1), AllReduce)".
 func (in Instruction) String() string {
-	form := in.Form.String()
+	b := strconv.AppendInt(append(make([]byte, 0, 48), '('), int64(in.Slice), 10)
+	b = append(append(b, ", "...), in.Form.String()...)
 	if in.Form != InsideGroup {
-		form = fmt.Sprintf("%s(%d)", form, in.Arg)
+		b = append(strconv.AppendInt(append(b, '('), int64(in.Arg), 10), ')')
 	}
-	return fmt.Sprintf("(%d, %s, %s)", in.Slice, form, in.Op)
+	return string(append(append(append(b, ", "...), in.Op.String()...), ')'))
 }
 
 // Program is a sequence of reduction instructions.
@@ -156,47 +157,51 @@ func (in Instruction) Admissible(h *hierarchy.Hierarchy) bool {
 // ascending; the first member is the root for Reduce/Broadcast. Groups are
 // disjoint by construction. It panics if the instruction fails Validate.
 func (in Instruction) Groups(h *hierarchy.Hierarchy) [][]int {
+	l := in.Layout(h)
+	// Groups are cut from one backing array, capacity-capped so that
+	// appending to one cannot reach its neighbour.
+	groups, flat := make([][]int, l.N), make([]int, l.N*l.Size)
+	for g := range groups {
+		groups[g] = flat[g*l.Size : (g+1)*l.Size : (g+1)*l.Size]
+		for j := range groups[g] {
+			groups[g][j] = l.First(g) + j*l.Stride
+		}
+	}
+	return groups
+}
+
+// Layout is the shape of an instruction's device groups under a
+// hierarchy, in Groups' order: N groups of Size leaves, member j of group
+// g being leaf First(g) + j*Stride. It lets a caller walk the groups
+// without building them.
+type Layout struct {
+	N, Size, Stride int
+	span, per       int // group g lies in ancestor g/per, at within-slice position g%per
+}
+
+// First returns the first (smallest) leaf of group g.
+func (l Layout) First(g int) int { return g/l.per*l.span + g%l.per }
+
+// Layout returns the layout of the instruction's groups under h. It panics
+// if the instruction fails Validate.
+func (in Instruction) Layout(h *hierarchy.Hierarchy) Layout {
 	if err := in.Validate(h); err != nil {
 		panic(err)
 	}
 	rad, k := h.Radix(), h.K()
-	var n, size int           // group count and (uniform) group size
-	var groupOf func(int) int // the group of leaf u, or -1 for none
-	switch in.Form {
-	case InsideGroup:
+	if in.Form == InsideGroup {
 		w := rad.Weight(in.Slice)
-		n, size = k/w, w
-		groupOf = func(u int) int { return u / w }
-	case Parallel, Master:
-		wa := rad.Weight(in.Arg)   // span of one ancestor subtree
-		ws := rad.Weight(in.Slice) // span of one slice subtree
-		// Leaf u belongs to ancestor u/wa, middle position
-		// (u%wa)/ws, and within-slice position u%ws. A device group
-		// fixes (ancestor, within-slice position) and varies the middle.
-		n, size = k/(wa/ws), wa/ws
-		groupOf = func(u int) int { return u/wa*ws + u%ws }
-		if in.Form == Master { // only the position-0 group per ancestor
-			n = k / wa
-			groupOf = func(u int) int {
-				if u%ws != 0 {
-					return -1
-				}
-				return u / wa
-			}
-		}
+		return Layout{N: k / w, Size: w, Stride: 1, span: w, per: 1}
 	}
-	// Groups are cut from one backing array, capacity-capped so that
-	// appending to one cannot reach its neighbour.
-	groups, flat := make([][]int, n), make([]int, n*size)
-	for g := range groups {
-		groups[g] = flat[g*size : g*size : (g+1)*size]
+	// Leaf u belongs to ancestor u/wa, middle position (u%wa)/ws, and
+	// within-slice position u%ws, wa and ws being the spans of an ancestor
+	// and a slice subtree. A device group fixes (ancestor, within-slice
+	// position) and varies the middle; Master keeps position 0 alone.
+	wa, ws := rad.Weight(in.Arg), rad.Weight(in.Slice)
+	if in.Form == Master {
+		return Layout{N: k / wa, Size: wa / ws, Stride: ws, span: wa, per: 1}
 	}
-	for u := 0; u < k; u++ {
-		if g := groupOf(u); g >= 0 {
-			groups[g] = append(groups[g], u)
-		}
-	}
-	return groups
+	return Layout{N: k / (wa / ws), Size: wa / ws, Stride: ws, span: wa, per: ws}
 }
 
 // Context is the per-leaf device state of a synthesis universe.

@@ -99,21 +99,29 @@ func Annotate(p dsl.Program, h *hierarchy.Hierarchy) ([]dsl.Shape, error) {
 // programs against one hierarchy binds each distinct instruction once. It
 // panics if the instruction fails Validate.
 func Bind(in dsl.Instruction, h *hierarchy.Hierarchy) [][]int {
-	leafGroups := in.Groups(h)
-	reps, size := h.Replicas(), len(leafGroups[0])
-	phys := make([][]int, 0, len(leafGroups)*reps)
-	flat := make([]int, 0, cap(phys)*size) // one backing array, capacity-capped per group
+	phys, _ := AppendBind(nil, nil, in, h)
+	return phys
+}
+
+// AppendBind is Bind into caller storage: it appends the instruction's
+// groups to phys and their members to flat, and returns both, the groups
+// being the returned phys past the given one's length. Storage reused
+// across calls makes a warm bind allocate nothing.
+func AppendBind(phys [][]int, flat []int, in dsl.Instruction, h *hierarchy.Hierarchy) ([][]int, []int) {
+	l, reps, start := in.Layout(h), h.Replicas(), len(phys)
+	phys = slices.Grow(phys, l.N*reps)
+	flat = slices.Grow(flat, l.N*reps*l.Size) // one backing array, capacity-capped per group
 	for r := 0; r < reps; r++ {
-		for _, g := range leafGroups {
-			for _, u := range g {
+		for g := 0; g < l.N; g++ {
+			for j, u := 0, l.First(g); j < l.Size; j, u = j+1, u+l.Stride {
 				flat = append(flat, h.Leaves[u][r])
 			}
-			phys = append(phys, flat[len(flat)-size:len(flat):len(flat)])
+			phys = append(phys, flat[len(flat)-l.Size:len(flat):len(flat)])
 		}
 	}
 	// Groups are disjoint: first devices are distinct, the order unique.
-	slices.SortFunc(phys, func(a, b []int) int { return a[0] - b[0] })
-	return phys
+	slices.SortFunc(phys[start:], func(a, b []int) int { return a[0] - b[0] })
+	return phys, flat
 }
 
 // Assemble builds the lowered program of p from a source of its steps:

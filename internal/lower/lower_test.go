@@ -364,3 +364,30 @@ func TestLowerIsAnnotateBindAssemble(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendBindWarm: binding every candidate of a replicated universe
+// into storage a first pass grew allocates nothing, and each instruction's
+// groups equal a fresh Bind's.
+func TestAppendBindWarm(t *testing.T) {
+	h := multiAxisHierarchy(t)
+	cands := synth.Candidates(h)
+	var phys [][]int
+	var flat []int
+	bindAll := func() {
+		phys, flat = phys[:0], flat[:0]
+		for _, in := range cands {
+			phys, flat = AppendBind(phys, flat, in, h)
+		}
+	}
+	bindAll()
+	if allocs := testing.AllocsPerRun(10, bindAll); allocs != 0 {
+		t.Errorf("a warm bind of %d instructions allocates %v times, want 0", len(cands), allocs)
+	}
+	for _, in := range cands {
+		start := len(phys)
+		phys, flat = AppendBind(phys, flat, in, h)
+		if got, want := phys[start:], Bind(in, h); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: AppendBind groups %v, want Bind's %v", in, got, want)
+		}
+	}
+}

@@ -10,11 +10,11 @@
 // exceeds the shared threshold. Scoring is a table lookup: the memoized
 // synthesis result numbers its distinct steps and carries each program's
 // step ids (the universe semantics ran once, in synthesis), and each
-// placement binds every distinct instruction to its physical groups once
-// and scores every step id once. Ranking never lowers a program: a
-// candidate keeps its placement's record (hierarchy, synthesis result,
-// binding table) and Candidate.Lowered assembles the lowered program from
-// it on first call.
+// placement binds every distinct instruction to its physical groups once,
+// into worker scratch pooled across runs, and scores every step id once.
+// Ranking never lowers a program: a candidate keeps its placement's record
+// (hierarchy, synthesis result) and Candidate.Lowered binds what the
+// program uses and assembles the lowered program from it on first call.
 //
 // The engine is deterministic: its output is byte-identical to the serial
 // reference path (enumerate placements in order, synthesize, rank with a
@@ -128,31 +128,37 @@ type Candidate struct {
 
 // lowering is what the candidates of one (placement, reduction hierarchy)
 // pair lower from: the hierarchy, the synthesis result and the physical
-// groups of every instruction their programs use. The scorer builds it
-// when the placement's first candidate survives and binds into its table
-// from then on, so the record owns its table and never aliases the
-// worker's scratch.
+// groups of the instructions their lowered programs use. The scorer creates
+// it when the placement's first candidate survives; Lowered binds into its
+// table, so the record owns its groups and never aliases the worker's
+// scratch.
 type lowering struct {
 	h      *hierarchy.Hierarchy
 	res    *synth.Result
-	groups [][][]int // by Result instruction; bound for every step of a kept candidate
+	mu     sync.Mutex
+	groups [][][]int // by Result instruction, nil until Lowered binds it; guarded by mu
 }
 
 // Lowered returns the candidate's lowered program, equal to what
 // lower.Lower builds from Program on the placement's hierarchy. It is
-// assembled on first call from the placement's record, whose binding table
-// the placement's candidates share (lower.Step.Groups is read-only), and
-// kept: every later call, concurrent ones included, returns the same
-// pointer.
+// assembled on first call from the placement's record, binding there the
+// instructions not yet bound, whose groups the placement's candidates share
+// (lower.Step.Groups is read-only), and kept: every later call, concurrent
+// ones included, returns the same pointer.
 func (c *Candidate) Lowered() *lower.Program {
 	if lp := c.lowered.Load(); lp != nil {
 		return lp
 	}
 	low, ids := c.low, c.low.res.StepIDs[c.ProgIdx]
+	low.mu.Lock()
 	lp := lower.Assemble(c.Program, low.h, func(s int) ([][]int, dsl.Shape) {
 		step := low.res.Steps[ids[s]]
+		if low.groups[step.Instr] == nil {
+			low.groups[step.Instr] = lower.Bind(low.res.Instructions[step.Instr], low.h)
+		}
 		return low.groups[step.Instr], step.Shape
 	})
+	low.mu.Unlock()
 	if c.lowered.CompareAndSwap(nil, lp) {
 		return lp
 	}
@@ -369,6 +375,17 @@ type workerState struct {
 	ms     matrixScorer
 }
 
+// workerStates pools scratch, never a result: release drops a state's
+// references to the run's model, hierarchy, synthesis result, lowering
+// record and system before it goes back, and a panicked item's never does.
+var workerStates = sync.Pool{New: func() any { return new(workerState) }}
+
+func (ws *workerState) release() {
+	ws.sc.Release()
+	ws.ms.model, ws.ms.h, ws.ms.res, ws.ms.algos, ws.ms.low = nil, nil, nil, nil, nil
+	workerStates.Put(ws)
+}
+
 // stepChoice is one memoized step evaluation: the winning algorithm of the
 // searched set and its predicted time, once scored is set.
 type stepChoice struct {
@@ -379,25 +396,27 @@ type stepChoice struct {
 
 // matrixScorer scores the programs of one (placement, reduction hierarchy)
 // pair as table lookups indexed by the synthesis result's numbering:
-// groups holds each instruction's physical groups (lower.Bind, once per
-// instruction — tens per placement against hundreds of program steps) and
-// steps each step's evaluation, so programs sharing a prefix — or merely
-// an instruction at the same shape — share both the binding and the
-// step-time evaluations, which dominate serial planning at scale.
+// groups holds each instruction's physical groups (lower.AppendBind into
+// the worker's storage, once per instruction — tens per placement against
+// hundreds of program steps) and steps each step's evaluation, so programs
+// sharing a prefix — or merely an instruction at the same shape — share
+// both the binding and the step-time evaluations, which dominate serial
+// planning at scale.
 type matrixScorer struct {
 	sc    *cost.Scorer
 	model *cost.Model
 	h     *hierarchy.Hierarchy
 	res   *synth.Result
 	algos []cost.Algorithm // the searched set; one entry pins every step
-	// groups is the binding table by Result instruction, nil until bound:
-	// the worker's scratch until the placement's first candidate survives,
-	// then low's own copy, which the placement's candidates lower from.
-	groups  [][][]int
-	scratch [][][]int       // the worker's binding table, reused across placements
-	low     *lowering       // nil until a candidate of the placement survives
-	steps   []stepChoice    // by Result step id
-	views   []cost.Schedule // evalStep's scratch, one per searched algorithm
+	// groups is the binding table by Result instruction, nil until bound,
+	// its entries slices of phys and flat; all three are the worker's
+	// scratch, reused across placements and never seen by a candidate.
+	groups [][][]int
+	phys   [][]int
+	flat   []int
+	low    *lowering       // nil until a candidate of the placement survives
+	steps  []stepChoice    // by Result step id
+	views  []cost.Schedule // evalStep's scratch, one per searched algorithm
 	// stepAlgos is the per-step assignment scratch of a searching run (nil
 	// when pinned), sized to the longest program, whatever the size limit;
 	// a surviving candidate copies its prefix out.
@@ -415,8 +434,8 @@ func zeroed[T any](s []T, n int) []T {
 func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy, res *synth.Result, opts Options) *matrixScorer {
 	ms := &ws.ms
 	ms.sc, ms.model, ms.h, ms.res, ms.algos = &ws.sc, model, h, res, opts.Algos
-	ms.scratch = zeroed(ms.scratch, len(res.Instructions))
-	ms.groups, ms.low = ms.scratch, nil
+	ms.groups = zeroed(ms.groups, len(res.Instructions))
+	ms.phys, ms.flat, ms.low = ms.phys[:0], ms.flat[:0], nil
 	ms.steps = zeroed(ms.steps, len(res.Steps))
 	ms.views = zeroed(ms.views, len(opts.Algos))
 	if len(ms.algos) > 1 {
@@ -435,11 +454,24 @@ func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy,
 }
 
 // bind returns the physical groups of instruction i under the scorer's
-// placement, binding it on first use.
+// placement, binding it on first use. The placement's first bind makes
+// room for every instruction's groups, so the storage regrows at most once.
 func (ms *matrixScorer) bind(i int32) [][]int {
-	if ms.groups[i] == nil {
-		ms.groups[i] = lower.Bind(ms.res.Instructions[i], ms.h)
+	if ms.groups[i] != nil {
+		return ms.groups[i]
 	}
+	if len(ms.phys) == 0 {
+		groups, members := 0, 0
+		for _, in := range ms.res.Instructions {
+			l := in.Layout(ms.h)
+			groups, members = groups+l.N, members+l.N*l.Size
+		}
+		reps := ms.h.Replicas()
+		ms.phys, ms.flat = slices.Grow(ms.phys, groups*reps), slices.Grow(ms.flat, members*reps)
+	}
+	n := len(ms.phys)
+	ms.phys, ms.flat = lower.AppendBind(ms.phys, ms.flat, ms.res.Instructions[i], ms.h)
+	ms.groups[i] = ms.phys[n:]
 	return ms.groups[i]
 }
 
@@ -493,8 +525,7 @@ func (ms *matrixScorer) scoreProgram(mi, pi int, m *placement.Matrix, cutoff fun
 		return nil
 	}
 	if ms.low == nil {
-		ms.low = &lowering{h: ms.h, res: ms.res, groups: slices.Clone(ms.groups)}
-		ms.groups = ms.low.groups
+		ms.low = &lowering{h: ms.h, res: ms.res, groups: make([][][]int, len(ms.res.Instructions))}
 	}
 	prog := ms.res.Programs[pi]
 	c := &Candidate{
@@ -1064,7 +1095,7 @@ func fanOut[T any](ctx context.Context, opts Options, stream func(func(*placemen
 	var wg sync.WaitGroup
 	worker := func() {
 		defer wg.Done()
-		ws := &workerState{}
+		ws := workerStates.Get().(*workerState)
 		keep := newTopK(opts.TopK, less)
 		emit := func(x T) {
 			keep.push(x)
@@ -1078,10 +1109,15 @@ func fanOut[T any](ctx context.Context, opts Options, stream func(func(*placemen
 			if rec.discard(it.idx) || ctx.Err() != nil {
 				continue
 			}
-			if err := runItem(ws, it.idx, it.m, emit); err != nil && !IsCtxErr(err) {
+			err := runItem(ws, it.idx, it.m, emit)
+			if _, panicked := err.(*PanicError); panicked {
+				ws = new(workerState) // a panic can leave the old one dirty: it is dropped
+			}
+			if err != nil && !IsCtxErr(err) {
 				rec.record(it.idx, err)
 			}
 		}
+		ws.release()
 		mu.Lock()
 		//p2:order-independent per-worker keeps are merged by a full deterministic sort in mergeRanked
 		perWorker = append(perWorker, keep.items())

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"p2/internal/cost"
@@ -187,8 +188,10 @@ func TestScoreProgramPrunedZeroAlloc(t *testing.T) {
 }
 
 // TestScoreProgramKeptAllocsCandidate: on warm tables a program that
-// survives scoring costs its Candidate and nothing else — no lowering —
-// pinned and searching (plus the StepAlgos copy of a mixed winner).
+// survives scoring costs its Candidate and nothing else — no lowering and
+// no binding into the placement's record — pinned and searching (plus the
+// StepAlgos copy of a mixed winner). Lowered then binds into the record
+// exactly the instructions the candidate's steps use.
 func TestScoreProgramKeptAllocsCandidate(t *testing.T) {
 	sys := topology.SuperPodSystem(2, 2)
 	matrices, err := placement.Enumerate(sys.Hierarchy(), []int{4, 8})
@@ -215,6 +218,19 @@ func TestScoreProgramKeptAllocsCandidate(t *testing.T) {
 		})
 		if allocs != want {
 			t.Errorf("algos %v: a kept program allocates %v times on warm tables, want %v", algos, allocs, want)
+		}
+		if slices.ContainsFunc(last.low.groups, func(g [][]int) bool { return g != nil }) {
+			t.Fatalf("algos %v: scoring bound into the record", algos)
+		}
+		used := map[int32]bool{}
+		for _, id := range res.StepIDs[last.ProgIdx] {
+			used[res.Steps[id].Instr] = true
+		}
+		last.Lowered()
+		for i, g := range last.low.groups {
+			if (g != nil) != used[int32(i)] {
+				t.Errorf("algos %v: instruction %d bound %v, used by the program %v", algos, i, g != nil, used[int32(i)])
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -261,5 +262,26 @@ func TestMemoryFollowsPrograms(t *testing.T) {
 	}
 	if largeBytes > 2*smallBytes {
 		t.Errorf("size limit 1<<16 allocated %d bytes, 5 allocated %d: want at most twice", largeBytes, smallBytes)
+	}
+}
+
+// TestInstructionStringMatchesFmt: Instruction.String renders every
+// candidate of the test hierarchies byte for byte as its fmt form did.
+func TestInstructionStringMatchesFmt(t *testing.T) {
+	n := 0
+	for _, h := range poolMix(t) {
+		for _, in := range Candidates(h) {
+			form := in.Form.String()
+			if in.Form != dsl.InsideGroup {
+				form = fmt.Sprintf("%s(%d)", form, in.Arg)
+			}
+			if got, want := in.String(), fmt.Sprintf("(%d, %s, %s)", in.Slice, form, in.Op); got != want {
+				t.Errorf("%s renders %q, want %q", h, got, want)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no candidates rendered")
 	}
 }
