@@ -612,6 +612,27 @@ func BenchmarkCostEstimate(b *testing.B) {
 			sc.ProgramTime(&fresh, lp)
 		}
 	})
+	// One AllReduce over 64-leaf groups of superpod:16x32 [64 64], 64
+	// replicas of them, scored as the planner scores a Ring step: from
+	// replica 0's groups.
+	b.Run("scorer-replicated", func(b *testing.B) {
+		big := topology.SuperPodSystem(16, 32)
+		m := mustMatrix(b, big.Hierarchy(), []int{64, 64}, [][]int{{4, 2, 8}, {4, 16, 1}})
+		h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
+		in := synth.BaselineAllReduce()[0]
+		zero, _ := lower.AppendBind(nil, nil, in, h, 1)
+		st := lower.Step{Op: in.Op, Groups: zero, Rows: h.K(), K: h.K()}
+		model := &cost.Model{Sys: big, Algo: cost.Ring, Bytes: cost.DefaultPayload(big)}
+		var reps cost.Replicas
+		reps.Reset(big, h.ReplicaOffsets())
+		sc := cost.NewScorer(big)
+		sc.StepTimeReplicated(model, st, &reps, cost.Ring) // warm the scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sc.StepTimeReplicated(model, st, &reps, cost.Ring)
+		}
+	})
 }
 
 // BenchmarkRoute is the scorer's hottest leaf: one op routes every device

@@ -99,6 +99,12 @@ func ScheduleOf(op collective.Op, algo Algorithm, n int, perDevice float64) Sche
 	}
 }
 
+// Counted reports whether every link of the pattern carries the schedule's
+// one LinkBytes volume — Ring and Chain — so that an uplink's analytic
+// traffic depends only on how many links cross it, not on their order:
+// the Scorer counts these patterns' crossings (see Scorer).
+func (p Pattern) Counted() bool { return p == PatternRing || p == PatternChain }
+
 // RingLink is link i of a ring over n members: i → i+1 (mod n). Like the
 // other link formulas it works in group-index space — an index is a position
 // in the group slice, and every consumer maps it through its concrete group.

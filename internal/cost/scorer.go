@@ -12,40 +12,60 @@ import (
 // from a package pool, and each planning worker holds its own. A warm
 // Scorer scores with zero allocations, whatever the payload:
 //
-//   - The per-uplink traffic array is scratch owned by the Scorer. Instead
-//     of reallocating (or zeroing the whole array) per step, the Scorer
-//     records which entries a step touched and resets exactly those during
-//     the final max-scan (dirty-entry reset), so traffic is all zero
-//     between steps.
+//   - The per-uplink traffic and crossing arrays are scratch owned by the
+//     Scorer. Instead of reallocating (or zeroing a whole array) per step,
+//     the Scorer records which entries a step touched and resets exactly
+//     those during the final max-scan (dirty-entry reset), so both are all
+//     zero between steps.
 //   - A step's groups are uniform, so one Schedule serves them all, and
 //     ring, chain and halving-doubling links are walked straight off their
 //     link formulas in group-index space, mapped through each concrete
 //     group. Tree links depend on the members' hardware entities, so they
 //     are expanded per group, but into reusable partition and edge scratch.
 //
-// The accumulation order is fixed — groups in step order, links in the
-// order their formulas number them (a halving-doubling group's folds and
-// unfolds before its core levels), each link's route
-// (topology.System.Route) endpoint a then b, levels from the divergence
-// level down — and the step time is the most-loaded uplink's transfer time
-// plus the rounds × latency term. TestStepTimePinnedBits and
-// TestStepTimeDigest pin the resulting floats.
+// Ring and Chain steps are counted, not summed. Every link of the two
+// patterns carries the one volume LinkBytes, so an uplink's traffic is that
+// volume added from exact 0 once per link crossing it, in any order: the
+// Scorer routes the links, counts the crossings per uplink and charges an
+// uplink crossed c times the c-fold sequential sum of the volume. That
+// makes a replicated step cost one replica (StepTimeReplicated): a shifted
+// replica crosses the shifted uplinks exactly as often, so an uplink
+// touched by one replica's links is charged m_l times its count on each of
+// its classes' copies, m_l being the level's class size (Replicas).
+//
+// Halving-doubling and Tree links carry different volumes, so their order
+// matters and they accumulate link by link over the physical groups —
+// groups in step order, links in the order their formulas number them (a
+// halving-doubling group's folds and unfolds before its core levels), each
+// link's route (topology.System.Route) endpoint a then b, levels from the
+// divergence level down. Either way the step time is the most-loaded
+// uplink's transfer time plus the rounds × latency term, the latency being
+// the slowest divergence-level endpoint of any link. TestStepTimePinnedBits
+// and TestStepTimeDigest pin the resulting floats.
 //
 // Nothing a Scorer keeps depends on the System, so it binds to the System
-// of each Model it is handed, growing its traffic array when the System
-// has more uplinks. The zero Scorer is ready to use; a Scorer is not safe
-// for concurrent use.
+// of each Model it is handed, growing its arrays when the System has more
+// uplinks. The zero Scorer is ready to use; a Scorer is not safe for
+// concurrent use.
 type Scorer struct {
 	sys *topology.System
 
 	traffic []float64
 	dirty   []int
 
+	// Counted (Ring and Chain) steps: crossings[i] counts one replica's
+	// links routed over uplink i, and ends[i] says some link has an
+	// endpoint on it at its divergence level. sums[c] is the c-fold
+	// sequential sum of the step's link volume.
+	crossings []int
+	ends      []bool
+	sums      []float64
+
 	tree      treePartition
 	treeEdges []relEdge
 	path      []int
 
-	// Per-step accumulators, reset by StepTimeAlgo.
+	// Per-step accumulator, reset by stepTime.
 	maxLat float64
 }
 
@@ -70,12 +90,17 @@ func putScorer(s *Scorer) { scorers.Put(s) }
 // between runs holds no system alive; the next step rebinds.
 func (s *Scorer) Release() { s.sys = nil }
 
-// bind points s at sys, the cold path of StepTimeAlgo. traffic is all
-// zero between steps, so it is only grown, never cleared.
+// zeroClass is a physical step's classes at every level: its one
+// replica, at offset 0.
+var zeroClass = []int{0}
+
+// bind points s at sys, the cold path of every step. traffic, crossings
+// and ends are all zero between steps, so they are only grown, never
+// cleared.
 func (s *Scorer) bind(sys *topology.System) {
 	s.sys = sys
 	if n := sys.EntityOffsets()[sys.NumLevels()]; len(s.traffic) < n {
-		s.traffic = make([]float64, n)
+		s.traffic, s.crossings, s.ends = make([]float64, n), make([]int, n), make([]bool, n)
 	}
 }
 
@@ -89,19 +114,64 @@ func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 	if m.Sys != s.sys {
 		s.bind(m.Sys)
 	}
+	return s.stepTime(m, st, nil, algo)
+}
+
+// StepTimeReplicated is StepTimeAlgo of the step whose groups are
+// st.Groups, one replica's, shifted by each replica offset rp was Reset
+// with, bit for bit. Only a counted step can be scored from one of several
+// replicas: unless rp holds one replica, algo's schedule for the step must
+// have a Counted pattern. It panics when it has not, or when rp was Reset
+// for another system than m's.
+//
+//p2:zeroalloc
+func (s *Scorer) StepTimeReplicated(m *Model, st lower.Step, rp *Replicas, algo Algorithm) float64 {
+	if m.Sys != s.sys {
+		s.bind(m.Sys)
+	}
+	if rp.sys != m.Sys {
+		refuse("cost: Replicas reset for another system")
+	}
+	return s.stepTime(m, st, rp, algo)
+}
+
+// refuse panics with msg.
+func refuse(msg string) { panic(msg) }
+
+// stepTime scores st, whose groups are one replica's under rp, or the
+// physical step's when rp is nil.
+//
+//p2:zeroalloc
+func (s *Scorer) stepTime(m *Model, st lower.Step, rp *Replicas, algo Algorithm) float64 {
 	s.maxLat = 0
 	s.dirty = s.dirty[:0]
-	rounds := 0
-	if len(st.Groups) > 0 {
-		sch := ScheduleOf(st.Op, algo, st.GroupSize(), st.FracIn()*m.Bytes)
+	if len(st.Groups) == 0 {
+		return 0
+	}
+	sch := ScheduleOf(st.Op, algo, st.GroupSize(), st.FracIn()*m.Bytes)
+	var worst float64
+	if sch.Pattern.Counted() {
+		worst = s.counted(sch, st.Groups, rp)
+	} else {
+		if rp != nil && rp.n != 1 {
+			refuse("cost: only a Ring or Chain step is scored from one of several replicas")
+		}
 		for _, g := range st.Groups {
 			s.addGroup(sch, g)
 		}
-		rounds = sch.LatencyRounds
+		worst = s.scan()
 	}
-	// Each entity's uplink has its own effective bandwidth. A step that
-	// touches a down link (bandwidth 0) never completes, whatever its
-	// traffic there: a transfer that rounds to 0 bytes stalls on it too.
+	return worst + float64(sch.LatencyRounds)*s.maxLat
+}
+
+// scan is the final max-scan of an accumulated step: the most-loaded
+// uplink's transfer time, every touched traffic entry re-zeroed. Each
+// entity's uplink has its own effective bandwidth. A step that touches a
+// down link (bandwidth 0) never completes, whatever its traffic there: a
+// transfer that rounds to 0 bytes stalls on it too.
+//
+//p2:zeroalloc
+func (s *Scorer) scan() float64 {
 	worst := 0.0
 	offsets := s.sys.EntityOffsets()
 	L := s.sys.NumLevels()
@@ -117,7 +187,90 @@ func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 		}
 		s.traffic[i] = 0
 	}
-	return worst + float64(rounds)*s.maxLat
+	return worst
+}
+
+// counted scores a Ring or Chain step from one replica's groups: it counts
+// the crossings of their links per uplink, then charges every class copy
+// of a crossed level-l uplink — the uplink shifted by the class's entity
+// offset — the sequential sum of ClassSize(l) × its count link volumes,
+// the traffic per-link accumulation leaves there. The scan covers each
+// copy's own bandwidth and, for an uplink some link ends on at its
+// divergence level, its own latency, so overrides and down links score as
+// they do link by link; the max over copies is order-free.
+//
+//p2:zeroalloc
+func (s *Scorer) counted(sch Schedule, groups [][]int, rp *Replicas) float64 {
+	for _, g := range groups {
+		n := len(g)
+		if sch.Pattern == PatternRing {
+			for i := range n {
+				a, b := RingLink(n, i)
+				s.cross(g[a], g[b])
+			}
+		} else {
+			for i := range n - 1 {
+				a, b := ChainLink(i)
+				s.cross(g[a], g[b])
+			}
+		}
+	}
+	worst := 0.0
+	offsets := s.sys.EntityOffsets()
+	L := s.sys.NumLevels()
+	// Without overrides every copy of an uplink has its level's bandwidth
+	// and latency, so the first copy scores them all.
+	uniform := len(s.sys.Overrides) == 0
+	s.sums = append(s.sums[:0], 0) //p2:alloc-ok sums is reset to its first entry per step and its capacity reused
+	for _, i := range s.dirty {
+		l := 0
+		for l+1 < L && i >= offsets[l+1] {
+			l++
+		}
+		size, copies := 1, zeroClass
+		if rp != nil {
+			size, copies = rp.ClassSize(l), rp.Classes(l)
+		}
+		c := s.crossings[i] * size
+		for len(s.sums) <= c {
+			s.sums = append(s.sums, s.sums[len(s.sums)-1]+sch.LinkBytes) //p2:alloc-ok grows to the largest crossing count seen; growth is amortized
+		}
+		traffic, end := s.sums[c], s.ends[i]
+		if uniform {
+			copies = copies[:1]
+		}
+		for _, off := range copies {
+			e := i - offsets[l] + off
+			if bw := s.sys.LinkBandwidth(l, e); !(bw > 0) {
+				worst = math.Inf(1)
+			} else if t := traffic / bw; t > worst {
+				worst = t
+			}
+			if end {
+				s.maxLat = max(s.maxLat, s.sys.LinkLatency(l, e))
+			}
+		}
+		s.crossings[i], s.ends[i] = 0, false
+	}
+	return worst
+}
+
+// cross routes one counted link, counting it on every uplink it loads and
+// marking the two it ends on at its divergence level (endpointLatency's).
+//
+//p2:zeroalloc
+func (s *Scorer) cross(a, b int) {
+	s.path = s.sys.Route(a, b, s.path[:0])
+	if len(s.path) == 0 {
+		return
+	}
+	s.ends[s.path[0]], s.ends[s.path[1]] = true, true
+	for _, i := range s.path {
+		if s.crossings[i] == 0 {
+			s.dirty = append(s.dirty, i) //p2:alloc-ok dirty list is reset to [:0] per step and its capacity reused; growth is amortized
+		}
+		s.crossings[i]++
+	}
 }
 
 // ProgramTime sums the step times of a lowered program in step order.
@@ -131,9 +284,9 @@ func (s *Scorer) ProgramTime(m *Model, p *lower.Program) float64 {
 	return total
 }
 
-// addGroup accumulates the analytic view of sch over one group g into the
-// traffic scratch. Ring, chain and halving-doubling links come straight
-// from RingLink, ChainLink, FoldLink and CoreLink. Routing a link bumps
+// addGroup accumulates the analytic view of sch, a halving-doubling or
+// tree schedule, over one group g into the traffic scratch. Halving-doubling
+// links come straight from FoldLink and CoreLink. Routing a link bumps
 // both endpoints' uplinks by the same amount and all links of one
 // halving-doubling level carry the same bytes, so the order inside a level
 // is free; across levels floats do not reassociate, and fold and unfold are
@@ -143,16 +296,6 @@ func (s *Scorer) ProgramTime(m *Model, p *lower.Program) float64 {
 func (s *Scorer) addGroup(sch Schedule, g []int) {
 	n, bytes := len(g), sch.LinkBytes
 	switch sch.Pattern {
-	case PatternRing:
-		for i := range n {
-			a, b := RingLink(n, i)
-			s.addEdge(g[a], g[b], bytes)
-		}
-	case PatternChain:
-		for i := range n - 1 {
-			a, b := ChainLink(i)
-			s.addEdge(g[a], g[b], bytes)
-		}
 	case PatternHalvingDoubling:
 		p := CorePow2(n)
 		for k := p; k < n; k++ {
@@ -172,6 +315,8 @@ func (s *Scorer) addGroup(sch Schedule, g []int) {
 		for _, e := range s.treeEdges {
 			s.addEdge(g[e.a], g[e.b], e.bytes)
 		}
+	case PatternRing, PatternChain:
+		// Counted, never accumulated link by link (stepTime).
 	}
 }
 
@@ -203,3 +348,53 @@ func (s *Scorer) bump(i int, bytes float64) {
 	}
 	s.traffic[i] += bytes
 }
+
+// Replicas is how the groups of a replicated step repeat: one replica's
+// groups, shifted by every replica's device offset
+// (hierarchy.Hierarchy.ReplicaOffsets). An offset occupies address digits
+// no member of the groups does, so it shifts a member's level-l entity by
+// its own level-l entity with no carry, and the replicas whose offsets
+// share a level-l entity — a class of the level — load the same level-l
+// uplinks. Reset groups the offsets into each level's classes, all of one
+// size since the offsets span every combination of their digits. The zero
+// value is ready for Reset.
+type Replicas struct {
+	sys   *topology.System
+	n     int
+	start []int // level l's classes are class[start[l]:start[l+1]]
+	class []int // each class's level-l entity offset
+	seen  []uint64
+	gen   uint64
+}
+
+// Reset groups offsets, every replica's device offset on sys with offset 0
+// among them, into each level's classes. It keeps no reference to offsets.
+func (rp *Replicas) Reset(sys *topology.System, offsets []int) {
+	offs := sys.EntityOffsets()
+	if n := offs[sys.NumLevels()]; len(rp.seen) < n {
+		rp.seen = make([]uint64, n)
+	}
+	rp.sys, rp.n = sys, len(offsets)
+	rp.start, rp.class = append(rp.start[:0], 0), rp.class[:0]
+	rp.gen++
+	for l := range sys.NumLevels() {
+		for _, off := range offsets {
+			if e := sys.EntityID(off, l); rp.seen[offs[l]+e] != rp.gen {
+				rp.seen[offs[l]+e] = rp.gen
+				rp.class = append(rp.class, e)
+			}
+		}
+		rp.start = append(rp.start, len(rp.class))
+	}
+}
+
+// Release drops the system rp was Reset for, keeping its scratch.
+func (rp *Replicas) Release() { rp.sys = nil }
+
+// Classes returns each level-l class's entity offset: a level-l uplink
+// that replica 0 loads is loaded, shifted by each of them, by every class.
+// The slice is shared and must not be mutated.
+func (rp *Replicas) Classes(l int) []int { return rp.class[rp.start[l]:rp.start[l+1]] }
+
+// ClassSize returns how many replicas each level-l class holds.
+func (rp *Replicas) ClassSize(l int) int { return rp.n / (rp.start[l+1] - rp.start[l]) }

@@ -93,25 +93,58 @@ func (p Program) String() string {
 // the derived groups must have at least two members.
 func (in Instruction) Validate(h *hierarchy.Hierarchy) error {
 	L := h.NumLevels()
-	if in.Slice < 0 || in.Slice >= L {
+	switch in.check(h) {
+	case valid:
+		return nil
+	case badSlice:
 		return fmt.Errorf("dsl: slice level %d out of range [0,%d)", in.Slice, L)
+	case leafInside:
+		return fmt.Errorf("dsl: InsideGroup at leaf slice %d has singleton groups", in.Slice)
+	case badArg:
+		return fmt.Errorf("dsl: form ancestor %d is not a strict ancestor of slice %d", in.Arg, in.Slice)
+	case singletonForm:
+		return fmt.Errorf("dsl: Parallel/Master(%d) at slice %d has singleton groups", in.Arg, in.Slice)
+	default:
+		return fmt.Errorf("dsl: unknown form %v", in.Form)
+	}
+}
+
+// Valid reports whether Validate accepts the instruction, building no
+// error: the synthesizer's enumeration rejects most of what it tries.
+func (in Instruction) Valid(h *hierarchy.Hierarchy) bool { return in.check(h) == valid }
+
+// fault is the first condition of Validate an instruction fails.
+type fault uint8
+
+const (
+	valid fault = iota
+	badSlice
+	leafInside
+	badArg
+	singletonForm
+	badForm
+)
+
+func (in Instruction) check(h *hierarchy.Hierarchy) fault {
+	if in.Slice < 0 || in.Slice >= h.NumLevels() {
+		return badSlice
 	}
 	switch in.Form {
 	case InsideGroup:
 		if h.Radix().Weight(in.Slice) < 2 {
-			return fmt.Errorf("dsl: InsideGroup at leaf slice %d has singleton groups", in.Slice)
+			return leafInside
 		}
 	case Parallel, Master:
 		if in.Arg < 0 || in.Arg >= in.Slice {
-			return fmt.Errorf("dsl: form ancestor %d is not a strict ancestor of slice %d", in.Arg, in.Slice)
+			return badArg
 		}
 		if h.Radix().Weight(in.Arg)/h.Radix().Weight(in.Slice) < 2 {
-			return fmt.Errorf("dsl: Parallel/Master(%d) at slice %d has singleton groups", in.Arg, in.Slice)
+			return singletonForm
 		}
 	default:
-		return fmt.Errorf("dsl: unknown form %v", in.Form)
+		return badForm
 	}
-	return nil
+	return valid
 }
 
 // Admissible implements the syntactic validity conditions the paper
@@ -182,11 +215,25 @@ type Layout struct {
 // First returns the first (smallest) leaf of group g.
 func (l Layout) First(g int) int { return g/l.per*l.span + g%l.per }
 
+// Equal reports whether l and o describe the same groups: the same count,
+// size and stride, and every group starting at the same leaf.
+func (l Layout) Equal(o Layout) bool {
+	if l.N != o.N || l.Size != o.Size || l.Stride != o.Stride {
+		return false
+	}
+	for g := range l.N {
+		if l.First(g) != o.First(g) {
+			return false
+		}
+	}
+	return true
+}
+
 // Layout returns the layout of the instruction's groups under h. It panics
 // if the instruction fails Validate.
 func (in Instruction) Layout(h *hierarchy.Hierarchy) Layout {
-	if err := in.Validate(h); err != nil {
-		panic(err)
+	if !in.Valid(h) {
+		panic(in.Validate(h))
 	}
 	rad, k := h.Radix(), h.K()
 	if in.Form == InsideGroup {

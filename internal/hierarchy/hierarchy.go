@@ -16,10 +16,16 @@
 // lowering replicates synthesized groups across replicas.
 //
 // One construction serves all four kinds. A device is a sum of per-axis
-// offsets (placement.Matrix.Device), so replica v of leaf u is
-// redOff[u] + freeOff[v]: the device of the coordinates u's digits spell,
-// plus that of replica v's coordinates on the axes that do not address a
-// leaf — none for (a)–(c), whose one replica is freeOff[0] = 0.
+// offsets (placement.Matrix.Device), so replica r of leaf u is
+// leafOff[u] + repOff[r]: the device of the coordinates u's digits spell,
+// plus that of replica r's coordinates on the axes that do not address a
+// leaf — none for (a)–(c), whose one replica is repOff[0] = 0. The two
+// offsets occupy disjoint mixed-radix digits of the device address, so
+// their sum carries nowhere: at every hardware level l the level-l entity
+// of Device(u, r) is that of leafOff[u] plus that of repOff[r]
+// (topology.System.EntityID), and the replicas whose offsets share a
+// level-l entity load exactly the same level-l uplinks. The cost model and
+// the placement bound count one replica's traffic on that argument.
 package hierarchy
 
 import (
@@ -73,10 +79,6 @@ type Hierarchy struct {
 	// Interior levels of size 1 are dropped: they cannot change any
 	// device grouping and only duplicate instructions.
 	Sizes []int
-	// Leaves[u] lists the physical devices leaf u denotes, ordered by the
-	// non-reduction coordinate combination (the replica index). All
-	// leaves have the same replica count.
-	Leaves [][]int
 	// Groups[u] is the leaf-space reduction group of leaf u: the leaves
 	// whose data must be reduced with it, sorted ascending and including
 	// u itself. The leaves of one group share its slice.
@@ -89,14 +91,27 @@ type Hierarchy struct {
 	// level.
 	ReductionLevel []bool
 
-	radix *factor.Radix
+	// Leaf u's replica r is device leafOff[u] + repOff[r] (see Device).
+	leafOff, repOff []int
+	radix           *factor.Radix
 }
 
 // K returns the number of leaves (the synthesis universe size).
-func (h *Hierarchy) K() int { return len(h.Leaves) }
+func (h *Hierarchy) K() int { return len(h.leafOff) }
 
 // Replicas returns how many physical devices each leaf denotes.
-func (h *Hierarchy) Replicas() int { return len(h.Leaves[0]) }
+func (h *Hierarchy) Replicas() int { return len(h.repOff) }
+
+// Device returns the physical device of replica r of leaf u. Replicas are
+// numbered by their non-reduction coordinate combination, and replica 0
+// (every such coordinate 0) is Device(u, 0) = the leaf's own offset.
+func (h *Hierarchy) Device(u, r int) int { return h.leafOff[u] + h.repOff[r] }
+
+// ReplicaOffsets returns every replica's device offset, by replica index:
+// Device(u, r) = Device(u, 0) + ReplicaOffsets()[r], and ReplicaOffsets()[0]
+// is 0. The offsets occupy address digits no leaf's does (see the package
+// comment). The slice is shared and must not be mutated.
+func (h *Hierarchy) ReplicaOffsets() []int { return h.repOff }
 
 // NumLevels returns the number of hierarchy levels including the root.
 func (h *Hierarchy) NumLevels() int { return len(h.Sizes) }
@@ -134,10 +149,9 @@ func (h *Hierarchy) String() string {
 func (h *Hierarchy) Signature() string {
 	// One buffer, strconv appends: this runs once per placement on the
 	// planner's memo-hit path, where fmt per number cost as much as Build.
-	n := len(h.Sizes)
-	for _, g := range h.Groups {
-		n += len(g) + 1
-	}
+	// Each group is listed once, at its minimal leaf: the groups partition
+	// the leaves, so the list still determines Groups.
+	n := len(h.Sizes) + 2*len(h.Groups)
 	b := make([]byte, 0, 16+3*n)
 	b = append(b, "s:"...)
 	for i, s := range h.Sizes {
@@ -155,7 +169,10 @@ func (h *Hierarchy) Signature() string {
 		}
 	}
 	b = append(b, "|g:"...)
-	for _, g := range h.Groups {
+	for u, g := range h.Groups {
+		if g[0] != u {
+			continue
+		}
 		for i, u := range g {
 			if i > 0 {
 				b = append(b, ',')
@@ -285,18 +302,18 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 	rad := factor.NewRadix(sizes)
 	k := rad.Total()
 
-	// freeOff[v] is the device of replica v's coordinates on the axes that
+	// repOff[r] is the device of replica r's coordinates on the axes that
 	// do not address a leaf, with every other coordinate 0.
 	freeRad := factor.NewRadix(freeSizes)
-	freeOff := make([]int, freeRad.Total())
+	repOff := make([]int, freeRad.Total())
 	coords := make([]int, m.NumAxes())
 	freeDigits := make([]int, freeRad.Len())
-	for v := range freeOff {
-		freeRad.DecodeInto(v, freeDigits)
+	for r := range repOff {
+		freeRad.DecodeInto(r, freeDigits)
 		for idx, a := range freeAxes {
 			coords[a] = freeDigits[idx]
 		}
-		freeOff[v] = m.Device(coords)
+		repOff[r] = m.Device(coords)
 	}
 
 	// Leaf u's group is every leaf with its non-reduction digits (key),
@@ -308,12 +325,10 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 			groupSize *= d.size
 		}
 	}
-	leaves := make([][]int, k)
+	leafOff := make([]int, k)
 	groups := make([][]int, k)
-	reps := len(freeOff)
-	backing := make([]int, k*reps)
 	members := make([]int, k)
-	for u := range leaves {
+	for u := range leafOff {
 		clear(coords)
 		rest, key, rank, keyW, rankW := u, 0, 0, 1, 1
 		for p := len(order) - 1; p >= 0; p-- {
@@ -329,21 +344,17 @@ func build(kind Kind, m *placement.Matrix, reduceAxes []int, opts Options) *Hier
 				keyW *= d.size
 			}
 		}
-		redOff := m.Device(coords)
-		leaf := backing[u*reps : (u+1)*reps : (u+1)*reps]
-		for v, f := range freeOff {
-			leaf[v] = redOff + f
-		}
-		leaves[u] = leaf
+		leafOff[u] = m.Device(coords)
 		g := members[key*groupSize : (key+1)*groupSize : (key+1)*groupSize]
 		g[rank] = u
 		groups[u] = g
 	}
 	return &Hierarchy{
 		Sizes:          sizes,
-		Leaves:         leaves,
 		Groups:         groups,
 		ReductionLevel: redLevel,
+		leafOff:        leafOff,
+		repOff:         repOff,
 		radix:          rad,
 	}
 }

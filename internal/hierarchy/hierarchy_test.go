@@ -84,10 +84,7 @@ func TestFullHierarchiesAreBijections(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		for u := 0; u < h.K(); u++ {
-			if len(h.Leaves[u]) != 1 {
-				t.Fatalf("%v: leaf %d has %d devices", kind, u, len(h.Leaves[u]))
-			}
-			d := h.Leaves[u][0]
+			d := h.Device(u, 0)
 			if seen[d] {
 				t.Fatalf("%v: device %d appears twice", kind, d)
 			}
@@ -101,8 +98,8 @@ func TestSystemHierarchyLeafIsDevice(t *testing.T) {
 	m := fig2dMatrix(t)
 	h := MustBuild(KindSystem, m, []int{1}, Options{})
 	for u := 0; u < h.K(); u++ {
-		if h.Leaves[u][0] != u {
-			t.Errorf("leaf %d maps to device %d", u, h.Leaves[u][0])
+		if h.Device(u, 0) != u {
+			t.Errorf("leaf %d maps to device %d", u, h.Device(u, 0))
 		}
 	}
 }
@@ -120,18 +117,18 @@ func TestReductionHierarchyLeavesAreGroups(t *testing.T) {
 		t.Fatalf("Replicas = %d, want 4", h.Replicas())
 	}
 	for u := 0; u < h.K(); u++ {
-		for _, dev := range h.Leaves[u] {
-			if got := m.AxisCoord(dev, 1); got != u {
-				t.Errorf("leaf %d holds device %d with shard coord %d", u, dev, got)
+		for r := range h.Replicas() {
+			if dev := h.Device(u, r); m.AxisCoord(dev, 1) != u {
+				t.Errorf("leaf %d holds device %d with shard coord %d", u, dev, m.AxisCoord(dev, 1))
 			}
 		}
 	}
 	// Replica r of every leaf shares the same batch coordinate, so the
-	// lowered groups {Leaves[u][r] : u} are exactly the reduction groups.
+	// lowered groups {Device(u, r) : u} are exactly the reduction groups.
 	for r := 0; r < h.Replicas(); r++ {
-		batch := m.AxisCoord(h.Leaves[0][r], 0)
+		batch := m.AxisCoord(h.Device(0, r), 0)
 		for u := 1; u < h.K(); u++ {
-			if got := m.AxisCoord(h.Leaves[u][r], 0); got != batch {
+			if got := m.AxisCoord(h.Device(u, r), 0); got != batch {
 				t.Errorf("replica %d: leaf %d batch %d, want %d", r, u, got, batch)
 			}
 		}
@@ -148,11 +145,11 @@ func TestReductionGroupsInLeafSpace(t *testing.T) {
 			t.Fatalf("leaf %d group size %d", u, len(g))
 		}
 		// All members must map to devices in the same physical group.
-		dev := h.Leaves[u][0]
+		dev := h.Device(u, 0)
 		want := m.ReductionGroup(dev, []int{1})
 		got := make([]int, len(g))
 		for i, lu := range g {
-			got[i] = h.Leaves[lu][0]
+			got[i] = h.Device(lu, 0)
 		}
 		if !reflect.DeepEqual(sortedCopy(got), sortedCopy(want)) {
 			t.Errorf("leaf %d: group devices %v, want %v", u, got, want)
@@ -185,7 +182,7 @@ func TestMultiAxisReduction(t *testing.T) {
 	for r := 0; r < h.Replicas(); r++ {
 		devs := make([]int, h.K())
 		for u := 0; u < h.K(); u++ {
-			devs[u] = h.Leaves[u][r]
+			devs[u] = h.Device(u, r)
 		}
 		want := m.ReductionGroup(devs[0], []int{0, 2})
 		if !reflect.DeepEqual(sortedCopy(devs), sortedCopy(want)) {
@@ -211,10 +208,10 @@ func TestCollapsedMappingConsistent(t *testing.T) {
 	seen := map[int]bool{}
 	aset := map[int]bool{}
 	for u := 0; u < a.K(); u++ {
-		aset[a.Leaves[u][0]] = true
+		aset[a.Device(u, 0)] = true
 	}
 	for u := 0; u < b.K(); u++ {
-		d := b.Leaves[u][0]
+		d := b.Device(u, 0)
 		if seen[d] {
 			t.Fatalf("collapsed leaf device %d duplicated", d)
 		}
@@ -225,8 +222,20 @@ func TestCollapsedMappingConsistent(t *testing.T) {
 	}
 }
 
+// leaves lists every leaf's devices by replica: leaves(h)[u][r] is
+// h.Device(u, r).
+func leaves(h *Hierarchy) [][]int {
+	out := make([][]int, h.K())
+	for u := range out {
+		for r := range h.Replicas() {
+			out[u] = append(out[u], h.Device(u, r))
+		}
+	}
+	return out
+}
+
 // refLeaves is the per-replica construction of a reduction hierarchy's
-// Leaves: leaf u's reduction-axis coordinates are read off its digits (one
+// devices: leaf u's reduction-axis coordinates are read off its digits (one
 // digit per (axis, level) factor — axis-major, or level-major when
 // collapsed; dropped unit levels are digit 0), replica v's free-axis
 // coordinates are v in mixed radix over the free axes, and each replica
@@ -289,7 +298,7 @@ func refLeaves(m *placement.Matrix, red []int, collapse bool) [][]int {
 	return leaves
 }
 
-// TestBuildReductionLeaves holds the reduction hierarchy's Leaves to the
+// TestBuildReductionLeaves holds the reduction hierarchy's Device to the
 // per-replica Device construction on every placement of the determinism
 // matrix's shapes, with Collapse on and off.
 func TestBuildReductionLeaves(t *testing.T) {
@@ -312,9 +321,9 @@ func TestBuildReductionLeaves(t *testing.T) {
 		for _, m := range ms {
 			for _, collapse := range []bool{false, true} {
 				h := MustBuild(KindReductionAxes, m, tc.red, Options{Collapse: collapse})
-				if want := refLeaves(m, tc.red, collapse); !reflect.DeepEqual(h.Leaves, want) {
-					t.Errorf("%s %v r%v collapse=%v: Leaves = %v, want %v",
-						tc.sys.Name, m, tc.red, collapse, h.Leaves, want)
+				if got, want := leaves(h), refLeaves(m, tc.red, collapse); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v r%v collapse=%v: devices = %v, want %v",
+						tc.sys.Name, m, tc.red, collapse, got, want)
 				}
 			}
 		}

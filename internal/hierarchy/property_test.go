@@ -1,9 +1,12 @@
 package hierarchy
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"p2/internal/placement"
+	"p2/internal/topology"
 )
 
 // allConfigs yields a diverse set of (matrix, reduceAxes) pairs including
@@ -56,8 +59,8 @@ func TestLeavesPartitionDevices(t *testing.T) {
 				t.Fatalf("%v %v %v: %v", kind, c.m, c.red, err)
 			}
 			seen := map[int]int{}
-			for _, leaves := range h.Leaves {
-				for _, d := range leaves {
+			for _, devs := range leaves(h) {
+				for _, d := range devs {
 					seen[d]++
 				}
 			}
@@ -109,7 +112,7 @@ func TestReplicaColumnsAreReductionGroups(t *testing.T) {
 		for r := 0; r < h.Replicas(); r++ {
 			col := make([]int, h.K())
 			for u := 0; u < h.K(); u++ {
-				col[u] = h.Leaves[u][r]
+				col[u] = h.Device(u, r)
 			}
 			want := c.m.ReductionGroup(col[0], c.red)
 			if !sameSet(col, want) {
@@ -187,4 +190,93 @@ func sameSet(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// genMatrix draws a random placement: a hardware hierarchy of one to four
+// levels (at most 96 devices, unit levels allowed), its devices split into
+// one to three axes, one of the axes' placements, and a non-empty set of
+// reduction axes.
+func genMatrix(t *testing.T, rng *rand.Rand) (*placement.Matrix, []int) {
+	t.Helper()
+	for {
+		hier := make([]int, 1+rng.IntN(4))
+		n := 1
+		for j := range hier {
+			hier[j] = 1 + rng.IntN(4)
+			n *= hier[j]
+		}
+		if n > 96 {
+			continue
+		}
+		axes := make([]int, 1+rng.IntN(3))
+		for i := range axes {
+			axes[i] = 1
+		}
+		for p, rest := 2, n; rest > 1; {
+			if rest%p != 0 {
+				p++
+				continue
+			}
+			axes[rng.IntN(len(axes))] *= p
+			rest /= p
+		}
+		ms, err := placement.Enumerate(hier, axes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var red []int
+		for i := range axes {
+			if rng.IntN(2) == 0 {
+				red = append(red, i)
+			}
+		}
+		if len(red) == 0 {
+			red = []int{rng.IntN(len(axes))}
+		}
+		return ms[rng.IntN(len(ms))], red
+	}
+}
+
+// TestReplicaEntitiesAddWithoutCarry is the identity the cost model and
+// the placement bound count one replica by: a leaf's replica r is its
+// replica 0 shifted by ReplicaOffsets()[r], offset 0 is replica 0, and at
+// every hardware level the shifted device's entity is the sum of the two
+// entities — leaf and replica digits never carry into each other. Every
+// kind, Collapse and KeepUnitLevels, on generated placements.
+func TestReplicaEntitiesAddWithoutCarry(t *testing.T) {
+	rng := rand.New(rand.NewPCG(44, 1))
+	for trial := 0; trial < 300; trial++ {
+		m, red := genMatrix(t, rng)
+		levels := make([]topology.Level, len(m.Hier))
+		links := make([]topology.Link, len(m.Hier))
+		for j, c := range m.Hier {
+			levels[j] = topology.Level{Name: fmt.Sprintf("l%d", j), Count: c}
+			links[j] = topology.Link{Name: "link", Bandwidth: 1, Latency: 0}
+		}
+		sys := topology.MustNew("generated", levels, links)
+		for _, kind := range Kinds {
+			for _, opts := range []Options{{}, {Collapse: true}, {KeepUnitLevels: true}, {Collapse: true, KeepUnitLevels: true}} {
+				h := MustBuild(kind, m, red, opts)
+				offs := h.ReplicaOffsets()
+				if len(offs) != h.Replicas() || offs[0] != 0 {
+					t.Fatalf("%v %v r%v %+v: offsets %v", kind, m, red, opts, offs)
+				}
+				for u := range h.K() {
+					base := h.Device(u, 0)
+					for r, off := range offs {
+						d := h.Device(u, r)
+						if d != base+off {
+							t.Fatalf("%v %v r%v %+v: Device(%d, %d) = %d, want %d+%d", kind, m, red, opts, u, r, d, base, off)
+						}
+						for l := range sys.NumLevels() {
+							if got, want := sys.EntityID(d, l), sys.EntityID(base, l)+sys.EntityID(off, l); got != want {
+								t.Fatalf("%v %v r%v %+v: leaf %d replica %d level %d: entity %d, want %d",
+									kind, m, red, opts, u, r, l, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

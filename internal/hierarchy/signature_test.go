@@ -97,9 +97,10 @@ func TestSignatureDistinguishesReductionLevels(t *testing.T) {
 }
 
 // TestSignatureFormatPinned holds the signature byte-identical to its
-// original fmt-built form (it is the planner's memo key): sizes, flags and
-// groups rendered with %d, across every hierarchy kind, collapsing, and a
-// universe large enough for three-digit leaf indices.
+// fmt-built form (it is the planner's memo key): sizes, flags and each
+// group once, at its minimal leaf, rendered with %d, across every hierarchy
+// kind, collapsing, and a universe large enough for three-digit leaf
+// indices.
 func TestSignatureFormatPinned(t *testing.T) {
 	want := func(h *hierarchy.Hierarchy) string {
 		var b strings.Builder
@@ -119,7 +120,10 @@ func TestSignatureFormatPinned(t *testing.T) {
 			}
 		}
 		b.WriteString("|g:")
-		for _, g := range h.Groups {
+		for u, g := range h.Groups {
+			if g[0] != u {
+				continue // each group once, at its minimal leaf
+			}
 			for i, u := range g {
 				if i > 0 {
 					b.WriteByte(',')

@@ -99,22 +99,25 @@ func Annotate(p dsl.Program, h *hierarchy.Hierarchy) ([]dsl.Shape, error) {
 // programs against one hierarchy binds each distinct instruction once. It
 // panics if the instruction fails Validate.
 func Bind(in dsl.Instruction, h *hierarchy.Hierarchy) [][]int {
-	phys, _ := AppendBind(nil, nil, in, h)
+	phys, _ := AppendBind(nil, nil, in, h, h.Replicas())
 	return phys
 }
 
-// AppendBind is Bind into caller storage: it appends the instruction's
-// groups to phys and their members to flat, and returns both, the groups
-// being the returned phys past the given one's length. Storage reused
-// across calls makes a warm bind allocate nothing.
-func AppendBind(phys [][]int, flat []int, in dsl.Instruction, h *hierarchy.Hierarchy) ([][]int, []int) {
-	l, reps, start := in.Layout(h), h.Replicas(), len(phys)
+// AppendBind is Bind of the first reps replicas into caller storage: it
+// appends the instruction's groups to phys and their members to flat, and
+// returns both, the groups being the returned phys past the given one's
+// length. reps = h.Replicas() binds the whole step; reps = 1 binds replica
+// 0's groups, which every other replica's are shifted copies of
+// (hierarchy.Hierarchy.ReplicaOffsets). Storage reused across calls makes a
+// warm bind allocate nothing.
+func AppendBind(phys [][]int, flat []int, in dsl.Instruction, h *hierarchy.Hierarchy, reps int) ([][]int, []int) {
+	l, start := in.Layout(h), len(phys)
 	phys = slices.Grow(phys, l.N*reps)
 	flat = slices.Grow(flat, l.N*reps*l.Size) // one backing array, capacity-capped per group
 	for r := 0; r < reps; r++ {
 		for g := 0; g < l.N; g++ {
 			for j, u := 0, l.First(g); j < l.Size; j, u = j+1, u+l.Stride {
-				flat = append(flat, h.Leaves[u][r])
+				flat = append(flat, h.Device(u, r))
 			}
 			phys = append(phys, flat[len(flat)-l.Size:len(flat):len(flat)])
 		}

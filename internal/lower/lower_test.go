@@ -316,7 +316,7 @@ func TestBindGroups(t *testing.T) {
 			for _, g := range leafGroups {
 				pg := make([]int, len(g))
 				for i, u := range g {
-					pg[i] = h.Leaves[u][r]
+					pg[i] = h.Device(u, r)
 				}
 				want[pg[0]] = pg
 			}
@@ -376,7 +376,7 @@ func TestAppendBindWarm(t *testing.T) {
 	bindAll := func() {
 		phys, flat = phys[:0], flat[:0]
 		for _, in := range cands {
-			phys, flat = AppendBind(phys, flat, in, h)
+			phys, flat = AppendBind(phys, flat, in, h, h.Replicas())
 		}
 	}
 	bindAll()
@@ -385,9 +385,39 @@ func TestAppendBindWarm(t *testing.T) {
 	}
 	for _, in := range cands {
 		start := len(phys)
-		phys, flat = AppendBind(phys, flat, in, h)
+		phys, flat = AppendBind(phys, flat, in, h, h.Replicas())
 		if got, want := phys[start:], Bind(in, h); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: AppendBind groups %v, want Bind's %v", in, got, want)
+		}
+	}
+}
+
+// TestAppendBindReplicaZero: binding one replica gives replica 0's groups,
+// and shifting them by every replica offset gives Bind's groups — the
+// identity the planner scores Ring and Chain steps by.
+func TestAppendBindReplicaZero(t *testing.T) {
+	h := multiAxisHierarchy(t)
+	for _, in := range synth.Candidates(h) {
+		zero, _ := AppendBind(nil, nil, in, h, 1)
+		want := map[int][]int{} // Bind's groups by first device
+		for _, g := range Bind(in, h) {
+			want[g[0]] = g
+		}
+		n := 0
+		for _, off := range h.ReplicaOffsets() {
+			for _, g := range zero {
+				sg := make([]int, len(g))
+				for i, d := range g {
+					sg[i] = d + off
+				}
+				if !reflect.DeepEqual(sg, want[sg[0]]) {
+					t.Errorf("%v: replica 0 group %v shifted by %d is %v, want %v", in, g, off, sg, want[sg[0]])
+				}
+				n++
+			}
+		}
+		if n != len(want) {
+			t.Errorf("%v: %d shifted groups, Bind has %d", in, n, len(want))
 		}
 	}
 }

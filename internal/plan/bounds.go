@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"p2/internal/cost"
 	"p2/internal/hierarchy"
 	"p2/internal/topology"
 )
@@ -14,18 +15,22 @@ import (
 const boundSafety = 1 - 1e-9
 
 // boundScratch is per-worker reusable scratch for placementBound: splits
-// holds the per-entity split-group counters and vol the per-level C_l
-// (both zeroed again by the final max-scan before every return), ents the
-// distinct entity ids of one group at one level, deduplicated through seen
-// — an entry equal to gen marks an entity already in ents, so a new group
-// and level needs only gen++, not a clear (as Scorer.addTree's partition
-// stamps). The zero value is ready to use.
+// holds the per-entity split-group counters and vol replica 0's per-level
+// C_l (both zeroed again by the final max-scan before every return), ents
+// the distinct entity ids of one group at one level, deduplicated through
+// seen — an entry equal to gen marks an entity already in ents, so a new
+// group and level needs only gen++, not a clear (as the Scorer's tree
+// partition stamps) — and touched the splits entries replica 0 dirties.
+// reps groups the placement's replicas by level. The zero value is ready
+// to use.
 type boundScratch struct {
-	splits []int
-	vol    []int
-	ents   []int
-	seen   []uint64
-	gen    uint64
+	splits  []int
+	vol     []int
+	ents    []int
+	touched []int
+	seen    []uint64
+	gen     uint64
+	reps    cost.Replicas
 }
 
 // placementBound returns an admissible lower bound on Model.ProgramTime of
@@ -77,6 +82,15 @@ type boundScratch struct {
 // is far from the incumbent top-K are provably outside it without
 // synthesizing anything.
 //
+// Both counts are taken from replica 0's groups alone. Every other
+// replica's groups are replica 0's shifted by its device offset, which
+// moves a member's level-l entity by the offset's own level-l entity with
+// no carry (hierarchy.Hierarchy.ReplicaOffsets), so a group touches as many
+// level-l entities in every replica — C_l is Replicas() times replica 0's
+// — and a level-l entity replica 0 splits n times is split n times by
+// each replica of its class: ClassSize(l)·n times in each class's copy
+// (cost.Replicas), which the counts expand to before the scan.
+//
 // It allocates nothing in steady state: each engine worker holds one
 // boundScratch, reused across a run's placements, and the final scan
 // re-zeroes every splits entry the computation dirties.
@@ -100,40 +114,55 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 	splits := bs.splits[:offsets[L]]
 	crossed := L // root-most level any group spans (L = none)
 
-	reps := h.Replicas()
 	ents := bs.ents[:0] // scratch: distinct entity ids of one group at one level
+	touched := bs.touched[:0]
 	for u, grp := range h.Groups {
 		if len(grp) < 2 || grp[0] != u {
 			// Singleton groups need no communication; non-minimal members
 			// repeat their group's minimal leaf.
 			continue
 		}
-		for r := 0; r < reps; r++ {
-			for l := 0; l < L; l++ {
-				ents = ents[:0]
-				bs.gen++
-				for _, v := range grp {
-					e := sys.EntityID(h.Leaves[v][r], l)
-					if bs.seen[offsets[l]+e] != bs.gen {
-						bs.seen[offsets[l]+e] = bs.gen
-						ents = append(ents, e) //p2:alloc-ok scratch growth is amortized; capacity is persisted to bs.ents and reused
-					}
+		for l := 0; l < L; l++ {
+			ents = ents[:0]
+			bs.gen++
+			for _, v := range grp {
+				e := sys.EntityID(h.Device(v, 0), l)
+				if bs.seen[offsets[l]+e] != bs.gen {
+					bs.seen[offsets[l]+e] = bs.gen
+					ents = append(ents, e) //p2:alloc-ok scratch growth is amortized; capacity is persisted to bs.ents and reused
 				}
-				if len(ents) < 2 {
-					continue
+			}
+			if len(ents) < 2 {
+				continue
+			}
+			if l < crossed {
+				crossed = l
+			}
+			bs.vol[l] += len(ents) - 1
+			for _, e := range ents {
+				if splits[offsets[l]+e] == 0 {
+					touched = append(touched, offsets[l]+e) //p2:alloc-ok scratch growth is amortized; capacity is persisted to bs.touched and reused
 				}
-				if l < crossed {
-					crossed = l
-				}
-				bs.vol[l] += len(ents) - 1
-				for _, e := range ents {
-					splits[offsets[l]+e]++
-				}
+				splits[offsets[l]+e]++
 			}
 		}
 	}
+	// Expand replica 0's counts to every replica. A class copy of a
+	// replica-0 entity is never another one (the offsets' digits are not
+	// the leaves'), so no count is read after it is written.
+	bs.reps.Reset(sys, h.ReplicaOffsets())
+	for _, i := range touched {
+		l := 0
+		for l+1 < L && i >= offsets[l+1] {
+			l++
+		}
+		n := bs.reps.ClassSize(l) * splits[i]
+		for _, off := range bs.reps.Classes(l) {
+			splits[i+off] = n
+		}
+	}
 	// Persist any append growth so the capacity is reused next placement.
-	bs.ents = ents[:0]
+	bs.ents, bs.touched = ents[:0], touched[:0]
 
 	worst := 0.0
 	for l := 0; l < L; l++ {
@@ -161,7 +190,7 @@ func (bs *boundScratch) placementBound(sys *topology.System, h *hierarchy.Hierar
 		}
 		// The volume term (C_l > 0 when S_l has a live link: no 0/0).
 		if bw > 0 {
-			worst = max(worst, 4*bytes*float64(bs.vol[l])/bw)
+			worst = max(worst, 4*bytes*float64(bs.vol[l]*h.Replicas())/bw)
 		}
 		bs.vol[l] = 0
 	}

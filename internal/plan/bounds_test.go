@@ -173,7 +173,7 @@ func entityTerm(sys *topology.System, h *hierarchy.Hierarchy, bytes float64) flo
 			for l := 0; l < sys.NumLevels(); l++ {
 				ents := map[int]bool{}
 				for _, v := range grp {
-					ents[sys.EntityID(h.Leaves[v][r], l)] = true
+					ents[sys.EntityID(h.Device(v, r), l)] = true
 				}
 				if len(ents) < 2 {
 					continue
@@ -375,6 +375,107 @@ func TestPlacementBoundTightOnHierarchicalStrategy(t *testing.T) {
 		if bound := new(boundScratch).placementBound(tc.sys, h, bytes); bound > best || bound < best*(1-tc.tol) {
 			t.Errorf("%s [8 8] matrix %v: bound %v, best program %v (ratio %v), want equal within %g",
 				tc.sys.Name, matrices[0], bound, best, best/bound, tc.tol)
+		}
+	}
+}
+
+// perReplicaBound is placementBound as it was before it counted replica 0
+// alone: every replica's groups walked, level by level, into the same
+// splits and volume counters and the same float scan.
+func perReplicaBound(sys *topology.System, h *hierarchy.Hierarchy, bytes float64) float64 {
+	if !(bytes > 0) {
+		return 0
+	}
+	L := sys.NumLevels()
+	offsets := sys.EntityOffsets()
+	splits, vol := make([]int, offsets[L]), make([]int, L)
+	crossed := L
+	for u, grp := range h.Groups {
+		if len(grp) < 2 || grp[0] != u {
+			continue
+		}
+		for r := 0; r < h.Replicas(); r++ {
+			for l := 0; l < L; l++ {
+				var ents []int
+				for _, v := range grp {
+					if e := sys.EntityID(h.Device(v, r), l); !slices.Contains(ents, e) {
+						ents = append(ents, e)
+					}
+				}
+				if len(ents) < 2 {
+					continue
+				}
+				crossed = min(crossed, l)
+				vol[l] += len(ents) - 1
+				for _, e := range ents {
+					splits[offsets[l]+e]++
+				}
+			}
+		}
+	}
+	worst := 0.0
+	for l := 0; l < L; l++ {
+		bw := 0.0
+		for e, n := range splits[offsets[l]:offsets[l+1]] {
+			if n == 0 {
+				continue
+			}
+			b := sys.LinkBandwidth(l, e)
+			bw += b
+			if b > 0 {
+				worst = max(worst, 2*bytes*float64(n)/b)
+			}
+		}
+		if bw > 0 {
+			worst = max(worst, 4*bytes*float64(vol[l])/bw)
+		}
+	}
+	lat := 0.0
+	if crossed < L {
+		lat = sys.MinLinkLatency(crossed)
+		for l := 0; l < crossed; l++ {
+			lat = min(lat, sys.MinLinkLatency(l))
+		}
+	}
+	return (worst + lat) * boundSafety
+}
+
+// TestPlacementBoundMatchesPerReplica: the bound counted from replica 0 is
+// the per-replica bound bit for bit, on one reused scratch, over every
+// placement of replicated shapes — multi-axis and collapsed reductions,
+// deep and non-power-of-two systems, degraded and down links.
+func TestPlacementBoundMatchesPerReplica(t *testing.T) {
+	superpod := topology.SuperPodSystem(3, 4)
+	cases := []struct {
+		sys      *topology.System
+		axes     []int
+		red      []int
+		collapse bool
+	}{
+		{topology.Fig2aSystem(), []int{4, 4}, []int{0}, false},
+		{topology.Fig2aSystem(), []int{2, 2, 4}, []int{0, 2}, true},
+		{topology.A100System(4), []int{16, 2, 2}, []int{0, 2}, false},
+		{topology.A100System(4), []int{16, 2, 2}, []int{0, 2}, true},
+		{topology.A100System(3), []int{3, 16}, []int{1}, false},
+		{topology.SuperPodSystem(2, 4), []int{8, 8}, []int{1}, false},
+		{superpod, []int{12, 8}, []int{0}, false},
+		{superpod, []int{4, 3, 8}, []int{0, 2}, true},
+		{withFaults(t, superpod, "pod:1:bw/2; node:2:lat*3; gpu:17:bw/4"), []int{12, 8}, []int{0}, false},
+		{withFaults(t, superpod, "node:5:down"), []int{6, 16}, []int{1}, false},
+	}
+	var bs boundScratch
+	for _, tc := range cases {
+		matrices, err := placement.Enumerate(tc.sys.Hierarchy(), tc.axes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := cost.DefaultPayload(tc.sys)
+		for _, m := range matrices {
+			h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, tc.red, hierarchy.Options{Collapse: tc.collapse})
+			got, want := bs.placementBound(tc.sys, h, bytes), perReplicaBound(tc.sys, h, bytes)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s %v r%v: bound %v, per-replica %v", tc.sys.Name, m, tc.red, got, want)
+			}
 		}
 	}
 }

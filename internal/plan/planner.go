@@ -382,6 +382,8 @@ var workerStates = sync.Pool{New: func() any { return new(workerState) }}
 
 func (ws *workerState) release() {
 	ws.sc.Release()
+	ws.ms.reps.Release()
+	ws.bounds.reps.Release()
 	ws.ms.model, ws.ms.h, ws.ms.res, ws.ms.algos, ws.ms.low = nil, nil, nil, nil, nil
 	workerStates.Put(ws)
 }
@@ -395,28 +397,27 @@ type stepChoice struct {
 }
 
 // matrixScorer scores the programs of one (placement, reduction hierarchy)
-// pair as table lookups indexed by the synthesis result's numbering:
-// groups holds each instruction's physical groups (lower.AppendBind into
-// the worker's storage, once per instruction — tens per placement against
+// pair as table lookups indexed by the synthesis result's numbering: zero
+// and all hold each instruction's groups (lower.AppendBind into the
+// worker's storage, once per instruction — tens per placement against
 // hundreds of program steps) and steps each step's evaluation, so programs
 // sharing a prefix — or merely an instruction at the same shape — share
 // both the binding and the step-time evaluations, which dominate serial
-// planning at scale.
+// planning at scale. A Ring or Chain step is scored from replica 0's
+// groups (cost.Scorer.StepTimeReplicated), so a placement binds its
+// physical groups only for the halving-doubling and tree steps it scores.
 type matrixScorer struct {
 	sc    *cost.Scorer
 	model *cost.Model
 	h     *hierarchy.Hierarchy
 	res   *synth.Result
 	algos []cost.Algorithm // the searched set; one entry pins every step
-	// groups is the binding table by Result instruction, nil until bound,
-	// its entries slices of phys and flat; all three are the worker's
-	// scratch, reused across placements and never seen by a candidate.
-	groups [][][]int
-	phys   [][]int
-	flat   []int
-	low    *lowering       // nil until a candidate of the placement survives
-	steps  []stepChoice    // by Result step id
-	views  []cost.Schedule // evalStep's scratch, one per searched algorithm
+	reps  cost.Replicas    // the placement's replicas, by level
+	// zero binds replica 0 and all every replica (the physical groups).
+	zero, all binding
+	low       *lowering       // nil until a candidate of the placement survives
+	steps     []stepChoice    // by Result step id
+	views     []cost.Schedule // evalStep's scratch, one per searched algorithm
 	// stepAlgos is the per-step assignment scratch of a searching run (nil
 	// when pinned), sized to the longest program, whatever the size limit;
 	// a surviving candidate copies its prefix out.
@@ -434,8 +435,10 @@ func zeroed[T any](s []T, n int) []T {
 func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy, res *synth.Result, opts Options) *matrixScorer {
 	ms := &ws.ms
 	ms.sc, ms.model, ms.h, ms.res, ms.algos = &ws.sc, model, h, res, opts.Algos
-	ms.groups = zeroed(ms.groups, len(res.Instructions))
-	ms.phys, ms.flat, ms.low = ms.phys[:0], ms.flat[:0], nil
+	ms.reps.Reset(model.Sys, h.ReplicaOffsets())
+	ms.zero.reset(len(res.Instructions))
+	ms.all.reset(len(res.Instructions))
+	ms.low = nil
 	ms.steps = zeroed(ms.steps, len(res.Steps))
 	ms.views = zeroed(ms.views, len(opts.Algos))
 	if len(ms.algos) > 1 {
@@ -453,26 +456,40 @@ func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy,
 	return ms
 }
 
-// bind returns the physical groups of instruction i under the scorer's
-// placement, binding it on first use. The placement's first bind makes
-// room for every instruction's groups, so the storage regrows at most once.
-func (ms *matrixScorer) bind(i int32) [][]int {
-	if ms.groups[i] != nil {
-		return ms.groups[i]
+// binding is a table of instructions' groups by Result instruction, nil
+// until bound, its entries slices of phys and flat; all three are the
+// worker's scratch, reused across placements and never seen by a candidate.
+type binding struct {
+	groups [][][]int
+	phys   [][]int
+	flat   []int
+}
+
+func (b *binding) reset(instructions int) {
+	b.groups = zeroed(b.groups, instructions)
+	b.phys, b.flat = b.phys[:0], b.flat[:0]
+}
+
+// bind returns the groups of instruction i's first reps replicas under the
+// scorer's placement, binding it on first use. The placement's first bind
+// makes room for every instruction's groups, so the storage regrows at most
+// once.
+func (b *binding) bind(ms *matrixScorer, i int32, reps int) [][]int {
+	if b.groups[i] != nil {
+		return b.groups[i]
 	}
-	if len(ms.phys) == 0 {
+	if len(b.phys) == 0 {
 		groups, members := 0, 0
 		for _, in := range ms.res.Instructions {
 			l := in.Layout(ms.h)
 			groups, members = groups+l.N, members+l.N*l.Size
 		}
-		reps := ms.h.Replicas()
-		ms.phys, ms.flat = slices.Grow(ms.phys, groups*reps), slices.Grow(ms.flat, members*reps)
+		b.phys, b.flat = slices.Grow(b.phys, groups*reps), slices.Grow(b.flat, members*reps)
 	}
-	n := len(ms.phys)
-	ms.phys, ms.flat = lower.AppendBind(ms.phys, ms.flat, ms.res.Instructions[i], ms.h)
-	ms.groups[i] = ms.phys[n:]
-	return ms.groups[i]
+	n := len(b.phys)
+	b.phys, b.flat = lower.AppendBind(b.phys, b.flat, ms.res.Instructions[i], ms.h, reps)
+	b.groups[i] = b.phys[n:]
+	return b.groups[i]
 }
 
 // stepTime returns one step's memoized evaluation.
@@ -485,15 +502,16 @@ func (ms *matrixScorer) stepTime(id int32) stepChoice {
 	return ms.evalStep(id)
 }
 
-// evalStep is stepTime's cold path: bind the instruction and take the
-// argmin over the algorithm set (ties to the earliest entry, matching
-// cost.Model.BestStepAlgos; a pinned run's set has one entry). The Scorer
-// reads an algorithm only through cost.ScheduleOf, so an algorithm whose
-// analytic view equals an earlier entry's would score the earlier entry's
-// time and lose the tie: it is skipped.
+// evalStep is stepTime's cold path: take the argmin over the algorithm set
+// (ties to the earliest entry, matching cost.Model.BestStepAlgos; a pinned
+// run's set has one entry), scoring a counted (Ring or Chain) schedule from
+// replica 0's groups and any other from the bound physical groups. The
+// Scorer reads an algorithm only through cost.ScheduleOf, so an algorithm
+// whose analytic view equals an earlier entry's would score the earlier
+// entry's time and lose the tie: it is skipped.
 func (ms *matrixScorer) evalStep(id int32) stepChoice {
 	step := ms.res.Steps[id]
-	st := lower.Step{Op: ms.res.Instructions[step.Instr].Op, Groups: ms.bind(step.Instr), Rows: step.Shape.Rows, K: ms.h.K()}
+	st := lower.Step{Op: ms.res.Instructions[step.Instr].Op, Groups: ms.zero.bind(ms, step.Instr, 1), Rows: step.Shape.Rows, K: ms.h.K()}
 	n, perDevice := st.GroupSize(), st.FracIn()*ms.model.Bytes
 	ch := stepChoice{scored: true}
 	for i, a := range ms.algos {
@@ -501,7 +519,17 @@ func (ms *matrixScorer) evalStep(id int32) stepChoice {
 		if slices.ContainsFunc(ms.views[:i], ms.views[i].SameAnalytic) {
 			continue
 		}
-		if t := ms.sc.StepTimeAlgo(ms.model, st, a); i == 0 || t < ch.time {
+		var t float64
+		if ms.views[i].Pattern.Counted() {
+			t = ms.sc.StepTimeReplicated(ms.model, st, &ms.reps, a)
+		} else {
+			phys := st
+			if reps := ms.h.Replicas(); reps > 1 {
+				phys.Groups = ms.all.bind(ms, step.Instr, reps)
+			}
+			t = ms.sc.StepTimeAlgo(ms.model, phys, a)
+		}
+		if i == 0 || t < ch.time {
 			ch.algo, ch.time = a, t
 		}
 	}

@@ -70,7 +70,7 @@ func TestPanickedWorkerStateNotPooled(t *testing.T) {
 	_, _, err := fanOut[int](context.Background(), Options{Parallelism: 1}, streamOf(matrices[:1]),
 		func(ws *workerState, i int, m *placement.Matrix, emit func(int)) error {
 			dirty = ws
-			ws.ms.flat = append(ws.ms.flat, -1)
+			ws.ms.all.flat = append(ws.ms.all.flat, -1)
 			panic("injected crash on a dirty state")
 		}, less, pred, newThreshold())
 	if pe := (*PanicError)(nil); !errors.As(err, &pe) {

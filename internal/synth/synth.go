@@ -111,63 +111,74 @@ type candidate struct {
 // representative per distinct (device grouping, op) effect. The order is
 // canonical: slice, form, arg, then op.
 func Candidates(h *hierarchy.Hierarchy) []dsl.Instruction {
-	cands := enumerate(h)
-	out := make([]dsl.Instruction, len(cands))
-	for i, c := range cands {
+	var e enumeration
+	e.run(h)
+	out := make([]dsl.Instruction, len(e.cands))
+	for i, c := range e.cands {
 		out[i] = c.in
 	}
 	return out
 }
 
-func enumerate(h *hierarchy.Hierarchy) []candidate {
-	var out []candidate
-	seen := map[string]bool{}
-	L := h.NumLevels()
-	add := func(in dsl.Instruction) {
-		if in.Validate(h) != nil || !in.Admissible(h) {
-			return
-		}
-		groups := in.Groups(h)
-		key := groupsKey(groups, in.Op)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, candidate{in: in, name: in.String(), groups: groups})
-	}
-	for slice := 0; slice < L; slice++ {
+// enumeration is the candidate list of one hierarchy and the storage it
+// is cut from: the groups of a candidate are a window of groups, each group
+// a window of flat, and layouts[i] is the layout of the i-th candidate
+// enumerated (the synthesizer sorts cands afterwards). It keeps one from
+// run to run, so a warm enumeration allocates only the names.
+type enumeration struct {
+	cands   []candidate
+	layouts []dsl.Layout
+	groups  [][]int
+	flat    []int
+}
+
+// run enumerates h's candidates, in canonical order, into e.
+func (e *enumeration) run(h *hierarchy.Hierarchy) {
+	e.cands, e.layouts, e.groups, e.flat = e.cands[:0], e.layouts[:0], e.groups[:0], e.flat[:0]
+	for slice := 0; slice < h.NumLevels(); slice++ {
 		for _, op := range collective.Ops {
-			add(dsl.Instruction{Slice: slice, Form: dsl.InsideGroup, Op: op})
+			e.add(h, dsl.Instruction{Slice: slice, Form: dsl.InsideGroup, Op: op})
 		}
 		for arg := 0; arg < slice; arg++ {
 			for _, op := range collective.Ops {
-				add(dsl.Instruction{Slice: slice, Form: dsl.Parallel, Arg: arg, Op: op})
+				e.add(h, dsl.Instruction{Slice: slice, Form: dsl.Parallel, Arg: arg, Op: op})
 			}
 			for _, op := range collective.Ops {
-				add(dsl.Instruction{Slice: slice, Form: dsl.Master, Arg: arg, Op: op})
+				e.add(h, dsl.Instruction{Slice: slice, Form: dsl.Master, Arg: arg, Op: op})
 			}
 		}
 	}
-	return out
 }
 
-func groupsKey(groups [][]int, op collective.Op) string {
-	// Compact textual signature; groups are canonical so this is stable.
-	buf := make([]byte, 0, 64)
-	buf = append(buf, byte(op))
-	for _, g := range groups {
-		for _, u := range g {
-			buf = append(buf, byte(u), byte(u>>8))
-		}
-		buf = append(buf, 0xff, 0xff)
+// add appends in unless it is invalid, inadmissible or has the op and the
+// groups of a candidate already kept.
+func (e *enumeration) add(h *hierarchy.Hierarchy, in dsl.Instruction) {
+	if !in.Valid(h) || !in.Admissible(h) {
+		return
 	}
-	return string(buf)
+	l := in.Layout(h)
+	for i, c := range e.cands {
+		if c.in.Op == in.Op && e.layouts[i].Equal(l) {
+			return
+		}
+	}
+	start := len(e.groups)
+	for g := range l.N {
+		at := len(e.flat)
+		for j, u := 0, l.First(g); j < l.Size; j, u = j+1, u+l.Stride {
+			e.flat = append(e.flat, u)
+		}
+		e.groups = append(e.groups, e.flat[at:len(e.flat):len(e.flat)])
+	}
+	e.cands = append(e.cands, candidate{in: in, name: in.String(), groups: e.groups[start:len(e.groups):len(e.groups)]})
+	e.layouts = append(e.layouts, l)
 }
 
 // synthesizer is the working set of a Synthesize run, pooled: owned by one
 // run at a time and shared by none, and no Result points into it.
 type synthesizer struct {
-	cands     []candidate
+	enum      enumeration
+	cands     []candidate // enum.cands, sorted by name
 	groupings []grouping
 	covers    []uint64 // the groupings' cover words
 	opts      Options
@@ -357,7 +368,8 @@ func (s *synthesizer) reset(h *hierarchy.Hierarchy, opts Options) {
 		opts.MaxSize = DefaultMaxSize
 	}
 	k := h.K()
-	s.cands, s.opts, s.res = enumerate(h), opts, &Result{}
+	s.enum.run(h)
+	s.cands, s.opts, s.res = s.enum.cands, opts, &Result{}
 	s.groupings, s.targets = s.groupings[:0], s.targets[:0]
 	s.states, s.sameHash, s.within, s.used = s.states[:0], s.sameHash[:0], s.within[:0], 0
 	if s.byHash == nil {

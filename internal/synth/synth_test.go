@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"p2/internal/collective"
@@ -185,16 +186,42 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestCandidatesDeduplicated holds Candidates to its definition: every
+// valid, admissible instruction in (slice, form, arg, op) order, the first
+// of each distinct (op, device grouping) kept — groups compared as built
+// by Instruction.Groups — on every pinned hierarchy, whatever its kind.
 func TestCandidatesDeduplicated(t *testing.T) {
-	h := fig2d(t)
-	cands := Candidates(h)
-	seen := map[string]bool{}
-	for _, in := range cands {
-		key := groupsKey(in.Groups(h), in.Op)
-		if seen[key] {
-			t.Errorf("candidate %v duplicates an earlier grouping", in)
+	hs := []*hierarchy.Hierarchy{fig2d(t)}
+	for _, ph := range pinnedSet(t) {
+		hs = append(hs, ph.h)
+	}
+	for _, h := range hs {
+		var want []dsl.Instruction
+		seen := map[string]bool{}
+		add := func(in dsl.Instruction) {
+			if in.Validate(h) != nil || !in.Admissible(h) {
+				return
+			}
+			if key := fmt.Sprint(in.Op, in.Groups(h)); !seen[key] {
+				seen[key] = true
+				want = append(want, in)
+			}
 		}
-		seen[key] = true
+		for slice := 0; slice < h.NumLevels(); slice++ {
+			for _, op := range collective.Ops {
+				add(dsl.Instruction{Slice: slice, Form: dsl.InsideGroup, Op: op})
+			}
+			for arg := 0; arg < slice; arg++ {
+				for _, form := range []dsl.FormKind{dsl.Parallel, dsl.Master} {
+					for _, op := range collective.Ops {
+						add(dsl.Instruction{Slice: slice, Form: form, Arg: arg, Op: op})
+					}
+				}
+			}
+		}
+		if got := Candidates(h); !slices.Equal(got, want) {
+			t.Errorf("%v: Candidates\n%v\nwant\n%v", h, got, want)
+		}
 	}
 }
 

@@ -21,8 +21,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# The root package's tracked rows; the Plan*, Synthesize/* and Netsim*
-# ones report work counters.
+# The root package's tracked rows (BenchmarkCostEstimate with every
+# sub-row: model, scorer, scorer-fresh-payload, scorer-replicated); the
+# Plan*, Synthesize/* and Netsim* ones report work counters.
 ROWS='BenchmarkPlanSuperPod2x4|BenchmarkPlanSuperPod3x4|BenchmarkPlanSuperPod3x4Degraded|BenchmarkPlanSuperPod4x8|BenchmarkPlanSuperPod16x32|BenchmarkPlanJointEngine|BenchmarkPlanFreshBytesWarm|BenchmarkSynthesize/|BenchmarkCostEstimate|BenchmarkLower$|BenchmarkBind$|BenchmarkNetsimMeasure|BenchmarkNetsimConcurrent|BenchmarkPlanRankAll|BenchmarkRoute$'
 
 OUT="${1:-BENCH_plan.json}"
