@@ -225,8 +225,8 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 				stalled++
 				continue
 			}
-			net.load(ln.paths[sp.lo:sp.hi], 1)
-			sc.active = append(sc.active, transfer{remaining: b, bytes: b, started: ln.now,
+			sig := net.load(ln.paths[sp.lo:sp.hi], 1)
+			sc.active = append(sc.active, transfer{remaining: b, bytes: b, started: ln.now, sig: sig,
 				lane: int32(li), spec: int32(k), lo: sp.lo, hi: sp.hi})
 		}
 	}
@@ -281,25 +281,33 @@ func (s *Simulator) MeasureConcurrentSpecs(specs []ConcurrentSpec) []float64 {
 		// Equal-share rates and the time to the next completion, in one
 		// pass. Every live transfer has rate > 0: base bandwidths are
 		// validated positive, a transfer behind a down link is never live,
-		// and a transfer counts toward its own links' shares.
-		active := sc.active
+		// and a transfer counts toward its own links' shares. Only a route
+		// that may cross a link whose share changed since the last pass is
+		// rescanned; any other keeps its rate, the min of the same shares.
+		// A transfer started since then is always rescanned: its own load
+		// marked its links.
+		active, changed := sc.active, net.changed
+		net.changed = 0
 		for i := range active {
 			tr := &active[i]
-			rate := math.Inf(1)
-			for _, ri := range lanes[tr.lane].paths[tr.lo:tr.hi] {
-				if r := net.links[ri].share; r < rate {
-					rate = r
+			if tr.sig&changed != 0 {
+				rate := math.Inf(1)
+				for _, ri := range lanes[tr.lane].paths[tr.lo:tr.hi] {
+					if r := net.links[ri].share; r < rate {
+						rate = r
+					}
 				}
+				tr.rate = rate
 			}
-			tr.rate = rate
-			if d := tr.remaining / rate; d < dt {
+			if d := tr.remaining / tr.rate; d < dt {
 				dt = d
 			}
 		}
 		if math.IsInf(dt, 1) {
-			if stalled > 0 {
-				// All remaining progress is behind a down link: the lanes
-				// still running never finish.
+			if stalled > 0 || len(active) > 0 {
+				// All remaining progress is behind a down link, or would
+				// take forever (an infinite volume, a vanishing rate): the
+				// lanes still running never finish.
 				abandon()
 				break
 			}

@@ -96,3 +96,41 @@ func TestMeasureThrottledLinkSlowsDown(t *testing.T) {
 		t.Errorf("pristine measurement changed after degraded run: %v vs %v", again, base)
 	}
 }
+
+// TestMeasureInfiniteTimeNeverCompletes: a live transfer whose time to
+// completion overflows to +Inf — an infinite jittered volume, a subnormal
+// bandwidth, a noise fraction that overflows the volume — never finishes,
+// like one behind a down link: its lane measures +Inf instead of the event
+// loop panicking, and a lane beside it still finishes in finite time.
+func TestMeasureInfiniteTimeNeverCompletes(t *testing.T) {
+	hier, axes, rows := []int{2, 16}, []int{4, 8}, [][]int{{2, 2}, {1, 8}}
+	lp := lowerFor(t, hier, axes, rows, []int{0}, synth.BaselineAllReduce())
+	intraNode := lowerFor(t, hier, axes, [][]int{{1, 4}, {2, 4}}, []int{0}, synth.BaselineAllReduce())
+	a100 := topology.A100System(2)
+	payload := cost.PayloadBytes(2)
+	for _, tc := range []struct {
+		name  string
+		sys   *topology.System
+		bytes float64
+		opts  Options
+	}{
+		{"max payload", a100, math.MaxFloat64, Options{}},
+		{"subnormal bandwidth", withFaults(t, a100, "gpu:*:bw*1e-320"), payload, Options{}},
+		{"noise overflow", a100, payload, Options{NoiseFrac: 1e300}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := &Simulator{Sys: tc.sys, Algo: cost.Tree, Bytes: tc.bytes, Opts: tc.opts}
+			if got := sim.Measure(lp); !math.IsInf(got, 1) {
+				t.Errorf("Measure = %v, want +Inf", got)
+			}
+		})
+	}
+	sim := &Simulator{Sys: a100, Algo: cost.Ring}
+	got := sim.MeasureConcurrentSpecs([]ConcurrentSpec{
+		{Program: lp, Bytes: math.MaxFloat64, Algo: cost.Tree},
+		{Program: intraNode, Bytes: payload, Algo: cost.Ring},
+	})
+	if !math.IsInf(got[0], 1) || math.IsInf(got[1], 0) || !(got[1] > 0) {
+		t.Errorf("infinite lane beside a finite one = %v, want [+Inf, finite > 0]", got)
+	}
+}

@@ -181,17 +181,19 @@ type resource struct {
 // topology.System.Route numbers uplinks (entity e of level l at
 // EntityOffsets()[l]+e), then one cross-domain slot per node. leaf is a
 // node's device count; perDomain, the devices per PCIe domain, is 0 when
-// cross-domain throttling is off.
+// cross-domain throttling is off. changed has bit i&63 set for every link
+// i whose share changed since the event loop's last rate pass.
 type network struct {
 	sys             *topology.System
 	links           []resource
 	leaf, perDomain int
+	changed         uint64
 }
 
 // reset rebuilds the link table for sys in place, every link idle.
 func (n *network) reset(sys *topology.System, opts Options) {
 	L, off := sys.NumLevels(), sys.EntityOffsets()
-	n.sys, n.leaf, n.perDomain, n.links = sys, sys.Levels[L-1].Count, 0, n.links[:0]
+	n.sys, n.leaf, n.perDomain, n.links, n.changed = sys, sys.Levels[L-1].Count, 0, n.links[:0], 0
 	for l := range L {
 		for e := range off[l+1] - off[l] {
 			n.links = append(n.links, resource{bandwidth: sys.LinkBandwidth(l, e), latency: sys.LinkLatency(l, e)})
@@ -205,13 +207,19 @@ func (n *network) reset(sys *topology.System, opts Options) {
 	}
 }
 
-// load adds d transfers to every link of path and refreshes their shares.
-func (n *network) load(path []int, d int) {
+// load adds d transfers to every link of path, refreshes their shares and
+// marks them changed. It returns the path's signature, bit i&63 set for
+// every link i on it.
+func (n *network) load(path []int, d int) uint64 {
+	sig := uint64(0)
 	for _, i := range path {
 		l := &n.links[i]
 		l.active += d
 		l.share = l.bandwidth / float64(l.active)
+		sig |= 1 << (i & 63)
 	}
+	n.changed |= sig
+	return sig
 }
 
 // route appends to path the links a transfer a→b loads: its uplinks
@@ -262,11 +270,16 @@ type span struct{ lo, hi int }
 // specs[spec] whose route crosses no down link. It holds no pointer: its
 // route is the spec's, paths[lo:hi] of its lane's path buffer, and the
 // Recorder reads its endpoints and group off the spec, so compacting the
-// live set moves 48 bytes per transfer kept and no path.
+// live set moves 56 bytes per transfer kept and no path. rate is the min
+// share on the route as of the last rate pass that rescanned it; sig is
+// the route's signature (network.load), which the rate pass matches
+// against the links changed since, rescanning only a route that one of
+// them may be on.
 type transfer struct {
 	remaining, rate    float64
 	bytes              float64 // the jittered volume, for the Recorder
 	started            float64 // on the lane's step-local clock
+	sig                uint64
 	lane, spec, lo, hi int32
 }
 

@@ -2,11 +2,15 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"p2/internal/collective"
 	"p2/internal/cost"
 	"p2/internal/dsl"
+	"p2/internal/hierarchy"
+	"p2/internal/lower"
+	"p2/internal/placement"
 	"p2/internal/synth"
 	"p2/internal/topology"
 )
@@ -149,6 +153,85 @@ func TestMeasurePinnedBits(t *testing.T) {
 			t.Errorf("%s:\n got total: %#x, events: %d, firstStart: %#x, firstEnd: %#x, lastStart: %#x, lastEnd: %#x, eventsDigest: %#x,\nwant total: %#x, events: %d, firstStart: %#x, firstEnd: %#x, lastStart: %#x, lastEnd: %#x, eventsDigest: %#x",
 				r.name, got[0], d.n, got[1], got[2], got[3], got[4], got[5],
 				want[0], r.events, want[1], want[2], want[3], want[4], want[5])
+		}
+	}
+}
+
+// TestMeasureConcurrentPinnedBits pins multi-lane runs the way
+// TestMeasurePinnedBits pins one lane: each row's value is recorded's
+// output, every lane's Float64bits followed by the Recorder's event count
+// and eventsDigest over the whole interleaved stream. The rows were
+// recorded at 8718823, before the rate pass kept the rate of a transfer
+// none of whose links changed share, and cover what a single lane cannot:
+// lanes sharing links, each lane's own payload, algorithm and per-step
+// assignment, a cross-domain slot two lanes load, and a live lane beside
+// one stalled on a down link.
+func TestMeasureConcurrentPinnedBits(t *testing.T) {
+	a100, rows := []int{4, 16}, [][]int{{2, 2}, {2, 8}}
+	// The BenchmarkNetsimConcurrent pair, lowered as the benchmark lowers
+	// it (no collapse).
+	m, err := placement.NewMatrix(a100, a100, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
+	var bench []*lower.Program
+	for _, p := range []dsl.Program{synth.BaselineAllReduce(), rsArAg} {
+		lp, err := lower.Lower(p, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bench = append(bench, lp)
+	}
+	allReduce := lowerFor(t, a100, a100, rows, []int{0}, synth.BaselineAllReduce())
+	ring := lowerFor(t, a100, a100, rows, []int{0}, rsArAg)
+	mixed := lowerFor(t, a100, []int{4, 4, 4}, [][]int{{1, 4}, {2, 2}, {2, 2}}, []int{0, 2}, rsArAg)
+	v100 := []int{2, 8}
+	v100Ring := lowerFor(t, v100, []int{4, 4}, [][]int{{1, 4}, {2, 2}}, []int{1}, rsArAg)
+	v100AR := lowerFor(t, v100, []int{4, 4}, [][]int{{1, 4}, {2, 2}}, []int{1}, synth.BaselineAllReduce())
+	intraNode := lowerFor(t, a100, a100, [][]int{{1, 4}, {4, 4}}, []int{0}, synth.BaselineAllReduce())
+	a100x4 := topology.A100System(4)
+	const R, T, H = cost.Ring, cost.Tree, cost.HalvingDoubling
+
+	for _, r := range []struct {
+		name  string
+		sim   Simulator
+		specs []ConcurrentSpec
+		want  []uint64
+	}{
+		{name: "BenchmarkNetsimConcurrent pair",
+			sim: Simulator{Sys: a100x4},
+			specs: []ConcurrentSpec{
+				{Program: bench[0], Bytes: cost.PayloadBytes(4), Algo: R},
+				{Program: bench[1], Bytes: cost.PayloadBytes(4), Algo: R},
+			},
+			want: []uint64{0x4045eefb71f47d5a, 0x403a82431b0edbbc, 0x280, 0x2c2072497c33cfa4}},
+		{name: "three lanes mixed",
+			sim: Simulator{Sys: a100x4, Opts: Options{Seed: 11, NoiseFrac: 0.1}},
+			specs: []ConcurrentSpec{
+				{Program: allReduce, Bytes: 1 << 28, Algo: T},
+				{Program: ring, Bytes: 3 << 25, Algo: H},
+				{Program: mixed, Bytes: 5 << 24, Algo: R, StepAlgos: []cost.Algorithm{R, H, T}},
+			},
+			want: []uint64{0x3fea6c78a1ec635e, 0x3fd42adee06196c1, 0x3fbae7b552631e01, 0x560, 0x3178be4db2bf2a73}},
+		{name: "v100:2 cross-domain pair",
+			sim: Simulator{Sys: topology.V100System(2), Opts: Options{Seed: 5}},
+			specs: []ConcurrentSpec{
+				{Program: v100Ring, Bytes: cost.PayloadBytes(2), Algo: R},
+				{Program: v100AR, Bytes: cost.PayloadBytes(2) / 3, Algo: T},
+			},
+			want: []uint64{0x40166c007349a751, 0x40175283f7951260, 0x58, 0xa869c5f001743d74}},
+		{name: "live lane beside a down-link lane",
+			sim: Simulator{Sys: withFaults(t, a100x4, "0:2:down")},
+			specs: []ConcurrentSpec{
+				{Program: allReduce, Bytes: cost.PayloadBytes(4), Algo: R},
+				{Program: intraNode, Bytes: cost.PayloadBytes(4), Algo: H},
+			},
+			want: []uint64{0x7ff0000000000000, 0x3fc3f88917f3ea4e, 0x1d0, 0xb31a64c98c67cea8}},
+	} {
+		got := recorded(r.sim, func(s *Simulator) []float64 { return s.MeasureConcurrentSpecs(r.specs) })
+		if !slices.Equal(got, r.want) {
+			t.Errorf("%s:\n got %#x\nwant %#x", r.name, got, r.want)
 		}
 	}
 }

@@ -310,6 +310,36 @@ func TestNeverCompletesSanitized(t *testing.T) {
 	}
 }
 
+// TestInfiniteMeasureNeverCompletes: a measured request whose emulated
+// transfers would take forever — a payload whose jittered volume overflows
+// to +Inf, a bandwidth so small that the time to completion does — is
+// answered 200 with never_completes strategies instead of taking the
+// daemon down, and the daemon answers the next request normally.
+func TestInfiniteMeasureNeverCompletes(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}).Handler())
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"system":"a100","nodes":2,"axes":[4,8],"reduce":[0],"bytes":1.7976931348623157e308,"measure":"rerank","topk":3}`,
+		`{"system":"a100","nodes":2,"axes":[4,8],"reduce":[0],"faults":"gpu:*:bw*1e-320","measure":"rerank","topk":3}`,
+	} {
+		code, data := postPlan(t, ts.URL, body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: POST /plan = %d, want 200\nbody: %s", body, code, data)
+		}
+		never := false
+		for _, st := range decodePlan(t, data).Strategies {
+			never = never || st.NeverCompletes
+		}
+		if !never {
+			t.Errorf("%s: no never_completes strategy\nbody: %s", body, data)
+		}
+	}
+	if code, data := postPlan(t, ts.URL, fig2aBody); code != http.StatusOK || len(decodePlan(t, data).Strategies) == 0 {
+		t.Fatalf("next POST /plan = %d, want 200 with strategies\nbody: %s", code, data)
+	}
+}
+
 // TestBadRequests table-drives the client-error paths.
 func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{}).Handler())

@@ -301,6 +301,22 @@ func TestInvalidSimOptionsRefused(t *testing.T) {
 	}
 }
 
+// TestHugeNoiseNeverCompletes: a finite noise fraction is valid, even one
+// that overflows every jittered volume to +Inf. The measured strategies
+// then never complete; the measuring goroutine used to panic instead.
+func TestHugeNoiseNeverCompletes(t *testing.T) {
+	req := Request{Axes: []int{4, 4}, ReduceAxes: []int{0}, Measure: MeasureRankAll, SimOpts: SimOptions{NoiseFrac: 1e300}}
+	plan, err := Plan(Fig2aSystem(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range plan.Strategies {
+		if !math.IsInf(s.Measured, 1) {
+			t.Errorf("%v: measured %v, want +Inf", s, s.Measured)
+		}
+	}
+}
+
 func TestParseProgram(t *testing.T) {
 	p, err := ParseProgram("(0, InsideGroup, AllReduce)")
 	if err != nil {
