@@ -211,7 +211,7 @@ func FormatAlgos(fixed Algorithm, stepAlgos []Algorithm) string {
 // event-level emulator so both simulators model the same schedule; the
 // Scorer runs the same partition (treePartition) over reusable scratch.
 func TreeLinks(sys *topology.System, g []int) [][2]int {
-	edges := new(treePartition).edges(sys, g, 0, nil)
+	edges := new(treePartition).edges(sys, g, nil)
 	out := make([][2]int, len(edges))
 	for i, e := range edges {
 		out[i] = [2]int{g[e.a], g[e.b]}
@@ -231,11 +231,11 @@ type treePartition struct {
 }
 
 // edges appends to out the links of TreeLinks' tree over g in group-index
-// space, each carrying bytes: the binary tree across partition heads in
-// first-occurrence order, then the chain within each partition.
+// space: the binary tree across partition heads in first-occurrence order,
+// then the chain within each partition.
 //
 //p2:zeroalloc
-func (t *treePartition) edges(sys *topology.System, g []int, bytes float64, out []relEdge) []relEdge {
+func (t *treePartition) edges(sys *topology.System, g []int, out []relEdge) []relEdge {
 	span := sys.GroupSpanLevel(g)
 	if span < 0 {
 		return out
@@ -260,11 +260,11 @@ func (t *treePartition) edges(sys *topology.System, g []int, bytes float64, out 
 		t.parts[pi] = append(t.parts[pi], i) //p2:alloc-ok buckets are reset to [:0] and their capacity reused; growth is amortized
 	}
 	for i := 1; i < np; i++ {
-		out = append(out, relEdge{t.parts[(i-1)/2][0], t.parts[i][0], bytes}) //p2:alloc-ok appends into the caller's reused buffer
+		out = append(out, relEdge{t.parts[(i-1)/2][0], t.parts[i][0]}) //p2:alloc-ok appends into the caller's reused buffer
 	}
 	for _, p := range t.parts[:np] {
 		for j := 1; j < len(p); j++ {
-			out = append(out, relEdge{p[j-1], p[j], bytes}) //p2:alloc-ok appends into the caller's reused buffer
+			out = append(out, relEdge{p[j-1], p[j]}) //p2:alloc-ok appends into the caller's reused buffer
 		}
 	}
 	return out

@@ -16,7 +16,7 @@ import (
 )
 
 // perEdgeStepTime is the step time as the Scorer computed it before it
-// counted Ring and Chain steps: every link of every physical group routed
+// counted Ring, Chain and Tree steps: every link of every physical group routed
 // in step order, its volume added to each uplink it loads, the latency the
 // slowest divergence-level endpoint of any link.
 func perEdgeStepTime(m *Model, st lower.Step, algo Algorithm) float64 {
@@ -112,12 +112,14 @@ func degrade(t *testing.T, rng *rand.Rand, sys *topology.System, down bool) *top
 // fraction, scores under every algorithm exactly as per-edge accumulation
 // over its bound physical groups: StepTimeAlgo on the physical step, and,
 // for a counted schedule, StepTimeReplicated on replica 0's groups. One
-// Scorer is reused throughout.
+// Scorer is reused throughout. Each counted pattern must be compared often
+// over several replicas, so that a pattern falling back to the physical
+// groups shows.
 func TestReplicatedStepTimeMatchesPerEdge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(44, 2))
 	sc := new(Scorer)
 	var rp Replicas
-	counted := 0
+	replicated := map[Pattern]int{}
 	for trial := 0; trial < 60; trial++ {
 		base := genSystem(rng)
 		n := base.NumDevices()
@@ -155,10 +157,13 @@ func TestReplicatedStepTimeMatchesPerEdge(t *testing.T) {
 						t.Fatalf("%s %v %v %v %v: StepTimeAlgo %v, per edge %v", sys, sys.Overrides, m, in, algo,
 							math.Float64frombits(got), math.Float64frombits(want))
 					}
-					if !ScheduleOf(in.Op, algo, phys.GroupSize(), 0).Pattern.Counted() {
+					pat := ScheduleOf(in.Op, algo, phys.GroupSize(), 0).Pattern
+					if !pat.Counted() {
 						continue
 					}
-					counted++
+					if h.Replicas() > 1 {
+						replicated[pat]++
+					}
 					if got := math.Float64bits(sc.StepTimeReplicated(model, zero, &rp, algo)); got != want {
 						t.Fatalf("%s %v %v %v %v: StepTimeReplicated %v, per edge %v", sys, sys.Overrides, m, in, algo,
 							math.Float64frombits(got), math.Float64frombits(want))
@@ -167,13 +172,19 @@ func TestReplicatedStepTimeMatchesPerEdge(t *testing.T) {
 			}
 		}
 	}
-	if counted < 1000 {
-		t.Errorf("only %d counted steps compared", counted)
+	for _, f := range []struct {
+		name  string
+		pat   Pattern
+		floor int
+	}{{"ring", PatternRing, 1000}, {"chain", PatternChain, 100}, {"tree", PatternTree, 1000}} {
+		if got := replicated[f.pat]; got < f.floor {
+			t.Errorf("only %d %s steps compared over several replicas, want %d", got, f.name, f.floor)
+		}
 	}
 }
 
 // TestStepTimeReplicatedRefuses: a Replicas reset for another system, or a
-// schedule that is not counted over several replicas, panics instead of
+// halving-doubling schedule over several replicas, panics instead of
 // scoring wrong.
 func TestStepTimeReplicatedRefuses(t *testing.T) {
 	sys := topology.Fig2aSystem()
@@ -186,7 +197,7 @@ func TestStepTimeReplicatedRefuses(t *testing.T) {
 		name string
 		rp   *Replicas
 		algo Algorithm
-	}{{"other system", &other, Ring}, {"tree", &two, Tree}, {"halving-doubling", &two, HalvingDoubling}} {
+	}{{"other system", &other, Ring}, {"halving-doubling", &two, HalvingDoubling}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -199,7 +210,7 @@ func TestStepTimeReplicatedRefuses(t *testing.T) {
 }
 
 // TestStepTimeReplicatedZeroAlloc: a warm Scorer scores a replicated step
-// without allocating.
+// under Ring and Tree without allocating.
 func TestStepTimeReplicatedZeroAlloc(t *testing.T) {
 	sys := topology.SuperPodSystem(4, 4)
 	m, err := placement.ParseMatrix("[[2 2 4] [2 2 2]]", sys.Hierarchy(), []int{16, 8})
@@ -219,6 +230,7 @@ func TestStepTimeReplicatedZeroAlloc(t *testing.T) {
 	score := func() {
 		for _, st := range steps {
 			sc.StepTimeReplicated(model, st, &rp, Ring)
+			sc.StepTimeReplicated(model, st, &rp, Tree)
 		}
 	}
 	score()

@@ -100,10 +100,11 @@ func ScheduleOf(op collective.Op, algo Algorithm, n int, perDevice float64) Sche
 }
 
 // Counted reports whether every link of the pattern carries the schedule's
-// one LinkBytes volume — Ring and Chain — so that an uplink's analytic
-// traffic depends only on how many links cross it, not on their order:
-// the Scorer counts these patterns' crossings (see Scorer).
-func (p Pattern) Counted() bool { return p == PatternRing || p == PatternChain }
+// one LinkBytes volume — Ring, Chain and Tree — so that an uplink's
+// analytic traffic depends only on how many links cross it, not on their
+// order: the Scorer counts these patterns' crossings (see Scorer). Only
+// halving-doubling, whose core levels carry D·2^−r, is summed link by link.
+func (p Pattern) Counted() bool { return p != PatternHalvingDoubling }
 
 // RingLink is link i of a ring over n members: i → i+1 (mod n). Like the
 // other link formulas it works in group-index space — an index is a position
@@ -120,12 +121,9 @@ func FoldLink(p, k int) (residual, partner int) { return k, k - p }
 // CoreLink is core member i's exchange at halving-doubling level r.
 func CoreLink(r, i int) (src, dst int) { return i, i ^ (1 << r) }
 
-// relEdge is one link of the analytic view in group-index space: a tree's,
-// from treePartition.
-type relEdge struct {
-	a, b  int
-	bytes float64
-}
+// relEdge is one tree link in group-index space, from treePartition; it
+// carries the schedule's LinkBytes, like every counted link.
+type relEdge struct{ a, b int }
 
 // SameAnalytic reports whether s and o agree in their analytic view —
 // Pattern, LinkBytes and LatencyRounds — which is all a Scorer reads: over

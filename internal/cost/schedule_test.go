@@ -152,37 +152,44 @@ func checkScheduleViews(t *testing.T, op collective.Op, algo Algorithm, n int, d
 	}
 }
 
+// volEdge is one link of a schedule's analytic view in group-index space
+// with the volume it carries.
+type volEdge struct {
+	a, b  int
+	bytes float64
+}
+
 // edges expands the analytic view of a ring, chain or halving-doubling
 // schedule into the list of links the Scorer walks inline, in its order:
 // the oracle the volume and emulator-agreement tests read.
-func (s Schedule) edges(n int) []relEdge {
+func (s Schedule) edges(n int) []volEdge {
 	switch s.Pattern {
 	case PatternRing:
-		out := make([]relEdge, n)
+		out := make([]volEdge, n)
 		for i := range out {
 			a, b := RingLink(n, i)
-			out[i] = relEdge{a, b, s.LinkBytes}
+			out[i] = volEdge{a, b, s.LinkBytes}
 		}
 		return out
 	case PatternChain:
-		out := make([]relEdge, n-1)
+		out := make([]volEdge, n-1)
 		for i := range out {
 			a, b := ChainLink(i)
-			out[i] = relEdge{a, b, s.LinkBytes}
+			out[i] = volEdge{a, b, s.LinkBytes}
 		}
 		return out
 	case PatternHalvingDoubling:
 		p := CorePow2(n)
-		var out []relEdge
+		var out []volEdge
 		for k := p; k < n; k++ {
 			a, b := FoldLink(p, k)
-			out = append(out, relEdge{a, b, s.LinkBytes}, relEdge{b, a, s.LinkBytes})
+			out = append(out, volEdge{a, b, s.LinkBytes}, volEdge{b, a, s.LinkBytes})
 		}
 		for r := 0; 1<<r < p; r++ {
 			bytes := 2 * s.LinkBytes / float64(int(2)<<r) // halving + doubling phases
 			for i := 0; i < p; i++ {
 				a, b := CoreLink(r, i)
-				out = append(out, relEdge{a, b, bytes})
+				out = append(out, volEdge{a, b, bytes})
 			}
 		}
 		return out

@@ -23,25 +23,26 @@ import (
 //     group. Tree links depend on the members' hardware entities, so they
 //     are expanded per group, but into reusable partition and edge scratch.
 //
-// Ring and Chain steps are counted, not summed. Every link of the two
-// patterns carries the one volume LinkBytes, so an uplink's traffic is that
-// volume added from exact 0 once per link crossing it, in any order: the
-// Scorer routes the links, counts the crossings per uplink and charges an
-// uplink crossed c times the c-fold sequential sum of the volume. That
-// makes a replicated step cost one replica (StepTimeReplicated): a shifted
-// replica crosses the shifted uplinks exactly as often, so an uplink
-// touched by one replica's links is charged m_l times its count on each of
-// its classes' copies, m_l being the level's class size (Replicas).
+// Ring, Chain and Tree steps are counted, not summed. Every link of the
+// three patterns carries the one volume LinkBytes, so an uplink's traffic
+// is that volume added from exact 0 once per link crossing it, in any
+// order: the Scorer routes the links, counts the crossings per uplink and
+// charges an uplink crossed c times the c-fold sequential sum of the
+// volume. That makes a replicated step cost one replica
+// (StepTimeReplicated): a shifted replica crosses the shifted uplinks
+// exactly as often — a tree's too, since the shift keeps every level's
+// entity pattern and so its partition — and an uplink touched by one
+// replica's links is charged m_l times its count on each of its classes'
+// copies, m_l being the level's class size (Replicas).
 //
-// Halving-doubling and Tree links carry different volumes, so their order
-// matters and they accumulate link by link over the physical groups —
-// groups in step order, links in the order their formulas number them (a
-// halving-doubling group's folds and unfolds before its core levels), each
-// link's route (topology.System.Route) endpoint a then b, levels from the
-// divergence level down. Either way the step time is the most-loaded
-// uplink's transfer time plus the rounds × latency term, the latency being
-// the slowest divergence-level endpoint of any link. TestStepTimePinnedBits
-// and TestStepTimeDigest pin the resulting floats.
+// Halving-doubling links carry D, D/2, … by level, and those addends do
+// not reassociate, so its steps accumulate link by link over the physical
+// groups — groups in step order, a group's folds and unfolds before its
+// core levels, each link's route (topology.System.Route) endpoint a then
+// b, levels from the divergence level down. Either way the step time is
+// the most-loaded uplink's transfer time plus the rounds × latency term,
+// the latency being the slowest divergence-level endpoint of any link.
+// TestStepTimePinnedBits and TestStepTimeDigest pin the resulting floats.
 //
 // Nothing a Scorer keeps depends on the System, so it binds to the System
 // of each Model it is handed, growing its arrays when the System has more
@@ -53,10 +54,10 @@ type Scorer struct {
 	traffic []float64
 	dirty   []int
 
-	// Counted (Ring and Chain) steps: crossings[i] counts one replica's
-	// links routed over uplink i, and ends[i] says some link has an
-	// endpoint on it at its divergence level. sums[c] is the c-fold
-	// sequential sum of the step's link volume.
+	// Counted steps: crossings[i] counts one replica's links routed over
+	// uplink i, and ends[i] says some link has an endpoint on it at its
+	// divergence level. sums[c] is the c-fold sequential sum of the step's
+	// link volume.
 	crossings []int
 	ends      []bool
 	sums      []float64
@@ -121,8 +122,8 @@ func (s *Scorer) StepTimeAlgo(m *Model, st lower.Step, algo Algorithm) float64 {
 // st.Groups, one replica's, shifted by each replica offset rp was Reset
 // with, bit for bit. Only a counted step can be scored from one of several
 // replicas: unless rp holds one replica, algo's schedule for the step must
-// have a Counted pattern. It panics when it has not, or when rp was Reset
-// for another system than m's.
+// not be halving-doubling. It panics when it is, or when rp was Reset for
+// another system than m's.
 //
 //p2:zeroalloc
 func (s *Scorer) StepTimeReplicated(m *Model, st lower.Step, rp *Replicas, algo Algorithm) float64 {
@@ -154,10 +155,10 @@ func (s *Scorer) stepTime(m *Model, st lower.Step, rp *Replicas, algo Algorithm)
 		worst = s.counted(sch, st.Groups, rp)
 	} else {
 		if rp != nil && rp.n != 1 {
-			refuse("cost: only a Ring or Chain step is scored from one of several replicas")
+			refuse("cost: a halving-doubling step is not scored from one of several replicas")
 		}
 		for _, g := range st.Groups {
-			s.addGroup(sch, g)
+			s.halvingDoubling(sch, g)
 		}
 		worst = s.scan()
 	}
@@ -190,11 +191,11 @@ func (s *Scorer) scan() float64 {
 	return worst
 }
 
-// counted scores a Ring or Chain step from one replica's groups: it counts
-// the crossings of their links per uplink, then charges every class copy
-// of a crossed level-l uplink — the uplink shifted by the class's entity
-// offset — the sequential sum of ClassSize(l) × its count link volumes,
-// the traffic per-link accumulation leaves there. The scan covers each
+// counted scores a Ring, Chain or Tree step from one replica's groups: it
+// counts the crossings of their links per uplink, then charges every class
+// copy of a crossed level-l uplink — the uplink shifted by the class's
+// entity offset — the sequential sum of ClassSize(l) × its count link
+// volumes, the traffic per-link accumulation leaves there. The scan covers each
 // copy's own bandwidth and, for an uplink some link ends on at its
 // divergence level, its own latency, so overrides and down links score as
 // they do link by link; the max over copies is order-free.
@@ -203,15 +204,21 @@ func (s *Scorer) scan() float64 {
 func (s *Scorer) counted(sch Schedule, groups [][]int, rp *Replicas) float64 {
 	for _, g := range groups {
 		n := len(g)
-		if sch.Pattern == PatternRing {
+		switch sch.Pattern {
+		case PatternRing:
 			for i := range n {
 				a, b := RingLink(n, i)
 				s.cross(g[a], g[b])
 			}
-		} else {
+		case PatternChain:
 			for i := range n - 1 {
 				a, b := ChainLink(i)
 				s.cross(g[a], g[b])
+			}
+		default: // PatternTree; halving-doubling is never counted
+			s.treeEdges = s.tree.edges(s.sys, g, s.treeEdges[:0])
+			for _, e := range s.treeEdges {
+				s.cross(g[e.a], g[e.b])
 			}
 		}
 	}
@@ -284,39 +291,28 @@ func (s *Scorer) ProgramTime(m *Model, p *lower.Program) float64 {
 	return total
 }
 
-// addGroup accumulates the analytic view of sch, a halving-doubling or
-// tree schedule, over one group g into the traffic scratch. Halving-doubling
-// links come straight from FoldLink and CoreLink. Routing a link bumps
-// both endpoints' uplinks by the same amount and all links of one
-// halving-doubling level carry the same bytes, so the order inside a level
-// is free; across levels floats do not reassociate, and fold and unfold are
-// both accumulated before the core.
+// halvingDoubling accumulates the analytic view of sch, a halving-doubling
+// schedule, over one group g into the traffic scratch, its links straight
+// from FoldLink and CoreLink. Routing a link bumps both endpoints' uplinks
+// by the same amount and all links of one level carry the same bytes, so
+// the order inside a level is free; across levels floats do not
+// reassociate, and fold and unfold are both accumulated before the core.
 //
 //p2:zeroalloc
-func (s *Scorer) addGroup(sch Schedule, g []int) {
+func (s *Scorer) halvingDoubling(sch Schedule, g []int) {
 	n, bytes := len(g), sch.LinkBytes
-	switch sch.Pattern {
-	case PatternHalvingDoubling:
-		p := CorePow2(n)
-		for k := p; k < n; k++ {
-			a, b := FoldLink(p, k)
-			s.addEdge(g[a], g[b], bytes)
-			s.addEdge(g[b], g[a], bytes)
+	p := CorePow2(n)
+	for k := p; k < n; k++ {
+		a, b := FoldLink(p, k)
+		s.addEdge(g[a], g[b], bytes)
+		s.addEdge(g[b], g[a], bytes)
+	}
+	for r := 0; 1<<r < p; r++ {
+		level := 2 * bytes / float64(int(2)<<r) // halving + doubling phases
+		for i := range p {
+			a, b := CoreLink(r, i)
+			s.addEdge(g[a], g[b], level)
 		}
-		for r := 0; 1<<r < p; r++ {
-			level := 2 * bytes / float64(int(2)<<r) // halving + doubling phases
-			for i := range p {
-				a, b := CoreLink(r, i)
-				s.addEdge(g[a], g[b], level)
-			}
-		}
-	case PatternTree:
-		s.treeEdges = s.tree.edges(s.sys, g, bytes, s.treeEdges[:0])
-		for _, e := range s.treeEdges {
-			s.addEdge(g[e.a], g[e.b], e.bytes)
-		}
-	case PatternRing, PatternChain:
-		// Counted, never accumulated link by link (stepTime).
 	}
 }
 

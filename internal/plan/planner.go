@@ -368,7 +368,10 @@ func (t *threshold) tighten(v float64) {
 // evaluator (it binds to each model's system), the placement-bound
 // scratch reused across every placement the worker prunes, and the
 // matrixScorer of the placement the worker scores, whose tables are
-// resized and zeroed per placement and reallocated only to grow.
+// resized and zeroed per placement and reallocated only to grow. The
+// bound and the matrixScorer share bounds.reps: each Resets it for its
+// placement before reading it, and a worker bounds a placement's
+// reductions before it scores any.
 type workerState struct {
 	sc     cost.Scorer
 	bounds boundScratch
@@ -382,7 +385,6 @@ var workerStates = sync.Pool{New: func() any { return new(workerState) }}
 
 func (ws *workerState) release() {
 	ws.sc.Release()
-	ws.ms.reps.Release()
 	ws.bounds.reps.Release()
 	ws.ms.model, ws.ms.h, ws.ms.res, ws.ms.algos, ws.ms.low = nil, nil, nil, nil, nil
 	workerStates.Put(ws)
@@ -403,16 +405,16 @@ type stepChoice struct {
 // hundreds of program steps) and steps each step's evaluation, so programs
 // sharing a prefix — or merely an instruction at the same shape — share
 // both the binding and the step-time evaluations, which dominate serial
-// planning at scale. A Ring or Chain step is scored from replica 0's
+// planning at scale. A Ring, Chain or Tree step is scored from replica 0's
 // groups (cost.Scorer.StepTimeReplicated), so a placement binds its
-// physical groups only for the halving-doubling and tree steps it scores.
+// physical groups only for the halving-doubling steps it scores.
 type matrixScorer struct {
 	sc    *cost.Scorer
 	model *cost.Model
 	h     *hierarchy.Hierarchy
 	res   *synth.Result
 	algos []cost.Algorithm // the searched set; one entry pins every step
-	reps  cost.Replicas    // the placement's replicas, by level
+	reps  *cost.Replicas   // the placement's replicas, by level: the worker's bounds.reps
 	// zero binds replica 0 and all every replica (the physical groups).
 	zero, all binding
 	low       *lowering       // nil until a candidate of the placement survives
@@ -434,7 +436,7 @@ func zeroed[T any](s []T, n int) []T {
 
 func newMatrixScorer(ws *workerState, model *cost.Model, h *hierarchy.Hierarchy, res *synth.Result, opts Options) *matrixScorer {
 	ms := &ws.ms
-	ms.sc, ms.model, ms.h, ms.res, ms.algos = &ws.sc, model, h, res, opts.Algos
+	ms.sc, ms.model, ms.h, ms.res, ms.algos, ms.reps = &ws.sc, model, h, res, opts.Algos, &ws.bounds.reps
 	ms.reps.Reset(model.Sys, h.ReplicaOffsets())
 	ms.zero.reset(len(res.Instructions))
 	ms.all.reset(len(res.Instructions))
@@ -504,8 +506,9 @@ func (ms *matrixScorer) stepTime(id int32) stepChoice {
 
 // evalStep is stepTime's cold path: take the argmin over the algorithm set
 // (ties to the earliest entry, matching cost.Model.BestStepAlgos; a pinned
-// run's set has one entry), scoring a counted (Ring or Chain) schedule from
-// replica 0's groups and any other from the bound physical groups. The
+// run's set has one entry), scoring a counted (Ring, Chain or Tree)
+// schedule from replica 0's groups and a halving-doubling one from the
+// physical groups, bound only when the placement has several replicas. The
 // Scorer reads an algorithm only through cost.ScheduleOf, so an algorithm
 // whose analytic view equals an earlier entry's would score the earlier
 // entry's time and lose the tie: it is skipped.
@@ -521,7 +524,7 @@ func (ms *matrixScorer) evalStep(id int32) stepChoice {
 		}
 		var t float64
 		if ms.views[i].Pattern.Counted() {
-			t = ms.sc.StepTimeReplicated(ms.model, st, &ms.reps, a)
+			t = ms.sc.StepTimeReplicated(ms.model, st, ms.reps, a)
 		} else {
 			phys := st
 			if reps := ms.h.Replicas(); reps > 1 {

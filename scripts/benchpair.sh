@@ -16,7 +16,9 @@
 # failed ops, and when a deterministic metric differs within a pair: a
 # row's work counters (units other than ns/op, B/op and allocs/op) and the
 # end-to-end metrics whose BENCHMARK.json bound is below 1e-6 (the
-# planner's model output).
+# planner's model output). Every run, failed or not, ends with
+# scripts/textalign.sh REV: both builds' hot-loop and refKernel cache-line
+# offsets, which move timings by several percent.
 #
 # Usage:   scripts/benchpair.sh REV
 # Env:     PAIRS      pair count (default 10)
@@ -87,6 +89,7 @@ done
 # BENCHMARK.json gives each end-to-end metric's direction and bound; then
 # each result line is "SIDE SEED ROW N V UNIT V UNIT ..." or
 # "SIDE SEED WORKLOAD {json}".
+status=0
 awk -v rev="$(git rev-parse --short "$1")" -v pairs="$PAIRS" '
 function quantile(n, p,   h, j) {
   h = p * (n + 1)
@@ -153,4 +156,6 @@ END {
       sprintf("%.6g [%.6g, %.6g]", med, q1, q3), om == 0 ? 1 : med / om, wins, gap
   }
   if (bad) { print "benchpair.sh: " bad " failed run(s) or deterministic mismatch(es)"; exit 1 }
-}' BENCHMARK.json "$TMP/out"
+}' BENCHMARK.json "$TMP/out" || status=$?
+scripts/textalign.sh "$1"
+exit "$status"
