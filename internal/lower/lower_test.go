@@ -394,7 +394,7 @@ func TestAppendBindWarm(t *testing.T) {
 
 // TestAppendBindReplicaZero: binding one replica gives replica 0's groups,
 // and shifting them by every replica offset gives Bind's groups — the
-// identity the planner scores Ring and Chain steps by.
+// identity the planner scores Ring, Chain and Tree steps by.
 func TestAppendBindReplicaZero(t *testing.T) {
 	h := multiAxisHierarchy(t)
 	for _, in := range synth.Candidates(h) {

@@ -16,9 +16,11 @@
 # failed ops, and when a deterministic metric differs within a pair: a
 # row's work counters (units other than ns/op, B/op and allocs/op) and the
 # end-to-end metrics whose BENCHMARK.json bound is below 1e-6 (the
-# planner's model output). Every run, failed or not, ends with
-# scripts/textalign.sh REV: both builds' hot-loop and refKernel cache-line
-# offsets, which move timings by several percent.
+# planner's model output). Every exit after both builds, a failed run or
+# comparison included, prints scripts/textalign.sh's table for the two
+# bench binaries it built (hot-loop and refKernel cache-line offsets, which
+# move timings by several percent) and keeps the exit status; a failed
+# build has no binary to read, so it prints none.
 #
 # Usage:   scripts/benchpair.sh REV
 # Env:     PAIRS      pair count (default 10)
@@ -46,8 +48,19 @@ if [ -n "${SMOKE:-}" ]; then
   PAIRS=1 BENCHTIME=1x RUN=--smoke
 fi
 
+REV="$1"
 TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
+# finish: the EXIT trap. Print the built binaries' offsets, remove $TMP
+# and exit with the status the script was leaving with.
+finish() {
+  status=$?
+  if [ -x "$TMP/old/bench" ] && [ -x "$TMP/new/bench" ]; then
+    scripts/textalign.sh "$REV" "$TMP/old/bench" "$TMP/new/bench" || true
+  fi
+  rm -rf "$TMP"
+  exit "$status"
+}
+trap finish EXIT
 mkdir "$TMP/src" "$TMP/old" "$TMP/new"
 git archive "$1" | tar -x -C "$TMP/src"
 for side in old new; do
@@ -89,7 +102,6 @@ done
 # BENCHMARK.json gives each end-to-end metric's direction and bound; then
 # each result line is "SIDE SEED ROW N V UNIT V UNIT ..." or
 # "SIDE SEED WORKLOAD {json}".
-status=0
 awk -v rev="$(git rev-parse --short "$1")" -v pairs="$PAIRS" '
 function quantile(n, p,   h, j) {
   h = p * (n + 1)
@@ -156,6 +168,4 @@ END {
       sprintf("%.6g [%.6g, %.6g]", med, q1, q3), om == 0 ? 1 : med / om, wins, gap
   }
   if (bad) { print "benchpair.sh: " bad " failed run(s) or deterministic mismatch(es)"; exit 1 }
-}' BENCHMARK.json "$TMP/out" || status=$?
-scripts/textalign.sh "$1"
-exit "$status"
+}' BENCHMARK.json "$TMP/out"

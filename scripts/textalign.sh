@@ -9,10 +9,13 @@
 # before/after comparison prints this next to its numbers instead of
 # arguing parity by hand. Print-only: it never fails on a mismatch.
 #
-# Usage: scripts/textalign.sh [rev]
+# Usage: scripts/textalign.sh [rev [rev.bin tree.bin]]
 #   without rev: the checked-out tree's values
 #   with rev:    rev's values (built from `git archive rev`) beside the
 #                checked-out tree's (HEAD plus any uncommitted edits)
+#   with rev and two bench binaries already built from rev and the tree
+#                (scripts/benchpair.sh passes its own): the same table,
+#                read from those binaries without building either
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -29,11 +32,10 @@ main.refKernel'
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# offsets DIR OUT: build DIR's bench binary and write one
-# "address mod64" line per hot symbol ("- -" when the symbol is absent).
+# offsets BIN OUT: write one "address mod64" line per hot symbol of the
+# bench binary BIN ("- -" when the symbol is absent).
 offsets() {
-  (cd "$1" && go build -o "$tmp/bench.bin" ./bench)
-  go tool nm -size -sort address "$tmp/bench.bin" > "$tmp/nm.txt"
+  go tool nm -size -sort address "$1" > "$tmp/nm.txt"
   printf '%s\n' "$syms" | while read -r s; do
     addr=$(awk -v s="$s" '$4 == s { print $1; exit }' "$tmp/nm.txt")
     if [ -n "$addr" ]; then
@@ -44,7 +46,20 @@ offsets() {
   done > "$2"
 }
 
-offsets . "$tmp/head"
+case $# in
+0 | 1)
+  go build -o "$tmp/head.bin" ./bench
+  offsets "$tmp/head.bin" "$tmp/head"
+  ;;
+3)
+  offsets "$2" "$tmp/old"
+  offsets "$3" "$tmp/head"
+  ;;
+*)
+  echo "usage: scripts/textalign.sh [rev [rev.bin tree.bin]]" >&2
+  exit 2
+  ;;
+esac
 if [ $# -eq 0 ]; then
   printf '%-58s %10s %5s\n' symbol HEAD mod64
   printf '%s\n' "$syms" | paste -d ' ' - "$tmp/head" |
@@ -52,9 +67,12 @@ if [ $# -eq 0 ]; then
   exit 0
 fi
 
-mkdir "$tmp/rev"
-git archive "$1" | tar -x -C "$tmp/rev"
-offsets "$tmp/rev" "$tmp/old"
+if [ $# -eq 1 ]; then
+  mkdir "$tmp/rev"
+  git archive "$1" | tar -x -C "$tmp/rev"
+  (cd "$tmp/rev" && go build -o "$tmp/rev.bin" ./bench)
+  offsets "$tmp/rev.bin" "$tmp/old"
+fi
 printf '%-58s %10s %5s %10s %5s\n' symbol "$(git rev-parse --short "$1")" mod64 HEAD mod64
 printf '%s\n' "$syms" | paste -d ' ' - "$tmp/old" "$tmp/head" |
   awk '{ printf "%-58s %10s %5s %10s %5s\n", $1, $2, $3, $4, $5 }'
