@@ -177,23 +177,33 @@ func TestKeepsBaseline(t *testing.T) {
 	}
 }
 
+// benchManifest is what the tests read of BENCHMARK.json.
+type benchManifest struct {
+	Workloads []struct{ Name string } `json:"workloads"`
+	EndToEnd  []struct{ Name string } `json:"end_to_end"`
+}
+
+func readManifest(t *testing.T) benchManifest {
+	t.Helper()
+	data, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m benchManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestCommittedRecord holds BENCH_plan.json's current section to what
 // scripts/bench.sh writes: every BENCHMARK.json workload with every
 // end-to-end metric, ten samples of everything, and the counters of every
 // tracked planning, synthesis and emulator row.
 func TestCommittedRecord(t *testing.T) {
-	data, err := os.ReadFile("../../BENCHMARK.json")
+	manifest := readManifest(t)
+	data, err := os.ReadFile("../../BENCH_plan.json")
 	if err != nil {
-		t.Fatal(err)
-	}
-	var manifest struct {
-		Workloads []struct{ Name string } `json:"workloads"`
-		EndToEnd  []struct{ Name string } `json:"end_to_end"`
-	}
-	if err := json.Unmarshal(data, &manifest); err != nil {
-		t.Fatal(err)
-	}
-	if data, err = os.ReadFile("../../BENCH_plan.json"); err != nil {
 		t.Fatal(err)
 	}
 	var rec struct{ Current *run }
@@ -222,6 +232,121 @@ func TestCommittedRecord(t *testing.T) {
 				continue
 			}
 			count(w.Name+"/"+m.Name, s)
+		}
+	}
+}
+
+// fullRun is a driver report carrying every end-to-end metric BENCHMARK.json
+// declares, each 1 unless set gives it a value.
+func fullRun(t *testing.T, workload string, correct bool, set map[string]float64) string {
+	t.Helper()
+	metrics := map[string]any{}
+	for _, m := range readManifest(t).EndToEnd {
+		v, ok := set[m.Name]
+		if !ok {
+			v = 1
+		}
+		metrics[m.Name] = map[string]any{"value": v, "unit": "x"}
+	}
+	line, _ := json.Marshal(map[string]any{"correct": correct, "attempted": 10, "failed": 0, "metrics": metrics})
+	return "== " + workload + ": 10 ops attempted, 0 failed\n" + string(line) + "\n"
+}
+
+// runPair writes the two streams to files and runs -pair on them with REV
+// abc1234.
+func runPair(t *testing.T, old, tree string) (string, error) {
+	t.Helper()
+	dir := t.TempDir()
+	oldPath, newPath := filepath.Join(dir, "old.out"), filepath.Join(dir, "new.out")
+	if err := os.WriteFile(oldPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newPath, []byte(tree), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := pair("abc1234", oldPath, newPath, "../../BENCHMARK.json", &out)
+	return out.String(), err
+}
+
+func TestPair(t *testing.T) {
+	// seed is one pair's side: a counted row and a measured run.
+	seed := func(ns, candidates int, correct bool, set map[string]float64) string {
+		return counted(ns, candidates, 4) + fullRun(t, "measured", correct, set)
+	}
+	same := seed(500, 2010, true, nil) + seed(600, 2010, true, nil)
+	only := func(key, side string) string { return fmt.Sprintf("%-44s %s only\n", key, side) }
+	for name, tc := range map[string]struct {
+		old, tree string
+		err       string   // "" when -pair must succeed
+		lines     []string // substrings the table must hold
+	}{
+		"identical streams": {old: same, tree: same, lines: []string{
+			"BenchmarkPlanX/parallel candidates", "det    -\n", "measured best_pred_ms_geomean", "0/2   no\n"}},
+		"one counter differs in one pair": {old: same, tree: seed(500, 2010, true, nil) + seed(600, 2011, true, nil),
+			err: "1 deterministic mismatch", lines: []string{"MISMATCH BenchmarkPlanX/parallel candidates seed 2: abc1234 2010, tree 2011\n"}},
+		"model output differs": {old: same, tree: seed(500, 2010, true, map[string]float64{"best_pred_ms_geomean": 2}) + seed(600, 2010, true, nil),
+			err: "1 deterministic mismatch", lines: []string{"MISMATCH measured best_pred_ms_geomean seed 1: abc1234 1, tree 2\n"}},
+		"incorrect driver result": {old: same, tree: seed(500, 2010, true, nil) + seed(600, 2010, false, nil),
+			err: `tree: refusing driver result of workload "measured" seed 2`},
+		"metric missing": {old: seed(500, 2010, true, nil) + strings.Replace(seed(600, 2010, true, nil), `"op_ms_p90":{"unit":"x","value":1},`, "", 1), tree: same,
+			err: `abc1234: refusing driver result of workload "measured" seed 2: no op_ms_p90`},
+		"tree faster": {old: same, tree: seed(400, 2010, true, map[string]float64{"op_ms_p50": 0.5, "ops_per_s": 2}) + seed(500, 2010, true, map[string]float64{"op_ms_p50": 0.5, "ops_per_s": 2}),
+			lines: []string{"BenchmarkPlanX/parallel ns/op", "0.8182   2/2   no\n", "0.5000   2/2  yes\n", "2.0000   2/2  yes\n"}},
+		"row on REV only": {old: same + strings.ReplaceAll(counted(500, 2010, 4), "PlanX", "PlanY"), tree: same,
+			lines: []string{only("BenchmarkPlanY/parallel ns/op", "abc1234"), only("BenchmarkPlanY/parallel candidates", "abc1234")}},
+		"row on tree only": {old: same, tree: same + strings.ReplaceAll(counted(500, 2010, 4), "PlanX", "PlanY"),
+			lines: []string{only("BenchmarkPlanY/parallel ns/op", "tree"), only("BenchmarkPlanY/parallel allocs/op", "tree")}},
+	} {
+		out, err := runPair(t, tc.old, tc.tree)
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%s: error %v, want %q\n%s", name, err, tc.err, out)
+		}
+		for _, l := range tc.lines {
+			if !strings.Contains(out, l) {
+				t.Errorf("%s: table lacks %q\n%s", name, l, out)
+			}
+		}
+		if tc.err == "" && strings.Contains(out, "MISMATCH") {
+			t.Errorf("%s: table has a mismatch\n%s", name, out)
+		}
+	}
+}
+
+// TestPairGolden runs -pair on streams recorded from real runs — the
+// default rows at -benchtime 1x and the five --smoke workloads, seeds 1 and
+// 2, REV 9b33a9e against a tree with the same engine — and compares its
+// table with testdata/pair.golden, which the awk program benchpair.sh ran
+// before -pair existed printed from the same runs. The same streams go
+// through the record writer's summary.
+func TestPairGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := pair("9b33a9e", "testdata/pair.old", "testdata/pair.new", "../../BENCHMARK.json", &out); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/pair.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("-pair table differs from testdata/pair.golden:\n%s", out.String())
+	}
+	f, err := os.Open("testdata/pair.old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cur, err := summary(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cur.Benchmarks) != 3 || len(cur.Workloads) != 5 || cur.CPU == "" {
+		t.Errorf("recorded stream summarizes to %d rows, %d workloads, cpu %q; want 3, 5 and the header's",
+			len(cur.Benchmarks), len(cur.Workloads), cur.CPU)
+	}
+	for name, r := range cur.Benchmarks {
+		if r.NsOp.N != 2 || r.Counters == nil {
+			t.Errorf("%s: %d ns/op samples, counters %v; want 2 and the row's counters", name, r.NsOp.N, r.Counters)
 		}
 	}
 }
